@@ -3,7 +3,7 @@
 Claims reproduced / asserted:
 
 - a 100-bound sweep over a 10k-task chain runs >= 3x faster through the
-  warmed ``PartitionEngine`` (NumPy kernels + prime-structure cache)
+  warmed ``PartitionEngine`` (NumPy kernels + compiled-plan cache)
   than through the seed ``bandwidth_min`` loop, with identical results;
 - the same sweep through a **compiled plan** (one ``compile_chain`` +
   one ``solve_bounds`` call) beats the seed loop >= 4x even cold, and a
@@ -21,10 +21,10 @@ Claims reproduced / asserted:
   pre-instrumentation pipeline;
 - the live telemetry hub costs < 5% both disabled (``NULL_HUB``) and
   enabled with no subscribers, measured against the direct
-  prime-structure-cache path;
-- the ``@shared_state`` locks added to the cache layer cost < 5% on a
-  single-threaded cold solve vs a lock-free inline replica of the same
-  pipeline, and the disabled telemetry paths (``NULL_HUB`` guard,
+  plan-cache path;
+- the ``@shared_state`` locks of the plan cache and the plan memo cost
+  < 5% on a single-threaded cold solve vs a lock-free inline replica of
+  the same pipeline, and the disabled telemetry paths (``NULL_HUB`` guard,
   null-hub publishes, locked ``Counter.inc``) stay allocation-free.
 
 All tests also run (and still assert correctness) under
@@ -300,8 +300,8 @@ def test_tracing_disabled_overhead(benchmark):
 def test_hub_overhead(benchmark):
     """ISSUE acceptance criterion: live-hub plumbing < 5% overhead.
 
-    Two claims, both against a replica that calls the prime-structure
-    cache directly (the pre-hub engine hot path):
+    Two claims, both against a replica that calls the plan cache
+    directly (the engine hot path without the hub plumbing):
 
     - **disabled** — the default ``NULL_HUB`` engine's ``solve`` fast
       path costs nothing beyond two ``.enabled`` attribute checks;
@@ -331,10 +331,11 @@ def test_hub_overhead(benchmark):
 
     def replica():
         replica_engine.cache.clear()
-        return replica_engine.cache.solve(chain, bound)
+        plan = replica_engine.cache.get(chain, metrics=replica_engine.metrics)
+        return plan.solve_bounds([bound], return_cuts=True)[0][0]
 
     # Warm imports + assert the three legs agree before timing.
-    assert disabled().weight == enabled_no_subscribers().weight == replica().weight
+    assert disabled().weight == enabled_no_subscribers().weight == replica()
 
     def trial(reps=11):
         legs = [disabled, enabled_no_subscribers, replica]
@@ -379,24 +380,24 @@ def test_hub_overhead(benchmark):
 def test_lock_overhead(benchmark):
     """ISSUE acceptance criterion: shared-state locks < 5% single-threaded.
 
-    ``PrimeStructureCache.solve`` now runs its miss path under the
-    object's ``@shared_state`` RLock.  Raced against a lock-free inline
-    replica of the same cold pipeline (validate → NumPy prime structure
-    → sweep — the exact work a miss performs), the lock acquisition must
-    disappear next to a 10k-task solve.  Interleaved min-of-reps timing
-    as in :func:`test_tracing_disabled_overhead`.
+    ``PartitionEngine.solve`` looks its plan up under the plan cache's
+    ``@shared_state`` RLock and runs the memo miss under the plan's own.
+    Raced against a lock-free inline replica of the same cold pipeline
+    (validate → NumPy prime structure → sweep — the exact work a miss
+    performs), the lock acquisitions must disappear next to a 10k-task
+    solve.  Interleaved min-of-reps timing as in
+    :func:`test_tracing_disabled_overhead`.
     """
     from repro.core.bandwidth import ChainCutResult
     from repro.core.feasibility import validate_bound
-    from repro.engine.cache import PrimeStructureCache
     from repro.engine.kernels import bandwidth_sweep, compute_prime_structure_numpy
 
     chain, bound = make_chain(N_TASKS, 4.0)
-    cache = PrimeStructureCache()
+    engine = PartitionEngine()
 
     def locked():
-        cache.clear()
-        return cache.solve(chain, bound)
+        engine.cache.clear()
+        return engine.solve(chain, bound)
 
     def replica():
         validate_bound(chain.alpha, bound)

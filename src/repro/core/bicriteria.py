@@ -66,10 +66,9 @@ def lexicographic_chain_partition(
 
     # Forbid edges heavier than B*: infinite weight removes them from
     # every minimum-weight hitting set while keeping indices aligned.
-    restricted_beta = [
-        b if b <= b_star else math.inf for b in chain.beta
-    ]
-    restricted = Chain(chain.alpha, restricted_beta)
+    restricted = chain._forbid_edges(
+        i for i, b in enumerate(chain.beta) if b > b_star
+    )
     result = bandwidth_min(restricted, bound)
     assert math.isfinite(result.weight), (
         "bottleneck-feasible cut must exist by construction"

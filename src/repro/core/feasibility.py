@@ -10,6 +10,7 @@ all-singletons partition).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 
@@ -34,10 +35,10 @@ def validate_bound(vertex_weights: Iterable[float], bound: float) -> float:
     """Validate ``K`` against the vertex weights and return the max weight.
 
     Raises :class:`InfeasibleBoundError` when some vertex alone exceeds
-    ``K`` and :class:`ValueError` on a non-positive bound.
+    ``K`` and :class:`ValueError` unless ``0 < K < inf`` (NaN included).
     """
-    if bound <= 0:
-        raise ValueError(f"bound K must be positive, got {bound:g}")
+    if not 0 < bound < math.inf:
+        raise ValueError(f"bound K must be positive and finite, got {bound:g}")
     max_weight = max(vertex_weights)
     if max_weight > bound:
         raise InfeasibleBoundError(bound, max_weight)

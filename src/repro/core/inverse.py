@@ -59,7 +59,7 @@ def partition_chain_for_processors(
     ``"processors"`` objective when the block count must be exact.
 
     Pass a :class:`repro.engine.PartitionEngine` as ``engine`` to solve
-    through its prime-structure cache — worthwhile when many budgets are
+    through its compiled-plan cache — worthwhile when many budgets are
     probed on the same chain (see :func:`chain_pareto_frontier`).
     """
     if processors < 1:

@@ -6,18 +6,22 @@ Layers on top of :mod:`repro.core`:
   pipeline (prefix weights, prime subpaths via ``searchsorted``,
   membership intervals, the non-redundant-edge reduction), bit-identical
   to the pure-Python reference;
-- :mod:`repro.engine.cache` — content-fingerprinted prime-structure and
-  result caching with monotone warm-start for sorted-``K`` sweeps, plus
-  the compiled-plan LRU (:class:`PlanCache`);
-- :mod:`repro.engine.plan` — :class:`CompiledChainPlan`: freeze one
-  chain's preprocessing, answer whole vectors of bound/β queries in
-  batched sweeps (``compile_chain``/``solve_bounds``/``solve_beta_sweep``);
+- :mod:`repro.engine.plan` — :class:`CompiledChainPlan`, the one
+  per-chain object: freeze one chain's preprocessing, keep the
+  stability-interval memo of built structures, and answer single bounds
+  or whole vectors of bound/β queries in batched sweeps
+  (``compile_chain``/``solve_bounds``/``solve_beta_sweep``);
+- :mod:`repro.engine.cache` — :class:`PlanCache`, the engine's one
+  cache: compiled plans keyed by content fingerprint;
 - :mod:`repro.engine.batch` — :class:`PartitionEngine` with
   ``solve``/``solve_many``/``solve_sweep`` (process-pool fan-out,
   fingerprint-grouped dispatch, deterministic result ordering) backing
   the ``repro batch`` CLI subcommand.
 """
 
+# The kernels (and NumPy) load first: NumPy imported from deeper in the
+# batch -> cache -> plan chain starts up about 10 ms slower.
+from repro.engine.kernels import HAVE_NUMPY
 from repro.engine.batch import (
     OBJECTIVES,
     BatchStats,
@@ -25,8 +29,7 @@ from repro.engine.batch import (
     PartitionQuery,
     QueryResult,
 )
-from repro.engine.cache import CacheStats, PlanCache, PrimeStructureCache
-from repro.engine.kernels import HAVE_NUMPY
+from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.plan import CompiledChainPlan, compile_chain
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "PartitionEngine",
     "PartitionQuery",
     "PlanCache",
-    "PrimeStructureCache",
     "QueryResult",
     "compile_chain",
 ]

@@ -1,8 +1,8 @@
 """The batched, cache-aware, optionally parallel partitioning front door.
 
 :class:`PartitionEngine` is the API production callers are expected to
-use: single queries go through :meth:`PartitionEngine.solve` (NumPy
-kernels + the prime-structure cache), and independent query streams go
+use: single queries go through :meth:`PartitionEngine.solve` (a compiled
+plan from the engine's one cache), and independent query streams go
 through :meth:`PartitionEngine.solve_many`, which fans them across a
 ``concurrent.futures`` process pool in chunks while guaranteeing results
 come back **in input order** regardless of pool scheduling.
@@ -32,9 +32,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.feasibility import PartitioningError
 from repro.core.pipeline import partition_chain
-from repro.engine.cache import CacheStats, PlanCache, PrimeStructureCache
+from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.kernels import HAVE_NUMPY
 from repro.graphs.chain import Chain
 from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
@@ -83,11 +84,26 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
 
     @classmethod
     def from_json(cls, line: str) -> "PartitionQuery":
+        """Parse one JSONL record, rejecting non-finite numbers at the wire.
+
+        ``NaN``/``Infinity`` tokens and overflowing literals such as
+        ``1e999`` both parse to non-finite floats; neither names a valid
+        weight or bound, so either raises ``ValueError`` here.
+        """
         record = json.loads(line)
+        alpha = tuple(float(a) for a in record["alpha"])
+        beta = tuple(float(b) for b in record.get("beta", []))
+        bound = float(record["bound"])
+        values = (*alpha, *beta, bound)
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(
+                f"non-finite number {bad} is not a valid weight or bound"
+            )
         return cls(
-            tuple(float(a) for a in record["alpha"]),
-            tuple(float(b) for b in record.get("beta", [])),
-            float(record["bound"]),
+            alpha,
+            beta,
+            bound,
             record.get("objective", "bandwidth"),
             record.get("tag"),
         )
@@ -231,13 +247,15 @@ class BatchStats:
 class PartitionEngine:
     """Cache-aware partitioning engine with a batched front door.
 
+    Bandwidth queries on the NumPy backend are answered by compiled
+    plans held in one :class:`~repro.engine.cache.PlanCache`, reachable
+    as both :attr:`cache` and :attr:`plans`.  The ``"python"`` backend
+    calls the pure-Python reference directly, uncached.
+
     Parameters
     ----------
     backend:
         ``"numpy"`` (default when NumPy is importable) or ``"python"``.
-    cache:
-        A :class:`PrimeStructureCache` to share with other engines, or
-        ``None`` to own a private one.
     max_workers:
         Default process-pool width for :meth:`solve_many`; ``0``/``1``
         solves serially in-process (still cached).  ``None`` lets the
@@ -264,7 +282,6 @@ class PartitionEngine:
     __slots__ = (
         "backend",
         "cache",
-        "plans",
         "max_workers",
         "tracer",
         "metrics",
@@ -275,8 +292,6 @@ class PartitionEngine:
     def __init__(
         self,
         backend: Optional[str] = None,
-        cache: Optional[PrimeStructureCache] = None,
-        plans: Optional[PlanCache] = None,
         max_workers: Optional[int] = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -288,12 +303,16 @@ class PartitionEngine:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.hub = hub if hub is not None else NULL_HUB
-        self.cache = cache or PrimeStructureCache(backend=backend, hub=self.hub)
-        self.plans = plans or PlanCache()
+        self.cache = PlanCache()
         self.max_workers = max_workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.last_batch_stats: Optional[BatchStats] = None
+
+    @property
+    def plans(self) -> PlanCache:
+        """The engine's one plan cache (the same object as :attr:`cache`)."""
+        return self.cache
 
     # ------------------------------------------------------------------
     # Single queries
@@ -308,34 +327,24 @@ class PartitionEngine:
     ) -> ChainCutResult:
         """Solve one query through the fast path.
 
-        ``"bandwidth"`` (Algorithm 4.1) runs through the prime-structure
-        cache with the configured kernels and ``collect_stats`` off; the
-        other objectives delegate to
+        ``"bandwidth"`` (Algorithm 4.1) with ``search="binary"`` on the
+        NumPy backend is a one-bound ``solve_bounds`` on the chain's
+        cached plan; the ``"python"`` backend and the other ``search``
+        strategies call :func:`repro.core.bandwidth.bandwidth_min`
+        directly.  The other objectives delegate to
         :func:`repro.core.pipeline.partition_chain` (tree algorithms,
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
-            if objective == "bandwidth":
-                return self.cache.solve(chain, bound, search=search)
-            if objective not in OBJECTIVES:
-                raise ValueError(
-                    f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
-                )
-            return partition_chain(chain, bound, objective)
+            return self._solve(chain, bound, objective, search, None)
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
         ):
-            if objective == "bandwidth":
-                result = self.cache.solve(
-                    chain, bound, search=search, tracer=self.tracer
-                )
-            elif objective not in OBJECTIVES:
-                raise ValueError(
-                    f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
-                )
-            else:
-                result = partition_chain(chain, bound, objective)
+            result = self._solve(
+                chain, bound, objective, search,
+                self.tracer if self.tracer.enabled else None,
+            )
         duration = time.perf_counter() - t0
         self.metrics.counter("engine.queries").inc()
         self.metrics.histogram("engine.query_latency_s").observe(duration)
@@ -366,6 +375,29 @@ class PartitionEngine:
                 self.hub.publish_metric("solve.optimality_gap", "observe", gap)
         return result
 
+    def _solve(
+        self,
+        chain: Chain,
+        bound: float,
+        objective: str,
+        search: str,
+        tracer: Optional[Tracer],
+    ) -> ChainCutResult:
+        """One query, spans recorded on ``tracer`` when given."""
+        if objective != "bandwidth":
+            if objective not in OBJECTIVES:
+                raise ValueError(
+                    f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
+                )
+            return partition_chain(chain, bound, objective)
+        if self.backend != "numpy" or search != "binary":
+            return bandwidth_min(chain, bound, search=search, tracer=tracer)
+        plan = self.cache.get(
+            chain, tracer=tracer, metrics=self.metrics, hub=self.hub
+        )
+        weights, cuts = plan.solve_bounds([bound], return_cuts=True)
+        return ChainCutResult(chain, cuts[0], float(weights[0]))
+
     # ------------------------------------------------------------------
     # Multi-query sweeps (compiled plans)
     # ------------------------------------------------------------------
@@ -379,8 +411,9 @@ class PartitionEngine:
         """Optimal bandwidth for every bound in ``bounds``, one batched pass.
 
         Routes through a :class:`~repro.engine.plan.CompiledChainPlan`
-        cached by chain fingerprint in :attr:`plans`, so repeated sweeps
-        over the same chain share frozen arrays and built structures.
+        cached by chain fingerprint in :attr:`cache`, so repeated sweeps
+        and solves over the same chain share frozen arrays and built
+        structures.
         Returns the per-bound weights (a float64 array on the NumPy
         backend, a list on the Python fallback), or ``(weights, cuts)``
         with ``return_cuts=True``.  Answers are bit-identical to
@@ -388,8 +421,8 @@ class PartitionEngine:
         is certified against the pure-Python solver.
 
         On ``backend="python"`` (or when NumPy is missing) the sweep
-        degrades to per-call solves through the structure cache — same
-        answers, no compiled fast path.
+        degrades to per-call reference solves — same answers, no
+        compiled fast path.
         """
         if self.backend != "numpy" or not HAVE_NUMPY:
             results = [self.solve(chain, float(b)) for b in bounds]
@@ -398,7 +431,7 @@ class PartitionEngine:
                 return weights, [list(r.cut_indices) for r in results]
             return weights
         tracer = self.tracer if self.tracer.enabled else None
-        plan = self.plans.get(
+        plan = self.cache.get(
             chain, tracer=tracer, metrics=self.metrics, hub=self.hub
         )
         return plan.solve_bounds(bounds, return_cuts=return_cuts)
@@ -409,26 +442,19 @@ class PartitionEngine:
     def snapshot_metrics(self) -> MetricsRegistry:
         """The engine's registry with current cache gauges folded in.
 
-        Cache hit/miss counts accumulate on :class:`CacheStats` (no
+        Plan-cache hit/miss counts accumulate on :class:`CacheStats` (no
         per-lookup metric cost); this snapshot mirrors them into the
         registry so one export carries everything.
         """
-        stats = self.cache.stats
-        self.metrics.gauge("engine.cache.hits").set(stats.hits)
-        self.metrics.gauge("engine.cache.interval_hits").set(stats.interval_hits)
-        self.metrics.gauge("engine.cache.misses").set(stats.misses)
-        self.metrics.gauge("engine.cache.evictions").set(stats.evictions)
-        self.metrics.gauge("engine.cache.hit_rate").set(stats.hit_rate)
-        self.metrics.gauge("engine.cache.entries").set(len(self.cache))
-        plan_stats = self.plans.stats
+        plan_stats = self.cache.stats
         self.metrics.gauge("engine.plan.cache.hits").set(plan_stats.hits)
         self.metrics.gauge("engine.plan.cache.misses").set(plan_stats.misses)
         self.metrics.gauge("engine.plan.cache.evictions").set(
             plan_stats.evictions
         )
-        self.metrics.gauge("engine.plan.cache.plans").set(len(self.plans))
+        self.metrics.gauge("engine.plan.cache.plans").set(len(self.cache))
         self.metrics.gauge("engine.plan.cache.occupancy").set(
-            self.plans.occupancy
+            self.cache.occupancy
         )
         return self.metrics
 
@@ -441,16 +467,14 @@ class PartitionEngine:
         *,
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        use_plans: bool = True,
     ) -> List[QueryResult]:
         """Solve independent queries, returning results in input order.
 
         Queries are grouped by chain content (the fingerprint
         equivalence) before dispatch.  Serially, bandwidth groups with
         two or more feasible bounds route through the compiled-plan
-        cache (:meth:`solve_sweep`) — one structural pass per stability
-        interval instead of one per query; ``use_plans=False`` restores
-        strictly per-call solves.  With a process pool, grouping keeps
+        cache (:meth:`solve_sweep`) — one batched pass per group instead
+        of one call per query.  With a process pool, grouping keeps
         same-chain queries in the same ``executor.map`` chunk so workers
         stop re-deriving structures their neighbors already built;
         results are re-sorted to input order afterwards.
@@ -467,14 +491,14 @@ class PartitionEngine:
         t0 = time.perf_counter()
         if max_workers in (0, 1) or len(queries) <= 1:
             workers = 0
-            results = self._solve_serial(payloads, use_plans)
+            results = self._solve_serial(payloads)
         else:
             if max_workers is not None and max_workers < 0:
                 raise ValueError("max_workers must be >= 0")
             workers = max_workers or os.cpu_count() or 1
             # Fingerprint grouping: same-chain (and near-same-bound)
             # queries land in the same chunk, hence the same worker's
-            # structure cache.
+            # plan cache.
             grouped = sorted(payloads, key=lambda p: (p[1], p[2], p[3]))
             if chunksize is None:
                 chunksize = max(1, len(payloads) // (4 * workers))
@@ -494,9 +518,7 @@ class PartitionEngine:
         self._aggregate_batch(results, workers, time.perf_counter() - t0)
         return results
 
-    def _solve_serial(
-        self, payloads: List[tuple], use_plans: bool
-    ) -> List[QueryResult]:
+    def _solve_serial(self, payloads: List[tuple]) -> List[QueryResult]:
         """The serial batch path: plan-route bandwidth groups, per-call
         everything else.
 
@@ -508,12 +530,7 @@ class PartitionEngine:
         per query.  Tracing disables plan routing — per-query spans are
         the contract there.
         """
-        if (
-            not use_plans
-            or self.backend != "numpy"
-            or not HAVE_NUMPY
-            or self.tracer.enabled
-        ):
+        if self.backend != "numpy" or not HAVE_NUMPY or self.tracer.enabled:
             answers = []
             for p in payloads:
                 answer = _solve_payload(p, self)
@@ -644,7 +661,7 @@ class PartitionEngine:
                     "workers": workers,
                     "wall_s": wall_s,
                     "cache_hit_rate": batch.cache.hit_rate,
-                    "plan_occupancy": self.plans.occupancy,
+                    "plan_occupancy": self.cache.occupancy,
                     "latency": batch.latency.summary(),
                 }
             )
@@ -655,7 +672,6 @@ class PartitionEngine:
         *,
         max_workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        use_plans: bool = True,
     ) -> List[QueryResult]:
         """Parse JSONL query records and solve them as one batch.
 
@@ -674,8 +690,7 @@ class PartitionEngine:
                     f"invalid query record on line {lineno}: {exc!s}"
                 ) from exc
         return self.solve_many(
-            queries, max_workers=max_workers, chunksize=chunksize,
-            use_plans=use_plans,
+            queries, max_workers=max_workers, chunksize=chunksize
         )
 
 
@@ -688,27 +703,10 @@ def _worker_engine(backend: str) -> PartitionEngine:
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None or _WORKER_ENGINE.backend != backend:
         # Intentional per-process cache: each worker owns its engine so
-        # prime structures persist across the chunks it processes, and
+        # compiled plans persist across the chunks it processes, and
         # nothing here must ever flow back to the parent.
         _WORKER_ENGINE = PartitionEngine(backend=backend, max_workers=0)  # repro-lint: disable=REPRO006 (per-process cache)
     return _WORKER_ENGINE
-
-
-def _solve_one(
-    engine: PartitionEngine,
-    chain: Chain,
-    bound: float,
-    objective: str,
-    tracer: Optional[Tracer],
-) -> ChainCutResult:
-    """One query against an engine's cache, optionally under a tracer."""
-    if objective == "bandwidth":
-        return engine.cache.solve(chain, bound, tracer=tracer)
-    if objective not in OBJECTIVES:
-        raise ValueError(
-            f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
-        )
-    return partition_chain(chain, bound, objective)
 
 
 def _solve_payload(
@@ -732,7 +730,7 @@ def _solve_payload(
     gap: Optional[float] = None
     try:
         chain = Chain(list(alpha), list(beta))
-        result = _solve_one(engine, chain, bound, objective, tracer)
+        result = engine._solve(chain, bound, objective, "binary", tracer)
         answer = QueryResult(
             index,
             tag,

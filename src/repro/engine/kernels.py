@@ -32,6 +32,7 @@ edges, so the ``O(n)`` part of a query never builds a Python object.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
@@ -76,9 +77,9 @@ def beta_array(chain: Chain) -> "np.ndarray":
 
 def validate_bound_array(alpha_max: float, bound: float) -> None:
     """Array-path twin of :func:`repro.core.feasibility.validate_bound`
-    taking a precomputed max vertex weight (the cache stores it)."""
-    if bound <= 0:
-        raise ValueError(f"bound K must be positive, got {bound:g}")
+    taking a precomputed max vertex weight (the plan stores it)."""
+    if not 0 < bound < math.inf:
+        raise ValueError(f"bound K must be positive and finite, got {bound:g}")
     if alpha_max > bound:
         raise InfeasibleBoundError(bound, alpha_max)
 
@@ -359,7 +360,7 @@ class ArrayPrimeStructure:
     def min_prime_weight(self) -> float:
         """Smallest prime-subpath weight — the exclusive upper end of the
         bound interval over which this structure stays valid (see
-        :mod:`repro.engine.cache`); ``inf`` when there are no primes."""
+        :mod:`repro.engine.plan`); ``inf`` when there are no primes."""
         if self.p == 0:
             return float("inf")
         return float(self.prime_weights.min())
@@ -376,14 +377,10 @@ def compute_prime_structure_numpy(
     chain: Chain,
     bound: float,
     apply_reduction: bool = True,
-    prefix: Optional["np.ndarray"] = None,
-    beta: Optional["np.ndarray"] = None,
     tracer: Optional["Tracer"] = None,
 ) -> ArrayPrimeStructure:
     """NumPy fast path for ``PrimeStructure.compute``.
 
-    ``prefix``/``beta`` accept pre-converted arrays so the engine cache
-    pays the list-to-ndarray conversion once per chain, not per bound.
     Output rows are element-for-element identical to the pure-Python
     reference.
 
@@ -397,17 +394,13 @@ def compute_prime_structure_numpy(
             "kernel_dispatch", kernel="prime_structure", n=chain.num_tasks
         ) as span:
             structure = compute_prime_structure_numpy(
-                chain, bound, apply_reduction=apply_reduction,
-                prefix=prefix, beta=beta,
+                chain, bound, apply_reduction=apply_reduction
             )
             span.set("p", structure.p)
             span.set("r", structure.r)
         return structure
-    require_numpy()
-    if prefix is None:
-        prefix = prefix_array(chain)
-    if beta is None:
-        beta = beta_array(chain)
+    prefix = prefix_array(chain)
+    beta = beta_array(chain)
     # Take the max from the authoritative per-task weights: differencing
     # the prefix array can be off by an ulp, which must not change
     # feasibility verdicts relative to the reference.

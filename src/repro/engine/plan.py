@@ -1,22 +1,21 @@
-"""Compiled chain plans: answer many queries on one chain in one pass.
+"""Compiled chain plans: the engine's one per-chain object.
 
 Algorithm 4.1 splits a query into an ``O(n)`` structural phase (prime
 subpaths, membership intervals, the non-redundant edge reduction) and an
-``O(p log q)`` TEMP_S sweep.  The engine cache (PR 1) amortizes the
-structural phase *per bound*; this module amortizes the whole pipeline
-*per chain*: :func:`compile_chain` freezes the chain into contiguous
-arrays once (prefix weights, β table), and the resulting
-:class:`CompiledChainPlan` answers whole vectors of queries —
+``O(p log q)`` TEMP_S sweep.  :func:`compile_chain` freezes a chain into
+contiguous arrays once (prefix weights, β table), and the resulting
+:class:`CompiledChainPlan` answers every bandwidth query the engine
+serves on that chain —
 
 - :meth:`CompiledChainPlan.solve_bounds` takes an array of bounds ``ks``
   and returns the optimal bandwidth for every one.  Bounds are sorted
   and grouped by *stability interval* (a structure built at ``K`` stays
-  valid for every ``K' ∈ [K, min prime weight)`` — the PR 1 warm-start
-  invariant), each distinct structure is built once with the batched
-  kernels of :mod:`repro.engine.kernels`, and the TEMP_S transitions run
-  through :func:`~repro.engine.kernels.sweep_min_weight`, the
-  arena-free form of the sweep.  No per-query Python dispatch survives:
-  one argsort, one group walk, one sweep per *distinct structure*.
+  valid for every ``K' ∈ [K, min prime weight)``), each distinct
+  structure is built once with the batched kernels of
+  :mod:`repro.engine.kernels`, and the TEMP_S transitions run once per
+  *distinct structure*.  A single
+  :meth:`~repro.engine.batch.PartitionEngine.solve` is the one-bound
+  case with ``return_cuts=True``.
 - :meth:`CompiledChainPlan.solve_beta_sweep` answers β-perturbation
   studies: ``Q`` alternative edge-weight rows against one bound.  The
   prime windows and edge-membership classes depend only on ``alpha``,
@@ -24,6 +23,11 @@ arrays once (prefix weights, β table), and the resulting
   recurrence for all rows simultaneously with ``np.minimum.reduceat``
   over the query axis — the one place the TEMP_S recurrence is a
   literal batched array program.
+
+Built structures live in the plan's stability-interval memo, which
+counts exact hits, interval hits, misses and evictions on
+:attr:`CompiledChainPlan.stats`.  The memo is mutated only under the
+plan's ``@shared_state`` lock, so one plan may serve many threads.
 
 Exactness is non-negotiable: both sweeps evaluate the same float
 expressions in the same order as the scalar reference, so results are
@@ -35,13 +39,13 @@ the output, not one per structure — is certified with
 solver.
 
 Plans are cached per chain fingerprint by
-:class:`repro.engine.cache.PlanCache` and reached through
-:meth:`repro.engine.batch.PartitionEngine.solve_sweep`.
+:class:`repro.engine.cache.PlanCache`, the engine's only cache.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from bisect import bisect_right, insort
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
@@ -61,6 +65,7 @@ from repro.engine.kernels import (
 from repro.graphs.chain import Chain
 from repro.observability.live import NULL_HUB
 from repro.verify.contracts import complexity
+from repro.verify.markers import concurrent_entry, shared_state
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -70,7 +75,7 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.observability import MetricsRegistry, Tracer
 
-__all__ = ["CompiledChainPlan", "compile_chain"]
+__all__ = ["CacheStats", "CompiledChainPlan", "compile_chain"]
 
 #: Queries whose bounds land in an already-built stability interval are
 #: served from this per-plan memo; beyond this many distinct intervals
@@ -79,26 +84,82 @@ __all__ = ["CompiledChainPlan", "compile_chain"]
 DEFAULT_MAX_STRUCTURES = 128
 
 
+class CacheStats:
+    """Hit/miss accounting, exposed for tests and capacity planning.
+
+    A plan's :attr:`~CompiledChainPlan.stats` counts per-query memo
+    lookups: ``hits`` land on the bound a structure was built at,
+    ``interval_hits`` elsewhere inside its stability interval, and
+    ``misses`` build one.  :class:`~repro.engine.cache.PlanCache` uses
+    the same record for plan lookups (its ``interval_hits`` stay zero).
+    """
+
+    __slots__ = ("hits", "interval_hits", "misses", "evictions")
+
+    def __init__(
+        self,
+        hits: int = 0,
+        interval_hits: int = 0,
+        misses: int = 0,
+        evictions: int = 0,
+    ) -> None:
+        self.hits = hits
+        self.interval_hits = interval_hits
+        self.misses = misses
+        self.evictions = evictions
+
+    def __repr__(self) -> str:
+        return (
+            f"CacheStats(hits={self.hits}, interval_hits={self.interval_hits}, "
+            f"misses={self.misses}, evictions={self.evictions})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CacheStats):
+            return NotImplemented
+        return (
+            self.hits == other.hits
+            and self.interval_hits == other.interval_hits
+            and self.misses == other.misses
+            and self.evictions == other.evictions
+        )
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.interval_hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.lookups
+        return (self.hits + self.interval_hits) / total if total else 0.0
+
+
 class _FrozenStructure:
     """One built prime structure, frozen to what queries consume.
 
     ``valid_from`` is the bound the structure was built at and
     ``valid_until`` its minimum prime weight: any bound in
     ``[valid_from, valid_until)`` yields the identical structure, hence
-    the identical optimal cut (the PR 1 stability-interval invariant).
-    The optimal *weight* is computed eagerly (it is what sweeps serve);
-    the cut is reconstructed on first demand and memoized.
+    the identical optimal cut (the stability-interval invariant).  The
+    optimal *weight* is always known; the cut is known when the build
+    asked for it and is otherwise reconstructed on first demand.
     """
 
     __slots__ = ("valid_from", "valid_until", "weight", "cut", "p", "r")
 
     def __init__(
-        self, valid_from: float, valid_until: float, weight: float, p: int, r: int
+        self,
+        valid_from: float,
+        valid_until: float,
+        weight: float,
+        cut: Optional[List[int]],
+        p: int,
+        r: int,
     ) -> None:
         self.valid_from = valid_from
         self.valid_until = valid_until
         self.weight = weight
-        self.cut: Optional[List[int]] = None
+        self.cut = cut
         self.p = p
         self.r = r
 
@@ -112,15 +173,16 @@ class _FrozenStructure:
         )
 
 
+@shared_state(lock="_lock")
 class CompiledChainPlan:
     """A chain compiled for multi-query solving; see the module docstring.
 
-    Build one with :func:`compile_chain` (or, preferably, through
-    :meth:`repro.engine.batch.PartitionEngine.solve_sweep`, which caches
-    plans by chain fingerprint).  A plan owns the chain's contiguous
-    arrays plus a memo of frozen structures keyed by stability interval,
-    so repeated sweeps over overlapping bound ranges pay the structural
-    phase once per *interval*, not once per call.
+    Build one with :func:`compile_chain` (or, preferably, through a
+    :class:`~repro.engine.batch.PartitionEngine`, which caches plans by
+    chain fingerprint).  A plan owns the chain's contiguous arrays plus
+    a memo of frozen structures keyed by stability interval, so repeated
+    queries over overlapping bound ranges pay the structural phase once
+    per *interval*, not once per call.
     """
 
     __slots__ = (
@@ -130,11 +192,13 @@ class CompiledChainPlan:
         "metrics",
         "hub",
         "max_structures",
+        "stats",
         "_prefix",
         "_beta",
         "_alpha_max",
         "_memo",
         "_starts",
+        "_lock",
     )
 
     def __init__(
@@ -158,6 +222,7 @@ class CompiledChainPlan:
         self.metrics = metrics
         self.hub = hub or NULL_HUB
         self.max_structures = max(1, int(max_structures))
+        self.stats = CacheStats()
         self._prefix = prefix_array(chain)
         self._beta = beta_array(chain)
         self._alpha_max = chain.max_vertex_weight()
@@ -166,6 +231,7 @@ class CompiledChainPlan:
         # sorted-start bisect below has a unique candidate per bound.
         self._memo: "OrderedDict[float, _FrozenStructure]" = OrderedDict()
         self._starts: List[float] = []
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -201,57 +267,67 @@ class CompiledChainPlan:
         prime_weights = prefix[last_tasks + 1] - prefix[first_tasks]
         return first_tasks, last_tasks, float(prime_weights.min())
 
-    def _build_arrays(
+    def _cut_sweep(
         self, bound: float
-    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", int, float]:
-        """The reduced-edge columns for ``bound``, plus ``p`` and the
-        stability-interval end — the cut-capable form.
+    ) -> Tuple[List[int], float, int, int, float]:
+        """The cut-capable build at ``bound`` and its full TEMP_S sweep.
 
-        Exactly the pipeline of
-        :func:`~repro.engine.kernels.compute_prime_structure_numpy`,
-        inlined against the plan's frozen ``prefix``/``beta`` arrays so
-        a 100-bound sweep never re-validates or re-converts anything.
-        Only cut reconstruction needs the representative edge indices;
-        the weight path in :meth:`_build` uses the cheaper
-        :func:`~repro.engine.kernels.reduced_class_arrays`.
+        Returns ``(cut, weight, p, r, valid_until)``.  Exactly the
+        pipeline of
+        :func:`~repro.engine.kernels.compute_prime_structure_numpy`
+        followed by :func:`~repro.engine.kernels.sweep_min_cut`, inlined
+        against the plan's frozen ``prefix``/``beta`` arrays so no query
+        re-validates or re-converts anything.
         """
         first_tasks, last_tasks, valid_until = self._windows(bound)
         p = int(first_tasks.shape[0])
         if p == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty, np.empty(0, dtype=np.float64), empty, empty, 0, valid_until
-            )
+            return [], 0.0, 0, 0, valid_until
         lo, hi = membership_intervals(
             first_tasks, last_tasks - 1, self.chain.num_edges
         )
         edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
             self._beta, lo, hi, apply_reduction=True
         )
-        return edge_index, edge_weight, edge_first, edge_last, p, valid_until
+        cut, weight = sweep_min_cut(
+            edge_index.tolist(),
+            edge_weight.tolist(),
+            edge_first.tolist(),
+            edge_last.tolist(),
+        )
+        return cut, weight, p, int(edge_weight.shape[0]), valid_until
 
-    def _build(self, bound: float) -> _FrozenStructure:
-        """Build, memoize and return the frozen structure at ``bound``."""
-        first_tasks, last_tasks, valid_until = self._windows(bound)
-        p = int(first_tasks.shape[0])
-        if p == 0:
-            r = 0
-            weight = 0.0
+    def _build(self, bound: float, with_cut: bool) -> _FrozenStructure:
+        """Build, memoize and return the frozen structure at ``bound``.
+
+        ``with_cut`` builds the cut-capable columns once and takes the
+        weight from the full sweep; otherwise the cheaper weight-only
+        columns (:func:`~repro.engine.kernels.reduced_class_arrays`) feed
+        :func:`~repro.engine.kernels.sweep_min_weight` and the cut is
+        left for :meth:`_cut_for`.
+        """
+        cut: Optional[List[int]]
+        if with_cut:
+            cut, weight, p, r, valid_until = self._cut_sweep(bound)
         else:
-            edge_weight, edge_first, edge_last = reduced_class_arrays(
-                self._beta, first_tasks, last_tasks, self.chain.num_edges
-            )
-            r = int(edge_weight.shape[0])
-            head = int(np.searchsorted(edge_first, 1))
-            weight = sweep_min_weight(
-                edge_weight.tolist(),
-                edge_first.tolist(),
-                edge_last.tolist(),
-                head,
-            )
-        frozen = _FrozenStructure(bound, valid_until, weight, p, r)
-        if p == 0:
-            frozen.cut = []
+            first_tasks, last_tasks, valid_until = self._windows(bound)
+            p = int(first_tasks.shape[0])
+            if p == 0:
+                cut, weight, r = [], 0.0, 0
+            else:
+                edge_weight, edge_first, edge_last = reduced_class_arrays(
+                    self._beta, first_tasks, last_tasks, self.chain.num_edges
+                )
+                r = int(edge_weight.shape[0])
+                head = int(np.searchsorted(edge_first, 1))
+                cut = None
+                weight = sweep_min_weight(
+                    edge_weight.tolist(),
+                    edge_first.tolist(),
+                    edge_last.tolist(),
+                    head,
+                )
+        frozen = _FrozenStructure(bound, valid_until, weight, cut, p, r)
         self._remember(frozen)
         self._count("engine.plan.structures.built")
         if self.hub.enabled:
@@ -276,6 +352,7 @@ class CompiledChainPlan:
         while len(memo) >= self.max_structures:
             evicted, _ = memo.popitem(last=False)
             starts.remove(evicted)
+            self.stats.evictions += 1
         if frozen.valid_from not in memo:
             insort(starts, frozen.valid_from)
         memo[frozen.valid_from] = frozen
@@ -298,23 +375,14 @@ class CompiledChainPlan:
     def _cut_for(self, frozen: _FrozenStructure) -> List[int]:
         """The optimal cut for a frozen structure, reconstructed lazily.
 
-        The weight-only sweep drops the solution arena; when a caller
-        (or the verifier) wants the cut itself, the structure is rebuilt
-        at ``valid_from`` — deterministic, so the rebuild is exact — and
-        the full :func:`~repro.engine.kernels.sweep_min_cut` runs once.
-        Its weight must equal the frozen one bit-for-bit; anything else
-        is a kernel bug worth crashing on.
+        A weight-only build drops the solution arena; when a caller (or
+        the verifier) wants the cut itself, the structure is rebuilt at
+        ``valid_from`` — deterministic, so the rebuild is exact — and
+        the full sweep runs once.  Its weight must equal the frozen one
+        bit-for-bit; anything else is a kernel bug worth crashing on.
         """
         if frozen.cut is None:
-            edge_index, edge_weight, edge_first, edge_last, _, _ = (
-                self._build_arrays(frozen.valid_from)
-            )
-            cut, weight = sweep_min_cut(
-                edge_index.tolist(),
-                edge_weight.tolist(),
-                edge_first.tolist(),
-                edge_last.tolist(),
-            )
+            cut, weight, _, _, _ = self._cut_sweep(frozen.valid_from)
             if weight != frozen.weight:
                 raise AssertionError(
                     f"cut sweep weight {weight!r} diverged from the "
@@ -327,6 +395,7 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     # Bound sweeps
     # ------------------------------------------------------------------
+    @concurrent_entry
     @complexity("k log k + g n log q")
     def solve_bounds(
         self,
@@ -347,7 +416,10 @@ class CompiledChainPlan:
         Every element is bit-identical to
         ``bandwidth_min(chain, k).weight`` at the same ``k``; under
         ``REPRO_VERIFY=1`` each one is certified against the pure-Python
-        solver before the sweep returns.
+        solver before the sweep returns.  An enabled tracer records a
+        ``plan_solve_bounds`` span whose ``outcome`` attribute is
+        ``miss`` if the call built a structure, else ``interval_hit`` if
+        any bound was served off its build bound, else ``hit``.
 
         Raises :class:`~repro.core.feasibility.InfeasibleBoundError` if
         any bound is below the maximum task weight, and ``ValueError``
@@ -361,13 +433,15 @@ class CompiledChainPlan:
         if not np.isfinite(arr).all():
             raise ValueError("ks must be finite")
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "plan_solve_bounds", n=self.chain.num_tasks, queries=arr.shape[0]
-            ) as span:
-                out = self._solve_bounds_impl(arr, return_cuts, span)
-            return out
-        return self._solve_bounds_impl(arr, return_cuts, None)
+        with self._lock:
+            if tracer is not None and tracer.enabled:
+                with tracer.span(
+                    "plan_solve_bounds",
+                    n=self.chain.num_tasks,
+                    queries=arr.shape[0],
+                ) as span:
+                    return self._solve_bounds_impl(arr, return_cuts, span)
+            return self._solve_bounds_impl(arr, return_cuts, None)
 
     def _solve_bounds_impl(
         self, arr: "np.ndarray", return_cuts: bool, span: Any
@@ -379,30 +453,43 @@ class CompiledChainPlan:
         verify = "REPRO_VERIFY" in os.environ  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs
         need_cuts = return_cuts or verify
         total = arr.shape[0]
+        positions = order.tolist()
+        ks = arr[order].tolist()
         weights = np.empty(total, dtype=np.float64)
         cuts: List[List[int]] = [[] for _ in range(total)] if return_cuts else []
-        built = 0
+        hits = interval_hits = misses = 0
         reused = 0
         i = 0
         while i < total:
-            bound = float(arr[order[i]])
-            frozen = self._lookup(bound)
+            frozen = self._lookup(ks[i])
+            miss = frozen is None
             if frozen is None:
-                frozen = self._build(bound)
-                built += 1
+                frozen = self._build(ks[i], need_cuts)
+                misses += 1
             else:
                 reused += 1
             weight = frozen.weight
             cut = self._cut_for(frozen) if need_cuts else []
+            start = frozen.valid_from
             end = frozen.valid_until
-            while i < total and arr[order[i]] < end:
-                idx = int(order[i])
+            while i < total and ks[i] < end:
+                if miss:  # the group's first query built the structure
+                    miss = False
+                elif ks[i] == start:
+                    hits += 1
+                else:
+                    interval_hits += 1
+                idx = positions[i]
                 weights[idx] = weight
                 if return_cuts:
                     cuts[idx] = list(cut)
                 if verify:
-                    self._verify_answer(float(arr[idx]), cut, weight)
+                    self._verify_answer(ks[i], cut, weight)
                 i += 1
+        stats = self.stats
+        stats.hits += hits
+        stats.interval_hits += interval_hits
+        stats.misses += misses
         self._count("engine.plan.sweeps")
         self._count("engine.plan.queries", total)
         self._count("engine.plan.structures.reused", reused)
@@ -416,13 +503,20 @@ class CompiledChainPlan:
                     "action": "sweep",
                     "n": self.chain.num_tasks,
                     "queries": total,
-                    "structures_built": built,
+                    "structures_built": misses,
                     "structures_reused": reused,
                 }
             )
         if span is not None:
-            span.set("structures_built", built)
+            span.set("structures_built", misses)
             span.set("structures_reused", reused)
+            span.set(
+                "outcome",
+                "miss" if misses else ("interval_hit" if interval_hits else "hit"),
+            )
+            span.add("cache_hits", hits)
+            span.add("cache_interval_hits", interval_hits)
+            span.add("cache_misses", misses)
         if return_cuts:
             return weights, cuts
         return weights

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from itertools import accumulate
+from math import inf
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.graphs.task_graph import TaskGraph
@@ -29,11 +30,11 @@ class Chain:
     Parameters
     ----------
     alpha:
-        Vertex weights, ``alpha[i] > 0`` is the execution requirement of
-        task ``i``.
+        Vertex weights, ``0 < alpha[i] < inf`` is the execution
+        requirement of task ``i``.
     beta:
-        Edge weights, ``beta[i] > 0`` is the communication volume between
-        task ``i`` and task ``i + 1``.  Must have length ``len(alpha) - 1``
+        Edge weights, ``0 <= beta[i] < inf`` is the communication volume
+        between task ``i`` and task ``i + 1``.  Must have length ``len(alpha) - 1``
         (or 0 when the chain has a single task).
     """
 
@@ -49,16 +50,35 @@ class Chain:
                 f"chain with {len(self._alpha)} tasks needs "
                 f"{len(self._alpha) - 1} edge weights, got {len(self._beta)}"
             )
-        for i, a in enumerate(self._alpha):
-            if a <= 0:
-                raise ValueError(f"task {i} has non-positive weight {a}")
-        for i, b in enumerate(self._beta):
-            if b < 0:
-                raise ValueError(f"edge {i} has negative weight {b}")
         # prefix[i] = alpha[0] + ... + alpha[i-1]; prefix[0] = 0.
         self._prefix: List[float] = [0.0]
         self._prefix.extend(accumulate(self._alpha))
         self._fingerprint: str = ""  # computed lazily
+        # Weights need 0 < alpha < inf and 0 <= beta < inf.  min() is
+        # blind to NaN, but NaN and +inf both poison a sum, so these
+        # C-speed tests pass only valid lists; anything else takes the
+        # exact per-weight check (which also accepts sums that merely
+        # overflowed).
+        beta = self._beta
+        if not (min(self._alpha) > 0 and self._prefix[-1] < inf) or (
+            beta and not (min(beta) >= 0 and sum(beta) < inf)
+        ):
+            self._check_weights()
+
+    def _check_weights(self) -> None:
+        """Raise ``ValueError`` naming the first weight outside its range.
+
+        The tests are negated so NaN, which fails every comparison, is
+        rejected along with zero, negative and infinite weights.
+        """
+        for i, a in enumerate(self._alpha):
+            if not 0 < a < inf:
+                kind = "non-positive" if a <= 0 else "non-finite"
+                raise ValueError(f"task {i} has {kind} weight {a}")
+        for i, b in enumerate(self._beta):
+            if not 0 <= b < inf:
+                kind = "negative" if b < 0 else "non-finite"
+                raise ValueError(f"edge {i} has {kind} weight {b}")
 
     # ------------------------------------------------------------------
     # Accessors
@@ -107,6 +127,19 @@ class Chain:
             return self._alpha[lo]
         return self._prefix[hi + 1] - self._prefix[lo]
 
+    def _forbid_edges(self, forbidden: Iterable[int]) -> "Chain":
+        """A copy whose ``forbidden`` edges weigh ``+inf``.
+
+        Internal to solvers that must keep some edges uncut: an infinite
+        weight removes an edge from every minimum-weight cut while
+        keeping indices aligned.  Public inputs never carry ``inf``;
+        ``__init__`` rejects it.
+        """
+        copy = Chain(self._alpha, self._beta)
+        for i in forbidden:
+            copy._beta[i] = inf
+        return copy
+
     def prefix_weights(self) -> List[float]:
         """``prefix[i]`` = total weight of tasks ``0 .. i-1`` (len ``n + 1``)."""
         return self._prefix
@@ -120,8 +153,8 @@ class Chain:
 
         Two chains with bit-identical ``alpha``/``beta`` share a
         fingerprint, even across processes — the key the engine's
-        :class:`~repro.engine.cache.PrimeStructureCache` uses to share
-        preprocessing between queries on equal chains.
+        :class:`~repro.engine.cache.PlanCache` uses to share one
+        compiled plan between queries on equal chains.
         """
         if not self._fingerprint:
             digest = hashlib.blake2b(digest_size=16)

@@ -16,6 +16,7 @@ removing one edge — the reduction both the exact partitioner
 from __future__ import annotations
 
 from itertools import accumulate
+from math import inf
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.graphs.chain import Chain
@@ -37,12 +38,15 @@ class Ring:
                 f"ring with {len(self._alpha)} tasks needs "
                 f"{len(self._alpha)} edge weights, got {len(self._beta)}"
             )
+        # Negated range tests so NaN is rejected too (as in Chain).
         for i, a in enumerate(self._alpha):
-            if a <= 0:
-                raise ValueError(f"task {i} has non-positive weight {a}")
+            if not 0 < a < inf:
+                kind = "non-positive" if a <= 0 else "non-finite"
+                raise ValueError(f"task {i} has {kind} weight {a}")
         for i, b in enumerate(self._beta):
-            if b < 0:
-                raise ValueError(f"edge {i} has negative weight {b}")
+            if not 0 <= b < inf:
+                kind = "negative" if b < 0 else "non-finite"
+                raise ValueError(f"edge {i} has {kind} weight {b}")
         self._prefix = [0.0]
         self._prefix.extend(accumulate(self._alpha))
 

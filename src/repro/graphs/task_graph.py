@@ -16,6 +16,7 @@ object churn.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Edge = Tuple[int, int]
@@ -54,8 +55,9 @@ class TaskGraph:
     ) -> None:
         self._vertex_weights: List[float] = [float(w) for w in vertex_weights]
         for i, w in enumerate(self._vertex_weights):
-            if w < 0:
-                raise ValueError(f"vertex {i} has negative weight {w}")
+            if not 0 <= w < inf:  # negated so NaN is rejected too
+                kind = "negative" if w < 0 else "non-finite"
+                raise ValueError(f"vertex {i} has {kind} weight {w}")
         n = len(self._vertex_weights)
         self._adjacency: List[List[int]] = [[] for _ in range(n)]
         self._edge_weights: Dict[Edge, float] = {}
@@ -92,8 +94,9 @@ class TaskGraph:
             raise ValueError(f"edge ({u}, {v}) references a vertex out of range")
         if edge in self._edge_weights:
             raise ValueError(f"duplicate edge {edge}")
-        if weight < 0:
-            raise ValueError(f"edge {edge} has negative weight {weight}")
+        if not 0 <= weight < inf:  # negated so NaN is rejected too
+            kind = "negative" if weight < 0 else "non-finite"
+            raise ValueError(f"edge {edge} has {kind} weight {weight}")
         self._edge_weights[edge] = float(weight)
         self._adjacency[edge[0]].append(edge[1])
         self._adjacency[edge[1]].append(edge[0])

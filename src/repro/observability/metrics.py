@@ -418,7 +418,7 @@ class MetricsRegistry:
     """Get-or-create home for named instruments.
 
     Instrument names are dotted paths by convention
-    (``engine.cache.hits``, ``engine.query_latency_s``); the registry
+    (``engine.plan.cache.hits``, ``engine.query_latency_s``); the registry
     itself imposes only uniqueness per kind.
 
     Get-or-create and snapshot paths lock (``@shared_state``), so two

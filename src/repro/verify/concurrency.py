@@ -1,8 +1,8 @@
 """Concurrency-safety analysis: shared-state effects, locks, fork hygiene.
 
-The engine is growing from one-shot processes into a long-lived shared
-service (ROADMAP item 1): one ``PrimeStructureCache`` serving many
-threads, one ``TelemetryHub`` fanning out events from every request,
+The engine may be shared across threads: one ``PartitionEngine`` whose
+plan cache and compiled plans serve many threads, one ``TelemetryHub``
+fanning out events from every request,
 one ``MetricsRegistry`` accumulating fleet numbers.  The process-pool
 pass (:mod:`repro.verify.flow`, REPRO006-008) covers *pickling* hygiene
 across process boundaries; this module covers the *shared-memory* side:

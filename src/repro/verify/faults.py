@@ -216,26 +216,37 @@ class FaultInjectionHarness:
 # ----------------------------------------------------------------------
 
 
+def _structure_site(harness: FaultInjectionHarness) -> Tuple[Any, str]:
+    """Where a structure build starts: the prime-window kernel inside
+    the plan (NumPy engine) or the reference structure builder that
+    ``bandwidth_min`` calls (python engine)."""
+    if harness.backend == "numpy":
+        import repro.engine.plan as plan_mod
+
+        return plan_mod, "prime_windows"
+    import repro.core.bandwidth as bandwidth_mod
+
+    return bandwidth_mod, "compute_prime_structure"
+
+
+def _engine_locks_released(engine: Any) -> bool:
+    """The plan-cache lock and every cached plan's memo lock are free."""
+    locks = [engine.cache._lock]
+    locks.extend(plan._lock for plan in engine.cache._plans.values())
+    return all(_lock_released(lock) for lock in locks)
+
+
 def certify_structure_compute_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
-    """Fault the prime-structure build inside the cache lock.
+    """Fault the prime-structure build inside the plan's memo lock.
 
-    The structure kernel raising mid-solve must leave the cache lock
-    released, the cache entry un-poisoned, and the next solve of the
-    same query bit-identical.
+    The structure kernel raising mid-solve must leave every engine lock
+    released, the plan memo un-poisoned, and the next solve of the same
+    query bit-identical.
     """
-    import repro.engine.cache as cache_mod
-    from repro.engine import kernels
-
     engine = harness._fresh_engine()
-
-    if harness.backend == "numpy":
-        namespace: Any = kernels
-        attribute = "compute_prime_structure_numpy"
-    else:
-        namespace = cache_mod
-        attribute = "compute_prime_structure"
+    namespace, attribute = _structure_site(harness)
     with harness.inject(namespace, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)
@@ -246,8 +257,8 @@ def certify_structure_compute_fault(
                 "structure fault was swallowed instead of propagating"
             )
     _require(
-        _lock_released(engine.cache._lock),
-        "cache lock still held after a structure-build fault",
+        _engine_locks_released(engine),
+        "engine lock still held after a structure-build fault",
     )
     harness._certify_recovered(engine, "structure-build fault")
     return {"site": attribute, "recovered": True}
@@ -256,14 +267,22 @@ def certify_structure_compute_fault(
 def certify_sweep_kernel_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
-    """Fault the bandwidth sweep while the cache lock is held."""
-    from repro.engine import kernels
+    """Fault the TEMP_S sweep while the plan's memo lock is held."""
+    if harness.backend == "numpy":
+        import repro.engine.plan as plan_mod
 
+        # The cut-capable plan build calls the sweep through the plan
+        # module's binding, inside ``solve_bounds``'s ``with self._lock``.
+        namespace: Any = plan_mod
+        attribute = "sweep_min_cut"
+    else:
+        import repro.core.bandwidth as bandwidth_mod
+
+        # The reference sweep drives a fresh TEMP_S queue per solve.
+        namespace = bandwidth_mod
+        attribute = "TempSQueue"
     engine = harness._fresh_engine()
-    # ``_solve_impl`` imports the sweep lazily on every binary-search
-    # solve (both backends), so patching the kernels module attribute
-    # injects right inside the ``with self._lock`` region.
-    with harness.inject(kernels, "bandwidth_sweep"):
+    with harness.inject(namespace, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)
         except InjectedFault:
@@ -271,11 +290,11 @@ def certify_sweep_kernel_fault(
         else:
             raise FaultInjectionError("sweep fault was swallowed")
     _require(
-        _lock_released(engine.cache._lock),
-        "cache lock still held after a sweep-kernel fault",
+        _engine_locks_released(engine),
+        "engine lock still held after a sweep-kernel fault",
     )
     harness._certify_recovered(engine, "sweep-kernel fault")
-    return {"site": "bandwidth_sweep", "recovered": True}
+    return {"site": attribute, "recovered": True}
 
 
 def certify_plan_compile_fault(
@@ -339,34 +358,30 @@ def certify_batch_query_fault(
     The engine's documented contract: a failing query yields a
     ``QueryResult`` with ``error`` set while every other query solves,
     and a clean re-run of the whole batch is bit-identical to a
-    never-faulted engine's run.
+    never-faulted engine's run.  The queries sit on distinct chains, so
+    the serial batch solves each one through ``PartitionEngine._solve``.
     """
-    import repro.engine.batch as batch_mod
     from repro.core.feasibility import PartitioningError
-    from repro.engine import PartitionQuery
+    from repro.engine import PartitionEngine, PartitionQuery
 
-    chain = _canonical_chain()
+    base = _canonical_chain()
     queries = [
-        PartitionQuery.from_chain(chain, _CANONICAL_BOUND + 4.0 * i,
-                                  tag=f"q{i}")
+        PartitionQuery.from_chain(
+            Chain(base.alpha, [(i + 1.0) * b for b in base.beta]),
+            _CANONICAL_BOUND + 4.0 * i,
+            tag=f"q{i}",
+        )
         for i in range(4)
     ]
 
-    real_solve_one = batch_mod._solve_one
-    state = {"calls": 0}
-
-    def failing_solve_one(*args: Any, **kwargs: Any) -> Any:
-        state["calls"] += 1
-        if state["calls"] == 2:
+    def failing_solve(real: Any, call: int, *args: Any, **kwargs: Any) -> Any:
+        if call == 2:
             raise PartitioningError("injected per-query fault")
-        return real_solve_one(*args, **kwargs)
+        return real(*args, **kwargs)
 
     engine = harness._fresh_engine()
-    with harness.inject(
-        batch_mod, "_solve_one",
-        wrap=lambda real, n, *a, **k: failing_solve_one(*a, **k),
-    ):
-        faulted = engine.solve_many(queries, max_workers=0, use_plans=False)
+    with harness.inject(PartitionEngine, "_solve", wrap=failing_solve):
+        faulted = engine.solve_many(queries, max_workers=0)
     errored = [r for r in faulted if r.error is not None]
     _require(
         len(errored) == 1 and errored[0].index == 1,
@@ -377,10 +392,8 @@ def certify_batch_query_fault(
         all(r.error is None for r in faulted if r.index != 1),
         "a neighbouring query was poisoned by the injected fault",
     )
-    clean = engine.solve_many(queries, max_workers=0, use_plans=False)
-    reference = harness._fresh_engine().solve_many(
-        queries, max_workers=0, use_plans=False
-    )
+    clean = engine.solve_many(queries, max_workers=0)
+    reference = harness._fresh_engine().solve_many(queries, max_workers=0)
     for after, ref in zip(clean, reference):
         _require(
             after.error is None
@@ -391,7 +404,7 @@ def certify_batch_query_fault(
             f"({ref.weight!r}, {ref.cut_indices!r})",
         )
     harness._certify_recovered(engine, "per-query batch fault")
-    return {"site": "_solve_one", "errored_query": 1, "recovered": True}
+    return {"site": "_solve", "errored_query": 1, "recovered": True}
 
 
 def certify_hub_subscriber_fault(
@@ -719,18 +732,11 @@ def certify_traced_solve_fault(
 ) -> Dict[str, Any]:
     """Fault a solve *under an enabled tracer*: the span stack must
     unwind with the solve and the next traced solve must succeed."""
-    import repro.engine.cache as cache_mod
-    from repro.engine import kernels
     from repro.observability.spans import Tracer
 
     tracer = Tracer(enabled=True)
     engine = harness._fresh_engine(tracer=tracer)
-    if harness.backend == "numpy":
-        namespace: Any = kernels
-        attribute = "compute_prime_structure_numpy"
-    else:
-        namespace = cache_mod
-        attribute = "compute_prime_structure"
+    namespace, attribute = _structure_site(harness)
     with harness.inject(namespace, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)

@@ -365,8 +365,10 @@ def _finite(value: float) -> Any:
 
 
 def _suite_engine() -> Any:
+    from repro.core.bandwidth import ChainCutResult
     from repro.core.prime_subpaths import PrimeStructure
-    from repro.engine.cache import PrimeStructureCache
+    from repro.engine import PartitionEngine
+    from repro.engine.cache import PlanCache
     from repro.engine.kernels import (
         HAVE_NUMPY,
         bandwidth_sweep,
@@ -392,41 +394,51 @@ def _suite_engine() -> Any:
         3.0 * wmax,
         6.0 * wmax,
     ]
-    cache = PrimeStructureCache()
     tracer = Tracer()
+    engine = PartitionEngine(tracer=tracer)
     for bound in bounds:
-        result = cache.solve(chain, bound, tracer=tracer)
+        result = engine.solve(chain, bound)
         rows.append({"bound": bound, **_result_row(result)})
-    stats = cache.stats
-    rows.append(
-        {
-            "cache_stats": {
-                "hits": stats.hits,
-                "interval_hits": stats.interval_hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-            },
-            "len": len(cache),
-            "trace": _strip_trace(tracer.records()),
-        }
-    )
-    # Two same-length chains must never share cache entries.
-    twin_a = Chain([4, 4, 4, 4], [1, 2, 3])
-    twin_b = Chain([4, 4, 4, 4], [3, 2, 1])
-    twin_cache = PrimeStructureCache(max_chains=2)
-    for twin in (twin_a, twin_b, twin_a):
-        result = twin_cache.solve(twin, 8.0)
-        rows.append({"twin": _result_row(result)})
-    # Eviction pressure: 3 chains through a 2-chain cache.
-    for offset in range(3):
-        extra = Chain([2.0 + offset, 3.0, 2.0], [1.0, 1.0])
-        twin_cache.solve(extra, 5.0 + offset)
-    rows.append(
-        {
-            "twin_evictions": twin_cache.stats.evictions,
-            "twin_len": len(twin_cache),
-        }
-    )
+    if HAVE_NUMPY:
+        plan_stats = engine.cache.stats
+        memo = engine.cache.get(chain)
+        rows.append(
+            {
+                "cache_stats": {
+                    "hits": plan_stats.hits,
+                    "misses": plan_stats.misses,
+                    "evictions": plan_stats.evictions,
+                },
+                "memo_stats": {
+                    "hits": memo.stats.hits,
+                    "interval_hits": memo.stats.interval_hits,
+                    "misses": memo.stats.misses,
+                    "evictions": memo.stats.evictions,
+                },
+                "len": len(memo),
+                "trace": _strip_trace(tracer.records()),
+            }
+        )
+        # Two same-length chains must never share a plan.
+        twin_a = Chain([4, 4, 4, 4], [1, 2, 3])
+        twin_b = Chain([4, 4, 4, 4], [3, 2, 1])
+        twin_cache = PlanCache(max_plans=2)
+        for twin in (twin_a, twin_b, twin_a):
+            weights, cuts = twin_cache.get(twin).solve_bounds(
+                [8.0], return_cuts=True
+            )
+            result = ChainCutResult(twin, cuts[0], float(weights[0]))
+            rows.append({"twin": _result_row(result)})
+        # Eviction pressure: 3 chains through a 2-plan cache.
+        for offset in range(3):
+            extra = Chain([2.0 + offset, 3.0, 2.0], [1.0, 1.0])
+            twin_cache.get(extra).solve_bounds([5.0 + offset])
+        rows.append(
+            {
+                "twin_evictions": twin_cache.stats.evictions,
+                "twin_len": len(twin_cache),
+            }
+        )
     # The sweep over a *python* PrimeStructure (non-array branch).
     structure = PrimeStructure.compute(chain, 2.0 * wmax)
     cut, weight = bandwidth_sweep(structure)
@@ -1176,15 +1188,15 @@ def _certify_prime() -> None:
 
 
 def _certify_engine() -> None:
-    from repro.engine.cache import PrimeStructureCache
+    from repro.engine import PartitionEngine
     from repro.graphs.generators import random_chain
     from repro.verify.runtime import verify_cache_solve
 
     chain = random_chain(120, rng=random.Random(20260808), integer_weights=True)
     wmax = max(chain.alpha)
-    cache = PrimeStructureCache()
+    engine = PartitionEngine()
     for bound in (float(wmax), 2.0 * wmax, 2.0 * wmax, 5.0 * wmax):
-        result = cache.solve(chain, bound)
+        result = engine.solve(chain, bound)
         verify_cache_solve(chain, bound, result)
 
 

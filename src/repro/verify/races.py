@@ -28,9 +28,10 @@ each run while the workload itself stays reproducible.
 Scenario functions (``hammer_*``) each return a summary dict of what
 was verified; they raise :class:`RaceConditionError` on any violation.
 The scenarios cover exactly the objects :data:`SHARED_REGISTRY`
-declares: ``PrimeStructureCache``, ``PlanCache``, ``TelemetryHub``,
-``MetricsRegistry`` (+ instruments), ``Histogram``,
-``StreamingJsonlSink`` and ``ProfileSampler``.
+declares: ``PlanCache`` and ``CompiledChainPlan`` (through a shared
+``PartitionEngine.solve``), ``TelemetryHub``, ``MetricsRegistry``
+(+ instruments), ``Histogram``, ``StreamingJsonlSink`` and
+``ProfileSampler``.
 """
 
 from __future__ import annotations
@@ -155,20 +156,28 @@ def _make_chains(rng: random.Random, count: int, n: int) -> List[Any]:
 # ----------------------------------------------------------------------
 
 
-def hammer_prime_structure_cache(
+def hammer_engine_solve(
     harness: ConcurrencyHarness, *, chains: int = 4, tasks: int = 60
 ) -> Dict[str, Any]:
-    """Hammer ``PrimeStructureCache.solve`` and certify every answer.
+    """Hammer one shared ``PartitionEngine.solve`` and certify every answer.
 
-    Invariants checked: each served result is element-identical to the
-    serially-computed reference *and* passes the O(n) chain-partition
-    certificate; ``stats.lookups`` equals the exact op count (no lost
-    stat updates); both LRU levels respect their capacity bounds and
-    never hold more structures than misses built (no torn LRU
-    bookkeeping).
+    All threads drive one engine, hence one plan cache and the plans'
+    stability-interval memos.  Invariants checked: each served result
+    is element-identical to the serially-computed reference *and*
+    passes the O(n) chain-partition certificate; the plan cache's
+    ``stats.lookups`` and the plans' memo lookups each equal the exact
+    op count (no lost stat updates); both LRU levels respect their
+    capacity bounds, each memo's sorted start index matches its entries
+    (no torn LRU bookkeeping), and no structure was built twice (no
+    racing misses).
+
+    A second phase reruns the hammer on an engine whose plan cache holds
+    only half the pool, so plans are evicted while other threads are
+    still solving through them; it checks the answers and the plan-LRU
+    accounting.
     """
     from repro.core.bandwidth import bandwidth_min
-    from repro.engine.cache import PrimeStructureCache
+    from repro.engine import PartitionEngine
     from repro.verify.certificates import check_chain_partition
 
     rng = random.Random(f"{harness.seed}-queries")
@@ -183,57 +192,83 @@ def hammer_prime_structure_cache(
         for chain, bound in queries
     ]
 
-    cache = PrimeStructureCache(max_chains=max(2, chains // 2))
     mistakes: List[str] = []
 
-    def op(tid: int, i: int, op_rng: random.Random) -> None:
-        q = op_rng.randrange(len(queries))
-        chain, bound = queries[q]
-        result = cache.solve(chain, bound)
-        expected = reference[q]
-        if (
-            result.weight != expected.weight
-            or list(result.cut_indices) != list(expected.cut_indices)
-        ):
-            mistakes.append(
-                f"query {q}: got weight {result.weight} cut "
-                f"{list(result.cut_indices)}, expected {expected.weight}"
-            )
-            return
-        check_chain_partition(
-            chain, result.cut_indices, bound, result.weight
-        ).raise_if_failed()
+    def hammer(engine: Any) -> Any:
+        """Run the hammer on ``engine``; check answers and plan-LRU stats."""
 
-    harness.run(op)
-    _require(not mistakes, "served results diverged from reference:\n" + "\n".join(mistakes[:5]))
-    stats = cache.stats
-    _require(
-        stats.lookups == harness.total_ops,
-        f"lost stat updates: {stats.lookups} lookups != {harness.total_ops} ops",
-    )
-    _require(
-        stats.hits + stats.interval_hits + stats.misses == stats.lookups,
-        f"torn stats: {stats!r}",
-    )
-    stored = len(cache)
-    _require(
-        stored <= stats.misses,
-        f"LRU invented structures: {stored} stored > {stats.misses} misses",
-    )
-    _require(
-        len(cache._entries) <= cache.max_chains,
-        f"chain LRU over capacity: {len(cache._entries)}",
-    )
-    for entry in cache._entries.values():
+        def op(tid: int, i: int, op_rng: random.Random) -> None:
+            q = op_rng.randrange(len(queries))
+            chain, bound = queries[q]
+            result = engine.solve(chain, bound)
+            expected = reference[q]
+            if (
+                result.weight != expected.weight
+                or list(result.cut_indices) != list(expected.cut_indices)
+            ):
+                mistakes.append(
+                    f"query {q}: got weight {result.weight} cut "
+                    f"{list(result.cut_indices)}, expected {expected.weight}"
+                )
+                return
+            check_chain_partition(
+                chain, result.cut_indices, bound, result.weight
+            ).raise_if_failed()
+
+        harness.run(op)
+        _require(not mistakes, "served results diverged from reference:\n" + "\n".join(mistakes[:5]))
+        cache = engine.cache
+        stats = cache.stats
         _require(
-            len(entry.structures) <= cache.max_structures_per_chain,
-            f"structure LRU over capacity: {len(entry.structures)}",
+            stats.lookups == harness.total_ops,
+            f"lost stat updates: {stats.lookups} lookups != {harness.total_ops} ops",
         )
+        _require(
+            stats.misses - stats.evictions == len(cache) <= cache.max_plans,
+            f"plan LRU accounting broken: len={len(cache)}, {stats!r}",
+        )
+        return cache
+
+    # Phase 1: every chain keeps its plan (the default capacity exceeds
+    # the pool), so all threads race on the same few memos.
+    cache = hammer(PartitionEngine())
+    stats = cache.stats
+    plans = list(cache._plans.values())
+    _require(len(plans) == len(pool), f"plans evicted: {stats!r}")
+    memo_lookups = sum(plan.stats.lookups for plan in plans)
+    _require(
+        memo_lookups == harness.total_ops,
+        f"lost memo stat updates: {memo_lookups} != {harness.total_ops} ops",
+    )
+    stored = 0
+    for plan in plans:
+        memo = plan.stats
+        _require(
+            len(plan) <= min(plan.max_structures, memo.misses),
+            f"memo invented structures: {len(plan)} stored, {memo!r}",
+        )
+        _require(
+            len(plan._starts) == len(plan),
+            f"torn memo index: {len(plan._starts)} starts, {len(plan)} entries",
+        )
+        # Each miss memoizes a new start, so without evictions builds
+        # equal entries; a duplicated build means two threads both
+        # missed on one bound — the memo was not mutated under its lock.
+        _require(
+            memo.evictions > 0 or memo.misses == len(plan),
+            f"duplicated structure builds: {len(plan)} stored, {memo!r}",
+        )
+        stored += len(plan)
+    # Phase 2: half the pool fits, so plans are evicted mid-solve.
+    evicting = PartitionEngine()
+    evicting.cache.max_plans = max(2, chains // 2)
+    evicted = hammer(evicting).stats
     return {
         "ops": harness.total_ops,
         "queries": len(queries),
         "stats": repr(stats),
         "stored_structures": stored,
+        "evicting_stats": repr(evicted),
     }
 
 
@@ -526,7 +561,7 @@ def hammer_all(
 ) -> Dict[str, Dict[str, Any]]:
     """Run every scenario; the one-call entry point used by tooling."""
     return {
-        "prime_structure_cache": hammer_prime_structure_cache(harness),
+        "engine_solve": hammer_engine_solve(harness),
         "plan_cache": hammer_plan_cache(harness),
         "telemetry_hub": hammer_telemetry_hub(harness),
         "metrics_registry": hammer_metrics_registry(harness),

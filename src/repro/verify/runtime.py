@@ -145,7 +145,9 @@ def verify_cache_solve(
 
     Runs the certificate checkers (load bound, bandwidth, prime cover,
     non-redundant support) plus the pure-Python backend cross-check.
-    Called by :meth:`repro.engine.cache.PrimeStructureCache.solve` when
+    Called for every answer
+    :meth:`repro.engine.plan.CompiledChainPlan.solve_bounds` serves
+    (hence every NumPy-engine ``PartitionEngine.solve``) when
     ``REPRO_VERIFY=1``.
     """
     verify_chain_result(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.bandwidth import bandwidth_min
+from repro.core.feasibility import PartitioningError
 from repro.core.inverse import chain_pareto_frontier, partition_chain_for_processors
 from repro.core.pipeline import partition_chain
 from repro.engine import OBJECTIVES, PartitionEngine, PartitionQuery
@@ -184,13 +185,29 @@ class TestPlanGrouping:
             queries.append(PartitionQuery.from_chain(chain, bound, tag=f"g{i}"))
         return queries
 
+    def per_call(self, queries):
+        """Each query through its own fresh engine's ``solve``."""
+        rows = []
+        for q in queries:
+            try:
+                result = PartitionEngine().solve(q.chain(), q.bound, q.objective)
+            except (ValueError, PartitioningError) as exc:
+                rows.append((q.tag, str(exc)))
+            else:
+                rows.append((q.tag, result.cut_indices, result.weight))
+        return rows
+
+    def routed_rows(self, results):
+        return [
+            (r.tag, r.cut_indices, r.weight) if r.ok else (r.tag, r.error)
+            for r in results
+        ]
+
     def test_serial_plan_routing_matches_per_call(self):
         queries = self.make_grouped_queries()
         routed = PartitionEngine().solve_many(queries, max_workers=0)
-        direct = PartitionEngine().solve_many(
-            queries, max_workers=0, use_plans=False
-        )
-        assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
+        assert all("plan_group" in r.telemetry for r in routed)
+        assert self.routed_rows(routed) == self.per_call(queries)
 
     def test_plan_routing_shares_one_plan_per_chain(self):
         engine = PartitionEngine()
@@ -210,11 +227,8 @@ class TestPlanGrouping:
             PartitionQuery.from_chain(chain, 3.0 * wmax, tag="ok-2"),
         ]
         routed = PartitionEngine().solve_many(queries, max_workers=0)
-        direct = PartitionEngine().solve_many(
-            queries, max_workers=0, use_plans=False
-        )
         assert [r.ok for r in routed] == [True, False, True, True]
-        assert [r.to_json() for r in routed] == [r.to_json() for r in direct]
+        assert self.routed_rows(routed) == self.per_call(queries)
 
     def test_pool_grouping_preserves_input_order(self):
         # The pool path submits queries sorted by chain payload so one
@@ -234,7 +248,8 @@ class TestPlanGrouping:
         one = [PartitionQuery.from_chain(chain, 2.0 * chain.max_vertex_weight())]
         results = engine.solve_many(one, max_workers=0)
         assert results[0].ok
-        assert len(engine.plans) == 0  # a lone query never pays compilation
+        assert "plan_group" not in results[0].telemetry
+        assert len(engine.plans) == 1  # engine.solve's own plan
 
 
 class TestBatchTelemetry:
@@ -325,7 +340,8 @@ class TestBatchTelemetry:
         metrics = engine.snapshot_metrics()
         names = {r["name"] for r in metrics.records()}
         assert "engine.batch.queries" in names
-        assert "engine.cache.hits" in names
+        assert "engine.plan.cache.hits" in names
+        assert "engine.cache.hits" not in names  # one cache, one gauge set
         assert "engine.batch.query_latency_s" in names
         assert metrics.counter("engine.batch.queries").value == 4
 
@@ -341,7 +357,7 @@ class TestBatchTelemetry:
         span = tracer.find("engine_solve")
         assert span is not None
         assert span.attrs["n"] == 60
-        assert tracer.find("cache_solve") is not None
+        assert tracer.find("plan_solve_bounds") is not None
 
 
 class TestInverseWiring:

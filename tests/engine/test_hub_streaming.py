@@ -36,9 +36,15 @@ class TestHubWiring:
         assert engine.hub.enabled is False
 
     def test_hub_threads_into_cache(self):
-        hub = TelemetryHub([RingBufferSubscriber()])
-        engine = PartitionEngine(hub=hub)
-        assert engine.cache.hub is hub
+        pytest.importorskip("numpy")
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(backend="numpy", hub=TelemetryHub([ring]))
+        chain = random_chain(24, rng=0)
+        engine.solve(chain, 4.0 * chain.max_vertex_weight())
+        engine.solve(chain, 4.0 * chain.max_vertex_weight())
+        cache_events = [e for e in ring.events() if e.get("event") == "cache"]
+        assert [e["action"] for e in cache_events] == ["miss"]
+        assert cache_events[0]["misses"] == 1
 
     def test_no_events_when_hub_absent(self):
         engine = PartitionEngine()

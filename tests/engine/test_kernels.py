@@ -387,6 +387,13 @@ class TestSweepFixupLoops:
         with pytest.raises(ValueError, match="positive"):
             kernels.validate_bound_array(0.0, 0.0)
 
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+    def test_validate_bound_rejects_non_finite(self, bound):
+        # An infinite or NaN bound answers nothing; reject it before the
+        # feasibility comparison (which NaN would silently pass).
+        with pytest.raises(ValueError, match="finite"):
+            kernels.validate_bound_array(1.0, bound)
+
     def test_down_sweep_to_minimum_window(self):
         # prefix[a+2] - prefix[a] > bound while prefix[a+2] <= prefix[a]
         # + bound (at a = 2): the searchsorted seed lands at a + 3 and

@@ -141,19 +141,82 @@ class TestSolveBounds:
         assert weights[0] == bandwidth_min(chain, wmax).weight
         assert weights[1] == bandwidth_min(chain, 6.0 * wmax).weight
 
-    def test_build_arrays_handles_primeless_bounds(self):
-        # The cut-capable array build is only reached lazily, so pin the
-        # shape of its empty (no prime subpaths) result directly.
+    def test_build_arrays_handles_primeless_bounds(self, monkeypatch):
+        # Pin both builds' empty (no prime subpaths) result: no cut,
+        # zero weight, and a stability interval with no end.
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
         chain = random_chain(20, rng=12)
-        plan = compile_chain(chain)
         bound = 2.0 * float(np.sum(chain.alpha))
-        edge_index, edge_weight, edge_first, edge_last, p, valid_until = (
-            plan._build_arrays(bound)
-        )
-        assert p == 0
+        plan = compile_chain(chain)
+        cut, weight, p, r, valid_until = plan._cut_sweep(bound)
+        assert (cut, weight, p, r) == ([], 0.0, 0, 0)
         assert valid_until == float("inf")
-        for arr in (edge_index, edge_weight, edge_first, edge_last):
-            assert arr.shape == (0,)
+        weights, cuts = plan.solve_bounds([bound], return_cuts=True)
+        assert (weights.tolist(), cuts) == ([0.0], [[]])
+        weight_only = compile_chain(chain)
+        assert weight_only.solve_bounds([bound]).tolist() == [0.0]
+        frozen = weight_only._lookup(bound)
+        assert (frozen.cut, frozen.p, frozen.r) == ([], 0, 0)
+
+    def test_cut_miss_builds_once(self, monkeypatch):
+        # A miss that needs cuts builds the cut-capable structure once
+        # and takes its weight from the full sweep: no weight-only build
+        # followed by a second build for the cut.
+        chain = random_chain(50, rng=15)
+        bound = 2.0 * chain.max_vertex_weight()
+        plan = compile_chain(chain)
+        windows = []
+        real_windows = type(plan)._windows
+
+        def counting_windows(self, k):
+            windows.append(k)
+            return real_windows(self, k)
+
+        monkeypatch.setattr(type(plan), "_windows", counting_windows)
+        weights, cuts = plan.solve_bounds([bound, bound], return_cuts=True)
+        ref = bandwidth_min(chain, bound)
+        assert weights.tolist() == [ref.weight] * 2
+        assert cuts == [list(ref.cut_indices)] * 2
+        assert windows == [bound]
+        assert plan._lookup(bound).cut == list(ref.cut_indices)
+        assert plan.stats.lookups == 2 and plan.stats.misses == 1
+
+    def test_lazy_cut_after_weight_only_build(self, monkeypatch):
+        # A weight-only build leaves the cut for later; asking for it
+        # rebuilds once and memoizes the identical answer.  (Verification
+        # mode wants every cut up front, so it is switched off here.)
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        chain = random_chain(50, rng=16)
+        bound = 2.0 * chain.max_vertex_weight()
+        plan = compile_chain(chain)
+        (weight,) = plan.solve_bounds([bound]).tolist()
+        frozen = plan._lookup(bound)
+        assert frozen.cut is None
+        weights, cuts = plan.solve_bounds([bound], return_cuts=True)
+        ref = bandwidth_min(chain, bound)
+        assert (weight, weights.tolist(), cuts) == (
+            ref.weight, [ref.weight], [list(ref.cut_indices)],
+        )
+        assert frozen.cut == list(ref.cut_indices)
+        assert (plan.stats.hits, plan.stats.misses) == (1, 1)
+
+    def test_memo_is_locked(self, monkeypatch):
+        # The memo is @shared_state: solve_bounds reads and mutates it
+        # only while holding the plan's own lock.
+        chain = random_chain(30, rng=17)
+        plan = compile_chain(chain)
+        owned = []
+        real_lookup = type(plan)._lookup
+
+        def probing_lookup(self, bound):
+            owned.append(self._lock._is_owned())
+            return real_lookup(self, bound)
+
+        monkeypatch.setattr(type(plan), "_lookup", probing_lookup)
+        plan.solve_bounds([2.0 * chain.max_vertex_weight()])
+        assert type(plan).__shared_lock__ == "_lock"
+        assert owned == [True]
+        assert not plan._lock._is_owned()
 
     def test_memo_eviction_keeps_answers_exact(self):
         chain = random_chain(80, rng=11)
@@ -163,6 +226,28 @@ class TestSolveBounds:
         assert len(plan) <= 2
         for k, weight in zip(ks, weights):
             assert weight == bandwidth_min(chain, k).weight
+
+    def test_memo_accounting_and_span_counts(self):
+        # Per-query accounting: the building query is the miss, a repeat
+        # of its bound an exact hit, any other bound inside its interval
+        # an interval hit — on the plan's stats and the span's counts.
+        from repro.core.prime_subpaths import compute_prime_structure
+        from repro.engine.plan import CacheStats
+
+        chain = random_chain(40, rng=18)
+        bound = 1.5 * chain.max_vertex_weight()
+        inside = (bound + compute_prime_structure(chain, bound).min_prime_weight()) / 2
+        tracer = Tracer()
+        plan = compile_chain(chain, tracer=tracer)
+        plan.solve_bounds([inside, bound, bound])
+        assert plan.stats == CacheStats(hits=1, interval_hits=1, misses=1)
+        assert plan.stats.lookups == 3
+        assert plan.stats.hit_rate == 2 / 3
+        (record,) = [r for r in tracer.records() if r["name"] == "plan_solve_bounds"]
+        assert record["attrs"]["outcome"] == "miss"
+        assert record["counts"] == {
+            "cache_hits": 1, "cache_interval_hits": 1, "cache_misses": 1,
+        }
 
     def test_traced_sweep_records_span(self):
         chain = random_chain(30, rng=12)

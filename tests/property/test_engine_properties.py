@@ -1,6 +1,6 @@
 """Property-based tests for the engine fast paths.
 
-The NumPy kernels, the prime-structure cache, and the batch runner are
+The NumPy kernels, the compiled-plan cache, and the batch runner are
 optimizations — not alternative algorithms — so their contract is exact
 equality with the pure-Python reference: identical prime structures,
 identical cuts, identical weights (the same floats, not merely close),
@@ -16,7 +16,6 @@ np = pytest.importorskip("numpy")
 from repro.core.bandwidth import bandwidth_min
 from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
 from repro.engine import PartitionEngine, PartitionQuery
-from repro.engine.cache import PrimeStructureCache
 from repro.graphs.chain import Chain
 
 # Weights are drawn from small integer grids scaled by 0.5 so both exact
@@ -79,15 +78,50 @@ def test_numpy_backend_identical_result(data):
 )
 def test_cache_identical_to_fresh_python(data, slacks):
     chain, base_bound = data
-    cache = PrimeStructureCache()
+    engine = PartitionEngine()
     # Sorted ascending bounds plus repeats exercise exact hits, interval
     # hits and misses in one run; each answer must match a fresh solve.
     bounds = sorted(base_bound + s * 0.5 for s in slacks) + [base_bound]
     for bound in bounds:
-        got = cache.solve(chain, bound)
+        got = engine.solve(chain, bound)
         ref = bandwidth_min(chain, bound)
         assert got.cut_indices == ref.cut_indices
         assert got.weight == ref.weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chain_and_bound(),
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=6),
+)
+def test_one_engine_interleaved_solve_and_sweep(data, first, middle, last):
+    # One engine, one plan memo: solve, then a weight-only sweep, then
+    # solve again.  Quarter steps put several bounds in one stability
+    # interval and repeats land on build bounds, so the run mixes exact
+    # hits, interval hits, misses, and cuts rebuilt lazily after a
+    # weight-only build.  Every answer is bit-identical to the reference.
+    chain, base_bound = data
+    engine = PartitionEngine()
+
+    def bound(step):
+        return base_bound + step * 0.25
+
+    def reference(k):
+        return bandwidth_min(chain, k, backend="python")
+
+    for step in first:
+        got, ref = engine.solve(chain, bound(step)), reference(bound(step))
+        assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
+    ks = [bound(step) for step in middle + first]
+    weights = engine.solve_sweep(chain, ks)
+    assert weights.tolist() == [reference(k).weight for k in ks]
+    for step in last + middle:
+        got, ref = engine.solve(chain, bound(step)), reference(bound(step))
+        assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
+    stats = engine.cache.get(chain).stats
+    assert stats.lookups == len(first) + len(ks) + len(last) + len(middle)
 
 
 @settings(max_examples=100, deadline=None)

@@ -657,7 +657,7 @@ class TestInventoryAndMarkers:
 
         registered = set(SHARED_REGISTRY)
         for name in (
-            "repro.engine.cache.PrimeStructureCache",
+            "repro.engine.plan.CompiledChainPlan",
             "repro.engine.cache.PlanCache",
             "repro.observability.live.TelemetryHub",
             "repro.observability.live.StreamingJsonlSink",

@@ -20,7 +20,7 @@ from repro.verify.races import (
     hammer_histogram,
     hammer_metrics_registry,
     hammer_plan_cache,
-    hammer_prime_structure_cache,
+    hammer_engine_solve,
     hammer_streaming_sink,
     hammer_telemetry_hub,
 )
@@ -97,8 +97,8 @@ class TestHarness:
 class TestAcceptanceHammers:
     """The 8-thread acceptance runs from the issue, one per shared object."""
 
-    def test_prime_structure_cache(self):
-        summary = hammer_prime_structure_cache(ACCEPTANCE)
+    def test_engine_solve(self):
+        summary = hammer_engine_solve(ACCEPTANCE)
         assert summary["ops"] == 800
 
     def test_plan_cache(self):
@@ -130,7 +130,7 @@ class TestAcceptanceHammers:
         small = ConcurrencyHarness(threads=4, ops_per_thread=150, seed=3)
         results = hammer_all(small, sink_path=str(tmp_path / "all.jsonl"))
         assert set(results) == {
-            "prime_structure_cache",
+            "engine_solve",
             "plan_cache",
             "telemetry_hub",
             "metrics_registry",
