@@ -644,11 +644,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.verify.concurrency import check_concurrency
-    from repro.verify.contracts import check_contracts
-    from repro.verify.faultflow import check_faultflow
-    from repro.verify.flow import check_flow
-    from repro.verify.hotpath import check_hotpath
+    from repro.verify.passes import ANALYZE_SECTIONS, analyze
 
     if args.paths:
         paths = [Path(p) for p in args.paths]
@@ -664,64 +660,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # No explicit selection runs the static passes; --complexity adds
     # (or, alone, restricts to) the empirical gate; --all merges every
-    # pass into one report so CI runs one step instead of three.
-    explicit_static = (
-        args.contracts or args.flow or args.concurrency or args.hotpath
-        or args.faults
-    )
-    run_all_static = args.all or not (explicit_static or args.complexity)
-    run_contracts = args.contracts or run_all_static
-    run_flow = args.flow or run_all_static
-    run_concurrency = args.concurrency or run_all_static
-    run_hotpath = args.hotpath or run_all_static
-    run_faults = args.faults or run_all_static
+    # pass into one report so CI runs one step instead of three.  Each
+    # static pass's flag is named after its report section.
+    sections = [name for name in ANALYZE_SECTIONS if getattr(args, name)]
+    if args.all or not (sections or args.complexity):
+        sections = list(ANALYZE_SECTIONS)
     run_complexity = args.complexity or args.all
     # Schema version of the --json payload; bump on breaking changes so
     # downstream tooling (CI gates, dashboards) can evolve safely.
     report: dict = {"version": 1}
     findings = []
     try:
-        if run_contracts:
-            contract_findings, checked = check_contracts(paths)
-            findings.extend(contract_findings)
-            report["contracts"] = {
-                "files": checked,
-                "findings": [f.render() for f in contract_findings],
-            }
-        if run_flow:
-            flow_findings, checked = check_flow(paths)
-            findings.extend(flow_findings)
-            report["flow"] = {
-                "files": checked,
-                "findings": [f.render() for f in flow_findings],
-            }
-        if run_concurrency:
-            conc_findings, checked = check_concurrency(paths)
-            findings.extend(conc_findings)
-            report["concurrency"] = {
-                "files": checked,
-                "findings": [f.render() for f in conc_findings],
-            }
-        if run_hotpath:
-            hot_findings, checked = check_hotpath(paths)
-            findings.extend(hot_findings)
-            report["hotpath"] = {
-                "files": checked,
-                "findings": [f.render() for f in hot_findings],
-            }
-        if run_faults:
-            fault_findings, checked = check_faultflow(paths)
-            findings.extend(fault_findings)
-            report["faults"] = {
-                "files": checked,
-                "findings": [f.render() for f in fault_findings],
-            }
+        results = analyze(paths, sections)
     except SyntaxError as exc:
         print(
             f"analyze: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
             file=sys.stderr,
         )
         return EXIT_USAGE
+    for name, (found, checked) in results.items():
+        findings.extend(found)
+        report[name] = {
+            "files": checked,
+            "findings": [f.render() for f in found],
+        }
 
     gate = None
     if run_complexity:
@@ -746,16 +708,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(gate.render())
         if not failed:
             parts = [
-                k
-                for k in (
-                    "contracts",
-                    "flow",
-                    "concurrency",
-                    "hotpath",
-                    "faults",
-                    "complexity",
-                )
-                if k in report
+                k for k in (*ANALYZE_SECTIONS, "complexity") if k in report
             ]
             print(f"analyze: clean ({', '.join(parts)})", file=sys.stderr)
     return EXIT_FAILURE if failed else EXIT_OK

@@ -64,6 +64,7 @@ from repro.engine.kernels import (
 )
 from repro.graphs.chain import Chain
 from repro.observability.live import NULL_HUB
+from repro.observability.spans import NULL_SPAN
 from repro.verify.contracts import complexity
 from repro.verify.markers import concurrent_entry, shared_state
 
@@ -187,7 +188,6 @@ class CompiledChainPlan:
 
     __slots__ = (
         "chain",
-        "backend",
         "tracer",
         "metrics",
         "hub",
@@ -205,19 +205,13 @@ class CompiledChainPlan:
         self,
         chain: Chain,
         *,
-        backend: str = "numpy",
         tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         hub: Any = None,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ) -> None:
         require_numpy()
-        if backend not in ("numpy",):
-            raise ValueError(
-                f"compiled plans require the array backend, got {backend!r}"
-            )
         self.chain = chain
-        self.backend = backend
         self.tracer = tracer
         self.metrics = metrics
         self.hub = hub or NULL_HUB
@@ -663,7 +657,6 @@ class CompiledChainPlan:
 def compile_chain(
     chain: Chain,
     *,
-    backend: str = "numpy",
     tracer: Optional["Tracer"] = None,
     metrics: Optional["MetricsRegistry"] = None,
     hub: Any = None,
@@ -674,25 +667,18 @@ def compile_chain(
     Runs the chain-level half of Algorithm 4.1's preprocessing (prefix
     weights, β table, feasibility floor) once and freezes it; the
     returned plan then answers bound sweeps and β sweeps with no
-    per-query Python dispatch.  ``backend`` must be ``"numpy"`` (plans
-    *are* the array fast path); an enabled ``tracer`` records a
-    ``plan_compile`` span and ``metrics`` receives
-    ``engine.plan.compiled``.
+    per-query Python dispatch (plans *are* the NumPy fast path); an
+    enabled ``tracer`` records a ``plan_compile`` span and ``metrics``
+    receives ``engine.plan.compiled``.
     """
-    if tracer is not None and tracer.enabled:
-        with tracer.span("plan_compile", n=chain.num_tasks):
-            plan = CompiledChainPlan(
-                chain,
-                backend=backend,
-                tracer=tracer,
-                metrics=metrics,
-                hub=hub,
-                max_structures=max_structures,
-            )
-    else:
+    span = (
+        tracer.span("plan_compile", n=chain.num_tasks)
+        if tracer is not None and tracer.enabled
+        else NULL_SPAN
+    )
+    with span:
         plan = CompiledChainPlan(
             chain,
-            backend=backend,
             tracer=tracer,
             metrics=metrics,
             hub=hub,

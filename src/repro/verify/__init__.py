@@ -1,4 +1,4 @@
-"""Static verification layer: certificates, contracts, flow and lint.
+"""Static verification layer: certificates, contracts, analyzers and lint.
 
 The paper's outputs are all *cuts*, and a claimed cut is cheap to audit
 independently of how it was computed: the execution-time bound (every
@@ -15,21 +15,24 @@ that observation into tooling:
   self-certify, including a pure-Python cross-check of the NumPy
   kernels on cached/warm-started engine paths;
 - :mod:`repro.verify.lint` — the repo-specific AST lint pass
-  (``python -m repro.verify.lint src/ tests/ benchmarks/``);
+  (``python -m repro.verify.lint src/ tests/ benchmarks/``) and the
+  machinery every static pass shares: the parse-once ``Module`` record,
+  ``Finding`` and the pragma grammar;
+- :mod:`repro.verify.passes` — the analyzer driver: one file walk and
+  one table of static passes behind ``repro analyze``;
 - :mod:`repro.verify.contracts` — machine-readable ``@complexity``
   budgets on every solver plus the AST pass enforcing them
   (REPRO010/REPRO011);
-- :mod:`repro.verify.flow` — the process-pool hygiene dataflow pass
-  (REPRO006-REPRO008);
 - :mod:`repro.verify.empirical` — the ``repro analyze --complexity``
   gate fitting OpCounter telemetry against declared budgets (REPRO009);
 - :mod:`repro.verify.markers` / :mod:`repro.verify.concurrency` /
   :mod:`repro.verify.races` — the concurrency-safety layer:
   ``@shared_state``/``@concurrent_entry`` runtime declarations, the
-  shared-state effect analyzer (REPRO013 lock discipline, REPRO014
-  async blocking calls, REPRO015 fork-unsafe capture) behind
-  ``repro analyze --concurrency``, and the seeded multi-thread
-  race-hammer harness;
+  process-pool hygiene rules (REPRO006-REPRO008, ``repro analyze
+  --flow``), the shared-state effect analyzer (REPRO013 lock
+  discipline, REPRO014 async blocking calls, REPRO015 fork-unsafe
+  capture) behind ``repro analyze --concurrency``, and the seeded
+  multi-thread race-hammer harness;
 - :mod:`repro.verify.hotpath` / :mod:`repro.verify.allocs` — the
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
   ``@complexity``-decorated functions and their callees, certified by
@@ -48,8 +51,8 @@ that observation into tooling:
 Re-exports resolve lazily (PEP 562): solver modules apply
 ``@repro.verify.contracts.complexity`` decorators at import time, so
 importing this package must not eagerly pull :mod:`certificates` (which
-imports the solver core right back).  ``contracts``, ``flow`` and
-``lint`` stay stdlib-only for the same reason.
+imports the solver core right back).  ``contracts`` and ``lint`` stay
+stdlib-only for the same reason.
 """
 
 from typing import TYPE_CHECKING, Any, List
@@ -66,8 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - re-export types for checkers only
     )
     from repro.verify.concurrency import (
         CONCURRENCY_RULES,
-        check_concurrency,
-        concurrency_check_source,
         shared_state_inventory,
     )
     from repro.verify.contracts import ComplexityContract, complexity
@@ -102,8 +103,6 @@ _EXPORTS = {
     "ComplexityContract": "repro.verify.contracts",
     "complexity": "repro.verify.contracts",
     "CONCURRENCY_RULES": "repro.verify.concurrency",
-    "check_concurrency": "repro.verify.concurrency",
-    "concurrency_check_source": "repro.verify.concurrency",
     "shared_state_inventory": "repro.verify.concurrency",
     "SHARED_REGISTRY": "repro.verify.markers",
     "concurrent_entry": "repro.verify.markers",

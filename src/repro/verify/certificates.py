@@ -158,6 +158,34 @@ _PARETO_INVARIANT = (
     "Pareto monotonicity: more processors never worsen the achievable "
     "bound, and a tighter bound never costs less bandwidth"
 )
+_FINITE_INVARIANT = (
+    "finite inputs: a cut certifies only a finite bound and finite "
+    "claimed objective values"
+)
+
+
+def _check_finite(
+    report: CertificateReport, prefix: str, values: Mapping[str, Optional[float]]
+) -> bool:
+    """Add a violation naming every non-finite value; True if none.
+
+    Every comparison against NaN is false and everything fits under an
+    infinite bound, so without this check any cut would certify.
+    """
+    report.checks += 1
+    bad = {
+        name: value
+        for name, value in values.items()
+        if value is not None and not math.isfinite(value)
+    }
+    if bad:
+        report.add(
+            f"{prefix}.non_finite",
+            _FINITE_INVARIANT,
+            ", ".join(f"{name} is {value!r}" for name, value in bad.items()),
+            bad,
+        )
+    return not bad
 
 
 def check_chain_partition(
@@ -170,11 +198,16 @@ def check_chain_partition(
 ) -> CertificateReport:
     """Certify a claimed chain cut against the Section 2.3 invariants.
 
-    Checks, each in ``O(n)``: the cut is a set of valid edge indices,
-    every induced block weighs at most ``bound``, and (when given) the
-    claimed bandwidth equals the recomputed ``sum beta(e)``.
+    Checks, each in ``O(n)``: ``bound`` and the claimed bandwidth are
+    finite, the cut is a set of valid edge indices, every induced block
+    weighs at most ``bound``, and (when given) the claimed bandwidth
+    equals the recomputed ``sum beta(e)``.
     """
     report = CertificateReport("chain_partition")
+    if not _check_finite(
+        report, "chain", {"bound": bound, "claimed_weight": claimed_weight}
+    ):
+        return report
     n = chain.num_tasks
     report.checks += 1
     raw = [int(i) for i in cut_indices]
@@ -308,12 +341,23 @@ def check_tree_cut(
 ) -> CertificateReport:
     """Certify a claimed tree cut against the Section 2.1/2.2 invariants.
 
-    Checks, each in ``O(n)``: the cut edges exist in the tree, every
-    component of ``T - S`` weighs at most ``bound``, and the claimed
+    Checks, each in ``O(n)``: ``bound`` and the claimed values are
+    finite, the cut edges exist in the tree, every component of
+    ``T - S`` weighs at most ``bound``, and the claimed
     bottleneck (``max delta(e)``) / bandwidth (``sum beta(e)``) match
     the recomputed values.
     """
     report = CertificateReport("tree_cut")
+    if not _check_finite(
+        report,
+        "tree",
+        {
+            "bound": bound,
+            "claimed_bottleneck": claimed_bottleneck,
+            "claimed_bandwidth": claimed_bandwidth,
+        },
+    ):
+        return report
     canonical = {canonical_edge(u, v) for u, v in cut_edges}
     report.checks += 1
     known = set(tree.edges())

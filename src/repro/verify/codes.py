@@ -1,14 +1,12 @@
 """Single registry of every ``REPROxxx`` verification rule.
 
-Before this module existed each analyzer kept its own private
-``{code: message}`` dict (``lint.py``, ``flow.py``, ``empirical.py``,
-``contracts.py``, ``concurrency.py``, ``hotpath.py``,
-``faultflow.py``) and nothing
-guaranteed the set stayed coherent: codes could collide, drift from
-``docs/verification.md``, or ship without a test ever exercising them.
-Now the analyzers *derive* their rule tables from this one place via
-:func:`messages_for`, and ``tests/verify/test_codes.py`` asserts every
-registered code is documented and exercised.
+The analyzer modules (``lint.py``, ``empirical.py``, ``contracts.py``,
+``concurrency.py``, ``hotpath.py``, ``faultflow.py``) *derive* their
+rule tables from this one place via :func:`messages_for`, so codes
+cannot collide or drift from ``docs/verification.md``, and
+``tests/verify/test_codes.py`` asserts every registered code is
+documented and exercised.  The passes themselves run from one table in
+:mod:`repro.verify.passes`.
 
 This is a stdlib-only leaf module (like ``repro.verify.markers``): the
 analyzers import it at module load, so it must not import anything from
@@ -64,15 +62,15 @@ REGISTRY: Dict[str, RuleSpec] = {
     ),
     "REPRO006": RuleSpec(
         "worker code mutates a module-level global (per-process copy)",
-        "repro.verify.flow", "line", "",
+        "repro.verify.concurrency", "line", "",
     ),
     "REPRO007": RuleSpec(
         "unpicklable callable or capture submitted to a process pool",
-        "repro.verify.flow", "line", "",
+        "repro.verify.concurrency", "line", "",
     ),
     "REPRO008": RuleSpec(
         "unseeded random stream in process-pool worker code",
-        "repro.verify.flow", "line", "",
+        "repro.verify.concurrency", "line", "",
     ),
     "REPRO009": RuleSpec(
         "measured op-count growth exceeds the declared complexity budget",

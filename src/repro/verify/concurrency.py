@@ -1,15 +1,42 @@
-"""Concurrency-safety analysis: shared-state effects, locks, fork hygiene.
+"""Concurrency-safety analysis: process-pool hygiene and shared state.
 
-The engine may be shared across threads: one ``PartitionEngine`` whose
-plan cache and compiled plans serve many threads, one ``TelemetryHub``
-fanning out events from every request,
-one ``MetricsRegistry`` accumulating fleet numbers.  The process-pool
-pass (:mod:`repro.verify.flow`, REPRO006-008) covers *pickling* hygiene
-across process boundaries; this module covers the *shared-memory* side:
-which state is shared, who writes it, and whether those writes hold the
-object's declared lock.
+:meth:`repro.engine.batch.PartitionEngine.solve_many` fans queries out
+over a ``concurrent.futures`` process pool (the discrete-event
+simulators in :mod:`repro.desim` model the same fan-out), and one
+engine may be shared across threads: one ``PartitionEngine`` whose plan
+cache and compiled plans serve many threads, one ``TelemetryHub``
+fanning out events from every request, one ``MetricsRegistry``
+accumulating fleet numbers.  This module holds the two static passes
+over that concurrency.
 
-Two runtime markers declare the contract in code:
+The *pool rules* (the ``flow`` report section) cover the process
+boundary.  Code that runs in a pool worker lives under constraints the
+interpreter cannot enforce: the submitted callable and its arguments
+must pickle, module globals are per-process copies whose mutation
+silently diverges from the parent, and unseeded random streams repeat
+across forked workers.  The pass walks the call graph reachable from
+pool-submitted entry points and flags:
+
+==========  ==========================================================
+Code        Rule
+==========  ==========================================================
+REPRO006    Worker-reachable code rebinds or mutates a module-level
+            global.  Each process has its own copy; the parent never
+            sees the write, so results depend on pool scheduling.
+REPRO007    A callable submitted to a process pool cannot pickle: a
+            ``lambda``/nested function, or a closure/argument carrying
+            an unpicklable value (``Tracer``, locks, open handles,
+            threads).
+REPRO008    Worker-reachable code draws from the module-level
+            ``random`` / ``numpy.random`` stream without seeding —
+            forked workers inherit identical state and replay the same
+            "random" numbers.
+==========  ==========================================================
+
+The *shared-state rules* (the ``concurrency`` report section) cover
+shared memory: which state is shared, who writes it, and whether those
+writes hold the object's declared lock.  Two runtime markers declare
+the contract in code:
 
 - :func:`shared_state` — a class decorator registering the class as
   shared mutable state and naming its lock attribute (default
@@ -19,10 +46,9 @@ Two runtime markers declare the contract in code:
 - :func:`concurrent_entry` — a function/method decorator marking an
   entry point that may be called from multiple threads concurrently.
 
-The static pass then walks the AST of the target packages, builds a
-per-class call graph, infers per-function read/write effect sets on
-``self`` attributes (and module globals), propagates *unlocked
-reachability* from the annotated entry points, and emits:
+The pass builds a per-class call graph, infers per-function read/write
+effect sets on ``self`` attributes (and module globals), propagates
+*unlocked reachability* from the annotated entry points, and emits:
 
 ==========  ==========================================================
 Code        Rule
@@ -41,6 +67,13 @@ REPRO015    Fork-unsafe capture: an object carrying locks, open file
             ``self`` of a submitted bound method).
 ==========  ==========================================================
 
+Detection is intra-module and name-based (no type inference): pools are
+names bound to ``ProcessPoolExecutor(...)`` / ``multiprocessing.Pool``
+constructions in a function or an enclosing one, submissions are calls
+of ``submit``/``map`` (and friends) on such a name, and reachability
+follows the within-module call graph the hot-path pass uses.  Thread
+pools are exempt — they share the parent's memory and pickle nothing.
+
 Lock inference is *interprocedural within a class*: a helper whose only
 callers invoke it inside ``with self._lock:`` is considered locked, so
 the guarded-entry / unguarded-helper layering of the engine caches
@@ -49,35 +82,30 @@ analyzes clean without annotations on every private method.
 it is being constructed).  Findings honour the shared
 ``# repro-lint: disable=CODE`` pragma grammar.
 
-Run it as a module::
-
-    python -m repro.verify.concurrency src/
-    python -m repro.verify.concurrency --list-rules
-
-Exit status: 0 clean, 1 findings, 2 usage/parse errors.
+Run them with ``repro analyze --flow`` / ``repro analyze --concurrency
+[paths]`` (exit status: 0 clean, 1 findings, 2 usage/parse errors).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from repro.verify.codes import messages_for
-from repro.verify.lint import Finding, iter_python_files, pragma_disables
+from repro.verify.faultflow import random_draw
+from repro.verify.hotpath import _FUNC_NODES, _collect_functions, _reachable
+from repro.verify.lint import Finding, Module, iter_python_files, rightmost_name
 from repro.verify.markers import (  # noqa: F401 - canonical re-export
     SHARED_REGISTRY,
     concurrent_entry,
@@ -89,7 +117,8 @@ CONCURRENCY_RULES: Dict[str, str] = messages_for("repro.verify.concurrency")
 
 
 #: Constructors whose instances cannot survive a fork+pickle into a
-#: process-pool worker (REPRO015 carriers when held as attributes).
+#: process-pool worker: REPRO007 arguments and lambda captures, and
+#: REPRO015 carriers when held as attributes.
 _FORK_UNSAFE_CONSTRUCTORS = frozenset(
     (
         "Lock",
@@ -104,6 +133,7 @@ _FORK_UNSAFE_CONSTRUCTORS = frozenset(
         "open",
         "socket",
         "Tracer",
+        "Span",
         "TelemetryHub",
         "StreamingJsonlSink",
         "ProfileSampler",
@@ -111,8 +141,7 @@ _FORK_UNSAFE_CONSTRUCTORS = frozenset(
 )
 
 #: Process-pool constructors and their callable-shipping methods
-#: (mirrors :mod:`repro.verify.flow`; thread pools are exempt — they
-#: share memory and pickle nothing).
+#: (thread pools are exempt — they share memory and pickle nothing).
 _POOL_CONSTRUCTORS = frozenset(("ProcessPoolExecutor", "Pool"))
 _SUBMIT_METHODS = frozenset(
     (
@@ -164,9 +193,9 @@ _BLOCKING_HANDLE_SOURCES = frozenset(
     )
 )
 
-#: Container-mutating method names: a call ``self.attr.<m>(...)`` is a
-#: write effect on the shared object (superset of the flow pass's set,
-#: adding the OrderedDict/instrument mutators this codebase uses).
+#: Container-mutating method names: ``self.attr.<m>(...)`` is a write
+#: effect on the shared object (REPRO013) and ``GLOBAL.<m>(...)`` a
+#: write to a module global (REPRO006/REPRO013).
 _MUTATOR_METHODS = frozenset(
     (
         "append",
@@ -194,19 +223,11 @@ _MUTATOR_METHODS = frozenset(
 _CONSTRUCTION_METHODS = frozenset(("__init__", "__new__", "__post_init__"))
 
 
-def _name_of(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _decorator_names(node: ast.AST) -> Set[str]:
     names: Set[str] = set()
     for deco in getattr(node, "decorator_list", []):
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _name_of(target)
+        name = rightmost_name(target)
         if name is not None:
             names.add(name)
     return names
@@ -215,14 +236,14 @@ def _decorator_names(node: ast.AST) -> Set[str]:
 def _shared_lock_attr(cls: ast.ClassDef) -> Optional[str]:
     """The declared lock attribute if ``cls`` is ``@shared_state``."""
     for deco in cls.decorator_list:
-        if isinstance(deco, ast.Call) and _name_of(deco.func) == "shared_state":
+        if isinstance(deco, ast.Call) and rightmost_name(deco.func) == "shared_state":
             for kw in deco.keywords:
                 if kw.arg == "lock" and isinstance(kw.value, ast.Constant):
                     return str(kw.value.value)
             if deco.args and isinstance(deco.args[0], ast.Constant):
                 return str(deco.args[0].value)
             return "_lock"
-        if _name_of(deco) == "shared_state":  # bare decorator (no call)
+        if rightmost_name(deco) == "shared_state":  # bare decorator (no call)
             return "_lock"
     return None
 
@@ -458,8 +479,7 @@ def shared_state_inventory(
     """
     inventory: Dict[str, Dict[str, Dict[str, Any]]] = {}
     for path in iter_python_files(paths):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for cls in _collect_shared_classes(tree):
+        for cls in _collect_shared_classes(Module.read(path).tree):
             entry = {
                 name: {
                     "entry": effects.entry,
@@ -474,69 +494,32 @@ def shared_state_inventory(
 
 
 # ----------------------------------------------------------------------
-# REPRO013: unlocked shared-state writes
+# Module globals: REPRO006 in pool workers, REPRO013 on concurrent paths
 # ----------------------------------------------------------------------
 
 
-def _check_shared_classes(
-    tree: ast.Module,
-    path: Path,
-    disables: Dict[int, FrozenSet[str]],
-) -> List[Finding]:
-    findings: List[Finding] = []
-    for cls in _collect_shared_classes(tree):
-        reached = cls.unlocked_reachable()
-        for name in sorted(reached):  # repro-mutate: equivalent=drop-sorted -- findings re-sorted before return
-            effects = cls.methods[name]
-            for node, _attr, description, _locked in effects.unlocked_writes():
-                line = getattr(node, "lineno", 0)
-                if "REPRO013" in disables.get(line, frozenset()):
-                    continue
-                findings.append(
-                    Finding(
-                        path,
-                        line,
-                        getattr(node, "col_offset", 0),
-                        "REPRO013",
-                        f"{CONCURRENCY_RULES['REPRO013']}: "
-                        f"{cls.name}.{name} {description} without holding "
-                        f"'self.{cls.lock_attr}' on a concurrent path",
-                    )
-                )
-    return findings
+def _module_globals(tree: ast.Module) -> FrozenSet[str]:
+    """Names bound by module-level assignments."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(stmt.target, ast.Name):
+                names.add(stmt.target.id)
+    return frozenset(names)
 
 
-class _GlobalWriteChecker(ast.NodeVisitor):
-    """REPRO013 for module globals inside one concurrent function body."""
+class _GlobalWrites(ast.NodeVisitor):
+    """Writes to module globals in one function body (nested defs
+    included), as ``(node, detail)`` pairs naming the target a
+    ``noun`` ("global" or "module global")."""
 
-    def __init__(
-        self,
-        path: Path,
-        func_name: str,
-        module_globals: FrozenSet[str],
-        disables: Dict[int, FrozenSet[str]],
-    ) -> None:
-        self.path = path
-        self.func_name = func_name
+    def __init__(self, module_globals: FrozenSet[str], noun: str) -> None:
         self.module_globals = module_globals
-        self.disables = disables
-        self.findings: List[Finding] = []
+        self.noun = noun
+        self.writes: List[Tuple[ast.AST, str]] = []
         self._declared_global: Set[str] = set()
-
-    def _add(self, node: ast.AST, detail: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if "REPRO013" in self.disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(
-                self.path,
-                line,
-                getattr(node, "col_offset", 0),
-                "REPRO013",
-                f"{CONCURRENCY_RULES['REPRO013']}: {self.func_name} {detail} "
-                f"(module globals have no declared lock)",
-            )
-        )
 
     def visit_Global(self, node: ast.Global) -> None:
         self._declared_global.update(node.names)
@@ -544,11 +527,11 @@ class _GlobalWriteChecker(ast.NodeVisitor):
     def _check_target(self, target: ast.expr, node: ast.AST) -> None:
         if isinstance(target, ast.Name):
             if target.id in self._declared_global:
-                self._add(node, f"rebinds module global '{target.id}'")
+                self.writes.append((node, f"rebinds {self.noun} '{target.id}'"))
         elif isinstance(target, (ast.Subscript, ast.Attribute)):
             root = _attr_root(target)
             if root is not None and root in self.module_globals:
-                self._add(node, f"writes into module global '{root}'")
+                self.writes.append((node, f"writes into {self.noun} '{root}'"))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -556,6 +539,10 @@ class _GlobalWriteChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_target(node.target, node)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._check_target(node.target, node)
         self.generic_visit(node)
 
@@ -567,55 +554,63 @@ class _GlobalWriteChecker(ast.NodeVisitor):
             and isinstance(func.value, ast.Name)
             and func.value.id in self.module_globals
         ):
-            self._add(
-                node, f"calls '{func.value.id}.{func.attr}(...)' on a module global"
+            self.writes.append(
+                (node, f"calls '{func.value.id}.{func.attr}(...)' on a module global")
             )
         self.generic_visit(node)
 
 
-def _check_module_globals(
-    tree: ast.Module,
-    path: Path,
-    disables: Dict[int, FrozenSet[str]],
-) -> List[Finding]:
+def _global_writes(
+    func: ast.AST, module_globals: FrozenSet[str], noun: str
+) -> List[Tuple[ast.AST, str]]:
+    visitor = _GlobalWrites(module_globals, noun)
+    visitor.visit(func)
+    return visitor.writes
+
+
+# ----------------------------------------------------------------------
+# REPRO013: unlocked shared-state writes
+# ----------------------------------------------------------------------
+
+
+def _check_shared_classes(module: Module, findings: List[Finding]) -> None:
+    for cls in _collect_shared_classes(module.tree):
+        for name in cls.unlocked_reachable():
+            effects = cls.methods[name]
+            for node, _attr, description, _locked in effects.unlocked_writes():
+                module.flag(
+                    findings,
+                    node,
+                    "REPRO013",
+                    f"{CONCURRENCY_RULES['REPRO013']}: "
+                    f"{cls.name}.{name} {description} without holding "
+                    f"'self.{cls.lock_attr}' on a concurrent path",
+                )
+
+
+def _check_module_globals(module: Module, findings: List[Finding]) -> None:
     """Module-level ``@concurrent_entry`` functions (and the functions
     they call by name) must not write module globals."""
-    module_globals: Set[str] = set()
-    functions: Dict[str, ast.AST] = {}
-    calls: Dict[str, Set[str]] = {}
-    entries: List[str] = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    module_globals.add(target.id)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(stmt.target, ast.Name):
-                module_globals.add(stmt.target.id)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions[stmt.name] = stmt
-            calls[stmt.name] = {
-                _name_of(sub.func) or ""
-                for sub in ast.walk(stmt)
-                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-            }
-            if "concurrent_entry" in _decorator_names(stmt):
-                entries.append(stmt.name)
-    reached: Set[str] = set()
-    frontier = list(entries)
-    while frontier:
-        name = frontier.pop()
-        if name in reached or name not in functions:
-            continue
-        reached.add(name)
-        frontier.extend(c for c in calls.get(name, ()) if c in functions)
-    findings: List[Finding] = []
-    frozen = frozenset(module_globals)
-    for name in sorted(reached):  # repro-mutate: equivalent=drop-sorted -- findings re-sorted before return
-        checker = _GlobalWriteChecker(path, name, frozen, disables)
-        checker.visit(functions[name])
-        findings.extend(checker.findings)
-    return findings
+    tree = module.tree
+    functions, calls, _ = _collect_functions(tree)
+    entries = [
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, _FUNC_NODES)
+        and "concurrent_entry" in _decorator_names(stmt)
+    ]
+    module_globals = _module_globals(tree)
+    for name in _reachable(calls, entries):
+        for node, detail in _global_writes(
+            functions[name], module_globals, "module global"
+        ):
+            module.flag(
+                findings,
+                node,
+                "REPRO013",
+                f"{CONCURRENCY_RULES['REPRO013']}: {name} {detail} "
+                f"(module globals have no declared lock)",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -626,10 +621,9 @@ def _check_module_globals(
 class _AsyncBlockingChecker(ast.NodeVisitor):
     """Flag blocking calls lexically inside ``async def`` bodies."""
 
-    def __init__(self, path: Path, disables: Dict[int, FrozenSet[str]]) -> None:
-        self.path = path
-        self.disables = disables
-        self.findings: List[Finding] = []
+    def __init__(self, module: Module, findings: List[Finding]) -> None:
+        self.module = module
+        self.findings = findings
         self._async_depth = 0
         self._async_name = ""
         #: Local names bound to blocking handles inside the current
@@ -637,18 +631,12 @@ class _AsyncBlockingChecker(ast.NodeVisitor):
         self._handles: Set[str] = set()
 
     def _add(self, node: ast.AST, detail: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if "REPRO014" in self.disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(
-                self.path,
-                line,
-                getattr(node, "col_offset", 0),
-                "REPRO014",
-                f"{CONCURRENCY_RULES['REPRO014']}: {detail} inside "
-                f"'async def {self._async_name}'",
-            )
+        self.module.flag(
+            self.findings,
+            node,
+            "REPRO014",
+            f"{CONCURRENCY_RULES['REPRO014']}: {detail} inside "
+            f"'async def {self._async_name}'",
         )
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
@@ -671,7 +659,7 @@ class _AsyncBlockingChecker(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._async_depth and isinstance(node.value, ast.Call):
-            source = _name_of(node.value.func)
+            source = rightmost_name(node.value.func)
             if source in _BLOCKING_HANDLE_SOURCES:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -704,8 +692,206 @@ class _AsyncBlockingChecker(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# REPRO015: fork-unsafe capture into process pools
+# Process-pool submissions: REPRO006-REPRO008 and REPRO015
 # ----------------------------------------------------------------------
+
+
+class _Scope:
+    """One function body's pool bindings, locals and submissions."""
+
+    __slots__ = ("parent", "cls", "pools", "locals", "nested", "calls")
+
+    def __init__(self, parent: Optional["_Scope"], cls: Optional[str]) -> None:
+        #: The enclosing function's scope: closures see its names.
+        self.parent = parent
+        #: The class this function is a method (or a method closure) of.
+        self.cls = cls
+        #: Local names bound to a process pool.
+        self.pools: Set[str] = set()
+        #: Local name -> constructor of the last call assigned to it.
+        self.locals: Dict[str, str] = {}
+        #: Names of functions defined in this body.
+        self.nested: Set[str] = set()
+        #: ``(receiver, call)`` for ``<receiver>.<submit method>(f, ...)``.
+        self.calls: List[Tuple[str, ast.Call]] = []
+
+    def chain(self) -> Iterator["_Scope"]:
+        """This scope, then each enclosing function scope outwards."""
+        scope: Optional[_Scope] = self
+        while scope is not None:
+            yield scope
+            scope = scope.parent
+
+    def ctor_of(self, name: str) -> Optional[str]:
+        """The constructor ``name`` is bound to here or in an enclosing
+        scope (closures capture), if any."""
+        for scope in self.chain():
+            if name in scope.locals:
+                return scope.locals[name]
+        return None
+
+
+class _PoolIndex(ast.NodeVisitor):
+    """Every function scope of a module, for the submission checks."""
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.scopes: List[_Scope] = []
+        self._stack: List[_Scope] = []
+        self._cls: Optional[str] = None
+        self.visit(tree)
+
+    def submissions(self) -> Iterator[Tuple[_Scope, ast.Call]]:
+        """``(scope, call)`` for every call shipping work to a pool."""
+        for scope in self.scopes:
+            for receiver, call in scope.calls:
+                if any(receiver in outer.pools for outer in scope.chain()):
+                    yield scope, call
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        saved, self._cls = self._cls, node.name
+        self.generic_visit(node)
+        self._cls = saved
+
+    def visit_FunctionDef(self, node: Any) -> None:
+        parent = self._stack[-1] if self._stack else None
+        if parent is not None:
+            parent.nested.add(node.name)
+        scope = _Scope(parent, self._cls)
+        self.scopes.append(scope)
+        self._stack.append(scope)
+        self.generic_visit(node)
+        self._stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if self._stack and isinstance(node.value, ast.Call):
+            scope = self._stack[-1]
+            ctor = rightmost_name(node.value.func)
+            for target in node.targets:
+                if isinstance(target, ast.Name) and ctor is not None:
+                    if ctor in _POOL_CONSTRUCTORS:
+                        scope.pools.add(target.id)
+                    else:
+                        scope.locals[target.id] = ctor
+        self.generic_visit(node)
+
+    def visit_With(self, node: Any) -> None:
+        if self._stack:
+            for item in node.items:
+                expr = item.context_expr
+                if (
+                    isinstance(expr, ast.Call)
+                    and rightmost_name(expr.func) in _POOL_CONSTRUCTORS
+                    and isinstance(item.optional_vars, ast.Name)
+                ):
+                    self._stack[-1].pools.add(item.optional_vars.id)
+        self.generic_visit(node)
+
+    visit_AsyncWith = visit_With
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            self._stack
+            and isinstance(func, ast.Attribute)
+            and func.attr in _SUBMIT_METHODS
+            and isinstance(func.value, ast.Name)
+            and node.args
+        ):
+            self._stack[-1].calls.append((func.value.id, node))
+        self.generic_visit(node)
+
+
+def _free_names(node: ast.Lambda) -> Set[str]:
+    """Names read inside a lambda body, minus its own parameters."""
+    params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    return {
+        sub.id
+        for sub in ast.walk(node.body)
+        if isinstance(sub, ast.Name) and sub.id not in params
+    }
+
+
+def _extra_args(call: ast.Call) -> List[ast.expr]:
+    """Everything a submission ships besides the callable itself."""
+    return [*call.args[1:], *(kw.value for kw in call.keywords)]
+
+
+def check_pool_rules(module: Module) -> List[Finding]:
+    """REPRO006-REPRO008 (the ``flow`` section) over one parsed module."""
+    findings: List[Finding] = []
+
+    def add(
+        node: ast.AST, code: str, detail: str, anchors: Tuple[int, ...] = ()
+    ) -> None:
+        module.flag(
+            findings, node, code, f"{CONCURRENCY_RULES[code]}: {detail}", anchors
+        )
+
+    # REPRO007 at the submission sites; collect named roots on the way.
+    roots: List[str] = []
+    for scope, call in _PoolIndex(module.tree).submissions():
+        target = call.args[0]
+        if isinstance(target, ast.Lambda):
+            captured = min(
+                (
+                    name
+                    for name in _free_names(target)
+                    if scope.ctor_of(name) in _FORK_UNSAFE_CONSTRUCTORS
+                ),
+                default=None,
+            )
+            detail = "submits a lambda (never picklable)"
+            if captured is not None:
+                ctor = scope.ctor_of(captured)
+                detail += f"; it captures '{captured}' bound to {ctor}(...)"
+            # A pragma on the submitting call's line covers its arguments.
+            add(target, "REPRO007", detail, (call.lineno,))
+        elif isinstance(target, ast.Name):
+            if any(target.id in outer.nested for outer in scope.chain()):
+                add(
+                    call,
+                    "REPRO007",
+                    f"submits nested function '{target.id}' (never picklable)",
+                )
+            else:
+                roots.append(target.id)
+        for arg in _extra_args(call):
+            if not isinstance(arg, ast.Name):
+                continue
+            ctor = scope.ctor_of(arg.id)
+            if ctor in _FORK_UNSAFE_CONSTRUCTORS:
+                add(
+                    arg,
+                    "REPRO007",
+                    f"passes '{arg.id}' bound to {ctor}(...) to a pool worker",
+                    (call.lineno,),
+                )
+
+    # REPRO006/REPRO008 inside every worker-reachable function body.
+    tree = module.tree
+    functions, calls, _ = _collect_functions(tree)
+    module_globals = _module_globals(tree)
+    for name in _reachable(calls, [r for r in roots if r in functions]):
+        func = functions[name]
+        for node, detail in _global_writes(func, module_globals, "global"):
+            add(node, "REPRO006", detail)
+        if any(
+            isinstance(sub, ast.Call) and rightmost_name(sub.func) == "seed"
+            for sub in ast.walk(func)
+        ):
+            continue  # a worker that seeds its own stream is deterministic
+        for sub in ast.walk(func):
+            draw = random_draw(sub) if isinstance(sub, ast.Call) else None
+            if draw is not None:
+                stream = "numpy.random" if draw[0] == "np.random" else "random"
+                add(
+                    sub,
+                    "REPRO008",
+                    f"draws from module-level '{stream}.{draw[1]}()'",
+                )
+    return findings
 
 
 def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
@@ -731,7 +917,7 @@ def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
                 sub.value, ast.Call
             ):
                 continue
-            ctor = _name_of(sub.value.func)
+            ctor = rightmost_name(sub.value.func)
             if ctor is None:
                 continue
             for target in sub.targets:
@@ -750,7 +936,7 @@ def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
                     sub.value, ast.Call
                 ):
                     continue
-                ctor = _name_of(sub.value.func)
+                ctor = rightmost_name(sub.value.func)
                 if ctor not in carriers or ctor == name:
                     continue
                 for target in sub.targets:
@@ -761,233 +947,84 @@ def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
     return carriers
 
 
-class _ForkCaptureChecker(ast.NodeVisitor):
-    """Track pool bindings + carrier locals; flag unsafe submissions."""
+def _check_fork_captures(module: Module, findings: List[Finding]) -> None:
+    """REPRO015: carriers of fork-unsafe state shipped to a pool."""
+    carriers = _fork_unsafe_class_attrs(module.tree)
+    #: every attr known fork-unsafe on some intra-module class
+    unsafe_attrs = {
+        attr: ctor for attrs in carriers.values() for attr, ctor in attrs.items()
+    }
 
-    def __init__(
-        self,
-        path: Path,
-        carriers: Dict[str, Dict[str, str]],
-        enclosing_class: Optional[str],
-        disables: Dict[int, FrozenSet[str]],
-    ) -> None:
-        self.path = path
-        self.carriers = carriers
-        self.enclosing_class = enclosing_class
-        self.disables = disables
-        self.findings: List[Finding] = []
-        self._pools: Set[str] = set()
-        #: local name -> carrier class name
-        self._carrier_locals: Dict[str, str] = {}
-        #: every attr known fork-unsafe on some intra-module class
-        self._unsafe_attrs: Dict[str, str] = {
-            attr: ctor
-            for attrs in carriers.values()
-            for attr, ctor in attrs.items()
-        }
+    def carrier(scope: _Scope, name: str) -> Optional[str]:
+        ctor = scope.ctor_of(name)
+        return ctor if ctor in carriers else None
 
-    def _add(self, node: ast.AST, detail: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if "REPRO015" in self.disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(
-                self.path,
-                line,
-                getattr(node, "col_offset", 0),
-                "REPRO015",
-                f"{CONCURRENCY_RULES['REPRO015']}: {detail}",
-            )
-        )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if isinstance(node.value, ast.Call):
-            ctor = _name_of(node.value.func)
-            for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if ctor in _POOL_CONSTRUCTORS:
-                    self._pools.add(target.id)
-                elif ctor in self.carriers:
-                    self._carrier_locals[target.id] = ctor
-        self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        for item in node.items:
-            if (
-                isinstance(item.context_expr, ast.Call)
-                and _name_of(item.context_expr.func) in _POOL_CONSTRUCTORS
-                and isinstance(item.optional_vars, ast.Name)
-            ):
-                self._pools.add(item.optional_vars.id)
-        self.generic_visit(node)
-
-    def _describe_carrier(self, cls_name: str) -> str:
-        attrs = self.carriers.get(cls_name, {})
-        if not attrs:
-            return cls_name
-        attr, ctor = sorted(attrs.items())[0]
+    def describe(cls_name: str) -> str:
+        attr, ctor = sorted(carriers[cls_name].items())[0]
         return f"{cls_name} (carries '.{attr}' = {ctor}(...))"
 
-    def _check_expr(self, expr: ast.expr, call: ast.Call, role: str) -> None:
-        if isinstance(expr, ast.Name):
-            cls_name = self._carrier_locals.get(expr.id)
-            if cls_name is not None:
-                self._add(
-                    call,
-                    f"{role} '{expr.id}', an instance of "
-                    f"{self._describe_carrier(cls_name)}",
-                )
-        elif isinstance(expr, ast.Attribute):
-            attr = expr.attr
-            base = expr.value
-            if attr in self._unsafe_attrs and (
-                (isinstance(base, ast.Name) and base.id == "self")
-                or (isinstance(base, ast.Name) and base.id in self._carrier_locals)
-            ):
-                self._add(
-                    call,
-                    f"{role} '.{attr}' "
-                    f"({self._unsafe_attrs[attr]}(...) — unpicklable)",
-                )
+    def add(call: ast.Call, detail: str) -> None:
+        module.flag(
+            findings, call, "REPRO015",
+            f"{CONCURRENCY_RULES['REPRO015']}: {detail}",
+        )
 
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SUBMIT_METHODS
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self._pools
-            and node.args
+    for scope, call in _PoolIndex(module.tree).submissions():
+        target = call.args[0]
+        # A bound method pickles its whole self.
+        if isinstance(target, ast.Attribute) and isinstance(
+            target.value, ast.Name
         ):
-            target = node.args[0]
-            # A bound method pickles its whole self.
-            if isinstance(target, ast.Attribute):
-                base = target.value
-                if isinstance(base, ast.Name) and base.id == "self" and (
-                    self.enclosing_class in self.carriers
-                ):
-                    self._add(
-                        node,
-                        f"submits bound method 'self.{target.attr}' of "
-                        + self._describe_carrier(str(self.enclosing_class)),
-                    )
-                elif (
-                    isinstance(base, ast.Name)
-                    and base.id in self._carrier_locals
-                ):
-                    self._add(
-                        node,
-                        f"submits bound method '{base.id}.{target.attr}' of "
-                        + self._describe_carrier(
-                            self._carrier_locals[base.id]
-                        ),
-                    )
-            for arg in list(node.args[1:]) + [kw.value for kw in node.keywords]:
-                self._check_expr(arg, node, "ships")
-        self.generic_visit(node)
-
-
-def _check_fork_captures(
-    tree: ast.Module,
-    path: Path,
-    disables: Dict[int, FrozenSet[str]],
-) -> List[Finding]:
-    carriers = _fork_unsafe_class_attrs(tree)
-    findings: List[Finding] = []
-
-    def scan(node: ast.AST, enclosing_class: Optional[str]) -> None:
-        for stmt in getattr(node, "body", []):
-            if isinstance(stmt, ast.ClassDef):
-                scan(stmt, stmt.name)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                checker = _ForkCaptureChecker(
-                    path, carriers, enclosing_class, disables
+            base = target.value.id
+            if base == "self" and scope.cls in carriers:
+                add(
+                    call,
+                    f"submits bound method 'self.{target.attr}' of "
+                    + describe(str(scope.cls)),
                 )
-                for sub in stmt.body:
-                    checker.visit(sub)
-                findings.extend(checker.findings)
-                scan(stmt, enclosing_class)
-
-    scan(tree, None)
-    return findings
+            else:
+                cls_name = carrier(scope, base)
+                if cls_name is not None:
+                    add(
+                        call,
+                        f"submits bound method '{base}.{target.attr}' of "
+                        + describe(cls_name),
+                    )
+        for arg in _extra_args(call):
+            if isinstance(arg, ast.Name):
+                cls_name = carrier(scope, arg.id)
+                if cls_name is not None:
+                    add(
+                        call,
+                        f"ships '{arg.id}', an instance of "
+                        f"{describe(cls_name)}",
+                    )
+            elif (
+                isinstance(arg, ast.Attribute)
+                and arg.attr in unsafe_attrs
+                and isinstance(arg.value, ast.Name)
+                and (
+                    arg.value.id == "self"
+                    or carrier(scope, arg.value.id) is not None
+                )
+            ):
+                add(
+                    call,
+                    f"ships '.{arg.attr}' "
+                    f"({unsafe_attrs[arg.attr]}(...) — unpicklable)",
+                )
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
 
 
-def concurrency_check_source(source: str, path: Path) -> List[Finding]:
-    """Run all three concurrency rules over one module's source text."""
-    tree = ast.parse(source, filename=str(path))
-    disables = pragma_disables(source)
+def check(module: Module) -> List[Finding]:
+    """REPRO013-REPRO015 (the ``concurrency`` section) over one module."""
     findings: List[Finding] = []
-    findings.extend(_check_shared_classes(tree, path, disables))
-    findings.extend(_check_module_globals(tree, path, disables))
-    async_checker = _AsyncBlockingChecker(path, disables)
-    async_checker.visit(tree)
-    findings.extend(async_checker.findings)
-    findings.extend(_check_fork_captures(tree, path, disables))
-    findings.sort(key=lambda f: (f.line, f.col, f.code))  # repro-mutate: equivalent=drop-tuple-field -- checks run in code order; stable sort keeps it
+    _check_shared_classes(module, findings)
+    _check_module_globals(module, findings)
+    _AsyncBlockingChecker(module, findings).visit(module.tree)
+    _check_fork_captures(module, findings)
     return findings
-
-
-def check_concurrency(paths: Iterable[Path]) -> Tuple[List[Finding], int]:
-    """Concurrency-check files/trees; returns ``(findings, files_checked)``."""
-    findings: List[Finding] = []
-    checked = 0
-    for path in iter_python_files(paths):
-        findings.extend(
-            concurrency_check_source(path.read_text(encoding="utf-8"), path)
-        )
-        checked += 1
-    return findings, checked
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.concurrency",
-        description="Concurrency-safety analyzer (REPRO013-REPRO015).",
-    )
-    parser.add_argument("paths", nargs="*", help="files or directories to check")
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code in sorted(CONCURRENCY_RULES):  # repro-mutate: equivalent=drop-sorted -- table is declared in code order
-            print(f"{code}  {CONCURRENCY_RULES[code]}")
-        return 0
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no paths given (try 'src/')", file=sys.stderr)
-        return 2
-    targets = [Path(p) for p in args.paths]
-    missing = [p for p in targets if not p.exists()]
-    if missing:
-        for p in missing:
-            print(f"error: no such path: {p}", file=sys.stderr)
-        return 2
-    try:
-        findings, checked = check_concurrency(targets)
-    except SyntaxError as exc:
-        print(
-            f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    for finding in findings:
-        print(finding.render())
-    summary = (
-        f"{len(findings)} finding(s) in {checked} file(s)"
-        if findings
-        else f"clean: {checked} file(s)"
-    )
-    print(summary, file=sys.stderr)
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

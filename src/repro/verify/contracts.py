@@ -16,7 +16,7 @@ at zero per-call cost, the function object itself is returned unchanged.
 
 Three consumers read the contracts:
 
-- the AST pass in this module (:func:`check_contracts`), which fails
+- the AST pass in this module (:func:`check`), which fails
   when an exported solver lacks a contract (**REPRO010**) or when its
   docstring states ``O(...)`` claims that all disagree with the declared
   budget (**REPRO011**);
@@ -46,13 +46,11 @@ from __future__ import annotations
 import ast
 import math
 import re
-from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -61,7 +59,7 @@ from typing import (
 )
 
 from repro.verify.codes import messages_for
-from repro.verify.lint import Finding, pragma_disables
+from repro.verify.lint import Finding, Module, rightmost_name
 
 #: Rule codes enforced by the contract AST pass (the empirical gate owns
 #: REPRO009; see :mod:`repro.verify.empirical`).
@@ -327,15 +325,7 @@ REQUIRED_CONTRACTS: Dict[str, FrozenSet[str]] = {
 def _decorator_budget(node: ast.expr) -> Optional[str]:
     """The budget string of a ``@complexity(...)`` decorator, if that is
     what ``node`` is (``@complexity("...")`` or ``@contracts.complexity``)."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr if isinstance(func, ast.Attribute) else None
-    )
-    if name != "complexity":
+    if not isinstance(node, ast.Call) or rightmost_name(node.func) != "complexity":
         return None
     if node.args and isinstance(node.args[0], ast.Constant):
         value = node.args[0].value
@@ -388,26 +378,14 @@ def _docstring_disagrees(budget: ComplexityBudget, docstring: str) -> bool:
 class _ContractChecker(ast.NodeVisitor):
     """Per-file REPRO010/REPRO011 evaluation."""
 
-    def __init__(
-        self, path: Path, source: str, required: FrozenSet[str]
-    ) -> None:
-        self.path = path
+    def __init__(self, module: Module, required: FrozenSet[str]) -> None:
+        self.module = module
         self.required = required
         self.findings: List[Finding] = []
-        self._disables = pragma_disables(source)
 
     def _add(self, node: ast.AST, code: str, detail: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if code in self._disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(
-                self.path,
-                line,
-                getattr(node, "col_offset", 0),
-                code,
-                f"{CONTRACT_RULES[code]}: {detail}",
-            )
+        self.module.flag(
+            self.findings, node, code, f"{CONTRACT_RULES[code]}: {detail}"
         )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -444,35 +422,19 @@ class _ContractChecker(ast.NodeVisitor):
             )
 
 
-def check_contracts_source(source: str, path: Path) -> List[Finding]:
-    """Contract-check one module's source text.
+def check(module: Module) -> List[Finding]:
+    """The contract pass over one parsed module.
 
     REPRO010 applies only to files on the :data:`REQUIRED_CONTRACTS`
     surface; REPRO011 applies to every ``@complexity``-decorated
     function anywhere.
     """
-    posix = path.as_posix()
+    posix = module.path.as_posix()
     required: FrozenSet[str] = frozenset()
     for suffix, names in REQUIRED_CONTRACTS.items():
         if posix.endswith(suffix):
             required = names
             break
-    tree = ast.parse(source, filename=str(path))
-    checker = _ContractChecker(path, source, required)
-    checker.visit(tree)
-    checker.findings.sort(key=lambda f: (f.line, f.col, f.code))
+    checker = _ContractChecker(module, required)
+    checker.visit(module.tree)
     return checker.findings
-
-
-def check_contracts(paths: Iterable[Path]) -> Tuple[List[Finding], int]:
-    """Contract-check files/trees; returns ``(findings, files_checked)``."""
-    from repro.verify.lint import iter_python_files
-
-    findings: List[Finding] = []
-    checked = 0
-    for path in iter_python_files(paths):
-        findings.extend(
-            check_contracts_source(path.read_text(encoding="utf-8"), path)
-        )
-        checked += 1
-    return findings, checked

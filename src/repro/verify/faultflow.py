@@ -57,26 +57,32 @@ in turn and then proves with the PR 3 certificate checkers that locks
 are released, sinks resume past the torn tail, and the engine answers
 the same query bit-identically afterwards.
 
-Run it as a module::
-
-    python -m repro.verify.faultflow src/
-    python -m repro.verify.faultflow --list-rules
-
-Exit status: 0 clean, 1 findings, 2 usage/parse errors.
+Run it with ``repro analyze --faults [paths]`` (exit status: 0 clean,
+1 findings, 2 usage/parse errors).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.exitcodes import EXIT_CODES, EXIT_CONSTANT_NAMES
 from repro.verify.codes import messages_for
-from repro.verify.hotpath import _collect_functions, _reachable
-from repro.verify.lint import Finding, iter_python_files, pragma_disables
+from repro.verify.hotpath import (
+    _FUNC_NODES,
+    _NUMPY_ALIASES,
+    _collect_functions,
+    _reachable,
+)
+from repro.verify.lint import (
+    Finding,
+    Module,
+    attr_path,
+    in_packages,
+    rightmost_name,
+)
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
 FAULTFLOW_RULES: Dict[str, str] = messages_for("repro.verify.faultflow")
@@ -152,9 +158,10 @@ _REPORTING_CALLS = frozenset(
     )
 )
 
-#: ``random.<fn>`` attributes exempt from REPRO023: constructing a
-#: seeded generator (or seeding/persisting the global one) is how
-#: determinism is *achieved*, not broken.
+#: ``random.<fn>`` attributes exempt from REPRO023 (and from the
+#: concurrency pass's REPRO008): constructing a seeded generator (or
+#: seeding/persisting the global one) is how determinism is *achieved*,
+#: not broken.
 _SEEDED_RANDOM_EXEMPT = frozenset(
     ("Random", "SystemRandom", "seed", "getstate", "setstate")
 )
@@ -163,38 +170,44 @@ _SEEDED_RANDOM_EXEMPT = frozenset(
 #: reason: explicit generator construction takes a seed.
 _SEEDED_NP_RANDOM_EXEMPT = frozenset(("default_rng", "Generator", "RandomState", "seed"))
 
-#: Module aliases NumPy is conventionally imported as.
-_NUMPY_ALIASES = frozenset(("np", "numpy"))
-
 #: ``time.<fn>`` wall-clock reads flagged by REPRO023.
 _WALLCLOCK_TIME_CALLS = frozenset(("time", "time_ns"))
 
 #: Argless ``datetime``/``date`` constructors that read the wall clock.
 _WALLCLOCK_DATETIME_CALLS = frozenset(("now", "utcnow", "today"))
 
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Pragma-aware finding collector shared by the sub-checkers:
+#: ``add(node, code, message)``.
+_Add = Callable[[ast.AST, str, str], None]
 
 
-def _call_name(node: ast.expr) -> Optional[str]:
-    """The rightmost name of a call's callee, if any."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def random_draw(call: ast.Call) -> Optional[Tuple[str, str]]:
+    """``(stream, fn)`` when ``call`` draws from an unseeded module-level
+    random stream: ``("random", fn)`` or ``("np.random", fn)``.
 
-
-def _attr_path(node: ast.expr) -> Optional[str]:
-    """Dotted path of a pure ``Name.attr...`` chain, else None."""
-    parts: List[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
+    Seeding or building an owned generator is exempt; the concurrency
+    pass's REPRO008 shares this detector with REPRO023.
+    """
+    func = call.func
+    if not isinstance(func, ast.Attribute):
         return None
-    parts.append(cursor.id)
-    return ".".join(reversed(parts))
+    receiver = func.value
+    if (
+        isinstance(receiver, ast.Name)
+        and receiver.id == "random"
+        and func.attr not in _SEEDED_RANDOM_EXEMPT
+    ):
+        return "random", func.attr
+    if (
+        isinstance(receiver, ast.Attribute)
+        and receiver.attr == "random"
+        and isinstance(receiver.value, ast.Name)
+        and receiver.value.id in _NUMPY_ALIASES
+        and func.attr not in _SEEDED_NP_RANDOM_EXEMPT
+    ):
+        return "np.random", func.attr
+    return None
 
 
 def _exception_names(node: Optional[ast.expr]) -> Set[str]:
@@ -206,7 +219,7 @@ def _exception_names(node: Optional[ast.expr]) -> Set[str]:
         for elt in node.elts:
             names |= _exception_names(elt)
         return names
-    name = _call_name(node)
+    name = rightmost_name(node)
     return {name} if name is not None else set()
 
 
@@ -219,15 +232,15 @@ def _acquire_label(node: ast.expr) -> Optional[str]:
     """What kind of acquisition ``node`` is, or None."""
     if not isinstance(node, ast.Call):
         return None
-    name = _call_name(node.func)
+    name = rightmost_name(node.func)
     if name in _RESOURCE_CONSTRUCTORS:
         return f"{name}(...)"
     if (
         name in _ACQUIRE_METHODS
         and isinstance(node.func, ast.Attribute)
-        and _attr_path(node.func.value) is not None
+        and attr_path(node.func.value) is not None
     ):
-        return f"{_attr_path(node.func.value)}.acquire()"
+        return f"{attr_path(node.func.value)}.acquire()"
     return None
 
 
@@ -258,7 +271,7 @@ def _releases_path(stmts: Sequence[ast.stmt], target: str,
             func = sub.func
             if not isinstance(func, ast.Attribute):
                 continue
-            receiver = _attr_path(func.value)
+            receiver = attr_path(func.value)
             if func.attr in _RELEASE_METHODS and receiver == target:
                 return True
             if (
@@ -275,12 +288,12 @@ def _with_item_paths(stmt: ast.stmt) -> Set[str]:
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
         for item in stmt.items:
             expr = item.context_expr
-            path = _attr_path(expr)
+            path = attr_path(expr)
             if path is not None:
                 paths.add(path)
             elif isinstance(expr, ast.Call):
                 for arg in expr.args:
-                    arg_path = _attr_path(arg)
+                    arg_path = attr_path(arg)
                     if arg_path is not None:
                         paths.add(arg_path)
     return paths
@@ -291,7 +304,7 @@ class _ResourceChecker:
 
     def __init__(
         self,
-        add: "_AddFn",
+        add: _Add,
         class_release_methods: FrozenSet[str],
         released_attrs: FrozenSet[str],
         qualname: str,
@@ -399,16 +412,16 @@ class _ResourceChecker:
         """The dotted path the acquire binds to (or releases against)."""
         if isinstance(stmt, ast.Assign) and stmt.value is call:
             if len(stmt.targets) == 1:
-                return _attr_path(stmt.targets[0])
+                return attr_path(stmt.targets[0])
             return None
         if isinstance(stmt, ast.AnnAssign) and stmt.value is call:
-            return _attr_path(stmt.target)
+            return attr_path(stmt.target)
         if isinstance(stmt, ast.Expr) and stmt.value is call:
             # Bare ``lock.acquire()``: the receiver is what must be
             # released.
             func = call.func
             if isinstance(func, ast.Attribute) and func.attr in _ACQUIRE_METHODS:
-                return _attr_path(func.value)
+                return attr_path(func.value)
         return None
 
     def _guarded_after(self, target: str, rest: List[ast.stmt]) -> bool:
@@ -436,7 +449,7 @@ class _ResourceChecker:
             if (
                 isinstance(stmt, ast.Return)
                 and stmt.value is not None
-                and _attr_path(stmt.value) == target
+                and attr_path(stmt.value) == target
             ):
                 return True
             if _raise_capable(stmt):
@@ -471,7 +484,7 @@ def _class_release_info(
         called: Set[str] = set()
         for sub in ast.walk(member):
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                receiver = _attr_path(sub.func.value)
+                receiver = attr_path(sub.func.value)
                 if (
                     sub.func.attr in _RELEASE_METHODS
                     and receiver is not None
@@ -482,7 +495,7 @@ def _class_release_info(
                     called.add(sub.func.attr)
             if isinstance(sub, ast.Assign):
                 for tgt in sub.targets:
-                    path = _attr_path(tgt)
+                    path = attr_path(tgt)
                     if (
                         path is not None
                         and path.startswith("self.")
@@ -512,30 +525,7 @@ def _class_release_info(
 # ----------------------------------------------------------------------
 
 
-class _AddFn:
-    """Pragma-aware finding collector shared by the sub-checkers."""
-
-    __slots__ = ("path", "findings", "_disables")
-
-    def __init__(
-        self, path: Path, findings: List[Finding],
-        disables: Dict[int, FrozenSet[str]],
-    ) -> None:
-        self.path = path
-        self.findings = findings
-        self._disables = disables
-
-    def __call__(self, node: ast.AST, code: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if code in self._disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(self.path, line, getattr(node, "col_offset", 0),
-                    code, message)
-        )
-
-
-def _check_resources(tree: ast.Module, add: _AddFn) -> None:
+def _check_resources(tree: ast.Module, add: _Add) -> None:
     """REPRO020 over every function, with class release knowledge."""
     no_methods: FrozenSet[str] = frozenset()
     no_attrs: FrozenSet[str] = frozenset()
@@ -572,7 +562,7 @@ def _handler_reports(handler: ast.ExceptHandler) -> bool:
             if isinstance(sub, (ast.Return, ast.AugAssign)):
                 return True
             if isinstance(sub, ast.Call):
-                name = _call_name(sub.func)
+                name = rightmost_name(sub.func)
                 if name is None:
                     continue
                 # Private wrappers count: ``self._publish_result(...)``
@@ -583,7 +573,7 @@ def _handler_reports(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-def _check_exceptions(tree: ast.Module, add: _AddFn) -> None:
+def _check_exceptions(tree: ast.Module, add: _Add) -> None:
     """REPRO021 (broad swallows) and REPRO024 (silent drops)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ExceptHandler):
@@ -615,7 +605,7 @@ def _is_registered_exit_value(node: ast.expr) -> bool:
         return node.id in EXIT_CONSTANT_NAMES
     if isinstance(node, ast.Subscript):
         # EXIT_CODES["USAGE"] — a registered key through the table.
-        base = _call_name(node.value)
+        base = rightmost_name(node.value)
         key = node.slice
         if isinstance(key, ast.Index):  # pragma: no cover - py38 AST only
             key = key.value  # type: ignore[attr-defined]
@@ -626,11 +616,11 @@ def _is_registered_exit_value(node: ast.expr) -> bool:
         )
     if isinstance(node, ast.Call):
         # ``sys.exit(main())`` — main() itself returns a table value.
-        return _call_name(node.func) == "main"
+        return rightmost_name(node.func) == "main"
     return False
 
 
-def _check_exit_codes(tree: ast.Module, add: _AddFn) -> None:
+def _check_exit_codes(tree: ast.Module, add: _Add) -> None:
     """REPRO022 over an exit file: every exit site uses the table."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -654,10 +644,10 @@ def _check_exit_codes(tree: ast.Module, add: _AddFn) -> None:
             exc = node.exc
             if (
                 isinstance(exc, ast.Call)
-                and _call_name(exc.func) == "SystemExit"
+                and rightmost_name(exc.func) == "SystemExit"
             ):
                 pass  # already visited as a Call above
-            elif exc is not None and _call_name(exc) == "SystemExit":
+            elif exc is not None and rightmost_name(exc) == "SystemExit":
                 add(
                     node,
                     "REPRO022",
@@ -698,38 +688,23 @@ def _check_exit_codes(tree: ast.Module, add: _AddFn) -> None:
 # ----------------------------------------------------------------------
 
 
-def _scan_determinism(func: ast.AST, qualname: str, add: _AddFn) -> None:
+def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
     for node in ast.walk(func):
         if isinstance(node, ast.Call):
             func_expr = node.func
-            if isinstance(func_expr, ast.Attribute):
+            draw = random_draw(node)
+            if draw is not None:
+                # random.<draw>() / np.random.<draw>() on the unseeded
+                # module-level stream.
+                add(
+                    node, "REPRO023",
+                    f"unseeded {draw[0]}.{draw[1]}() on a "
+                    f"@complexity path (in {qualname})",
+                )
+            elif isinstance(func_expr, ast.Attribute):
                 receiver = func_expr.value
-                # random.<draw>() on the unseeded module-level stream.
-                if (
-                    isinstance(receiver, ast.Name)
-                    and receiver.id == "random"
-                    and func_expr.attr not in _SEEDED_RANDOM_EXEMPT
-                ):
-                    add(
-                        node, "REPRO023",
-                        f"unseeded random.{func_expr.attr}() on a "
-                        f"@complexity path (in {qualname})",
-                    )
-                # np.random.<draw>() on the legacy global generator.
-                elif (
-                    isinstance(receiver, ast.Attribute)
-                    and receiver.attr == "random"
-                    and isinstance(receiver.value, ast.Name)
-                    and receiver.value.id in _NUMPY_ALIASES
-                    and func_expr.attr not in _SEEDED_NP_RANDOM_EXEMPT
-                ):
-                    add(
-                        node, "REPRO023",
-                        f"unseeded np.random.{func_expr.attr}() on a "
-                        f"@complexity path (in {qualname})",
-                    )
                 # time.time()/time.time_ns() — wall clock into outputs.
-                elif (
+                if (
                     isinstance(receiver, ast.Name)
                     and receiver.id == "time"
                     and func_expr.attr in _WALLCLOCK_TIME_CALLS
@@ -744,11 +719,11 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _AddFn) -> None:
                     func_expr.attr in _WALLCLOCK_DATETIME_CALLS
                     and not node.args
                     and not node.keywords
-                    and _call_name(receiver) in ("datetime", "date")
+                    and rightmost_name(receiver) in ("datetime", "date")
                 ):
                     add(
                         node, "REPRO023",
-                        f"argless {_call_name(receiver)}."
+                        f"argless {rightmost_name(receiver)}."
                         f"{func_expr.attr}() reads the wall clock on a "
                         f"@complexity path (in {qualname})",
                     )
@@ -790,9 +765,10 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _AddFn) -> None:
                 )
 
 
-def _check_determinism(tree: ast.Module, add: _AddFn) -> None:
+def _check_determinism(tree: ast.Module, add: _Add) -> None:
     functions, calls, roots = _collect_functions(tree)
-    for key in sorted(_reachable(calls, roots)):  # repro-mutate: equivalent=drop-sorted -- findings are fully re-sorted by (line, col, code) below; scan order is immaterial
+    # Scan order is immaterial: the driver sorts findings by position.
+    for key in _reachable(calls, roots):
         _scan_determinism(functions[key], key, add)
 
 
@@ -801,102 +777,23 @@ def _check_determinism(tree: ast.Module, add: _AddFn) -> None:
 # ----------------------------------------------------------------------
 
 
-def faultflow_check_source(source: str, path: Path) -> List[Finding]:
-    """Analyze one module's source; raises ``SyntaxError`` on bad input."""
-    tree = ast.parse(source, filename=str(path))
-    disables = pragma_disables(source)
+def check(module: Module) -> List[Finding]:
+    """The fault-surface pass over one parsed module.
+
+    REPRO022 applies to the exit files; the lifecycle, exception-flow
+    and determinism rules to the resident-service layers (and to every
+    file outside a ``repro`` package).
+    """
     findings: List[Finding] = []
-    add = _AddFn(path, findings, disables)
-    if path.name in _EXIT_FILES:
-        _check_exit_codes(tree, add)
-    if _lifecycle_in_scope(path):
-        _check_resources(tree, add)
-        _check_exceptions(tree, add)
-        _check_determinism(tree, add)
-    findings.sort(key=lambda f: (f.line, f.col, f.code))  # repro-mutate: equivalent=drop-tuple-field -- checks run in code order; the stable sort keeps it
+    add: _Add = partial(module.flag, findings)
+    if module.path.name in _EXIT_FILES:
+        _check_exit_codes(module.tree, add)
+    if in_packages(module.path, _SCOPED_PACKAGES):
+        _check_resources(module.tree, add)
+        _check_exceptions(module.tree, add)
+        _check_determinism(module.tree, add)
     return findings
 
 
-def _lifecycle_in_scope(path: Path) -> bool:
-    """Scope the lifecycle/exception/determinism rules.
-
-    Repo files: only the resident-service layers.  Files outside a
-    ``repro`` package (fixtures, tests) are always analyzed.
-    """
-    parts = path.parts
-    if "repro" not in parts:
-        return True
-    inner = parts[parts.index("repro") + 1:-1]
-    return bool(_SCOPED_PACKAGES.intersection(inner))
-
-
-def _selected(path: Path) -> bool:
-    return _lifecycle_in_scope(path) or path.name in _EXIT_FILES
-
-
-def check_faultflow(paths: Iterable[Path]) -> Tuple[List[Finding], int]:
-    """Analyze files/trees; returns (findings, files_checked)."""
-    findings: List[Finding] = []
-    checked = 0
-    for path in iter_python_files(paths):
-        if not _selected(path):
-            continue
-        findings.extend(
-            faultflow_check_source(path.read_text(encoding="utf-8"), path)
-        )
-        checked += 1
-    return findings, checked
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.faultflow",
-        description=(
-            "Fault-surface analysis (REPRO020-REPRO024): resource "
-            "lifecycle, exception flow, exit-code contract and "
-            "determinism taint."
-        ),
-    )
-    parser.add_argument("paths", nargs="*", help="files or directories")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule table and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code in sorted(FAULTFLOW_RULES):  # repro-mutate: equivalent=drop-sorted -- registry insertion order is already sorted by code
-            print(f"{code}  {FAULTFLOW_RULES[code]}")
-        return 0
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no paths given (try 'src/')", file=sys.stderr)
-        return 2
-
-    targets = [Path(p) for p in args.paths]
-    missing = [p for p in targets if not p.exists()]
-    if missing:
-        for p in missing:
-            print(f"error: no such path: {p}", file=sys.stderr)
-        return 2
-    try:
-        findings, checked = check_faultflow(targets)
-    except SyntaxError as exc:
-        print(
-            f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    for finding in findings:
-        print(finding.render())
-    summary = (
-        f"{len(findings)} finding(s) in {checked} file(s)"
-        if findings
-        else f"clean: {checked} file(s)"
-    )
-    print(summary, file=sys.stderr)
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def in_scope(path: Path) -> bool:
+    return in_packages(path, _SCOPED_PACKAGES) or path.name in _EXIT_FILES

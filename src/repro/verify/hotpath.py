@@ -54,24 +54,24 @@ its ``AllocationHarness`` pins the analyzer-clean paths to committed
 allocation budgets in ``BENCH_engine.json``, gated by ``repro
 ratchet`` (exactly the concurrency-analyzer/race-hammer pairing).
 
-Run it as a module::
-
-    python -m repro.verify.hotpath src/
-    python -m repro.verify.hotpath --list-rules
-
-Exit status: 0 clean, 1 findings, 2 usage/parse errors.
+Run it with ``repro analyze --hotpath [paths]`` (exit status: 0 clean,
+1 findings, 2 usage/parse errors).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.verify.codes import messages_for
-from repro.verify.lint import Finding, iter_python_files, pragma_disables
+from repro.verify.lint import (
+    Finding,
+    Module,
+    attr_path,
+    in_packages,
+    rightmost_name,
+)
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
 HOTPATH_RULES: Dict[str, str] = messages_for("repro.verify.hotpath")
@@ -130,33 +130,12 @@ _BINOP_TEMP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv,
 def _is_complexity_decorator(node: ast.expr) -> bool:
     """True for ``@complexity(...)`` / ``@contracts.complexity(...)``."""
     target = node.func if isinstance(node, ast.Call) else node
-    if isinstance(target, ast.Name):
-        return target.id == "complexity"
-    if isinstance(target, ast.Attribute):
-        return target.attr == "complexity"
-    return False
+    return rightmost_name(target) == "complexity"
 
 
 def _has_complexity_contract(node: ast.AST) -> bool:
     decorators = getattr(node, "decorator_list", [])
     return any(_is_complexity_decorator(deco) for deco in decorators)
-
-
-def _attr_path(node: ast.expr) -> Optional[str]:
-    """Dotted path of a pure ``Name.attr.attr...`` chain, else None.
-
-    Subscripts or calls anywhere in the chain break it — the load is
-    then not a rebindable constant path.
-    """
-    parts: List[str] = []
-    cursor = node
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if not isinstance(cursor, ast.Name):
-        return None
-    parts.append(cursor.id)
-    return ".".join(reversed(parts))
 
 
 def _load_names(node: ast.AST) -> Set[str]:
@@ -260,14 +239,9 @@ class _FunctionScanner:
     """Run the four hot-path rules over one reached function."""
 
     def __init__(
-        self,
-        path: Path,
-        disables: Dict[int, FrozenSet[str]],
-        findings: List[Finding],
-        qualname: str,
+        self, module: Module, findings: List[Finding], qualname: str
     ) -> None:
-        self.path = path
-        self.disables = disables
+        self.module = module
         self.findings = findings
         self.qualname = qualname
         self.loops: List[_LoopFrame] = []
@@ -278,27 +252,15 @@ class _FunctionScanner:
         #: allocations (REPRO018 owns the membership finding).
         self._comparator_skip: Set[int] = set()
 
-    # -- pragma plumbing ------------------------------------------------
-
-    def _suppressed(self, code: str, line: int) -> bool:
-        if code in self.disables.get(line, frozenset()):
-            return True
-        if code in LOOP_SCOPED_RULES:
-            # Loop-scoped rules honour a pragma on any enclosing loop
-            # header: one justified pragma covers the whole body.
-            for frame in self.loops:
-                if code in self.disables.get(frame.header_line, frozenset()):
-                    return True
-        return False
-
     def _add(self, node: ast.AST, code: str, message: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if self._suppressed(code, line):
-            return
-        self.findings.append(
-            Finding(self.path, line, getattr(node, "col_offset", 0),
-                    code, message)
+        # Loop-scoped rules honour a pragma on any enclosing loop
+        # header: one justified pragma covers the whole body.
+        headers = (
+            [frame.header_line for frame in self.loops]
+            if code in LOOP_SCOPED_RULES
+            else []
         )
+        self.module.flag(self.findings, node, code, message, headers)
 
     # -- array-likeness for REPRO019 ------------------------------------
 
@@ -353,7 +315,7 @@ class _FunctionScanner:
             return
         if self.loops:
             self._inspect(node)
-        if isinstance(node, ast.Attribute) and _attr_path(node) is not None:
+        if isinstance(node, ast.Attribute) and attr_path(node) is not None:
             # A pure chain's children are the same load, not new ones —
             # stopping here is what makes REPRO017 count maximal chains.
             return
@@ -412,7 +374,7 @@ class _FunctionScanner:
     # -- REPRO017 -------------------------------------------------------
 
     def _record_attr(self, node: ast.Attribute, frame: _LoopFrame) -> None:
-        path = _attr_path(node)
+        path = attr_path(node)
         if path is None:
             return
         if isinstance(node.ctx, ast.Load):
@@ -550,10 +512,10 @@ def _collect_functions(
     """Module functions and same-class methods, with resolved calls.
 
     Keys are ``name`` for module-level functions and ``Class.name``
-    for methods — the same within-module machinery the concurrency
-    analyzer uses, extended with ``self.<m>()`` edges so decorated
-    methods (``CompiledChainPlan.solve_bounds``) reach their private
-    ``_impl`` helpers.
+    for methods; ``Name(...)`` calls and ``self.<m>()`` calls are the
+    edges, so decorated methods (``CompiledChainPlan.solve_bounds``)
+    reach their private ``_impl`` helpers.  The one within-module call
+    graph: the fault-surface and concurrency passes root it elsewhere.
     """
     functions: Dict[str, ast.AST] = {}
     owners: Dict[str, Optional[str]] = {}
@@ -610,90 +572,16 @@ def _reachable(calls: Dict[str, Set[str]], roots: List[str]) -> Set[str]:
 # ----------------------------------------------------------------------
 
 
-def hotpath_check_source(source: str, path: Path) -> List[Finding]:
-    """Analyze one module's source; raises ``SyntaxError`` on bad input."""
-    tree = ast.parse(source, filename=str(path))
-    disables = pragma_disables(source)
-    functions, calls, roots = _collect_functions(tree)
+def check(module: Module) -> List[Finding]:
+    """The hot-path pass over one parsed module."""
+    functions, calls, roots = _collect_functions(module.tree)
     findings: List[Finding] = []
-    for key in sorted(_reachable(calls, roots)):  # repro-mutate: equivalent=drop-sorted -- findings are fully re-sorted by (line, col, code) below; scan order is immaterial
-        scanner = _FunctionScanner(path, disables, findings, key)
-        scanner.scan(functions[key])
-    findings.sort(key=lambda f: (f.line, f.col, f.code))  # repro-mutate: equivalent=drop-tuple-field -- rules run in code order; the stable sort keeps it
+    # Scan order is immaterial: the driver sorts findings by position.
+    for key in _reachable(calls, roots):
+        _FunctionScanner(module, findings, key).scan(functions[key])
     return findings
 
 
-def _in_scope(path: Path) -> bool:
+def in_scope(path: Path) -> bool:
     """Scope repo files to the @complexity-bearing solver packages."""
-    parts = path.parts
-    if "repro" not in parts:
-        return True
-    inner = parts[parts.index("repro") + 1:-1]
-    return bool(_SCOPED_PACKAGES.intersection(inner))
-
-
-def check_hotpath(paths: Iterable[Path]) -> Tuple[List[Finding], int]:
-    """Analyze files/trees; returns (findings, files_checked)."""
-    findings: List[Finding] = []
-    checked = 0
-    for path in iter_python_files(paths):
-        if not _in_scope(path):
-            continue
-        findings.extend(
-            hotpath_check_source(path.read_text(encoding="utf-8"), path)
-        )
-        checked += 1
-    return findings, checked
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.hotpath",
-        description=(
-            "Hot-path allocation & dispatch analysis "
-            "(REPRO016-REPRO019) over @complexity-decorated code."
-        ),
-    )
-    parser.add_argument("paths", nargs="*", help="files or directories")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule table and exit",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code in sorted(HOTPATH_RULES):  # repro-mutate: equivalent=drop-sorted -- registry insertion order is already sorted by code
-            print(f"{code}  {HOTPATH_RULES[code]}")
-        return 0
-    if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("error: no paths given (try 'src/')", file=sys.stderr)
-        return 2
-
-    targets = [Path(p) for p in args.paths]
-    missing = [p for p in targets if not p.exists()]
-    if missing:
-        for p in missing:
-            print(f"error: no such path: {p}", file=sys.stderr)
-        return 2
-    try:
-        findings, checked = check_hotpath(targets)
-    except SyntaxError as exc:
-        print(
-            f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    for finding in findings:
-        print(finding.render())
-    summary = (
-        f"{len(findings)} finding(s) in {checked} file(s)"
-        if findings
-        else f"clean: {checked} file(s)"
-    )
-    print(summary, file=sys.stderr)
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return in_packages(path, _SCOPED_PACKAGES)

@@ -35,19 +35,22 @@ REPRO012    Telemetry publishes in the solver hot paths (``core/``,
             :data:`repro.observability.live.NULL_HUB` contract.
 ==========  ==========================================================
 
-Sibling passes reuse this module's :class:`Finding` and pragma
-machinery for further codes, all surfaced by ``repro analyze``:
-REPRO006-REPRO008 (process-pool hygiene, :mod:`repro.verify.flow`),
-REPRO009 (empirical complexity gate, :mod:`repro.verify.empirical`),
-REPRO010/REPRO011 (missing/contradicted ``@complexity`` contracts,
-:mod:`repro.verify.contracts`), REPRO013-REPRO015 (shared-state
-lock discipline, async blocking calls and fork-unsafe capture,
-:mod:`repro.verify.concurrency`), REPRO016-REPRO019 (hot-path
-allocation and dispatch hygiene, :mod:`repro.verify.hotpath`) and
+Every static pass shares this module's machinery: the :class:`Module`
+record (each file read, parsed and pragma-scanned once), the
+:class:`Finding` type, the pragma grammar and the AST name helpers.
+The passes run from one table in :mod:`repro.verify.passes`, which
+``repro analyze`` and this module's :func:`main` both drive:
+REPRO006-REPRO008 (process-pool hygiene) and REPRO013-REPRO015
+(shared-state lock discipline, async blocking calls and fork-unsafe
+capture) in :mod:`repro.verify.concurrency`, REPRO010/REPRO011
+(missing/contradicted ``@complexity`` contracts) in
+:mod:`repro.verify.contracts`, REPRO016-REPRO019 (hot-path allocation
+and dispatch hygiene) in :mod:`repro.verify.hotpath` and
 REPRO020-REPRO024 (fault-surface analysis: resource lifecycle,
-exception flow, exit-code contract and determinism taint,
-:mod:`repro.verify.faultflow`).  The full code registry lives in
-:mod:`repro.verify.codes`.
+exception flow, exit-code contract and determinism taint) in
+:mod:`repro.verify.faultflow`.  REPRO009 (the empirical complexity
+gate) lives in :mod:`repro.verify.empirical`.  The full code registry
+lives in :mod:`repro.verify.codes`.
 
 Any finding can be suppressed on its line (for classes and functions,
 the ``class``/``def`` line) with a pragma comment; several codes may be
@@ -72,7 +75,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from repro.verify.codes import messages_for
 
@@ -82,10 +85,7 @@ RULES: Dict[str, str] = messages_for("repro.verify.lint")
 
 #: Files/packages where REPRO001 does not apply (user-facing output is
 #: their job).  ``lint.py`` is this command-line tool itself.
-_PRINT_EXEMPT_FILES = frozenset(
-    ("cli.py", "__main__.py", "lint.py", "concurrency.py", "hotpath.py",
-     "faultflow.py")
-)
+_PRINT_EXEMPT_FILES = frozenset(("cli.py", "__main__.py", "lint.py"))
 _PRINT_EXEMPT_PACKAGES = frozenset(("analysis",))
 
 #: Packages whose classes must be slotted (REPRO002): the per-query
@@ -162,9 +162,8 @@ class Finding:
 def pragma_disables(source: str) -> Dict[int, FrozenSet[str]]:
     """Map line number -> rule codes disabled on that line.
 
-    Shared by every analysis pass that honours ``repro-lint`` pragmas
-    (this linter, :mod:`repro.verify.contracts`,
-    :mod:`repro.verify.flow`), so one pragma grammar rules them all.
+    Computed once per file by :class:`Module` and honoured by every
+    analysis pass, so one pragma grammar rules them all.
     """
     disables: Dict[int, FrozenSet[str]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
@@ -180,24 +179,91 @@ def pragma_disables(source: str) -> Dict[int, FrozenSet[str]]:
     return disables
 
 
+class Module:
+    """One source file, read, parsed and pragma-scanned once.
+
+    The record every analysis pass receives; :meth:`flag` is the one
+    pragma-aware way a pass reports a finding.
+    """
+
+    __slots__ = ("path", "source", "tree", "disables")
+
+    def __init__(self, path: Path, source: str) -> None:
+        self.path = path
+        self.source = source
+        self.tree = ast.parse(source, filename=str(path))
+        self.disables = pragma_disables(source)
+
+    @classmethod
+    def read(cls, path: Path) -> "Module":
+        return cls(path, path.read_text(encoding="utf-8"))
+
+    def flag(
+        self,
+        findings: List[Finding],
+        node: ast.AST,
+        code: str,
+        message: str,
+        anchors: Iterable[int] = (),
+    ) -> None:
+        """Append a finding at ``node`` unless a pragma disables ``code``
+        on its line or on one of the extra ``anchors`` lines (the
+        enclosing loop headers of a loop-scoped rule)."""
+        line = getattr(node, "lineno", 0)
+        for anchor in (line, *anchors):
+            if code in self.disables.get(anchor, ()):
+                return
+        findings.append(
+            Finding(self.path, line, getattr(node, "col_offset", 0),
+                    code, message)
+        )
+
+
+def rightmost_name(node: ast.expr) -> Optional[str]:
+    """The rightmost name of a ``Name``/``Attribute`` (a callee, a
+    decorator, an exception type), if any."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def attr_path(node: ast.expr) -> Optional[str]:
+    """Dotted path of a pure ``Name.attr.attr...`` chain, else None.
+
+    Subscripts or calls anywhere in the chain break it — the load is
+    then not a rebindable constant path.
+    """
+    parts: List[str] = []
+    cursor = node
+    while isinstance(cursor, ast.Attribute):
+        parts.append(cursor.attr)
+        cursor = cursor.value
+    if not isinstance(cursor, ast.Name):
+        return None
+    parts.append(cursor.id)
+    return ".".join(reversed(parts))
+
+
+def in_packages(path: Path, packages: FrozenSet[str]) -> bool:
+    """Is ``path`` inside one of the ``repro`` sub-``packages``?
+
+    The package scope of a pass: files outside a ``repro`` package
+    (fixtures, tests) are always in scope.
+    """
+    parts = path.parts
+    if "repro" not in parts:
+        return True
+    inner = parts[parts.index("repro") + 1:-1]
+    return bool(packages.intersection(inner))
+
+
 def _base_name(node: ast.expr) -> Optional[str]:
     """The rightmost name of a base-class expression, if any."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
     if isinstance(node, ast.Subscript):  # Protocol[T], Generic[T], ...
         return _base_name(node.value)
-    return None
-
-
-def _call_name(node: ast.expr) -> Optional[str]:
-    """The rightmost name of a call's callee, if any."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+    return rightmost_name(node)
 
 
 def _has_slots(cls: ast.ClassDef) -> bool:
@@ -226,7 +292,7 @@ def _is_slots_exempt(cls: ast.ClassDef) -> bool:
         # @dataclass(slots=True) (py>=3.10) generates __slots__ itself.
         if (
             isinstance(deco, ast.Call)
-            and _call_name(deco.func) == "dataclass"
+            and rightmost_name(deco.func) == "dataclass"
             and any(
                 kw.arg == "slots"
                 and isinstance(kw.value, ast.Constant)
@@ -242,14 +308,14 @@ def _mutable_default(node: ast.expr) -> bool:
     if isinstance(node, _MUTABLE_DEFAULT_NODES):
         return True
     if isinstance(node, ast.Call):
-        name = _call_name(node.func)
+        name = rightmost_name(node.func)
         return name in _MUTABLE_DEFAULT_CALLS
     return False
 
 
 def _disabled_counter_call(node: ast.Call) -> bool:
     """True for ``OpCounter(False)`` / ``OpCounter(enabled=False)``."""
-    if _call_name(node.func) != "OpCounter":
+    if rightmost_name(node.func) != "OpCounter":
         return False
     for arg in node.args[:1]:
         if isinstance(arg, ast.Constant) and arg.value is False:
@@ -267,10 +333,10 @@ def _disabled_counter_call(node: ast.Call) -> bool:
 class _Checker(ast.NodeVisitor):
     """Single-file rule evaluation; path decides which rules apply."""
 
-    def __init__(self, path: Path, source: str) -> None:
-        self.path = path
+    def __init__(self, module: Module) -> None:
+        self.module = module
         self.findings: List[Finding] = []
-        self._disables = pragma_disables(source)
+        path = module.path
         parts = path.parts
         self._check_print = (
             path.name not in _PRINT_EXEMPT_FILES
@@ -292,13 +358,7 @@ class _Checker(ast.NodeVisitor):
         self._hub_guard = 0
 
     def _add(self, node: ast.AST, code: str) -> None:
-        line = getattr(node, "lineno", 0)
-        if code in self._disables.get(line, frozenset()):
-            return
-        self.findings.append(
-            Finding(self.path, line, getattr(node, "col_offset", 0),
-                    code, RULES[code])
-        )
+        self.module.flag(self.findings, node, code, RULES[code])
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self._check_slots and not _has_slots(node) and not _is_slots_exempt(node):
@@ -369,35 +429,20 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: Path) -> List[Finding]:
-    """Lint one module's source text; raises ``SyntaxError`` on bad input."""
-    tree = ast.parse(source, filename=str(path))
-    checker = _Checker(path, source)
-    checker.visit(tree)
-    checker.findings.sort(key=lambda f: (f.line, f.col, f.code))
+def check(module: Module) -> List[Finding]:
+    """The lint pass (REPRO001-005, REPRO012) over one parsed module."""
+    checker = _Checker(module)
+    checker.visit(module.tree)
     return checker.findings
 
 
-def lint_file(path: Path) -> List[Finding]:
-    return lint_source(path.read_text(encoding="utf-8"), path)
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """The one file walk: every ``.py`` file under ``paths``, sorted."""
     for path in paths:
         if path.is_dir():
             yield from sorted(path.rglob("*.py"))
         else:
             yield path
-
-
-def lint_paths(paths: Iterable[Path]) -> Tuple[List[Finding], int]:
-    """Lint files/trees; returns (findings, files_checked)."""
-    findings: List[Finding] = []
-    checked = 0
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path))
-        checked += 1
-    return findings, checked
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -426,8 +471,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         for p in missing:
             print(f"error: no such path: {p}", file=sys.stderr)
         return 2
+    # Deferred: the pass table imports every analyzer module.
+    from repro.verify.passes import analyze
+
     try:
-        findings, checked = lint_paths(targets)
+        findings, checked = analyze(targets, ("lint",))["lint"]
     except SyntaxError as exc:
         print(f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
               file=sys.stderr)

@@ -157,7 +157,7 @@ TARGETS: Dict[str, MutationTarget] = {
         ),
         MutationTarget(
             "repro.verify.concurrency",
-            ("tests/verify/test_concurrency.py",),
+            ("tests/verify/test_concurrency.py", "tests/verify/test_flow.py"),
             ("concurrency",),
         ),
         MutationTarget(
@@ -551,9 +551,10 @@ def _suite_nicol() -> Any:
 
 
 #: Seeded concurrency fixtures: deterministic analyzer inputs covering
-#: every REPRO013-015 code path (lock propagation, pragma escapes,
-#: globals, async handles, fork carriers) plus a clean control.  The
-#: observation suite runs the *mutated* analyzer over these and diffs
+#: every REPRO006-008 and REPRO013-015 code path (pool workers, lock
+#: propagation, pragma escapes, globals, async handles, fork carriers)
+#: plus a clean control.  The observation suite runs the *mutated*
+#: analyzer's ``flow`` and ``concurrency`` passes over these and diffs
 #: the rendered findings against the pristine golden — any mutant that
 #: changes what the analyzer reports on any fixture is killed here.
 _CONCURRENCY_FIXTURES: Tuple[Tuple[str, str], ...] = (
@@ -667,6 +668,65 @@ def ship(items):
     with ProcessPoolExecutor() as pool:
         pool.submit(len, carrier)
         pool.map(len, items)
+''',
+    ),
+    (
+        "pool_workers.py",
+        '''\
+import random
+from concurrent.futures import ProcessPoolExecutor
+from threading import Lock
+
+import numpy as np
+from repro.observability.spans import Tracer
+
+RESULTS = []
+CACHE = {}
+COUNT = 0
+
+
+def work(x):
+    global COUNT
+    COUNT += 1
+    CACHE[x] = x
+    _record(x)
+    return x + random.random()
+
+
+def _record(x):
+    RESULTS.append(x)
+    RESULTS.sort()  # repro-lint: disable=REPRO006
+
+
+def noisy(x):
+    return x + np.random.rand()
+
+
+def seeded(x):
+    random.seed(x)
+    return random.random()
+
+
+def run(items):
+    lock = Lock()
+    tracer = Tracer()
+
+    def inner(x):
+        return x
+
+    with ProcessPoolExecutor() as pool:
+        pool.map(work, items)
+        pool.map(noisy, items)
+        pool.map(seeded, items)
+        pool.submit(inner, 1)
+        pool.submit(work, 1, lock)
+        pool.map(lambda x: work(x) if tracer else lock, items)
+        pool.map(lambda *lock, **tracer: lock, items)
+
+        def closure():
+            return pool.submit(work, 2)
+
+        return closure
 ''',
     ),
     (
@@ -818,6 +878,7 @@ def tally(rows, k):
 
 def _suite_hotpath() -> Any:
     from repro.verify import hotpath as hp
+    from repro.verify.passes import check_source
 
     # Same trick as the concurrency suite: the rule/constant tables ARE
     # behavior — snapshot them so a mutant that drops a numpy allocator
@@ -842,7 +903,7 @@ def _suite_hotpath() -> Any:
         },
     ]
     for name, source in _HOTPATH_FIXTURES:
-        findings = hp.hotpath_check_source(source, Path(name))
+        findings = check_source("hotpath", source, Path(name))
         rows.append(
             {"fixture": name, "findings": [f.render() for f in findings]}
         )
@@ -851,6 +912,7 @@ def _suite_hotpath() -> Any:
 
 def _suite_concurrency() -> Any:
     from repro.verify import concurrency as conc
+    from repro.verify.passes import check_source
 
     # The rule tables ARE the analyzer's behavior: record them verbatim
     # so a mutant that silently drops a constructor/method/call from
@@ -875,10 +937,15 @@ def _suite_concurrency() -> Any:
         },
     ]
     for name, source in _CONCURRENCY_FIXTURES:
-        findings = conc.concurrency_check_source(source, Path(name))
-        rows.append(
-            {"fixture": name, "findings": [f.render() for f in findings]}
-        )
+        for section in ("flow", "concurrency"):
+            findings = check_source(section, source, Path(name))
+            rows.append(
+                {
+                    "fixture": name,
+                    "section": section,
+                    "findings": [f.render() for f in findings],
+                }
+            )
     return rows
 
 
@@ -1105,6 +1172,7 @@ def run(job, log):
 
 def _suite_faultflow() -> Any:
     from repro.verify import faultflow as ff
+    from repro.verify.passes import check_source
 
     # Rule/constant tables ARE behavior (same trick as the hotpath and
     # concurrency suites): a mutant that drops a resource constructor,
@@ -1132,7 +1200,7 @@ def _suite_faultflow() -> Any:
         },
     ]
     for name, source in _FAULTFLOW_FIXTURES:
-        findings = ff.faultflow_check_source(source, Path(name))
+        findings = check_source("faults", source, Path(name))
         rows.append(
             {"fixture": name, "findings": [f.render() for f in findings]}
         )
@@ -1259,17 +1327,22 @@ def _certify_concurrency() -> None:
     """
     from collections import Counter
 
-    from repro.verify.concurrency import concurrency_check_source
+    from repro.verify.passes import check_source
 
     expected: Dict[str, Dict[str, int]] = {
         "unlocked_class.py": {"REPRO013": 2},
         "globals.py": {"REPRO013": 3},
         "async_blocking.py": {"REPRO014": 4},
         "fork_capture.py": {"REPRO015": 2},
+        "pool_workers.py": {"REPRO006": 3, "REPRO007": 4, "REPRO008": 2},
         "clean.py": {},
     }
     for name, source in _CONCURRENCY_FIXTURES:
-        findings = concurrency_check_source(source, Path(name))
+        findings = [
+            finding
+            for section in ("flow", "concurrency")
+            for finding in check_source(section, source, Path(name))
+        ]
         got = dict(Counter(f.code for f in findings))
         if got != expected[name]:
             raise AssertionError(
@@ -1288,7 +1361,7 @@ def _certify_hotpath() -> None:
     """
     from collections import Counter
 
-    from repro.verify.hotpath import hotpath_check_source
+    from repro.verify.passes import check_source
 
     expected: Dict[str, Dict[str, int]] = {
         "invariant_allocs.py": {"REPRO016": 3, "REPRO019": 1},
@@ -1299,7 +1372,7 @@ def _certify_hotpath() -> None:
         "clean.py": {},
     }
     for name, source in _HOTPATH_FIXTURES:
-        findings = hotpath_check_source(source, Path(name))
+        findings = check_source("hotpath", source, Path(name))
         got = dict(Counter(f.code for f in findings))
         if got != expected[name]:
             raise AssertionError(
@@ -1318,7 +1391,7 @@ def _certify_faultflow() -> None:
     """
     from collections import Counter
 
-    from repro.verify.faultflow import faultflow_check_source
+    from repro.verify.passes import check_source
 
     expected: Dict[str, Dict[str, int]] = {
         "leaky_resources.py": {"REPRO020": 3},
@@ -1330,7 +1403,7 @@ def _certify_faultflow() -> None:
         "clean.py": {},
     }
     for name, source in _FAULTFLOW_FIXTURES:
-        findings = faultflow_check_source(source, Path(name))
+        findings = check_source("faults", source, Path(name))
         got = dict(Counter(f.code for f in findings))
         if got != expected[name]:
             raise AssertionError(
@@ -1359,7 +1432,7 @@ _CERTIFIERS: Dict[str, Callable[[], None]] = {
 
 
 def _static_findings(source: str, path: Path) -> List[str]:
-    """Lint + contract + flow findings, line numbers stripped.
+    """Lint + contract + pool-rule findings, line numbers stripped.
 
     Comments (and hence ``# repro-lint:`` pragmas) do not survive
     ``ast.unparse``, so absolute findings on a mutant rendering would be
@@ -1367,18 +1440,15 @@ def _static_findings(source: str, path: Path) -> List[str]:
     pristine* and *unparsed mutant* sources instead, making pragma loss
     cancel out.
     """
-    from repro.verify.contracts import check_contracts_source
-    from repro.verify.flow import flow_check_source
-    from repro.verify.lint import lint_source
+    from repro.verify.lint import Module
+    from repro.verify.passes import run
 
-    findings: List[str] = []
-    for finding in lint_source(source, path):
-        findings.append(f"{finding.code}: {finding.message}")
-    for finding in check_contracts_source(source, path):
-        findings.append(f"{finding.code}: {finding.message}")
-    for finding in flow_check_source(source, path):
-        findings.append(f"{finding.code}: {finding.message}")
-    return sorted(findings)
+    module = Module(path, source)
+    return sorted(
+        f"{finding.code}: {finding.message}"
+        for section in ("lint", "contracts", "flow")
+        for finding in run(module, section)
+    )
 
 
 def _growth_probe() -> Optional[str]:

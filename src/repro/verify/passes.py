@@ -1,0 +1,94 @@
+"""The analyzer driver: one file walk, one parse per file, one pass table.
+
+Every static pass is declared here as data — the analyzer module that
+owns it, the name of its ``check(module) -> findings`` function over a
+:class:`~repro.verify.lint.Module` (the record each file is read,
+parsed and pragma-scanned into exactly once) and the name of its
+package-scope predicate, if it has one.  Names, not function objects:
+they are looked up on the analyzer module at call time, so whatever
+that module holds right now is what runs — the mutation sandbox
+rewrites analyzer modules in place, and its mutants must be the code
+under test.
+
+``repro analyze`` runs the :data:`ANALYZE_SECTIONS`, ``python -m
+repro.verify.lint`` runs ``lint``, and the mutation pipeline's contract
+stage runs ``lint``, ``contracts`` and ``flow`` — all through
+:func:`analyze` or :func:`run`.
+
+Findings come back per file in source order (line, column, code), the
+order every report and test relies on.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from types import ModuleType
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.verify import concurrency, contracts, faultflow, hotpath, lint
+from repro.verify.lint import Finding, Module, iter_python_files
+
+
+class Pass(NamedTuple):
+    """One static pass: its analyzer module, the name of the module's
+    ``check(module)`` function, and the name of its ``(path) -> bool``
+    package-scope predicate (``None``: every file)."""
+
+    analyzer: ModuleType
+    check: str
+    scope: Optional[str] = None
+
+
+#: Every static pass, by the report section it fills.
+PASSES: Dict[str, Pass] = {
+    "lint": Pass(lint, "check"),
+    "contracts": Pass(contracts, "check"),
+    "flow": Pass(concurrency, "check_pool_rules"),
+    "concurrency": Pass(concurrency, "check"),
+    "hotpath": Pass(hotpath, "check", "in_scope"),
+    "faults": Pass(faultflow, "check", "in_scope"),
+}
+
+#: The sections ``repro analyze`` runs, in report order.
+ANALYZE_SECTIONS: Tuple[str, ...] = (
+    "contracts", "flow", "concurrency", "hotpath", "faults",
+)
+
+
+def _in_scope(section: str, path: Path) -> bool:
+    spec = PASSES[section]
+    return spec.scope is None or getattr(spec.analyzer, spec.scope)(path)
+
+
+def run(module: Module, section: str) -> List[Finding]:
+    """One pass over one parsed module, findings in source order."""
+    spec = PASSES[section]
+    findings = getattr(spec.analyzer, spec.check)(module)
+    return sorted(findings, key=lambda f: (f.line, f.col, f.code))
+
+
+def check_source(section: str, source: str, path: Path) -> List[Finding]:
+    """One pass over source text; raises ``SyntaxError`` on bad input."""
+    return run(Module(path, source), section)
+
+
+def analyze(
+    paths: Iterable[Path], sections: Sequence[str]
+) -> Dict[str, Tuple[List[Finding], int]]:
+    """Run ``sections`` over files/trees: ``{section: (findings, files)}``.
+
+    Each file in some selected pass's scope is parsed once and handed to
+    every selected pass whose scope holds it; ``files`` counts the files
+    a pass checked.  Raises ``SyntaxError`` on the first unparseable one.
+    """
+    findings: Dict[str, List[Finding]] = {name: [] for name in sections}
+    checked = dict.fromkeys(sections, 0)
+    for path in iter_python_files(paths):
+        selected = [name for name in sections if _in_scope(name, path)]
+        if not selected:
+            continue
+        module = Module.read(path)
+        for name in selected:
+            findings[name].extend(run(module, name))
+            checked[name] += 1
+    return {name: (findings[name], checked[name]) for name in sections}

@@ -40,10 +40,6 @@ class TestCompile:
         assert len(plan) == 0  # nothing built until queried
         assert "CompiledChainPlan" in repr(plan)
 
-    def test_rejects_python_backend(self):
-        with pytest.raises(ValueError, match="array backend"):
-            compile_chain(random_chain(5, rng=2), backend="python")
-
     def test_compile_counter_and_span(self):
         metrics = MetricsRegistry()
         tracer = Tracer()

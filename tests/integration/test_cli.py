@@ -254,6 +254,32 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(tmp_path)]) == 2
         assert "analyze:" in capsys.readouterr().err
 
+    def test_analyze_parses_each_file_once(self, tmp_path, monkeypatch, capsys):
+        import ast
+
+        # Files in and out of the hotpath/faults package scopes, plus
+        # an exit file: every pass runs over some of them.
+        for package in ("core", "engine", "observability", "analysis"):
+            pkg = tmp_path / "repro" / package
+            pkg.mkdir(parents=True)
+            (pkg / "mod.py").write_text("def f(x):\n    return x\n")
+        (tmp_path / "repro" / "cli.py").write_text("def main():\n    pass\n")
+        (tmp_path / "fixture.py").write_text("X = 1\n")
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["analyze", "--json", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(parsed) == 6 == len(set(parsed))
+        assert report["contracts"]["files"] == 6
+        assert report["hotpath"]["files"] == 3  # core, engine, fixture
+        assert report["faults"]["files"] == 5  # all but analysis
+
     def test_analyze_complexity_renders_gate(self, capsys):
         code = main(
             [

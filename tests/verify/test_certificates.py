@@ -124,6 +124,42 @@ class TestCheckPrimeCover:
         assert [v.code for v in report.violations] == ["chain.infeasible_bound"]
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        (lambda c, t: check_chain_partition(c, [], NAN), "chain.non_finite"),
+        (lambda c, t: check_chain_partition(c, [], INF), "chain.non_finite"),
+        (lambda c, t: check_chain_partition(c, [0, 1], 9.0, NAN),
+         "chain.non_finite"),
+        (lambda c, t: check_chain_partition(c, [0, 1], 9.0, -INF),
+         "chain.non_finite"),
+        (lambda c, t: check_tree_cut(t, [], NAN), "tree.non_finite"),
+        (lambda c, t: check_tree_cut(t, [], INF), "tree.non_finite"),
+        (lambda c, t: check_tree_cut(t, [(0, 1)], 9.0, claimed_bottleneck=INF),
+         "tree.non_finite"),
+        (lambda c, t: check_tree_cut(t, [(0, 1)], 9.0, claimed_bandwidth=NAN),
+         "tree.non_finite"),
+    ],
+    ids=[
+        "chain-nan-bound", "chain-inf-bound", "chain-nan-weight",
+        "chain-neg-inf-weight", "tree-nan-bound", "tree-inf-bound",
+        "tree-inf-bottleneck", "tree-nan-bandwidth",
+    ],
+)
+def test_non_finite_bound_or_claim_is_rejected(check, expected):
+    # Without the finiteness check every one of these certifies: no
+    # block exceeds a NaN or infinite bound.
+    chain = Chain([5.0, 5.0, 5.0], [1.0, 1.0])
+    tree = Tree([3.0, 3.0, 3.0], [(0, 1), (1, 2)], [1.0, 1.0])
+    report = check(chain, tree)
+    assert not report.ok
+    assert [v.code for v in report.violations] == [expected]
+
+
 class TestCheckTreeCut:
     def test_valid_cut_passes(self, tree):
         result = bottleneck_min(tree, 9.0)

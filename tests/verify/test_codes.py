@@ -20,7 +20,6 @@ TESTS = REPO / "tests"
 #: certifiers allowed to back them.
 ANALYZERS = {
     "repro.verify.lint",
-    "repro.verify.flow",
     "repro.verify.empirical",
     "repro.verify.contracts",
     "repro.verify.concurrency",
@@ -69,12 +68,10 @@ def test_analyzer_tables_derive_from_registry():
     from repro.verify.contracts import CONTRACT_RULES
     from repro.verify.empirical import EMPIRICAL_RULES
     from repro.verify.faultflow import FAULTFLOW_RULES
-    from repro.verify.flow import FLOW_RULES
     from repro.verify.hotpath import HOTPATH_RULES
     from repro.verify.lint import RULES
 
     assert RULES == messages_for("repro.verify.lint")
-    assert FLOW_RULES == messages_for("repro.verify.flow")
     assert EMPIRICAL_RULES == messages_for("repro.verify.empirical")
     assert CONTRACT_RULES == messages_for("repro.verify.contracts")
     assert CONCURRENCY_RULES == messages_for("repro.verify.concurrency")

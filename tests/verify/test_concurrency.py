@@ -13,24 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify.concurrency import (
-    CONCURRENCY_RULES,
-    check_concurrency,
-    concurrency_check_source,
-    shared_state_inventory,
-)
+from repro.verify.concurrency import CONCURRENCY_RULES, shared_state_inventory
 from repro.verify.markers import SHARED_REGISTRY, concurrent_entry, shared_state
+from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
 
 def codes(source: str, path: str = "example.py") -> list:
-    return [f.code for f in concurrency_check_source(source, Path(path))]
+    return [f.code for f in check_source("concurrency", source, Path(path))]
 
 
 def findings(source: str, path: str = "example.py") -> list:
-    return concurrency_check_source(source, Path(path))
+    return check_source("concurrency", source, Path(path))
 
 
 SHARED_PREAMBLE = (
@@ -674,13 +670,17 @@ class TestInventoryAndMarkers:
 
 class TestRepoClean:
     def test_src_tree_is_clean(self):
-        found, checked = check_concurrency([SRC])
+        found, checked = analyze([SRC], ["concurrency"])["concurrency"]
         assert checked > 50
         assert found == [], [f.render() for f in found]
 
     def test_rule_table_is_complete(self):
-        assert set(CONCURRENCY_RULES) == {"REPRO013", "REPRO014", "REPRO015"}
+        # The pool rules (REPRO006-REPRO008) live here too.
+        assert set(CONCURRENCY_RULES) == {
+            "REPRO006", "REPRO007", "REPRO008",
+            "REPRO013", "REPRO014", "REPRO015",
+        }
 
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):
-            concurrency_check_source("def broken(:\n", Path("bad.py"))
+            check_source("concurrency", "def broken(:\n", Path("bad.py"))

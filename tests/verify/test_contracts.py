@@ -8,18 +8,17 @@ from repro.verify.contracts import (
     REQUIRED_CONTRACTS,
     BudgetSyntaxError,
     ComplexityBudget,
-    check_contracts,
-    check_contracts_source,
     complexity,
     get_contract,
     registered_contracts,
 )
+from repro.verify.passes import analyze, check_source
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
 def codes(source: str, path: str) -> list:
-    return [f.code for f in check_contracts_source(source, Path(path))]
+    return [f.code for f in check_source("contracts", source, Path(path))]
 
 
 class TestBudgetGrammar:
@@ -178,7 +177,7 @@ class TestRepro011DocstringDisagreement:
 
 class TestDriver:
     def test_src_tree_is_clean(self):
-        findings, checked = check_contracts([SRC_ROOT])
+        findings, checked = analyze([SRC_ROOT], ["contracts"])["contracts"]
         assert checked > 50
         assert findings == [], [f.render() for f in findings]
 

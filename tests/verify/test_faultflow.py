@@ -24,12 +24,9 @@ from repro.exitcodes import (
     EXIT_USAGE,
     EXIT_VERIFICATION,
 )
-from repro.verify.faultflow import (
-    FAULTFLOW_RULES,
-    check_faultflow,
-    faultflow_check_source,
-    main,
-)
+from repro.cli import main
+from repro.verify.faultflow import FAULTFLOW_RULES
+from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -41,13 +38,11 @@ def dedent(source: str) -> str:
 
 
 def codes(source: str, path: str = "example.py") -> list:
-    return [
-        f.code for f in faultflow_check_source(dedent(source), Path(path))
-    ]
+    return [f.code for f in findings(source, path)]
 
 
 def findings(source: str, path: str = "example.py") -> list:
-    return faultflow_check_source(dedent(source), Path(path))
+    return check_source("faults", dedent(source), Path(path))
 
 
 # ----------------------------------------------------------------------
@@ -837,7 +832,7 @@ class TestScoping:
         target.mkdir()
         (target / "leaky.py").write_text(dedent(self.LEAKY))
         (target / "clean.py").write_text("x = 1\n")
-        found, checked = check_faultflow([target])
+        found, checked = analyze([target], ["faults"])["faults"]
         assert checked == 2
         assert [f.code for f in found] == ["REPRO020"]
 
@@ -849,7 +844,7 @@ class TestScoping:
 
 class TestSrcTreeIsClean:
     def test_src_tree_is_clean(self):
-        found, checked = check_faultflow([SRC])
+        found, checked = analyze([SRC], ["faults"])["faults"]
         rendered = "\n".join(f.render() for f in found)
         assert not found, f"faultflow findings in src/:\n{rendered}"
         assert checked > 20  # core + engine + observability + exit files
@@ -861,36 +856,27 @@ class TestSrcTreeIsClean:
 
 
 # ----------------------------------------------------------------------
-# The module CLI
+# The command-line entry point: ``repro analyze --faults``
 # ----------------------------------------------------------------------
 
 
 class TestMain:
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in FAULTFLOW_RULES:
-            assert code in out
-
-    def test_no_paths_is_usage_error(self, capsys):
-        assert main([]) == 2
-
     def test_missing_path_is_usage_error(self, capsys):
-        assert main(["definitely/not/here.py"]) == 2
+        assert main(["analyze", "--faults", "definitely/not/here.py"]) == 2
 
     def test_findings_exit_1(self, tmp_path, capsys):
         target = tmp_path / "leaky.py"
         target.write_text(dedent(TestScoping.LEAKY))
-        assert main([str(target)]) == 1
+        assert main(["analyze", "--faults", str(target)]) == 1
         out = capsys.readouterr().out
         assert "REPRO020" in out
 
     def test_clean_exit_0(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert main([str(target)]) == 0
+        assert main(["analyze", "--faults", str(target)]) == 0
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         target = tmp_path / "broken.py"
         target.write_text("def broken(:\n")
-        assert main([str(target)]) == 2
+        assert main(["analyze", "--faults", str(target)]) == 2

@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.verify.flow`: process-pool hygiene analysis.
+"""Tests for the process-pool hygiene rules (REPRO006-REPRO008) of
+:mod:`repro.verify.concurrency` — the ``flow`` section of ``repro analyze``.
 
 Includes the two seeded-regression acceptance tests from the issue:
 a module-global append inside a batch worker must trip REPRO006, and a
@@ -9,7 +10,7 @@ the checks track the code they are meant to guard.
 
 from pathlib import Path
 
-from repro.verify.flow import check_flow, flow_check_source
+from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
 BATCH = REPO / "src" / "repro" / "engine" / "batch.py"
@@ -21,7 +22,7 @@ FLOW_TARGETS = [
 
 
 def codes(source: str, path: str = "src/repro/engine/example.py") -> list:
-    return [f.code for f in flow_check_source(source, Path(path))]
+    return [f.code for f in check_source("flow", source, Path(path))]
 
 
 POOL_PREAMBLE = "from concurrent.futures import ProcessPoolExecutor\n"
@@ -132,7 +133,7 @@ class TestRepro007Unpicklable:
             + "    with ProcessPoolExecutor() as pool:\n"
             + "        return list(pool.map(lambda p: work(p, tracer), items))\n"
         )
-        findings = flow_check_source(src, Path("src/repro/engine/example.py"))
+        findings = check_source("flow", src, Path("src/repro/engine/example.py"))
         assert [f.code for f in findings] == ["REPRO007"]
         assert "tracer" in findings[0].message
 
@@ -202,12 +203,12 @@ class TestRepro008UnseededRandom:
 
 class TestRealTree:
     def test_flow_targets_are_clean(self):
-        findings, checked = check_flow(FLOW_TARGETS)
+        findings, checked = analyze(FLOW_TARGETS, ["flow"])["flow"]
         assert checked == len(FLOW_TARGETS)
         assert findings == [], [f.render() for f in findings]
 
     def test_src_tree_is_clean(self):
-        findings, checked = check_flow([REPO / "src"])
+        findings, checked = analyze([REPO / "src"], ["flow"])["flow"]
         assert checked > 50
         assert findings == [], [f.render() for f in findings]
 
@@ -230,7 +231,7 @@ class TestSeededRegressions:
         source = self._source()
         assert original in source
         source = source.replace(original, mutated) + "\n_SEEN_RESULTS: list = []\n"
-        findings = flow_check_source(source, BATCH)
+        findings = check_source("flow", source, BATCH)
         assert "REPRO006" in [f.code for f in findings]
         message = next(f.message for f in findings if f.code == "REPRO006")
         assert "_SEEN_RESULTS" in message
@@ -257,7 +258,7 @@ class TestSeededRegressions:
         source = source.replace(
             map_call, "pool.map(lambda p: _solve_payload(p, tracer), grouped)"
         )
-        findings = flow_check_source(source, BATCH)
+        findings = check_source("flow", source, BATCH)
         assert "REPRO007" in [f.code for f in findings]
         message = next(f.message for f in findings if f.code == "REPRO007")
         assert "lambda" in message

@@ -10,18 +10,15 @@ methods, and the analyzer must run clean over the repo's own ``src/``
 tree after the remediation.
 """
 
+import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.verify.hotpath import (
-    HOTPATH_RULES,
-    LOOP_SCOPED_RULES,
-    check_hotpath,
-    hotpath_check_source,
-    main,
-)
+from repro.cli import main
+from repro.verify.hotpath import HOTPATH_RULES, LOOP_SCOPED_RULES
+from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -32,11 +29,11 @@ def dedent(source: str) -> str:
 
 
 def codes(source: str, path: str = "example.py") -> list:
-    return [f.code for f in hotpath_check_source(dedent(source), Path(path))]
+    return [f.code for f in findings(source, path)]
 
 
 def findings(source: str, path: str = "example.py") -> list:
-    return hotpath_check_source(dedent(source), Path(path))
+    return check_source("hotpath", dedent(source), Path(path))
 
 
 # Spliced as ``{HOT}def ...`` inside 12-space-indented f-string
@@ -586,7 +583,7 @@ class TestTreeAndCli:
         }
 
     def test_src_tree_is_clean(self):
-        found, checked = check_hotpath([SRC])
+        found, checked = analyze([SRC], ["hotpath"])["hotpath"]
         assert checked > 20
         assert found == [], "\n".join(f.render() for f in found)
 
@@ -603,27 +600,25 @@ class TestTreeAndCli:
         core = tmp_path / "repro" / "core"
         core.mkdir(parents=True)
         (core / "solver.py").write_text(bad)
-        found, checked = check_hotpath([tmp_path])
+        found, checked = analyze([tmp_path], ["hotpath"])["hotpath"]
         assert checked == 1
         assert [f.code for f in found] == ["REPRO016"]
         assert "core" in str(found[0].path)
 
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):
-            hotpath_check_source("def broken(:\n", Path("bad.py"))
+            check_source("hotpath", "def broken(:\n", Path("bad.py"))
 
-    def test_main_lists_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "REPRO016" in out and "REPRO019" in out
+    # ``repro analyze --hotpath`` is the pass's command-line entry point.
 
     def test_main_missing_path(self, capsys):
-        assert main(["does/not/exist.py"]) == 2
+        assert main(["analyze", "--hotpath", "does/not/exist.py"]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_main_no_paths(self, capsys):
-        assert main([]) == 2
-        assert "no paths" in capsys.readouterr().err
+        # No paths: the installed repro package, which is clean.
+        assert main(["analyze", "--hotpath"]) == 0
+        assert "analyze: clean (hotpath)" in capsys.readouterr().err
 
     def test_main_reports_findings(self, tmp_path, capsys):
         target = tmp_path / "hot.py"
@@ -633,21 +628,20 @@ class TestTreeAndCli:
             "    for row in rows:\n"
             "        row.consume([lo, lo])\n"
         )
-        assert main([str(target)]) == 1
-        captured = capsys.readouterr()
-        assert "REPRO016" in captured.out
-        assert "1 finding(s)" in captured.err
+        assert main(["analyze", "--hotpath", str(target)]) == 1
+        assert "REPRO016" in capsys.readouterr().out
 
     def test_main_clean_run(self, tmp_path, capsys):
         target = tmp_path / "cold.py"
         target.write_text("def cold():\n    return 1\n")
-        assert main([str(target)]) == 0
-        assert "clean: 1 file(s)" in capsys.readouterr().err
+        assert main(["analyze", "--hotpath", "--json", str(target)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hotpath"] == {"files": 1, "findings": []}
 
     def test_main_syntax_error(self, tmp_path, capsys):
         target = tmp_path / "bad.py"
         target.write_text("def broken(:\n")
-        assert main([str(target)]) == 2
+        assert main(["analyze", "--hotpath", str(target)]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
     def test_findings_are_sorted(self, tmp_path):

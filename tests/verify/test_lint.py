@@ -4,19 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify.lint import (
-    RULES,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.verify.lint import RULES, iter_python_files, main
+from repro.verify.passes import analyze, check_source
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
 def codes(source: str, path: str) -> list:
-    return [f.code for f in lint_source(source, Path(path))]
+    return [f.code for f in check_source("lint", source, Path(path))]
 
 
 LIB = "src/repro/core/example.py"
@@ -288,7 +283,7 @@ class TestRepro012HubGuard:
 
 class TestDriver:
     def test_src_tree_is_clean(self):
-        findings, checked = lint_paths([SRC_ROOT])
+        findings, checked = analyze([SRC_ROOT], ["lint"])["lint"]
         assert checked > 50
         assert findings == [], [f.render() for f in findings]
 
