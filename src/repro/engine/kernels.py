@@ -32,9 +32,10 @@ edges, so the ``O(n)`` part of a query never builds a Python object.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -45,6 +46,7 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_NUMPY = False
 
 from repro.core.feasibility import InfeasibleBoundError
+from repro.engine import native
 from repro.graphs.chain import Chain
 from repro.verify.contracts import complexity
 
@@ -99,60 +101,94 @@ def prime_windows(
     n = prefix.shape[0] - 1
     if n <= 0:  # repro-mutate: equivalent=flip-compare -- at n == 0 the vector path below returns the same empty arrays
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    starts = prefix[:-1]
-    # j approximates the first index with prefix[j] - prefix[a] > bound.
-    j = np.searchsorted(prefix, starts + bound, side="right")  # repro-mutate: equivalent=swap-arith -- only a seed guess; the sweeps below re-derive the exact boundary
-    a = np.arange(n, dtype=np.int64)
-    # Floor at a + 2: a critical window spans at least two tasks, since
-    # feasibility validated max(alpha) <= K exactly and a single-task
-    # prefix difference can exceed K only by cancellation noise (the
-    # reference sweep enforces the same floor).
-    floor = a + 2
-    np.clip(j, floor, n, out=j)  # repro-mutate: equivalent=shift-index -- an over-clipped seed is pulled straight back by the down sweep (prefix is monotone)
-    # Fix-up to the exact subtraction-form predicate (monotone in j, so
-    # each loop runs to a fixpoint; in practice 0-1 iterations).
-    # REPRO019: the predicates reuse preallocated scratch buffers via
-    # out= instead of chaining four fresh temporaries per pass.
-    idx = np.empty(n, dtype=np.int64)
-    gap = np.empty_like(starts)
-    mask = np.empty(n, dtype=bool)
-    inb = np.empty(n, dtype=bool)
-    # REPRO017: the ufuncs themselves are module-attribute loads; bind
-    # them once rather than twice per fix-up pass.
-    np_take, np_subtract = np.take, np.subtract
-    np_greater, np_and = np.greater, np.logical_and
-    while True:
-        # down: (j > floor) & (prefix[j - 1] - starts > bound)
-        np_subtract(j, 1, out=idx)  # repro-mutate: equivalent=flip-compare,swap-arith -- a misfiring down sweep only undershoots; the up sweep re-derives the boundary with the exact predicate
-        np_take(prefix, idx, out=gap)
-        np_subtract(gap, starts, out=gap)
-        np_greater(gap, bound, out=mask)
-        np_greater(j, floor, out=inb)
-        np_and(mask, inb, out=mask)
-        if not mask.any():
-            break
-        j[mask] -= 1
-    while True:
-        # up: (j < n) & (prefix[j] - starts <= bound)
-        np_take(prefix, j, out=gap)
-        np_subtract(gap, starts, out=gap)
-        np.less_equal(gap, bound, out=mask)
-        np.less(j, n, out=inb)
-        np_and(mask, inb, out=mask)
-        if not mask.any():
-            break
-        j[mask] += 1
-    exceeds = prefix[j] - starts > bound
-    valid = exceeds & (j > a + 1)  # repro-mutate: equivalent=flip-compare -- the clip keeps j >= a + 2, so this guard holds either way
-    a = a[valid]
-    ends = j[valid] - 1  # last task of the minimal critical window
-    if a.shape[0] == 0:
-        return a, ends
-    # Keep candidate a iff the next candidate ends strictly later.
-    keep = np.empty(a.shape[0], dtype=bool)
-    keep[:-1] = ends[1:] > ends[:-1]
-    keep[-1] = True
-    return a[keep], ends[keep]
+    # Prefix sums of weights near 1e308 overflow to inf, and inf - inf
+    # is nan.  The reference grows a window while ``gap <= bound``, so it
+    # calls a window critical when that test fails — a nan gap included.
+    # The predicates below are written the same way, ``not (gap <=
+    # bound)`` rather than ``gap > bound``, and see the same inf/nan
+    # values as the reference's Python floats, which never warn, so
+    # neither may the array arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = prefix[:-1]
+        # j approximates the first index with prefix[j] - prefix[a] > bound.
+        j = np.searchsorted(prefix, starts + bound, side="right")  # repro-mutate: equivalent=swap-arith -- only a seed guess; the sweeps below re-derive the exact boundary
+        a = np.arange(n, dtype=np.int64)
+        # Floor at a + 2: a critical window spans at least two tasks, since
+        # feasibility validated max(alpha) <= K exactly and a single-task
+        # prefix difference can exceed K only by cancellation noise (the
+        # reference sweep enforces the same floor).
+        floor = a + 2
+        np.clip(j, floor, n, out=j)  # repro-mutate: equivalent=shift-index -- an over-clipped seed is pulled straight back by the down sweep (prefix is monotone)
+        # Fix-up to the exact subtraction-form predicate (monotone in j, so
+        # each loop runs to a fixpoint; in practice 0-1 iterations).
+        # REPRO019: the predicates reuse preallocated scratch buffers via
+        # out= instead of chaining four fresh temporaries per pass.
+        idx = np.empty(n, dtype=np.int64)
+        gap = np.empty_like(starts)
+        mask = np.empty(n, dtype=bool)
+        inb = np.empty(n, dtype=bool)
+        # REPRO017: the ufuncs themselves are module-attribute loads; bind
+        # them once rather than twice per fix-up pass.
+        np_take, np_subtract = np.take, np.subtract
+        np_greater, np_less_equal, np_and = np.greater, np.less_equal, np.logical_and
+        while True:
+            # down: (j > floor) & ~(prefix[j - 1] - starts <= bound)
+            np_subtract(j, 1, out=idx)  # repro-mutate: equivalent=flip-compare,swap-arith -- a misfiring down sweep only undershoots; the up sweep re-derives the boundary with the exact predicate
+            np_take(prefix, idx, out=gap)
+            np_subtract(gap, starts, out=gap)
+            np_less_equal(gap, bound, out=mask)
+            np.logical_not(mask, out=mask)
+            np_greater(j, floor, out=inb)
+            np_and(mask, inb, out=mask)
+            if not mask.any():
+                break
+            j[mask] -= 1
+        while True:
+            # up: (j < n) & (prefix[j] - starts <= bound)
+            np_take(prefix, j, out=gap)
+            np_subtract(gap, starts, out=gap)
+            np_less_equal(gap, bound, out=mask)
+            np.less(j, n, out=inb)
+            np_and(mask, inb, out=mask)
+            if not mask.any():
+                break
+            j[mask] += 1
+        exceeds = ~(prefix[j] - starts <= bound)
+        valid = exceeds & (j > a + 1)  # repro-mutate: equivalent=flip-compare -- the clip keeps j >= a + 2, so this guard holds either way
+        a = a[valid]
+        ends = j[valid] - 1  # last task of the minimal critical window
+        if a.shape[0] == 0:
+            return a, ends
+        # Keep candidate a iff the next candidate ends strictly later.
+        keep = np.empty(a.shape[0], dtype=bool)
+        keep[:-1] = ends[1:] > ends[:-1]
+        keep[-1] = True
+        return a[keep], ends[keep]
+
+
+def prime_weight_array(
+    prefix: "np.ndarray", first_tasks: "np.ndarray", last_tasks: "np.ndarray"
+) -> "np.ndarray":
+    """Prime-subpath weights ``prefix[last + 1] - prefix[first]``.
+
+    Overflowed (inf) prefixes give inf or nan here, as they do in the
+    reference, without a RuntimeWarning (see :func:`prime_windows`).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return prefix[last_tasks + 1] - prefix[first_tasks]
+
+
+def stability_end(prime_weights: "np.ndarray") -> float:
+    """The exclusive upper end of the bounds a structure stays valid for.
+
+    A structure built at ``K`` is unchanged for every ``K'`` in ``[K,
+    w)`` where ``w`` is its smallest prime weight: each prime stays
+    critical and no window turns critical.  A nan weight (an overflowed
+    prefix, see :func:`prime_windows`) is critical at every bound, so it
+    never ends the interval and is skipped.  ``inf`` when there are no
+    primes or every weight is nan.
+    """
+    return float(np.fmin.reduce(prime_weights, initial=np.inf))
 
 
 def membership_intervals(
@@ -232,8 +268,8 @@ def reduced_class_arrays(
 
     Returns ``(weight, first_prime, last_prime)`` — no representative
     edge index, which is exactly what the weight-only TEMP_S sweep
-    (:func:`sweep_min_weight`) consumes.  Cut extraction still goes
-    through :func:`reduced_edge_arrays`.
+    (:func:`temps_sweep` with ``edge_index=None``) consumes.  Cut
+    extraction still goes through :func:`reduced_edge_arrays`.
     """
     if first_tasks.shape[0] == 0:
         empty_f = np.empty(0, dtype=np.float64)
@@ -360,10 +396,8 @@ class ArrayPrimeStructure:
     def min_prime_weight(self) -> float:
         """Smallest prime-subpath weight — the exclusive upper end of the
         bound interval over which this structure stays valid (see
-        :mod:`repro.engine.plan`); ``inf`` when there are no primes."""
-        if self.p == 0:
-            return float("inf")
-        return float(self.prime_weights.min())
+        :func:`stability_end`)."""
+        return stability_end(self.prime_weights)
 
     def __repr__(self) -> str:
         return (
@@ -406,7 +440,7 @@ def compute_prime_structure_numpy(
     # feasibility verdicts relative to the reference.
     validate_bound_array(chain.max_vertex_weight(), bound)
     first_tasks, last_tasks = prime_windows(prefix, bound)
-    prime_weights = prefix[last_tasks + 1] - prefix[first_tasks]
+    prime_weights = prime_weight_array(prefix, first_tasks, last_tasks)
     lo, hi = membership_intervals(
         first_tasks, last_tasks - 1, chain.num_edges
     )
@@ -428,13 +462,15 @@ def compute_prime_structure_numpy(
 
 @complexity("n + p log q")
 def sweep_min_cut(
-    edge_index: List[int],
-    edge_weight: List[float],
-    edge_first: List[int],
-    edge_last: List[int],
+    edge_index: Sequence[int],
+    edge_weight: Sequence[float],
+    edge_first: Sequence[int],
+    edge_last: Sequence[int],
 ) -> Tuple[List[int], float]:
-    """Algorithm 4.1's TEMP_S sweep over flat columns — the fast path.
+    """Algorithm 4.1's TEMP_S sweep over flat columns, in Python.
 
+    The fallback for :func:`temps_sweep` when the native kernel cannot
+    be built, and the specification ``_sweep.c`` ports line for line.
     Semantically identical to driving :class:`repro.core.temp_s.TempSQueue`
     with ``search="binary"`` (same float expressions, same comparisons,
     same tie handling), but engineered for the interpreter: rows live in
@@ -455,8 +491,7 @@ def sweep_min_cut(
     row_hi: List[int] = []
     row_w: List[float] = []
     row_sol: List[int] = []
-    # REPRO017: bound methods once — the same local-binding idiom
-    # sweep_min_weight already uses for its row columns.
+    # REPRO017: bound methods once, not one attribute load per push.
     push_lo = row_lo.append
     push_hi = row_hi.append
     push_w = row_w.append
@@ -527,120 +562,95 @@ def sweep_min_cut(
     return cut, weight
 
 
-@complexity("n + p log q")
-def sweep_min_weight(
-    edge_weight: List[float],
-    edge_first: List[int],
-    edge_last: List[int],
-    head_edges: int,
-) -> float:
-    """Weight of the optimal cut — :func:`sweep_min_cut` minus the cut.
+def native_sweep_loaded() -> bool:
+    """Whether :func:`temps_sweep` runs the native kernel in this process.
 
-    The multi-query sweeps in :mod:`repro.engine.plan` only need the
-    bandwidth per bound (cuts are reconstructed on demand), and dropping
-    the solution arena plus per-row solution ids makes this the hottest
-    loop's cheapest faithful form: every float expression, comparison
-    and tie-break below mirrors :func:`sweep_min_cut` term for term, so
-    the returned weight is bit-identical to the reference's.
-
-    ``head_edges`` is the count of leading edges whose first prime is 0
-    (``edge_first`` is nondecreasing, so they form a prefix; callers
-    compute it with one ``searchsorted``).  For those edges the retire
-    loop cannot run (no row starts below prime 0) and the recurrence has
-    no predecessor term, so the loop body skips both — same arithmetic,
-    fewer branches.
+    The first call builds or loads the kernel (see
+    :mod:`repro.engine.native`); ``False`` means every sweep falls back
+    to :func:`sweep_min_cut`.
     """
-    row_lo: List[int] = []
-    row_hi: List[int] = []
-    row_w: List[float] = []
-    push_lo = row_lo.append
-    push_hi = row_hi.append
-    push_w = row_w.append
-    top = 0
-    size = 0
-    gamma_w = 0.0  # cumulative weight of S_{first_prime - 1}; 0 = empty
-    last_w = 0.0  # row_w[-1] / row_hi[-1], tracked to keep the hot
-    last_hi = -1  # branches off the list objects
-    t = 0
-    for bw, fp, lp in zip(edge_weight, edge_first, edge_last):
-        if t < head_edges:
-            wv = bw  # fp == 0: nothing to retire, no predecessor
-        else:
-            while top < size:
-                if row_lo[top] >= fp:
-                    break
-                gamma_w = row_w[top]
-                if row_hi[top] < fp:
-                    top += 1  # entire row retired
-                else:
-                    row_lo[top] = fp  # trim and stop
-                    break
-            wv = bw + gamma_w
-        t += 1
-        # First row (from TOP) whose W >= wv; replace it and everything
-        # below with one row carrying wv, then open new subpaths.  The
-        # bottom row holds the column maximum, so ``last_w < wv`` means
-        # the binary search would land past the end — skip it.
-        if (
-            top < size
-            and last_w >= wv  # repro-mutate: equivalent=flip-compare -- a last_w == wv tie replaces the bottom row with its own W; routing it through the extend branch opens a second row at the same W, which retire and replace read identically
-        ):
-            split = size - 1
-            if split > top and row_w[split - 1] >= wv:  # repro-mutate: equivalent=flip-compare -- at split == top the bisect over an empty range returns the same split, and splitting a run of equal-W rows is weight-inert (retire and replace read only W)
-                # Rare: wv displaces more than the bottom row.
-                split = bisect_left(row_w, wv, top, split)
-                del row_lo[split + 1 :]
-                del row_hi[split + 1 :]
-                del row_w[split + 1 :]
-                size = split + 1
-            if last_hi < lp:  # repro-mutate: equivalent=flip-compare -- max() tie: both branches store the same hi
-                last_hi = lp
-            row_hi[split] = last_hi
-            row_w[split] = wv
-            last_w = wv
-        elif top >= size:
-            # Queue drained: anchor a fresh row at this edge's range.
-            push_lo(fp)
-            push_hi(lp)
-            push_w(wv)
-            size += 1
-            last_w = wv
-            last_hi = lp
-        elif lp > last_hi:
-            push_lo(last_hi + 1)
-            push_hi(lp)
-            push_w(wv)
-            size += 1
-            last_w = wv
-            last_hi = lp
-        # else: wv exceeds every open minimum and opens nothing — no-op.
-    if top >= size:  # repro-mutate: equivalent=flip-compare -- every loop iteration leaves a live row, so top == size only on empty input, where last_w is still 0.0
-        return 0.0
-    return last_w
+    return native.load_sweep() is not None
+
+
+@complexity("n + p log q")
+def temps_sweep(
+    edge_index: Optional["np.ndarray"],
+    edge_weight: "np.ndarray",
+    edge_first: "np.ndarray",
+    edge_last: "np.ndarray",
+) -> Tuple[List[int], float]:
+    """Algorithm 4.1's TEMP_S sweep over reduced-edge columns.
+
+    Returns ``(cut, weight)``: the optimal cut's sorted edge indices and
+    its weight, bit-identical to :func:`sweep_min_cut` on the same
+    columns.  With ``edge_index=None`` only the weight is computed and
+    ``cut`` comes back empty.  Runs the native kernel (``_sweep.c``) when
+    it loaded, else :func:`sweep_min_cut`.
+    """
+    weight = np.ascontiguousarray(edge_weight, dtype=np.float64)
+    first = np.ascontiguousarray(edge_first, dtype=np.int64)
+    last = np.ascontiguousarray(edge_last, dtype=np.int64)
+    index = (
+        None
+        if edge_index is None
+        else np.ascontiguousarray(edge_index, dtype=np.int64)
+    )
+    columns = (first, last) if index is None else (first, last, index)
+    if weight.ndim != 1 or any(c.shape != weight.shape for c in columns):
+        raise ValueError("sweep columns must be 1-D and of equal length")
+    r = weight.shape[0]
+    kernel = native.load_sweep()
+    if kernel is None:
+        cut, total = sweep_min_cut(
+            range(r) if index is None else index.tolist(),
+            weight.tolist(),
+            first.tolist(),
+            last.tolist(),
+        )
+        return ([] if index is None else cut), total
+    # The kernel reads the columns and writes cut_buf/out_weight in
+    # place; the locals keep every buffer alive across the call.
+    cut_buf = None if index is None else np.empty(r, dtype=np.int64)
+    out_weight = ctypes.c_double()
+    count = kernel(
+        r,
+        weight.ctypes.data,
+        first.ctypes.data,
+        last.ctypes.data,
+        None if index is None else index.ctypes.data,
+        None if cut_buf is None else cut_buf.ctypes.data,
+        ctypes.byref(out_weight),
+    )
+    if count < 0:
+        raise MemoryError("native TEMP_S sweep could not allocate its rows")
+    cut = [] if cut_buf is None else cut_buf[:count].tolist()
+    return cut, out_weight.value
 
 
 @complexity("n + p log q")
 def bandwidth_sweep(structure: Any) -> Tuple[List[int], float]:
-    """Run the fast sweep over a prime structure (array-backed or not).
+    """Run the TEMP_S sweep over a prime structure (array-backed or not).
 
-    Accepts either an :class:`ArrayPrimeStructure` (columns converted
-    via ``.tolist()`` — no per-edge objects ever built) or the reference
-    :class:`~repro.core.prime_subpaths.PrimeStructure`.
+    Accepts either an :class:`ArrayPrimeStructure`, whose columns go to
+    :func:`temps_sweep` as they are (no per-edge objects ever built), or
+    the reference :class:`~repro.core.prime_subpaths.PrimeStructure`.
     """
     if isinstance(structure, ArrayPrimeStructure):
-        return sweep_min_cut(
-            structure.edge_index.tolist(),
-            structure.edge_weight.tolist(),
-            structure.edge_first.tolist(),
-            structure.edge_last.tolist(),
+        columns: Tuple[Any, ...] = (
+            structure.edge_index,
+            structure.edge_weight,
+            structure.edge_first,
+            structure.edge_last,
         )
-    edges = structure.edges
-    return sweep_min_cut(
-        [e.index for e in edges],
-        [e.weight for e in edges],
-        [e.first_prime for e in edges],
-        [e.last_prime for e in edges],
-    )
+    else:
+        edges = structure.edges
+        columns = (
+            [e.index for e in edges],
+            [e.weight for e in edges],
+            [e.first_prime for e in edges],
+            [e.last_prime for e in edges],
+        )
+    return temps_sweep(*columns)
 
 
 def feasible_components(

@@ -1,0 +1,110 @@
+"""Build and load the native TEMP_S sweep (``_sweep.c``) through ctypes.
+
+The C source ships next to this module.  The first sweep of a process
+compiles it with the system ``gcc`` into a per-user cache directory —
+``${XDG_CACHE_HOME:-~/.cache}/repro/``, or the owner-only
+``<tempdir>/repro-<uid>/`` when that cannot be created — under a file
+name keyed on the SHA-256 of the
+source, the compiler flags and the machine architecture, so a changed
+source or a different host never loads a stale library.  The compiler
+writes a private temporary name that :func:`os.replace` then moves into
+place, so concurrent processes never ``dlopen`` a half-written file.
+
+Nothing happens at import.  :func:`load_sweep` builds (once per cache
+key) and loads (once per process) on first call and returns the ctypes
+function, or ``None`` when ``gcc`` is missing, the compile fails (for
+instance on a target with excess floating-point precision, which the
+source refuses with ``#error``) or ``dlopen`` fails; callers then use
+the pure-Python sweep in :mod:`repro.engine.kernels`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Any, Optional
+
+__all__ = ["CFLAGS", "SOURCE", "cache_dir", "library_path", "load_sweep"]
+
+#: The kernel's C source, located next to this module (it ships as
+#: package data in non-editable installs).
+SOURCE = Path(__file__).with_name("_sweep.c")
+
+#: No fast-math and no contraction into fused multiply-adds: the kernel
+#: must round every operation exactly as the Python sweep does.
+CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def cache_dir() -> Path:
+    """The directory compiled kernels are cached in (created if absent)."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    preferred = Path(base, "repro")
+    try:
+        preferred.mkdir(parents=True, exist_ok=True)
+        return preferred
+    except OSError:
+        # The temp directory is shared: a per-user, owner-only directory
+        # keeps other users from planting the library this process loads.
+        fallback = Path(tempfile.gettempdir(), f"repro-{os.getuid()}")
+        fallback.mkdir(mode=0o700, exist_ok=True)
+        if fallback.stat().st_uid != os.getuid():
+            raise OSError(f"{fallback} is owned by another user")
+        return fallback
+
+
+def library_path(source: bytes) -> Path:
+    """Cache path of the shared library built from ``source``."""
+    key = hashlib.sha256()
+    key.update(source)
+    key.update("\0".join(CFLAGS).encode())
+    key.update(platform.machine().encode())
+    return cache_dir() / f"_sweep-{key.hexdigest()[:16]}.so"
+
+
+def _build(source: bytes, target: Path) -> None:
+    """Compile ``source`` to ``target`` atomically (temp name + replace).
+
+    The bytes are piped to ``gcc`` rather than re-read from disk, so the
+    library always matches the source its cache key was computed from.
+    """
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["gcc", *CFLAGS, "-x", "c", "-o", tmp, "-"],
+            input=source,
+            check=True,
+            capture_output=True,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.lru_cache(maxsize=None)
+def load_sweep() -> Optional[Any]:
+    """The native ``temps_sweep`` function, or ``None`` to use Python.
+
+    Memoized: the build or load is attempted once per process, and a
+    failure is not retried.
+    """
+    try:
+        source = SOURCE.read_bytes()
+        target = library_path(source)
+        if not target.exists():
+            _build(source, target)
+        func = ctypes.CDLL(str(target)).temps_sweep
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    ptr = ctypes.c_void_p
+    func.argtypes = [ctypes.c_int64, ptr, ptr, ptr, ptr, ptr,
+                     ctypes.POINTER(ctypes.c_double)]
+    func.restype = ctypes.c_int64
+    return func

@@ -54,12 +54,13 @@ from repro.engine.kernels import (
     beta_array,
     membership_intervals,
     prefix_array,
+    prime_weight_array,
     prime_windows,
     reduced_class_arrays,
     reduced_edge_arrays,
     require_numpy,
-    sweep_min_cut,
-    sweep_min_weight,
+    stability_end,
+    temps_sweep,
     validate_bound_array,
 )
 from repro.graphs.chain import Chain
@@ -256,10 +257,8 @@ class CompiledChainPlan:
         """Prime windows for ``bound`` plus the stability-interval end."""
         prefix = self._prefix
         first_tasks, last_tasks = prime_windows(prefix, bound)
-        if first_tasks.shape[0] == 0:
-            return first_tasks, last_tasks, float("inf")
-        prime_weights = prefix[last_tasks + 1] - prefix[first_tasks]
-        return first_tasks, last_tasks, float(prime_weights.min())
+        prime_weights = prime_weight_array(prefix, first_tasks, last_tasks)
+        return first_tasks, last_tasks, stability_end(prime_weights)
 
     def _cut_sweep(
         self, bound: float
@@ -269,7 +268,7 @@ class CompiledChainPlan:
         Returns ``(cut, weight, p, r, valid_until)``.  Exactly the
         pipeline of
         :func:`~repro.engine.kernels.compute_prime_structure_numpy`
-        followed by :func:`~repro.engine.kernels.sweep_min_cut`, inlined
+        followed by :func:`~repro.engine.kernels.temps_sweep`, inlined
         against the plan's frozen ``prefix``/``beta`` arrays so no query
         re-validates or re-converts anything.
         """
@@ -283,12 +282,7 @@ class CompiledChainPlan:
         edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
             self._beta, lo, hi, apply_reduction=True
         )
-        cut, weight = sweep_min_cut(
-            edge_index.tolist(),
-            edge_weight.tolist(),
-            edge_first.tolist(),
-            edge_last.tolist(),
-        )
+        cut, weight = temps_sweep(edge_index, edge_weight, edge_first, edge_last)
         return cut, weight, p, int(edge_weight.shape[0]), valid_until
 
     def _build(self, bound: float, with_cut: bool) -> _FrozenStructure:
@@ -297,8 +291,8 @@ class CompiledChainPlan:
         ``with_cut`` builds the cut-capable columns once and takes the
         weight from the full sweep; otherwise the cheaper weight-only
         columns (:func:`~repro.engine.kernels.reduced_class_arrays`) feed
-        :func:`~repro.engine.kernels.sweep_min_weight` and the cut is
-        left for :meth:`_cut_for`.
+        the weight-only :func:`~repro.engine.kernels.temps_sweep` and the
+        cut is left for :meth:`_cut_for`.
         """
         cut: Optional[List[int]]
         if with_cut:
@@ -313,14 +307,8 @@ class CompiledChainPlan:
                     self._beta, first_tasks, last_tasks, self.chain.num_edges
                 )
                 r = int(edge_weight.shape[0])
-                head = int(np.searchsorted(edge_first, 1))
                 cut = None
-                weight = sweep_min_weight(
-                    edge_weight.tolist(),
-                    edge_first.tolist(),
-                    edge_last.tolist(),
-                    head,
-                )
+                _, weight = temps_sweep(None, edge_weight, edge_first, edge_last)
         frozen = _FrozenStructure(bound, valid_until, weight, cut, p, r)
         self._remember(frozen)
         self._count("engine.plan.structures.built")

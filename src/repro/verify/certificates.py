@@ -240,6 +240,10 @@ def check_chain_partition(
     for edge in indices + [n - 1]:
         hi = edge if edge < n - 1 else n - 1
         block_weight = prefix[hi + 1] - prefix[lo]
+        if not math.isfinite(block_weight):
+            # The prefix overflowed (inf - x or inf - inf) before or in
+            # this block; only the block's own sum says whether it fits.
+            block_weight = sum(chain.alpha[lo : hi + 1])
         if block_weight > bound + slack:
             report.add(
                 "chain.load_bound",

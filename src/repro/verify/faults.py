@@ -271,10 +271,11 @@ def certify_sweep_kernel_fault(
     if harness.backend == "numpy":
         import repro.engine.plan as plan_mod
 
-        # The cut-capable plan build calls the sweep through the plan
-        # module's binding, inside ``solve_bounds``'s ``with self._lock``.
+        # The cut-capable plan build calls the sweep (native kernel or
+        # Python fallback) through the plan module's binding, inside
+        # ``solve_bounds``'s ``with self._lock``.
         namespace: Any = plan_mod
-        attribute = "sweep_min_cut"
+        attribute = "temps_sweep"
     else:
         import repro.core.bandwidth as bandwidth_mod
 

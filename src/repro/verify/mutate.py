@@ -137,7 +137,7 @@ TARGETS: Dict[str, MutationTarget] = {
         ),
         MutationTarget(
             "repro.engine.kernels",
-            ("tests/engine/test_kernels.py",),
+            ("tests/engine/test_kernels.py", "tests/engine/test_native_sweep.py"),
             ("chain", "prime", "engine"),
         ),
         MutationTarget(

@@ -6,6 +6,8 @@ the known worked example, the degenerate shapes, and the fast TEMP_S
 sweep against the reference queue.
 """
 
+import warnings
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -116,10 +118,10 @@ class TestFastSweep:
 class TestWeightOnlyFastPath:
     """The compiled-plan weight pipeline, pinned kernel by kernel.
 
-    ``reduced_class_arrays`` + ``sweep_min_weight`` are the hottest form
-    of Algorithm 4.1 (no per-edge arrays, no solution arena); both claim
-    bit-identical results to the cut-capable path, so assert exactly
-    that over a tie-heavy battery.
+    ``reduced_class_arrays`` + the weight-only ``temps_sweep`` are the
+    hottest form of Algorithm 4.1 (no per-edge arrays, no solution
+    arena); both claim bit-identical results to the cut-capable path, so
+    assert exactly that over a tie-heavy battery.
     """
 
     @staticmethod
@@ -163,14 +165,7 @@ class TestWeightOnlyFastPath:
                 if arrays is None:
                     weight = 0.0
                 else:
-                    class_w, class_first, class_last = arrays
-                    head = int(np.searchsorted(class_first, 1))
-                    weight = kernels.sweep_min_weight(
-                        class_w.tolist(),
-                        class_first.tolist(),
-                        class_last.tolist(),
-                        head,
-                    )
+                    _, weight = kernels.temps_sweep(None, *arrays)
                 assert weight == bandwidth_min(chain, bound).weight
 
     def test_weight_sweep_matches_cut_sweep(self):
@@ -187,11 +182,10 @@ class TestWeightOnlyFastPath:
                     class_first.tolist(),
                     class_last.tolist(),
                 )
-                head = int(np.searchsorted(class_first, 1))
                 _, cut_weight = kernels.sweep_min_cut(
                     list(range(class_w.shape[0])), *cols
                 )
-                assert kernels.sweep_min_weight(*cols, head) == cut_weight
+                assert kernels.temps_sweep(None, *arrays)[1] == cut_weight
 
     def test_classes_match_reduced_edge_representatives(self):
         # Class weights/windows must equal the minimum-weight
@@ -223,11 +217,7 @@ class TestWeightOnlyFastPath:
         arrays = cls.class_arrays(chain, bound)
         if arrays is None:
             return 0.0
-        class_w, class_first, class_last = arrays
-        head = int(np.searchsorted(class_first, 1))
-        return kernels.sweep_min_weight(
-            class_w.tolist(), class_first.tolist(), class_last.tolist(), head
-        )
+        return kernels.temps_sweep(None, *arrays)[1]
 
     def test_extension_row_start_regression(self):
         # The extension push must anchor its row at last_hi + 1: an
@@ -264,7 +254,7 @@ class TestWeightOnlyFastPath:
             list(range(len(weights))), weights, firsts, lasts
         )
         assert ref == 8.0
-        assert kernels.sweep_min_weight(weights, firsts, lasts, 1) == ref
+        assert kernels.temps_sweep(None, weights, firsts, lasts)[1] == ref
         rng = np.random.default_rng(20260808)
         for _ in range(500):
             r = int(rng.integers(1, 10))
@@ -279,11 +269,10 @@ class TestWeightOnlyFastPath:
                 weights.append(float(rng.integers(0, 5)))
                 fp += int(rng.integers(0, 4))
                 lp = max(lp, fp) + int(rng.integers(0, 3))
-            head = int(np.searchsorted(np.asarray(firsts), 1))
             _, ref = kernels.sweep_min_cut(
                 list(range(r)), weights, firsts, lasts
             )
-            got = kernels.sweep_min_weight(weights, firsts, lasts, head)
+            _, got = kernels.temps_sweep(None, weights, firsts, lasts)
             assert got == ref, (weights, firsts, lasts)
 
     def test_empty_windows_return_empty_classes(self):
@@ -401,3 +390,41 @@ class TestSweepFixupLoops:
         weights = [0.28, 0.35, 0.37, 0.35, 0.37]
         chain = Chain(weights, [1.0] * (len(weights) - 1))
         assert_structures_equal(chain, 0.72)
+
+
+class TestOverflowingPrefix:
+    """Weights near 1e308 overflow the prefix sums to inf (and their
+    differences to nan); the arrays must follow the reference's Python
+    floats, silently and to the same answer."""
+
+    def test_engine_matches_reference_without_warnings(self):
+        from repro.engine import PartitionEngine
+
+        chain = Chain([1e308] * 3, [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PartitionEngine().solve(chain, 1.5e308)
+            ref = bandwidth_min(chain, 1.5e308, backend="python")
+        assert got.cut_indices == ref.cut_indices == [0, 1]
+        assert got.weight == ref.weight == 3.0
+
+    def test_nan_windows_are_critical_as_in_the_reference(self):
+        # Past the overflow every prefix difference is inf - inf = nan;
+        # the reference's ``gap <= bound`` growth test fails on nan, so
+        # those two-task windows are primes, with nan weights.
+        chain = Chain([1e308, 1e308, 1.0, 1.0, 1.0], [5.0, 1.0, 2.0, 3.0])
+        ref = PrimeStructure.compute(chain, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = kernels.compute_prime_structure_numpy(chain, 1e308)
+            windows = [(p.first_task, p.last_task) for p in fast.primes]
+            assert windows == [(p.first_task, p.last_task) for p in ref.primes]
+            assert windows == [(0, 1), (1, 2), (2, 3), (3, 4)]
+            assert fast.edges == ref.edges
+            assert kernels.bandwidth_sweep(fast) == ([0, 1, 2, 3], 11.0)
+
+    def test_nan_weights_never_end_the_stability_interval(self):
+        weights = np.array([np.nan, 3.0, np.inf, np.nan])
+        assert kernels.stability_end(weights) == 3.0
+        assert kernels.stability_end(np.array([np.nan, np.nan])) == np.inf
+        assert kernels.stability_end(np.empty(0)) == np.inf

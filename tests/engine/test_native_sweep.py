@@ -1,0 +1,267 @@
+"""Differential fuzz of the TEMP_S sweep implementations.
+
+Four implementations of Algorithm 4.1's sweep must agree bit for bit
+(``float.hex`` equality on every weight, equal cut lists):
+
+- the native kernel (``_sweep.c``) behind :func:`kernels.temps_sweep`;
+- the Python fallback behind the same function (forced by patching the
+  loader, so the fallback keeps its own test and mutation coverage);
+- :func:`kernels.sweep_min_cut` called directly on ``.tolist()`` columns;
+- the pure-Python reference ``bandwidth_min(backend="python")``.
+
+Both sweep modes are covered: cut-capable (reduced-edge columns with
+their edge index) and weight-only (``reduced_class_arrays`` columns,
+``edge_index=None``).  The chains are adversarial: all-equal and
+small-integer weights (W ties), zero edge weights, n = 1, r = 0,
+K = max weight, and tiny (1e-300, subnormal) and overflow-adjacent
+(1e308) weights.
+"""
+
+import math
+import os
+import subprocess
+
+import pytest
+
+np = pytest.importorskip("numpy")
+
+from repro.core.bandwidth import bandwidth_min
+from repro.engine import PartitionEngine, kernels, native
+from repro.graphs.chain import Chain
+from repro.verify.certificates import VerificationError
+
+#: Under ``REPRO_VERIFY=1`` every engine answer is certified as well.
+VERIFYING = "REPRO_VERIFY" in os.environ
+
+
+def _hex(value):
+    return float(value).hex()
+
+
+def _chains():
+    """(name, chain, bounds) triples, each bound feasible for its chain."""
+    rng = np.random.default_rng(20261017)
+    cases = []
+
+    def add(name, alpha, beta, extra=()):
+        chain = Chain(list(alpha), list(beta))
+        wmax = chain.max_vertex_weight()
+        total = chain.prefix_weights()[-1]  # K >= chain weight: r = 0
+        bounds = [wmax, 1.5 * wmax, 2.0 * wmax, 3.0 * wmax, total, *extra]
+        bounds = sorted({b for b in bounds if math.isfinite(b) and b >= wmax})
+        cases.append((name, chain, bounds))
+
+    add("single_task", [5.0], [])
+    add("two_tasks", [3.0, 4.0], [2.0])
+    for n in (2, 5, 17):
+        add(f"all_equal_{n}", [1.0] * n, [1.0] * (n - 1))
+    add("all_equal_zero_edges", [2.0] * 9, [0.0] * 8)
+    for seed in range(12):
+        n = int(rng.integers(2, 40))
+        alpha = rng.integers(1, 4, n).astype(float)
+        beta = rng.integers(0, 3, n - 1).astype(float)
+        add(f"small_int_{seed}", alpha, beta)
+    for seed in range(4):
+        n = int(rng.integers(2, 30))
+        alpha = rng.integers(1, 6, n) * 1e-300
+        beta = rng.integers(0, 4, n - 1) * 1e-300
+        add(f"tiny_{seed}", alpha, beta)
+    add("subnormal_edges", [1e-300] * 6, [5e-324, 1e-323, 0.0, 5e-324, 2e-323])
+    for seed in range(4):
+        n = int(rng.integers(2, 12))
+        alpha = rng.integers(1, 4, n) * 4e307
+        beta = rng.integers(0, 5, n - 1) * 4e307
+        add(f"huge_{seed}", alpha, beta, extra=(1.7e308,))
+    add("overflow_prefix", [1e308] * 3, [1.0, 2.0], extra=(1.5e308,))
+    add("overflow_cut_sum", [1e308] * 5, [1e308, 1.7e308, 1e308, 1.7e308])
+    return cases
+
+
+CASES = _chains()
+IDS = [name for name, _, _ in CASES]
+
+
+@pytest.fixture(params=["native", "fallback"])
+def sweep_mode(request, monkeypatch):
+    """Run a test once on the native kernel and once on the fallback."""
+    if request.param == "fallback":
+        monkeypatch.setattr(native, "load_sweep", lambda: None)
+        assert not kernels.native_sweep_loaded()
+    elif not kernels.native_sweep_loaded():
+        pytest.skip("native TEMP_S sweep unavailable (no gcc?)")
+    return request.param
+
+
+def _cut_columns(chain, bound):
+    structure = kernels.compute_prime_structure_numpy(chain, bound)
+    return (
+        structure.edge_index,
+        structure.edge_weight,
+        structure.edge_first,
+        structure.edge_last,
+    )
+
+
+def _class_columns(chain, bound):
+    prefix = kernels.prefix_array(chain)
+    first, last = kernels.prime_windows(prefix, bound)
+    return kernels.reduced_class_arrays(
+        kernels.beta_array(chain), first, last, chain.num_edges
+    )
+
+
+@pytest.mark.parametrize("name, chain, bounds", CASES, ids=IDS)
+def test_cut_sweep_matches_every_implementation(sweep_mode, name, chain, bounds):
+    for bound in bounds:
+        ref = bandwidth_min(chain, bound, backend="python")
+        columns = _cut_columns(chain, bound)
+        cut, weight = kernels.temps_sweep(*columns)
+        py_cut, py_weight = kernels.sweep_min_cut(*(c.tolist() for c in columns))
+        assert cut == py_cut == ref.cut_indices, (name, bound)
+        assert _hex(weight) == _hex(py_weight) == _hex(ref.weight), (name, bound)
+        assert type(weight) is float and all(type(j) is int for j in cut)
+
+
+@pytest.mark.parametrize("name, chain, bounds", CASES, ids=IDS)
+def test_weight_only_sweep_matches_reference(sweep_mode, name, chain, bounds):
+    for bound in bounds:
+        ref = bandwidth_min(chain, bound, backend="python")
+        cut, weight = kernels.temps_sweep(None, *_class_columns(chain, bound))
+        assert cut == []
+        assert _hex(weight) == _hex(ref.weight), (name, bound)
+
+
+@pytest.mark.parametrize("name, chain, bounds", CASES, ids=IDS)
+def test_engine_matches_reference(sweep_mode, name, chain, bounds):
+    # solve() takes the plan's cut build; solve_sweep() its weight-only
+    # build (one engine, so later bounds also meet the structure memo).
+    engine = PartitionEngine()
+    for bound in bounds:
+        ref = bandwidth_min(chain, bound, backend="python")
+        if VERIFYING and not math.isfinite(ref.weight):
+            # The certifier refuses an overflowed (inf) bandwidth: many
+            # cuts share it, so none can be certified optimal.
+            with pytest.raises(VerificationError, match="non_finite"):
+                PartitionEngine().solve(chain, bound)
+            continue
+        result = PartitionEngine().solve(chain, bound)
+        swept = engine.solve_sweep(chain, [bound])[0]
+        assert result.cut_indices == ref.cut_indices, (name, bound)
+        assert _hex(result.weight) == _hex(ref.weight), (name, bound)
+        assert _hex(swept) == _hex(ref.weight), (name, bound)
+
+
+def test_native_and_fallback_agree_on_synthetic_columns(monkeypatch):
+    """Column shapes no chain produces: coverage gaps, repeated first
+    primes, zero and equal weights, both modes."""
+    if not kernels.native_sweep_loaded():
+        pytest.skip("native TEMP_S sweep unavailable (no gcc?)")
+    rng = np.random.default_rng(7)
+    batches = []
+    for _ in range(300):
+        r = int(rng.integers(0, 12))
+        firsts, lasts = [], []
+        fp = int(rng.integers(0, 2))
+        lp = fp + int(rng.integers(0, 3))
+        for _ in range(r):
+            if firsts and (fp, lp) == (firsts[-1], lasts[-1]):
+                lp += 1
+            firsts.append(fp)
+            lasts.append(lp)
+            fp += int(rng.integers(0, 4))
+            lp = max(lp, fp) + int(rng.integers(0, 3))
+        weights = rng.integers(0, 4, r).astype(float)
+        index = np.arange(r, dtype=np.int64) * 3 + 1
+        batches.append((index, weights, np.asarray(firsts), np.asarray(lasts)))
+    native_out = [kernels.temps_sweep(*b) for b in batches]
+    native_w = [kernels.temps_sweep(None, *b[1:]) for b in batches]
+    monkeypatch.setattr(native, "load_sweep", lambda: None)
+    for b, got, got_w in zip(batches, native_out, native_w):
+        cut, weight = kernels.temps_sweep(*b)
+        assert got[0] == cut and _hex(got[1]) == _hex(weight)
+        assert got_w == ([], got[1])
+
+
+def test_columns_must_align():
+    with pytest.raises(ValueError):
+        kernels.temps_sweep(None, [1.0, 2.0], [0], [0, 1])
+    with pytest.raises(ValueError):
+        kernels.temps_sweep(None, [1.0, 2.0], [0, 1], [0])
+    with pytest.raises(ValueError):
+        kernels.temps_sweep([0], [1.0, 2.0], [0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        kernels.temps_sweep(None, [[1.0]], [[0]], [[0]])
+
+
+class TestLoader:
+    """Build, cache key, atomic replace and fallback of the native loader."""
+
+    def test_cache_key_follows_source(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        a = native.library_path(b"int x;")
+        assert a == native.library_path(b"int x;")
+        assert a != native.library_path(b"int y;")
+        assert a.parent == tmp_path / "repro"
+
+    def test_unwritable_cache_falls_back_to_tempdir(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path / "tmp"))
+        private = tmp_path / "tmp" / f"repro-{os.getuid()}"
+        assert native.cache_dir() == private
+        assert private.stat().st_mode & 0o777 == 0o700
+
+    def test_fresh_build_is_loaded_and_leaves_no_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if native.load_sweep.__wrapped__() is None:
+            pytest.skip("native TEMP_S sweep unavailable (no gcc?)")
+        built = list((tmp_path / "repro").iterdir())
+        assert [p.suffix for p in built] == [".so"]
+        # A second load reuses the cached library instead of rebuilding.
+        mtime = built[0].stat().st_mtime_ns
+        assert native.load_sweep.__wrapped__() is not None
+        assert built[0].stat().st_mtime_ns == mtime
+
+    def test_missing_source_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "absent.c")
+        assert native.load_sweep.__wrapped__() is None
+
+    def test_compile_error_falls_back_and_cleans_up(self, tmp_path, monkeypatch):
+        source = tmp_path / "broken.c"
+        source.write_text('#error "refuse to build"\n')
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "SOURCE", source)
+        assert native.load_sweep.__wrapped__() is None
+        assert list((tmp_path / "cache" / "repro").iterdir()) == []
+
+    def test_missing_compiler_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-DUNCACHED",))
+
+        def no_gcc(*args, **kwargs):
+            raise FileNotFoundError("gcc")
+
+        monkeypatch.setattr(native.subprocess, "run", no_gcc)
+        assert native.load_sweep.__wrapped__() is None
+
+    def test_compile_failure_is_the_only_error_caught(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-DUNCACHED",))
+
+        def failing(*args, **kwargs):
+            raise subprocess.CalledProcessError(1, "gcc")
+
+        monkeypatch.setattr(native.subprocess, "run", failing)
+        assert native.load_sweep.__wrapped__() is None
+
+        def crashing(*args, **kwargs):
+            raise RuntimeError("not a build failure")
+
+        monkeypatch.setattr(native.subprocess, "run", crashing)
+        with pytest.raises(RuntimeError):
+            native.load_sweep.__wrapped__()

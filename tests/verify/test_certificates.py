@@ -63,6 +63,14 @@ class TestCheckChainPartition:
         assert "execution-time bound" in violation.invariant
         assert "K" in violation.invariant
 
+    def test_overflowing_prefix_judged_by_block_sums(self):
+        # prefix = [0, 1e308, inf, inf]: the prefix differences of the
+        # later blocks are inf or nan, but each block weighs 1e308 <= K.
+        chain = Chain([1e308] * 3, [1.0, 2.0])
+        assert check_chain_partition(chain, [0, 1], 1.5e308, 3.0).ok
+        report = check_chain_partition(chain, [0], 1.5e308)
+        assert [v.code for v in report.violations] == ["chain.load_bound"]
+
     def test_duplicate_cut_edges_rejected(self, chain):
         report = check_chain_partition(chain, [1, 1, 3], 7.0)
         assert any(
