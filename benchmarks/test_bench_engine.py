@@ -464,7 +464,6 @@ def test_disabled_paths_allocation_free(benchmark):
     def publish_loop(n=20_000):
         for _ in range(n):
             NULL_HUB.publish(event)
-            NULL_HUB.publish_metric("bench", "counter", 1.0)
 
     def inc_loop(n=20_000):
         for _ in range(n):

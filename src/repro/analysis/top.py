@@ -3,7 +3,9 @@
 Folds schema-v2 trace records into the handful of figures an operator
 watches while a batch runs: query throughput, windowed latency
 percentiles, solver cache hit ratio, plan-cache occupancy and the
-optimality-gap gauge.  One :class:`DashboardState` serves every input
+optimality-gap gauge.  Latency and gap come from the ``solve`` events
+(one per query), the cache figures from the freshest ``cache`` or
+``batch`` event.  One :class:`DashboardState` serves every input
 shape — it can ingest a finished trace record list, follow a streaming
 JSONL file as lines land (``repro top --trace``), or sit directly on a
 :class:`repro.observability.live.TelemetryHub` as a subscriber (its
@@ -26,12 +28,6 @@ from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, TextIO,
 from repro.analysis.ascii_plot import ascii_plot
 from repro.observability.metrics import nearest_rank
 
-#: Metric-event names folded into the latency window (serial solves
-#: publish the first, batch workers the second).
-LATENCY_METRICS = ("engine.query_latency_s", "engine.batch.query_latency_s")
-
-GAP_METRIC = "solve.optimality_gap"
-
 
 class DashboardState:
     """Sliding-window aggregation of v2 trace records.
@@ -45,7 +41,7 @@ class DashboardState:
 
     __slots__ = (
         "window_s", "meta", "now", "start", "total_records", "total_solves",
-        "failures", "_latencies", "_gaps", "_cache", "_batch",
+        "failures", "_latencies", "_gaps", "_hit_rate", "_occupancy",
     )
 
     def __init__(self, window_s: float = 30.0) -> None:
@@ -60,8 +56,8 @@ class DashboardState:
         self.failures = 0
         self._latencies: Deque[Tuple[float, float]] = deque()
         self._gaps: Deque[Tuple[float, float]] = deque()
-        self._cache: Optional[Dict[str, Any]] = None
-        self._batch: Optional[Dict[str, Any]] = None
+        self._hit_rate: Optional[float] = None
+        self._occupancy: Optional[float] = None
 
     def ingest(self, record: Dict[str, Any]) -> None:
         """Fold one trace record (any kind) into the window."""
@@ -81,17 +77,20 @@ class DashboardState:
             self.total_solves += 1
             if not record.get("ok", True):
                 self.failures += 1
-        elif event == "metric" and record.get("metric") == "observe":
-            name, value = record.get("name"), record.get("value")
-            if isinstance(t, (int, float)) and isinstance(value, (int, float)):
-                if name in LATENCY_METRICS:
-                    self._latencies.append((t, float(value)))
-                elif name == GAP_METRIC:
-                    self._gaps.append((t, float(value)))
+            if isinstance(t, (int, float)):
+                for series, key in ((self._latencies, "duration_s"),
+                                    (self._gaps, "optimality_gap")):
+                    value = record.get(key)
+                    if isinstance(value, (int, float)):
+                        series.append((t, float(value)))
         elif event == "cache":
-            self._cache = record
+            # Running totals of the plan cache: the freshest hit rate
+            # until a later batch summary says otherwise.
+            self._hit_rate = record.get("hit_rate")
+            self._occupancy = record.get("occupancy")
         elif event == "batch":
-            self._batch = record
+            self._hit_rate = record.get("cache_hit_rate")
+            self._occupancy = record.get("plan_occupancy")
         self._evict()
 
     # Subscriber protocol: a DashboardState can sit on a hub directly.
@@ -125,14 +124,6 @@ class DashboardState:
         else:
             span = 0.0
         throughput = len(latencies) / span if span > 0 else 0.0
-        cache_hit_rate: Optional[float] = None
-        if self._cache is not None:
-            cache_hit_rate = self._cache.get("hit_rate")
-        elif self._batch is not None:
-            cache_hit_rate = self._batch.get("cache_hit_rate")
-        plan_occupancy = (
-            self._batch.get("plan_occupancy") if self._batch else None
-        )
         return {
             "records": self.total_records,
             "solves": self.total_solves,
@@ -144,8 +135,8 @@ class DashboardState:
             "p95_s": nearest_rank(latencies, 95.0),
             "p99_s": nearest_rank(latencies, 99.0),
             "max_s": latencies[-1] if latencies else 0.0,
-            "cache_hit_rate": cache_hit_rate,
-            "plan_occupancy": plan_occupancy,
+            "cache_hit_rate": self._hit_rate,
+            "plan_occupancy": self._occupancy,
             "gap_p50": nearest_rank(gaps, 50.0) if gaps else None,
             "gap_max": gaps[-1] if gaps else None,
         }

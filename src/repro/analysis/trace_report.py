@@ -101,11 +101,11 @@ def figure2_line(records: Iterable[Dict[str, Any]]) -> str:
 def plan_cache_line(records: Iterable[Dict[str, Any]]) -> str:
     """One-line compiled-plan telemetry summary, when plans were used.
 
-    Reads the ``engine.plan.*`` instruments exported by
-    :meth:`repro.engine.PartitionEngine.snapshot_metrics`: the plan-cache
-    gauges (resident plans, hits/misses/evictions) and the sweep
-    counters, condensed into the number a capacity planner cares about —
-    how many queries each compiled plan amortized.
+    Reads the ``engine.plan.*`` instruments of the engine registry: the
+    plan-cache counters and gauges (resident plans, hits/misses/
+    evictions, a miss being a compile) and the sweep counters, condensed
+    into the number a capacity planner cares about — how many queries
+    each compiled plan amortized.
     """
     scalars = {
         m["name"]: m["value"]
@@ -115,7 +115,7 @@ def plan_cache_line(records: Iterable[Dict[str, Any]]) -> str:
     }
     if not scalars:
         return ""
-    compiled = scalars.get("engine.plan.compiled", 0)
+    compiled = scalars.get("engine.plan.cache.misses", 0)
     queries = scalars.get("engine.plan.queries", 0)
     amortized = f"{queries / compiled:.1f}" if compiled else "-"
     return (

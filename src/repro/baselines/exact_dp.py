@@ -33,8 +33,8 @@ def bandwidth_min_dp(chain: Chain, bound: float) -> ChainCutResult:
     """Exact minimum-bandwidth load-bounded cut, ``O(n^2)``."""
     validate_bound(chain.alpha, bound)
     n = chain.num_tasks
-    prefix = chain.prefix_weights()
-    if prefix[n] <= bound:
+    fits = chain.block_fits
+    if fits(0, n - 1, bound):
         return ChainCutResult(chain, [], 0.0)
 
     beta = chain.beta
@@ -44,15 +44,14 @@ def bandwidth_min_dp(chain: Chain, bound: float) -> ChainCutResult:
     pred: List[int] = [-2] * num_edges  # -1 = virtual start, -2 = unreachable
 
     for j in range(num_edges):
-        # Block after cut i (exclusive) up to task j must fit:
-        # prefix[j+1] - prefix[i+1] <= bound.
+        # Block after cut i (exclusive) up to task j must fit.
         best = INF
         best_i = -2
-        if prefix[j + 1] <= bound:
+        if fits(0, j, bound):
             best = 0.0
             best_i = -1
         i = j - 1
-        while i >= 0 and prefix[j + 1] - prefix[i + 1] <= bound:
+        while i >= 0 and fits(i + 1, j, bound):
             if cost[i] < best:
                 best = cost[i]
                 best_i = i
@@ -64,7 +63,7 @@ def bandwidth_min_dp(chain: Chain, bound: float) -> ChainCutResult:
     best_final = INF
     best_j = -2
     for j in range(num_edges):
-        if cost[j] < best_final and prefix[n] - prefix[j + 1] <= bound:
+        if cost[j] < best_final and fits(j + 1, n - 1, bound):
             best_final = cost[j]
             best_j = j
     assert best_j != -2, "validate_bound guarantees a feasible cut exists"

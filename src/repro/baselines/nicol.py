@@ -55,8 +55,8 @@ def _nlogn_impl(
 ) -> ChainCutResult:
     validate_bound(chain.alpha, bound)
     n = chain.num_tasks
-    prefix = chain.prefix_weights()
-    if prefix[n] <= bound:
+    fits = chain.block_fits
+    if fits(0, n - 1, bound):
         return ChainCutResult(chain, [], 0.0)
 
     beta = chain.beta
@@ -83,7 +83,7 @@ def _nlogn_impl(
         # Advance the window start past infeasible predecessors.
         while (
             window_start < j - 1  # repro-mutate: equivalent=flip-compare -- at window_start == j-1 the single-task window never exceeds a validated bound
-            and prefix[j + 1] - prefix[window_start + 1] > bound
+            and not fits(window_start + 1, j, bound)
         ):
             window_start += 1
         # Lazily drop heap entries that fell out of the window.
@@ -91,7 +91,7 @@ def _nlogn_impl(
             heapq.heappop(heap)
             if counting:
                 heap_pops += 1
-        if heap and prefix[j + 1] - prefix[heap[0][1] + 1] <= bound:  # repro-mutate: equivalent=shift-index -- stale tops were popped above, so the heap top is already inside the feasible window
+        if heap and fits(heap[0][1] + 1, j, bound):  # repro-mutate: equivalent=shift-index -- stale tops were popped above, so the heap top is already inside the feasible window
             best, best_i = heap[0]
             cost[j] = best + beta[j]
             pred[j] = best_i
@@ -99,7 +99,7 @@ def _nlogn_impl(
     best_final = INF
     best_j = -2
     for j in range(num_edges):
-        if cost[j] < best_final and prefix[n] - prefix[j + 1] <= bound:
+        if cost[j] < best_final and fits(j + 1, n - 1, bound):
             best_final = cost[j]
             best_j = j
     assert best_j != -2

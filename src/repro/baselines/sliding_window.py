@@ -24,8 +24,8 @@ def bandwidth_min_deque(chain: Chain, bound: float) -> ChainCutResult:
     """Exact minimum-bandwidth load-bounded cut in linear time."""
     validate_bound(chain.alpha, bound)
     n = chain.num_tasks
-    prefix = chain.prefix_weights()
-    if prefix[n] <= bound:
+    fits = chain.block_fits
+    if fits(0, n - 1, bound):
         return ChainCutResult(chain, [], 0.0)
 
     beta = chain.beta
@@ -49,10 +49,10 @@ def bandwidth_min_deque(chain: Chain, bound: float) -> ChainCutResult:
                     window.pop()
                 window.append((i, cost[i]))
             next_candidate += 1
-        # Evict predecessors whose block (i+1 .. j) would exceed the bound.
-        # Same float expression as exact_dp so borderline blocks are
-        # judged identically across implementations.
-        while window and prefix[j + 1] - prefix[window[0][0] + 1] > bound:
+        # Evict predecessors whose block (i+1 .. j) would exceed the bound
+        # (the shared Chain.block_fits rule, so borderline blocks are
+        # judged identically across implementations).
+        while window and not fits(window[0][0] + 1, j, bound):
             window.popleft()
         if window:
             best_i, best = window[0]
@@ -62,7 +62,7 @@ def bandwidth_min_deque(chain: Chain, bound: float) -> ChainCutResult:
     best_final = INF
     best_j = -2
     for j in range(num_edges):
-        if cost[j] < best_final and prefix[n] - prefix[j + 1] <= bound:
+        if cost[j] < best_final and fits(j + 1, n - 1, bound):
             best_final = cost[j]
             best_j = j
     assert best_j != -2

@@ -585,23 +585,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"metrics: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Post-hoc traces carry rendered "metric" records; streamed traces
-    # carry per-observation metric *events*.  Fold the events back into
-    # instruments and render both, preferring the post-hoc record when
-    # a name appears in each.
+    # Post-hoc traces carry the engine registry's "metric" records;
+    # streamed traces carry the events that registry was folded from.
+    # Fold the events the same way and render both, preferring the
+    # post-hoc record when a name appears in each.
     registry = MetricsRegistry()
-    for event in event_records(records):
-        if event.get("event") != "metric":
-            continue
-        name, value = event.get("name"), event.get("value")
-        if not isinstance(name, str) or not isinstance(value, (int, float)):
-            continue
-        if event.get("metric") == "observe":
-            registry.histogram(name).observe(float(value))
-        elif event.get("metric") == "inc":
-            registry.counter(name).inc(float(value))
-        elif event.get("metric") == "set":
-            registry.gauge(name).set(float(value))
+    try:
+        for event in event_records(records):
+            registry.emit(event)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"metrics: malformed {event.get('event')!r} event in "
+              f"{args.trace}: {exc!r}", file=sys.stderr)
+        return EXIT_USAGE
     rendered = metric_records(records)
     seen = {record["name"] for record in rendered}
     rendered += [r for r in registry.records() if r["name"] not in seen]
@@ -990,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="export a trace's instruments (Prometheus text format)",
         description=(
-            "Render the metric records of a trace JSONL — including "
-            "per-observation metric events from a streamed trace — as "
+            "Render the metric records of a trace JSONL — or, for a "
+            "streamed trace, the instruments its events fold into — as "
             "Prometheus text exposition format on stdout."
         ),
     )

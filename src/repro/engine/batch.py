@@ -13,13 +13,20 @@ to workers and serialize losslessly to JSONL — the wire format of the
 bound yields a :class:`QueryResult` with ``error`` set instead of
 poisoning the whole batch.
 
-Telemetry is *not* dropped at the process boundary: every result comes
-back with a small ``telemetry`` dict (wall-clock, cache-stats delta,
-and — when the engine's tracer is enabled — the worker's serialized
-span records), and :meth:`PartitionEngine.solve_many` folds them, in
+The engine reports each telemetry fact once, as one event dict: a
+``solve`` event per query, a ``plan`` event per plan call, ``cache``
+events for plan compiles and evictions, and a ``batch`` event per
+batch.  Its one reporter folds every event into the engine's
+:class:`~repro.observability.metrics.MetricsRegistry` (through
+:meth:`~repro.observability.metrics.MetricsRegistry.emit`) and, with a
+live hub, publishes the same dict.  Telemetry is *not* dropped at the
+process boundary: every result comes back with a small ``telemetry``
+dict (wall-clock, cache-stats delta, the worker's ``plan`` event and —
+when the engine's tracer is enabled — the worker's serialized span
+records); the parent reports the shipped events as if they were its
+own, and :meth:`PartitionEngine.solve_many` also folds the results, in
 query order, into a :class:`BatchStats` left on
-``engine.last_batch_stats`` plus the engine's
-:class:`~repro.observability.metrics.MetricsRegistry`.
+``engine.last_batch_stats``.
 """
 
 from __future__ import annotations
@@ -30,19 +37,24 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.feasibility import PartitioningError
 from repro.core.pipeline import partition_chain
 from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.kernels import HAVE_NUMPY
+from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
 from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
 from repro.instrumentation.counters import OpCounter
-from repro.observability.live import NULL_HUB
+from repro.observability.live import NULL_HUB, Event, HubLike
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.observability.spans import NULL_TRACER, HubLike, Tracer
+from repro.observability.spans import NULL_TRACER, Tracer
+
+#: Where a plan call sends its ``plan`` event: the engine's reporter, or
+#: a list a pool worker ships back with the result.
+Report = Callable[[Event], None]
 
 #: Objectives accepted by the engine — the same vocabulary as
 #: :func:`repro.core.pipeline.partition_chain`.
@@ -126,10 +138,11 @@ class QueryResult:  # repro-lint: disable=REPRO002 (field defaults block slots o
     num_components: int = 1
     error: Optional[str] = None
     #: Per-query measurement shipped back from the solving process:
-    #: ``duration_s``, a ``cache`` hit/miss delta, and (traced runs
-    #: only) ``spans``.  Excluded from :meth:`to_json` — the JSONL wire
-    #: format carries answers; telemetry is aggregated by the engine
-    #: and exported through trace files instead.
+    #: ``duration_s``, a ``cache`` hit/miss delta, the query's ``plan``
+    #: event when it made a plan call, and (traced runs only)
+    #: ``spans``.  Excluded from :meth:`to_json` — the JSONL wire
+    #: format carries answers; telemetry is reported by the engine and
+    #: exported through trace files instead.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -268,15 +281,18 @@ class PartitionEngine:
         and ship the span records back.
     metrics:
         A :class:`repro.observability.MetricsRegistry` to share, or
-        ``None`` to own a private one.  Batch aggregates always land
-        here (they cost nothing on the single-query path).
+        ``None`` to own a private one.  Every event the engine reports
+        is folded into it as it happens.
     hub:
         A :class:`repro.observability.TelemetryHub` for live telemetry,
         or ``None`` for the zero-overhead :data:`NULL_HUB`.  With a
-        live hub, every solve publishes a ``solve`` event *as it
-        completes* (batch paths stream results incrementally, not at
-        batch end) and every batch publishes a closing ``batch`` event
-        — the feed behind ``repro batch --stream`` and ``repro top``.
+        live hub every reported event is also published: a ``solve``
+        event *as each query completes* (batch paths stream results
+        incrementally, not at batch end), its ``plan`` and ``cache``
+        events, and a closing ``batch`` event — the feed behind
+        ``repro batch --stream`` and ``repro top``.  Without a hub or
+        tracer, a single :meth:`solve` reports only its ``plan`` event,
+        and only to the registry.
     """
 
     __slots__ = (
@@ -314,6 +330,13 @@ class PartitionEngine:
         """The engine's one plan cache (the same object as :attr:`cache`)."""
         return self.cache
 
+    def _report(self, event: Event) -> None:
+        """Report one fact: fold it into :attr:`metrics` and publish it on
+        a live hub."""
+        self.metrics.emit(event)
+        if self.hub.enabled:
+            self.hub.publish(event)
+
     # ------------------------------------------------------------------
     # Single queries
     # ------------------------------------------------------------------
@@ -336,43 +359,33 @@ class PartitionEngine:
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
-            return self._solve(chain, bound, objective, search, None)
+            return self._solve(chain, bound, objective, search, None, self._report)
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
         ):
             result = self._solve(
                 chain, bound, objective, search,
-                self.tracer if self.tracer.enabled else None,
+                self.tracer if self.tracer.enabled else None, self._report,
             )
-        duration = time.perf_counter() - t0
-        self.metrics.counter("engine.queries").inc()
-        self.metrics.histogram("engine.query_latency_s").observe(duration)
-        gap: Optional[float] = None
+        event: Event = {
+            "kind": "event",
+            "event": "solve",
+            "objective": objective,
+            "n": chain.num_tasks,
+            "bound": bound,
+            "weight": result.weight,
+            "ok": True,
+            "duration_s": time.perf_counter() - t0,
+        }
         if "REPRO_VERIFY" in os.environ and objective == "bandwidth":
             # Verification runs already pay for a pure-Python re-solve;
             # the combinatorial lower bound is noise next to that, and
             # turns every verified solve into a quality sample.
-            gap = optimality_gap(
+            event["optimality_gap"] = optimality_gap(
                 result.weight, chain_bandwidth_lower_bound(chain, bound)
             )
-            self.metrics.histogram("solve.optimality_gap").observe(gap)
-        if self.hub.enabled:
-            self.hub.publish(
-                {
-                    "kind": "event",
-                    "event": "solve",
-                    "objective": objective,
-                    "n": chain.num_tasks,
-                    "bound": bound,
-                    "weight": result.weight,
-                    "ok": True,
-                    "duration_s": duration,
-                }
-            )
-            self.hub.publish_metric("engine.query_latency_s", "observe", duration)
-            if gap is not None:
-                self.hub.publish_metric("solve.optimality_gap", "observe", gap)
+        self._report(event)
         return result
 
     def _solve(
@@ -382,8 +395,10 @@ class PartitionEngine:
         objective: str,
         search: str,
         tracer: Optional[Tracer],
+        report: Report,
     ) -> ChainCutResult:
-        """One query, spans recorded on ``tracer`` when given."""
+        """One query, spans recorded on ``tracer`` when given and the
+        plan call's event sent to ``report``."""
         if objective != "bandwidth":
             if objective not in OBJECTIVES:
                 raise ValueError(
@@ -392,11 +407,66 @@ class PartitionEngine:
             return partition_chain(chain, bound, objective)
         if self.backend != "numpy" or search != "binary":
             return bandwidth_min(chain, bound, search=search, tracer=tracer)
-        plan = self.cache.get(
-            chain, tracer=tracer, metrics=self.metrics, hub=self.hub
-        )
-        weights, cuts = plan.solve_bounds([bound], return_cuts=True)
+        weights, cuts = self._plan_solve(chain, [bound], True, tracer, report)
         return ChainCutResult(chain, cuts[0], float(weights[0]))
+
+    def _plan_solve(
+        self,
+        chain: Chain,
+        bounds: Sequence[float],
+        return_cuts: bool,
+        tracer: Optional[Tracer],
+        report: Report,
+    ) -> Any:
+        """One plan call: the chain's plan from :attr:`cache`, one
+        ``solve_bounds``, and one ``plan`` event sent to ``report``.
+
+        The event is the call's exact ``stats`` delta (a per-call
+        :class:`~repro.engine.plan.PlanStats` tally) plus whether the
+        plan-cache lookup hit.  With a ``tracer``, a compiling lookup
+        runs in a ``plan_compile`` span and the sweep in a
+        ``plan_solve_bounds`` span carrying the same delta; its
+        ``outcome`` is ``miss`` if the call built a structure, else
+        ``interval_hit`` if any bound was served off its build bound,
+        else ``hit``.
+        """
+        cache, metrics, hub = self.cache, self.metrics, self.hub
+        if tracer is not None and chain not in cache:
+            with tracer.span("plan_compile", n=chain.num_tasks):
+                plan, hit = cache.lookup(chain, metrics=metrics, hub=hub)
+        else:
+            plan, hit = cache.lookup(chain, metrics=metrics, hub=hub)
+        call = PlanStats()
+        if tracer is None:
+            out = plan.solve_bounds(bounds, return_cuts=return_cuts, tally=call)
+        else:
+            with tracer.span("plan_solve_bounds", n=chain.num_tasks) as span:
+                out = plan.solve_bounds(
+                    bounds, return_cuts=return_cuts, tally=call
+                )
+        built = call.misses
+        event: Event = {
+            "kind": "event",
+            "event": "plan",
+            "n": chain.num_tasks,
+            "queries": call.queries,
+            "cache": "hit" if hit else "miss",
+            "structures_built": built,
+            "structures_reused": call.reused,
+            "outcome": (
+                "miss" if built
+                else ("interval_hit" if call.interval_hits else "hit")
+            ),
+        }
+        if tracer is not None:
+            for key in ("queries", "structures_built", "structures_reused",
+                        "outcome"):
+                span.set(key, event[key])
+            span.add("cache_hits", call.hits)
+            span.add("cache_interval_hits", call.interval_hits)
+            span.add("cache_misses", built)
+        report(event)
+        return out
 
     # ------------------------------------------------------------------
     # Multi-query sweeps (compiled plans)
@@ -431,31 +501,18 @@ class PartitionEngine:
                 return weights, [list(r.cut_indices) for r in results]
             return weights
         tracer = self.tracer if self.tracer.enabled else None
-        plan = self.cache.get(
-            chain, tracer=tracer, metrics=self.metrics, hub=self.hub
-        )
-        return plan.solve_bounds(bounds, return_cuts=return_cuts)
+        return self._plan_solve(chain, bounds, return_cuts, tracer, self._report)
 
     def cache_stats(self) -> CacheStats:
         return self.cache.stats
 
     def snapshot_metrics(self) -> MetricsRegistry:
-        """The engine's registry with current cache gauges folded in.
+        """The engine's registry, ready to export.
 
-        Plan-cache hit/miss counts accumulate on :class:`CacheStats` (no
-        per-lookup metric cost); this snapshot mirrors them into the
-        registry so one export carries everything.
+        Every instrument is folded from a reported event as it happens,
+        so the registry is always current and holds exactly what a
+        stream of the same run folds to.
         """
-        plan_stats = self.cache.stats
-        self.metrics.gauge("engine.plan.cache.hits").set(plan_stats.hits)
-        self.metrics.gauge("engine.plan.cache.misses").set(plan_stats.misses)
-        self.metrics.gauge("engine.plan.cache.evictions").set(
-            plan_stats.evictions
-        )
-        self.metrics.gauge("engine.plan.cache.plans").set(len(self.cache))
-        self.metrics.gauge("engine.plan.cache.occupancy").set(
-            self.cache.occupancy
-        )
         return self.metrics
 
     # ------------------------------------------------------------------
@@ -511,8 +568,7 @@ class PartitionEngine:
                 for result in pool.map(
                     _solve_payload, grouped, chunksize=chunksize
                 ):
-                    if self.hub.enabled:
-                        self._publish_result(result)
+                    self._publish_result(result)
                     results.append(result)
             results.sort(key=lambda r: r.index)
         self._aggregate_batch(results, workers, time.perf_counter() - t0)
@@ -534,8 +590,7 @@ class PartitionEngine:
             answers = []
             for p in payloads:
                 answer = _solve_payload(p, self)
-                if self.hub.enabled:
-                    self._publish_result(answer)
+                self._publish_result(answer)
                 answers.append(answer)
             return answers
         groups: Dict[Tuple[tuple, tuple], List[tuple]] = {}
@@ -563,8 +618,7 @@ class PartitionEngine:
                 # error lands on the offending query only.
                 for p in eligible:
                     results[p[0]] = _solve_payload(p, self)
-                    if self.hub.enabled:
-                        self._publish_result(results[p[0]])
+                    self._publish_result(results[p[0]])
                 continue
             share = (time.perf_counter() - t0) / len(eligible)
             verify = "REPRO_VERIFY" in os.environ
@@ -583,88 +637,62 @@ class PartitionEngine:
                         chain_bandwidth_lower_bound(chain, p[3]),
                     )
                 results[p[0]] = answer
-                if self.hub.enabled:
-                    self._publish_result(answer)
+                self._publish_result(answer)
         out: List[QueryResult] = []
         for p, result in zip(payloads, results):
             if result is None:
                 result = _solve_payload(p, self)
-                if self.hub.enabled:
-                    self._publish_result(result)
+                self._publish_result(result)
             out.append(result)
         return out
 
     def _publish_result(self, result: QueryResult) -> None:
-        """Stream one finished query to the live hub (call sites guard
-        on ``hub.enabled`` — REPRO012 — so the disabled path never gets
-        here)."""
-        hub = self.hub
-        if hub.enabled:
-            telemetry = result.telemetry or {}
-            duration = telemetry.get("duration_s", 0.0)
-            hub.publish(
-                {
-                    "kind": "event",
-                    "event": "solve",
-                    "index": result.index,
-                    "tag": result.tag,
-                    "objective": result.objective,
-                    "bound": result.bound,
-                    "ok": result.ok,
-                    "weight": result.weight,
-                    "error": result.error,
-                    "duration_s": duration,
-                }
-            )
-            hub.publish_metric(
-                "engine.batch.query_latency_s", "observe", duration
-            )
-            if "optimality_gap" in telemetry:
-                hub.publish_metric(
-                    "solve.optimality_gap", "observe",
-                    telemetry["optimality_gap"],
-                )
+        """Report one finished query: the ``plan`` event it shipped,
+        then its ``solve`` event."""
+        telemetry = result.telemetry or {}
+        plan = telemetry.get("plan")
+        if plan is not None:
+            self._report(plan)
+        event: Event = {
+            "kind": "event",
+            "event": "solve",
+            "index": result.index,
+            "tag": result.tag,
+            "objective": result.objective,
+            "bound": result.bound,
+            "ok": result.ok,
+            "weight": result.weight,
+            "error": result.error,
+            "duration_s": telemetry.get("duration_s", 0.0),
+        }
+        if "optimality_gap" in telemetry:
+            event["optimality_gap"] = telemetry["optimality_gap"]
+        self._report(event)
 
     def _aggregate_batch(
         self, results: List[QueryResult], workers: int, wall_s: float
     ) -> None:
-        """Merge per-result telemetry into ``last_batch_stats`` and the
-        engine registry — the fix for workers silently discarding their
-        ``OpCounter``/``CacheStats``.  Results arrive (and are folded)
-        in query order, so the aggregate is deterministic."""
+        """Fold the results into ``last_batch_stats`` and report the
+        closing ``batch`` event.  Results are folded in query order, so
+        the aggregate is deterministic."""
         batch = BatchStats(workers=workers)
         batch.wall_s = wall_s
         for result in results:
             batch.absorb(result)
         self.last_batch_stats = batch
-        metrics = self.metrics
-        metrics.counter("engine.batch.batches").inc()
-        metrics.counter("engine.batch.queries").inc(batch.queries)
-        metrics.counter("engine.batch.failures").inc(batch.failures)
-        metrics.counter("engine.batch.cache_hits").inc(
-            batch.cache.hits + batch.cache.interval_hits
+        self._report(
+            {
+                "kind": "event",
+                "event": "batch",
+                "queries": batch.queries,
+                "failures": batch.failures,
+                "workers": workers,
+                "wall_s": wall_s,
+                "cache_hit_rate": batch.cache.hit_rate,
+                "plan_occupancy": self.cache.occupancy,
+                "latency": batch.latency.summary(),
+            }
         )
-        metrics.counter("engine.batch.cache_misses").inc(batch.cache.misses)
-        metrics.gauge("engine.batch.workers").set(workers)
-        metrics.gauge("engine.batch.queue_depth").set(batch.queries)
-        metrics.histogram("engine.batch.wall_s").observe(wall_s)
-        metrics.histogram("engine.batch.query_latency_s").merge(batch.latency)
-        if batch.gap.count:
-            metrics.histogram("solve.optimality_gap").merge(batch.gap)
-        if self.hub.enabled:
-            self.hub.publish(
-                {
-                    "kind": "event",
-                    "event": "batch",
-                    "queries": batch.queries,
-                    "failures": batch.failures,
-                    "workers": workers,
-                    "wall_s": wall_s,
-                    "cache_hit_rate": batch.cache.hit_rate,
-                    "plan_occupancy": self.cache.occupancy,
-                    "latency": batch.latency.summary(),
-                }
-            )
 
     def solve_jsonl(
         self,
@@ -715,10 +743,13 @@ def _solve_payload(
     """Solve one pickled query; never raises (errors land in the result).
 
     Always measures wall-clock and the cache-stats delta (a handful of
-    int reads — noise next to pickling); when the batch was submitted
-    with tracing on, also runs the query under a fresh per-query tracer
-    and serializes its spans into ``telemetry["spans"]``, which is how
-    worker-process spans cross back to the parent engine.
+    int reads — noise next to pickling) and keeps the query's ``plan``
+    event in ``telemetry["plan"]`` instead of reporting it, so the
+    parent engine reports it with the result, in or out of process.
+    When the batch was submitted with tracing on, also runs the query
+    under a fresh per-query tracer and serializes its spans into
+    ``telemetry["spans"]``, which is how worker-process spans cross
+    back to the parent engine.
     """
     index, alpha, beta, bound, objective, tag, backend, trace = payload
     if engine is None:
@@ -726,11 +757,14 @@ def _solve_payload(
     stats = engine.cache.stats
     before = (stats.hits, stats.interval_hits, stats.misses, stats.evictions)
     tracer = Tracer() if trace else None
+    shipped: List[Event] = []
     t0 = time.perf_counter()
     gap: Optional[float] = None
     try:
         chain = Chain(list(alpha), list(beta))
-        result = engine._solve(chain, bound, objective, "binary", tracer)
+        result = engine._solve(
+            chain, bound, objective, "binary", tracer, shipped.append
+        )
         answer = QueryResult(
             index,
             tag,
@@ -757,6 +791,8 @@ def _solve_payload(
             "evictions": stats.evictions - before[3],
         },
     }
+    if shipped:
+        telemetry["plan"] = shipped[0]
     if gap is not None:
         telemetry["optimality_gap"] = gap
     if tracer is not None:

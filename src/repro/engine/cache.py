@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.engine.plan import CacheStats, CompiledChainPlan, compile_chain
 from repro.graphs.chain import Chain
-from repro.observability.live import NULL_HUB
 from repro.verify.markers import concurrent_entry, shared_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.observability import MetricsRegistry, Tracer
-    from repro.observability.spans import HubLike
+    from repro.observability import MetricsRegistry
+    from repro.observability.live import HubLike
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -49,10 +48,10 @@ class PlanCache:
     a plan's answers are pure functions of that content.
 
     :attr:`stats` counts plan lookups (``interval_hits`` stays zero);
-    each plan's own ``stats`` counts its structure-memo lookups.  When
-    :meth:`get` is given a live ``hub``, plan compiles (misses) and
-    evictions publish ``cache`` events on it — the feed the
-    ``repro top`` cache gauge watches.
+    each plan's own ``stats`` counts its structure-memo lookups.  A
+    compile (miss) and an eviction each make one ``cache`` event
+    carrying the cache's running totals, folded into the ``metrics``
+    given to :meth:`get` and published on its ``hub`` when live.
 
     Thread-safe under one reentrant ``_lock`` (``@shared_state``); each
     plan guards its own memo with its own lock.
@@ -66,63 +65,75 @@ class PlanCache:
         self._plans: "OrderedDict[str, CompiledChainPlan]" = OrderedDict()
         self._lock = threading.RLock()
 
-    def _publish_cache_event(self, action: str, hub: "HubLike") -> None:
-        """Publish one ``cache`` event (callers guard on ``hub.enabled``)."""
-        if hub.enabled:
-            stats = self.stats
-            hub.publish(
-                {
-                    "kind": "event",
-                    "event": "cache",
-                    "action": action,
-                    "hits": stats.hits,
-                    "interval_hits": stats.interval_hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "hit_rate": stats.hit_rate,
-                }
-            )
+    def _report(
+        self,
+        action: str,
+        metrics: Optional["MetricsRegistry"],
+        hub: Optional["HubLike"],
+    ) -> None:
+        """Fold one ``cache`` event into ``metrics`` and publish it on a
+        live ``hub``."""
+        stats = self.stats
+        event = {
+            "kind": "event",
+            "event": "cache",
+            "action": action,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "evictions": stats.evictions,
+            "hit_rate": stats.hit_rate,
+            "plans": len(self._plans),
+            "occupancy": self.occupancy,
+        }
+        if metrics is not None:
+            metrics.emit(event)
+        if hub is not None and hub.enabled:
+            hub.publish(event)
 
     @concurrent_entry
     def get(
         self,
         chain: Chain,
         *,
-        tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         hub: Optional["HubLike"] = None,
     ) -> CompiledChainPlan:
-        """The cached plan for ``chain``, compiling one on first sight.
+        """The cached plan for ``chain``, compiling one on first sight."""
+        return self.lookup(chain, metrics=metrics, hub=hub)[0]
 
-        A cache hit rebinds the plan's ``tracer``/``metrics``/``hub`` to
-        the caller's so telemetry always lands in the live registry.
-        """
-        if hub is None:
-            hub = NULL_HUB
+    @concurrent_entry
+    def lookup(
+        self,
+        chain: Chain,
+        *,
+        metrics: Optional["MetricsRegistry"] = None,
+        hub: Optional["HubLike"] = None,
+    ) -> Tuple[CompiledChainPlan, bool]:
+        """Like :meth:`get`, and also whether this lookup hit."""
         key = chain.fingerprint()
         with self._lock:
             plan = self._plans.get(key)
-            if plan is None:
-                plan = compile_chain(
-                    chain, tracer=tracer, metrics=metrics, hub=hub
-                )
-                self._plans[key] = plan
-                self.stats.misses += 1
-                evicted = len(self._plans) > self.max_plans
-                if evicted:
-                    self._plans.popitem(last=False)
-                    self.stats.evictions += 1
-                if hub.enabled:
-                    self._publish_cache_event("miss", hub)
-                    if evicted:
-                        self._publish_cache_event("evict", hub)
-            else:
+            if plan is not None:
                 self._plans.move_to_end(key)
-                plan.tracer = tracer
-                plan.metrics = metrics
-                plan.hub = hub
                 self.stats.hits += 1
-            return plan
+                return plan, True
+            plan = compile_chain(chain)
+            self._plans[key] = plan
+            self.stats.misses += 1
+            evicted = len(self._plans) > self.max_plans
+            if evicted:
+                self._plans.popitem(last=False)
+                self.stats.evictions += 1
+            self._report("miss", metrics, hub)
+            if evicted:
+                self._report("evict", metrics, hub)
+            return plan, False
+
+    @concurrent_entry
+    def __contains__(self, chain: Chain) -> bool:
+        """Whether ``chain``'s plan is cached (no LRU or stats effect)."""
+        with self._lock:
+            return chain.fingerprint() in self._plans
 
     @concurrent_entry
     def clear(self) -> None:

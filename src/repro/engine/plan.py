@@ -24,10 +24,14 @@ serves on that chain —
   over the query axis — the one place the TEMP_S recurrence is a
   literal batched array program.
 
-Built structures live in the plan's stability-interval memo, which
-counts exact hits, interval hits, misses and evictions on
-:attr:`CompiledChainPlan.stats`.  The memo is mutated only under the
-plan's ``@shared_state`` lock, so one plan may serve many threads.
+Built structures live in the plan's stability-interval memo.  Every
+fact a plan knows about its own work is a plain integer on
+:attr:`CompiledChainPlan.stats` (a :class:`PlanStats`): memo hits,
+interval hits, misses (= structures built), reuses and evictions, plus
+sweeps and queries answered.  Plans carry no telemetry handles; the
+engine hands each plan call a :class:`PlanStats` tally of that call's
+delta and reports it as one ``plan`` event.  The memo is mutated only under the plan's
+``@shared_state`` lock, so one plan may serve many threads.
 
 Exactness is non-negotiable: both sweeps evaluate the same float
 expressions in the same order as the scalar reference, so results are
@@ -48,7 +52,7 @@ import os
 import threading
 from bisect import bisect_right, insort
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.kernels import (
     beta_array,
@@ -64,8 +68,6 @@ from repro.engine.kernels import (
     validate_bound_array,
 )
 from repro.graphs.chain import Chain
-from repro.observability.live import NULL_HUB
-from repro.observability.spans import NULL_SPAN
 from repro.verify.contracts import complexity
 from repro.verify.markers import concurrent_entry, shared_state
 
@@ -74,10 +76,7 @@ try:  # pragma: no cover - exercised implicitly by every import
 except ImportError:  # pragma: no cover - exercised on minimal installs
     np = None  # type: ignore[assignment]
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.observability import MetricsRegistry, Tracer
-
-__all__ = ["CacheStats", "CompiledChainPlan", "compile_chain"]
+__all__ = ["CacheStats", "CompiledChainPlan", "PlanStats", "compile_chain"]
 
 #: Queries whose bounds land in an already-built stability interval are
 #: served from this per-plan memo; beyond this many distinct intervals
@@ -136,6 +135,50 @@ class CacheStats:
         return (self.hits + self.interval_hits) / total if total else 0.0
 
 
+class PlanStats(CacheStats):
+    """A plan's own counts: memo lookups plus the work they led to.
+
+    ``misses`` counts structures built (each memo miss builds one);
+    ``reused`` counts stability-interval groups served from the memo;
+    ``sweeps`` and ``queries`` count ``solve_bounds``/``solve_beta_sweep``
+    calls and the bounds or β rows they answered.  Equality compares
+    the lookup counts only, as for :class:`CacheStats`.
+    """
+
+    __slots__ = ("reused", "sweeps", "queries")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reused = 0
+        self.sweeps = 0
+        self.queries = 0
+
+    @property
+    def built(self) -> int:
+        """Structures built: one per memo miss."""
+        return self.misses
+
+    def record(
+        self, hits: int, interval_hits: int, misses: int, reused: int,
+        queries: int,
+    ) -> None:
+        """Add one sweep's counts."""
+        self.hits += hits
+        self.interval_hits += interval_hits
+        self.misses += misses
+        self.reused += reused
+        self.sweeps += 1
+        self.queries += queries
+
+    def __repr__(self) -> str:
+        return (
+            f"PlanStats(hits={self.hits}, interval_hits={self.interval_hits}, "
+            f"misses={self.misses}, evictions={self.evictions}, "
+            f"reused={self.reused}, sweeps={self.sweeps}, "
+            f"queries={self.queries})"
+        )
+
+
 class _FrozenStructure:
     """One built prime structure, frozen to what queries consume.
 
@@ -189,9 +232,6 @@ class CompiledChainPlan:
 
     __slots__ = (
         "chain",
-        "tracer",
-        "metrics",
-        "hub",
         "max_structures",
         "stats",
         "_prefix",
@@ -206,18 +246,12 @@ class CompiledChainPlan:
         self,
         chain: Chain,
         *,
-        tracer: Optional["Tracer"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-        hub: Any = None,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ) -> None:
         require_numpy()
         self.chain = chain
-        self.tracer = tracer
-        self.metrics = metrics
-        self.hub = hub or NULL_HUB
         self.max_structures = max(1, int(max_structures))
-        self.stats = CacheStats()
+        self.stats = PlanStats()
         self._prefix = prefix_array(chain)
         self._beta = beta_array(chain)
         self._alpha_max = chain.max_vertex_weight()
@@ -249,10 +283,6 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     # Structure builds
     # ------------------------------------------------------------------
-    def _count(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
     def _windows(self, bound: float) -> Tuple["np.ndarray", "np.ndarray", float]:
         """Prime windows for ``bound`` plus the stability-interval end."""
         prefix = self._prefix
@@ -311,18 +341,6 @@ class CompiledChainPlan:
                 _, weight = temps_sweep(None, edge_weight, edge_first, edge_last)
         frozen = _FrozenStructure(bound, valid_until, weight, cut, p, r)
         self._remember(frozen)
-        self._count("engine.plan.structures.built")
-        if self.hub.enabled:
-            self.hub.publish(
-                {
-                    "kind": "event",
-                    "event": "plan",
-                    "action": "structure_built",
-                    "bound": bound,
-                    "n": self.chain.num_tasks,
-                    "structures": len(self._memo),
-                }
-            )
         return frozen
 
     def _remember(self, frozen: _FrozenStructure) -> None:
@@ -384,6 +402,7 @@ class CompiledChainPlan:
         ks: Union[Sequence[float], "np.ndarray"],
         *,
         return_cuts: bool = False,
+        tally: Optional[PlanStats] = None,
     ) -> Any:
         """Optimal bandwidth for every bound in ``ks`` — one batched pass.
 
@@ -398,10 +417,10 @@ class CompiledChainPlan:
         Every element is bit-identical to
         ``bandwidth_min(chain, k).weight`` at the same ``k``; under
         ``REPRO_VERIFY=1`` each one is certified against the pure-Python
-        solver before the sweep returns.  An enabled tracer records a
-        ``plan_solve_bounds`` span whose ``outcome`` attribute is
-        ``miss`` if the call built a structure, else ``interval_hit`` if
-        any bound was served off its build bound, else ``hit``.
+        solver before the sweep returns.  The call's lookups, builds and
+        reuses are added to :attr:`stats` and, when given, to ``tally``
+        (the caller's exact per-call delta, however many threads share
+        the plan).
 
         Raises :class:`~repro.core.feasibility.InfeasibleBoundError` if
         any bound is below the maximum task weight, and ``ValueError``
@@ -414,19 +433,11 @@ class CompiledChainPlan:
             raise ValueError("ks must contain at least one bound")
         if not np.isfinite(arr).all():
             raise ValueError("ks must be finite")
-        tracer = self.tracer
         with self._lock:
-            if tracer is not None and tracer.enabled:
-                with tracer.span(
-                    "plan_solve_bounds",
-                    n=self.chain.num_tasks,
-                    queries=arr.shape[0],
-                ) as span:
-                    return self._solve_bounds_impl(arr, return_cuts, span)
-            return self._solve_bounds_impl(arr, return_cuts, None)
+            return self._solve_bounds_impl(arr, return_cuts, tally)
 
     def _solve_bounds_impl(
-        self, arr: "np.ndarray", return_cuts: bool, span: Any
+        self, arr: "np.ndarray", return_cuts: bool, tally: Optional[PlanStats]
     ) -> Any:
         order = np.argsort(arr, kind="stable")
         # One feasibility check clears the whole batch: bounds are
@@ -468,37 +479,9 @@ class CompiledChainPlan:
                 if verify:
                     self._verify_answer(ks[i], cut, weight)
                 i += 1
-        stats = self.stats
-        stats.hits += hits
-        stats.interval_hits += interval_hits
-        stats.misses += misses
-        self._count("engine.plan.sweeps")
-        self._count("engine.plan.queries", total)
-        self._count("engine.plan.structures.reused", reused)
-        if self.metrics is not None:
-            self.metrics.histogram("engine.plan.sweep_batch_size").observe(total)
-        if self.hub.enabled:
-            self.hub.publish(
-                {
-                    "kind": "event",
-                    "event": "plan",
-                    "action": "sweep",
-                    "n": self.chain.num_tasks,
-                    "queries": total,
-                    "structures_built": misses,
-                    "structures_reused": reused,
-                }
-            )
-        if span is not None:
-            span.set("structures_built", misses)
-            span.set("structures_reused", reused)
-            span.set(
-                "outcome",
-                "miss" if misses else ("interval_hit" if interval_hits else "hit"),
-            )
-            span.add("cache_hits", hits)
-            span.add("cache_interval_hits", interval_hits)
-            span.add("cache_misses", misses)
+        self.stats.record(hits, interval_hits, misses, reused, total)
+        if tally is not None:
+            tally.record(hits, interval_hits, misses, reused, total)
         if return_cuts:
             return weights, cuts
         return weights
@@ -547,20 +530,9 @@ class CompiledChainPlan:
         if not np.isfinite(mat).all() or (mat < 0).any():
             raise ValueError("beta rows must be finite and non-negative")
         validate_bound_array(self._alpha_max, float(bound))
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "plan_beta_sweep", n=self.chain.num_tasks, queries=mat.shape[0]
-            ):
-                out = self._solve_beta_sweep_impl(mat, bound)
-        else:
-            out = self._solve_beta_sweep_impl(mat, bound)
-        self._count("engine.plan.sweeps")
-        self._count("engine.plan.queries", mat.shape[0])
-        if self.metrics is not None:
-            self.metrics.histogram("engine.plan.sweep_batch_size").observe(
-                mat.shape[0]
-            )
+        out = self._solve_beta_sweep_impl(mat, bound)
+        with self._lock:
+            self.stats.record(0, 0, 0, 0, mat.shape[0])
         if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs
             self._verify_beta_sweep(mat, bound, out)
         return out
@@ -643,44 +615,13 @@ class CompiledChainPlan:
 
 @complexity("n")
 def compile_chain(
-    chain: Chain,
-    *,
-    tracer: Optional["Tracer"] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    hub: Any = None,
-    max_structures: int = DEFAULT_MAX_STRUCTURES,
+    chain: Chain, *, max_structures: int = DEFAULT_MAX_STRUCTURES
 ) -> CompiledChainPlan:
     """Compile ``chain`` into a :class:`CompiledChainPlan` — ``O(n)``.
 
     Runs the chain-level half of Algorithm 4.1's preprocessing (prefix
     weights, β table, feasibility floor) once and freezes it; the
     returned plan then answers bound sweeps and β sweeps with no
-    per-query Python dispatch (plans *are* the NumPy fast path); an
-    enabled ``tracer`` records a ``plan_compile`` span and ``metrics``
-    receives ``engine.plan.compiled``.
+    per-query Python dispatch (plans *are* the NumPy fast path).
     """
-    span = (
-        tracer.span("plan_compile", n=chain.num_tasks)
-        if tracer is not None and tracer.enabled
-        else NULL_SPAN
-    )
-    with span:
-        plan = CompiledChainPlan(
-            chain,
-            tracer=tracer,
-            metrics=metrics,
-            hub=hub,
-            max_structures=max_structures,
-        )
-    if metrics is not None:
-        metrics.counter("engine.plan.compiled").inc()
-    if plan.hub.enabled:
-        plan.hub.publish(
-            {
-                "kind": "event",
-                "event": "plan",
-                "action": "compiled",
-                "n": chain.num_tasks,
-            }
-        )
-    return plan
+    return CompiledChainPlan(chain, max_structures=max_structures)

@@ -127,6 +127,15 @@ class Chain:
             return self._alpha[lo]
         return self._prefix[hi + 1] - self._prefix[lo]
 
+    def block_fits(self, lo: int, hi: int, bound: float) -> bool:
+        """Whether tasks ``lo .. hi`` fit in one block under ``bound``.
+
+        The one block-feasibility rule every chain solver shares:
+        :meth:`segment_weight` ``<= bound``, so a single task always fits
+        a bound the API accepts (``bound >= max alpha``).
+        """
+        return self.segment_weight(lo, hi) <= bound
+
     def _forbid_edges(self, forbidden: Iterable[int]) -> "Chain":
         """A copy whose ``forbidden`` edges weigh ``+inf``.
 

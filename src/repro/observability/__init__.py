@@ -1,6 +1,6 @@
 """Unified tracing, metrics and live telemetry for the partitioning stack.
 
-Six pieces, layered next to :mod:`repro.instrumentation` at the
+Five pieces, layered next to :mod:`repro.instrumentation` at the
 foundation of the package (nothing here imports above it):
 
 - :mod:`repro.observability.spans` — :class:`Tracer`/:class:`Span`
@@ -8,16 +8,13 @@ foundation of the package (nothing here imports above it):
   disabled mode (:data:`NULL_TRACER`);
 - :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters, gauges and hybrid exact/log-bucketed percentile
-  :class:`Histogram` instruments that merge deterministically across
-  processes;
+  :class:`Histogram` instruments, and :meth:`MetricsRegistry.emit`, the
+  one fold from engine events to instruments;
 - :mod:`repro.observability.live` — the push-based
   :class:`TelemetryHub` with pluggable subscribers: crash-safe
   streaming JSONL (:class:`StreamingJsonlSink`), bounded
   :class:`RingBufferSubscriber`, plus a zero-overhead
   :data:`NULL_HUB`;
-- :mod:`repro.observability.slo` — :class:`SloSpec`/:class:`SloTracker`
-  sliding-window p50/p95/p99 objectives with violation and burn-rate
-  detection over live events;
 - :mod:`repro.observability.profiler` — :class:`ProfileSampler`, a
   stdlib stack-sampling profiler emitting collapsed-stack flamegraph
   input (``repro run --profile``);
@@ -57,7 +54,6 @@ from repro.observability.metrics import (
     nearest_rank,
 )
 from repro.observability.profiler import ProfileSampler
-from repro.observability.slo import SlidingWindow, SloSpec, SloTracker
 from repro.observability.spans import NULL_SPAN, NULL_TRACER, NullSpan, Span, Tracer
 
 __all__ = [
@@ -73,9 +69,6 @@ __all__ = [
     "NullTelemetryHub",
     "ProfileSampler",
     "RingBufferSubscriber",
-    "SlidingWindow",
-    "SloSpec",
-    "SloTracker",
     "Span",
     "StreamingJsonlSink",
     "TRACE_SCHEMA_VERSION",

@@ -9,10 +9,12 @@ distinguishable by their ``kind`` field (schema v2):
   one per span, depth-first (see :meth:`Tracer.records`);
 - ``{"kind": "metric", "type": "counter" | "gauge" | "histogram", ...}``
   — one per registry instrument (see :meth:`MetricsRegistry.records`);
-- ``{"kind": "event", "event": "span" | "metric" | "solve" | "batch" |
-  ..., "t": <monotonic seconds>, ...}`` — live-streamed records pushed
+- ``{"kind": "event", "event": "solve" | "plan" | "cache" | "batch",
+  "t": <monotonic seconds>, ...}`` — live-streamed records pushed
   through a :class:`~repro.observability.live.TelemetryHub` *while* a
-  run executes (new in v2).
+  run executes (new in v2); folding them with
+  :meth:`~repro.observability.metrics.MetricsRegistry.emit` gives the
+  ``metric`` records of the same run.
 
 **v1 → v2 migration.**  v2 is a superset: every v1 file is a valid v2
 file (v1 simply contains no ``event`` records, and all its histogram

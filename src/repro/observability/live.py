@@ -1,12 +1,13 @@
 """Push-based live telemetry: the hub, sinks and ring buffers.
 
-The PR 2 observability layer is post-hoc — spans and metrics buffer in
-memory and dump one JSONL file at exit.  A long-lived service (ROADMAP
-item 1) needs the opposite shape: components *push* events as they
-happen, and pluggable subscribers decide what to do with them —
-stream them to disk (:class:`StreamingJsonlSink`), keep a bounded
-recent window in memory (:class:`RingBufferSubscriber`), or fold them
-into sliding-window SLOs (:class:`repro.observability.slo.SloTracker`).
+Spans and a metrics registry buffer in memory and dump one JSONL file
+at exit; a long-running batch also needs the opposite shape: the engine
+*pushes* each event as it happens, and pluggable subscribers decide
+what to do with it — stream it to disk (:class:`StreamingJsonlSink`),
+keep a bounded recent window in memory (:class:`RingBufferSubscriber`),
+fold it into instruments
+(:meth:`repro.observability.metrics.MetricsRegistry.emit`) or into the
+``repro top`` dashboard.
 
 Like the tracer, the hub has a zero-overhead null twin: hot paths guard
 every publish with ``if hub.enabled:`` so disabled telemetry costs one
@@ -26,7 +27,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.verify.markers import concurrent_entry, shared_state
 
@@ -68,12 +69,6 @@ class NullTelemetryHub:
 
     def publish(self, event: Event) -> None:
         """Discard the event."""
-
-    def publish_span(self, record: Event) -> None:
-        """Discard the span record."""
-
-    def publish_metric(self, name: str, kind: str, value: float) -> None:
-        """Discard the metric delta."""
 
     def subscribe(self, subscriber: TelemetrySubscriber) -> None:
         raise RuntimeError("cannot subscribe to the null telemetry hub")
@@ -148,26 +143,14 @@ class TelemetryHub:
                 self._subscribers.remove(subscriber)
 
     @concurrent_entry
-    def publish_span(self, record: Event) -> None:
-        """Publish a span-close event (record from ``Span.to_record``)."""
-        event = dict(record)
-        event["kind"] = "event"
-        event["event"] = "span"
-        self.publish(event)
-
-    @concurrent_entry
-    def publish_metric(self, name: str, kind: str, value: float) -> None:
-        """Publish a metric-delta event (counter inc, gauge set, observe)."""
-        self.publish(
-            {"kind": "event", "event": "metric", "metric": kind,
-             "name": name, "value": value}
-        )
-
-    @concurrent_entry
     def close(self) -> None:
         with self._lock:
             for subscriber in self._subscribers:
                 subscriber.close()
+
+
+#: Anything a hub is accepted as: a live hub or the null hub.
+HubLike = Union[TelemetryHub, NullTelemetryHub]
 
 
 def _truncate_torn_tail(path: str) -> int:
@@ -292,8 +275,7 @@ class StreamingJsonlSink(TelemetrySubscriber):
 class RingBufferSubscriber(TelemetrySubscriber):
     """Bounded in-memory event buffer: keeps the most recent events.
 
-    Backs the sliding-window SLO tracker and ``repro top`` — O(capacity)
-    memory no matter how long the producer runs.
+    O(capacity) memory no matter how long the producer runs.
     """
 
     __slots__ = ("_events",)

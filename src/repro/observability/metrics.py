@@ -2,12 +2,13 @@
 
 Spans (:mod:`repro.observability.spans`) answer "where did this one run
 spend its time"; a :class:`MetricsRegistry` answers the fleet questions
-— cache hit-rate, kernel dispatch counts, batch queue depth, per-query
-latency percentiles — and survives process boundaries: a registry (or
-any of its instruments) round-trips through plain dicts
-(:meth:`MetricsRegistry.to_payload` / :meth:`MetricsRegistry.merge`),
-which is how ``solve_many`` workers ship their numbers back to the
-parent engine.
+— cache hit-rate, plan reuse, batch queue depth, per-query latency
+percentiles.  The engine reports each fact once, as an event dict, and
+:meth:`MetricsRegistry.emit` is the one place events become
+instruments: the engine folds its own events through it, and a trace
+reader folds a streamed file through it to get the same numbers.  A
+registry (or any of its instruments) also round-trips through plain
+dicts (:meth:`MetricsRegistry.to_payload` / :meth:`MetricsRegistry.merge`).
 
 Merging is deterministic: counters and histogram observations add, a
 gauge takes the merged-in value.  Histograms are *mergeable without a
@@ -28,9 +29,9 @@ from repro.verify.markers import concurrent_entry, shared_state
 def nearest_rank(ordered: List[float], pct: float) -> float:
     """Nearest-rank percentile of an ascending-sorted list; 0 when empty.
 
-    The single percentile definition shared by :class:`Histogram`, the
-    SLO window tracker and the ``repro top`` dashboard, so live windowed
-    numbers and post-hoc trace summaries agree exactly on the same data.
+    The single percentile definition shared by :class:`Histogram` and
+    the ``repro top`` dashboard, so live windowed numbers and post-hoc
+    trace summaries agree exactly on the same data.
     """
     if not ordered:
         return 0.0
@@ -460,6 +461,66 @@ class MetricsRegistry:
             if inst is None:
                 inst = self.histograms[name] = Histogram(name)
             return inst
+
+    # ------------------------------------------------------------------
+    # Event folding
+    # ------------------------------------------------------------------
+    @concurrent_entry
+    def emit(self, event: Mapping[str, Any]) -> None:
+        """Fold one telemetry event into instruments.
+
+        The only code that turns events into instruments (see the table
+        in ``docs/observability.md``).  ``solve`` events feed the
+        latency and optimality-gap histograms (a batch result carries
+        its ``index``; a single ``engine.solve`` does not), ``plan``
+        events the plan counters and the summed plan-cache hits and
+        misses, ``cache`` events the parent cache's gauges and
+        evictions, and ``batch`` events the batch totals.  Other events
+        are ignored.  Being a subscriber's ``emit``, it lets a registry
+        sit on a :class:`~repro.observability.live.TelemetryHub`.
+        """
+        kind = event.get("event")
+        if kind == "solve":
+            duration = event["duration_s"]
+            if "index" in event:
+                self.histogram("engine.batch.query_latency_s").observe(duration)
+            else:
+                self.counter("engine.queries").inc()
+                self.histogram("engine.query_latency_s").observe(duration)
+            if "optimality_gap" in event:
+                self.histogram("solve.optimality_gap").observe(
+                    event["optimality_gap"]
+                )
+        elif kind == "plan":
+            queries = event["queries"]
+            hit = event["cache"] == "hit"
+            self.counter(
+                "engine.plan.cache.hits" if hit else "engine.plan.cache.misses"
+            ).inc()
+            self.counter("engine.plan.sweeps").inc()
+            self.counter("engine.plan.queries").inc(queries)
+            self.counter("engine.plan.structures.built").inc(
+                event["structures_built"]
+            )
+            self.counter("engine.plan.structures.reused").inc(
+                event["structures_reused"]
+            )
+            self.histogram("engine.plan.sweep_batch_size").observe(queries)
+        elif kind == "cache":
+            if event["action"] == "evict":
+                self.counter("engine.plan.cache.evictions").inc()
+            self.gauge("engine.plan.cache.plans").set(event["plans"])
+            self.gauge("engine.plan.cache.occupancy").set(event["occupancy"])
+        elif kind == "batch":
+            self.counter("engine.batch.batches").inc()
+            self.counter("engine.batch.queries").inc(event["queries"])
+            self.counter("engine.batch.failures").inc(event["failures"])
+            self.gauge("engine.batch.workers").set(event["workers"])
+            self.gauge("engine.batch.queue_depth").set(event["queries"])
+            self.histogram("engine.batch.wall_s").observe(event["wall_s"])
+
+    def close(self) -> None:
+        """Subscriber protocol: nothing to release."""
 
     # ------------------------------------------------------------------
     # Serialization and merging

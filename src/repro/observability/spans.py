@@ -29,13 +29,9 @@ tracer unconditionally without taxing production calls.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.instrumentation.counters import NULL_COUNTER, OpCounter
-from repro.observability.live import NULL_HUB, NullTelemetryHub, TelemetryHub
-
-#: Anything a tracer can publish into: a real hub or the null hub.
-HubLike = Union[TelemetryHub, NullTelemetryHub]
 
 
 class NullSpan:
@@ -118,9 +114,6 @@ class Span:
     def __exit__(self, *exc_info: object) -> None:
         self.duration_s = time.perf_counter() - self._t0
         self._tracer._pop(self)
-        hub = self._tracer.hub
-        if hub.enabled:
-            hub.publish_span(self.to_record())
 
     def to_record(self) -> Dict[str, Any]:
         """This span as a JSON-ready record (the per-span shape of
@@ -179,15 +172,12 @@ class Tracer:
     the tracer (e.g. forcing the counted sweep path).
     """
 
-    __slots__ = ("enabled", "roots", "epoch", "hub", "_stack")
+    __slots__ = ("enabled", "roots", "epoch", "_stack")
 
-    def __init__(self, enabled: bool = True, hub: HubLike = NULL_HUB) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.roots: List[Span] = []
         self.epoch = time.perf_counter()
-        #: Live telemetry hub; every closed span is published into it
-        #: (guarded on ``hub.enabled``, so the default costs nothing).
-        self.hub = hub
         self._stack: List[Span] = []
 
     # ------------------------------------------------------------------

@@ -136,8 +136,6 @@ _IMPORT_FALLBACK_EXCEPTIONS = frozenset(("ImportError", "ModuleNotFoundError"))
 _REPORTING_CALLS = frozenset(
     (
         "publish",
-        "publish_span",
-        "publish_metric",
         "emit",
         "log",
         "debug",

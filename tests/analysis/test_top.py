@@ -11,17 +11,10 @@ from repro.analysis.top import (
 )
 
 
-def solve_event(t, duration, ok=True):
+def solve_event(t, duration, ok=True, **extra):
     return {
         "kind": "event", "event": "solve", "t": t, "ok": ok,
-        "duration_s": duration, "objective": "bandwidth",
-    }
-
-
-def latency_event(t, value, name="engine.batch.query_latency_s"):
-    return {
-        "kind": "event", "event": "metric", "metric": "observe",
-        "name": name, "value": value, "t": t,
+        "duration_s": duration, "objective": "bandwidth", **extra,
     }
 
 
@@ -29,16 +22,12 @@ def sample_records():
     records = [{"kind": "meta", "schema": 2, "workload": "batch"}]
     for i in range(10):
         t = float(i)
-        duration = 0.001 * (i + 1)
-        records.append(solve_event(t, duration, ok=i != 3))
-        records.append(latency_event(t, duration))
-        records.append(
-            {"kind": "event", "event": "metric", "metric": "observe",
-             "name": "solve.optimality_gap", "value": 0.05 * i, "t": t}
-        )
+        records.append(solve_event(t, 0.001 * (i + 1), ok=i != 3, index=i,
+                                   optimality_gap=0.05 * i))
     records.append(
         {"kind": "event", "event": "cache", "t": 9.0, "action": "miss",
-         "hit_rate": 0.75, "hits": 3, "misses": 1, "evictions": 0}
+         "hit_rate": 0.5, "hits": 1, "misses": 1, "evictions": 0,
+         "plans": 1, "occupancy": 0.0625}
     )
     records.append(
         {"kind": "event", "event": "batch", "t": 9.5, "queries": 10,
@@ -81,8 +70,9 @@ class TestDashboardState:
         assert snap["throughput_qps"] == 10 / 9.5
 
     def test_serial_latency_metric_also_counted(self):
+        # A single engine.solve event (no batch index) counts too.
         state = DashboardState(window_s=10.0)
-        state.ingest(latency_event(1.0, 0.002, name="engine.query_latency_s"))
+        state.ingest(solve_event(1.0, 0.002))
         assert state.snapshot()["window_count"] == 1
 
     def test_acts_as_hub_subscriber(self):
@@ -90,8 +80,20 @@ class TestDashboardState:
 
         state = DashboardState(window_s=60.0)
         hub = TelemetryHub([state], clock=lambda: 2.0)
-        hub.publish_metric("engine.query_latency_s", "observe", 0.004)
+        hub.publish({"kind": "event", "event": "solve", "duration_s": 0.004})
         assert state.snapshot()["p50_s"] == 0.004
+
+    def test_cache_gauges_follow_freshest_totals(self):
+        # A cache event published on a miss must not outlive the batch
+        # summary that follows it, nor a batch summary a later miss.
+        state = DashboardState(window_s=100.0)
+        state.ingest_all(sample_records())
+        snap = state.snapshot()
+        assert (snap["cache_hit_rate"], snap["plan_occupancy"]) == (0.75, 0.25)
+        state.ingest({"kind": "event", "event": "cache", "t": 10.0,
+                      "action": "miss", "hit_rate": 0.7, "occupancy": 0.3125})
+        snap = state.snapshot()
+        assert (snap["cache_hit_rate"], snap["plan_occupancy"]) == (0.7, 0.3125)
 
     def test_empty_state_renders(self):
         state = DashboardState()

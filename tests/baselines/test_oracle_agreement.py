@@ -1,0 +1,53 @@
+"""Every chain bandwidth solver agrees on bounds equal to a task weight.
+
+The oracles judge a block with the one rule :meth:`Chain.block_fits`.
+A raw prefix difference can put a single task a rounding step above
+its own weight, so with ``K`` equal to that weight the block looked
+infeasible and the oracles crashed.  Decimal weights make that
+cancellation common; ``K`` drawn from the task weights makes it bite.
+"""
+
+import random
+
+import pytest
+
+from repro.baselines.brute_force import chain_min_bandwidth
+from repro.baselines.exact_dp import bandwidth_min_dp
+from repro.baselines.nicol import bandwidth_min_nlogn
+from repro.baselines.sliding_window import bandwidth_min_deque
+from repro.core.bandwidth import bandwidth_min
+from repro.graphs.chain import Chain
+
+SOLVERS = (bandwidth_min, bandwidth_min_nlogn, bandwidth_min_dp, bandwidth_min_deque)
+
+DECIMALS = [i / 10 for i in range(1, 10)]
+
+
+def weights(chain, bound):
+    out = [solve(chain, bound).weight for solve in SOLVERS]
+    out.append(chain_min_bandwidth(chain, bound))
+    return [float(w).hex() for w in out]
+
+
+def test_single_task_block_at_max_weight():
+    chain = Chain([0.3, 0.2, 0.7, 0.3, 0.7, 0.3, 0.1],
+                  [0.3, 0.1, 0.3, 0.3, 0.7, 0.1])
+    assert weights(chain, 0.7) == [(1.4).hex()] * 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decimal_chains_with_task_weight_bounds(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        chain = Chain([rng.choice(DECIMALS) for _ in range(n)],
+                      [rng.choice(DECIMALS) for _ in range(n - 1)])
+        bound = chain.max_vertex_weight()
+        if rng.random() < 0.5:
+            # A bound equal to a multi-task block weight, as the
+            # prefix difference computes it.
+            lo = rng.randrange(n)
+            hi = rng.randrange(lo, n)
+            bound = max(bound, chain.segment_weight(lo, hi))
+        got = weights(chain, bound)
+        assert len(set(got)) == 1, (chain.alpha, chain.beta, bound, got)

@@ -340,8 +340,10 @@ class TestBatchTelemetry:
         metrics = engine.snapshot_metrics()
         names = {r["name"] for r in metrics.records()}
         assert "engine.batch.queries" in names
-        assert "engine.plan.cache.hits" in names
-        assert "engine.cache.hits" not in names  # one cache, one gauge set
+        # Four distinct chains: four compiles, counted under one name.
+        assert metrics.counter("engine.plan.cache.misses").value == 4
+        assert "engine.batch.cache_misses" not in names
+        assert "engine.cache.hits" not in names  # one cache, one name set
         assert "engine.batch.query_latency_s" in names
         assert metrics.counter("engine.batch.queries").value == 4
 

@@ -229,23 +229,22 @@ class TestCacheAccounting:
     def test_span_outcome_after_interval_hit(self):
         pytest.importorskip("numpy")
         from repro.core.prime_subpaths import compute_prime_structure
-        from repro.engine.plan import compile_chain
         from repro.observability import Tracer
 
         chain = random_chain(40, rng=3)
         bound = 1.5 * chain.max_vertex_weight()
         structure = compute_prime_structure(chain, bound)
         inside = (bound + structure.min_prime_weight()) / 2.0
-        plan = compile_chain(chain)
-        plan.tracer = Tracer()
-        plan.solve_bounds([bound])  # miss
-        plan.solve_bounds([inside])
-        assert plan.stats.interval_hits == 1
+        tracer = Tracer()
+        engine = PartitionEngine(tracer=tracer)
+        engine.solve_sweep(chain, [bound])  # miss
+        engine.solve_sweep(chain, [inside])
+        assert engine.plans.get(chain).stats.interval_hits == 1
         # An exact repeat AFTER an interval hit must still be reported
         # as a pure hit: the span deltas are per-call, not cumulative.
-        plan.solve_bounds([bound])
+        engine.solve_sweep(chain, [bound])
         records = [
-            r for r in plan.tracer.records() if r["name"] == "plan_solve_bounds"
+            r for r in tracer.records() if r["name"] == "plan_solve_bounds"
         ]
         assert [r["attrs"]["outcome"] for r in records] == [
             "miss", "interval_hit", "hit",

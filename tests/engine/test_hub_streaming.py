@@ -81,13 +81,15 @@ class TestBatchStreaming:
         assert events[-1] is batch
 
     def test_latency_metric_event_per_query(self):
-        events, _ = self.solve()
-        latencies = [
-            e for e in events
-            if e.get("event") == "metric"
-            and e.get("name") == "engine.batch.query_latency_s"
-        ]
-        assert len(latencies) == 6
+        # Each query's latency rides on its solve event, and the engine
+        # registry folds exactly those: one observation per query.
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
+        engine.solve_jsonl(jsonl(queries(6)))
+        solves = [e for e in ring.events() if e.get("event") == "solve"]
+        latency = engine.metrics.histogram("engine.batch.query_latency_s")
+        assert latency.count == len(solves) == 6
+        assert latency.values == [e["duration_s"] for e in solves]
 
     def test_pool_batch_streams_each_result(self):
         events, results = self.solve(workers=2)
@@ -115,10 +117,11 @@ class TestSingleSolveEvents:
         chain = random_chain(32, rng=0)
         engine.solve(chain, 4.0 * chain.max_vertex_weight())
         kinds = [e.get("event") for e in ring.events()]
-        assert "solve" in kinds
-        assert any(
-            e.get("name") == "engine.query_latency_s" for e in ring.events()
-        )
+        assert kinds == ["cache", "plan", "solve"]
+        (solve,) = [e for e in ring.events() if e["event"] == "solve"]
+        latency = engine.metrics.histogram("engine.query_latency_s")
+        assert latency.values == [solve["duration_s"]]
+        assert engine.metrics.counter("engine.queries").value == 1
 
     def test_optimality_gap_streams_under_verify(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "1")
@@ -126,11 +129,10 @@ class TestSingleSolveEvents:
         engine = PartitionEngine(hub=TelemetryHub([ring]))
         chain = random_chain(32, rng=0)
         engine.solve(chain, 4.0 * chain.max_vertex_weight())
-        (gap,) = [
-            e for e in ring.events()
-            if e.get("name") == "solve.optimality_gap"
-        ]
-        assert 0.0 <= gap["value"] <= 1.0
+        (solve,) = [e for e in ring.events() if "optimality_gap" in e]
+        assert 0.0 <= solve["optimality_gap"] <= 1.0
+        gaps = engine.metrics.histogram("solve.optimality_gap")
+        assert gaps.values == [solve["optimality_gap"]]
 
     def test_no_gap_event_without_verify(self, monkeypatch):
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
@@ -138,10 +140,8 @@ class TestSingleSolveEvents:
         engine = PartitionEngine(hub=TelemetryHub([ring]))
         chain = random_chain(32, rng=0)
         engine.solve(chain, 4.0 * chain.max_vertex_weight())
-        assert not [
-            e for e in ring.events()
-            if e.get("name") == "solve.optimality_gap"
-        ]
+        assert not [e for e in ring.events() if "optimality_gap" in e]
+        assert "solve.optimality_gap" not in engine.metrics.histograms
 
 
 class TestStreamedTraceFile:
@@ -154,9 +154,7 @@ class TestStreamedTraceFile:
         assert records[0]["kind"] == "meta"
         assert records[0]["schema"] == 2
         kinds = {r.get("event") for r in records if r["kind"] == "event"}
-        assert "solve" in kinds
-        assert "metric" in kinds
-        assert "batch" in kinds
+        assert kinds == {"solve", "plan", "cache", "batch"}
 
     def test_file_parseable_while_batch_is_mid_flight(self, tmp_path):
         # The crash-safety contract end-to-end: after every published
@@ -192,3 +190,45 @@ class TestStreamedTraceFile:
         assert gap_summary is not None
         assert gap_summary["count"] == 3
         assert 0.0 <= gap_summary["max"] <= 1.0
+
+
+class TestEachFactOnce:
+    """The engine reports each fact once, and the registry is the fold
+    of exactly the events it streamed."""
+
+    def solve(self, workers, tracer=None):
+        from repro.observability import MetricsRegistry
+
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(tracer=tracer, hub=TelemetryHub([ring]))
+        # 4 chains x 3 bounds: repeated chains, so the cache hits.
+        records = queries(4)
+        lines = jsonl([dict(r, bound=(2 + i) * r["bound"] / 4.0)
+                       for i in range(3) for r in records])
+        engine.solve_jsonl(lines, max_workers=workers)
+        folded = MetricsRegistry()
+        for event in ring.events():
+            folded.emit(event)
+        return engine, ring.events(), folded
+
+    def test_traced_serial_stream_counts(self):
+        from repro.observability import Tracer
+
+        engine, events, _ = self.solve(0, tracer=Tracer())
+        kinds = [(e["event"], e.get("action")) for e in events]
+        assert kinds.count(("solve", None)) == 12
+        assert kinds.count(("plan", None)) == 12
+        assert kinds.count(("cache", "miss")) == 4
+        assert kinds.count(("batch", None)) == 1
+        assert len(events) == 29
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_stream_folds_to_registry(self, workers):
+        engine, events, folded = self.solve(workers)
+        assert folded.records() == engine.metrics.records()
+        counter = engine.metrics.counter
+        lookups = (counter("engine.plan.cache.hits").value
+                   + counter("engine.plan.cache.misses").value)
+        # Plan-cache lookups summed across the parent or the workers.
+        assert lookups == counter("engine.plan.sweeps").value
+        assert "engine.batch.cache_hits" not in engine.metrics.counters

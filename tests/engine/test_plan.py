@@ -16,7 +16,12 @@ from repro.engine import PartitionEngine, PlanCache, compile_chain
 from repro.engine.plan import CompiledChainPlan
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import (
+    MetricsRegistry,
+    RingBufferSubscriber,
+    TelemetryHub,
+    Tracer,
+)
 
 
 def bounds_for(chain, count=12, seed=0):
@@ -41,11 +46,18 @@ class TestCompile:
         assert "CompiledChainPlan" in repr(plan)
 
     def test_compile_counter_and_span(self):
-        metrics = MetricsRegistry()
+        # Compiles are the engine's to report: a plan-cache miss in the
+        # registry and a plan_compile span around the compiling lookup.
         tracer = Tracer()
-        compile_chain(random_chain(10, rng=3), tracer=tracer, metrics=metrics)
-        assert metrics.counter("engine.plan.compiled").value == 1
-        assert tracer.find("plan_compile") is not None
+        engine = PartitionEngine(tracer=tracer)
+        chain = random_chain(10, rng=3)
+        engine.solve(chain, 2.0 * chain.max_vertex_weight())
+        engine.solve(chain, 3.0 * chain.max_vertex_weight())
+        assert engine.metrics.counter("engine.plan.cache.misses").value == 1
+        assert engine.metrics.counter("engine.plan.cache.hits").value == 1
+        compiles = [s for s in tracer.iter_spans() if s.name == "plan_compile"]
+        assert len(compiles) == 1
+        assert compiles[0].attrs == {"n": 10}
 
 
 class TestSolveBounds:
@@ -109,31 +121,28 @@ class TestSolveBounds:
 
     def test_structures_memoized_across_calls(self):
         chain = random_chain(60, rng=10)
-        metrics = MetricsRegistry()
-        plan = compile_chain(chain, metrics=metrics)
+        plan = compile_chain(chain)
         bound = 2.0 * chain.max_vertex_weight()
         plan.solve_bounds([bound])
-        built_once = metrics.counter("engine.plan.structures.built").value
+        assert (plan.stats.built, plan.stats.reused) == (1, 0)
         plan.solve_bounds([bound, bound])
-        assert metrics.counter("engine.plan.structures.built").value == built_once
-        assert metrics.counter("engine.plan.structures.reused").value >= 1
-        assert metrics.counter("engine.plan.queries").value == 3
-        assert metrics.counter("engine.plan.sweeps").value == 2
+        assert (plan.stats.built, plan.stats.reused) == (1, 1)
+        assert plan.stats.queries == 3
+        assert plan.stats.sweeps == 2
 
     def test_lookup_survives_descending_insertion_order(self):
         # Structures remembered high-bound-first must still be found by
         # the bisect lookup: _starts has to stay sorted even when the
         # memo's insertion order is not.
         chain = random_chain(60, rng=11)
-        metrics = MetricsRegistry()
-        plan = compile_chain(chain, metrics=metrics)
+        plan = compile_chain(chain)
         wmax = chain.max_vertex_weight()
         plan.solve_bounds([6.0 * wmax])
         plan.solve_bounds([wmax])
-        built = metrics.counter("engine.plan.structures.built").value
+        assert plan.stats.built == 2
         weights = plan.solve_bounds([wmax, 6.0 * wmax])
-        assert metrics.counter("engine.plan.structures.built").value == built
-        assert metrics.counter("engine.plan.structures.reused").value >= 2
+        assert plan.stats.built == 2
+        assert plan.stats.reused == 2
         assert weights[0] == bandwidth_min(chain, wmax).weight
         assert weights[1] == bandwidth_min(chain, 6.0 * wmax).weight
 
@@ -234,8 +243,9 @@ class TestSolveBounds:
         bound = 1.5 * chain.max_vertex_weight()
         inside = (bound + compute_prime_structure(chain, bound).min_prime_weight()) / 2
         tracer = Tracer()
-        plan = compile_chain(chain, tracer=tracer)
-        plan.solve_bounds([inside, bound, bound])
+        engine = PartitionEngine(tracer=tracer)
+        engine.solve_sweep(chain, [inside, bound, bound])
+        plan = engine.plans.get(chain)
         assert plan.stats == CacheStats(hits=1, interval_hits=1, misses=1)
         assert plan.stats.lookups == 3
         assert plan.stats.hit_rate == 2 / 3
@@ -248,13 +258,20 @@ class TestSolveBounds:
     def test_traced_sweep_records_span(self):
         chain = random_chain(30, rng=12)
         tracer = Tracer()
-        plan = compile_chain(chain, tracer=tracer)
+        engine = PartitionEngine(tracer=tracer)
         ks = bounds_for(chain, count=5, seed=12)
-        weights = plan.solve_bounds(ks)
+        weights = engine.solve_sweep(chain, ks)
         span = tracer.find("plan_solve_bounds")
         assert span is not None
-        assert span.attrs["queries"] == 5
-        assert span.attrs["structures_built"] >= 1
+        plan = engine.plans.get(chain)
+        assert span.attrs == {
+            "n": 30,
+            "queries": 5,
+            "structures_built": plan.stats.built,
+            "structures_reused": plan.stats.reused,
+            "outcome": "miss",
+        }
+        assert plan.stats.built >= 1
         assert weights.tolist() == [bandwidth_min(chain, k).weight for k in ks]
 
     def test_verify_mode_certifies_every_answer(self, monkeypatch):
@@ -308,6 +325,13 @@ class TestSolveBetaSweep:
         out = compile_chain(chain).solve_beta_sweep([[4.0], [9.0]], 2.0)
         assert out.tolist() == [0.0, 0.0]
 
+    def test_counts_sweep_and_rows(self):
+        chain = random_chain(20, rng=24)
+        plan = compile_chain(chain)
+        plan.solve_beta_sweep([list(chain.beta)] * 3, 2.0 * chain.max_vertex_weight())
+        assert (plan.stats.sweeps, plan.stats.queries) == (1, 3)
+        assert len(plan) == 0  # the β sweep never touches the memo
+
     def test_input_validation(self):
         chain = random_chain(10, rng=22)
         plan = compile_chain(chain)
@@ -348,14 +372,21 @@ class TestPlanCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_rebinds_telemetry_on_hit(self):
-        cache = PlanCache()
-        chain = random_chain(15, rng=33)
-        cache.get(chain)
-        tracer, metrics = Tracer(), MetricsRegistry()
-        plan = cache.get(chain, tracer=tracer, metrics=metrics)
-        assert plan.tracer is tracer
-        assert plan.metrics is metrics
+    def test_only_compiles_and_evictions_report(self):
+        # A miss folds one cache event into the caller's registry; a hit
+        # reports nothing and leaves the shared plan untouched.
+        cache = PlanCache(max_plans=1)
+        chain, other = random_chain(15, rng=33), random_chain(15, rng=34)
+        metrics = MetricsRegistry()
+        plan = cache.get(chain, metrics=metrics)
+        assert metrics.gauge("engine.plan.cache.plans").value == 1
+        assert metrics.gauge("engine.plan.cache.occupancy").value == 1.0
+        quiet = MetricsRegistry()
+        assert cache.get(chain, metrics=quiet) is plan
+        assert len(quiet) == 0
+        cache.get(other, metrics=metrics)
+        assert metrics.counter("engine.plan.cache.evictions").value == 1
+        assert chain not in cache and other in cache
 
 
 class TestEngineSolveSweep:
@@ -382,6 +413,37 @@ class TestEngineSolveSweep:
             assert (cut, weight) == (list(ref.cut_indices), ref.weight)
         just_weights = engine.solve_sweep(chain, ks)
         assert list(just_weights) == list(weights)
+
+    def test_one_plan_event_per_plan_call(self):
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
+        chain = random_chain(20, rng=43)
+        wmax = chain.max_vertex_weight()
+        engine.solve_sweep(chain, [2.0 * wmax, 2.0 * wmax, 3.0 * wmax])
+        engine.solve(chain, 2.0 * wmax)
+        plans = [e for e in ring.events() if e["event"] == "plan"]
+        assert [(e["cache"], e["queries"], e["outcome"]) for e in plans] == [
+            ("miss", 3, "miss"), ("hit", 1, "hit"),
+        ]
+        stats = engine.plans.get(chain).stats
+        assert sum(e["structures_built"] for e in plans) == stats.built
+        assert sum(e["structures_reused"] for e in plans) == stats.reused
+        counter = engine.metrics.counter
+        assert counter("engine.plan.sweeps").value == 2
+        assert counter("engine.plan.queries").value == 4
+        assert counter("engine.plan.structures.built").value == stats.built
+        assert counter("engine.plan.structures.reused").value == stats.reused
+
+    def test_null_hub_solve_reports_plan_event_to_registry(self):
+        engine = PartitionEngine()
+        chain = random_chain(20, rng=44)
+        engine.solve(chain, 2.0 * chain.max_vertex_weight())
+        engine.solve(chain, 2.0 * chain.max_vertex_weight())
+        counter = engine.metrics.counter
+        assert counter("engine.plan.structures.built").value == 1
+        assert counter("engine.plan.structures.reused").value == 1
+        assert counter("engine.plan.cache.hits").value == 1
+        assert "engine.queries" not in engine.metrics.counters
 
     def test_snapshot_metrics_exports_plan_gauges(self):
         engine = PartitionEngine()

@@ -227,6 +227,122 @@ class TestTraceReportCommand:
         assert code == 0
 
 
+class TestOneTelemetryStream:
+    """``batch --stream S --trace T``: the stream folds to the trace's
+    numbers, and ``top`` and ``metrics export`` read the same facts."""
+
+    @pytest.fixture(scope="class")
+    def queries(self, tmp_path_factory):
+        # The CI smoke file: 4 chains x 8 bounds, 32 queries.
+        import random
+
+        rng = random.Random(0)
+        chains = [([rng.randint(1, 10) for _ in range(200)],
+                   [rng.randint(1, 5) for _ in range(199)]) for _ in range(4)]
+        path = tmp_path_factory.mktemp("stream") / "queries.jsonl"
+        with open(path, "w") as fh:
+            for i in range(32):
+                alpha, beta = chains[i % 4]
+                fh.write(json.dumps({"alpha": alpha, "beta": beta,
+                                     "bound": (2 + i // 4) * max(alpha),
+                                     "tag": f"q{i}"}) + "\n")
+        return path
+
+    def run(self, queries, tmp_path, workers):
+        stream, trace = tmp_path / "S.jsonl", tmp_path / "T.jsonl"
+        code = main(["batch", "--input", str(queries),
+                     "--output", str(tmp_path / "out.jsonl"),
+                     "--workers", workers,
+                     "--stream", str(stream), "--trace", str(trace)])
+        assert code == 0
+        return str(stream), str(trace)
+
+    @staticmethod
+    def instruments(records):
+        scalars, histograms = {}, {}
+        for record in records:
+            if record["type"] == "histogram":
+                histograms[record["name"]] = record["summary"]
+            else:
+                scalars[(record["type"], record["name"])] = record["value"]
+        return scalars, histograms
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_stream_folds_to_trace_metrics(self, queries, tmp_path, workers,
+                                           capsys):
+        from repro.observability import (
+            MetricsRegistry, event_records, metric_records, read_trace,
+        )
+
+        stream, trace = self.run(queries, tmp_path, workers)
+        folded = MetricsRegistry()
+        for event in event_records(read_trace(stream)):
+            folded.emit(event)
+        got_scalars, got_hists = self.instruments(folded.records())
+        want_scalars, want_hists = self.instruments(
+            metric_records(read_trace(trace)))
+        assert got_scalars == want_scalars
+        assert set(got_hists) == set(want_hists)
+        for name, summary in want_hists.items():
+            assert got_hists[name]["count"] == summary["count"]
+            assert got_hists[name]["sum"] == pytest.approx(
+                summary["sum"], rel=1e-12)
+        # Plan-cache lookups appear under one name, summed across workers.
+        names = {name for _, name in want_scalars}
+        assert ("counter", "engine.plan.cache.hits") in want_scalars
+        assert not any(n.startswith("engine.batch.cache") for n in names)
+
+        capsys.readouterr()
+        assert main(["metrics", "export", "--trace", stream]) == 0
+        from_stream = capsys.readouterr().out
+        assert main(["metrics", "export", "--trace", trace]) == 0
+        from_trace = capsys.readouterr().out
+
+        def totals(text):
+            return [line for line in text.splitlines()
+                    if line.split(" ")[0].endswith("_total")]
+
+        assert totals(from_stream) == totals(from_trace)
+        assert len(totals(from_trace)) >= 9
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_top_matches_batch_meta(self, queries, tmp_path, workers, capsys):
+        from repro.observability import read_trace
+
+        stream, trace = self.run(queries, tmp_path, workers)
+        batch = read_trace(trace)[0]["batch"]
+        capsys.readouterr()
+        assert main(["top", "--trace", stream, "--once"]) == 0
+        out = capsys.readouterr().out
+        assert f"solves {batch['queries']} ({batch['failures']} failed)" in out
+        rate = batch["cache"]["hit_rate"]
+        assert f"{100.0 * rate:5.1f}%" in out.split("cache hits")[1].splitlines()[0]
+
+    def test_malformed_event_exits_2(self, tmp_path, capsys):
+        stream = tmp_path / "old.jsonl"
+        stream.write_text(
+            '{"kind": "meta", "schema": 2}\n'
+            '{"kind": "event", "event": "plan", "action": "sweep"}\n'
+        )
+        assert main(["metrics", "export", "--trace", str(stream)]) == 2
+        assert "malformed 'plan' event" in capsys.readouterr().err
+
+    def test_serial_stream_reports_each_fact_once(self, queries, tmp_path,
+                                                  capsys):
+        from collections import Counter
+
+        from repro.observability import read_trace
+
+        stream, _ = self.run(queries, tmp_path, "0")
+        records = read_trace(stream)
+        assert records[0]["kind"] == "meta"
+        kinds = Counter(r["event"] for r in records[1:])
+        assert kinds == {"solve": 32, "plan": 32, "cache": 4, "batch": 1}
+        capsys.readouterr()
+        main(["top", "--trace", stream, "--once"])
+        assert " 87.5%" in capsys.readouterr().out
+
+
 class TestAnalyzeCommand:
     def test_analyze_clean_on_src_tree(self, capsys):
         assert main(["analyze"]) == 0

@@ -19,8 +19,6 @@ class TestNullHub:
     def test_disabled_and_inert(self):
         assert NULL_HUB.enabled is False
         NULL_HUB.publish({"kind": "event"})
-        NULL_HUB.publish_span({"path": "x"})
-        NULL_HUB.publish_metric("m", "observe", 1.0)
         NULL_HUB.close()
 
     def test_subscribe_refused(self):
@@ -51,27 +49,6 @@ class TestTelemetryHub:
         first, second = ring.events()
         assert first["t"] == 5.0
         assert second["t"] == 42.0  # caller-provided t wins
-
-    def test_publish_metric_shape(self):
-        hub = TelemetryHub(clock=lambda: 0.5)
-        ring = RingBufferSubscriber()
-        hub.subscribe(ring)
-        hub.publish_metric("lat", "observe", 0.25)
-        (event,) = ring.events()
-        assert event == {
-            "kind": "event", "event": "metric", "metric": "observe",
-            "name": "lat", "value": 0.25, "t": 0.5,
-        }
-
-    def test_publish_span_wraps_record(self):
-        hub = TelemetryHub(clock=lambda: 0.0)
-        ring = RingBufferSubscriber()
-        hub.subscribe(ring)
-        hub.publish_span({"path": "solve", "duration_s": 1.0})
-        (event,) = ring.events()
-        assert event["kind"] == "event"
-        assert event["event"] == "span"
-        assert event["path"] == "solve"
 
     def test_raising_subscriber_dropped_not_fatal(self):
         def boom(event):

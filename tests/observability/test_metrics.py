@@ -131,6 +131,75 @@ class TestRegistry:
         }
 
 
+class TestEmit:
+    """``MetricsRegistry.emit``: the one fold from events to instruments."""
+
+    def events(self):
+        return [
+            {"kind": "event", "event": "cache", "action": "miss",
+             "plans": 1, "occupancy": 0.0625},
+            {"kind": "event", "event": "plan", "queries": 3, "cache": "miss",
+             "structures_built": 2, "structures_reused": 1},
+            {"kind": "event", "event": "plan", "queries": 1, "cache": "hit",
+             "structures_built": 0, "structures_reused": 1},
+            {"kind": "event", "event": "cache", "action": "evict",
+             "plans": 16, "occupancy": 1.0},
+            {"kind": "event", "event": "solve", "index": 0,
+             "duration_s": 0.5, "optimality_gap": 0.25},
+            {"kind": "event", "event": "solve", "duration_s": 0.125},
+            {"kind": "event", "event": "batch", "queries": 2, "failures": 1,
+             "workers": 2, "wall_s": 0.75},
+            {"kind": "event", "event": "something-else"},
+        ]
+
+    def test_fold_table(self):
+        reg = MetricsRegistry()
+        for event in self.events():
+            reg.emit(event)
+        counters = {n: c.value for n, c in reg.counters.items()}
+        assert counters == {
+            "engine.plan.cache.hits": 1,
+            "engine.plan.cache.misses": 1,
+            "engine.plan.cache.evictions": 1,
+            "engine.plan.sweeps": 2,
+            "engine.plan.queries": 4,
+            "engine.plan.structures.built": 2,
+            "engine.plan.structures.reused": 2,
+            "engine.queries": 1,
+            "engine.batch.batches": 1,
+            "engine.batch.queries": 2,
+            "engine.batch.failures": 1,
+        }
+        gauges = {n: g.value for n, g in reg.gauges.items()}
+        assert gauges == {
+            "engine.plan.cache.plans": 16,
+            "engine.plan.cache.occupancy": 1.0,
+            "engine.batch.workers": 2,
+            "engine.batch.queue_depth": 2,
+        }
+        values = {n: h.values for n, h in reg.histograms.items()}
+        assert values == {
+            "engine.plan.sweep_batch_size": [3.0, 1.0],
+            "engine.batch.query_latency_s": [0.5],
+            "engine.query_latency_s": [0.125],
+            "solve.optimality_gap": [0.25],
+            "engine.batch.wall_s": [0.75],
+        }
+
+    def test_registry_is_a_hub_subscriber(self):
+        from repro.observability.live import TelemetryHub
+
+        reg = MetricsRegistry()
+        hub = TelemetryHub([reg])
+        for event in self.events():
+            hub.publish(event)
+        hub.close()
+        direct = MetricsRegistry()
+        for event in self.events():
+            direct.emit(event)
+        assert reg.records() == direct.records()
+
+
 class TestFloatExactness:
     def test_histogram_values_kept_verbatim(self):
         h = Histogram("lat")

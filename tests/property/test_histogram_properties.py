@@ -1,4 +1,4 @@
-"""Property-based tests for the hybrid histogram and SLO windows.
+"""Property-based tests for the hybrid histogram and the registry.
 
 The batch engine merges per-worker histogram payloads back into one
 registry, and workers finish in nondeterministic order — so the merged
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability.metrics import EXACT_LIMIT, Histogram, MetricsRegistry
-from repro.observability.slo import SlidingWindow
 
 # Magnitudes spanning many octaves, plus exact zeros and negatives —
 # every bucketing regime (pos/neg/zero) participates.
@@ -121,29 +120,3 @@ class TestMergeDeterminism:
         permuted = list(shards)
         random.Random(seed).shuffle(permuted)
         assert build(shards) == build(permuted)
-
-
-class TestSlidingWindowProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-            ),
-            max_size=30,
-        ),
-        window_s=st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-        now=st.floats(min_value=0.0, max_value=150.0, allow_nan=False),
-    )
-    def test_window_is_half_open_interval(self, points, window_s, now):
-        # Feed in time order (the hub stamps monotonic timestamps).
-        points.sort(key=lambda p: p[0])
-        window = SlidingWindow(window_s)
-        for t, value in points:
-            window.add(t, value)
-        expected = [v for t, v in points if now - window_s < t <= now]
-        # Values newer than ``now`` survive too: eviction only looks at
-        # the old edge (the tracker never evaluates in the past).
-        newer = [v for t, v in points if t > now]
-        assert window.values(now) == expected + newer
