@@ -1023,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--concurrency", action="store_true",
-        help="run only the shared-state concurrency pass (REPRO013-REPRO015)",
+        help="run only the shared-state concurrency pass (REPRO013, REPRO015)",
     )
     p.add_argument(
         "--hotpath", action="store_true",

@@ -30,9 +30,8 @@ that observation into tooling:
   ``@shared_state``/``@concurrent_entry`` runtime declarations, the
   process-pool hygiene rules (REPRO006-REPRO008, ``repro analyze
   --flow``), the shared-state effect analyzer (REPRO013 lock
-  discipline, REPRO014 async blocking calls, REPRO015 fork-unsafe
-  capture) behind ``repro analyze --concurrency``, and the seeded
-  multi-thread race-hammer harness;
+  discipline, REPRO015 fork-unsafe capture) behind ``repro analyze
+  --concurrency``, and the seeded multi-thread race-hammer harness;
 - :mod:`repro.verify.hotpath` / :mod:`repro.verify.allocs` — the
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
   ``@complexity``-decorated functions and their callees, certified by
@@ -45,14 +44,21 @@ that observation into tooling:
   released locks, resumable sinks and bit-identical re-solves;
 - :mod:`repro.verify.operators` / :mod:`repro.verify.sandbox` /
   :mod:`repro.verify.mutate` — the mutation-analysis engine behind
-  ``repro mutate``: domain-aware AST fault seeding, fork-isolated kill
-  pipelines and the CI-gated kill matrix.
+  ``repro mutate``: domain-aware AST fault seeding into product code
+  (solvers, engine, Nicol baseline), fork-isolated kill pipelines and
+  the CI-gated kill matrix.
+
+The analyzers are checkers, not mutation targets: each has its own
+unit tests, and a fixture corpus under ``tests/verify/fixtures/`` pins
+the exact findings each one reports on seeded sources.
 
 Re-exports resolve lazily (PEP 562): solver modules apply
 ``@repro.verify.contracts.complexity`` decorators at import time, so
 importing this package must not eagerly pull :mod:`certificates` (which
 imports the solver core right back).  ``contracts`` and ``lint`` stay
-stdlib-only for the same reason.
+stdlib-only for the same reason, and ``contracts`` imports ``lint``
+only inside its AST pass, so ``import repro`` leaves ``lint`` unloaded
+for ``python -m repro.verify.lint``.
 """
 
 from typing import TYPE_CHECKING, Any, List

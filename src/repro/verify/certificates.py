@@ -231,20 +231,18 @@ def check_chain_partition(
         )
         return report  # block boundaries below would be meaningless
     report.checks += 1
-    prefix = chain.prefix_weights()
-    # Prefix-difference block weights carry cancellation noise of a few
-    # ulps of the total weight; a block at exactly K (e.g. one maximal
-    # task) must not be flagged, so the bound gets matching slack.
-    slack = rel_tol * max(1.0, abs(bound))
     lo = 0
     for edge in indices + [n - 1]:
         hi = edge if edge < n - 1 else n - 1
-        block_weight = prefix[hi + 1] - prefix[lo]
+        # The shared block-fit rule (Chain.block_fits), with no
+        # tolerance: slack here would pass a block a rounding step over
+        # K that Chain.is_feasible_cut and check_prime_cover reject.
+        block_weight = chain.segment_weight(lo, hi)
         if not math.isfinite(block_weight):
             # The prefix overflowed (inf - x or inf - inf) before or in
             # this block; only the block's own sum says whether it fits.
             block_weight = sum(chain.alpha[lo : hi + 1])
-        if block_weight > bound + slack:
+        if block_weight > bound:
             report.add(
                 "chain.load_bound",
                 _LOAD_INVARIANT,

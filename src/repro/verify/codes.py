@@ -48,10 +48,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "class in a slotted package without __slots__ (hot-path allocation)",
         "repro.verify.lint", "line", "",
     ),
-    "REPRO003": RuleSpec(
-        "bare time.time() outside the instrumentation/observability layer",
-        "repro.verify.lint", "line", "",
-    ),
     "REPRO004": RuleSpec(
         "mutable default argument",
         "repro.verify.lint", "line", "",
@@ -92,10 +88,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "unguarded write to shared state on a concurrent path "
         "(wrap in 'with self.<lock>:')",
         "repro.verify.concurrency", "line", "repro.verify.races",
-    ),
-    "REPRO014": RuleSpec(
-        "blocking call inside 'async def' (stalls the event loop)",
-        "repro.verify.concurrency", "line", "",
     ),
     "REPRO015": RuleSpec(
         "fork-unsafe capture pickled into a process-pool worker "
@@ -148,6 +140,13 @@ REGISTRY: Dict[str, RuleSpec] = {
         "repro.verify.faultflow", "line", "",
     ),
 }
+
+
+#: Codes that were registered once and have been retired (see
+#: ``docs/verification.md``).  They are never reissued, so a stale
+#: ``# repro-lint: disable=`` pragma naming one cannot silence a
+#: different rule.
+RETIRED: Tuple[str, ...] = ("REPRO003", "REPRO014")
 
 
 def messages_for(module: str) -> Dict[str, str]:

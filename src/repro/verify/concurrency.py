@@ -57,10 +57,6 @@ REPRO013    A write to shared mutable state (an attribute of a
             ``@shared_state`` class, or a module global) on a path
             reachable from a ``@concurrent_entry`` entry point without
             holding the object's declared lock (``with self._lock:``).
-REPRO014    A blocking call — ``time.sleep``, ``open``/file I/O,
-            ``subprocess``, ``os.system``, pool/future/queue
-            ``.get()``/``.result()``/``.join()`` — inside an
-            ``async def`` body, where it stalls the whole event loop.
 REPRO015    Fork-unsafe capture: an object carrying locks, open file
             handles, threads or a live telemetry hub is pickled into a
             process-pool worker (as an argument, an attribute, or the
@@ -152,43 +148,6 @@ _SUBMIT_METHODS = frozenset(
         "imap",
         "imap_unordered",
         "starmap",
-        "starmap_async",
-    )
-)
-
-#: Direct blocking calls inside ``async def`` (REPRO014).
-_BLOCKING_MODULE_CALLS = frozenset(
-    (
-        ("time", "sleep"),
-        ("os", "system"),
-        ("os", "popen"),
-        ("subprocess", "run"),
-        ("subprocess", "call"),
-        ("subprocess", "check_call"),
-        ("subprocess", "check_output"),
-        ("subprocess", "Popen"),
-    )
-)
-_BLOCKING_NAME_CALLS = frozenset(("open", "Popen"))
-#: Methods that block when called on a pool result / future / queue /
-#: thread / file handle tracked as a local binding.
-_BLOCKING_HANDLE_METHODS = frozenset(
-    ("get", "result", "join", "wait", "read", "readline", "readlines", "write")
-)
-#: Constructions (or producing calls) that yield a blocking handle.
-_BLOCKING_HANDLE_SOURCES = frozenset(
-    (
-        "Pool",
-        "ProcessPoolExecutor",
-        "ThreadPoolExecutor",
-        "Queue",
-        "SimpleQueue",
-        "JoinableQueue",
-        "Thread",
-        "open",
-        "submit",
-        "apply_async",
-        "map_async",
         "starmap_async",
     )
 )
@@ -614,84 +573,6 @@ def _check_module_globals(module: Module, findings: List[Finding]) -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO014: blocking calls in async bodies
-# ----------------------------------------------------------------------
-
-
-class _AsyncBlockingChecker(ast.NodeVisitor):
-    """Flag blocking calls lexically inside ``async def`` bodies."""
-
-    def __init__(self, module: Module, findings: List[Finding]) -> None:
-        self.module = module
-        self.findings = findings
-        self._async_depth = 0
-        self._async_name = ""
-        #: Local names bound to blocking handles inside the current
-        #: async body (files, pools, queues, async results, threads).
-        self._handles: Set[str] = set()
-
-    def _add(self, node: ast.AST, detail: str) -> None:
-        self.module.flag(
-            self.findings,
-            node,
-            "REPRO014",
-            f"{CONCURRENCY_RULES['REPRO014']}: {detail} inside "
-            f"'async def {self._async_name}'",
-        )
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        saved = (self._async_depth, self._async_name, self._handles)
-        self._async_depth += 1
-        self._async_name = node.name
-        self._handles = set()
-        for stmt in node.body:
-            self.visit(stmt)
-        self._async_depth, self._async_name, self._handles = saved
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # A nested sync def has its own call-time context; don't blame
-        # the enclosing coroutine for its body.
-        saved = (self._async_depth, self._async_name, self._handles)
-        self._async_depth = 0
-        for stmt in node.body:
-            self.visit(stmt)
-        self._async_depth, self._async_name, self._handles = saved
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._async_depth and isinstance(node.value, ast.Call):
-            source = rightmost_name(node.value.func)
-            if source in _BLOCKING_HANDLE_SOURCES:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self._handles.add(target.id)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._async_depth:
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _BLOCKING_NAME_CALLS:
-                self._add(node, f"blocking '{func.id}(...)'")
-            elif isinstance(func, ast.Attribute):
-                base = func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and (base.id, func.attr) in _BLOCKING_MODULE_CALLS
-                ):
-                    self._add(node, f"blocking '{base.id}.{func.attr}(...)'")
-                elif (
-                    isinstance(base, ast.Name)
-                    and base.id in self._handles
-                    and func.attr in _BLOCKING_HANDLE_METHODS
-                ):
-                    self._add(
-                        node,
-                        f"blocking '{base.id}.{func.attr}(...)' on a "
-                        f"pool/file/queue handle",
-                    )
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
 # Process-pool submissions: REPRO006-REPRO008 and REPRO015
 # ----------------------------------------------------------------------
 
@@ -1021,10 +902,9 @@ def _check_fork_captures(module: Module, findings: List[Finding]) -> None:
 
 
 def check(module: Module) -> List[Finding]:
-    """REPRO013-REPRO015 (the ``concurrency`` section) over one module."""
+    """REPRO013 and REPRO015 (the ``concurrency`` section) over one module."""
     findings: List[Finding] = []
     _check_shared_classes(module, findings)
     _check_module_globals(module, findings)
-    _AsyncBlockingChecker(module, findings).visit(module.tree)
     _check_fork_captures(module, findings)
     return findings

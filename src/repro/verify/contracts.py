@@ -38,7 +38,10 @@ terms; see ``docs/verification.md``)::
 
 This module is deliberately stdlib-only: solver modules in
 :mod:`repro.core` and :mod:`repro.baselines` import it at definition
-time, so it must not import them (or anything that does) back.
+time, so it must not import them (or anything that does) back.  For the
+same reason the AST pass imports :mod:`repro.verify.lint` only when it
+runs: ``import repro`` must not load the lint module, or ``python -m
+repro.verify.lint`` would find it already imported.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import ast
 import math
 import re
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -59,7 +63,9 @@ from typing import (
 )
 
 from repro.verify.codes import messages_for
-from repro.verify.lint import Finding, Module, rightmost_name
+
+if TYPE_CHECKING:
+    from repro.verify.lint import Finding, Module
 
 #: Rule codes enforced by the contract AST pass (the empirical gate owns
 #: REPRO009; see :mod:`repro.verify.empirical`).
@@ -325,6 +331,8 @@ REQUIRED_CONTRACTS: Dict[str, FrozenSet[str]] = {
 def _decorator_budget(node: ast.expr) -> Optional[str]:
     """The budget string of a ``@complexity(...)`` decorator, if that is
     what ``node`` is (``@complexity("...")`` or ``@contracts.complexity``)."""
+    from repro.verify.lint import rightmost_name
+
     if not isinstance(node, ast.Call) or rightmost_name(node.func) != "complexity":
         return None
     if node.args and isinstance(node.args[0], ast.Constant):

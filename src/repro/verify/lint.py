@@ -1,8 +1,8 @@
 """repro-lint: repository-specific static checks, as an AST pass.
 
 Generic linters cannot know this codebase's conventions — that hot-path
-classes must be slotted, that timing belongs to the instrumentation
-layer, or that a disabled :class:`~repro.instrumentation.counters.OpCounter`
+classes must be slotted, that library code does not print, or that a
+disabled :class:`~repro.instrumentation.counters.OpCounter`
 must be the shared ``NULL_COUNTER`` singleton.  This module encodes
 those rules over the stdlib :mod:`ast` so they run anywhere the package
 runs, with no third-party dependency:
@@ -20,9 +20,6 @@ REPRO002    Classes defined under ``core/``, ``engine/``, ``desim/``,
             allocate per-event/per-message.  Exception types,
             ``NamedTuple``/``TypedDict``/``Protocol`` classes and
             ``enum`` subclasses are exempt.
-REPRO003    No bare ``time.time()`` outside ``instrumentation/`` and
-            ``observability/`` — wall-clock reads belong behind the
-            tracer/metrics layer (and should be ``perf_counter``).
 REPRO004    No mutable default arguments (``def f(x=[])`` etc.).
 REPRO005    Never construct a disabled ``OpCounter`` — use the shared
             ``NULL_COUNTER`` singleton so no-op counters are free and
@@ -40,9 +37,9 @@ record (each file read, parsed and pragma-scanned once), the
 :class:`Finding` type, the pragma grammar and the AST name helpers.
 The passes run from one table in :mod:`repro.verify.passes`, which
 ``repro analyze`` and this module's :func:`main` both drive:
-REPRO006-REPRO008 (process-pool hygiene) and REPRO013-REPRO015
-(shared-state lock discipline, async blocking calls and fork-unsafe
-capture) in :mod:`repro.verify.concurrency`, REPRO010/REPRO011
+REPRO006-REPRO008 (process-pool hygiene), REPRO013 (shared-state lock
+discipline) and REPRO015 (fork-unsafe capture) in
+:mod:`repro.verify.concurrency`, REPRO010/REPRO011
 (missing/contradicted ``@complexity`` contracts) in
 :mod:`repro.verify.contracts`, REPRO016-REPRO019 (hot-path allocation
 and dispatch hygiene) in :mod:`repro.verify.hotpath` and
@@ -92,9 +89,6 @@ _PRINT_EXEMPT_PACKAGES = frozenset(("analysis",))
 #: solver hot paths, plus the simulators — whose event/message/packet
 #: objects are allocated in the innermost loops of every demo run.
 _SLOTTED_PACKAGES = frozenset(("core", "engine", "desim", "realtime", "machine"))
-
-#: Packages allowed to read wall clocks directly (REPRO003).
-_CLOCK_PACKAGES = frozenset(("instrumentation", "observability"))
 
 #: Module allowed to construct disabled OpCounters (REPRO005): the one
 #: defining NULL_COUNTER itself.
@@ -348,7 +342,6 @@ class _Checker(ast.NodeVisitor):
         self._check_slots = (
             "repro" in parts and bool(_SLOTTED_PACKAGES.intersection(parts))
         )
-        self._check_clock = not _CLOCK_PACKAGES.intersection(parts)
         self._check_counter = path.name != _COUNTER_HOME
         self._check_hub = (
             "repro" in parts and bool(_HUB_GUARDED_PACKAGES.intersection(parts))
@@ -416,21 +409,14 @@ class _Checker(ast.NodeVisitor):
             and func.attr.startswith("publish")
         ):
             self._add(node, "REPRO012")
-        if (
-            self._check_clock
-            and isinstance(func, ast.Attribute)
-            and func.attr == "time"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "time"
-        ):
-            self._add(node, "REPRO003")
         if self._check_counter and _disabled_counter_call(node):
             self._add(node, "REPRO005")
         self.generic_visit(node)
 
 
 def check(module: Module) -> List[Finding]:
-    """The lint pass (REPRO001-005, REPRO012) over one parsed module."""
+    """The lint pass (REPRO001, REPRO002, REPRO004, REPRO005, REPRO012)
+    over one parsed module."""
     checker = _Checker(module)
     checker.visit(module.tree)
     return checker.findings
@@ -448,7 +434,8 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.lint",
-        description="Repository-specific AST lint rules (REPRO001-REPRO005).",
+        description="Repository-specific AST lint rules "
+        "(REPRO001-REPRO002, REPRO004-REPRO005, REPRO012).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(

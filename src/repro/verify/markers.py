@@ -5,7 +5,7 @@ These are the *declaration* half of the concurrency-safety contract:
 names the lock attribute that guards it; :func:`concurrent_entry`
 marks a function or method as callable from multiple threads at once.
 The *enforcement* half lives in :mod:`repro.verify.concurrency`
-(static rules REPRO013-REPRO015) and :mod:`repro.verify.races` (the
+(static rules REPRO013 and REPRO015) and :mod:`repro.verify.races` (the
 dynamic race-hammer harness over :data:`SHARED_REGISTRY`).
 
 The markers live in this tiny stdlib-only leaf module — not in the

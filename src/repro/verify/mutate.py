@@ -1,14 +1,18 @@
 """Mutation-analysis engine: prove the verification stack kills bugs.
 
-PRs 3–4 built a layered net — tier-1 tests, O(n) certificate checkers,
-the NumPy-vs-python cross-check, contract/flow static passes — but
-nothing measured whether that net would actually catch a regression in
-Algorithm 4.1's prime-subpath sweep or the tree greedy.  This module
-closes the loop: it seeds semantic faults with the domain-aware
-operators of :mod:`repro.verify.operators`, runs each mutant through a
-fast kill pipeline in a fork sandbox (:mod:`repro.verify.sandbox`), and
-reports a kill matrix attributing every kill to the *first* layer that
-caught it.
+The verification net — tier-1 tests, O(n) certificate checkers, the
+NumPy-vs-python cross-check, contract/flow static passes — is only
+worth its cost if it would actually catch a regression in Algorithm
+4.1's prime-subpath sweep or the tree greedy.  This module measures
+that: it seeds semantic faults with the domain-aware operators of
+:mod:`repro.verify.operators`, runs each mutant through a fast kill
+pipeline in a fork sandbox (:mod:`repro.verify.sandbox`), and reports a
+kill matrix attributing every kill to the *first* layer that caught it.
+
+Only product code is mutated: the solvers, the engine's kernels, plan
+and cache, and the Nicol baseline (:data:`TARGETS`).  The static
+analyzers are checkers, not targets; their own unit tests and the
+fixture corpus under ``tests/verify/fixtures/`` pin what they report.
 
 Kill pipeline order (cheapest-first, matching how a real regression
 would be caught)::
@@ -85,7 +89,7 @@ KILL_LAYERS = ("import", "test", "certificate", "cross-check", "contract",
 PACKAGE_THRESHOLDS: Dict[str, float] = {
     "repro.core": 0.85,
     "repro.engine": 0.85,
-    "repro.verify": 0.85,
+    "repro.baselines": 0.85,
 }
 
 
@@ -110,7 +114,7 @@ class MutationTarget:
         self.suites = suites
 
 
-#: The mutable surface: every solver module whose bugs the verification
+#: The mutable surface: every product module whose bugs the verification
 #: stack claims to catch.  Test paths are relative to the repo root.
 TARGETS: Dict[str, MutationTarget] = {
     t.module: t
@@ -154,21 +158,6 @@ TARGETS: Dict[str, MutationTarget] = {
             "repro.baselines.nicol",
             ("tests/baselines/test_nicol.py",),
             ("nicol",),
-        ),
-        MutationTarget(
-            "repro.verify.concurrency",
-            ("tests/verify/test_concurrency.py", "tests/verify/test_flow.py"),
-            ("concurrency",),
-        ),
-        MutationTarget(
-            "repro.verify.hotpath",
-            ("tests/verify/test_hotpath.py",),
-            ("hotpath",),
-        ),
-        MutationTarget(
-            "repro.verify.faultflow",
-            ("tests/verify/test_faultflow.py",),
-            ("faultflow",),
         ),
     )
 }
@@ -550,663 +539,6 @@ def _suite_nicol() -> Any:
     return rows
 
 
-#: Seeded concurrency fixtures: deterministic analyzer inputs covering
-#: every REPRO006-008 and REPRO013-015 code path (pool workers, lock
-#: propagation, pragma escapes, globals, async handles, fork carriers)
-#: plus a clean control.  The observation suite runs the *mutated*
-#: analyzer's ``flow`` and ``concurrency`` passes over these and diffs
-#: the rendered findings against the pristine golden — any mutant that
-#: changes what the analyzer reports on any fixture is killed here.
-_CONCURRENCY_FIXTURES: Tuple[Tuple[str, str], ...] = (
-    (
-        "unlocked_class.py",
-        '''\
-import threading
-
-from repro.verify.markers import concurrent_entry, shared_state
-
-
-@shared_state(lock="_lock")
-class Cache:
-    def __init__(self):
-        self._lock = threading.RLock()
-        self.entries = {}
-        self.hits = 0
-
-    @concurrent_entry
-    def get(self, key):
-        self.hits += 1
-        with self._lock:
-            self.entries[key] = key
-        return self._helper(key)
-
-    def _helper(self, key):
-        self.entries.pop(key, None)
-        return key
-
-    @concurrent_entry
-    def reset(self):
-        self.entries.clear()  # repro-lint: disable=REPRO013
-
-    def unshared(self):
-        self.entries = {}
-''',
-    ),
-    (
-        "globals.py",
-        '''\
-from repro.verify.markers import concurrent_entry
-
-COUNTS = {}
-TOTAL = 0
-
-
-@concurrent_entry
-def record(name):
-    global TOTAL
-    TOTAL = TOTAL + 1
-    COUNTS[name] = COUNTS.get(name, 0) + 1
-    _spill(name)
-
-
-def _spill(name):
-    COUNTS.update({name: 0})
-
-
-def untracked(name):
-    COUNTS[name] = 0
-''',
-    ),
-    (
-        "async_blocking.py",
-        '''\
-import subprocess
-import time
-
-
-async def poll(path, pool):
-    time.sleep(0.1)
-    fh = open(path)
-    fh.read()
-    subprocess.run(["true"])
-    result = pool.apply_async(len, (path,))
-    result.get()  # repro-lint: disable=REPRO014
-
-    def sync_helper():
-        time.sleep(1.0)
-
-    return sync_helper
-''',
-    ),
-    (
-        "fork_capture.py",
-        '''\
-from concurrent.futures import ProcessPoolExecutor
-from threading import RLock
-
-
-class Carrier:
-    def __init__(self):
-        self._lock = RLock()
-
-
-class Wrapper:
-    def __init__(self):
-        self.z_handle = open("state.bin", "rb")
-        self.inner = Carrier()
-
-    def run(self, item):
-        return item
-
-    def fan_out(self, items):
-        with ProcessPoolExecutor() as pool:
-            pool.submit(self.run, items)
-
-
-def ship(items):
-    carrier = Carrier()
-    with ProcessPoolExecutor() as pool:
-        pool.submit(len, carrier)
-        pool.map(len, items)
-''',
-    ),
-    (
-        "pool_workers.py",
-        '''\
-import random
-from concurrent.futures import ProcessPoolExecutor
-from threading import Lock
-
-import numpy as np
-from repro.observability.spans import Tracer
-
-RESULTS = []
-CACHE = {}
-COUNT = 0
-
-
-def work(x):
-    global COUNT
-    COUNT += 1
-    CACHE[x] = x
-    _record(x)
-    return x + random.random()
-
-
-def _record(x):
-    RESULTS.append(x)
-    RESULTS.sort()  # repro-lint: disable=REPRO006
-
-
-def noisy(x):
-    return x + np.random.rand()
-
-
-def seeded(x):
-    random.seed(x)
-    return random.random()
-
-
-def run(items):
-    lock = Lock()
-    tracer = Tracer()
-
-    def inner(x):
-        return x
-
-    with ProcessPoolExecutor() as pool:
-        pool.map(work, items)
-        pool.map(noisy, items)
-        pool.map(seeded, items)
-        pool.submit(inner, 1)
-        pool.submit(work, 1, lock)
-        pool.map(lambda x: work(x) if tracer else lock, items)
-        pool.map(lambda *lock, **tracer: lock, items)
-
-        def closure():
-            return pool.submit(work, 2)
-
-        return closure
-''',
-    ),
-    (
-        "clean.py",
-        '''\
-import threading
-
-from repro.verify.markers import concurrent_entry, shared_state
-
-
-@shared_state(lock="_lock")
-class Guarded:
-    def __init__(self):
-        self._lock = threading.RLock()
-        self.total = 0
-
-    @concurrent_entry
-    def add(self, value):
-        with self._lock:
-            self.total += value
-            self._note(value)
-
-    def _note(self, value):
-        self.total += value
-''',
-    ),
-)
-
-
-#: Seeded hot-path fixtures: deterministic analyzer inputs covering
-#: every REPRO016-019 code path (invariant allocations with the empty
-#: literal/loop-dependent exemptions, maximal-chain attribute loads
-#: with the stored-path exemption, all three quadratic idioms, numpy
-#: temporary chains, loop-scoped pragma suppression) plus a clean
-#: control.
-_HOTPATH_FIXTURES: Tuple[Tuple[str, str], ...] = (
-    (
-        "invariant_allocs.py",
-        '''\
-import numpy as np
-
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
-def rebuild(rows, k):
-    acc = []
-    total = 0.0
-    for row in rows:
-        weights = [k, k + 1]
-        scratch = np.zeros(k)
-        squares = [v * v for v in rows]
-        local = [row]
-        acc.append(local)
-        total += scratch[0] + weights[0] + squares[0]
-    return total
-''',
-    ),
-    (
-        "attr_dispatch.py",
-        '''\
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
-def drain(queue, cfg, node):
-    total = 0
-    for item in queue.items:
-        total += cfg.scale * item + cfg.scale
-        node.weight = node.weight + item
-    while queue.head is not None and queue.head is not queue.tail:
-        queue.pop()
-    return total
-''',
-    ),
-    (
-        "quadratic.py",
-        '''\
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
-def churn(items, blocked):
-    order = []
-    label = ""
-    for item in items:
-        order.insert(0, item)
-        if item in [1, 2, 3]:
-            continue
-        label += "x"
-    return order, label, blocked
-''',
-    ),
-    (
-        "numpy_temps.py",
-        '''\
-import numpy as np
-
-from repro.verify.contracts import complexity
-
-
-@complexity("n * q")
-def sweep(bounds, weights):
-    gaps = np.asarray(weights)
-    out = []
-    for bound in bounds:
-        slack = gaps - bound + gaps * 2.0
-        out.append(float(slack.sum()))
-    return out
-''',
-    ),
-    (
-        "pragma_scoped.py",
-        '''\
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
-def padded(rows, k):
-    total = 0
-    for row in rows:  # repro-lint: disable=REPRO016
-        pad = [k, k]
-        for _ in row:
-            tail = [k]
-            total += pad[0] + tail[0]
-    for row in rows:
-        again = [k, k]
-        total += again[0] + row
-    return total
-''',
-    ),
-    (
-        "clean.py",
-        '''\
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
-def tally(rows, k):
-    base = [k, k + 1]
-    total = 0
-    for row in rows:
-        total += base[0] * row
-    return total
-''',
-    ),
-)
-
-
-def _suite_hotpath() -> Any:
-    from repro.verify import hotpath as hp
-    from repro.verify.passes import check_source
-
-    # Same trick as the concurrency suite: the rule/constant tables ARE
-    # behavior — snapshot them so a mutant that drops a numpy allocator
-    # or nudges a threshold diffs even without a matching fixture.
-    rows: List[Dict[str, Any]] = [
-        {"rules": dict(sorted(hp.HOTPATH_RULES.items()))},
-        {
-            "tables": {
-                "loop_scoped": sorted(hp.LOOP_SCOPED_RULES),
-                "scoped_packages": sorted(hp._SCOPED_PACKAGES),
-                "numpy_aliases": sorted(hp._NUMPY_ALIASES),
-                "numpy_allocators": sorted(hp._NUMPY_ALLOCATORS),
-                "numpy_elementwise": sorted(hp._NUMPY_ELEMENTWISE),
-                "loop_nodes": sorted(n.__name__ for n in hp._LOOP_NODES),
-                "func_nodes": sorted(n.__name__ for n in hp._FUNC_NODES),
-                "binop_temp_ops": sorted(
-                    op.__name__ for op in hp._BINOP_TEMP_OPS
-                ),
-                "attr_load_threshold": hp._ATTR_LOAD_THRESHOLD,
-                "temp_chain_threshold": hp._TEMP_CHAIN_THRESHOLD,
-            }
-        },
-    ]
-    for name, source in _HOTPATH_FIXTURES:
-        findings = check_source("hotpath", source, Path(name))
-        rows.append(
-            {"fixture": name, "findings": [f.render() for f in findings]}
-        )
-    return rows
-
-
-def _suite_concurrency() -> Any:
-    from repro.verify import concurrency as conc
-    from repro.verify.passes import check_source
-
-    # The rule tables ARE the analyzer's behavior: record them verbatim
-    # so a mutant that silently drops a constructor/method/call from
-    # any table diffs against the golden even when no fixture happens
-    # to exercise that exact name.
-    rows: List[Dict[str, Any]] = [
-        {"rules": dict(sorted(conc.CONCURRENCY_RULES.items()))},
-        {
-            "tables": {
-                "fork_unsafe": sorted(conc._FORK_UNSAFE_CONSTRUCTORS),
-                "pools": sorted(conc._POOL_CONSTRUCTORS),
-                "submit": sorted(conc._SUBMIT_METHODS),
-                "blocking_module": sorted(
-                    list(pair) for pair in conc._BLOCKING_MODULE_CALLS
-                ),
-                "blocking_names": sorted(conc._BLOCKING_NAME_CALLS),
-                "handle_methods": sorted(conc._BLOCKING_HANDLE_METHODS),
-                "handle_sources": sorted(conc._BLOCKING_HANDLE_SOURCES),
-                "mutators": sorted(conc._MUTATOR_METHODS),
-                "construction": sorted(conc._CONSTRUCTION_METHODS),
-            }
-        },
-    ]
-    for name, source in _CONCURRENCY_FIXTURES:
-        for section in ("flow", "concurrency"):
-            findings = check_source(section, source, Path(name))
-            rows.append(
-                {
-                    "fixture": name,
-                    "section": section,
-                    "findings": [f.render() for f in findings],
-                }
-            )
-    return rows
-
-
-#: Fault-surface fixtures: seeded violations for every REPRO020-024
-#: rule plus safe twins, so a mutated check diffs immediately.  The
-#: exit-code fixture is *named* ``cli.py`` on purpose — REPRO022 only
-#: applies to the CLI entry files.
-_FAULTFLOW_FIXTURES: Tuple[Tuple[str, str], ...] = (
-    (
-        "leaky_resources.py",
-        '''\
-import threading
-
-
-def load(path):
-    fh = open(path)
-    data = fh.read()
-    fh.close()
-    return data
-
-
-def fan_out(jobs, process):
-    return process(open(jobs))
-
-
-class Counter:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.value = 0
-
-    def bump(self, amount):
-        self._lock.acquire()
-        self.value += compute(amount)
-        self._lock.release()
-
-    def safe_bump(self, amount):
-        self._lock.acquire()
-        try:
-            self.value += compute(amount)
-        finally:
-            self._lock.release()
-
-
-def stream(path):
-    with open(path) as fh:
-        return fh.read()
-
-
-def opener(path):
-    return open(path)
-''',
-    ),
-    (
-        "broad_except.py",
-        '''\
-def run(job, log):
-    try:
-        return job()
-    except:
-        log.warning("bare")
-
-
-def guard(job, log):
-    try:
-        return job()
-    except Exception:
-        log.warning("broad")
-
-
-def multi(job, log):
-    try:
-        return job()
-    except (ValueError, BaseException):
-        log.warning("tuple")
-
-
-def reraise(job, log):
-    try:
-        return job()
-    except Exception:
-        log.warning("noted")
-        raise
-
-
-def typed(job, log):
-    try:
-        return job()
-    except ValueError:
-        log.warning("typed")
-''',
-    ),
-    (
-        "cli.py",
-        '''\
-import sys
-
-from repro.exitcodes import EXIT_CODES, EXIT_FAILURE, EXIT_OK
-
-
-def _cmd_run(args):
-    if args.bad:
-        raise SystemExit(2)
-    return 0 if args.ok else 1
-
-
-def _cmd_safe(args):
-    if args.bad:
-        raise SystemExit(EXIT_CODES["USAGE"])
-    return EXIT_OK if args.ok else EXIT_FAILURE
-
-
-def main(argv=None):
-    if argv is None:
-        sys.exit(1)
-    return EXIT_OK
-
-
-sys.exit(main())
-''',
-    ),
-    (
-        "tainted.py",
-        '''\
-import os
-import random
-import time
-from datetime import datetime
-
-from repro.verify.contracts import complexity
-
-
-def jitter():
-    return random.random()
-
-
-@complexity("n")
-def solve(chain, emit):
-    started = time.time()
-    mode = os.environ.get("MODE", "fast")
-    stamp = datetime.now()
-    for key in {1, 2, 3}:
-        emit(key)
-    return jitter(), started, mode, stamp
-
-
-@complexity("n")
-def seeded(chain, seed, tz, emit):
-    rng = random.Random(seed)
-    for key in sorted({1, 2}):
-        emit(key)
-    return rng.random(), datetime.now(tz)
-
-
-def free(chain):
-    return random.random()
-''',
-    ),
-    (
-        "silent_drop.py",
-        '''\
-def run(job):
-    try:
-        return job()
-    except ValueError:
-        pass
-
-
-def note(job):
-    try:
-        return job()
-    except ValueError:
-        result = None
-
-
-def report(job, log):
-    try:
-        return job()
-    except ValueError:
-        log.warning("failed")
-        return None
-
-
-try:
-    import numpy
-except ImportError:
-    numpy = None
-''',
-    ),
-    (
-        "pragma_scoped.py",
-        '''\
-def load(path):
-    fh = open(path)  # repro-lint: disable=REPRO020 handed to a finalizer
-    data = fh.read()
-    fh.close()
-    return data
-
-
-def swallow(job):
-    try:
-        return job()
-    except Exception:  # repro-lint: disable=REPRO021 isolation boundary
-        pass
-''',
-    ),
-    (
-        "clean.py",
-        '''\
-def load(path):
-    with open(path) as fh:
-        return fh.read()
-
-
-def run(job, log):
-    try:
-        return job()
-    except ValueError:
-        log.warning("failed")
-        return None
-''',
-    ),
-)
-
-
-def _suite_faultflow() -> Any:
-    from repro.verify import faultflow as ff
-    from repro.verify.passes import check_source
-
-    # Rule/constant tables ARE behavior (same trick as the hotpath and
-    # concurrency suites): a mutant that drops a resource constructor,
-    # a reporting verb or an exit-file name diffs even without a
-    # fixture naming it.
-    rows: List[Dict[str, Any]] = [
-        {"rules": dict(sorted(ff.FAULTFLOW_RULES.items()))},
-        {
-            "tables": {
-                "scoped_packages": sorted(ff._SCOPED_PACKAGES),
-                "exit_files": sorted(ff._EXIT_FILES),
-                "exit_func_prefixes": sorted(ff._EXIT_FUNC_PREFIXES),
-                "resource_constructors": sorted(ff._RESOURCE_CONSTRUCTORS),
-                "acquire_methods": sorted(ff._ACQUIRE_METHODS),
-                "release_methods": sorted(ff._RELEASE_METHODS),
-                "broad_exceptions": sorted(ff._BROAD_EXCEPTIONS),
-                "import_fallbacks": sorted(ff._IMPORT_FALLBACK_EXCEPTIONS),
-                "reporting_calls": sorted(ff._REPORTING_CALLS),
-                "seeded_random": sorted(ff._SEEDED_RANDOM_EXEMPT),
-                "seeded_np_random": sorted(ff._SEEDED_NP_RANDOM_EXEMPT),
-                "numpy_aliases": sorted(ff._NUMPY_ALIASES),
-                "wallclock_time": sorted(ff._WALLCLOCK_TIME_CALLS),
-                "wallclock_datetime": sorted(ff._WALLCLOCK_DATETIME_CALLS),
-            }
-        },
-    ]
-    for name, source in _FAULTFLOW_FIXTURES:
-        findings = check_source("faults", source, Path(name))
-        rows.append(
-            {"fixture": name, "findings": [f.render() for f in findings]}
-        )
-    return rows
-
-
 _SUITES: Dict[str, Callable[[], Any]] = {
     "chain": _suite_chain,
     "prime": _suite_prime,
@@ -1214,9 +546,6 @@ _SUITES: Dict[str, Callable[[], Any]] = {
     "plan": _suite_plan,
     "tree": _suite_tree,
     "nicol": _suite_nicol,
-    "concurrency": _suite_concurrency,
-    "hotpath": _suite_hotpath,
-    "faultflow": _suite_faultflow,
 }
 
 
@@ -1318,101 +647,6 @@ def _certify_nicol() -> None:
         verify_chain_result(chain, result.cut_indices, bound, result.weight)
 
 
-def _certify_concurrency() -> None:
-    """The analyzer must report exactly the seeded violations.
-
-    Stronger than the golden diff: the expectations are hard-coded
-    here, not derived from the pristine module, so a mutant that
-    somehow survives into the golden snapshot still fails this stage.
-    """
-    from collections import Counter
-
-    from repro.verify.passes import check_source
-
-    expected: Dict[str, Dict[str, int]] = {
-        "unlocked_class.py": {"REPRO013": 2},
-        "globals.py": {"REPRO013": 3},
-        "async_blocking.py": {"REPRO014": 4},
-        "fork_capture.py": {"REPRO015": 2},
-        "pool_workers.py": {"REPRO006": 3, "REPRO007": 4, "REPRO008": 2},
-        "clean.py": {},
-    }
-    for name, source in _CONCURRENCY_FIXTURES:
-        findings = [
-            finding
-            for section in ("flow", "concurrency")
-            for finding in check_source(section, source, Path(name))
-        ]
-        got = dict(Counter(f.code for f in findings))
-        if got != expected[name]:
-            raise AssertionError(
-                f"concurrency analyzer on fixture {name!r}: expected "
-                f"{expected[name]!r}, got {got!r} "
-                f"({[f.render() for f in findings]})"
-            )
-
-
-def _certify_hotpath() -> None:
-    """The analyzer must report exactly the seeded violations.
-
-    Mirrors ``_certify_concurrency``: expectations are hard-coded, not
-    derived from the pristine module, so a mutant that survives into
-    the golden snapshot still fails this stage.
-    """
-    from collections import Counter
-
-    from repro.verify.passes import check_source
-
-    expected: Dict[str, Dict[str, int]] = {
-        "invariant_allocs.py": {"REPRO016": 3, "REPRO019": 1},
-        "attr_dispatch.py": {"REPRO017": 2},
-        "quadratic.py": {"REPRO018": 3},
-        "numpy_temps.py": {"REPRO019": 1},
-        "pragma_scoped.py": {"REPRO016": 1},
-        "clean.py": {},
-    }
-    for name, source in _HOTPATH_FIXTURES:
-        findings = check_source("hotpath", source, Path(name))
-        got = dict(Counter(f.code for f in findings))
-        if got != expected[name]:
-            raise AssertionError(
-                f"hotpath analyzer on fixture {name!r}: expected "
-                f"{expected[name]!r}, got {got!r} "
-                f"({[f.render() for f in findings]})"
-            )
-
-
-def _certify_faultflow() -> None:
-    """The analyzer must report exactly the seeded violations.
-
-    Mirrors ``_certify_concurrency``: expectations are hard-coded, not
-    derived from the pristine module, so a mutant that survives into
-    the golden snapshot still fails this stage.
-    """
-    from collections import Counter
-
-    from repro.verify.passes import check_source
-
-    expected: Dict[str, Dict[str, int]] = {
-        "leaky_resources.py": {"REPRO020": 3},
-        "broad_except.py": {"REPRO021": 3},
-        "cli.py": {"REPRO022": 4},
-        "tainted.py": {"REPRO023": 5},
-        "silent_drop.py": {"REPRO024": 2},
-        "pragma_scoped.py": {"REPRO024": 1},
-        "clean.py": {},
-    }
-    for name, source in _FAULTFLOW_FIXTURES:
-        findings = check_source("faults", source, Path(name))
-        got = dict(Counter(f.code for f in findings))
-        if got != expected[name]:
-            raise AssertionError(
-                f"faultflow analyzer on fixture {name!r}: expected "
-                f"{expected[name]!r}, got {got!r} "
-                f"({[f.render() for f in findings]})"
-            )
-
-
 _CERTIFIERS: Dict[str, Callable[[], None]] = {
     "chain": _certify_chain,
     "prime": _certify_prime,
@@ -1420,9 +654,6 @@ _CERTIFIERS: Dict[str, Callable[[], None]] = {
     "plan": _certify_plan,
     "tree": _certify_tree,
     "nicol": _certify_nicol,
-    "concurrency": _certify_concurrency,
-    "hotpath": _certify_hotpath,
-    "faultflow": _certify_faultflow,
 }
 
 

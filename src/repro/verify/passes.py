@@ -1,14 +1,9 @@
 """The analyzer driver: one file walk, one parse per file, one pass table.
 
-Every static pass is declared here as data — the analyzer module that
-owns it, the name of its ``check(module) -> findings`` function over a
-:class:`~repro.verify.lint.Module` (the record each file is read,
-parsed and pragma-scanned into exactly once) and the name of its
-package-scope predicate, if it has one.  Names, not function objects:
-they are looked up on the analyzer module at call time, so whatever
-that module holds right now is what runs — the mutation sandbox
-rewrites analyzer modules in place, and its mutants must be the code
-under test.
+Every static pass is declared here as data — its ``check(module) ->
+findings`` function over a :class:`~repro.verify.lint.Module` (the
+record each file is read, parsed and pragma-scanned into exactly once)
+and its package-scope predicate, if it has one.
 
 ``repro analyze`` runs the :data:`ANALYZE_SECTIONS`, ``python -m
 repro.verify.lint`` runs ``lint``, and the mutation pipeline's contract
@@ -22,31 +17,28 @@ order every report and test relies on.
 from __future__ import annotations
 
 from pathlib import Path
-from types import ModuleType
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.verify import concurrency, contracts, faultflow, hotpath, lint
 from repro.verify.lint import Finding, Module, iter_python_files
 
 
 class Pass(NamedTuple):
-    """One static pass: its analyzer module, the name of the module's
-    ``check(module)`` function, and the name of its ``(path) -> bool``
-    package-scope predicate (``None``: every file)."""
+    """One static pass: its ``check(module)`` function and its
+    ``(path) -> bool`` package-scope predicate (``None``: every file)."""
 
-    analyzer: ModuleType
-    check: str
-    scope: Optional[str] = None
+    check: Callable[[Module], List[Finding]]
+    scope: Optional[Callable[[Path], bool]] = None
 
 
 #: Every static pass, by the report section it fills.
 PASSES: Dict[str, Pass] = {
-    "lint": Pass(lint, "check"),
-    "contracts": Pass(contracts, "check"),
-    "flow": Pass(concurrency, "check_pool_rules"),
-    "concurrency": Pass(concurrency, "check"),
-    "hotpath": Pass(hotpath, "check", "in_scope"),
-    "faults": Pass(faultflow, "check", "in_scope"),
+    "lint": Pass(lint.check),
+    "contracts": Pass(contracts.check),
+    "flow": Pass(concurrency.check_pool_rules),
+    "concurrency": Pass(concurrency.check),
+    "hotpath": Pass(hotpath.check, hotpath.in_scope),
+    "faults": Pass(faultflow.check, faultflow.in_scope),
 }
 
 #: The sections ``repro analyze`` runs, in report order.
@@ -56,14 +48,13 @@ ANALYZE_SECTIONS: Tuple[str, ...] = (
 
 
 def _in_scope(section: str, path: Path) -> bool:
-    spec = PASSES[section]
-    return spec.scope is None or getattr(spec.analyzer, spec.scope)(path)
+    scope = PASSES[section].scope
+    return scope is None or scope(path)
 
 
 def run(module: Module, section: str) -> List[Finding]:
     """One pass over one parsed module, findings in source order."""
-    spec = PASSES[section]
-    findings = getattr(spec.analyzer, spec.check)(module)
+    findings = PASSES[section].check(module)
     return sorted(findings, key=lambda f: (f.line, f.col, f.code))
 
 

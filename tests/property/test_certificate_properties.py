@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.bandwidth import bandwidth_min
 from repro.core.bottleneck import bottleneck_min
 from repro.core.processor_min import processor_min
-from repro.graphs.chain import Chain
 from repro.graphs.tree import Tree
 from repro.verify import (
     check_chain_partition,
@@ -21,19 +20,7 @@ from repro.verify import (
     check_tree_cut,
 )
 from repro.verify.runtime import verify_chain_result, verify_cache_solve
-
-weight = st.integers(min_value=1, max_value=20).map(lambda v: v * 0.5)
-edge_weight = st.integers(min_value=0, max_value=20).map(lambda v: v * 0.5)
-
-
-@st.composite
-def chain_and_bound(draw, max_tasks: int = 24):
-    n = draw(st.integers(min_value=1, max_value=max_tasks))
-    alpha = draw(st.lists(weight, min_size=n, max_size=n))
-    beta = draw(st.lists(edge_weight, min_size=n - 1, max_size=n - 1))
-    chain = Chain(alpha, beta)
-    slack = draw(st.integers(min_value=0, max_value=40)) * 0.5
-    return chain, chain.max_vertex_weight() + slack
+from tests.property.strategies import chain_and_bound, edge_weight, weight
 
 
 @st.composite

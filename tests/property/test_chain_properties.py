@@ -19,22 +19,7 @@ from repro.baselines.sliding_window import bandwidth_min_deque
 from repro.core.bandwidth import bandwidth_min
 from repro.core.prime_subpaths import find_prime_subpaths
 from repro.core.recurrence import bandwidth_min_naive
-from repro.graphs.chain import Chain
-
-# Weights are drawn from small integer grids scaled by 0.5 so both exact
-# ties and fractional values occur.
-weight = st.integers(min_value=1, max_value=20).map(lambda v: v * 0.5)
-edge_weight = st.integers(min_value=0, max_value=20).map(lambda v: v * 0.5)
-
-
-@st.composite
-def chain_and_bound(draw, max_tasks: int = 24):
-    n = draw(st.integers(min_value=1, max_value=max_tasks))
-    alpha = draw(st.lists(weight, min_size=n, max_size=n))
-    beta = draw(st.lists(edge_weight, min_size=n - 1, max_size=n - 1))
-    chain = Chain(alpha, beta)
-    slack = draw(st.integers(min_value=0, max_value=40)) * 0.5
-    return chain, chain.max_vertex_weight() + slack
+from tests.property.strategies import chain_and_bound
 
 
 @settings(max_examples=150, deadline=None)

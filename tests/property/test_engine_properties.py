@@ -17,26 +17,7 @@ from repro.core.bandwidth import bandwidth_min
 from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
 from repro.engine import PartitionEngine, PartitionQuery
 from repro.graphs.chain import Chain
-
-# Weights are drawn from small integer grids scaled by 0.5 so both exact
-# ties and fractional values occur; uniform lists cover the all-equal
-# degenerate case and n=1 covers the single-task one.
-weight = st.integers(min_value=1, max_value=20).map(lambda v: v * 0.5)
-edge_weight = st.integers(min_value=0, max_value=20).map(lambda v: v * 0.5)
-
-
-@st.composite
-def chain_and_bound(draw, max_tasks: int = 24):
-    n = draw(st.integers(min_value=1, max_value=max_tasks))
-    if draw(st.booleans()):
-        alpha = draw(st.lists(weight, min_size=n, max_size=n))
-        beta = draw(st.lists(edge_weight, min_size=n - 1, max_size=n - 1))
-    else:  # all-equal weights
-        alpha = [draw(weight)] * n
-        beta = [draw(edge_weight)] * (n - 1)
-    chain = Chain(alpha, beta)
-    slack = draw(st.integers(min_value=0, max_value=40)) * 0.5
-    return chain, chain.max_vertex_weight() + slack
+from tests.property.strategies import chain_and_bound
 
 
 @settings(max_examples=200, deadline=None)

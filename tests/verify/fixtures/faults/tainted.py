@@ -1,0 +1,32 @@
+import os
+import random
+import time
+from datetime import datetime
+
+from repro.verify.contracts import complexity
+
+
+def jitter():
+    return random.random()
+
+
+@complexity("n")
+def solve(chain, emit):
+    started = time.time()
+    mode = os.environ.get("MODE", "fast")
+    stamp = datetime.now()
+    for key in {1, 2, 3}:
+        emit(key)
+    return jitter(), started, mode, stamp
+
+
+@complexity("n")
+def seeded(chain, seed, tz, emit):
+    rng = random.Random(seed)
+    for key in sorted({1, 2}):
+        emit(key)
+    return rng.random(), datetime.now(tz)
+
+
+def free(chain):
+    return random.random()

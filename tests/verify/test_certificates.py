@@ -71,6 +71,18 @@ class TestCheckChainPartition:
         report = check_chain_partition(chain, [0], 1.5e308)
         assert [v.code for v in report.violations] == ["chain.load_bound"]
 
+    def test_block_a_rounding_step_over_k_rejected(self):
+        # Tasks 10..11 sum to 0.2, but their prefix difference is
+        # 0.20000000000000007: the block does not fit K = 0.2 under the
+        # shared block-fit rule, so the certificate must agree with
+        # is_feasible_cut and the prime-cover check.
+        chain = Chain([0.1] * 12, [0.0] * 11)
+        cut = [1, 3, 4, 5, 6, 7, 8, 9]
+        assert not chain.is_feasible_cut(cut, 0.2)
+        report = check_chain_partition(chain, cut, 0.2)
+        assert [v.code for v in report.violations] == ["chain.load_bound"]
+        assert not check_prime_cover(chain, cut, 0.2).ok
+
     def test_duplicate_cut_edges_rejected(self, chain):
         report = check_chain_partition(chain, [1, 1, 3], 7.0)
         assert any(

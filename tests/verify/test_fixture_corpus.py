@@ -1,0 +1,68 @@
+"""The analyzer fixture corpus: every file gives exactly its seeded codes.
+
+Each file under ``fixtures/<section>/`` seeds violations (and safe
+twins) for one analyzer.  The expectations are hard-coded here, not
+derived from a run of the analyzer, so a change that makes an analyzer
+report one finding more or fewer on any fixture fails this test.
+"""
+
+from collections import Counter
+from pathlib import Path
+from typing import Dict, Tuple
+
+import pytest
+
+from repro.verify.passes import check_source
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Fixture directory -> the report sections run over its files.
+SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "concurrency": ("flow", "concurrency"),
+    "hotpath": ("hotpath",),
+    "faults": ("faults",),
+}
+
+#: ``<directory>/<file>`` -> the exact code counts its sections report.
+EXPECTED: Dict[str, Dict[str, int]] = {
+    "concurrency/unlocked_class.py": {"REPRO013": 2},
+    "concurrency/globals.py": {"REPRO013": 3},
+    "concurrency/fork_capture.py": {"REPRO015": 2},
+    "concurrency/pool_workers.py": {"REPRO006": 3, "REPRO007": 4, "REPRO008": 2},
+    "concurrency/clean.py": {},
+    "hotpath/invariant_allocs.py": {"REPRO016": 3, "REPRO019": 1},
+    "hotpath/attr_dispatch.py": {"REPRO017": 2},
+    "hotpath/quadratic.py": {"REPRO018": 3},
+    "hotpath/numpy_temps.py": {"REPRO019": 1},
+    "hotpath/pragma_scoped.py": {"REPRO016": 1},
+    "hotpath/clean.py": {},
+    # Named cli.py on purpose: REPRO022 applies only to CLI entry files.
+    "faults/leaky_resources.py": {"REPRO020": 3},
+    "faults/broad_except.py": {"REPRO021": 3},
+    "faults/cli.py": {"REPRO022": 4},
+    "faults/tainted.py": {"REPRO023": 5},
+    "faults/silent_drop.py": {"REPRO024": 2},
+    "faults/pragma_scoped.py": {"REPRO024": 1},
+    "faults/clean.py": {},
+}
+
+
+def test_corpus_matches_expectations():
+    on_disk = {
+        path.relative_to(FIXTURES).as_posix()
+        for path in FIXTURES.rglob("*.py")
+    }
+    assert on_disk == set(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_fixture_reports_exactly_its_seeded_codes(name):
+    path = FIXTURES / name
+    source = path.read_text(encoding="utf-8")
+    findings = [
+        finding
+        for section in SECTIONS[path.parent.name]
+        for finding in check_source(section, source, Path(path.name))
+    ]
+    got = Counter(finding.code for finding in findings)
+    assert got == Counter(EXPECTED[name]), [f.render() for f in findings]
