@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Set, Tuple
 
+from repro.core.feasibility import finite_optimum
 from repro.graphs.chain import Chain
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
@@ -71,7 +72,9 @@ def enumerate_tree_optima(tree: Tree, bound: float) -> BruteForceOptimum:
 
 @complexity("2^n n")
 def chain_min_bandwidth(chain: Chain, bound: float) -> Optional[float]:
-    """Exhaustive minimum cut weight for a chain (None if infeasible)."""
+    """Exhaustive minimum cut weight for a chain (None if infeasible;
+    :class:`~repro.core.feasibility.OptimumOverflowError` if every
+    feasible cut weighs ``inf``)."""
     _check_size(chain.num_edges)
     indices = list(range(chain.num_edges))
     best: Optional[float] = None
@@ -82,7 +85,7 @@ def chain_min_bandwidth(chain: Chain, bound: float) -> Optional[float]:
             weight = chain.cut_weight(subset)
             if best is None or weight < best:
                 best = weight
-    return best
+    return best if best is None else finite_optimum(best, bound)
 
 
 def chain_min_components(chain: Chain, bound: float) -> Optional[int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.bandwidth import ChainCutResult
-from repro.core.feasibility import validate_bound
+from repro.core.feasibility import finite_optimum, validate_bound
 from repro.graphs.chain import Chain
 from repro.verify.contracts import complexity
 
@@ -66,7 +66,9 @@ def bandwidth_min_dp(chain: Chain, bound: float) -> ChainCutResult:
         if cost[j] < best_final and fits(j + 1, n - 1, bound):
             best_final = cost[j]
             best_j = j
-    assert best_j != -2, "validate_bound guarantees a feasible cut exists"
+    # validate_bound guarantees a feasible cut; if none has a finite
+    # weight, the optimum overflowed.
+    best_final = finite_optimum(best_final, bound)
 
     cut: List[int] = []
     j = best_j

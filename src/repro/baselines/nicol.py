@@ -20,7 +20,7 @@ import heapq
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.bandwidth import ChainCutResult
-from repro.core.feasibility import validate_bound
+from repro.core.feasibility import finite_optimum, validate_bound
 from repro.graphs.chain import Chain
 from repro.verify.contracts import complexity
 
@@ -102,7 +102,9 @@ def _nlogn_impl(
         if cost[j] < best_final and fits(j + 1, n - 1, bound):
             best_final = cost[j]
             best_j = j
-    assert best_j != -2
+    # validate_bound guarantees a feasible cut; if none has a finite
+    # weight, the optimum overflowed.
+    best_final = finite_optimum(best_final, bound)
 
     if counting:
         span.add("heap_pushes", heap_pushes)

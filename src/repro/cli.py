@@ -424,10 +424,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.observability import Tracer
 
-        engine = PartitionEngine(backend=args.backend, tracer=Tracer(),
-                                 hub=hub)
+        engine = PartitionEngine(tracer=Tracer(), hub=hub)
     else:
-        engine = PartitionEngine(backend=args.backend, hub=hub)
+        engine = PartitionEngine(hub=hub)
     try:
         if args.input == "-":
             lines = sys.stdin.readlines()
@@ -437,14 +436,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"batch: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # --sweep forces serial dispatch so same-fingerprint bandwidth
-    # queries are answered through one compiled-plan sweep per chain
-    # (the pool would re-pickle each query into a worker instead).
-    workers = 0 if args.sweep else args.workers
     try:
-        results = engine.solve_jsonl(
-            lines, max_workers=workers, chunksize=args.chunksize
-        )
+        results = engine.solve_jsonl(lines, max_workers=args.workers)
     except ValueError as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -923,16 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="query JSONL file, '-' = stdin")
     p.add_argument("--output", default="-", help="result JSONL file, '-' = stdout")
     p.add_argument("--workers", type=int, default=0,
-                   help="process-pool width; 0 = serial in-process (default)")
-    p.add_argument("--chunksize", type=int, default=None,
-                   help="queries pickled per pool task (default: balanced)")
-    p.add_argument("--sweep", action="store_true",
-                   help="answer same-chain bandwidth queries through one "
-                        "compiled-plan sweep per chain (forces serial "
-                        "dispatch; plan routing is bypassed under --trace, "
-                        "which needs per-query spans)")
-    p.add_argument("--backend", choices=["numpy", "python"], default=None,
-                   help="kernel backend (default: numpy when available)")
+                   help="process-pool width, one task per chain; 0 = "
+                        "serial in-process (default)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="trace the batch and write span/metric JSONL to FILE")
     p.add_argument("--verify", action="store_true",

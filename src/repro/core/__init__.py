@@ -32,6 +32,7 @@ from repro.core.inverse import (
 )
 from repro.core.feasibility import (
     InfeasibleBoundError,
+    OptimumOverflowError,
     PartitioningError,
     validate_bound,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "ring_bandwidth_min",
     "tree_pareto_frontier",
     "InfeasibleBoundError",
+    "OptimumOverflowError",
     "PartitioningError",
     "PrimeStructure",
     "PrimeSubpath",

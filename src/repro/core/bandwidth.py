@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.core.feasibility import validate_bound
+from repro.core.feasibility import finite_optimum, validate_bound
 from repro.core.prime_subpaths import compute_prime_structure
 from repro.core.temp_s import SolutionNode, TempSQueue, solution_weight
 from repro.graphs.chain import Chain
@@ -133,9 +133,10 @@ def bandwidth_min(
         prime structure.  Results are identical; only the constant factor
         differs (:mod:`repro.engine.kernels`).
     structure:
-        A precomputed prime structure for ``(chain, bound)`` — the engine
-        cache passes one to skip the ``O(n)`` preprocessing entirely.
-        Must match ``chain``/``bound``/``apply_reduction``.
+        A precomputed prime structure for ``(chain, bound)``, which skips
+        the ``O(n)`` preprocessing entirely; the empirical complexity
+        check (:mod:`repro.verify.empirical`) passes one built with its
+        own op counter.  Must match ``chain``/``bound``/``apply_reduction``.
     tracer:
         A :class:`repro.observability.Tracer` (or ``None``).  An enabled
         tracer records nested spans — preprocessing, TEMP_S sweep — whose
@@ -143,6 +144,9 @@ def bandwidth_min(
         exactly (same counter object, same expressions); it forces the
         counted reference sweep, so traced runs pay the ``collect_stats``
         constant.  ``None``/disabled costs two branches.
+
+    Raises :class:`~repro.core.feasibility.OptimumOverflowError` when
+    every feasible cut's weight overflows float64 to ``inf``.
     """
     traced = tracer is not None and tracer.enabled
     if not traced:
@@ -215,7 +219,7 @@ def _bandwidth_min_impl(
         from repro.engine.kernels import bandwidth_sweep
 
         cut, weight = bandwidth_sweep(structure)
-        return ChainCutResult(chain, cut, weight)
+        return ChainCutResult(chain, cut, finite_optimum(weight, bound))
     if traced:
         sweep_span = tracer.span("temp_s_sweep", r=structure.r)
         sweep_span.__enter__()
@@ -268,7 +272,9 @@ def _bandwidth_min_impl(
             stats.search_steps = counter.get("search_steps")
             stats.max_temp_s_len = int(counter.trace_max("temp_s_len"))
             stats.mean_temp_s_len = counter.trace_mean("temp_s_len")
-    return ChainCutResult(chain, cut_indices, final_weight, stats)
+    return ChainCutResult(
+        chain, cut_indices, finite_optimum(final_weight, bound), stats
+    )
 
 
 def bandwidth_stats(chain: Chain, bound: float, **kwargs: Any) -> AlgorithmStats:

@@ -31,6 +31,33 @@ class InfeasibleBoundError(PartitioningError):
         self.max_weight = max_weight
 
 
+class OptimumOverflowError(PartitioningError):
+    """Raised when the optimal cut weight is not representable.
+
+    Feasible cuts exist, but every one of them weighs more than the
+    largest float64: its weight sum overflows to ``inf``, which is not
+    an answer.
+    """
+
+    def __init__(self, bound: float) -> None:
+        super().__init__(
+            f"the optimal cut weight at K={bound:g} overflows float64: "
+            "every feasible cut weighs inf"
+        )
+        self.bound = bound
+
+
+def finite_optimum(weight: float, bound: float) -> float:
+    """Return an optimal cut weight, or raise
+    :class:`OptimumOverflowError` when it overflowed to ``inf``.
+
+    The one rule every chain solver applies to its answer.
+    """
+    if weight == math.inf:
+        raise OptimumOverflowError(bound)
+    return weight
+
+
 def validate_bound(vertex_weights: Iterable[float], bound: float) -> float:
     """Validate ``K`` against the vertex weights and return the max weight.
 

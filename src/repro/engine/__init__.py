@@ -14,9 +14,10 @@ Layers on top of :mod:`repro.core`:
 - :mod:`repro.engine.cache` — :class:`PlanCache`, the engine's one
   cache: compiled plans keyed by content fingerprint;
 - :mod:`repro.engine.batch` — :class:`PartitionEngine` with
-  ``solve``/``solve_many``/``solve_sweep`` (process-pool fan-out,
-  fingerprint-grouped dispatch, deterministic result ordering) backing
-  the ``repro batch`` CLI subcommand.
+  ``solve``/``solve_many``/``solve_sweep`` (batches grouped by chain,
+  each group answered the same way in-process or in a process-pool
+  worker, results in input order) backing the ``repro batch`` CLI
+  subcommand.
 """
 
 # The kernels (and NumPy) load first: NumPy imported from deeper in the

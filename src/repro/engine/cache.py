@@ -30,8 +30,7 @@ from repro.graphs.chain import Chain
 from repro.verify.markers import concurrent_entry, shared_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.observability import MetricsRegistry
-    from repro.observability.live import HubLike
+    from repro.observability.live import HubLike, TelemetrySubscriber
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -50,8 +49,9 @@ class PlanCache:
     :attr:`stats` counts plan lookups (``interval_hits`` stays zero);
     each plan's own ``stats`` counts its structure-memo lookups.  A
     compile (miss) and an eviction each make one ``cache`` event
-    carrying the cache's running totals, folded into the ``metrics``
-    given to :meth:`get` and published on its ``hub`` when live.
+    carrying the cache's running totals, handed to the ``metrics`` given
+    to :meth:`get` (anything with an ``emit``: a registry, or the
+    engine's reporter) and published on its ``hub`` when live.
 
     Thread-safe under one reentrant ``_lock`` (``@shared_state``); each
     plan guards its own memo with its own lock.
@@ -68,10 +68,10 @@ class PlanCache:
     def _report(
         self,
         action: str,
-        metrics: Optional["MetricsRegistry"],
+        metrics: Optional["TelemetrySubscriber"],
         hub: Optional["HubLike"],
     ) -> None:
-        """Fold one ``cache`` event into ``metrics`` and publish it on a
+        """Hand one ``cache`` event to ``metrics`` and publish it on a
         live ``hub``."""
         stats = self.stats
         event = {
@@ -95,7 +95,7 @@ class PlanCache:
         self,
         chain: Chain,
         *,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional["TelemetrySubscriber"] = None,
         hub: Optional["HubLike"] = None,
     ) -> CompiledChainPlan:
         """The cached plan for ``chain``, compiling one on first sight."""
@@ -106,7 +106,7 @@ class PlanCache:
         self,
         chain: Chain,
         *,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional["TelemetrySubscriber"] = None,
         hub: Optional["HubLike"] = None,
     ) -> Tuple[CompiledChainPlan, bool]:
         """Like :meth:`get`, and also whether this lookup hit."""

@@ -54,6 +54,7 @@ from bisect import bisect_right, insort
 from collections import OrderedDict
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
+from repro.core.feasibility import finite_optimum
 from repro.engine.kernels import (
     beta_array,
     membership_intervals,
@@ -461,7 +462,7 @@ class CompiledChainPlan:
                 misses += 1
             else:
                 reused += 1
-            weight = frozen.weight
+            weight = finite_optimum(frozen.weight, ks[i])
             cut = self._cut_for(frozen) if need_cuts else []
             start = frozen.valid_from
             end = frozen.valid_until
@@ -530,7 +531,11 @@ class CompiledChainPlan:
         if not np.isfinite(mat).all() or (mat < 0).any():
             raise ValueError("beta rows must be finite and non-negative")
         validate_bound_array(self._alpha_max, float(bound))
-        out = self._solve_beta_sweep_impl(mat, bound)
+        with np.errstate(over="ignore"):
+            # A candidate sum may overflow to inf; only an infinite
+            # optimum is an error, and finite_optimum below raises it.
+            out = self._solve_beta_sweep_impl(mat, bound)
+        finite_optimum(float(out.max()), bound)
         with self._lock:
             self.stats.record(0, 0, 0, 0, mat.shape[0])
         if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs

@@ -96,28 +96,19 @@ class FaultInjectionHarness:
 
     Parameters
     ----------
-    backend:
-        Engine backend each scenario constructs engines with
-        (``"numpy"`` when available, else ``"python"``).
     fail_on_call:
         Which call ordinal (1-based) of the patched target raises.  The
         default faults the *first* call — the earliest point a raise
         can escape.
     """
 
-    __slots__ = ("backend", "fail_on_call", "injected_sites")
+    __slots__ = ("fail_on_call", "injected_sites")
 
-    def __init__(self, backend: Optional[str] = None,
-                 fail_on_call: int = 1) -> None:
+    def __init__(self, fail_on_call: int = 1) -> None:
         if fail_on_call < 1:
             raise ValueError(
                 f"fail_on_call is a 1-based ordinal, got {fail_on_call}"
             )
-        if backend is None:
-            from repro.engine import HAVE_NUMPY
-
-            backend = "numpy" if HAVE_NUMPY else "python"
-        self.backend = backend
         self.fail_on_call = fail_on_call
         #: ``"namespace.attr"`` labels of every site this harness has
         #: injected so far — the acceptance criterion counts these.
@@ -179,7 +170,7 @@ class FaultInjectionHarness:
     def _fresh_engine(self, **kwargs: Any) -> Any:
         from repro.engine import PartitionEngine
 
-        return PartitionEngine(backend=self.backend, **kwargs)
+        return PartitionEngine(**kwargs)
 
     def _reference_answer(self) -> Tuple[float, List[int]]:
         engine = self._fresh_engine()
@@ -216,19 +207,6 @@ class FaultInjectionHarness:
 # ----------------------------------------------------------------------
 
 
-def _structure_site(harness: FaultInjectionHarness) -> Tuple[Any, str]:
-    """Where a structure build starts: the prime-window kernel inside
-    the plan (NumPy engine) or the reference structure builder that
-    ``bandwidth_min`` calls (python engine)."""
-    if harness.backend == "numpy":
-        import repro.engine.plan as plan_mod
-
-        return plan_mod, "prime_windows"
-    import repro.core.bandwidth as bandwidth_mod
-
-    return bandwidth_mod, "compute_prime_structure"
-
-
 def _engine_locks_released(engine: Any) -> bool:
     """The plan-cache lock and every cached plan's memo lock are free."""
     locks = [engine.cache._lock]
@@ -245,9 +223,12 @@ def certify_structure_compute_fault(
     released, the plan memo un-poisoned, and the next solve of the same
     query bit-identical.
     """
+    import repro.engine.plan as plan_mod
+
     engine = harness._fresh_engine()
-    namespace, attribute = _structure_site(harness)
-    with harness.inject(namespace, attribute):
+    # A structure build starts at the plan's prime-window kernel.
+    attribute = "prime_windows"
+    with harness.inject(plan_mod, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)
         except InjectedFault:
@@ -268,22 +249,14 @@ def certify_sweep_kernel_fault(
     harness: FaultInjectionHarness,
 ) -> Dict[str, Any]:
     """Fault the TEMP_S sweep while the plan's memo lock is held."""
-    if harness.backend == "numpy":
-        import repro.engine.plan as plan_mod
+    import repro.engine.plan as plan_mod
 
-        # The cut-capable plan build calls the sweep (native kernel or
-        # Python fallback) through the plan module's binding, inside
-        # ``solve_bounds``'s ``with self._lock``.
-        namespace: Any = plan_mod
-        attribute = "temps_sweep"
-    else:
-        import repro.core.bandwidth as bandwidth_mod
-
-        # The reference sweep drives a fresh TEMP_S queue per solve.
-        namespace = bandwidth_mod
-        attribute = "TempSQueue"
     engine = harness._fresh_engine()
-    with harness.inject(namespace, attribute):
+    # The cut-capable plan build calls the sweep (native kernel or
+    # Python fallback) through the plan module's binding, inside
+    # ``solve_bounds``'s ``with self._lock``.
+    attribute = "temps_sweep"
+    with harness.inject(plan_mod, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)
         except InjectedFault:
@@ -307,21 +280,13 @@ def certify_plan_compile_fault(
     must release the lock and must not cache a half-built plan.
     """
     import repro.engine.cache as cache_mod
-    from repro.engine import HAVE_NUMPY
 
     engine = harness._fresh_engine()
     chain = _canonical_chain()
     bounds = [_CANONICAL_BOUND, _CANONICAL_BOUND + 8.0]
     with harness.inject(cache_mod, "compile_chain"):
         try:
-            if engine.backend == "numpy":
-                # The batched sweep routes through the plan cache.
-                engine.solve_sweep(chain, bounds)
-            else:
-                # The python sweep degrades to per-call solves, so hit
-                # the plan cache directly — the compile faults before
-                # any NumPy work, so this runs on every install.
-                engine.plans.get(chain)
+            engine.solve_sweep(chain, bounds)
         except InjectedFault:
             pass
         else:
@@ -334,19 +299,16 @@ def certify_plan_compile_fault(
         len(engine.plans) == 0,
         "a half-built plan was cached despite the compile fault",
     )
-    if HAVE_NUMPY:
-        # A clean compile must now succeed and agree with per-query
-        # solves (compiled plans are NumPy-backed regardless of the
-        # engine backend).
-        plan = engine.plans.get(chain)
-        weights = plan.solve_bounds(bounds)
-        for bound, weight in zip(bounds, weights):
-            solo = engine.solve(chain, bound)
-            _require(
-                float(weight) == float(solo.weight),
-                f"post-fault sweep weight {weight!r} != solo "
-                f"{solo.weight!r} at bound {bound}",
-            )
+    # A clean compile must now succeed and agree with per-query solves.
+    plan = engine.plans.get(chain)
+    weights = plan.solve_bounds(bounds)
+    for bound, weight in zip(bounds, weights):
+        solo = engine.solve(chain, bound)
+        _require(
+            float(weight) == float(solo.weight),
+            f"post-fault sweep weight {weight!r} != solo "
+            f"{solo.weight!r} at bound {bound}",
+        )
     harness._certify_recovered(engine, "plan-compile fault")
     return {"site": "compile_chain", "recovered": True}
 
@@ -359,29 +321,30 @@ def certify_batch_query_fault(
     The engine's documented contract: a failing query yields a
     ``QueryResult`` with ``error`` set while every other query solves,
     and a clean re-run of the whole batch is bit-identical to a
-    never-faulted engine's run.  The queries sit on distinct chains, so
-    the serial batch solves each one through ``PartitionEngine._solve``.
+    never-faulted engine's run.  The queries share one chain, so the
+    fault first fails the group's one plan call; the group is then
+    re-run one query per plan call, and only query 1's call fails.
     """
     from repro.core.feasibility import PartitioningError
     from repro.engine import PartitionEngine, PartitionQuery
 
-    base = _canonical_chain()
+    chain = _canonical_chain()
     queries = [
-        PartitionQuery.from_chain(
-            Chain(base.alpha, [(i + 1.0) * b for b in base.beta]),
-            _CANONICAL_BOUND + 4.0 * i,
-            tag=f"q{i}",
-        )
+        PartitionQuery.from_chain(chain, _CANONICAL_BOUND + 4.0 * i, tag=f"q{i}")
         for i in range(4)
     ]
+    poisoned = queries[1].bound
 
-    def failing_solve(real: Any, call: int, *args: Any, **kwargs: Any) -> Any:
-        if call == 2:
+    def failing_plan_call(
+        real: Any, call: int, engine: Any, chain: Chain, bounds: Any,
+        *args: Any, **kwargs: Any,
+    ) -> Any:
+        if poisoned in bounds:
             raise PartitioningError("injected per-query fault")
-        return real(*args, **kwargs)
+        return real(engine, chain, bounds, *args, **kwargs)
 
     engine = harness._fresh_engine()
-    with harness.inject(PartitionEngine, "_solve", wrap=failing_solve):
+    with harness.inject(PartitionEngine, "_plan_solve", wrap=failing_plan_call):
         faulted = engine.solve_many(queries, max_workers=0)
     errored = [r for r in faulted if r.error is not None]
     _require(
@@ -405,7 +368,7 @@ def certify_batch_query_fault(
             f"({ref.weight!r}, {ref.cut_indices!r})",
         )
     harness._certify_recovered(engine, "per-query batch fault")
-    return {"site": "_solve", "errored_query": 1, "recovered": True}
+    return {"site": "_plan_solve", "errored_query": 1, "recovered": True}
 
 
 def certify_hub_subscriber_fault(
@@ -733,12 +696,13 @@ def certify_traced_solve_fault(
 ) -> Dict[str, Any]:
     """Fault a solve *under an enabled tracer*: the span stack must
     unwind with the solve and the next traced solve must succeed."""
+    import repro.engine.plan as plan_mod
     from repro.observability.spans import Tracer
 
     tracer = Tracer(enabled=True)
     engine = harness._fresh_engine(tracer=tracer)
-    namespace, attribute = _structure_site(harness)
-    with harness.inject(namespace, attribute):
+    attribute = "prime_windows"
+    with harness.inject(plan_mod, attribute):
         try:
             engine.solve(_canonical_chain(), _CANONICAL_BOUND)
         except InjectedFault:

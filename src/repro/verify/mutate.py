@@ -712,7 +712,10 @@ def _growth_probe() -> Optional[str]:
 
 
 class PipelineSpec:
-    """Everything the sandboxed child needs — plain data, picklable."""
+    """Everything the sandboxed child needs — plain data, picklable.
+
+    ``tests`` are repo-relative paths, so kill details name them the
+    same way on every checkout."""
 
     __slots__ = (
         "module",
@@ -784,7 +787,10 @@ def pipeline_entry(spec: PipelineSpec) -> Dict[str, Any]:
 
         rc = int(
             pytest.main(
-                [*spec.tests, "-x", "-q", "--no-header", "-p", "no:cacheprovider"]
+                [
+                    *(str(_repo_root() / rel) for rel in spec.tests),
+                    "-x", "-q", "--no-header", "-p", "no:cacheprovider",
+                ]
             )
         )
         if rc == 5:
@@ -1009,7 +1015,7 @@ def run_mutation_analysis(
             tests: Tuple[str, ...] = ()
             if test_layer:
                 tests = tuple(
-                    str(root / rel) for rel in target.tests if (root / rel).exists()
+                    rel for rel in target.tests if (root / rel).exists()
                 )
             pristine_rendering = ast.unparse(trees[name])
             renderings[name] = pristine_rendering

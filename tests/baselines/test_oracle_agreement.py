@@ -1,4 +1,5 @@
-"""Every chain bandwidth solver agrees on bounds equal to a task weight.
+"""Every chain bandwidth solver agrees on bounds equal to a task weight,
+and raises the same typed error when the optimum overflows to ``inf``.
 
 The oracles judge a block with the one rule :meth:`Chain.block_fits`.
 A raw prefix difference can put a single task a rounding step above
@@ -8,6 +9,7 @@ cancellation common; ``K`` drawn from the task weights makes it bite.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.baselines.exact_dp import bandwidth_min_dp
 from repro.baselines.nicol import bandwidth_min_nlogn
 from repro.baselines.sliding_window import bandwidth_min_deque
 from repro.core.bandwidth import bandwidth_min
+from repro.core.feasibility import OptimumOverflowError
 from repro.graphs.chain import Chain
 
 SOLVERS = (bandwidth_min, bandwidth_min_nlogn, bandwidth_min_dp, bandwidth_min_deque)
@@ -51,3 +54,44 @@ def test_decimal_chains_with_task_weight_bounds(seed):
             bound = max(bound, chain.segment_weight(lo, hi))
         got = weights(chain, bound)
         assert len(set(got)) == 1, (chain.alpha, chain.beta, bound, got)
+
+
+def _beta_sweep(chain, bound):
+    from repro.engine.plan import compile_chain
+
+    return compile_chain(chain).solve_beta_sweep([list(chain.beta)], bound)
+
+
+def _plan(chain, bound):
+    from repro.engine.plan import compile_chain
+
+    return compile_chain(chain).solve_bounds([bound])
+
+
+def _engine(chain, bound):
+    from repro.engine import PartitionEngine
+
+    return PartitionEngine().solve(chain, bound)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [*SOLVERS, chain_min_bandwidth, _engine, _plan, _beta_sweep],
+    ids=lambda solve: solve.__name__,
+)
+def test_infinite_optimum_is_a_typed_error(solve):
+    # K = 1 forces both cuts, and 1e308 + 1e308 overflows to inf.
+    chain = Chain([1.0, 1.0, 1.0], [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OptimumOverflowError, match="overflows float64"):
+            solve(chain, 1.0)
+
+
+def test_overflowing_candidate_with_finite_optimum_is_an_answer():
+    # One cut of 1e308 fits; only the two-cut candidates overflow.
+    chain = Chain([1.0, 1.0, 1.0], [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert weights(chain, 2.0) == [(1e308).hex()] * 5
+        assert _beta_sweep(chain, 2.0).tolist() == [1e308]

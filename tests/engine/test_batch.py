@@ -48,12 +48,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             engine.solve(chain, 100.0, "makespan")
 
-    def test_python_backend(self):
-        engine = PartitionEngine(backend="python")
-        chain = random_chain(50, rng=4)
-        bound = 2.0 * chain.max_vertex_weight()
-        assert engine.solve(chain, bound).weight == bandwidth_min(chain, bound).weight
-
 
 class TestSolveMany:
     def test_serial_results_in_order(self):
@@ -74,7 +68,7 @@ class TestSolveMany:
         engine = PartitionEngine()
         queries = make_queries()
         serial = engine.solve_many(queries, max_workers=0)
-        parallel = engine.solve_many(queries, max_workers=2, chunksize=1)
+        parallel = engine.solve_many(queries, max_workers=2)
         assert [r.index for r in parallel] == list(range(len(queries)))
         assert [
             (r.cut_indices, r.weight, r.num_components) for r in parallel
@@ -143,8 +137,8 @@ class TestBatchCli:
         )
         assert "error" in rows[1]
 
-    def test_batch_sweep_flag_matches_default(self, tmp_path):
-        chain = random_chain(20, rng=61)
+    def test_batch_pool_matches_serial(self, tmp_path):
+        chains = [random_chain(20, rng=61 + c) for c in range(2)]
         records = [
             {
                 "alpha": list(chain.alpha),
@@ -153,16 +147,18 @@ class TestBatchCli:
                 "tag": f"s{i}",
             }
             for i in range(4)
+            for chain in chains
         ]
         inp = tmp_path / "queries.jsonl"
         inp.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        plain_out = tmp_path / "plain.jsonl"
-        sweep_out = tmp_path / "sweep.jsonl"
-        assert main(["batch", "--input", str(inp), "--output", str(plain_out)]) == 0
+        serial_out = tmp_path / "serial.jsonl"
+        pool_out = tmp_path / "pool.jsonl"
+        assert main(["batch", "--input", str(inp), "--output", str(serial_out)]) == 0
         assert main(
-            ["batch", "--sweep", "--input", str(inp), "--output", str(sweep_out)]
+            ["batch", "--workers", "2", "--input", str(inp),
+             "--output", str(pool_out)]
         ) == 0
-        assert sweep_out.read_text() == plain_out.read_text()
+        assert pool_out.read_text() == serial_out.read_text()
 
     def test_batch_all_ok_exit_zero(self, tmp_path):
         inp = tmp_path / "q.jsonl"
@@ -205,8 +201,11 @@ class TestPlanGrouping:
 
     def test_serial_plan_routing_matches_per_call(self):
         queries = self.make_grouped_queries()
-        routed = PartitionEngine().solve_many(queries, max_workers=0)
-        assert all("plan_group" in r.telemetry for r in routed)
+        engine = PartitionEngine()
+        routed = engine.solve_many(queries, max_workers=0)
+        # One plan call per chain answers all of its bounds.
+        assert engine.metrics.counter("engine.plan.sweeps").value == 3
+        assert engine.metrics.counter("engine.plan.queries").value == 12
         assert self.routed_rows(routed) == self.per_call(queries)
 
     def test_plan_routing_shares_one_plan_per_chain(self):
@@ -231,13 +230,10 @@ class TestPlanGrouping:
         assert self.routed_rows(routed) == self.per_call(queries)
 
     def test_pool_grouping_preserves_input_order(self):
-        # The pool path submits queries sorted by chain payload so one
-        # worker's cache sees a chain's queries back to back; results
-        # must still come home in input order.
+        # The pool gets one task per chain, so one worker answers all of
+        # a chain's queries; results must still come home in input order.
         queries = self.make_grouped_queries(num=9, chains=3)
-        parallel = PartitionEngine().solve_many(
-            queries, max_workers=2, chunksize=1
-        )
+        parallel = PartitionEngine().solve_many(queries, max_workers=2)
         serial = PartitionEngine().solve_many(queries, max_workers=0)
         assert [r.index for r in parallel] == list(range(len(queries)))
         assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
@@ -248,8 +244,10 @@ class TestPlanGrouping:
         one = [PartitionQuery.from_chain(chain, 2.0 * chain.max_vertex_weight())]
         results = engine.solve_many(one, max_workers=0)
         assert results[0].ok
-        assert "plan_group" not in results[0].telemetry
-        assert len(engine.plans) == 1  # engine.solve's own plan
+        # One one-bound plan call, exactly what engine.solve makes.
+        assert engine.metrics.counter("engine.plan.sweeps").value == 1
+        assert engine.metrics.counter("engine.plan.queries").value == 1
+        assert len(engine.plans) == 1
 
 
 class TestBatchTelemetry:
@@ -263,15 +261,16 @@ class TestBatchTelemetry:
         assert batch is not None
         assert batch.queries == 6
         assert batch.failures == 0
-        assert batch.latency.count == 6
+        summary = batch.as_dict()
+        assert summary["latency"]["count"] == 6
         assert batch.wall_s > 0.0
         # Worker spans arrive tagged and in query order.
         indices = [r["query_index"] for r in batch.trace_records]
         assert indices == sorted(indices)
         assert set(indices) == set(range(6))
-        # The per-worker cache op-counts survive aggregation.
-        assert batch.counter.get("cache_misses") == 6
-        assert batch.cache.misses == 6
+        # The per-query span op-counts survive aggregation.
+        assert summary["counts"]["cache_misses"] == 6
+        assert summary["cache"]["misses"] == 6
         assert all(r.ok for r in results)
 
     def test_parallel_aggregation_matches_serial_counts(self):
@@ -281,12 +280,13 @@ class TestBatchTelemetry:
         serial = PartitionEngine(tracer=Tracer())
         parallel = PartitionEngine(tracer=Tracer())
         serial.solve_many(queries, max_workers=0)
-        parallel.solve_many(queries, max_workers=2, chunksize=1)
+        parallel.solve_many(queries, max_workers=2)
         a, b = serial.last_batch_stats, parallel.last_batch_stats
         assert b.workers == 2
         # Deterministic quantities agree across execution modes.
         assert (a.queries, a.failures) == (b.queries, b.failures)
-        assert a.counter.as_dict() == b.counter.as_dict()
+        assert a.as_dict()["counts"] == b.as_dict()["counts"]
+        assert a.as_dict()["cache"] == b.as_dict()["cache"]
         assert [r["query_index"] for r in a.trace_records] == [
             r["query_index"] for r in b.trace_records
         ]
@@ -360,6 +360,46 @@ class TestBatchTelemetry:
         assert span is not None
         assert span.attrs["n"] == 60
         assert tracer.find("plan_solve_bounds") is not None
+
+
+class TestOneBatchPath:
+    """Serial and pooled batches answer every chain group the same way."""
+
+    def queries(self):
+        chains = [random_chain(18 + 6 * c, rng=300 + c) for c in range(3)]
+        out = []
+        for c, chain in enumerate(chains):
+            wmax = chain.max_vertex_weight()
+            for objective in OBJECTIVES:
+                out.append(PartitionQuery.from_chain(
+                    chain, 2.0 * wmax, objective, tag=f"c{c}-{objective}"))
+            out.append(PartitionQuery.from_chain(chain, 3.0 * wmax, tag=f"c{c}-3"))
+            # A repeated bound and an infeasible one.
+            out.append(PartitionQuery.from_chain(chain, 2.0 * wmax, tag=f"c{c}-again"))
+            out.append(PartitionQuery.from_chain(chain, 0.5 * wmax, tag=f"c{c}-low"))
+        return out
+
+    @staticmethod
+    def counters(engine):
+        return {
+            name: counter.value
+            for name, counter in engine.metrics.counters.items()
+            if name.startswith(("engine.plan.", "engine.batch."))
+        }
+
+    def test_serial_and_pool_make_the_same_calls(self):
+        queries = self.queries()
+        serial, pooled = PartitionEngine(), PartitionEngine()
+        a = serial.solve_many(queries, max_workers=0)
+        b = pooled.solve_many(queries, max_workers=2)
+        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+        assert [r.ok for r in a].count(False) == 3
+        assert self.counters(serial) == self.counters(pooled)
+        # One plan call per chain for its feasible bandwidth bounds.
+        assert serial.metrics.counter("engine.plan.sweeps").value == 3
+        assert serial.metrics.counter("engine.plan.queries").value == 9
+        assert serial.last_batch_stats.as_dict()["cache"] == (
+            pooled.last_batch_stats.as_dict()["cache"])
 
 
 class TestInverseWiring:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
-from repro.engine import PartitionEngine
+from repro.engine import PartitionEngine, native
 from repro.engine.cache import PlanCache
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain
@@ -36,18 +36,16 @@ class TestFingerprint:
 
 
 @pytest.fixture(params=["python", "numpy"])
-def engine(request):
-    if request.param == "numpy":
-        pytest.importorskip("numpy")
-    return PartitionEngine(backend=request.param)
+def engine(request, monkeypatch):
+    """A fresh engine: as it loads (``numpy``), or with its TEMP_S sweep
+    pinned to the pure-Python fallback (``python``)."""
+    if request.param == "python":
+        monkeypatch.setattr(native, "load_sweep", lambda: None)
+    return PartitionEngine()
 
 
 def memo(engine, chain):
-    """The chain's plan-memo stats, or ``None`` on the python engine,
-    which answers from the reference and must hold no plan at all."""
-    if engine.backend == "python":
-        assert len(engine.cache) == 0
-        return None
+    """The chain's plan-memo stats."""
     return engine.cache.get(chain).stats
 
 
@@ -62,8 +60,7 @@ class TestCacheServing:
         )
         assert second.cut_indices is not first.cut_indices  # fresh lists
         stats = memo(engine, chain)
-        if stats is not None:
-            assert stats.hits == 1 and stats.misses == 1
+        assert stats.hits == 1 and stats.misses == 1
 
     def test_equal_chain_different_object_hits(self, engine):
         chain = random_chain(100, rng=2)
@@ -72,9 +69,8 @@ class TestCacheServing:
         engine.solve(chain, bound)
         engine.solve(clone, bound)
         stats = memo(engine, chain)
-        if stats is not None:
-            assert stats.hits == 1
-            assert len(engine.cache) == 1  # one plan for both objects
+        assert stats.hits == 1
+        assert len(engine.cache) == 1  # one plan for both objects
 
     def test_results_match_reference(self, engine):
         chain = random_chain(150, rng=3)
@@ -97,17 +93,15 @@ class TestCacheServing:
         crossed = engine.solve(chain, 8.0)  # structure must change
         assert crossed.cut_indices == bandwidth_min(chain, 8.0).cut_indices
         stats = memo(engine, chain)
-        if stats is not None:
-            assert (stats.hits, stats.interval_hits, stats.misses) == (0, 1, 2)
+        assert (stats.hits, stats.interval_hits, stats.misses) == (0, 1, 2)
 
     def test_interval_never_serves_below_computed_bound(self, engine):
         chain = Chain([2.0] * 50, [1.0] * 49)
         engine.solve(chain, 6.0)
         engine.solve(chain, 5.0)  # smaller: must recompute, never reuse up
         stats = memo(engine, chain)
-        if stats is not None:
-            assert stats.interval_hits == 0
-            assert stats.misses == 2
+        assert stats.interval_hits == 0
+        assert stats.misses == 2
 
     def test_sorted_sweep_matches_fresh_python(self, engine):
         # Integer weights give integer prime weights, so every unit
@@ -120,10 +114,9 @@ class TestCacheServing:
             ref = bandwidth_min(chain, bound)
             assert (got.cut_indices, got.weight) == (ref.cut_indices, ref.weight)
         stats = memo(engine, chain)
-        if stats is not None:
-            assert stats.lookups == 40
-            # Dense sorted sweeps must not recompute every probe.
-            assert stats.interval_hits + stats.hits > 0
+        assert stats.lookups == 40
+        # Dense sorted sweeps must not recompute every probe.
+        assert stats.interval_hits + stats.hits > 0
 
     def test_infeasible_bound_still_raises(self, engine):
         chain = random_chain(20, rng=5)
@@ -138,8 +131,6 @@ class TestCacheServing:
         chain = random_chain(60, rng=6)
         bound = 3.0 * chain.max_vertex_weight()
         engine.solve(chain, bound)
-        if memo(engine, chain) is None:
-            return
         frozen = engine.cache.get(chain)._lookup(bound)
         ref = PrimeStructure.compute(chain, bound)
         assert (frozen.p, frozen.r) == (ref.p, ref.r)

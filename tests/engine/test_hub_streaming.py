@@ -38,7 +38,7 @@ class TestHubWiring:
     def test_hub_threads_into_cache(self):
         pytest.importorskip("numpy")
         ring = RingBufferSubscriber()
-        engine = PartitionEngine(backend="numpy", hub=TelemetryHub([ring]))
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
         chain = random_chain(24, rng=0)
         engine.solve(chain, 4.0 * chain.max_vertex_weight())
         engine.solve(chain, 4.0 * chain.max_vertex_weight())

@@ -1,7 +1,7 @@
 """Non-finite inputs are rejected at every boundary, identically.
 
 NaN fails every comparison, so a ``weight <= 0`` check lets it through
-and the backends then disagree on the garbage (the reference once
+and the solvers then disagree on the garbage (the reference once
 answered 2.0 where the NumPy engine answered 0.0).  One rule,
 ``0 < x < inf``, now guards task weights and bounds (edge weights may
 also be zero), and JSONL input refuses the ``NaN``/``Infinity`` tokens
@@ -27,10 +27,6 @@ BOUND = 9.0
 
 def _core(alpha, beta, bound):
     return bandwidth_min(Chain(alpha, beta), bound)
-
-
-def _python_engine(alpha, beta, bound):
-    return PartitionEngine(backend="python").solve(Chain(alpha, beta), bound)
 
 
 def _engine(alpha, beta, bound):
@@ -63,7 +59,7 @@ def test_non_finite_rejected_everywhere(tmp_path, slot, value, literal):
         beta[1] = value
     else:
         bound = value
-    for solve in (_core, _python_engine, _engine, _sweep):
+    for solve in (_core, _engine, _sweep):
         with pytest.raises(ValueError):
             solve(alpha, beta, bound)
     record = {"alpha": list(ALPHA), "beta": list(BETA), "bound": BOUND}
@@ -81,7 +77,7 @@ def test_non_finite_rejected_everywhere(tmp_path, slot, value, literal):
 
 def test_finite_answer_unchanged():
     # The Figure 1 query still answers through every entry point.
-    for solve in (_core, _python_engine, _engine):
+    for solve in (_core, _engine):
         result = solve(ALPHA, BETA, BOUND)
         assert (result.cut_indices, result.weight) == ([1, 3], 3.0)
 

@@ -402,18 +402,6 @@ class TestEngineSolveSweep:
         assert engine.plans.stats.misses == 1
         assert engine.plans.stats.hits == 1
 
-    def test_python_backend_falls_back_to_per_call(self):
-        engine = PartitionEngine(backend="python")
-        chain = random_chain(30, rng=41)
-        ks = bounds_for(chain, count=5, seed=41)
-        weights, cuts = engine.solve_sweep(chain, ks, return_cuts=True)
-        assert len(engine.plans) == 0  # no plan compiled on the python path
-        for k, weight, cut in zip(ks, weights, cuts):
-            ref = bandwidth_min(chain, k)
-            assert (cut, weight) == (list(ref.cut_indices), ref.weight)
-        just_weights = engine.solve_sweep(chain, ks)
-        assert list(just_weights) == list(weights)
-
     def test_one_plan_event_per_plan_call(self):
         ring = RingBufferSubscriber()
         engine = PartitionEngine(hub=TelemetryHub([ring]))

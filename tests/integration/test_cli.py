@@ -148,6 +148,19 @@ class TestBatchErrorPaths:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [("error" in row) for row in rows] == [False, True]
 
+    def test_infinite_optimum_is_a_query_error(self, tmp_path, capsys):
+        inp = tmp_path / "queries.jsonl"
+        out = tmp_path / "results.jsonl"
+        chain = {"alpha": [1, 1, 1], "beta": [1e308, 1e308]}
+        records = [dict(chain, bound=2, tag="ok"),
+                   dict(chain, bound=1, tag="overflow")]
+        inp.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        code = main(["batch", "--input", str(inp), "--output", str(out)])
+        assert code == 1
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows[0]["weight"] == 1e308
+        assert "overflows float64" in rows[1]["error"]
+
     def test_empty_input_file_exits_0(self, tmp_path, capsys):
         inp = tmp_path / "empty.jsonl"
         out = tmp_path / "results.jsonl"

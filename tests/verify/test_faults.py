@@ -90,7 +90,7 @@ class TestInjectPrimitive:
             FaultInjectionHarness(fail_on_call=0)
 
     def test_injection_raises_then_restores(self):
-        harness = FaultInjectionHarness(backend="python")
+        harness = FaultInjectionHarness()
         victim = self._Victim
         original = victim.work
         with harness.inject(victim, "work") as counter:
@@ -102,13 +102,13 @@ class TestInjectPrimitive:
         assert harness.injected_sites[-1].endswith(".work")
 
     def test_unreached_site_is_a_certification_failure(self):
-        harness = FaultInjectionHarness(backend="python")
+        harness = FaultInjectionHarness()
         with pytest.raises(FaultInjectionError, match="never reached"):
             with harness.inject(self._Victim, "work"):
                 pass  # never calls the patched target
 
     def test_restores_even_when_the_body_raises(self):
-        harness = FaultInjectionHarness(backend="python")
+        harness = FaultInjectionHarness()
         original = self._Victim.work
         with pytest.raises(RuntimeError):
             with harness.inject(self._Victim, "work"):
@@ -116,7 +116,7 @@ class TestInjectPrimitive:
         assert self._Victim.work is original
 
     def test_calls_tuple_selects_ordinals(self):
-        harness = FaultInjectionHarness(backend="python")
+        harness = FaultInjectionHarness()
         victim = self._Victim
         with harness.inject(victim, "work", calls=(2,)):
             assert victim.work(1) == 2
@@ -125,7 +125,7 @@ class TestInjectPrimitive:
             assert victim.work(1) == 2
 
     def test_wrap_replaces_the_raise(self):
-        harness = FaultInjectionHarness(backend="python")
+        harness = FaultInjectionHarness()
 
         def halved(real, call, x):
             return real(x) // 2
@@ -182,8 +182,3 @@ class TestCertifyAll:
             "metrics_observe", "sites",
         }
         assert set(summary) == expected
-
-    def test_python_backend_also_certifies(self, tmp_path):
-        harness = FaultInjectionHarness(backend="python")
-        summary = certify_all(harness, sink_dir=str(tmp_path))
-        assert len(summary["sites"]) >= 10

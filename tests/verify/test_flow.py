@@ -220,13 +220,13 @@ class TestSeededRegressions:
         return BATCH.read_text()
 
     def test_module_global_append_in_worker_caught(self):
-        # Mutation (b): the payload worker appends every answer to a
-        # module-level list — state that silently diverges per process.
-        original = "    answer.telemetry = telemetry\n    return answer"
+        # Mutation (b): the pool worker appends every answered group to
+        # a module-level list — state that silently diverges per process.
+        original = "    return _worker_engine()._solve_group(task)"
         mutated = (
-            "    answer.telemetry = telemetry\n"
-            "    _SEEN_RESULTS.append(answer)\n"
-            "    return answer"
+            "    answered = _worker_engine()._solve_group(task)\n"
+            "    _SEEN_RESULTS.append(answered)\n"
+            "    return answered"
         )
         source = self._source()
         assert original in source
@@ -238,17 +238,13 @@ class TestSeededRegressions:
 
     def test_lambda_capturing_tracer_caught(self):
         # Mutation (c): solve_many submits a closure over a live Tracer
-        # instead of the module-level payload worker.
+        # instead of the module-level group worker.
         source = self._source()
         pool_line = (
-            "            with ProcessPoolExecutor(max_workers=max_workers)"
+            "            with ProcessPoolExecutor(max_workers=batch.workers)"
             " as pool:"
         )
-        map_call = (
-            "pool.map(\n"
-            "                    _solve_payload, grouped, chunksize=chunksize\n"
-            "                )"
-        )
+        map_call = "pool.map(_solve_task, tasks)"
         assert pool_line in source and map_call in source
         source = source.replace(
             pool_line,
@@ -256,7 +252,7 @@ class TestSeededRegressions:
             "            tracer = Tracer()\n" + pool_line,
         )
         source = source.replace(
-            map_call, "pool.map(lambda p: _solve_payload(p, tracer), grouped)"
+            map_call, "pool.map(lambda t: _solve_task(t, tracer), tasks)"
         )
         findings = check_source("flow", source, BATCH)
         assert "REPRO007" in [f.code for f in findings]

@@ -7,6 +7,8 @@ baseline diff gate depends on.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.verify.mutate import (
 )
 
 MODULE = "repro.core.bottleneck"
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +184,42 @@ class TestJsonSchemas:
         for key in ("seed", "budget", "modules", "packages", "totals",
                     "kills_by_layer", "failures", "passed"):
             assert key in report
+
+
+def _detail_strings(node):
+    """Every ``detail`` and stage ``note`` string in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("detail", "note") and isinstance(value, str):
+                yield value
+            else:
+                yield from _detail_strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _detail_strings(value)
+
+
+class TestPortableDetails:
+    """Kill details name test files relative to the repository root, so
+    reports and the committed baseline read the same on any checkout."""
+
+    @staticmethod
+    def absolute_paths(report):
+        return [
+            word
+            for text in _detail_strings(report)
+            for word in text.replace(",", " ").split()
+            if word.startswith("/") or os.path.isabs(word)
+        ]
+
+    def test_test_layer_details_are_repo_relative(self):
+        report = run_mutation_analysis(
+            modules=[MODULE], budget=2, seed=11, test_layer=True
+        )
+        details = list(_detail_strings(report))
+        assert any("tests/core/test_bottleneck.py" in d for d in details)
+        assert self.absolute_paths(report) == []
+
+    def test_committed_baseline_has_no_absolute_paths(self):
+        baseline = json.loads((REPO / "mutation-baseline.json").read_text())
+        assert self.absolute_paths(baseline) == []
