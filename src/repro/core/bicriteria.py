@@ -29,7 +29,6 @@ from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.bottleneck import bottleneck_min
 from repro.core.feasibility import validate_bound
 from repro.graphs.chain import Chain
-from repro.graphs.tree import Tree
 
 
 @dataclass
@@ -61,7 +60,7 @@ def lexicographic_chain_partition(
         empty = ChainCutResult(chain, [], 0.0)
         return LexicographicResult(chain, 0.0, empty)
 
-    tree = Tree.from_task_graph(chain.to_task_graph())
+    tree = chain.to_tree()
     b_star = bottleneck_min(tree, bound).bottleneck
 
     # Forbid edges heavier than B*: infinite weight removes them from

@@ -11,27 +11,32 @@ no heavier than an optimal solution's heaviest edge works.
 Two implementations with identical output:
 
 - :func:`bottleneck_min_naive` — the paper's loop verbatim: after each
-  added edge, re-check all component weights (``O(n)`` BFS), ``O(n^2)``
-  total.
+  added edge, re-check all component weights (``O(n)`` union-find pass
+  over the pre-sorted edges), ``O(n^2)`` total.
 - :func:`bottleneck_min` — observes that ``T - S_i`` (removing the ``i``
   lightest edges) equals the forest built from the ``n-1-i`` *heaviest*
   edges, so a single union-find sweep adding edges heaviest-first finds
   the break-even point in ``O(n log n)`` (sorting dominates).
 
-Both use the same deterministic tie-break (weight, then canonical edge),
-so their outputs are identical sets, which the test suite asserts.
+Both walk the one order :meth:`Tree.edges_by_weight` sorts (weight, then
+canonical edge) and judge a component by the one sum
+:meth:`Tree.component_weights` forms: the uncut edges merged
+heaviest-first in a union-find, which is exactly the sweep
+:func:`bottleneck_min` runs incrementally.  Float rounding can therefore
+never split them: their cut sets and bottleneck values are identical,
+on tenth weights too, which the test suite asserts.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Set
 
 from repro.core.feasibility import validate_bound
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
-from repro.graphs.tree import Tree
+from repro.graphs.tree import Tree, _UnionFind
 from repro.verify.contracts import complexity
 
 
@@ -59,27 +64,20 @@ class TreeCutResult:
         return all(w <= bound for w in self.tree.component_weights(self.cut_edges))
 
 
-def _sorted_edges(tree: Tree) -> List[Tuple[float, Edge]]:
-    """Edges sorted by (weight, canonical index) — the shared tie-break."""
-    return sorted(
-        ((weight, edge) for edge, weight in tree.weighted_edges()),
-        key=lambda item: (item[0], item[1]),
-    )
-
-
 @complexity("n^2")
 def bottleneck_min_naive(tree: Tree, bound: float) -> TreeCutResult:
     """Algorithm 2.1 exactly as printed: grow ``S`` one sorted edge at a
     time, re-checking feasibility after each addition.  ``O(n^2)``."""
     validate_bound(tree.vertex_weights, bound)
-    ordered = _sorted_edges(tree)
     cut: Set[Edge] = set()
     if all(w <= bound for w in tree.component_weights(cut)):
         return _certified(TreeCutResult(tree, cut, 0.0), bound)
-    for weight, edge in ordered:
+    for edge in tree.edges_by_weight():
         cut.add(edge)
         if all(w <= bound for w in tree.component_weights(cut)):
-            return _certified(TreeCutResult(tree, set(cut), weight), bound)
+            return _certified(
+                TreeCutResult(tree, set(cut), tree.edge_weight(*edge)), bound
+            )
     raise AssertionError("unreachable: cutting all edges is always feasible")
 
 
@@ -96,38 +94,6 @@ def _certified(result: TreeCutResult, bound: float) -> TreeCutResult:
     return result
 
 
-class _UnionFind:
-    """Weighted union-find tracking component vertex weights."""
-
-    __slots__ = ("parent", "size", "weight")
-
-    def __init__(self, vertex_weights: List[float]) -> None:
-        n = len(vertex_weights)
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.weight = list(vertex_weights)
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:  # path compression
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> float:
-        """Merge the components of u and v; return the merged weight."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            raise AssertionError("tree edges never merge the same component")
-        if self.size[ru] < self.size[rv]:  # repro-mutate: equivalent=flip-compare -- union-by-size tie direction is arbitrary; either root keeps the bound
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.weight[ru] += self.weight[rv]
-        return self.weight[ru]
-
-
 @complexity("n log n")
 def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     """Optimized Algorithm 2.1: identical output, one union-find sweep.
@@ -139,8 +105,8 @@ def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     bound; the cut is everything not yet added.
     """
     max_weight = validate_bound(tree.vertex_weights, bound)
-    ordered = _sorted_edges(tree)
-    uf = _UnionFind(list(tree.vertex_weights))
+    ordered = tree.edges_by_weight()
+    uf = _UnionFind(tree.vertex_weights)
     # Walk from the heaviest edge downwards; stop before the first merge
     # that creates an over-weight component.
     boundary = 0  # edges ordered[0:boundary] form the cut
@@ -149,13 +115,13 @@ def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     uf_weight = uf.weight
     uf_find = uf.find
     for idx in range(len(ordered) - 1, -1, -1):
-        weight, (u, v) = ordered[idx]
+        u, v = ordered[idx]
         if uf_weight[uf_find(u)] + uf_weight[uf_find(v)] > bound:
             boundary = idx + 1
             break
         uf.union(u, v)
-    cut = {edge for _, edge in ordered[:boundary]}
-    bottleneck = ordered[boundary - 1][0] if boundary else 0.0
+    cut = set(ordered[:boundary])
+    bottleneck = tree.edge_weight(*ordered[boundary - 1]) if boundary else 0.0
     # max_weight <= bound guarantees feasibility even when every edge is cut.
     assert max_weight <= bound
     return _certified(TreeCutResult(tree, cut, bottleneck), bound)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Set
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
-from repro.core.bottleneck import TreeCutResult, bottleneck_min
+from repro.core.bottleneck import TreeCutResult, _certified, bottleneck_min
 from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
-from repro.graphs.partition import Partition
+from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
 
@@ -51,8 +51,6 @@ class TreePartitionPlan:
     num_processors: int
 
     def partition(self) -> Partition:
-        from repro.graphs.partition import Cut
-
         return Cut(self.tree, self.final_cut).partition()
 
     def summary(self) -> str:
@@ -70,31 +68,17 @@ def partition_tree(tree: Tree, bound: float) -> TreePartitionPlan:
     (Section 2.2's construction), runs Algorithm 2.2 on the super-node
     tree, and maps the surviving cuts back to original edges.
     """
-    bottleneck_result = bottleneck_min(tree, bound)
-    first_cut = set(bottleneck_result.cut_edges)
+    first_cut = set(bottleneck_min(tree, bound).cut_edges)
     if not first_cut:
-        return TreePartitionPlan(
-            tree, bound, first_cut, set(), 0.0, 1
-        )
+        return TreePartitionPlan(tree, bound, first_cut, set(), 0.0, 1)
     super_tree, _components, edge_origin = tree.contract_components(first_cut)
+    # Super-tree edges carry their cut edges' weights, so the refined
+    # bottleneck is already the final cut's heaviest original edge.
     refined = processor_min(super_tree, bound)
     final_cut = {edge_origin[e] for e in refined.cut_edges}
-    bottleneck = (
-        max(tree.edge_weight(u, v) for u, v in final_cut) if final_cut else 0.0
-    )
-    if "REPRO_VERIFY" in os.environ:
-        from repro.verify.runtime import maybe_verify_tree_cut
-
-        maybe_verify_tree_cut(
-            tree, sorted(final_cut), bound, claimed_bottleneck=bottleneck
-        )
+    _certified(TreeCutResult(tree, final_cut, refined.bottleneck), bound)
     return TreePartitionPlan(
-        tree,
-        bound,
-        first_cut,
-        final_cut,
-        bottleneck,
-        len(final_cut) + 1,
+        tree, bound, first_cut, final_cut, refined.bottleneck, len(final_cut) + 1
     )
 
 
@@ -120,7 +104,7 @@ def partition_chain(
 
         result = lexicographic_chain_partition(chain, bound).cut
     else:
-        tree = Tree.from_task_graph(chain.to_task_graph())
+        tree = chain.to_tree()
         if objective == "bottleneck":
             tree_result: TreeCutResult = bottleneck_min(tree, bound)
             cut_edges = tree_result.cut_edges

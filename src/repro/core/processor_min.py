@@ -24,10 +24,9 @@ suite cross-checks its optimality against an exact DP oracle
 from __future__ import annotations
 
 import math
-import os
-from typing import List, Set
+from typing import Set
 
-from repro.core.bottleneck import TreeCutResult
+from repro.core.bottleneck import TreeCutResult, _certified
 from repro.core.feasibility import validate_bound
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
@@ -43,27 +42,21 @@ def processor_min(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
     this objective does not minimize it).
     """
     validate_bound(tree.vertex_weights, bound)
-    order, parent = tree.post_order(root)
     residual = list(tree.vertex_weights)  # weight of v's merged cluster
     cut: Set[Edge] = set()
 
-    children: List[List[int]] = [[] for _ in range(tree.num_vertices)]
-    for v in order:
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-
-    for v in order:
-        if not children[v]:
+    for v, children in tree.post_order_children(root):
+        if not children:
             continue  # original leaf: nothing to process
         # Step 3: W <- weight of v plus all adjacent (reduced) leaves.
-        total = residual[v] + sum(residual[c] for c in children[v])
+        total = residual[v] + sum(residual[c] for c in children)
         if total <= bound:
             # Step 4: merge every leaf into v.
             residual[v] = total
             continue
         # Step 5: prune the heaviest leaves until the cluster fits.
         # Deterministic tie-break: heavier first, then smaller vertex id.
-        by_weight = sorted(children[v], key=lambda c: (-residual[c], c))
+        by_weight = sorted(children, key=lambda c: (-residual[c], c))
         for c in by_weight:
             if total <= bound:
                 break
@@ -71,15 +64,8 @@ def processor_min(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
             cut.add((v, c) if v < c else (c, v))
         residual[v] = total
 
-    bottleneck = (
-        max(tree.edge_weight(u, w) for u, w in cut) if cut else 0.0
-    )
-    result = TreeCutResult(tree, cut, bottleneck)
-    if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs
-        from repro.verify.runtime import maybe_verify_tree_result
-
-        maybe_verify_tree_result(tree, result, bound)
-    return result
+    bottleneck = max((tree.edge_weight(u, w) for u, w in cut), default=0.0)
+    return _certified(TreeCutResult(tree, cut, bottleneck), bound)
 
 
 def min_processors(tree: Tree, bound: float) -> int:

@@ -22,6 +22,7 @@ from math import inf
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.graphs.task_graph import TaskGraph
+from repro.graphs.tree import Tree
 
 
 class Chain:
@@ -210,6 +211,11 @@ class Chain:
         """The equivalent general :class:`TaskGraph` (vertices ``0..n-1``)."""
         edges = [(i, i + 1) for i in range(self.num_edges)]
         return TaskGraph(self._alpha, edges, self._beta)
+
+    def to_tree(self) -> Tree:
+        """The path :class:`Tree` ``0 - 1 - ... - n-1``, built straight
+        from ``alpha``/``beta`` (edge ``i`` joins tasks ``i`` and ``i + 1``)."""
+        return Tree(self._alpha, [(i, i + 1) for i in range(self.num_edges)], self._beta)
 
     @classmethod
     def from_task_graph(cls, graph: TaskGraph) -> "Chain":

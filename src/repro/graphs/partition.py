@@ -32,8 +32,7 @@ class Cut:
     def __init__(self, graph: TaskGraph, edges: Iterable[Edge]) -> None:
         self._graph = graph
         canonical = frozenset(canonical_edge(u, v) for u, v in edges)
-        known = set(graph.edges())
-        missing = canonical - known
+        missing = [e for e in canonical if not graph.has_edge(*e)]
         if missing:
             raise ValueError(f"cut contains edges not in the graph: {sorted(missing)}")
         self._edges: FrozenSet[Edge] = canonical
@@ -97,13 +96,9 @@ class Partition:
             raise ValueError("cut belongs to a different graph")
         self._graph = graph
         self._cut = cut
-        self._components: List[List[int]] = graph.connected_components(
-            set(cut.edges)
-        )
-        self._weights: List[float] = [
-            sum(graph.vertex_weight(v) for v in component)
-            for component in self._components
-        ]
+        removed = set(cut.edges)
+        self._components: List[List[int]] = graph.connected_components(removed)
+        self._weights: List[float] = graph.component_weights(removed)
 
     @property
     def graph(self) -> TaskGraph:

@@ -65,7 +65,8 @@ class TaskGraph:
         edge_list = [canonical_edge(u, v) for u, v in edges]
         weights = self._resolve_edge_weights(edge_list, edge_weights)
         for edge, weight in zip(edge_list, weights):
-            self.add_edge(edge[0], edge[1], weight)
+            # Not self.add_edge: a Tree refuses edges once it is built.
+            TaskGraph.add_edge(self, edge[0], edge[1], weight)
 
     @staticmethod
     def _resolve_edge_weights(

@@ -362,8 +362,7 @@ def check_tree_cut(
         return report
     canonical = {canonical_edge(u, v) for u, v in cut_edges}
     report.checks += 1
-    known = set(tree.edges())
-    missing = sorted(canonical - known)
+    missing = sorted(e for e in canonical if not tree.has_edge(*e))
     if missing:
         report.add(
             "tree.cut_edge_missing",
@@ -373,9 +372,8 @@ def check_tree_cut(
         )
         return report
     report.checks += 1
-    # Same cancellation slack as the chain check: a component summed in
-    # a different association order than the solver's may land a few
-    # ulps above an exactly-tight bound.
+    # Algorithm 2.2 sums a cluster in its own order, which may land a
+    # few ulps from the union-find sum of the same component.
     slack = rel_tol * max(1.0, abs(bound))
     for weight in tree.component_weights(canonical):
         if weight > bound + slack:

@@ -215,19 +215,6 @@ def maybe_verify_tree_result(
         verify_tree_result(tree, result, bound)
 
 
-def maybe_verify_tree_cut(
-    tree: "Tree",
-    cut_edges: "Sequence[tuple]",
-    bound: float,
-    claimed_bottleneck: Optional[float] = None,
-) -> None:
-    """Flag-gated :func:`check_tree_cut` for raw edge-set call sites."""
-    if verification_enabled():
-        check_tree_cut(
-            tree, cut_edges, bound, claimed_bottleneck=claimed_bottleneck
-        ).raise_if_failed()
-
-
 def maybe_verify_pareto_frontier(
     rows: "Sequence[dict]", *, check_bandwidth: bool = True
 ) -> None:

@@ -6,7 +6,11 @@ A raw prefix difference can put a single task a rounding step above
 its own weight, so with ``K`` equal to that weight the block looked
 infeasible and the oracles crashed.  Decimal weights make that
 cancellation common; ``K`` drawn from the task weights makes it bite.
-"""
+
+On trees, every path judges a component by the one sum
+:meth:`Tree.component_weights` forms, so tenth weights with ``K`` a
+sum of task weights cannot split the naive and fast Algorithm 2.1, nor
+make the Section 2.2 contraction reject a bound Algorithm 2.1 accepted."""
 
 import random
 import warnings
@@ -15,11 +19,17 @@ import pytest
 
 from repro.baselines.brute_force import chain_min_bandwidth
 from repro.baselines.exact_dp import bandwidth_min_dp
+from repro.baselines.kundu_misra import processor_min_bottom_up
 from repro.baselines.nicol import bandwidth_min_nlogn
 from repro.baselines.sliding_window import bandwidth_min_deque
 from repro.core.bandwidth import bandwidth_min
+from repro.core.bottleneck import bottleneck_min, bottleneck_min_naive
 from repro.core.feasibility import OptimumOverflowError
+from repro.core.pipeline import partition_tree
+from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
+from repro.graphs.tree import Tree
+from repro.verify.certificates import check_tree_cut
 
 SOLVERS = (bandwidth_min, bandwidth_min_nlogn, bandwidth_min_dp, bandwidth_min_deque)
 
@@ -95,3 +105,27 @@ def test_overflowing_candidate_with_finite_optimum_is_an_answer():
         warnings.simplefilter("error", RuntimeWarning)
         assert weights(chain, 2.0) == [(1e308).hex()] * 5
         assert _beta_sweep(chain, 2.0).tolist() == [1e308]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tenth_weight_trees_with_subset_sum_bounds(seed):
+    rng = random.Random(seed)
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        weights = [rng.randint(1, 30) / 10 for _ in range(n)]
+        tree = Tree(weights, [(rng.randrange(i), i) for i in range(1, n)],
+                    [rng.randint(1, 9) for _ in range(n - 1)])
+        # K = a sum of task weights, never below the heaviest task.
+        subset = rng.sample(weights, rng.randint(1, n))
+        bound = max(sum(subset), max(weights))
+        case = (weights, list(tree.edges()), bound)
+        fast = bottleneck_min(tree, bound)
+        naive = bottleneck_min_naive(tree, bound)
+        assert fast.cut_edges == naive.cut_edges, case
+        assert fast.bottleneck.hex() == naive.bottleneck.hex(), case
+        plan = partition_tree(tree, bound)
+        report = check_tree_cut(tree, sorted(plan.final_cut), bound,
+                                claimed_bottleneck=plan.bottleneck)
+        assert report.ok, (case, report.violations)
+        assert (processor_min(tree, bound).num_components
+                == processor_min_bottom_up(tree, bound).num_components), case

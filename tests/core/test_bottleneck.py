@@ -94,6 +94,17 @@ class TestNaiveAgreement:
                 == bottleneck_min_naive(tree, bound).cut_edges
             )
 
+    def test_identical_when_sums_round(self):
+        # Tenth weights: a re-sum of {0, 1, 2, 3} in BFS order lands at
+        # K exactly, while Algorithm 2.1's merge order lands above it, so
+        # both loops must judge by the same (merge-order) sum.
+        tree = Tree([1.9, 2.8, 2.6, 2.5], [(0, 1), (1, 2), (0, 3)], [8, 8, 8])
+        bound = 9.799999999999999
+        fast = bottleneck_min(tree, bound)
+        naive = bottleneck_min_naive(tree, bound)
+        assert fast.cut_edges == naive.cut_edges == {(0, 1)}
+        assert fast.bottleneck == naive.bottleneck == 8.0
+
 
 class TestGreedyPrefixProperty:
     def test_cut_is_prefix_of_sorted_order(self):

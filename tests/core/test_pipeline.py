@@ -9,6 +9,7 @@ from repro.core.pipeline import partition_chain, partition_tree
 from repro.core.processor_min import processor_min
 from repro.graphs.generators import random_chain, random_tree
 from repro.graphs.tree import Tree
+from repro.verify.certificates import check_tree_cut
 
 
 class TestPartitionTree:
@@ -72,6 +73,18 @@ class TestPartitionTree:
         plan = partition_tree(small_tree, 15)
         partition = plan.partition()
         assert partition.num_processors == plan.num_processors
+
+    def test_super_node_weighs_what_algorithm_2_1_judged(self):
+        # Algorithm 2.1 merges {2, 3, 4} to exactly 2.3; a re-sum in
+        # vertex order gives 2.3000000000000003 > K, which would make the
+        # contraction look infeasible.
+        tree = Tree([1.6, 1.4, 1.3, 0.1, 0.9],
+                    [(0, 1), (1, 2), (2, 3), (3, 4)], [3, 2, 9, 9])
+        plan = partition_tree(tree, 2.3)
+        assert plan.final_cut == {(0, 1), (1, 2)}
+        report = check_tree_cut(tree, sorted(plan.final_cut), 2.3,
+                                claimed_bottleneck=plan.bottleneck)
+        assert report.ok, report.violations
 
 
 class TestPartitionChain:

@@ -37,6 +37,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tree.from_task_graph(TaskGraph([1, 1], []))
 
+    def test_add_edge_is_refused(self, small_tree):
+        with pytest.raises(ValueError, match="cycle"):
+            small_tree.add_edge(3, 4)
+        assert small_tree.num_edges == 6
+
 
 class TestTraversal:
     def test_bfs_order_covers_all(self, small_tree):
@@ -57,6 +62,20 @@ class TestTraversal:
         for v in range(7):
             if parent[v] >= 0:
                 assert position[v] < position[parent[v]]
+
+    @pytest.mark.parametrize("root", [0, 6])
+    def test_post_order_children_match_parents(self, small_tree, root):
+        order, parent = small_tree.bfs_order(root)
+        position = {v: i for i, v in enumerate(order)}
+        seen = []
+        for v, children in small_tree.post_order_children(root):
+            assert all(c in seen for c in children)  # children first
+            assert children == sorted(
+                (c for c in range(7) if parent[c] == v),
+                key=lambda c: -position[c],  # reverse BFS order
+            )
+            seen.append(v)
+        assert sorted(seen) == list(range(7))
 
     def test_subtree_weights(self, small_tree):
         weights = small_tree.subtree_weights(0)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graphs.chain import Chain
+from repro.verify.certificates import check_chain_partition
 
 
 class TestParser:
@@ -160,6 +162,22 @@ class TestBatchErrorPaths:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert rows[0]["weight"] == 1e308
         assert "overflows float64" in rows[1]["error"]
+
+    def test_tenth_weight_pipeline_query_is_answered(self, tmp_path, capsys):
+        # Algorithm 2.1 merges component {2, 3, 4} to exactly K = 2.3; a
+        # re-sum in vertex order lands a rounding step above it.
+        inp = tmp_path / "queries.jsonl"
+        out = tmp_path / "results.jsonl"
+        query = {"alpha": [1.6, 1.4, 1.3, 0.1, 0.9], "beta": [3, 2, 9, 9],
+                 "bound": 2.3, "objective": "bottleneck+processors"}
+        inp.write_text(json.dumps(query) + "\n")
+        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 0
+        (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert (row["cut"], row["weight"]) == ([0, 1], 5.0)
+        chain = Chain(query["alpha"], query["beta"])
+        report = check_chain_partition(chain, row["cut"], 2.3,
+                                       claimed_weight=row["weight"])
+        assert report.ok, report.violations
 
     def test_empty_input_file_exits_0(self, tmp_path, capsys):
         inp = tmp_path / "empty.jsonl"

@@ -1,9 +1,12 @@
-"""Property-based tests for the tree algorithms (2.1 and 2.2)."""
+"""Property-based tests for the tree algorithms (2.1 and 2.2).
+
+Trees come from the shared strategy: half-integer and tenth weights,
+paths, stars and ``n = 1``, with ``K`` on a component-weight boundary.
+"""
 
 import math
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.brute_force import enumerate_tree_optima
 from repro.baselines.kundu_misra import processor_min_bottom_up
@@ -11,25 +14,8 @@ from repro.baselines.tree_dp import min_components_exact
 from repro.core.bottleneck import bottleneck_min, bottleneck_min_naive
 from repro.core.pipeline import partition_tree
 from repro.core.processor_min import processor_min
-from repro.graphs.tree import Tree
-
-weight = st.integers(min_value=1, max_value=9).map(float)
-
-
-@st.composite
-def tree_and_bound(draw, max_vertices: int = 12):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    weights = draw(st.lists(weight, min_size=n, max_size=n))
-    # Random parent attachment encoded as parent[i] < i.
-    parents = [
-        draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)
-    ]
-    edge_weights = draw(
-        st.lists(weight, min_size=max(n - 1, 0), max_size=max(n - 1, 0))
-    )
-    tree = Tree(weights, [(p, i + 1) for i, p in enumerate(parents)], edge_weights)
-    slack = draw(st.integers(min_value=0, max_value=30))
-    return tree, max(weights) + float(slack)
+from repro.verify.certificates import check_tree_cut
+from tests.property.strategies import half_integer, tree_and_bound
 
 
 @settings(max_examples=100, deadline=None)
@@ -47,14 +33,17 @@ def test_bottleneck_optimal_vs_brute_force(data):
 @given(tree_and_bound())
 def test_bottleneck_naive_and_fast_identical(data):
     tree, bound = data
-    assert (
-        bottleneck_min(tree, bound).cut_edges
-        == bottleneck_min_naive(tree, bound).cut_edges
-    )
+    fast = bottleneck_min(tree, bound)
+    naive = bottleneck_min_naive(tree, bound)
+    assert fast.cut_edges == naive.cut_edges
+    assert fast.bottleneck.hex() == naive.bottleneck.hex()
 
 
+# The exact DP sums component weights in its own order and disagrees
+# with the greedy on some tenth-weight trees (an open oracle defect
+# listed in ROADMAP.md), so it judges the exact half-integer grid only.
 @settings(max_examples=100, deadline=None)
-@given(tree_and_bound())
+@given(tree_and_bound(vertex_weight=half_integer))
 def test_processor_min_optimal(data):
     tree, bound = data
     greedy = processor_min(tree, bound)
@@ -89,6 +78,7 @@ def test_pipeline_preserves_bottleneck_and_reduces_count(data):
     assert plan.final_cut <= plan.bottleneck_cut
     assert plan.bottleneck <= raw.bottleneck + 1e-12
     assert plan.num_processors <= raw.num_components
-    assert all(
-        w <= bound + 1e-9 for w in tree.component_weights(plan.final_cut)
+    report = check_tree_cut(
+        tree, sorted(plan.final_cut), bound, claimed_bottleneck=plan.bottleneck
     )
+    assert report.ok, report.violations
