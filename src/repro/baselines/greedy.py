@@ -22,17 +22,16 @@ def first_fit_cut(chain: Chain, bound: float) -> ChainCutResult:
     """Scan left to right, cutting just before a block would overflow.
 
     Produces the minimum possible number of blocks (every block is
-    maximal) but pays no attention to the weight of the edges it cuts.
+    maximal under :meth:`Chain.block_fits`) but pays no attention to
+    the weight of the edges it cuts.
     """
     validate_bound(chain.alpha, bound)
     cuts: List[int] = []
-    load = 0.0
-    for i, weight in enumerate(chain.alpha):
-        if load + weight > bound:
+    start = 0
+    for i in range(1, chain.num_tasks):
+        if not chain.block_fits(start, i, bound):
             cuts.append(i - 1)
-            load = weight
-        else:
-            load += weight
+            start = i
     return ChainCutResult(chain, cuts, chain.cut_weight(cuts))
 
 
@@ -53,30 +52,21 @@ def equal_blocks_cut(chain: Chain, num_blocks: int) -> ChainCutResult:
 def random_feasible_cut(
     chain: Chain, bound: float, rng: Optional[random.Random] = None
 ) -> ChainCutResult:
-    """A random feasible cut: start from the first-fit cut positions and
-    jitter each boundary uniformly within its slack."""
+    """A random feasible cut: left to right, each cut drawn uniformly
+    among the positions that keep the running block within the bound."""
     validate_bound(chain.alpha, bound)
     r = rng or random.Random()
-    base = first_fit_cut(chain, bound).cut_indices
-    if not base:
-        return ChainCutResult(chain, [], 0.0)
-    # Rebuild greedily but choose each cut uniformly among positions
-    # that keep both the running block and the remaining suffix viable.
-    prefix = chain.prefix_weights()
+    # A single task always fits (Chain.block_fits), so the suffix stays
+    # viable whatever cut is drawn.
     n = chain.num_tasks
     cuts: List[int] = []
     start = 0
-    while True:
-        if prefix[n] - prefix[start] <= bound:
-            break  # remainder fits in one block
+    while not chain.block_fits(start, n - 1, bound):
         # Latest cut c keeps block (start..c) within bound.
         latest = start
-        while (
-            latest + 1 < n - 1
-            and prefix[latest + 2] - prefix[start] <= bound
-        ):
+        while latest + 1 < n - 1 and chain.block_fits(start, latest + 1, bound):
             latest += 1
         cut = r.randint(start, latest)
         cuts.append(cut)
         start = cut + 1
-    return ChainCutResult(chain, cuts, chain.cut_weight(cuts))
+    return ChainCutResult(chain, cuts, chain.cut_weight(cuts) if cuts else 0.0)

@@ -348,10 +348,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sampler = ProfileSampler()
         sampler.start()
     try:
-        result = bandwidth_min(
-            chain, bound, backend=args.backend, search=args.search,
-            tracer=tracer,
-        )
+        result = bandwidth_min(chain, bound, search=args.search, tracer=tracer)
     finally:
         if sampler is not None:
             sampler.stop()
@@ -375,7 +372,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "n": args.n,
         "k_ratio": args.k_ratio,
         "seed": args.seed,
-        "backend": args.backend,
         "search": args.search,
     }
     print(
@@ -887,7 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--k-ratio", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["python", "numpy"], default="python")
     p.add_argument("--search", choices=["binary", "linear"], default="binary")
     p.add_argument("--baseline", action="store_true",
                    help="also run the traced Nicol O(n log n) baseline")

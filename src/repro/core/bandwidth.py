@@ -26,10 +26,11 @@ The return value reports the cut, its weight and the Figure-2 statistics
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.feasibility import finite_optimum, validate_bound
-from repro.core.prime_subpaths import compute_prime_structure
+from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
 from repro.core.temp_s import SolutionNode, TempSQueue, solution_weight
 from repro.graphs.chain import Chain
 from repro.graphs.partition import Cut, cut_from_chain_indices
@@ -104,7 +105,7 @@ def bandwidth_min(
     search: str = "binary",
     collect_stats: bool = False,
     backend: str = "python",
-    structure: Optional[Any] = None,
+    structure: Optional[PrimeStructure] = None,
     tracer: Optional["Tracer"] = None,
 ) -> ChainCutResult:
     """Minimum-bandwidth load-bounded cut of a chain — Algorithm 4.1,
@@ -129,9 +130,11 @@ def bandwidth_min(
         Attach an :class:`~repro.instrumentation.counters.AlgorithmStats`
         with the Figure-2 quantities to the result (small overhead).
     backend:
-        ``"python"`` (reference) or ``"numpy"`` — which kernels build the
-        prime structure.  Results are identical; only the constant factor
-        differs (:mod:`repro.engine.kernels`).
+        ``"python"``, the only value: this is the pure-Python reference.
+        The NumPy fast path is the engine's compiled plan
+        (:func:`repro.engine.compile_chain`,
+        :class:`repro.engine.PartitionEngine`); any other value raises
+        ``ValueError``.
     structure:
         A precomputed prime structure for ``(chain, bound)``, which skips
         the ``O(n)`` preprocessing entirely; the empirical complexity
@@ -148,22 +151,22 @@ def bandwidth_min(
     Raises :class:`~repro.core.feasibility.OptimumOverflowError` when
     every feasible cut's weight overflows float64 to ``inf``.
     """
+    if backend != "python":
+        raise ValueError(
+            f"unknown backend {backend!r}; bandwidth_min is the pure-Python "
+            "reference (use repro.engine for the NumPy fast path)"
+        )
     traced = tracer is not None and tracer.enabled
     if not traced:
         return _bandwidth_min_impl(
-            chain, bound, apply_reduction, search, collect_stats, backend,
-            structure,
+            chain, bound, apply_reduction, search, collect_stats, structure
         )
     with tracer.span(
-        "bandwidth_min",
-        n=chain.num_tasks,
-        bound=bound,
-        backend=backend,
-        search=search,
+        "bandwidth_min", n=chain.num_tasks, bound=bound, search=search
     ) as root:
         result = _bandwidth_min_impl(
-            chain, bound, apply_reduction, search, collect_stats, backend,
-            structure, tracer, root,
+            chain, bound, apply_reduction, search, collect_stats, structure,
+            tracer, root,
         )
         root.set("weight", result.weight)
         root.set("components", result.num_components)
@@ -176,8 +179,7 @@ def _bandwidth_min_impl(
     apply_reduction: bool,
     search: str,
     collect_stats: bool,
-    backend: str,
-    structure: Optional[Any],
+    structure: Optional[PrimeStructure],
     tracer: Optional["Tracer"] = None,
     root: Optional["Span"] = None,
 ) -> ChainCutResult:
@@ -189,17 +191,13 @@ def _bandwidth_min_impl(
         if traced:
             with tracer.span("prime_structure") as sp:
                 structure = compute_prime_structure(
-                    chain,
-                    bound,
-                    apply_reduction=apply_reduction,
-                    backend=backend,
-                    tracer=tracer,
+                    chain, bound, apply_reduction=apply_reduction, tracer=tracer
                 )
                 sp.set("p", structure.p)
                 sp.set("r", structure.r)
         else:
             structure = compute_prime_structure(
-                chain, bound, apply_reduction=apply_reduction, backend=backend
+                chain, bound, apply_reduction=apply_reduction
             )
     elif traced:
         root.set("structure_reused", True)
@@ -210,17 +208,7 @@ def _bandwidth_min_impl(
         root.set("r", structure.r)
         q = structure.q
         root.set("q", q)
-        import math
-
         root.set("p_log_q", structure.p * math.log2(q) if q > 1.0 else 0.0)  # repro-mutate: equivalent=flip-compare -- log2(1) == 0, both branches emit 0.0 at q == 1
-    if backend == "numpy" and not collect_stats and search == "binary" and not traced:
-        # Fast path: flat-column sweep from the engine kernels (identical
-        # output; imported lazily to keep core importable without NumPy).
-        from repro.engine.kernels import bandwidth_sweep
-
-        cut, weight = bandwidth_sweep(structure)
-        return ChainCutResult(chain, cut, finite_optimum(weight, bound))
-    if traced:
         sweep_span = tracer.span("temp_s_sweep", r=structure.r)
         sweep_span.__enter__()
         # The span's own counter feeds TEMP_S, so exported search-step

@@ -45,9 +45,7 @@ class ChainBudgetPlan:
         return self.bandwidth_cut.num_components
 
 
-def partition_chain_for_processors(
-    chain: Chain, processors: int, *, engine: Optional["PartitionEngine"] = None
-) -> ChainBudgetPlan:
+def partition_chain_for_processors(chain: Chain, processors: int) -> ChainBudgetPlan:
     """Tightest load bound achievable with ``processors`` blocks, plus
     the minimum-bandwidth cut honouring it.
 
@@ -57,10 +55,8 @@ def partition_chain_for_processors(
     necessarily: the cheapest cut may use *more*, smaller blocks.  The
     plan keeps the bound so callers can re-partition with the
     ``"processors"`` objective when the block count must be exact.
-
-    Pass a :class:`repro.engine.PartitionEngine` as ``engine`` to solve
-    through its compiled-plan cache — worthwhile when many budgets are
-    probed on the same chain (see :func:`chain_pareto_frontier`).
+    Many budgets on one chain are cheaper through
+    :func:`chain_pareto_frontier`.
     """
     if processors < 1:
         raise ValueError("need at least one processor")
@@ -68,8 +64,6 @@ def partition_chain_for_processors(
     # Prefix-sum arithmetic can land the bottleneck a few ulps below the
     # heaviest single task; K >= max(alpha) always holds semantically.
     bound = max(bound, chain.max_vertex_weight())
-    if engine is not None:
-        return ChainBudgetPlan(bound, engine.solve(chain, bound))
     return ChainBudgetPlan(bound, bandwidth_min(chain, bound))
 
 

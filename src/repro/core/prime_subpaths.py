@@ -24,7 +24,7 @@ edges by ``min(n - 1, 2p - 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.core.feasibility import validate_bound
 from repro.graphs.chain import Chain
@@ -256,19 +256,9 @@ class PrimeStructure:
         chain: Chain,
         bound: float,
         apply_reduction: bool = True,
-        backend: str = "python",
         counter: Optional[OpCounter] = None,
     ) -> "PrimeStructure":
-        """Build the structure with the requested backend.
-
-        ``backend="numpy"`` returns the duck-typed
-        :class:`repro.engine.kernels.ArrayPrimeStructure` (identical
-        rows, array storage); ``"python"`` is the reference path.
-        """
-        if backend != "python":
-            return compute_prime_structure(
-                chain, bound, apply_reduction=apply_reduction, backend=backend
-            )
+        """Build the structure: prime subpaths, then the reduced edges."""
         primes = find_prime_subpaths(chain, bound, counter=counter)
         edges = reduce_edges(
             chain, primes, apply_reduction=apply_reduction, counter=counter
@@ -306,8 +296,8 @@ class PrimeStructure:
 
         For any bound ``K'`` with ``bound <= K' < min_prime_weight()``
         every minimal critical window — and hence this whole structure —
-        is unchanged, which is what the engine cache's monotone
-        warm-start exploits.
+        is unchanged, which is what the compiled plan's stability-interval
+        memo exploits.
         """
         if not self.primes:
             return float("inf")
@@ -327,44 +317,27 @@ def compute_prime_structure(
     chain: Chain,
     bound: float,
     apply_reduction: bool = True,
-    backend: str = "python",
     tracer: Optional["Tracer"] = None,
     counter: Optional[OpCounter] = None,
-) -> Any:
-    """Backend dispatcher for the ``O(n)`` preprocessing.
-
-    ``backend="python"`` returns the reference :class:`PrimeStructure`;
-    ``backend="numpy"`` dispatches to the vectorized kernels in
-    :mod:`repro.engine.kernels` and returns an ``ArrayPrimeStructure``
-    with identical rows.  Both satisfy the same interface, so callers
-    (Algorithm 4.1, the naive recurrence, the Figure-2 sweeps) never
-    need to know which one they hold.
+) -> PrimeStructure:
+    """The ``O(n)`` preprocessing: :meth:`PrimeStructure.compute`, traced.
 
     ``tracer`` (a :class:`repro.observability.Tracer`) records the two
     preprocessing phases as nested spans with the paper's quantities
     (``p``, ``r``) attached; ``None`` or a disabled tracer costs one
-    branch.  ``counter`` receives the reference sweep's analytic op
-    counts (see :func:`find_prime_subpaths`); it is a reference-path
-    feature — the vectorized backend does not thread it.
+    branch.  ``counter`` receives the sweep's analytic op counts (see
+    :func:`find_prime_subpaths`).
     """
-    if backend == "python":
-        if tracer is None or not tracer.enabled:
-            return PrimeStructure.compute(
-                chain, bound, apply_reduction=apply_reduction, counter=counter
-            )
-        with tracer.span("find_primes", n=chain.num_tasks, bound=bound) as sp:
-            primes = find_prime_subpaths(chain, bound, counter=counter)
-            sp.set("p", len(primes))
-        with tracer.span("reduce_edges", num_edges=chain.num_edges) as sp:
-            edges = reduce_edges(
-                chain, primes, apply_reduction=apply_reduction, counter=counter
-            )
-            sp.set("r", len(edges))
-        return PrimeStructure(chain, bound, primes, edges)
-    if backend == "numpy":
-        from repro.engine.kernels import compute_prime_structure_numpy
-
-        return compute_prime_structure_numpy(
-            chain, bound, apply_reduction=apply_reduction, tracer=tracer
+    if tracer is None or not tracer.enabled:
+        return PrimeStructure.compute(
+            chain, bound, apply_reduction=apply_reduction, counter=counter
         )
-    raise ValueError(f"unknown backend {backend!r}; use 'python' or 'numpy'")
+    with tracer.span("find_primes", n=chain.num_tasks, bound=bound) as sp:
+        primes = find_prime_subpaths(chain, bound, counter=counter)
+        sp.set("p", len(primes))
+    with tracer.span("reduce_edges", num_edges=chain.num_edges) as sp:
+        edges = reduce_edges(
+            chain, primes, apply_reduction=apply_reduction, counter=counter
+        )
+        sp.set("r", len(edges))
+    return PrimeStructure(chain, bound, primes, edges)

@@ -19,15 +19,20 @@ which may disagree by one position when a window weight sits within an
 ulp of the bound.  :func:`prime_windows` therefore seeds each endpoint
 with ``searchsorted`` and then runs a vectorized fix-up that nudges
 endpoints until the subtraction-form predicate holds exactly — same
-comparisons as the pure-Python loop, so the two backends never diverge,
-not even on adversarial ties (the property suite asserts this).
+comparisons as the pure-Python loop, so the kernels and the reference
+never diverge, not even on adversarial ties (the property suite asserts
+this).
 
-The public entry point is :func:`compute_prime_structure_numpy`, which
-:func:`repro.core.prime_subpaths.compute_prime_structure` dispatches to
-for ``backend="numpy"``.  The returned :class:`ArrayPrimeStructure`
-stores arrays and materializes :class:`PrimeSubpath`/:class:`ReducedEdge`
-rows lazily — Algorithm 4.1's sweep touches only the ``r`` reduced
-edges, so the ``O(n)`` part of a query never builds a Python object.
+Composition
+-----------
+
+The kernels are primitives: :func:`prime_windows`,
+:func:`membership_intervals` and :func:`reduced_edge_arrays` (or the
+weight-only :func:`reduced_class_arrays`) feed :func:`temps_sweep`, the
+TEMP_S sweep (native ``_sweep.c`` when it builds, else
+:func:`sweep_min_cut`).  :class:`repro.engine.plan.CompiledChainPlan`
+is the one place that chains them into a query; the pure-Python
+reference in :mod:`repro.core` never calls them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import ctypes
 import math
 from bisect import bisect_left
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -55,8 +60,8 @@ def require_numpy() -> None:
     """Raise a helpful error when the NumPy fast path is unavailable."""
     if not HAVE_NUMPY:
         raise RuntimeError(
-            "backend='numpy' requires NumPy; install it or use "
-            "backend='python'"
+            "the engine's kernels require NumPy; install it or call the "
+            "pure-Python reference (repro.core.bandwidth.bandwidth_min)"
         )
 
 
@@ -293,15 +298,11 @@ def reduced_class_arrays(
 
 
 class ArrayPrimeStructure:
-    """Array-backed drop-in for :class:`repro.core.prime_subpaths.PrimeStructure`.
-
-    Exposes the same interface (``p``, ``r``, ``primes``, ``edges``,
-    ``q_values``, ``q``, ``mean_prime_length``) but stores columns as
-    ndarrays; the :class:`PrimeSubpath`/:class:`ReducedEdge` row lists
-    are materialized lazily and cached, so the hot path (Algorithm 4.1
-    iterating ``edges``) builds only ``r`` objects and the Figure-2
-    statistics never build any.
-    """
+    """A prime structure as plain column arrays: the prime windows and
+    their weights, and the reduced-edge columns :func:`bandwidth_sweep`
+    hands to :func:`temps_sweep`.  A record for replaying one solve
+    kernel by kernel (perfbench's traced ``cold_solve``); the compiled
+    plan (:mod:`repro.engine.plan`) builds the same columns itself."""
 
     __slots__ = (
         "chain",
@@ -313,8 +314,6 @@ class ArrayPrimeStructure:
         "edge_weight",
         "edge_first",
         "edge_last",
-        "_primes",
-        "_edges",
     )
 
     def __init__(
@@ -338,126 +337,6 @@ class ArrayPrimeStructure:
         self.edge_weight = edge_weight
         self.edge_first = edge_first
         self.edge_last = edge_last
-        self._primes: Optional[list] = None
-        self._edges: Optional[list] = None
-
-    @property
-    def p(self) -> int:
-        return int(self.first_tasks.shape[0])
-
-    @property
-    def r(self) -> int:
-        return int(self.edge_index.shape[0])
-
-    @property
-    def primes(self) -> list:
-        if self._primes is None:
-            from repro.core.prime_subpaths import PrimeSubpath
-
-            self._primes = [
-                PrimeSubpath(int(a), int(b), float(w))
-                for a, b, w in zip(
-                    self.first_tasks, self.last_tasks, self.prime_weights
-                )
-            ]
-        return self._primes
-
-    @property
-    def edges(self) -> list:
-        if self._edges is None:
-            from repro.core.prime_subpaths import ReducedEdge
-
-            self._edges = [
-                ReducedEdge(int(j), float(w), int(lo), int(hi))
-                for j, w, lo, hi in zip(
-                    self.edge_index,
-                    self.edge_weight,
-                    self.edge_first,
-                    self.edge_last,
-                )
-            ]
-        return self._edges
-
-    @property
-    def q_values(self) -> List[int]:
-        return (self.edge_last - self.edge_first + 1).tolist()
-
-    @property
-    def q(self) -> float:
-        if self.r == 0:
-            return 0.0
-        return float(np.mean(self.edge_last - self.edge_first + 1))
-
-    def mean_prime_length(self) -> float:
-        if self.p == 0:
-            return 0.0
-        return float(np.mean(self.last_tasks - self.first_tasks + 1))
-
-    def min_prime_weight(self) -> float:
-        """Smallest prime-subpath weight — the exclusive upper end of the
-        bound interval over which this structure stays valid (see
-        :func:`stability_end`)."""
-        return stability_end(self.prime_weights)
-
-    def __repr__(self) -> str:
-        return (
-            f"ArrayPrimeStructure(n={self.chain.num_tasks}, "
-            f"K={self.bound:g}, p={self.p}, r={self.r})"
-        )
-
-
-@complexity("n")
-def compute_prime_structure_numpy(
-    chain: Chain,
-    bound: float,
-    apply_reduction: bool = True,
-    tracer: Optional["Tracer"] = None,
-) -> ArrayPrimeStructure:
-    """NumPy fast path for ``PrimeStructure.compute``.
-
-    Output rows are element-for-element identical to the pure-Python
-    reference.
-
-    An enabled ``tracer`` wraps the whole dispatch in a
-    ``kernel_dispatch`` span (one per vectorized structure build —
-    these are the engine's "kernel dispatch count") with ``p``/``r``
-    attached; disabled tracing costs one branch.
-    """
-    if tracer is not None and tracer.enabled:
-        with tracer.span(
-            "kernel_dispatch", kernel="prime_structure", n=chain.num_tasks
-        ) as span:
-            structure = compute_prime_structure_numpy(
-                chain, bound, apply_reduction=apply_reduction
-            )
-            span.set("p", structure.p)
-            span.set("r", structure.r)
-        return structure
-    prefix = prefix_array(chain)
-    beta = beta_array(chain)
-    # Take the max from the authoritative per-task weights: differencing
-    # the prefix array can be off by an ulp, which must not change
-    # feasibility verdicts relative to the reference.
-    validate_bound_array(chain.max_vertex_weight(), bound)
-    first_tasks, last_tasks = prime_windows(prefix, bound)
-    prime_weights = prime_weight_array(prefix, first_tasks, last_tasks)
-    lo, hi = membership_intervals(
-        first_tasks, last_tasks - 1, chain.num_edges
-    )
-    edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
-        beta, lo, hi, apply_reduction=apply_reduction
-    )
-    return ArrayPrimeStructure(
-        chain,
-        bound,
-        first_tasks,
-        last_tasks,
-        prime_weights,
-        edge_index,
-        edge_weight,
-        edge_first,
-        edge_last,
-    )
 
 
 @complexity("n + p log q")
@@ -628,39 +507,11 @@ def temps_sweep(
 
 
 @complexity("n + p log q")
-def bandwidth_sweep(structure: Any) -> Tuple[List[int], float]:
-    """Run the TEMP_S sweep over a prime structure (array-backed or not).
-
-    Accepts either an :class:`ArrayPrimeStructure`, whose columns go to
-    :func:`temps_sweep` as they are (no per-edge objects ever built), or
-    the reference :class:`~repro.core.prime_subpaths.PrimeStructure`.
-    """
-    if isinstance(structure, ArrayPrimeStructure):
-        columns: Tuple[Any, ...] = (
-            structure.edge_index,
-            structure.edge_weight,
-            structure.edge_first,
-            structure.edge_last,
-        )
-    else:
-        edges = structure.edges
-        columns = (
-            [e.index for e in edges],
-            [e.weight for e in edges],
-            [e.first_prime for e in edges],
-            [e.last_prime for e in edges],
-        )
-    return temps_sweep(*columns)
-
-
-def feasible_components(
-    prefix: "np.ndarray", cut_indices: Sequence[int], bound: float
-) -> bool:
-    """Vectorized feasibility check: every block induced by the cut
-    weighs at most ``bound`` (subtraction-form comparisons, as always)."""
-    require_numpy()
-    n = prefix.shape[0] - 1
-    cut = np.asarray(sorted(set(int(i) for i in cut_indices)), dtype=np.int64)
-    los = np.concatenate(([0], cut + 1))
-    his = np.concatenate((cut, [n - 1]))
-    return bool(np.all(prefix[his + 1] - prefix[los] <= bound))
+def bandwidth_sweep(structure: ArrayPrimeStructure) -> Tuple[List[int], float]:
+    """Run the TEMP_S sweep over a structure's reduced-edge columns."""
+    return temps_sweep(
+        structure.edge_index,
+        structure.edge_weight,
+        structure.edge_first,
+        structure.edge_last,
+    )

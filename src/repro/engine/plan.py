@@ -296,12 +296,12 @@ class CompiledChainPlan:
     ) -> Tuple[List[int], float, int, int, float]:
         """The cut-capable build at ``bound`` and its full TEMP_S sweep.
 
-        Returns ``(cut, weight, p, r, valid_until)``.  Exactly the
-        pipeline of
-        :func:`~repro.engine.kernels.compute_prime_structure_numpy`
-        followed by :func:`~repro.engine.kernels.temps_sweep`, inlined
-        against the plan's frozen ``prefix``/``beta`` arrays so no query
-        re-validates or re-converts anything.
+        Returns ``(cut, weight, p, r, valid_until)``.  The one place the
+        kernels are chained into a cut: prime windows, membership
+        intervals and the reduced edges feed
+        :func:`~repro.engine.kernels.temps_sweep`, all against the plan's
+        frozen ``prefix``/``beta`` arrays so no query re-validates or
+        re-converts anything.
         """
         first_tasks, last_tasks, valid_until = self._windows(bound)
         p = int(first_tasks.shape[0])
@@ -610,7 +610,7 @@ class CompiledChainPlan:
             # claimed weight on the reference cut (the cross-check
             # inside re-solves the perturbed chain and must agree).
             perturbed = Chain(self.chain.alpha, row.tolist())
-            reference = bandwidth_min(perturbed, bound, backend="python")
+            reference = bandwidth_min(perturbed, bound)
             maybe_verify_cache_solve(
                 perturbed,
                 bound,

@@ -79,7 +79,7 @@ class Tree(TaskGraph):
         super().__init__(vertex_weights, edges, edge_weights)
         n, m = self.num_vertices, self.num_edges
         self._by_weight: Optional[List[Edge]] = None
-        self._rooting = _bfs(self._adjacency, 0) if n else ([], [])
+        self._rooting = _bfs(self._adjacency, 0) if n else ([], [])  # repro-mutate: equivalent=drop-tuple-field -- an empty graph raises just below before the rooting is read
         if not n or m != n - 1 or len(self._rooting[0]) != n:
             raise ValueError(
                 f"graph with n={n}, m={m} is not a tree (must be connected and acyclic)"
@@ -178,8 +178,6 @@ class Tree(TaskGraph):
 
     def is_star(self) -> bool:
         """True when some vertex is adjacent to all others."""
-        if self.num_vertices <= 2:
-            return True
         return any(
             self.degree(v) == self.num_vertices - 1
             for v in range(self.num_vertices)

@@ -18,7 +18,7 @@ and warm-query claims rest on:
   must retain **zero** net allocator blocks per warm loop;
 - a warm ``PlanCache``-style bound sweep on a compiled plan, where
   every query after the first hits the memoized structure;
-- ``compute_prime_structure`` on the reference backend, the ``O(n)``
+- the reference ``compute_prime_structure``, the ``O(n)``
   preprocessing every solver call rides on.
 
 Measured numbers become committed budgets in ``BENCH_engine.json``
@@ -279,7 +279,7 @@ def measure_prime_structure(
     bound = 2.0 * float(chain.max_vertex_weight())
 
     def build() -> None:
-        compute_prime_structure(chain, bound, backend="python")
+        compute_prime_structure(chain, bound)
 
     return harness.measure(build)
 

@@ -319,9 +319,7 @@ REQUIRED_CONTRACTS: Dict[str, FrozenSet[str]] = {
     "repro/baselines/brute_force.py": frozenset({"chain_min_bandwidth"}),
     "repro/baselines/greedy.py": frozenset({"first_fit_cut"}),
     "repro/baselines/star_knapsack.py": frozenset({"knapsack_01"}),
-    "repro/engine/kernels.py": frozenset(
-        {"compute_prime_structure_numpy", "bandwidth_sweep"}
-    ),
+    "repro/engine/kernels.py": frozenset({"temps_sweep", "bandwidth_sweep"}),
     "repro/engine/plan.py": frozenset(
         {"compile_chain", "solve_bounds", "solve_beta_sweep"}
     ),

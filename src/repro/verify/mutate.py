@@ -90,6 +90,7 @@ PACKAGE_THRESHOLDS: Dict[str, float] = {
     "repro.core": 0.85,
     "repro.engine": 0.85,
     "repro.baselines": 0.85,
+    "repro.graphs": 0.85,
 }
 
 
@@ -137,6 +138,11 @@ TARGETS: Dict[str, MutationTarget] = {
         MutationTarget(
             "repro.core.bottleneck",
             ("tests/core/test_bottleneck.py",),
+            ("tree",),
+        ),
+        MutationTarget(
+            "repro.graphs.tree",
+            ("tests/graphs/test_tree.py", "tests/core/test_bottleneck.py"),
             ("tree",),
         ),
         MutationTarget(
@@ -275,6 +281,65 @@ def _result_row(result: Any) -> Dict[str, Any]:
     return {"cut": list(result.cut_indices), "weight": result.weight}
 
 
+def _kernel_row(chain: Any, bound: float) -> Dict[str, Any]:
+    """Each kernel primitive at ``(chain, bound)``, fed the reference's
+    rows so that a mutant shows in its own output, plus the compiled
+    plan's answer, the one place the primitives are chained."""
+    import numpy as np
+
+    from repro.core.prime_subpaths import PrimeStructure
+    from repro.engine.kernels import (
+        beta_array,
+        membership_intervals,
+        prefix_array,
+        prime_weight_array,
+        prime_windows,
+        reduced_class_arrays,
+        reduced_edge_arrays,
+        stability_end,
+        sweep_min_cut,
+        temps_sweep,
+    )
+    from repro.engine.plan import compile_chain
+
+    ref = PrimeStructure.compute(chain, bound)
+    first = np.asarray([sp.first_task for sp in ref.primes], dtype=np.int64)
+    last = np.asarray([sp.last_task for sp in ref.primes], dtype=np.int64)
+    edges = [
+        [e.index for e in ref.edges],
+        [e.weight for e in ref.edges],
+        [e.first_prime for e in ref.edges],
+        [e.last_prime for e in ref.edges],
+    ]
+    prefix = prefix_array(chain)
+    beta = beta_array(chain)
+    weights = prime_weight_array(prefix, first, last)
+    lo, hi = membership_intervals(first, last - 1, chain.num_edges)
+    plan_weights, plan_cuts = compile_chain(chain).solve_bounds(
+        [bound], return_cuts=True
+    )
+    return {
+        "windows": [w.tolist() for w in prime_windows(prefix, bound)],
+        "prime_weights": weights.tolist(),
+        "min_prime_weight": _finite(stability_end(weights)),
+        "lo": lo.tolist(),
+        "hi": hi.tolist(),
+        "reduced": [c.tolist() for c in reduced_edge_arrays(beta, lo, hi)],
+        "unreduced": [
+            c.tolist()
+            for c in reduced_edge_arrays(beta, lo, hi, apply_reduction=False)
+        ],
+        "classes": [
+            c.tolist()
+            for c in reduced_class_arrays(beta, first, last, chain.num_edges)
+        ],
+        "sweep": list(temps_sweep(*edges)),
+        "weight_sweep": temps_sweep(None, *edges[1:])[1],
+        "py_sweep": list(sweep_min_cut(*edges)),
+        "plan": [plan_cuts[0], float(plan_weights[0])],
+    }
+
+
 def _suite_chain() -> Any:
     from repro.core.bandwidth import bandwidth_min
     from repro.engine.kernels import HAVE_NUMPY
@@ -299,7 +364,7 @@ def _suite_chain() -> Any:
         row["linear_search_steps"] = linear.stats.search_steps
         row["noreduce"] = _result_row(bandwidth_min(chain, bound, apply_reduction=False))
         if HAVE_NUMPY:
-            row["numpy"] = _result_row(bandwidth_min(chain, bound, backend="numpy"))
+            row["kernels"] = _kernel_row(chain, bound)
         tracer = Tracer()
         bandwidth_min(chain, bound, collect_stats=True, tracer=tracer)
         row["trace"] = _strip_trace(tracer.records())
@@ -355,18 +420,9 @@ def _finite(value: float) -> Any:
 
 def _suite_engine() -> Any:
     from repro.core.bandwidth import ChainCutResult
-    from repro.core.prime_subpaths import PrimeStructure
     from repro.engine import PartitionEngine
     from repro.engine.cache import PlanCache
-    from repro.engine.kernels import (
-        HAVE_NUMPY,
-        bandwidth_sweep,
-        compute_prime_structure_numpy,
-        feasible_components,
-        membership_intervals,
-        prefix_array,
-        prime_windows,
-    )
+    from repro.engine.kernels import HAVE_NUMPY
     from repro.graphs.chain import Chain
     from repro.graphs.generators import random_chain
     from repro.observability import Tracer
@@ -428,36 +484,7 @@ def _suite_engine() -> Any:
                 "twin_len": len(twin_cache),
             }
         )
-    # The sweep over a *python* PrimeStructure (non-array branch).
-    structure = PrimeStructure.compute(chain, 2.0 * wmax)
-    cut, weight = bandwidth_sweep(structure)
-    rows.append({"py_sweep": {"cut": cut, "weight": weight}})
-    if HAVE_NUMPY:
-        prefix = prefix_array(chain)
-        first, last = prime_windows(prefix, 2.0 * wmax)
-        lo, hi = membership_intervals(first, last - 1, chain.num_tasks - 1)
-        arr = compute_prime_structure_numpy(chain, 2.0 * wmax)
-        np_cut, np_weight = bandwidth_sweep(arr)
-        rows.append(
-            {
-                "kernels": {
-                    "first": first.tolist(),
-                    "last": last.tolist(),
-                    "lo": lo.tolist(),
-                    "hi": hi.tolist(),
-                    "p": arr.p,
-                    "r": arr.r,
-                    "q_values": arr.q_values,
-                    "min_prime_weight": _finite(arr.min_prime_weight()),
-                    "cut": np_cut,
-                    "weight": np_weight,
-                    "feasible": feasible_components(prefix, np_cut, 2.0 * wmax),
-                    "infeasible_probe": feasible_components(
-                        prefix, np_cut[1:], 2.0 * wmax
-                    ),
-                }
-            }
-        )
+        rows.append({"kernels": _kernel_row(chain, 2.0 * wmax)})
     return rows
 
 
@@ -565,11 +592,8 @@ def _certify_chain() -> None:
             chain, result.cut_indices, bound, result.weight, optimal_bandwidth=True
         )
         if HAVE_NUMPY:
-            np_result = bandwidth_min(chain, bound, backend="numpy")
-            verify_chain_result(
-                chain, np_result.cut_indices, bound, np_result.weight,
-                optimal_bandwidth=True,
-            )
+            cut, weight = _kernel_row(chain, bound)["plan"]
+            verify_chain_result(chain, cut, bound, weight, optimal_bandwidth=True)
 
 
 def _certify_prime() -> None:

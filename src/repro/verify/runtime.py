@@ -108,9 +108,7 @@ def cross_check_chain_backends(
 
     report = CertificateReport("backend_cross_check")
     report.checks += 1
-    reference = bandwidth_min(
-        chain, bound, apply_reduction=apply_reduction, backend="python"
-    )
+    reference = bandwidth_min(chain, bound, apply_reduction=apply_reduction)
     if list(reference.cut_indices) != list(result.cut_indices):
         report.add(
             "engine.cut_divergence",

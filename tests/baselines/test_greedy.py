@@ -9,6 +9,7 @@ from repro.baselines.greedy import (
     first_fit_cut,
     random_feasible_cut,
 )
+from repro.baselines.brute_force import chain_min_components
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
 from repro.graphs.chain import Chain
@@ -40,6 +41,15 @@ class TestFirstFit:
             greedy = first_fit_cut(chain, bound)
             optimal = bandwidth_min(chain, bound)
             assert greedy.weight >= optimal.weight - 1e-9
+
+    def test_block_rule_regression(self):
+        # A running sum puts [0.4, 0.3] at 0.7; Chain.block_fits, the
+        # rule every solver and certificate shares, at 0.7000000000000002.
+        chain = Chain([0.7, 0.4, 0.3], [1, 7])
+        result = first_fit_cut(chain, 0.7)
+        assert result.cut_indices == [0, 1]
+        assert result.is_feasible(0.7)
+        assert result.num_components == chain_min_components(chain, 0.7) == 3
 
 
 class TestEqualBlocks:
@@ -83,3 +93,11 @@ class TestRandomFeasible:
     def test_no_cut_when_fits(self, small_chain):
         result = random_feasible_cut(small_chain, 25, random.Random(1))
         assert result.cut_indices == []
+
+    def test_single_task_block_at_the_bound(self):
+        # The trailing task fits on its own (1.9 <= 1.9) even though its
+        # prefix difference is a rounding step above the bound.
+        chain = Chain([1.8, 1.9], [2])
+        for seed in range(20):
+            result = random_feasible_cut(chain, 1.9, random.Random(seed))
+            assert result.cut_indices == [0]

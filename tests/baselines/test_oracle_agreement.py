@@ -17,7 +17,8 @@ import warnings
 
 import pytest
 
-from repro.baselines.brute_force import chain_min_bandwidth
+from repro.baselines.brute_force import chain_min_bandwidth, chain_min_components
+from repro.baselines.greedy import first_fit_cut, random_feasible_cut
 from repro.baselines.exact_dp import bandwidth_min_dp
 from repro.baselines.kundu_misra import processor_min_bottom_up
 from repro.baselines.nicol import bandwidth_min_nlogn
@@ -64,6 +65,27 @@ def test_decimal_chains_with_task_weight_bounds(seed):
             bound = max(bound, chain.segment_weight(lo, hi))
         got = weights(chain, bound)
         assert len(set(got)) == 1, (chain.alpha, chain.beta, bound, got)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_baselines_share_the_block_rule(seed):
+    # Tenth weights, integer edge weights and K a task or block weight:
+    # a running sum or a raw prefix difference judged blocks differently
+    # from Chain.block_fits here, so first fit returned infeasible cuts
+    # and random feasible cuts indexed past the last edge.
+    rng = random.Random(seed)
+    for _ in range(250):
+        n = rng.randint(1, 10)
+        chain = Chain([rng.randint(1, 9) / 10 for _ in range(n)],
+                      [rng.randint(0, 9) for _ in range(n - 1)])
+        lo = rng.randrange(n)
+        hi = rng.randrange(lo, n)
+        bound = max(chain.max_vertex_weight(), chain.segment_weight(lo, hi))
+        first_fit = first_fit_cut(chain, bound)
+        assert chain.is_feasible_cut(first_fit.cut_indices, bound)
+        assert first_fit.num_components == chain_min_components(chain, bound)
+        jittered = random_feasible_cut(chain, bound, rng)
+        assert chain.is_feasible_cut(jittered.cut_indices, bound)
 
 
 def _beta_sweep(chain, bound):

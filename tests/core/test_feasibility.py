@@ -98,10 +98,13 @@ class TestSolverEdgeCases:
         makes the heaviest task look critical on its own (a single task
         is never a critical subpath)."""
         from repro.core.bandwidth import bandwidth_min
+        from repro.engine import PartitionEngine
         from repro.graphs.generators import random_chain
 
         chain = random_chain(40, rng=13)
         bound = chain.max_vertex_weight()
-        for backend in ("python", "numpy"):
-            result = bandwidth_min(chain, bound, backend=backend)
-            assert chain.is_feasible_cut(result.cut_indices, bound), backend
+        for result in (
+            bandwidth_min(chain, bound),
+            PartitionEngine().solve(chain, bound),
+        ):
+            assert chain.is_feasible_cut(result.cut_indices, bound)

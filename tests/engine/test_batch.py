@@ -403,16 +403,6 @@ class TestOneBatchPath:
 
 
 class TestInverseWiring:
-    def test_budget_plan_with_engine_matches(self):
-        chain = random_chain(60, rng=7)
-        engine = PartitionEngine()
-        plain = partition_chain_for_processors(chain, 4)
-        cached = partition_chain_for_processors(chain, 4, engine=engine)
-        assert cached.bound == plain.bound
-        assert (
-            cached.bandwidth_cut.cut_indices == plain.bandwidth_cut.cut_indices
-        )
-
     def test_chain_pareto_frontier(self):
         chain = random_chain(50, rng=8)
         rows = chain_pareto_frontier(chain, 5)

@@ -3,7 +3,9 @@
 The contract is *bit-identical* output to the pure-Python reference on
 every input — the property suite hammers random instances; here we pin
 the known worked example, the degenerate shapes, and the fast TEMP_S
-sweep against the reference queue.
+sweep against the reference queue.  The kernels are primitives; these
+tests chain them the way the compiled plan does and compare the rows
+with :meth:`PrimeStructure.compute`.
 """
 
 import warnings
@@ -14,23 +16,48 @@ np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
-from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
+from repro.core.prime_subpaths import PrimeStructure, PrimeSubpath, ReducedEdge
 from repro.engine import kernels
+from repro.engine.plan import compile_chain
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain, uniform_chain
 
 FIGURE1 = Chain([4, 3, 5, 2, 6], [7, 1, 9, 2])
 
 
+def kernel_columns(chain, bound, apply_reduction=True):
+    """``(first_tasks, last_tasks, prime_weights, reduced columns)`` from
+    the kernel primitives, chained as the compiled plan chains them."""
+    kernels.validate_bound_array(chain.max_vertex_weight(), bound)
+    prefix = kernels.prefix_array(chain)
+    first, last = kernels.prime_windows(prefix, bound)
+    weights = kernels.prime_weight_array(prefix, first, last)
+    lo, hi = kernels.membership_intervals(first, last - 1, chain.num_edges)
+    columns = kernels.reduced_edge_arrays(
+        kernels.beta_array(chain), lo, hi, apply_reduction=apply_reduction
+    )
+    return first, last, weights, columns
+
+
+def kernel_rows(chain, bound, apply_reduction=True):
+    """The kernel output as :class:`PrimeSubpath`/:class:`ReducedEdge` rows."""
+    first, last, weights, columns = kernel_columns(chain, bound, apply_reduction)
+    primes = [
+        PrimeSubpath(int(a), int(b), float(w))
+        for a, b, w in zip(first, last, weights)
+    ]
+    edges = [
+        ReducedEdge(int(j), float(w), int(lo), int(hi))
+        for j, w, lo, hi in zip(*columns)
+    ]
+    return primes, edges
+
+
 def assert_structures_equal(chain, bound, apply_reduction=True):
     ref = PrimeStructure.compute(chain, bound, apply_reduction=apply_reduction)
-    fast = compute_prime_structure(
-        chain, bound, apply_reduction=apply_reduction, backend="numpy"
-    )
-    assert ref.primes == fast.primes
-    assert ref.edges == fast.edges
-    assert ref.q_values == fast.q_values
-    assert ref.p == fast.p and ref.r == fast.r
+    primes, edges = kernel_rows(chain, bound, apply_reduction)
+    assert ref.primes == primes
+    assert ref.edges == edges
 
 
 class TestPrimeStructureNumpy:
@@ -46,11 +73,11 @@ class TestPrimeStructureNumpy:
 
     def test_bound_swallows_chain(self):
         chain = random_chain(50, rng=2)
-        fast = compute_prime_structure(
-            chain, chain.total_weight() + 1, backend="numpy"
+        first, _, weights, columns = kernel_columns(
+            chain, chain.total_weight() + 1
         )
-        assert fast.p == 0 and fast.r == 0
-        assert fast.min_prime_weight() == float("inf")
+        assert first.shape == (0,) and columns[0].shape == (0,)
+        assert kernels.stability_end(weights) == float("inf")
 
     def test_all_equal_weights(self):
         chain = uniform_chain(40, vertex_weight=2.0, edge_weight=3.0)
@@ -65,20 +92,27 @@ class TestPrimeStructureNumpy:
 
     def test_infeasible_bound_raises(self):
         with pytest.raises(InfeasibleBoundError):
-            compute_prime_structure(FIGURE1, 5.0, backend="numpy")
+            kernel_columns(FIGURE1, 5.0)
+        with pytest.raises(InfeasibleBoundError):
+            compile_chain(FIGURE1).solve_bounds([5.0])
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            compute_prime_structure(FIGURE1, 9.0, backend="fortran")
+        # The reference is pure Python; the NumPy route is the engine.
+        for backend in ("numpy", "fortran"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                bandwidth_min(FIGURE1, 9.0, backend=backend)
 
     def test_array_structure_statistics_match(self):
         chain = random_chain(80, rng=4)
         bound = 3.0 * chain.max_vertex_weight()
         ref = PrimeStructure.compute(chain, bound)
-        fast = compute_prime_structure(chain, bound, backend="numpy")
-        assert fast.q == pytest.approx(ref.q)
-        assert fast.mean_prime_length() == pytest.approx(ref.mean_prime_length())
-        assert fast.min_prime_weight() == ref.min_prime_weight()
+        first, last, weights, columns = kernel_columns(chain, bound)
+        edge_first, edge_last = columns[2], columns[3]
+        assert (edge_last - edge_first + 1).tolist() == ref.q_values
+        assert float(np.mean(last - first + 1)) == pytest.approx(
+            ref.mean_prime_length()
+        )
+        assert kernels.stability_end(weights) == ref.min_prime_weight()
 
 
 class TestMembershipKernel:
@@ -100,16 +134,13 @@ class TestFastSweep:
         for ratio in (1.0, 1.3, 2.0, 5.0, 25.0):
             bound = ratio * chain.max_vertex_weight()
             ref = bandwidth_min(chain, bound)
-            structure = compute_prime_structure(chain, bound, backend="numpy")
+            first, last, weights, columns = kernel_columns(chain, bound)
+            structure = kernels.ArrayPrimeStructure(
+                chain, bound, first, last, weights, *columns
+            )
             cut, weight = kernels.bandwidth_sweep(structure)
             assert cut == ref.cut_indices
             assert weight == ref.weight
-
-    def test_accepts_reference_structure(self):
-        structure = PrimeStructure.compute(FIGURE1, 9)
-        cut, weight = kernels.bandwidth_sweep(structure)
-        ref = bandwidth_min(FIGURE1, 9)
-        assert cut == ref.cut_indices and weight == ref.weight
 
     def test_empty_structure(self):
         assert kernels.sweep_min_cut([], [], [], []) == ([], 0.0)
@@ -286,64 +317,22 @@ class TestWeightOnlyFastPath:
 
 class TestBandwidthBackendFlag:
     def test_numpy_backend_same_result(self):
+        # The NumPy route is the engine; the reference has no other backend.
+        from repro.engine import PartitionEngine
+
         chain = random_chain(120, rng=6)
         bound = 2.0 * chain.max_vertex_weight()
         ref = bandwidth_min(chain, bound)
-        fast = bandwidth_min(chain, bound, backend="numpy")
+        fast = PartitionEngine().solve(chain, bound)
         assert fast.cut_indices == ref.cut_indices
         assert fast.weight == ref.weight
-
-    def test_numpy_backend_with_stats_falls_back(self):
-        chain = random_chain(60, rng=7)
-        bound = 2.0 * chain.max_vertex_weight()
-        result = bandwidth_min(chain, bound, backend="numpy", collect_stats=True)
-        assert result.stats is not None
-        assert result.stats.p > 0
 
     def test_precomputed_structure_is_used(self):
         chain = random_chain(60, rng=8)
         bound = 2.0 * chain.max_vertex_weight()
-        structure = compute_prime_structure(chain, bound, backend="numpy")
-        result = bandwidth_min(chain, bound, backend="numpy", structure=structure)
+        structure = PrimeStructure.compute(chain, bound)
+        result = bandwidth_min(chain, bound, structure=structure)
         assert result.weight == bandwidth_min(chain, bound).weight
-
-
-class TestFeasibleComponents:
-    def test_matches_chain_check(self):
-        chain = random_chain(30, rng=9)
-        prefix = kernels.prefix_array(chain)
-        bound = 2.0 * chain.max_vertex_weight()
-        cut = bandwidth_min(chain, bound).cut_indices
-        assert kernels.feasible_components(prefix, cut, bound)
-        assert kernels.feasible_components(prefix, cut, bound) == (
-            chain.is_feasible_cut(cut, bound)
-        )
-
-    def test_detects_overweight_block(self):
-        chain = Chain([3, 3, 3], [1, 1])
-        prefix = kernels.prefix_array(chain)
-        assert not kernels.feasible_components(prefix, [], 5.0)
-        assert kernels.feasible_components(prefix, [0, 1], 5.0)
-
-    def test_feasible_components_boundary_blocks(self):
-        # The first and last blocks are the easiest to lose to an
-        # off-by-one: [1, 1, 10] with the cut after task 0 leaves a
-        # trailing block of weight 11.
-        prefix = np.array([0.0, 1.0, 2.0, 12.0])
-        assert kernels.feasible_components(prefix, [0], 11.0)
-        assert not kernels.feasible_components(prefix, [0], 2.0)
-        assert kernels.feasible_components(prefix, [1], 10.0)
-        # Middle-heavy twin: [1, 10, 1] with the same cut.
-        prefix_mid = np.array([0.0, 1.0, 11.0, 12.0])
-        assert not kernels.feasible_components(prefix_mid, [0], 2.0)
-
-    def test_feasible_components_unsorted_duplicate_cut(self):
-        # set([8, 1]) iterates as [8, 1] under CPython's small-int
-        # hashing, so a missing sort produces garbage block boundaries.
-        ones = np.arange(13, dtype=np.float64)  # twelve unit tasks
-        assert kernels.feasible_components(ones, [8, 1], 8.0)
-        assert kernels.feasible_components(ones, [8, 1, 8], 8.0)
-        assert not kernels.feasible_components(ones, [8, 1], 6.0)
 
 
 class TestSweepFixupLoops:
@@ -404,7 +393,7 @@ class TestOverflowingPrefix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = PartitionEngine().solve(chain, 1.5e308)
-            ref = bandwidth_min(chain, 1.5e308, backend="python")
+            ref = bandwidth_min(chain, 1.5e308)
         assert got.cut_indices == ref.cut_indices == [0, 1]
         assert got.weight == ref.weight == 3.0
 
@@ -416,12 +405,13 @@ class TestOverflowingPrefix:
         ref = PrimeStructure.compute(chain, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = kernels.compute_prime_structure_numpy(chain, 1e308)
-            windows = [(p.first_task, p.last_task) for p in fast.primes]
+            primes, edges = kernel_rows(chain, 1e308)
+            windows = [(p.first_task, p.last_task) for p in primes]
             assert windows == [(p.first_task, p.last_task) for p in ref.primes]
             assert windows == [(0, 1), (1, 2), (2, 3), (3, 4)]
-            assert fast.edges == ref.edges
-            assert kernels.bandwidth_sweep(fast) == ([0, 1, 2, 3], 11.0)
+            assert edges == ref.edges
+            columns = kernel_columns(chain, 1e308)[3]
+            assert kernels.temps_sweep(*columns) == ([0, 1, 2, 3], 11.0)
 
     def test_nan_weights_never_end_the_stability_interval(self):
         weights = np.array([np.nan, 3.0, np.inf, np.nan])

@@ -7,7 +7,7 @@ Four implementations of Algorithm 4.1's sweep must agree bit for bit
 - the Python fallback behind the same function (forced by patching the
   loader, so the fallback keeps its own test and mutation coverage);
 - :func:`kernels.sweep_min_cut` called directly on ``.tolist()`` columns;
-- the pure-Python reference ``bandwidth_min(backend="python")``.
+- the pure-Python reference :func:`bandwidth_min`.
 
 Where every feasible cut weighs ``inf`` the sweeps return ``inf`` and
 the solvers built on them (the reference, the engine) raise
@@ -97,20 +97,17 @@ def _reference(chain, bound):
     """The reference's ``(cut, weight)``, or ``(None, inf)`` when it
     raises :class:`OptimumOverflowError`."""
     try:
-        ref = bandwidth_min(chain, bound, backend="python")
+        ref = bandwidth_min(chain, bound)
     except OptimumOverflowError:
         return None, math.inf
     return ref.cut_indices, ref.weight
 
 
 def _cut_columns(chain, bound):
-    structure = kernels.compute_prime_structure_numpy(chain, bound)
-    return (
-        structure.edge_index,
-        structure.edge_weight,
-        structure.edge_first,
-        structure.edge_last,
-    )
+    prefix = kernels.prefix_array(chain)
+    first, last = kernels.prime_windows(prefix, bound)
+    lo, hi = kernels.membership_intervals(first, last - 1, chain.num_edges)
+    return kernels.reduced_edge_arrays(kernels.beta_array(chain), lo, hi)
 
 
 def _class_columns(chain, bound):

@@ -96,6 +96,7 @@ class TestLeafStructure:
         assert star_tree.is_star()
         assert not small_tree.is_star()
         assert Tree([1, 1], [(0, 1)]).is_star()
+        assert Tree([1], []).is_star()
 
     def test_star_constructor(self):
         star = Tree.star(1.0, [2, 3], [5, 6])
@@ -136,3 +137,10 @@ class TestContraction:
     def test_contract_rejects_foreign_edge(self, small_tree):
         with pytest.raises(ValueError, match="not present"):
             small_tree.contract_components({(0, 6)})
+
+    def test_missing_cut_edges_are_reported_sorted(self):
+        # A set of edges iterates in hash order ((2, 3) before (0, 1)
+        # here); the message lists them sorted, so it is stable.
+        star = Tree([1, 1, 1, 1, 1], [(0, 4), (1, 4), (2, 4), (3, 4)])
+        with pytest.raises(ValueError, match=r"\[\(0, 1\), \(2, 3\)\]"):
+            star.contract_components({(2, 3), (0, 1)})

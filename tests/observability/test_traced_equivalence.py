@@ -4,38 +4,45 @@ The tracer embeds a real :class:`OpCounter` in each span and traced
 ``bandwidth_min`` calls feed that counter into the TEMP_S sweep, so the
 exported spans must carry the *measured* paper quantities (``p``, ``q``,
 ``p log q``, search steps, TEMP_S lengths) bit-for-bit — not a
-re-derivation — and tracing must never perturb the solution itself.
+re-derivation — and tracing must never perturb the solution itself,
+on the reference or on the engine's NumPy route.
 """
 
 import pytest
 
 from repro.baselines.nicol import bandwidth_min_nlogn
 from repro.core.bandwidth import bandwidth_min, bandwidth_stats
-from repro.engine.kernels import HAVE_NUMPY
 from repro.graphs.generators import random_chain
 from repro.observability import Tracer
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+
+def _engine_solve(chain, bound, search="binary", tracer=None):
+    from repro.engine import PartitionEngine
+
+    return PartitionEngine(tracer=tracer).solve(chain, bound, search=search)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
+@pytest.fixture(params=["python", "numpy"])
+def solve(request):
+    """A solver taking ``(chain, bound, search=, tracer=)``: the
+    pure-Python reference, or the engine (the NumPy route)."""
+    if request.param == "numpy":
+        pytest.importorskip("numpy")
+        return _engine_solve
+    return bandwidth_min
 
 
-def traced_solve(chain, bound, backend, search="binary"):
+def traced_solve(chain, bound, solve=bandwidth_min, search="binary"):
     tracer = Tracer()
-    result = bandwidth_min(
-        chain, bound, backend=backend, search=search, tracer=tracer
-    )
+    result = solve(chain, bound, search=search, tracer=tracer)
     return tracer, result
 
 
 class TestStatsEquivalence:
-    def test_spans_match_algorithm_stats_bit_for_bit(self, backend):
+    def test_spans_match_algorithm_stats_bit_for_bit(self):
         chain = random_chain(400, rng=42)
         bound = 3.0 * chain.max_vertex_weight()
-        tracer, result = traced_solve(chain, bound, backend)
+        tracer, result = traced_solve(chain, bound)
         stats = bandwidth_stats(chain, bound)
 
         root = tracer.find("bandwidth_min")
@@ -54,10 +61,10 @@ class TestStatsEquivalence:
         assert root.attrs["weight"] == result.weight
         assert root.attrs["components"] == result.num_components
 
-    def test_exported_records_carry_the_same_numbers(self, backend):
+    def test_exported_records_carry_the_same_numbers(self):
         chain = random_chain(300, rng=7)
         bound = 2.5 * chain.max_vertex_weight()
-        tracer, _ = traced_solve(chain, bound, backend)
+        tracer, _ = traced_solve(chain, bound)
         stats = bandwidth_stats(chain, bound)
         records = {r["name"]: r for r in tracer.records()}
         sweep = records["temp_s_sweep"]
@@ -68,34 +75,32 @@ class TestStatsEquivalence:
 
 
 class TestTracingIsInert:
-    def test_traced_result_equals_untraced(self, backend):
+    def test_traced_result_equals_untraced(self, solve):
         for rng in (1, 2, 3):
             chain = random_chain(200, rng=rng)
             bound = 2.0 * chain.max_vertex_weight()
-            plain = bandwidth_min(chain, bound, backend=backend)
-            _, traced = traced_solve(chain, bound, backend)
+            plain = solve(chain, bound)
+            _, traced = traced_solve(chain, bound, solve)
             assert (traced.cut_indices, traced.weight) == (
                 plain.cut_indices,
                 plain.weight,
             )
 
-    def test_linear_search_traced(self, backend):
+    def test_linear_search_traced(self, solve):
         chain = random_chain(150, rng=9)
         bound = 2.0 * chain.max_vertex_weight()
-        plain = bandwidth_min(chain, bound, backend=backend, search="linear")
-        tracer, traced = traced_solve(chain, bound, backend, search="linear")
+        plain = solve(chain, bound, search="linear")
+        tracer, traced = traced_solve(chain, bound, solve, search="linear")
         assert traced.weight == plain.weight
         assert tracer.find("temp_s_sweep").counter.get("search_steps") > 0
 
-    def test_null_tracer_takes_fast_path(self, backend):
+    def test_null_tracer_takes_fast_path(self, solve):
         from repro.observability import NULL_TRACER
 
         chain = random_chain(100, rng=11)
         bound = 2.0 * chain.max_vertex_weight()
-        plain = bandwidth_min(chain, bound, backend=backend)
-        nulled = bandwidth_min(
-            chain, bound, backend=backend, tracer=NULL_TRACER
-        )
+        plain = solve(chain, bound)
+        nulled = solve(chain, bound, tracer=NULL_TRACER)
         assert nulled.weight == plain.weight
         assert NULL_TRACER.roots == []
 
@@ -122,23 +127,8 @@ class TestPrimeStructureTracing:
         chain = random_chain(120, rng=3)
         bound = 2.0 * chain.max_vertex_weight()
         tracer = Tracer()
-        structure = compute_prime_structure(
-            chain, bound, backend="python", tracer=tracer
-        )
+        structure = compute_prime_structure(chain, bound, tracer=tracer)
         find = tracer.find("find_primes")
         reduce_span = tracer.find("reduce_edges")
         assert find.attrs["p"] == structure.p
         assert reduce_span.attrs["r"] == structure.r
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_numpy_backend_emits_kernel_dispatch_span(self):
-        from repro.engine.kernels import compute_prime_structure_numpy
-
-        chain = random_chain(120, rng=4)
-        bound = 2.0 * chain.max_vertex_weight()
-        tracer = Tracer()
-        structure = compute_prime_structure_numpy(chain, bound, tracer=tracer)
-        span = tracer.find("kernel_dispatch")
-        assert span.attrs["kernel"] == "prime_structure"
-        assert span.attrs["p"] == structure.p
-        assert span.attrs["r"] == structure.r

@@ -57,10 +57,12 @@ def test_bandwidth_min_passes_full_certificate(data):
 @given(chain_and_bound())
 def test_numpy_backend_passes_cache_certificate(data):
     pytest.importorskip("numpy")
+    from repro.engine import PartitionEngine
+
     chain, bound = data
-    result = bandwidth_min(chain, bound, backend="numpy")
-    # Includes the pure-Python cross-check: both backends must agree
-    # element for element.
+    result = PartitionEngine().solve(chain, bound)
+    # Includes the pure-Python cross-check: the engine and the reference
+    # must agree element for element.
     verify_cache_solve(chain, bound, result)
 
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
-from repro.core.prime_subpaths import PrimeStructure, compute_prime_structure
-from repro.engine import PartitionEngine, PartitionQuery
+from repro.core.prime_subpaths import PrimeStructure
+from repro.engine import PartitionEngine, PartitionQuery, compile_chain
 from repro.graphs.chain import Chain
+from tests.engine.test_kernels import kernel_rows
 from tests.property.strategies import chain_and_bound
 
 
@@ -25,9 +26,9 @@ from tests.property.strategies import chain_and_bound
 def test_numpy_structure_identical_to_python(data):
     chain, bound = data
     ref = PrimeStructure.compute(chain, bound)
-    fast = compute_prime_structure(chain, bound, backend="numpy")
-    assert ref.primes == fast.primes
-    assert ref.edges == fast.edges
+    primes, edges = kernel_rows(chain, bound)
+    assert ref.primes == primes
+    assert ref.edges == edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -35,11 +36,9 @@ def test_numpy_structure_identical_to_python(data):
 def test_numpy_structure_identical_without_reduction(data):
     chain, bound = data
     ref = PrimeStructure.compute(chain, bound, apply_reduction=False)
-    fast = compute_prime_structure(
-        chain, bound, apply_reduction=False, backend="numpy"
-    )
-    assert ref.primes == fast.primes
-    assert ref.edges == fast.edges
+    primes, edges = kernel_rows(chain, bound, apply_reduction=False)
+    assert ref.primes == primes
+    assert ref.edges == edges
 
 
 @settings(max_examples=200, deadline=None)
@@ -47,9 +46,9 @@ def test_numpy_structure_identical_without_reduction(data):
 def test_numpy_backend_identical_result(data):
     chain, bound = data
     ref = bandwidth_min(chain, bound)
-    fast = bandwidth_min(chain, bound, backend="numpy")
-    assert fast.cut_indices == ref.cut_indices
-    assert fast.weight == ref.weight  # exact, not approximate
+    weights, cuts = compile_chain(chain).solve_bounds([bound], return_cuts=True)
+    assert cuts[0] == ref.cut_indices
+    assert weights[0] == ref.weight  # exact, not approximate
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,7 +89,7 @@ def test_one_engine_interleaved_solve_and_sweep(data, first, middle, last):
         return base_bound + step * 0.25
 
     def reference(k):
-        return bandwidth_min(chain, k, backend="python")
+        return bandwidth_min(chain, k)
 
     for step in first:
         got, ref = engine.solve(chain, bound(step)), reference(bound(step))

@@ -53,7 +53,7 @@ class TestScoreMath:
         # the tests/verify/fixtures corpus pin what they report.
         assert not [name for name in TARGETS if name.startswith("repro.verify.")]
         assert set(PACKAGE_THRESHOLDS) == {
-            "repro.core", "repro.engine", "repro.baselines",
+            "repro.core", "repro.engine", "repro.baselines", "repro.graphs",
         }
 
 
