@@ -72,7 +72,7 @@ def bottleneck_min_naive(tree: Tree, bound: float) -> TreeCutResult:
     cut: Set[Edge] = set()
     if all(w <= bound for w in tree.component_weights(cut)):
         return _certified(TreeCutResult(tree, cut, 0.0), bound)
-    for edge in tree.edges_by_weight():
+    for edge in tree.parent_edges(tree.edges_by_weight()):
         cut.add(edge)
         if all(w <= bound for w in tree.component_weights(cut)):
             return _certified(
@@ -105,7 +105,8 @@ def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     bound; the cut is everything not yet added.
     """
     max_weight = validate_bound(tree.vertex_weights, bound)
-    ordered = tree.edges_by_weight()
+    ordered = tree.edges_by_weight()  # edges as child vertices
+    parent = tree.bfs_order()[1]
     uf = _UnionFind(tree.vertex_weights)
     # Walk from the heaviest edge downwards; stop before the first merge
     # that creates an over-weight component.
@@ -115,13 +116,16 @@ def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     uf_weight = uf.weight
     uf_find = uf.find
     for idx in range(len(ordered) - 1, -1, -1):
-        u, v = ordered[idx]
-        if uf_weight[uf_find(u)] + uf_weight[uf_find(v)] > bound:
+        child = ordered[idx]
+        if uf_weight[uf_find(child)] + uf_weight[uf_find(parent[child])] > bound:
             boundary = idx + 1
             break
-        uf.union(u, v)
-    cut = set(ordered[:boundary])
-    bottleneck = tree.edge_weight(*ordered[boundary - 1]) if boundary else 0.0
+        uf.union(child, parent[child])
+    cut = set(tree.parent_edges(ordered[:boundary]))
+    bottleneck = 0.0
+    if boundary:
+        last = ordered[boundary - 1]
+        bottleneck = tree.edge_weight(last, parent[last])
     # max_weight <= bound guarantees feasibility even when every edge is cut.
     assert max_weight <= bound
     return _certified(TreeCutResult(tree, cut, bottleneck), bound)

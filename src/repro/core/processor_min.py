@@ -49,7 +49,7 @@ def processor_min(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
         if not children:
             continue  # original leaf: nothing to process
         # Step 3: W <- weight of v plus all adjacent (reduced) leaves.
-        total = residual[v] + sum(residual[c] for c in children)
+        total = residual[v] + sum(map(residual.__getitem__, children))
         if total <= bound:
             # Step 4: merge every leaf into v.
             residual[v] = total

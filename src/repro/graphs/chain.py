@@ -156,7 +156,7 @@ class Chain:
 
     def cut_weight(self, cut: Iterable[int]) -> float:
         """Total edge weight of a cut given as edge indices (the *bandwidth*)."""
-        return sum(self._beta[i] for i in cut)
+        return sum((self._beta[i] for i in cut), 0.0)
 
     def fingerprint(self) -> str:
         """Content hash of the chain (hex digest, cached after first call).
@@ -213,9 +213,14 @@ class Chain:
         return TaskGraph(self._alpha, edges, self._beta)
 
     def to_tree(self) -> Tree:
-        """The path :class:`Tree` ``0 - 1 - ... - n-1``, built straight
-        from ``alpha``/``beta`` (edge ``i`` joins tasks ``i`` and ``i + 1``)."""
-        return Tree(self._alpha, [(i, i + 1) for i in range(self.num_edges)], self._beta)
+        """The path :class:`Tree` ``0 - 1 - ... - n-1`` (edge ``i`` joins
+        tasks ``i`` and ``i + 1``).  The chain has validated its floats,
+        so the tree's lists are written directly: parent ``i - 1``, BFS
+        order ``0 .. n-1`` and parent-edge weight ``beta[i - 1]``."""
+        n = self.num_tasks
+        return Tree.__new__(Tree)._set_lists(
+            list(self._alpha), [-1, *range(n - 1)], list(range(n)), [0.0, *self._beta],
+            list(range(1, n)))
 
     @classmethod
     def from_task_graph(cls, graph: TaskGraph) -> "Chain":

@@ -11,17 +11,22 @@ The paper states all three optimization problems over an *edge cut*
 :class:`Cut` is a thin immutable wrapper over a set of canonical edges
 bound to a graph; :class:`Partition` materializes the induced components
 and exposes all the objectives.  Both work for general
-:class:`~repro.graphs.task_graph.TaskGraph` instances; chain algorithms
+:class:`~repro.graphs.task_graph.TaskGraph` instances and for
+:class:`~repro.graphs.tree.Tree`; chain algorithms
 use plain edge-index lists internally and convert at the API boundary
 via :func:`cut_from_chain_indices`.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from repro.graphs.chain import Chain
 from repro.graphs.task_graph import Edge, TaskGraph, canonical_edge
+from repro.graphs.tree import Tree
+
+#: A graph a cut can be taken on: a general task graph or a tree.
+Graph = Union[TaskGraph, Tree]
 
 
 class Cut:
@@ -29,7 +34,7 @@ class Cut:
 
     __slots__ = ("_graph", "_edges")
 
-    def __init__(self, graph: TaskGraph, edges: Iterable[Edge]) -> None:
+    def __init__(self, graph: Graph, edges: Iterable[Edge]) -> None:
         self._graph = graph
         canonical = frozenset(canonical_edge(u, v) for u, v in edges)
         missing = [e for e in canonical if not graph.has_edge(*e)]
@@ -38,7 +43,7 @@ class Cut:
         self._edges: FrozenSet[Edge] = canonical
 
     @property
-    def graph(self) -> TaskGraph:
+    def graph(self) -> Graph:
         return self._graph
 
     @property
@@ -91,7 +96,7 @@ class Partition:
 
     __slots__ = ("_graph", "_cut", "_components", "_weights")
 
-    def __init__(self, graph: TaskGraph, cut: Cut) -> None:
+    def __init__(self, graph: Graph, cut: Cut) -> None:
         if cut.graph is not graph:
             raise ValueError("cut belongs to a different graph")
         self._graph = graph
@@ -101,7 +106,7 @@ class Partition:
         self._weights: List[float] = graph.component_weights(removed)
 
     @property
-    def graph(self) -> TaskGraph:
+    def graph(self) -> Graph:
         return self._graph
 
     @property

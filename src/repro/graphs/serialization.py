@@ -8,7 +8,7 @@ without custom encoders.  Round-tripping is exact for the float values
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Union
 
 from repro.graphs.chain import Chain
 from repro.graphs.task_graph import TaskGraph
@@ -25,7 +25,7 @@ def chain_from_dict(data: Dict[str, Any]) -> Chain:
     return Chain(data["alpha"], data["beta"])
 
 
-def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
+def graph_to_dict(graph: Union[TaskGraph, Tree]) -> Dict[str, Any]:
     kind = "tree" if isinstance(graph, Tree) else "graph"
     edges = []
     weights = []
@@ -40,7 +40,7 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
     }
 
 
-def graph_from_dict(data: Dict[str, Any]) -> TaskGraph:
+def graph_from_dict(data: Dict[str, Any]) -> Union[TaskGraph, Tree]:
     kind = data.get("type")
     edges = [tuple(e) for e in data["edges"]]
     if kind == "tree":

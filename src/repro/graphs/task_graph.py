@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Edge = Tuple[int, int]
 
@@ -27,6 +27,35 @@ def canonical_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop ({u}, {v}) is not a valid task-graph edge")
     return (u, v) if u < v else (v, u)
+
+
+def check_weights(weights: List[float], name: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` unless every weight is finite and ``>= 0``.
+
+    ``min`` is blind to NaN, but NaN and ``+inf`` both poison a sum, so
+    the C-speed test passes only valid lists; anything else takes the
+    exact scan (which also accepts sums that merely overflowed).
+    """
+    if weights and not (min(weights) >= 0 and sum(weights) < inf):
+        for i, w in enumerate(weights):
+            if not 0 <= w < inf:  # negated so NaN is rejected too
+                kind = "negative" if w < 0 else "non-finite"
+                raise ValueError(f"{name(i)} has {kind} weight {w}")
+
+
+def resolve_edge_weights(
+    edge_list: List[Edge], edge_weights: Optional[object]
+) -> List[float]:
+    """One float per edge: ``edge_weights`` is ``None`` (all ``1.0``), a
+    dict keyed by canonical edge, or a sequence aligned with ``edge_list``."""
+    if edge_weights is None:
+        return [1.0] * len(edge_list)
+    if isinstance(edge_weights, dict):
+        return [float(edge_weights[canonical_edge(*edge)]) for edge in edge_list]
+    weights = [float(w) for w in edge_weights]
+    if len(weights) != len(edge_list):
+        raise ValueError(f"{len(weights)} edge weights given for {len(edge_list)} edges")
+    return weights
 
 
 class TaskGraph:
@@ -54,36 +83,15 @@ class TaskGraph:
         edge_weights: Optional[object] = None,
     ) -> None:
         self._vertex_weights: List[float] = [float(w) for w in vertex_weights]
-        for i, w in enumerate(self._vertex_weights):
-            if not 0 <= w < inf:  # negated so NaN is rejected too
-                kind = "negative" if w < 0 else "non-finite"
-                raise ValueError(f"vertex {i} has {kind} weight {w}")
+        check_weights(self._vertex_weights, "vertex {}".format)
         n = len(self._vertex_weights)
         self._adjacency: List[List[int]] = [[] for _ in range(n)]
         self._edge_weights: Dict[Edge, float] = {}
 
         edge_list = [canonical_edge(u, v) for u, v in edges]
-        weights = self._resolve_edge_weights(edge_list, edge_weights)
+        weights = resolve_edge_weights(edge_list, edge_weights)
         for edge, weight in zip(edge_list, weights):
-            # Not self.add_edge: a Tree refuses edges once it is built.
-            TaskGraph.add_edge(self, edge[0], edge[1], weight)
-
-    @staticmethod
-    def _resolve_edge_weights(
-        edge_list: List[Edge], edge_weights: Optional[object]
-    ) -> List[float]:
-        if edge_weights is None:
-            return [1.0] * len(edge_list)
-        if isinstance(edge_weights, dict):
-            return [
-                float(edge_weights[canonical_edge(*edge)]) for edge in edge_list
-            ]
-        weights = [float(w) for w in edge_weights]
-        if len(weights) != len(edge_list):
-            raise ValueError(
-                f"{len(weights)} edge weights given for {len(edge_list)} edges"
-            )
-        return weights
+            self.add_edge(edge[0], edge[1], weight)
 
     # ------------------------------------------------------------------
     # Construction

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from repro.baselines.kundu_misra import processor_min_bottom_up
 from repro.core.bottleneck import bottleneck_min
 from repro.core.pipeline import partition_chain, partition_tree
 from repro.core.processor_min import processor_min
 from repro.graphs.generators import random_chain, random_tree
 from repro.graphs.tree import Tree
 from repro.verify.certificates import check_tree_cut
+from tests.graphs.test_tree import contract_by_constructor
 
 
 class TestPartitionTree:
@@ -85,6 +87,53 @@ class TestPartitionTree:
         report = check_tree_cut(tree, sorted(plan.final_cut), 2.3,
                                 claimed_bottleneck=plan.bottleneck)
         assert report.ok, report.violations
+
+
+def _differential_trees(unit, count, seed):
+    """``count`` seeded ``(tree, bound)`` pairs with weights on a grid of
+    ``unit``: single vertices, paths, stars and random trees."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 1 if i % 10 == 0 else rng.randint(2, 30)
+        shape = ("path", "star", "random")[i % 3]
+        if shape == "path":
+            edges = [(v - 1, v) for v in range(1, n)]
+        elif shape == "star":
+            center = rng.randrange(n)
+            edges = [(center, v) for v in range(n) if v != center]
+        else:
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        rng.shuffle(edges)
+        weights = [unit * rng.randint(1, 30) for _ in range(n)]
+        tree = Tree(weights, edges, [unit * rng.randint(0, 9) for _ in edges])
+        low, high = max(weights), sum(weights)
+        yield tree, rng.choice([low, high, unit * round(rng.uniform(low, high) / unit)])
+
+
+class TestPipelineDifferential:
+    """``partition_tree`` against the same pipeline contracted through the
+    public ``Tree`` constructor: bit-identical answers on rounding-prone
+    weights."""
+
+    @pytest.mark.parametrize("unit, seed", [(0.5, 211), (0.1, 212)])
+    def test_matches_constructor_pipeline(self, unit, seed):
+        for tree, bound in _differential_trees(unit, 400, seed):
+            plan = partition_tree(tree, bound)
+            first_cut = set(bottleneck_min(tree, bound).cut_edges)
+            final_cut, bottleneck = set(), 0.0
+            if first_cut:
+                super_tree, _components, origin = contract_by_constructor(tree, first_cut)
+                refined = processor_min(super_tree, bound)
+                assert refined.num_components == processor_min_bottom_up(
+                    super_tree, bound).num_components
+                final_cut = {origin[e] for e in refined.cut_edges}
+                bottleneck = refined.bottleneck
+            assert plan.bottleneck_cut == first_cut
+            assert plan.final_cut == final_cut
+            assert plan.bottleneck.hex() == bottleneck.hex()
+            assert plan.num_processors == len(final_cut) + 1
+            assert processor_min(tree, bound).num_components == processor_min_bottom_up(
+                tree, bound).num_components
 
 
 class TestPartitionChain:

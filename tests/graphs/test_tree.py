@@ -1,9 +1,57 @@
 """Unit tests for :mod:`repro.graphs.tree`."""
 
+import random
+
 import pytest
 
-from repro.graphs.task_graph import TaskGraph
+from repro.core.bottleneck import bottleneck_min
+from repro.graphs.chain import Chain
+from repro.graphs.generators import (
+    balanced_binary_tree,
+    caterpillar_tree,
+    random_star,
+    random_tree,
+)
+from repro.graphs.task_graph import TaskGraph, canonical_edge
 from repro.graphs.tree import Tree
+
+
+def contract_by_constructor(tree, cut):
+    """Section 2.2's super tree built through the public constructor: the
+    components of ``T - cut`` found by :class:`TaskGraph`'s BFS, weighed
+    by :meth:`Tree.component_weights`, super edges in the canonical cut
+    set's iteration order."""
+    cut = {canonical_edge(*e) for e in cut}
+    graph = TaskGraph(tree.vertex_weights, list(tree.edges()), tree.edge_weight_map())
+    components = graph.connected_components(cut)
+    label = [0] * tree.num_vertices
+    for i, component in enumerate(components):
+        for v in component:
+            label[v] = i
+    super_edges = [canonical_edge(label[u], label[v]) for u, v in cut]
+    super_tree = Tree(
+        tree.component_weights(cut),
+        super_edges,
+        [tree.edge_weight(u, v) for u, v in cut],
+    )
+    return super_tree, [sorted(c) for c in components], dict(zip(super_edges, cut))
+
+
+def assert_same_tree(got, want):
+    """Equal vertex weights (bit for bit), edges in order, edge weights
+    and BFS order."""
+    assert [w.hex() for w in got.vertex_weights] == [w.hex() for w in want.vertex_weights]
+    assert list(got.edges()) == list(want.edges())
+    assert [w.hex() for _e, w in got.weighted_edges()] == [
+        w.hex() for _e, w in want.weighted_edges()
+    ]
+    assert got.bfs_order() == want.bfs_order()
+    last = got.num_vertices - 1
+    assert got.bfs_order(last) == want.bfs_order(last)
+    assert [got.neighbors(v) for v in range(last + 1)] == [
+        want.neighbors(v) for v in range(last + 1)
+    ]
+    assert got.is_path() == want.is_path()
 
 
 class TestConstruction:
@@ -25,6 +73,47 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not a tree"):
             Tree([1, 1, 1], [(0, 1), (1, 2), (0, 2)])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="not a tree"):
+            Tree([], [])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_rejects_out_of_range_vertex(self, edge):
+        with pytest.raises(ValueError, match="out of range"):
+            Tree([1, 1], [edge])
+
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Tree([1, 1], [(1, 1)])
+
+    def test_edges_keep_input_order_in_canonical_form(self):
+        # Root 0: vertex 2 hangs from 0 and vertex 1 from 2, so the second
+        # edge's child (1) is its smaller end.
+        tree = Tree([1, 2, 3], [(2, 0), (1, 2)], [4, 5])
+        assert list(tree.edges()) == [(0, 2), (1, 2)]
+        assert tree.edge_weight(2, 1) == tree.edge_weight(1, 2) == 5
+        assert tree.bfs_order() == ([0, 2, 1], [-1, 2, 0])
+
+    def test_edge_lookup_outside_the_tree(self, small_tree):
+        for u, v in [(0, 6), (7, 0), (0, 7), (-1, 0), (3, 3)]:
+            assert not small_tree.has_edge(u, v)
+        with pytest.raises(KeyError, match=r"\(0, 6\)"):
+            small_tree.edge_weight(0, 6)
+
+    def test_edges_by_weight_breaks_ties_by_canonical_edge(self):
+        # Path 0 - 3 - 1 - 2, every edge of weight 1: canonical order
+        # (0, 3) < (1, 2) < (1, 3), as child vertices 3, 2, 1.
+        path = Tree([1] * 4, [(0, 3), (3, 1), (1, 2)], [1, 1, 1])
+        assert path.edges_by_weight() == [3, 2, 1]
+        star = Tree([1] * 4, [(0, 3), (0, 1), (0, 2)], [1, 1, 1])
+        assert star.edges_by_weight() == [1, 2, 3]
+
+    def test_is_path(self, small_tree, star_tree):
+        assert Tree([1, 1, 1], [(0, 1), (2, 1)]).is_path()
+        assert Tree([1], []).is_path()
+        assert not small_tree.is_path()
+        assert not star_tree.is_path()
+
     def test_from_task_graph(self, small_tree):
         graph = TaskGraph(
             small_tree.vertex_weights,
@@ -37,10 +126,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tree.from_task_graph(TaskGraph([1, 1], []))
 
-    def test_add_edge_is_refused(self, small_tree):
-        with pytest.raises(ValueError, match="cycle"):
-            small_tree.add_edge(3, 4)
-        assert small_tree.num_edges == 6
+    def test_tree_has_no_add_edge(self, small_tree):
+        # A tree that gained an edge would gain a cycle: Tree is not a
+        # TaskGraph and has no mutator.
+        assert not isinstance(small_tree, TaskGraph)
+        assert not hasattr(small_tree, "add_edge")
 
 
 class TestTraversal:
@@ -144,3 +234,87 @@ class TestContraction:
         star = Tree([1, 1, 1, 1, 1], [(0, 4), (1, 4), (2, 4), (3, 4)])
         with pytest.raises(ValueError, match=r"\[\(0, 1\), \(2, 3\)\]"):
             star.contract_components({(2, 3), (0, 1)})
+
+
+def _oracle_trees():
+    rng = random.Random(2101)
+    yield "single", Tree([2.5], [])
+    yield "path", Chain([0.1 * rng.randint(1, 30) for _ in range(40)],
+                        [0.1 * rng.randint(0, 9) for _ in range(39)]).to_tree()
+    yield "star", random_star(30, rng)
+    yield "binary", balanced_binary_tree(5, rng)
+    yield "caterpillar", caterpillar_tree(12, 3, rng)
+    for n in (2, 3, 17, 200):
+        yield f"random{n}", random_tree(n, rng)
+    yield "preferential", random_tree(120, rng, attachment="preferential")
+    # Vertex ids shuffled and edges given in random order and orientation,
+    # so input order, BFS order and canonical order all differ.
+    n = 60
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)]
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+    rng.shuffle(edges)
+    yield "shuffled", Tree([0.1 * rng.randint(1, 30) for _ in range(n)], edges,
+                           [0.1 * rng.randint(0, 9) for _ in range(n - 1)])
+
+
+ORACLE_SHAPES = [name for name, _tree in _oracle_trees()]
+
+
+def _oracle_cuts(tree):
+    rng = random.Random(tree.num_vertices)
+    edges = list(tree.edges())
+    yield set()
+    yield set(edges)
+    yield {e for e in edges if rng.random() < 0.5}
+    yield {e[::-1] for e in edges if rng.random() < 0.3}  # non-canonical
+    for ratio in (1.0, 1.5, 3.0):
+        yield set(bottleneck_min(tree, ratio * tree.max_vertex_weight()).cut_edges)
+
+
+class TestContractionOracle:
+    """``contract_components`` writes the super tree's lists straight from
+    the component labels; it must equal the tree the public constructor
+    builds from the same super edges."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_constructor(self, shape):
+        tree = dict(_oracle_trees())[shape]  # built here, from the code under test
+        for cut in _oracle_cuts(tree):
+            super_tree, components, origin = tree.contract_components(cut)
+            want_tree, want_components, want_origin = contract_by_constructor(tree, cut)
+            assert_same_tree(super_tree, want_tree)
+            assert components == want_components
+            assert list(origin.items()) == list(want_origin.items())
+            for v, children in super_tree.post_order_children():
+                assert children == dict(want_tree.post_order_children())[v]
+
+    def test_self_loop_rejected(self, small_tree):
+        with pytest.raises(ValueError, match="self-loop"):
+            small_tree.contract_components({(2, 2)})
+
+    @pytest.mark.parametrize("edge", [(0, 7), (-1, 0), (6, 9)])
+    def test_out_of_range_vertex_rejected(self, small_tree, edge):
+        with pytest.raises(ValueError, match="not present"):
+            small_tree.contract_components({edge})
+
+    def test_overflowing_component_rejected(self):
+        # Each task is finite; joined, the component's sum is inf.
+        tree = Tree([1e308, 1e308, 1.0], [(0, 1), (1, 2)], [1.0, 2.0])
+        assert tree.contract_components({(0, 1)})[0].vertex_weights == [1e308, 1e308 + 1.0]
+        with pytest.raises(ValueError, match="inf"):
+            tree.contract_components({(1, 2)})
+
+
+class TestChainToTree:
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_matches_constructor(self, n):
+        rng = random.Random(n)
+        chain = Chain([0.1 * rng.randint(1, 99) for _ in range(n)],
+                      [0.1 * rng.randint(0, 99) for _ in range(n - 1)])
+        path = chain.to_tree()
+        want = Tree(chain.alpha, [(i, i + 1) for i in range(n - 1)], chain.beta)
+        assert_same_tree(path, want)
+        assert path == want
+        assert list(path.post_order_children()) == list(want.post_order_children())

@@ -179,6 +179,22 @@ class TestBatchErrorPaths:
                                        claimed_weight=row["weight"])
         assert report.ok, report.violations
 
+    def test_empty_cut_weighs_float_zero_under_every_objective(self, tmp_path, capsys):
+        # The tree objectives weigh the cut with Chain.cut_weight; an
+        # empty cut must still be the float 0.0 that bandwidth reports.
+        inp = tmp_path / "queries.jsonl"
+        out = tmp_path / "results.jsonl"
+        objectives = ["bandwidth", "bottleneck", "processors",
+                      "bottleneck+processors", "bottleneck+bandwidth"]
+        inp.write_text("".join(
+            json.dumps({"alpha": [1, 2], "beta": [3], "bound": 5, "objective": o}) + "\n"
+            for o in objectives
+        ))
+        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [json.loads(line)["objective"] for line in lines] == objectives
+        assert all('"cut": [], "weight": 0.0,' in line for line in lines)
+
     def test_empty_input_file_exits_0(self, tmp_path, capsys):
         inp = tmp_path / "empty.jsonl"
         out = tmp_path / "results.jsonl"
