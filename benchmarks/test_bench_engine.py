@@ -22,7 +22,7 @@ Claims reproduced / asserted:
 - the live telemetry hub costs < 5% both disabled (``NULL_HUB``) and
   enabled with no subscribers, measured against the direct
   plan-cache path;
-- the ``@shared_state`` locks of the plan cache and the plan memo cost
+- the shared-state locks of the plan cache and the plan memo cost
   < 5% on a single-threaded cold solve vs a lock-free inline replica of
   the same pipeline, and the disabled telemetry paths (``NULL_HUB`` guard,
   null-hub publishes, locked ``Counter.inc``) stay allocation-free.
@@ -375,7 +375,7 @@ def test_lock_overhead(benchmark):
     """ISSUE acceptance criterion: shared-state locks < 5% single-threaded.
 
     ``PartitionEngine.solve`` looks its plan up under the plan cache's
-    ``@shared_state`` RLock and runs the memo miss under the plan's own.
+    RLock and runs the memo miss under the plan's own.
     Raced against a lock-free inline replica of the same cold pipeline
     (validate → the kernel primitives → sweep — the exact work a miss
     performs), the lock acquisitions must disappear next to a 10k-task

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ def _block_sum(prefix: List[float], lo: int, hi: int) -> float:
     return prefix[hi + 1] - prefix[lo]
 
 
-@complexity("m n^2")
 def ccp_dp(chain: Chain, num_processors: int) -> CCPResult:
     """Partition a chain into at most ``num_processors`` contiguous blocks
     minimizing the maximum block weight.  ``O(m n^2)`` DP."""
@@ -115,7 +113,6 @@ def probe(chain: Chain, num_processors: int, candidate: float) -> Optional[List[
     return cuts
 
 
-@complexity("n log u")
 def ccp_probe(chain: Chain, num_processors: int) -> CCPResult:
     """Probe-based chains-on-chains partitioning.
 
@@ -155,7 +152,6 @@ def ccp_probe(chain: Chain, num_processors: int) -> CCPResult:
     return CCPResult(tuple(cuts), len(cuts) + 1, bottleneck)
 
 
-@complexity("m n^2")
 def bokhari_pipelined_dp(chain: Chain, num_processors: int) -> CCPResult:
     """Bokhari's pipelined model: a block's load includes the weight of
     the edges on its two boundaries (data must be received and sent).

@@ -17,7 +17,6 @@ from repro.core.feasibility import finite_optimum
 from repro.graphs.chain import Chain
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
-from repro.verify.contracts import complexity
 
 _MAX_EDGES = 18
 
@@ -70,7 +69,6 @@ def enumerate_tree_optima(tree: Tree, bound: float) -> BruteForceOptimum:
     return BruteForceOptimum(feasible, best_bw, best_bn, best_k, best_bw_cut)
 
 
-@complexity("2^n n")
 def chain_min_bandwidth(chain: Chain, bound: float) -> Optional[float]:
     """Exhaustive minimum cut weight for a chain (None if infeasible;
     :class:`~repro.core.feasibility.OptimumOverflowError` if every

@@ -25,10 +25,8 @@ from typing import List
 from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import finite_optimum, validate_bound
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
-@complexity("n^2")
 def bandwidth_min_dp(chain: Chain, bound: float) -> ChainCutResult:
     """Exact minimum-bandwidth load-bounded cut, ``O(n^2)``."""
     validate_bound(chain.alpha, bound)

@@ -14,10 +14,8 @@ from typing import List, Optional
 from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import validate_bound
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
-@complexity("n")
 def first_fit_cut(chain: Chain, bound: float) -> ChainCutResult:
     """Scan left to right, cutting just before a block would overflow.
 

@@ -20,10 +20,8 @@ from typing import List
 
 from repro.baselines.bokhari import CCPResult
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
-@complexity("m n log n")
 def ccp_hansen_lih(chain: Chain, num_processors: int) -> CCPResult:
     """Minimize the maximum block weight over at most ``num_processors``
     contiguous blocks, via the monotone DP."""

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 
 from repro.baselines.bokhari import CCPResult
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
 def _validate(chain: Chain, speeds: Sequence[float]) -> List[float]:
@@ -33,7 +32,6 @@ def _validate(chain: Chain, speeds: Sequence[float]) -> List[float]:
     return speeds
 
 
-@complexity("m n^2")
 def ccp_hetero_dp(chain: Chain, speeds: Sequence[float]) -> CCPResult:
     """Exact heterogeneous chains-on-chains by layered DP.
 
@@ -113,7 +111,6 @@ def _realized_bottleneck(
     return dp[k]
 
 
-@complexity("n log u")
 def ccp_hetero_probe(
     chain: Chain, speeds: Sequence[float], tolerance: float = 1e-12
 ) -> CCPResult:

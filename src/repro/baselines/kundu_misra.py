@@ -21,10 +21,8 @@ from repro.core.bottleneck import TreeCutResult
 from repro.core.feasibility import validate_bound
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
-from repro.verify.contracts import complexity
 
 
-@complexity("n log n")
 def processor_min_bottom_up(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
     """Minimum-cardinality load-bounded tree cut, bottom-up greedy."""
     validate_bound(tree.vertex_weights, bound)

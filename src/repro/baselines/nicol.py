@@ -22,13 +22,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import finite_optimum, validate_bound
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.observability import Span, Tracer
 
 
-@complexity("n log n", counters=("heap_pushes", "heap_pops"))
 def bandwidth_min_nlogn(
     chain: Chain, bound: float, tracer: Optional["Tracer"] = None
 ) -> ChainCutResult:

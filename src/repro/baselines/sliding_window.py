@@ -16,10 +16,8 @@ from typing import Deque, List, Tuple
 from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import finite_optimum, validate_bound
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
-@complexity("n")
 def bandwidth_min_deque(chain: Chain, bound: float) -> ChainCutResult:
     """Exact minimum-bandwidth load-bounded cut in linear time."""
     validate_bound(chain.alpha, bound)

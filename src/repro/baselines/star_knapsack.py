@@ -23,7 +23,6 @@ from typing import List, Sequence, Set, Tuple
 from repro.core.feasibility import validate_bound
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
-from repro.verify.contracts import complexity
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class KnapsackSolution:
     weight: float
 
 
-@complexity("n c")
 def knapsack_01(
     weights: Sequence[float], profits: Sequence[float], capacity: float
 ) -> KnapsackSolution:

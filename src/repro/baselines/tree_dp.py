@@ -17,12 +17,10 @@ from typing import Dict, List
 
 from repro.core.feasibility import validate_bound
 from repro.graphs.tree import Tree
-from repro.verify.contracts import complexity
 
 _MAX_STATES = 200_000
 
 
-@complexity("n s^2")
 def min_cuts_exact(tree: Tree, bound: float, root: int = 0) -> int:
     """Exact minimum number of cut edges for a load-bounded tree partition."""
     validate_bound(tree.vertex_weights, bound)

@@ -995,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--contracts", action="store_true",
-        help="run only the @complexity contract pass (REPRO010/REPRO011)",
+        help="run only the complexity contract pass (REPRO011)",
     )
     p.add_argument(
         "--flow", action="store_true",

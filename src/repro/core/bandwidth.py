@@ -35,7 +35,6 @@ from repro.core.temp_s import SolutionNode, TempSQueue, solution_weight
 from repro.graphs.chain import Chain
 from repro.graphs.partition import Cut, cut_from_chain_indices
 from repro.instrumentation.counters import AlgorithmStats, OpCounter
-from repro.verify.contracts import complexity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.observability import Span, Tracer
@@ -87,16 +86,6 @@ class ChainCutResult:
         return self.chain.is_feasible_cut(self.cut_indices, bound)
 
 
-@complexity(
-    "n + p log q",
-    counters=(
-        "prime_tasks_scanned",
-        "prime_window_advances",
-        "prime_candidates",
-        "prime_edge_scans",
-        "search_steps",
-    ),
-)
 def bandwidth_min(
     chain: Chain,
     bound: float,

@@ -37,7 +37,6 @@ from repro.core.feasibility import validate_bound
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree, _UnionFind
-from repro.verify.contracts import complexity
 
 
 @dataclass
@@ -64,7 +63,6 @@ class TreeCutResult:
         return all(w <= bound for w in self.tree.component_weights(self.cut_edges))
 
 
-@complexity("n^2")
 def bottleneck_min_naive(tree: Tree, bound: float) -> TreeCutResult:
     """Algorithm 2.1 exactly as printed: grow ``S`` one sorted edge at a
     time, re-checking feasibility after each addition.  ``O(n^2)``."""
@@ -94,7 +92,6 @@ def _certified(result: TreeCutResult, bound: float) -> TreeCutResult:
     return result
 
 
-@complexity("n log n")
 def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
     """Optimized Algorithm 2.1: identical output, one union-find sweep.
 

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 from repro.core.feasibility import validate_bound
 from repro.graphs.chain import Chain
 from repro.instrumentation.counters import OpCounter
-from repro.verify.contracts import complexity
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.observability import Tracer
@@ -67,10 +66,6 @@ class PrimeSubpath(NamedTuple):
         return self.first_edge <= edge <= self.last_edge
 
 
-@complexity(
-    "n",
-    counters=("prime_tasks_scanned", "prime_window_advances", "prime_candidates"),
-)
 def find_prime_subpaths(
     chain: Chain, bound: float, counter: Optional[OpCounter] = None
 ) -> List[PrimeSubpath]:
@@ -304,15 +299,6 @@ class PrimeStructure:
         return min(sp.weight for sp in self.primes)
 
 
-@complexity(
-    "n",
-    counters=(
-        "prime_tasks_scanned",
-        "prime_window_advances",
-        "prime_candidates",
-        "prime_edge_scans",
-    ),
-)
 def compute_prime_structure(
     chain: Chain,
     bound: float,

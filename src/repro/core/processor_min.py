@@ -30,10 +30,8 @@ from repro.core.bottleneck import TreeCutResult, _certified
 from repro.core.feasibility import validate_bound
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
-from repro.verify.contracts import complexity
 
 
-@complexity("n log n")
 def processor_min(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
     """Minimum-cardinality load-bounded cut of a tree — Algorithm 2.2.
 

@@ -28,10 +28,8 @@ from repro.core.prime_subpaths import (
 )
 from repro.core.temp_s import SolutionNode, solution_weight
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
-@complexity("n + r q")
 def bandwidth_min_naive(
     chain: Chain, bound: float, *, apply_reduction: bool = True
 ) -> ChainCutResult:

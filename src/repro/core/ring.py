@@ -27,7 +27,6 @@ from typing import List, Optional
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import validate_bound
 from repro.graphs.ring import Ring
-from repro.verify.contracts import complexity
 
 
 @dataclass
@@ -60,7 +59,6 @@ def _minimal_critical_arc(ring: Ring, bound: float) -> Optional[int]:
     return None
 
 
-@complexity("l n + l p log q")
 def ring_bandwidth_min(ring: Ring, bound: float) -> RingCutResult:
     """Minimum-weight edge cut of a ring with all arcs bounded by ``K``.
 

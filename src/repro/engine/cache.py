@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.engine.plan import CacheStats, CompiledChainPlan, compile_chain
 from repro.graphs.chain import Chain
-from repro.verify.markers import concurrent_entry, shared_state
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.observability.live import HubLike, TelemetrySubscriber
@@ -35,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["CacheStats", "PlanCache"]
 
 
-@shared_state(lock="_lock")
 class PlanCache:
     """LRU of :class:`~repro.engine.plan.CompiledChainPlan` by fingerprint.
 
@@ -53,7 +51,7 @@ class PlanCache:
     to :meth:`get` (anything with an ``emit``: a registry, or the
     engine's reporter) and published on its ``hub`` when live.
 
-    Thread-safe under one reentrant ``_lock`` (``@shared_state``); each
+    Thread-safe under one reentrant ``_lock``; each
     plan guards its own memo with its own lock.
     """
 
@@ -90,7 +88,6 @@ class PlanCache:
         if hub is not None and hub.enabled:
             hub.publish(event)
 
-    @concurrent_entry
     def get(
         self,
         chain: Chain,
@@ -101,7 +98,6 @@ class PlanCache:
         """The cached plan for ``chain``, compiling one on first sight."""
         return self.lookup(chain, metrics=metrics, hub=hub)[0]
 
-    @concurrent_entry
     def lookup(
         self,
         chain: Chain,
@@ -129,13 +125,11 @@ class PlanCache:
                 self._report("evict", metrics, hub)
             return plan, False
 
-    @concurrent_entry
     def __contains__(self, chain: Chain) -> bool:
         """Whether ``chain``'s plan is cached (no LRU or stats effect)."""
         with self._lock:
             return chain.fingerprint() in self._plans
 
-    @concurrent_entry
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()

@@ -53,7 +53,6 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 from repro.core.feasibility import InfeasibleBoundError
 from repro.engine import native
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
 
 
 def require_numpy() -> None:
@@ -339,7 +338,6 @@ class ArrayPrimeStructure:
         self.edge_last = edge_last
 
 
-@complexity("n + p log q")
 def sweep_min_cut(
     edge_index: Sequence[int],
     edge_weight: Sequence[float],
@@ -451,7 +449,6 @@ def native_sweep_loaded() -> bool:
     return native.load_sweep() is not None
 
 
-@complexity("n + p log q")
 def temps_sweep(
     edge_index: Optional["np.ndarray"],
     edge_weight: "np.ndarray",
@@ -506,7 +503,6 @@ def temps_sweep(
     return cut, out_weight.value
 
 
-@complexity("n + p log q")
 def bandwidth_sweep(structure: ArrayPrimeStructure) -> Tuple[List[int], float]:
     """Run the TEMP_S sweep over a structure's reduced-edge columns."""
     return temps_sweep(

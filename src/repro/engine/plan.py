@@ -31,7 +31,7 @@ interval hits, misses (= structures built), reuses and evictions, plus
 sweeps and queries answered.  Plans carry no telemetry handles; the
 engine hands each plan call a :class:`PlanStats` tally of that call's
 delta and reports it as one ``plan`` event.  The memo is mutated only under the plan's
-``@shared_state`` lock, so one plan may serve many threads.
+own lock, so one plan may serve many threads.
 
 Exactness is non-negotiable: both sweeps evaluate the same float
 expressions in the same order as the scalar reference, so results are
@@ -69,8 +69,6 @@ from repro.engine.kernels import (
     validate_bound_array,
 )
 from repro.graphs.chain import Chain
-from repro.verify.contracts import complexity
-from repro.verify.markers import concurrent_entry, shared_state
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -219,7 +217,6 @@ class _FrozenStructure:
         )
 
 
-@shared_state(lock="_lock")
 class CompiledChainPlan:
     """A chain compiled for multi-query solving; see the module docstring.
 
@@ -396,8 +393,6 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     # Bound sweeps
     # ------------------------------------------------------------------
-    @concurrent_entry
-    @complexity("k log k + g n log q")
     def solve_bounds(
         self,
         ks: Union[Sequence[float], "np.ndarray"],
@@ -498,7 +493,6 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     # β-perturbation sweeps
     # ------------------------------------------------------------------
-    @complexity("n + b s")
     def solve_beta_sweep(
         self,
         betas: Union[Sequence[Sequence[float]], "np.ndarray"],
@@ -618,7 +612,6 @@ class CompiledChainPlan:
             )
 
 
-@complexity("n")
 def compile_chain(
     chain: Chain, *, max_structures: int = DEFAULT_MAX_STRUCTURES
 ) -> CompiledChainPlan:

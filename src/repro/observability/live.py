@@ -29,8 +29,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Union
 
-from repro.verify.markers import concurrent_entry, shared_state
-
 #: Trace schema version, bumped when the record layout changes
 #: incompatibly.  v1 (PR 2): ``meta``/``span``/``metric`` records.
 #: v2 (this module): adds the ``event`` record kind for live streams
@@ -81,7 +79,6 @@ class NullTelemetryHub:
 NULL_HUB = NullTelemetryHub()
 
 
-@shared_state(lock="_lock")
 class TelemetryHub:
     """Fan events out to subscribers as they happen.
 
@@ -92,10 +89,10 @@ class TelemetryHub:
     the fan-out (telemetry must never take down a solve) and the error
     is remembered on :attr:`errors`.
 
-    **Thread safety.**  One reentrant ``_lock`` (declared via
-    ``@shared_state``) serializes publish/subscribe/close, so events
-    from concurrent solver threads fan out whole — subscribers see one
-    complete event at a time, never an interleaving.  The lock is held
+    **Thread safety.**  One reentrant ``_lock`` serializes
+    publish/subscribe/close, so events from concurrent solver threads
+    fan out whole — subscribers see one complete event at a time,
+    never an interleaving.  The lock is held
     *during* the fan-out: emit handlers therefore run serialized, and a
     handler may publish back into the hub (the lock is reentrant)
     without deadlocking.  Keep handlers short — they sit on the hot
@@ -116,7 +113,6 @@ class TelemetryHub:
         self._clock = clock
         self._lock = threading.RLock()
 
-    @concurrent_entry
     def subscribe(self, subscriber: TelemetrySubscriber) -> None:
         with self._lock:
             self._subscribers.append(subscriber)
@@ -126,7 +122,6 @@ class TelemetryHub:
         with self._lock:
             return tuple(self._subscribers)
 
-    @concurrent_entry
     def publish(self, event: Event) -> None:
         """Stamp ``t`` (monotonic seconds) and fan out to subscribers."""
         if "t" not in event:
@@ -142,7 +137,6 @@ class TelemetryHub:
             for subscriber in dead:  # pragma: no cover - defensive
                 self._subscribers.remove(subscriber)
 
-    @concurrent_entry
     def close(self) -> None:
         with self._lock:
             for subscriber in self._subscribers:
@@ -186,7 +180,6 @@ def _truncate_torn_tail(path: str) -> int:
         return size - keep
 
 
-@shared_state(lock="_lock")
 class StreamingJsonlSink(TelemetrySubscriber):
     """Crash-safe streaming JSONL sink: one complete line per event.
 
@@ -254,11 +247,9 @@ class StreamingJsonlSink(TelemetrySubscriber):
             fh.flush()
             self.lines_written += 1
 
-    @concurrent_entry
     def emit(self, event: Event) -> None:
         self._write_line(event)
 
-    @concurrent_entry
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:

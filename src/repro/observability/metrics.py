@@ -23,8 +23,6 @@ import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.verify.markers import concurrent_entry, shared_state
-
 
 def nearest_rank(ordered: List[float], pct: float) -> float:
     """Nearest-rank percentile of an ascending-sorted list; 0 when empty.
@@ -39,7 +37,6 @@ def nearest_rank(ordered: List[float], pct: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-@shared_state(lock="_lock")
 class Counter:
     """A named monotone counter.
 
@@ -56,7 +53,6 @@ class Counter:
         self.value = value
         self._lock = threading.RLock()
 
-    @concurrent_entry
     def inc(self, amount: float = 1) -> None:
         with self._lock:
             self.value += amount
@@ -65,7 +61,6 @@ class Counter:
         return f"Counter({self.name}={self.value:g})"
 
 
-@shared_state(lock="_lock")
 class Gauge:
     """A named last-write-wins value (queue depth, pool width, ...)."""
 
@@ -76,7 +71,6 @@ class Gauge:
         self.value = value
         self._lock = threading.RLock()
 
-    @concurrent_entry
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
@@ -122,7 +116,6 @@ def _bucket_mid(index: int) -> float:
 HistogramPayload = Union[List[float], Dict[str, Any]]
 
 
-@shared_state(lock="_lock")
 class Histogram:
     """A named distribution: exact while small, log-bucketed at scale.
 
@@ -148,10 +141,10 @@ class Histogram:
     once, not once per percentile.
 
     **Thread safety.**  Observation, merge, summary and the memoized
-    percentile/CDF paths all serialize on one reentrant ``_lock``
-    (``@shared_state``): the count/min/max/values update in ``observe``
-    and the exact→bucketed spill are multi-field transitions that must
-    never be observed half-done.  ``merge`` snapshots the other
+    percentile/CDF paths all serialize on one reentrant ``_lock``: the
+    count/min/max/values update in ``observe`` and the exact→bucketed
+    spill are multi-field transitions that must never be observed
+    half-done.  ``merge`` snapshots the other
     histogram's payload *before* taking its own lock, so two histograms
     merging into each other cannot deadlock.
     """
@@ -194,7 +187,6 @@ class Histogram:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    @concurrent_entry
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
@@ -350,7 +342,6 @@ class Histogram:
     # ------------------------------------------------------------------
     # Serialization and merging
     # ------------------------------------------------------------------
-    @concurrent_entry
     def to_payload(self) -> HistogramPayload:
         """Wire form: the verbatim list while exact (the v1 format),
         or a bucketed dict once spilled."""
@@ -366,7 +357,6 @@ class Histogram:
                 "max": self._max,
             }
 
-    @concurrent_entry
     def merge(self, other: Union["Histogram", HistogramPayload]) -> None:
         """Fold another histogram (or its payload) into this one.
 
@@ -414,7 +404,6 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, {mode}, mean={self.mean:g})"
 
 
-@shared_state(lock="_lock")
 class MetricsRegistry:
     """Get-or-create home for named instruments.
 
@@ -422,7 +411,7 @@ class MetricsRegistry:
     (``engine.plan.cache.hits``, ``engine.query_latency_s``); the registry
     itself imposes only uniqueness per kind.
 
-    Get-or-create and snapshot paths lock (``@shared_state``), so two
+    Get-or-create and snapshot paths hold ``_lock``, so two
     threads asking for the same name always receive the *same*
     instrument, and ``to_payload``/``records`` never iterate a dict
     mid-insert.  The instruments themselves carry their own locks, and
@@ -438,7 +427,6 @@ class MetricsRegistry:
         self.histograms: Dict[str, Histogram] = {}
         self._lock = threading.RLock()
 
-    @concurrent_entry
     def counter(self, name: str) -> Counter:
         with self._lock:
             inst = self.counters.get(name)
@@ -446,7 +434,6 @@ class MetricsRegistry:
                 inst = self.counters[name] = Counter(name)
             return inst
 
-    @concurrent_entry
     def gauge(self, name: str) -> Gauge:
         with self._lock:
             inst = self.gauges.get(name)
@@ -454,7 +441,6 @@ class MetricsRegistry:
                 inst = self.gauges[name] = Gauge(name)
             return inst
 
-    @concurrent_entry
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             inst = self.histograms.get(name)
@@ -465,7 +451,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Event folding
     # ------------------------------------------------------------------
-    @concurrent_entry
     def emit(self, event: Mapping[str, Any]) -> None:
         """Fold one telemetry event into instruments.
 
@@ -525,7 +510,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Serialization and merging
     # ------------------------------------------------------------------
-    @concurrent_entry
     def to_payload(self) -> Dict[str, Any]:
         """Plain-dict form: pickles to workers, dumps to JSON, merges back."""
         with self._lock:
@@ -543,7 +527,6 @@ class MetricsRegistry:
         registry.merge(payload)
         return registry
 
-    @concurrent_entry
     def merge(self, other: Any) -> None:
         """Fold another registry (or its payload dict) into this one.
 
@@ -560,7 +543,6 @@ class MetricsRegistry:
         for name, histogram in payload.get("histograms", {}).items():
             self.histogram(name).merge(histogram)
 
-    @concurrent_entry
     def records(self) -> List[Dict[str, Any]]:
         """JSON-ready metric records (one per instrument), sorted by name."""
         out: List[Dict[str, Any]] = []

@@ -21,10 +21,7 @@ import sys
 import threading
 from typing import Dict, List, Optional
 
-from repro.verify.markers import concurrent_entry, shared_state
 
-
-@shared_state(lock="_lock")
 class ProfileSampler:
     """Sample all live thread stacks into collapsed-stack counts.
 
@@ -38,10 +35,10 @@ class ProfileSampler:
     count per observed thread stack.
 
     Lifecycle transitions and count updates serialize on one reentrant
-    ``_lock`` (``@shared_state``): ``stop()`` is idempotent and safe to
-    call from several threads at once — exactly one caller claims the
-    sampler thread and joins it (outside the lock, so an in-flight
-    ``sample_once`` can finish), the rest return immediately.
+    ``_lock``: ``stop()`` is idempotent and safe to call from several
+    threads at once — exactly one caller claims the sampler thread and
+    joins it (outside the lock, so an in-flight ``sample_once`` can
+    finish), the rest return immediately.
     """
 
     __slots__ = ("interval_s", "counts", "samples", "_thread", "_stop", "_lock")
@@ -75,7 +72,6 @@ class ProfileSampler:
         parts.reverse()
         return ";".join(parts)
 
-    @concurrent_entry
     def sample_once(self) -> None:
         """Take one snapshot of every other thread's stack."""
         own = threading.get_ident()
@@ -96,7 +92,6 @@ class ProfileSampler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @concurrent_entry
     def start(self) -> None:
         with self._lock:
             if self._thread is not None:
@@ -107,7 +102,6 @@ class ProfileSampler:
             )
             self._thread.start()
 
-    @concurrent_entry
     def stop(self) -> None:
         """Stop sampling.  Idempotent and safe under concurrent callers.
 

@@ -20,21 +20,21 @@ that observation into tooling:
   ``Finding`` and the pragma grammar;
 - :mod:`repro.verify.passes` — the analyzer driver: one file walk and
   one table of static passes behind ``repro analyze``;
-- :mod:`repro.verify.contracts` — machine-readable ``@complexity``
-  budgets on every solver plus the AST pass enforcing them
-  (REPRO010/REPRO011);
+- :mod:`repro.verify.contracts` — the ``CONTRACTS`` table of
+  machine-readable complexity budgets, one per solver by qualified
+  name, plus the AST pass checking docstrings against them (REPRO011);
 - :mod:`repro.verify.empirical` — the ``repro analyze --complexity``
   gate fitting OpCounter telemetry against declared budgets (REPRO009);
 - :mod:`repro.verify.markers` / :mod:`repro.verify.concurrency` /
   :mod:`repro.verify.races` — the concurrency-safety layer:
-  ``@shared_state``/``@concurrent_entry`` runtime declarations, the
+  the ``SHARED_STATE``/``CONCURRENT_ENTRIES`` declaration tables, the
   process-pool hygiene rules (REPRO006-REPRO008, ``repro analyze
   --flow``), the shared-state effect analyzer (REPRO013 lock
   discipline, REPRO015 fork-unsafe capture) behind ``repro analyze
   --concurrency``, and the seeded multi-thread race-hammer harness;
 - :mod:`repro.verify.hotpath` / :mod:`repro.verify.allocs` — the
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
-  ``@complexity``-decorated functions and their callees, certified by
+  the contracted solvers and their callees, certified by
   the allocation harness with ratcheted budgets;
 - :mod:`repro.verify.faultflow` / :mod:`repro.verify.faults` — the
   fault-surface layer: resource-lifecycle, exception-flow, exit-code
@@ -52,13 +52,12 @@ The analyzers are checkers, not mutation targets: each has its own
 unit tests, and a fixture corpus under ``tests/verify/fixtures/`` pins
 the exact findings each one reports on seeded sources.
 
-Re-exports resolve lazily (PEP 562): solver modules apply
-``@repro.verify.contracts.complexity`` decorators at import time, so
-importing this package must not eagerly pull :mod:`certificates` (which
-imports the solver core right back).  ``contracts`` and ``lint`` stay
-stdlib-only for the same reason, and ``contracts`` imports ``lint``
-only inside its AST pass, so ``import repro`` leaves ``lint`` unloaded
-for ``python -m repro.verify.lint``.
+Product code imports nothing from this package at module scope: the
+solvers are declared in the tables above, and the ``REPRO_VERIFY``
+hooks import :mod:`repro.verify.runtime` inside the function that
+needs it.  Re-exports resolve lazily (PEP 562), so such a hook loads
+the certificates alone, not the analyzers or the mutation engine, and
+``python -m repro.verify.lint`` finds ``lint`` not yet imported.
 """
 
 from typing import TYPE_CHECKING, Any, List
@@ -73,16 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - re-export types for checkers only
         check_prime_cover,
         check_tree_cut,
     )
-    from repro.verify.concurrency import (
-        CONCURRENCY_RULES,
-        shared_state_inventory,
-    )
-    from repro.verify.contracts import ComplexityContract, complexity
-    from repro.verify.markers import (
-        SHARED_REGISTRY,
-        concurrent_entry,
-        shared_state,
-    )
+    from repro.verify.concurrency import CONCURRENCY_RULES
     from repro.verify.races import ConcurrencyHarness, RaceConditionError
     from repro.verify.mutate import compare_to_baseline, run_mutation_analysis
     from repro.verify.operators import (
@@ -106,13 +96,7 @@ _EXPORTS = {
     "check_pareto_frontier": "repro.verify.certificates",
     "check_prime_cover": "repro.verify.certificates",
     "check_tree_cut": "repro.verify.certificates",
-    "ComplexityContract": "repro.verify.contracts",
-    "complexity": "repro.verify.contracts",
     "CONCURRENCY_RULES": "repro.verify.concurrency",
-    "shared_state_inventory": "repro.verify.concurrency",
-    "SHARED_REGISTRY": "repro.verify.markers",
-    "concurrent_entry": "repro.verify.markers",
-    "shared_state": "repro.verify.markers",
     "ConcurrencyHarness": "repro.verify.races",
     "RaceConditionError": "repro.verify.races",
     "MutationSite": "repro.verify.operators",

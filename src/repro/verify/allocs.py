@@ -1,7 +1,7 @@
 """Dynamic allocation certifier: tracemalloc budgets for hot paths.
 
 The static pass (:mod:`repro.verify.hotpath`) proves the *code shape*
-of the ``@complexity`` paths stays allocation-lean — no loop-invariant
+of the contracted solver paths stays allocation-lean — no loop-invariant
 rebuilds, no unbound attribute dispatch, no accidentally-quadratic
 idioms, no NumPy temporary chains.  This module checks the claim
 actually *holds at the allocator*: an :class:`AllocationHarness` runs

@@ -72,12 +72,8 @@ REGISTRY: Dict[str, RuleSpec] = {
         "measured op-count growth exceeds the declared complexity budget",
         "repro.verify.empirical", "line", "repro.verify.empirical",
     ),
-    "REPRO010": RuleSpec(
-        "exported solver lacks a @complexity contract",
-        "repro.verify.contracts", "line", "repro.verify.empirical",
-    ),
     "REPRO011": RuleSpec(
-        "docstring O(...) claims all disagree with the @complexity budget",
+        "docstring O(...) claims all disagree with the declared budget",
         "repro.verify.contracts", "line", "",
     ),
     "REPRO012": RuleSpec(
@@ -130,7 +126,7 @@ REGISTRY: Dict[str, RuleSpec] = {
         "repro.verify.faultflow", "line", "",
     ),
     "REPRO023": RuleSpec(
-        "nondeterministic source on a @complexity path (unseeded random, "
+        "nondeterministic source on a contracted path (unseeded random, "
         "wall clock, os.environ, unordered iteration)",
         "repro.verify.faultflow", "line", "repro.verify.faults",
     ),
@@ -146,7 +142,7 @@ REGISTRY: Dict[str, RuleSpec] = {
 #: ``docs/verification.md``).  They are never reissued, so a stale
 #: ``# repro-lint: disable=`` pragma naming one cannot silence a
 #: different rule.
-RETIRED: Tuple[str, ...] = ("REPRO003", "REPRO014")
+RETIRED: Tuple[str, ...] = ("REPRO003", "REPRO010", "REPRO014")
 
 
 def messages_for(module: str) -> Dict[str, str]:

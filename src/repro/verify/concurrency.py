@@ -35,27 +35,25 @@ REPRO008    Worker-reachable code draws from the module-level
 
 The *shared-state rules* (the ``concurrency`` report section) cover
 shared memory: which state is shared, who writes it, and whether those
-writes hold the object's declared lock.  Two runtime markers declare
-the contract in code:
+writes hold the object's declared lock.  Two tables in
+:mod:`repro.verify.markers` declare the contract by qualified name:
 
-- :func:`shared_state` — a class decorator registering the class as
-  shared mutable state and naming its lock attribute (default
-  ``"_lock"``).  Decorated classes land in :data:`SHARED_REGISTRY`, the
-  runtime inventory the race-hammer harness
-  (:mod:`repro.verify.races`) iterates.
-- :func:`concurrent_entry` — a function/method decorator marking an
-  entry point that may be called from multiple threads concurrently.
+- :data:`~repro.verify.markers.SHARED_STATE` — the classes that are
+  shared mutable state, each with its lock attribute; the race-hammer
+  harness (:mod:`repro.verify.races`) drives each of them;
+- :data:`~repro.verify.markers.CONCURRENT_ENTRIES` — the functions and
+  methods that may be called from multiple threads concurrently.
 
 The pass builds a per-class call graph, infers per-function read/write
 effect sets on ``self`` attributes (and module globals), propagates
-*unlocked reachability* from the annotated entry points, and emits:
+*unlocked reachability* from the declared entry points, and emits:
 
 ==========  ==========================================================
 Code        Rule
 ==========  ==========================================================
 REPRO013    A write to shared mutable state (an attribute of a
-            ``@shared_state`` class, or a module global) on a path
-            reachable from a ``@concurrent_entry`` entry point without
+            ``SHARED_STATE`` class, or a module global) on a path
+            reachable from a ``CONCURRENT_ENTRIES`` entry point without
             holding the object's declared lock (``with self._lock:``).
 REPRO015    Fork-unsafe capture: an object carrying locks, open file
             handles, threads or a live telemetry hub is pickled into a
@@ -73,7 +71,7 @@ pools are exempt — they share the parent's memory and pickle nothing.
 Lock inference is *interprocedural within a class*: a helper whose only
 callers invoke it inside ``with self._lock:`` is considered locked, so
 the guarded-entry / unguarded-helper layering of the engine caches
-analyzes clean without annotations on every private method.
+analyzes clean without declaring every private method.
 ``__init__``/``__new__`` are exempt (the object is not yet shared while
 it is being constructed).  Findings honour the shared
 ``# repro-lint: disable=CODE`` pragma grammar.
@@ -85,28 +83,12 @@ Run them with ``repro analyze --flow`` / ``repro analyze --concurrency
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.verify.codes import messages_for
 from repro.verify.faultflow import random_draw
-from repro.verify.hotpath import _FUNC_NODES, _collect_functions, _reachable
-from repro.verify.lint import Finding, Module, iter_python_files, rightmost_name
-from repro.verify.markers import (  # noqa: F401 - canonical re-export
-    SHARED_REGISTRY,
-    concurrent_entry,
-    shared_state,
-)
+from repro.verify.hotpath import _collect_functions, _reachable
+from repro.verify.lint import Finding, Module, rightmost_name
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
 CONCURRENCY_RULES: Dict[str, str] = messages_for("repro.verify.concurrency")
@@ -180,31 +162,6 @@ _MUTATOR_METHODS = frozenset(
 #: Methods whose body is exempt from REPRO013: the object is not shared
 #: with other threads while it is still being constructed.
 _CONSTRUCTION_METHODS = frozenset(("__init__", "__new__", "__post_init__"))
-
-
-def _decorator_names(node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    for deco in getattr(node, "decorator_list", []):
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = rightmost_name(target)
-        if name is not None:
-            names.add(name)
-    return names
-
-
-def _shared_lock_attr(cls: ast.ClassDef) -> Optional[str]:
-    """The declared lock attribute if ``cls`` is ``@shared_state``."""
-    for deco in cls.decorator_list:
-        if isinstance(deco, ast.Call) and rightmost_name(deco.func) == "shared_state":
-            for kw in deco.keywords:
-                if kw.arg == "lock" and isinstance(kw.value, ast.Constant):
-                    return str(kw.value.value)
-            if deco.args and isinstance(deco.args[0], ast.Constant):
-                return str(deco.args[0].value)
-            return "_lock"
-        if rightmost_name(deco) == "shared_state":  # bare decorator (no call)
-            return "_lock"
-    return None
 
 
 def _attr_root(node: ast.expr) -> Optional[str]:
@@ -363,7 +320,7 @@ class _MethodVisitor(ast.NodeVisitor):
 
 
 class SharedClassEffects:
-    """Effect inventory of one ``@shared_state`` class."""
+    """Effect inventory of one ``SHARED_STATE`` class."""
 
     __slots__ = ("name", "lock_attr", "methods", "node")
 
@@ -405,18 +362,18 @@ class SharedClassEffects:
         return reached
 
 
-def _collect_shared_classes(tree: ast.Module) -> List[SharedClassEffects]:
+def _collect_shared_classes(module: Module) -> List[SharedClassEffects]:
     out: List[SharedClassEffects] = []
-    for stmt in tree.body:
+    for stmt in module.tree.body:
         if not isinstance(stmt, ast.ClassDef):
             continue
-        lock_attr = _shared_lock_attr(stmt)
+        lock_attr = module.shared_state.get(stmt.name)
         if lock_attr is None:
             continue
         cls = SharedClassEffects(stmt.name, lock_attr, stmt)
         for member in stmt.body:
             if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                entry = "concurrent_entry" in _decorator_names(member)
+                entry = f"{stmt.name}.{member.name}" in module.concurrent_entries
                 effects = MethodEffects(member.name, entry, member)
                 visitor = _MethodVisitor(lock_attr, effects)
                 for sub in member.body:
@@ -424,32 +381,6 @@ def _collect_shared_classes(tree: ast.Module) -> List[SharedClassEffects]:
                 cls.methods[member.name] = effects
         out.append(cls)
     return out
-
-
-def shared_state_inventory(
-    paths: Iterable[Path],
-) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Per-class, per-method read/write effect sets over ``paths``.
-
-    Returns ``{"<file>::<Class>": {method: {"entry": bool, "reads":
-    [...], "writes": [...], "unlocked_writes": int}}}`` — the
-    machine-readable shared-state inventory behind ``repro analyze
-    --concurrency`` and the documentation tables.
-    """
-    inventory: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for path in iter_python_files(paths):
-        for cls in _collect_shared_classes(Module.read(path).tree):
-            entry = {
-                name: {
-                    "entry": effects.entry,
-                    "reads": sorted(effects.reads),  # repro-mutate: equivalent=drop-sorted -- set order is hash-seeded
-                    "writes": sorted(effects.written_attrs()),  # repro-mutate: equivalent=drop-sorted -- set order is hash-seeded
-                    "unlocked_writes": len(effects.unlocked_writes()),
-                }
-                for name, effects in sorted(cls.methods.items())
-            }
-            inventory[f"{path}::{cls.name}"] = entry
-    return inventory
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +464,7 @@ def _global_writes(
 
 
 def _check_shared_classes(module: Module, findings: List[Finding]) -> None:
-    for cls in _collect_shared_classes(module.tree):
+    for cls in _collect_shared_classes(module):
         for name in cls.unlocked_reachable():
             effects = cls.methods[name]
             for node, _attr, description, _locked in effects.unlocked_writes():
@@ -548,17 +479,15 @@ def _check_shared_classes(module: Module, findings: List[Finding]) -> None:
 
 
 def _check_module_globals(module: Module, findings: List[Finding]) -> None:
-    """Module-level ``@concurrent_entry`` functions (and the functions
+    """Module-level ``CONCURRENT_ENTRIES`` functions (and the functions
     they call by name) must not write module globals."""
-    tree = module.tree
-    functions, calls, _ = _collect_functions(tree)
+    functions, calls, _ = _collect_functions(module)
     entries = [
-        stmt.name
-        for stmt in tree.body
-        if isinstance(stmt, _FUNC_NODES)
-        and "concurrent_entry" in _decorator_names(stmt)
+        name
+        for name in functions
+        if "." not in name and name in module.concurrent_entries
     ]
-    module_globals = _module_globals(tree)
+    module_globals = _module_globals(module.tree)
     for name in _reachable(calls, entries):
         for node, detail in _global_writes(
             functions[name], module_globals, "module global"
@@ -751,9 +680,8 @@ def check_pool_rules(module: Module) -> List[Finding]:
                 )
 
     # REPRO006/REPRO008 inside every worker-reachable function body.
-    tree = module.tree
-    functions, calls, _ = _collect_functions(tree)
-    module_globals = _module_globals(tree)
+    functions, calls, _ = _collect_functions(module)
+    module_globals = _module_globals(module.tree)
     for name in _reachable(calls, [r for r in roots if r in functions]):
         func = functions[name]
         for node, detail in _global_writes(func, module_globals, "global"):
@@ -775,22 +703,24 @@ def check_pool_rules(module: Module) -> List[Finding]:
     return findings
 
 
-def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
+def _fork_unsafe_class_attrs(module: Module) -> Dict[str, Dict[str, str]]:
     """Per intra-module class: attr -> fork-unsafe constructor name.
 
     A class *carries* fork-unsafe state when any method assigns
     ``self.<attr> = Ctor(...)`` with a known-unpicklable constructor, or
     with another intra-module carrier class (one fixpoint pass covers
-    transitive composition).  ``@shared_state`` classes always carry at
+    transitive composition).  ``SHARED_STATE`` classes always carry at
     least their declared lock.
     """
     carriers: Dict[str, Dict[str, str]] = {}
     class_nodes: Dict[str, ast.ClassDef] = {
-        stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+        stmt.name: stmt
+        for stmt in module.tree.body
+        if isinstance(stmt, ast.ClassDef)
     }
     for name, cls in class_nodes.items():
         attrs: Dict[str, str] = {}
-        lock_attr = _shared_lock_attr(cls)
+        lock_attr = module.shared_state.get(name)
         if lock_attr is not None:
             attrs[lock_attr] = "RLock"
         for sub in ast.walk(cls):
@@ -830,7 +760,7 @@ def _fork_unsafe_class_attrs(tree: ast.Module) -> Dict[str, Dict[str, str]]:
 
 def _check_fork_captures(module: Module, findings: List[Finding]) -> None:
     """REPRO015: carriers of fork-unsafe state shipped to a pool."""
-    carriers = _fork_unsafe_class_attrs(module.tree)
+    carriers = _fork_unsafe_class_attrs(module)
     #: every attr known fork-unsafe on some intra-module class
     unsafe_attrs = {
         attr: ctor for attrs in carriers.values() for attr, ctor in attrs.items()

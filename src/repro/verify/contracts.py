@@ -3,27 +3,30 @@
 The paper's headline result is an asymptotic claim — Algorithm 4.1
 partitions a chain in ``O(n + p log q)`` against Nicol & O'Hallaron's
 ``O(n log n)`` — and this module turns such claims into data the build
-can check.  Every public solver carries a :func:`complexity` decorator::
+can check.  Every public solver has an entry in :data:`CONTRACTS`,
+keyed by its qualified name::
 
-    @complexity("n + p log q", counters=("prime_tasks_scanned", "search_steps"))
-    def bandwidth_min(chain, bound, ...):
-        ...
+    "repro.core.bandwidth.bandwidth_min": (
+        "n + p log q", ("prime_tasks_scanned", ..., "search_steps"),
+    ),
 
-The decorator parses the budget into a :class:`ComplexityBudget`
-(canonical sum-of-products form), attaches it to the function as
-``__complexity_contract__`` and records it in a process-wide registry —
-at zero per-call cost, the function object itself is returned unchanged.
+The first field is the budget, parsed by :class:`ComplexityBudget`
+(canonical sum-of-products form); the second names the
+:class:`~repro.instrumentation.counters.OpCounter` keys whose sum
+measures the solver's dominant work.  The solver itself carries no
+marker and imports nothing from :mod:`repro.verify`.
 
-Three consumers read the contracts:
+Three consumers read the table:
 
-- the AST pass in this module (:func:`check`), which fails
-  when an exported solver lacks a contract (**REPRO010**) or when its
-  docstring states ``O(...)`` claims that all disagree with the declared
-  budget (**REPRO011**);
+- the AST pass in this module (:func:`check`), which fails when a
+  listed solver's docstring states ``O(...)`` claims that all disagree
+  with its budget (**REPRO011**);
 - the empirical gate (:mod:`repro.verify.empirical`), which fits
   measured :class:`~repro.instrumentation.counters.OpCounter` telemetry
   against ``budget.evaluate(...)`` at geometric scales (**REPRO009**);
-- humans, via ``repro analyze`` and the docs.
+- the hot-path and determinism passes (:mod:`repro.verify.hotpath`,
+  :mod:`repro.verify.faultflow`), which root their call graphs at the
+  listed functions.
 
 Budget grammar (whitespace-separated product factors, ``+``-separated
 terms; see ``docs/verification.md``)::
@@ -36,12 +39,9 @@ terms; see ``docs/verification.md``)::
              | INT "^" VAR    # 2^n     (exponential brute-force budgets)
              | INT            # constant factors, ignored asymptotically
 
-This module is deliberately stdlib-only: solver modules in
-:mod:`repro.core` and :mod:`repro.baselines` import it at definition
-time, so it must not import them (or anything that does) back.  For the
-same reason the AST pass imports :mod:`repro.verify.lint` only when it
-runs: ``import repro`` must not load the lint module, or ``python -m
-repro.verify.lint`` would find it already imported.
+:mod:`repro.verify.lint` reads :data:`CONTRACTS` into each parsed
+:class:`~repro.verify.lint.Module`, so this module imports ``lint``
+only for type checking.
 """
 
 from __future__ import annotations
@@ -49,18 +49,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.verify.codes import messages_for
 
@@ -224,120 +213,73 @@ class ComplexityBudget:
         return f"ComplexityBudget({self.source!r})"
 
 
-class ComplexityContract:
-    """The machine-readable contract attached to a solver."""
+#: One contract: the budget string (see the grammar above) and the
+#: :class:`~repro.instrumentation.counters.OpCounter` keys whose sum
+#: measures the solver's dominant work.
+Contract = Tuple[str, Tuple[str, ...]]
 
-    __slots__ = ("budget", "counters", "qualname")
-
-    def __init__(
-        self,
-        budget: ComplexityBudget,
-        counters: Tuple[str, ...] = (),
-        qualname: str = "",
-    ) -> None:
-        self.budget = budget
-        self.counters = counters
-        self.qualname = qualname
-
-    def __repr__(self) -> str:
-        return (
-            f"ComplexityContract({self.qualname or '<anonymous>'}: "
-            f"O({self.budget.source}))"
-        )
-
-
-#: qualname -> contract, filled as solver modules import.
-_REGISTRY: Dict[str, ComplexityContract] = {}
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-
-def complexity(
-    budget: str, *, counters: Sequence[str] = ()
-) -> Callable[[F], F]:
-    """Declare a solver's asymptotic budget (see module docstring).
-
-    ``counters`` names the :class:`OpCounter` keys whose sum measures
-    the solver's dominant work — documentation for the empirical gate's
-    probes, not enforced per call.  The budget string is parsed once at
-    decoration time; the wrapped function is returned unchanged, so the
-    contract costs nothing on any call path.
-    """
-    parsed = ComplexityBudget.parse(budget)
-
-    def mark(fn: F) -> F:
-        contract = ComplexityContract(
-            parsed,
-            counters=tuple(counters),
-            qualname=f"{fn.__module__}.{fn.__qualname__}",
-        )
-        fn.__complexity_contract__ = contract  # type: ignore[attr-defined]
-        _REGISTRY[contract.qualname] = contract
-        return fn
-
-    return mark
-
-
-def get_contract(fn: Callable[..., Any]) -> Optional[ComplexityContract]:
-    return getattr(fn, "__complexity_contract__", None)
-
-
-def registered_contracts() -> Dict[str, ComplexityContract]:
-    """A snapshot of every contract registered so far, by qualname."""
-    return dict(_REGISTRY)
-
-
-# ----------------------------------------------------------------------
-# Static enforcement: REPRO010 / REPRO011
-# ----------------------------------------------------------------------
-
-#: Path suffix (posix) -> function names that MUST carry a contract.
-#: This is the exported-solver surface of the reproduction: the paper's
-#: three algorithms, every baseline it is compared against, and the
-#: engine's fast-path kernels.
-REQUIRED_CONTRACTS: Dict[str, FrozenSet[str]] = {
-    "repro/core/bandwidth.py": frozenset({"bandwidth_min"}),
-    "repro/core/bottleneck.py": frozenset(
-        {"bottleneck_min", "bottleneck_min_naive"}
+#: Qualified name -> contract: the exported-solver surface of the
+#: reproduction (the paper's algorithms, every baseline it is compared
+#: against, and the engine's fast-path kernels).
+CONTRACTS: Dict[str, Contract] = {
+    "repro.core.bandwidth.bandwidth_min": (
+        "n + p log q",
+        (
+            "prime_tasks_scanned",
+            "prime_window_advances",
+            "prime_candidates",
+            "prime_edge_scans",
+            "search_steps",
+        ),
     ),
-    "repro/core/processor_min.py": frozenset({"processor_min"}),
-    "repro/core/prime_subpaths.py": frozenset(
-        {"find_prime_subpaths", "compute_prime_structure"}
+    "repro.core.bottleneck.bottleneck_min": ("n log n", ()),
+    "repro.core.bottleneck.bottleneck_min_naive": ("n^2", ()),
+    "repro.core.prime_subpaths.compute_prime_structure": (
+        "n",
+        (
+            "prime_tasks_scanned",
+            "prime_window_advances",
+            "prime_candidates",
+            "prime_edge_scans",
+        ),
     ),
-    "repro/core/recurrence.py": frozenset({"bandwidth_min_naive"}),
-    "repro/core/ring.py": frozenset({"ring_bandwidth_min"}),
-    "repro/baselines/nicol.py": frozenset({"bandwidth_min_nlogn"}),
-    "repro/baselines/exact_dp.py": frozenset({"bandwidth_min_dp"}),
-    "repro/baselines/tree_dp.py": frozenset({"min_cuts_exact"}),
-    "repro/baselines/sliding_window.py": frozenset({"bandwidth_min_deque"}),
-    "repro/baselines/hansen_lih.py": frozenset({"ccp_hansen_lih"}),
-    "repro/baselines/bokhari.py": frozenset({"ccp_dp", "ccp_probe"}),
-    "repro/baselines/kundu_misra.py": frozenset({"processor_min_bottom_up"}),
-    "repro/baselines/heterogeneous.py": frozenset(
-        {"ccp_hetero_dp", "ccp_hetero_probe"}
+    "repro.core.prime_subpaths.find_prime_subpaths": (
+        "n",
+        ("prime_tasks_scanned", "prime_window_advances", "prime_candidates"),
     ),
-    "repro/baselines/brute_force.py": frozenset({"chain_min_bandwidth"}),
-    "repro/baselines/greedy.py": frozenset({"first_fit_cut"}),
-    "repro/baselines/star_knapsack.py": frozenset({"knapsack_01"}),
-    "repro/engine/kernels.py": frozenset({"temps_sweep", "bandwidth_sweep"}),
-    "repro/engine/plan.py": frozenset(
-        {"compile_chain", "solve_bounds", "solve_beta_sweep"}
+    "repro.core.processor_min.processor_min": ("n log n", ()),
+    "repro.core.recurrence.bandwidth_min_naive": ("n + r q", ()),
+    "repro.core.ring.ring_bandwidth_min": ("l n + l p log q", ()),
+    "repro.baselines.bokhari.bokhari_pipelined_dp": ("m n^2", ()),
+    "repro.baselines.bokhari.ccp_dp": ("m n^2", ()),
+    "repro.baselines.bokhari.ccp_probe": ("n log u", ()),
+    "repro.baselines.brute_force.chain_min_bandwidth": ("2^n n", ()),
+    "repro.baselines.exact_dp.bandwidth_min_dp": ("n^2", ()),
+    "repro.baselines.greedy.first_fit_cut": ("n", ()),
+    "repro.baselines.hansen_lih.ccp_hansen_lih": ("m n log n", ()),
+    "repro.baselines.heterogeneous.ccp_hetero_dp": ("m n^2", ()),
+    "repro.baselines.heterogeneous.ccp_hetero_probe": ("n log u", ()),
+    "repro.baselines.kundu_misra.processor_min_bottom_up": ("n log n", ()),
+    "repro.baselines.nicol.bandwidth_min_nlogn": (
+        "n log n", ("heap_pushes", "heap_pops"),
     ),
+    "repro.baselines.sliding_window.bandwidth_min_deque": ("n", ()),
+    "repro.baselines.star_knapsack.knapsack_01": ("n c", ()),
+    "repro.baselines.tree_dp.min_cuts_exact": ("n s^2", ()),
+    "repro.engine.kernels.bandwidth_sweep": ("n + p log q", ()),
+    "repro.engine.kernels.sweep_min_cut": ("n + p log q", ()),
+    "repro.engine.kernels.temps_sweep": ("n + p log q", ()),
+    "repro.engine.plan.CompiledChainPlan.solve_beta_sweep": ("n + b s", ()),
+    "repro.engine.plan.CompiledChainPlan.solve_bounds": (
+        "k log k + g n log q", (),
+    ),
+    "repro.engine.plan.compile_chain": ("n", ()),
 }
 
 
-def _decorator_budget(node: ast.expr) -> Optional[str]:
-    """The budget string of a ``@complexity(...)`` decorator, if that is
-    what ``node`` is (``@complexity("...")`` or ``@contracts.complexity``)."""
-    from repro.verify.lint import rightmost_name
-
-    if not isinstance(node, ast.Call) or rightmost_name(node.func) != "complexity":
-        return None
-    if node.args and isinstance(node.args[0], ast.Constant):
-        value = node.args[0].value
-        if isinstance(value, str):
-            return value
-    return ""
+# ----------------------------------------------------------------------
+# Static enforcement: REPRO011
+# ----------------------------------------------------------------------
 
 
 def _oh_claims(docstring: str) -> List[str]:
@@ -381,66 +323,26 @@ def _docstring_disagrees(budget: ComplexityBudget, docstring: str) -> bool:
     return all(not budget.matches(claim) for claim in parsed)
 
 
-class _ContractChecker(ast.NodeVisitor):
-    """Per-file REPRO010/REPRO011 evaluation."""
-
-    def __init__(self, module: Module, required: FrozenSet[str]) -> None:
-        self.module = module
-        self.required = required
-        self.findings: List[Finding] = []
-
-    def _add(self, node: ast.AST, code: str, detail: str) -> None:
-        self.module.flag(
-            self.findings, node, code, f"{CONTRACT_RULES[code]}: {detail}"
-        )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check(node)
-        self.generic_visit(node)
-
-    def _check(self, node: Any) -> None:
-        budget_src: Optional[str] = None
-        for deco in node.decorator_list:
-            budget_src = _decorator_budget(deco)
-            if budget_src is not None:
-                break
-        if budget_src is None:
-            if node.name in self.required:
-                self._add(node, "REPRO010", node.name)
-            return
+def check(module: Module) -> List[Finding]:
+    """The contract pass over one parsed module: REPRO011 for each
+    function the module's :data:`CONTRACTS` entries name."""
+    findings: List[Finding] = []
+    functions = module.functions
+    for qualname, (budget_src, _counters) in module.contracts.items():
+        node = functions.get(qualname)
+        if node is None:
+            continue  # the table test resolves every entry by import
         budget = ComplexityBudget.try_parse(budget_src)
         if budget is None:
-            self._add(
-                node, "REPRO011", f"{node.name} declares unparseable budget"
+            detail = f"{qualname} declares unparseable budget"
+        elif _docstring_disagrees(budget, ast.get_docstring(node) or ""):
+            detail = (
+                f"{qualname} declares O({budget_src}) but its docstring "
+                "claims a different bound"
             )
-            return
-        docstring = ast.get_docstring(node) or ""
-        if _docstring_disagrees(budget, docstring):
-            self._add(
-                node,
-                "REPRO011",
-                f"{node.name} declares O({budget_src}) but its docstring "
-                "claims a different bound",
-            )
-
-
-def check(module: Module) -> List[Finding]:
-    """The contract pass over one parsed module.
-
-    REPRO010 applies only to files on the :data:`REQUIRED_CONTRACTS`
-    surface; REPRO011 applies to every ``@complexity``-decorated
-    function anywhere.
-    """
-    posix = module.path.as_posix()
-    required: FrozenSet[str] = frozenset()
-    for suffix, names in REQUIRED_CONTRACTS.items():
-        if posix.endswith(suffix):
-            required = names
-            break
-    checker = _ContractChecker(module, required)
-    checker.visit(module.tree)
-    return checker.findings
+        else:
+            continue
+        module.flag(
+            findings, node, "REPRO011", f"{CONTRACT_RULES['REPRO011']}: {detail}"
+        )
+    return findings

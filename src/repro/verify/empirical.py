@@ -33,7 +33,7 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.verify.codes import messages_for
-from repro.verify.contracts import ComplexityBudget, get_contract
+from repro.verify.contracts import CONTRACTS, ComplexityBudget
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
 EMPIRICAL_RULES: Dict[str, str] = messages_for("repro.verify.empirical")
@@ -72,12 +72,13 @@ class ComplexityProbe:
         fn: Callable[..., object],
         measure: Callable[[int, random.Random], Measurement],
     ) -> "ComplexityProbe":
-        """Build a probe from a decorated solver's own contract, so the
-        budget under test is the one the static pass enforces."""
-        contract = get_contract(fn)
-        if contract is None:
-            raise ValueError(f"{name}: function carries no @complexity contract")
-        return cls(name, contract.budget, measure, contract.counters)
+        """Build a probe from the solver's :data:`CONTRACTS` entry, so
+        the budget under test is the one the static pass enforces."""
+        qualname = f"{fn.__module__}.{fn.__qualname__}"
+        if qualname not in CONTRACTS:
+            raise ValueError(f"{name}: {qualname} has no entry in CONTRACTS")
+        budget, counters = CONTRACTS[qualname]
+        return cls(name, ComplexityBudget.parse(budget), measure, counters)
 
     def __repr__(self) -> str:
         return f"ComplexityProbe({self.name}: O({self.budget.source}))"

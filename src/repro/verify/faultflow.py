@@ -30,8 +30,8 @@ REPRO022    An exit site (``sys.exit``/``raise SystemExit``, plus
             integer returns from ``main``/``_cmd_*`` functions) in
             ``cli.py``/``__main__.py`` that bypasses the registered
             :data:`repro.exitcodes.EXIT_CODES` table.
-REPRO023    A nondeterminism source on a ``@complexity``-decorated
-            path (the functions whose outputs land in solver results
+REPRO023    A nondeterminism source on a contracted solver path (the
+            functions whose outputs land in solver results
             and trace/JSONL payloads): unseeded ``random``/
             ``np.random`` draws, wall-clock reads (``time.time``,
             argless ``datetime.now``), ``os.environ`` reads, and
@@ -46,8 +46,9 @@ REPRO024    A silent-drop ``except`` handler: the body neither
 REPRO020/021/024 are scoped (under the installed ``repro`` package) to
 ``core``/``engine``/``observability`` — the layers a resident service
 keeps hot.  REPRO022 applies to files *named* ``cli.py`` or
-``__main__.py`` wherever they live.  REPRO023 roots at ``@complexity``
-functions and follows the same within-module call graph as
+``__main__.py`` wherever they live.  REPRO023 roots at the functions
+listed in :data:`repro.verify.contracts.CONTRACTS` and follows the
+same within-module call graph as
 :mod:`repro.verify.hotpath`.  Files outside a ``repro`` package
 (fixtures, tests) are always analyzed.
 
@@ -682,7 +683,7 @@ def _check_exit_codes(tree: ast.Module, add: _Add) -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO023 — determinism taint on @complexity paths
+# REPRO023 — determinism taint on contracted solver paths
 # ----------------------------------------------------------------------
 
 
@@ -697,7 +698,7 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
                 add(
                     node, "REPRO023",
                     f"unseeded {draw[0]}.{draw[1]}() on a "
-                    f"@complexity path (in {qualname})",
+                    f"contracted path (in {qualname})",
                 )
             elif isinstance(func_expr, ast.Attribute):
                 receiver = func_expr.value
@@ -710,7 +711,7 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
                     add(
                         node, "REPRO023",
                         f"wall-clock time.{func_expr.attr}() on a "
-                        f"@complexity path (in {qualname})",
+                        f"contracted path (in {qualname})",
                     )
                 # datetime.now()/utcnow()/today() with no arguments.
                 elif (
@@ -723,7 +724,7 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
                         node, "REPRO023",
                         f"argless {rightmost_name(receiver)}."
                         f"{func_expr.attr}() reads the wall clock on a "
-                        f"@complexity path (in {qualname})",
+                        f"contracted path (in {qualname})",
                     )
         elif isinstance(node, ast.Attribute):
             if (
@@ -734,7 +735,7 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
             ):
                 add(
                     node, "REPRO023",
-                    f"os.environ read on a @complexity path — inject "
+                    f"os.environ read on a contracted path — inject "
                     f"configuration explicitly (in {qualname})",
                 )
         elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -759,12 +760,12 @@ def _scan_determinism(func: ast.AST, qualname: str, add: _Add) -> None:
                 add(
                     iter_expr, "REPRO023",
                     f"iteration over an unordered set/keys view on a "
-                    f"@complexity path — sort it (in {qualname})",
+                    f"contracted path — sort it (in {qualname})",
                 )
 
 
-def _check_determinism(tree: ast.Module, add: _Add) -> None:
-    functions, calls, roots = _collect_functions(tree)
+def _check_determinism(module: Module, add: _Add) -> None:
+    functions, calls, roots = _collect_functions(module)
     # Scan order is immaterial: the driver sorts findings by position.
     for key in _reachable(calls, roots):
         _scan_determinism(functions[key], key, add)
@@ -789,7 +790,7 @@ def check(module: Module) -> List[Finding]:
     if in_packages(module.path, _SCOPED_PACKAGES):
         _check_resources(module.tree, add)
         _check_exceptions(module.tree, add)
-        _check_determinism(module.tree, add)
+        _check_determinism(module, add)
     return findings
 
 

@@ -1,4 +1,4 @@
-"""Hot-path allocation & dispatch analysis over ``@complexity`` code.
+"""Hot-path allocation & dispatch analysis over contracted solver code.
 
 PR 6 made the engine's compiled plans answer warm sweeps ~14000x faster
 than the seed loop, and the bench ratchet defends that number — but
@@ -11,8 +11,9 @@ traffic, not asymptotics, decides real throughput.  This pass enforces
 that insight statically, the way :mod:`repro.verify.concurrency`
 enforces lock discipline.
 
-The analysis roots at every ``@complexity``-decorated function — the
-code that *declared itself* a hot path — and follows the same
+The analysis roots at every function with an entry in
+:data:`repro.verify.contracts.CONTRACTS` — the code declared a hot
+path — and follows the same
 within-module call-graph machinery ``concurrency.py`` uses (module
 functions reached through ``Name`` calls, same-class methods reached
 through ``self.<m>()`` calls) so helpers inherit their callers'
@@ -46,7 +47,7 @@ line.  REPRO019 keeps the usual line-anchored pragma.
 
 When pointed at a tree that contains the installed ``repro`` package,
 only ``core``/``engine``/``graphs`` files are analyzed — the packages
-whose ``@complexity`` contracts the empirical gate enforces.  Files
+whose complexity contracts the empirical gate enforces.  Files
 outside a ``repro`` package (fixtures, tests) are always analyzed.
 
 The static pass *claims*; :mod:`repro.verify.allocs` *certifies* —
@@ -67,10 +68,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.verify.codes import messages_for
 from repro.verify.lint import (
     Finding,
+    FunctionNode,
     Module,
     attr_path,
     in_packages,
-    rightmost_name,
 )
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
@@ -83,7 +84,7 @@ LOOP_SCOPED_RULES: FrozenSet[str] = frozenset(
 )
 
 #: Packages analyzed when the file lives under the ``repro`` package —
-#: the @complexity-bearing solver layers the ISSUE scopes this pass to.
+#: the contracted solver layers this pass is scoped to.
 _SCOPED_PACKAGES = frozenset(("core", "engine", "graphs"))
 
 #: Module aliases NumPy is conventionally imported as.
@@ -125,17 +126,6 @@ _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _BINOP_TEMP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv,
                    ast.Mod, ast.Pow, ast.BitAnd, ast.BitOr, ast.BitXor)
-
-
-def _is_complexity_decorator(node: ast.expr) -> bool:
-    """True for ``@complexity(...)`` / ``@contracts.complexity(...)``."""
-    target = node.func if isinstance(node, ast.Call) else node
-    return rightmost_name(target) == "complexity"
-
-
-def _has_complexity_contract(node: ast.AST) -> bool:
-    decorators = getattr(node, "decorator_list", [])
-    return any(_is_complexity_decorator(deco) for deco in decorators)
 
 
 def _load_names(node: ast.AST) -> Set[str]:
@@ -507,32 +497,23 @@ class _FunctionScanner:
 
 
 def _collect_functions(
-    tree: ast.Module,
-) -> Tuple[Dict[str, ast.AST], Dict[str, Set[str]], List[str]]:
+    module: Module,
+) -> Tuple[Dict[str, FunctionNode], Dict[str, Set[str]], List[str]]:
     """Module functions and same-class methods, with resolved calls.
 
     Keys are ``name`` for module-level functions and ``Class.name``
-    for methods; ``Name(...)`` calls and ``self.<m>()`` calls are the
-    edges, so decorated methods (``CompiledChainPlan.solve_bounds``)
-    reach their private ``_impl`` helpers.  The one within-module call
-    graph: the fault-surface and concurrency passes root it elsewhere.
+    for methods (:attr:`Module.functions`); ``Name(...)`` calls and
+    ``self.<m>()`` calls are the edges, so listed methods
+    (``CompiledChainPlan.solve_bounds``) reach their private ``_impl``
+    helpers.  The roots are the functions the module's
+    :data:`~repro.verify.contracts.CONTRACTS` entries name.  The one
+    within-module call graph: the fault-surface and concurrency passes
+    root it elsewhere.
     """
-    functions: Dict[str, ast.AST] = {}
-    owners: Dict[str, Optional[str]] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, _FUNC_NODES):
-            functions[stmt.name] = stmt
-            owners[stmt.name] = None
-        elif isinstance(stmt, ast.ClassDef):
-            for member in stmt.body:
-                if isinstance(member, _FUNC_NODES):
-                    key = f"{stmt.name}.{member.name}"
-                    functions[key] = member
-                    owners[key] = stmt.name
-
+    functions = module.functions
     calls: Dict[str, Set[str]] = {}
     for key, node in functions.items():
-        owner = owners[key]
+        owner, _, _ = key.rpartition(".")
         reached: Set[str] = set()
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Call):
@@ -541,7 +522,7 @@ def _collect_functions(
             if isinstance(func, ast.Name) and func.id in functions:
                 reached.add(func.id)
             elif (
-                owner is not None
+                owner
                 and isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "self"
@@ -550,8 +531,7 @@ def _collect_functions(
                 reached.add(f"{owner}.{func.attr}")
         calls[key] = reached
 
-    roots = [key for key, node in functions.items()
-             if _has_complexity_contract(node)]
+    roots = [key for key in functions if key in module.contracts]
     return functions, calls, roots
 
 
@@ -574,7 +554,7 @@ def _reachable(calls: Dict[str, Set[str]], roots: List[str]) -> Set[str]:
 
 def check(module: Module) -> List[Finding]:
     """The hot-path pass over one parsed module."""
-    functions, calls, roots = _collect_functions(module.tree)
+    functions, calls, roots = _collect_functions(module)
     findings: List[Finding] = []
     # Scan order is immaterial: the driver sorts findings by position.
     for key in _reachable(calls, roots):
@@ -583,5 +563,5 @@ def check(module: Module) -> List[Finding]:
 
 
 def in_scope(path: Path) -> bool:
-    """Scope repo files to the @complexity-bearing solver packages."""
+    """Scope repo files to the contracted solver packages."""
     return in_packages(path, _SCOPED_PACKAGES)

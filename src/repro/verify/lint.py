@@ -39,8 +39,8 @@ The passes run from one table in :mod:`repro.verify.passes`, which
 ``repro analyze`` and this module's :func:`main` both drive:
 REPRO006-REPRO008 (process-pool hygiene), REPRO013 (shared-state lock
 discipline) and REPRO015 (fork-unsafe capture) in
-:mod:`repro.verify.concurrency`, REPRO010/REPRO011
-(missing/contradicted ``@complexity`` contracts) in
+:mod:`repro.verify.concurrency`, REPRO011 (docstrings contradicting
+the ``CONTRACTS`` budgets) in
 :mod:`repro.verify.contracts`, REPRO016-REPRO019 (hot-path allocation
 and dispatch hygiene) in :mod:`repro.verify.hotpath` and
 REPRO020-REPRO024 (fault-surface analysis: resource lifecycle,
@@ -72,9 +72,24 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    TypeVar,
+    Union,
+)
 
 from repro.verify.codes import messages_for
+from repro.verify.contracts import CONTRACTS, Contract
+from repro.verify.markers import CONCURRENT_ENTRIES, SHARED_STATE
 
 #: This linter's rules, drawn from the central registry so codes can
 #: never collide across analyzers (see :mod:`repro.verify.codes`).
@@ -173,20 +188,88 @@ def pragma_disables(source: str) -> Dict[int, FrozenSet[str]]:
     return disables
 
 
+class Surface(NamedTuple):
+    """What the code declares about itself, keyed by qualified name
+    (``repro.core.bandwidth.bandwidth_min``): complexity contracts,
+    shared-state classes with their lock attribute, and the functions
+    and methods callable from several threads at once."""
+
+    contracts: Mapping[str, Contract] = MappingProxyType({})
+    shared_state: Mapping[str, str] = MappingProxyType({})
+    concurrent_entries: AbstractSet[str] = frozenset()
+
+
+#: The repository's declared surface: :data:`repro.verify.contracts.CONTRACTS`
+#: and the two :mod:`repro.verify.markers` tables.
+SURFACE = Surface(CONTRACTS, SHARED_STATE, CONCURRENT_ENTRIES)
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_V = TypeVar("_V")
+
+
+def module_name(path: Path) -> str:
+    """The dotted name of the module at ``path``: from the innermost
+    ``repro`` folder down when the file lives in one
+    (``src/repro/core/bandwidth.py`` -> ``repro.core.bandwidth``, also
+    in a checkout that is itself named ``repro``), else the file's
+    stem."""
+    folders = path.parts[:-1]
+    parts: List[str] = []
+    if "repro" in folders:
+        parts = list(folders[len(folders) - 1 - folders[::-1].index("repro"):])
+    if path.stem != "__init__" or not parts:
+        parts.append(path.stem)
+    return ".".join(parts)
+
+
+def _local(table: Mapping[str, _V], prefix: str) -> Dict[str, _V]:
+    """The entries of ``table`` under ``prefix``, keyed by the rest."""
+    return {
+        key[len(prefix):]: value
+        for key, value in table.items()
+        if key.startswith(prefix)
+    }
+
+
 class Module:
     """One source file, read, parsed and pragma-scanned once.
 
     The record every analysis pass receives; :meth:`flag` is the one
-    pragma-aware way a pass reports a finding.
+    pragma-aware way a pass reports a finding.  It also carries the
+    module's dotted :attr:`name`, its :attr:`functions` (module-level
+    functions and class methods by ``name`` / ``Class.name``) and the
+    declared-surface entries for this file, keyed the same way.
     """
 
-    __slots__ = ("path", "source", "tree", "disables")
+    __slots__ = (
+        "path", "source", "tree", "disables", "name", "functions",
+        "contracts", "shared_state", "concurrent_entries",
+    )
 
-    def __init__(self, path: Path, source: str) -> None:
+    def __init__(
+        self, path: Path, source: str, surface: Surface = SURFACE
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
         self.disables = pragma_disables(source)
+        self.name = module_name(path)
+        self.functions: Dict[str, FunctionNode] = {}
+        for stmt in self.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.functions[stmt.name] = stmt
+            elif isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self.functions[f"{stmt.name}.{member.name}"] = member
+        prefix = self.name + "."
+        self.contracts: Dict[str, Contract] = _local(surface.contracts, prefix)
+        self.shared_state: Dict[str, str] = _local(surface.shared_state, prefix)
+        self.concurrent_entries: FrozenSet[str] = frozenset(
+            key[len(prefix):]
+            for key in surface.concurrent_entries
+            if key.startswith(prefix)
+        )
 
     @classmethod
     def read(cls, path: Path) -> "Module":

@@ -1,56 +1,64 @@
-"""Runtime concurrency markers: ``@concurrent_entry`` / ``@shared_state``.
+"""The declared concurrency surface: shared-state classes and entry points.
 
-These are the *declaration* half of the concurrency-safety contract:
-:func:`shared_state` registers a class as shared mutable state and
-names the lock attribute that guards it; :func:`concurrent_entry`
-marks a function or method as callable from multiple threads at once.
-The *enforcement* half lives in :mod:`repro.verify.concurrency`
-(static rules REPRO013 and REPRO015) and :mod:`repro.verify.races` (the
-dynamic race-hammer harness over :data:`SHARED_REGISTRY`).
+These two tables are the *declaration* half of the concurrency-safety
+contract, keyed by qualified name.  :data:`SHARED_STATE` lists the
+classes that are shared mutable state and names the lock attribute
+guarding each; :data:`CONCURRENT_ENTRIES` lists the functions and
+methods that may be called from several threads at once.  The
+*enforcement* half lives in :mod:`repro.verify.concurrency` (static
+rules REPRO013 and REPRO015, which read the entries for the file they
+check) and :mod:`repro.verify.races` (the dynamic race hammer, one
+scenario per shared object).
 
-The markers live in this tiny stdlib-only leaf module — not in the
-analyzer — because the engine and observability hot paths apply them at
-class-creation time: importing them must not drag the AST machinery
-(or anything else) into every process that solves a chain.  Both are
-pure annotations; neither wraps the callable nor costs anything at call
-time.
+The product code carries no marker and imports nothing from here: a
+class or method is declared by adding its qualified name below.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, TypeVar
+from typing import Dict, FrozenSet
 
-#: Runtime inventory of shared-state classes: qualified class name ->
-#: declared lock attribute.  Filled by :func:`shared_state` at class
-#: decoration time; the race-hammer harness and the tests iterate it.
-SHARED_REGISTRY: Dict[str, str] = {}
+#: Shared mutable state: qualified class name -> its lock attribute.
+SHARED_STATE: Dict[str, str] = {
+    "repro.engine.cache.PlanCache": "_lock",
+    "repro.engine.plan.CompiledChainPlan": "_lock",
+    "repro.observability.live.StreamingJsonlSink": "_lock",
+    "repro.observability.live.TelemetryHub": "_lock",
+    "repro.observability.metrics.Counter": "_lock",
+    "repro.observability.metrics.Gauge": "_lock",
+    "repro.observability.metrics.Histogram": "_lock",
+    "repro.observability.metrics.MetricsRegistry": "_lock",
+    "repro.observability.profiler.ProfileSampler": "_lock",
+}
 
-_F = TypeVar("_F", bound=Callable[..., Any])
-_C = TypeVar("_C", bound=type)
-
-
-def concurrent_entry(fn: _F) -> _F:
-    """Mark ``fn`` as callable from multiple threads concurrently.
-
-    A pure marker: the function is returned unchanged (no wrapper, no
-    overhead) with ``__concurrent_entry__ = True`` set so runtime
-    tooling can discover the annotated surface.  The static pass keys
-    off the decorator *name*, so it needs no imports to see it.
-    """
-    fn.__concurrent_entry__ = True  # type: ignore[attr-defined]
-    return fn
-
-
-def shared_state(lock: str = "_lock") -> Callable[[_C], _C]:
-    """Class decorator declaring shared mutable state guarded by ``lock``.
-
-    Registers the class in :data:`SHARED_REGISTRY` and stamps
-    ``__shared_lock__`` on it; the class itself is returned unchanged.
-    """
-
-    def register(cls: _C) -> _C:
-        cls.__shared_lock__ = lock  # type: ignore[attr-defined]
-        SHARED_REGISTRY[f"{cls.__module__}.{cls.__qualname__}"] = lock
-        return cls
-
-    return register
+#: Functions and methods callable from several threads at once, by
+#: qualified name.
+CONCURRENT_ENTRIES: FrozenSet[str] = frozenset(
+    {
+        "repro.engine.cache.PlanCache.__contains__",
+        "repro.engine.cache.PlanCache.clear",
+        "repro.engine.cache.PlanCache.get",
+        "repro.engine.cache.PlanCache.lookup",
+        "repro.engine.plan.CompiledChainPlan.solve_bounds",
+        "repro.observability.live.StreamingJsonlSink.close",
+        "repro.observability.live.StreamingJsonlSink.emit",
+        "repro.observability.live.TelemetryHub.close",
+        "repro.observability.live.TelemetryHub.publish",
+        "repro.observability.live.TelemetryHub.subscribe",
+        "repro.observability.metrics.Counter.inc",
+        "repro.observability.metrics.Gauge.set",
+        "repro.observability.metrics.Histogram.merge",
+        "repro.observability.metrics.Histogram.observe",
+        "repro.observability.metrics.Histogram.to_payload",
+        "repro.observability.metrics.MetricsRegistry.counter",
+        "repro.observability.metrics.MetricsRegistry.emit",
+        "repro.observability.metrics.MetricsRegistry.gauge",
+        "repro.observability.metrics.MetricsRegistry.histogram",
+        "repro.observability.metrics.MetricsRegistry.merge",
+        "repro.observability.metrics.MetricsRegistry.records",
+        "repro.observability.metrics.MetricsRegistry.to_payload",
+        "repro.observability.profiler.ProfileSampler.sample_once",
+        "repro.observability.profiler.ProfileSampler.start",
+        "repro.observability.profiler.ProfileSampler.stop",
+    }
+)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.verify import concurrency, contracts, faultflow, hotpath, lint
-from repro.verify.lint import Finding, Module, iter_python_files
+from repro.verify.lint import SURFACE, Finding, Module, Surface, iter_python_files
 
 
 class Pass(NamedTuple):
@@ -58,9 +58,16 @@ def run(module: Module, section: str) -> List[Finding]:
     return sorted(findings, key=lambda f: (f.line, f.col, f.code))
 
 
-def check_source(section: str, source: str, path: Path) -> List[Finding]:
-    """One pass over source text; raises ``SyntaxError`` on bad input."""
-    return run(Module(path, source), section)
+def check_source(
+    section: str, source: str, path: Path, surface: Surface = SURFACE
+) -> List[Finding]:
+    """One pass over source text; raises ``SyntaxError`` on bad input.
+
+    ``surface`` replaces the repository's declared surface (contracts,
+    shared-state classes, concurrent entries), so a test can declare
+    the entries of the source it checks.
+    """
+    return run(Module(path, source, surface), section)
 
 
 def analyze(

@@ -2,8 +2,8 @@
 
 The static pass (:mod:`repro.verify.concurrency`) proves the *declared*
 lock discipline is followed; this module checks the discipline actually
-*works*.  A :class:`ConcurrencyHarness` drives every ``@shared_state``
-object through N threads of seeded random operations with the
+*works*.  A :class:`ConcurrencyHarness` drives the shared-state
+objects through N threads of seeded random operations with the
 interpreter's thread switch interval cranked down (so the scheduler
 interleaves at bytecode granularity — the Träff–Wimmer stance from
 PAPERS.md applied to scheduling: hunt for the adversarial interleaving
@@ -27,11 +27,14 @@ each run while the workload itself stays reproducible.
 
 Scenario functions (``hammer_*``) each return a summary dict of what
 was verified; they raise :class:`RaceConditionError` on any violation.
-The scenarios cover exactly the objects :data:`SHARED_REGISTRY`
-declares: ``PlanCache`` and ``CompiledChainPlan`` (through a shared
-``PartitionEngine.solve``), ``TelemetryHub``, ``MetricsRegistry``
-(+ instruments), ``Histogram``, ``StreamingJsonlSink`` and
-``ProfileSampler``.
+:func:`hammer_all` runs six scenarios over the classes
+:data:`repro.verify.markers.SHARED_STATE` declares: ``PlanCache`` and
+``CompiledChainPlan`` (through a shared ``PartitionEngine.solve``),
+``TelemetryHub``, ``MetricsRegistry`` (with its ``Counter``, ``Gauge``
+and ``Histogram`` instruments), ``Histogram`` on its own and
+``StreamingJsonlSink``.  No scenario drives ``ProfileSampler``: its
+threaded ``stop()`` is covered by ``test_concurrent_stop_from_many_threads``
+in ``tests/observability/test_profiler.py``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ import sys
 import threading
 import traceback
 from typing import Any, Callable, Dict, List, Tuple
-
-from repro.verify.markers import SHARED_REGISTRY  # noqa: F401 - re-export
 
 
 class RaceConditionError(AssertionError):

@@ -65,11 +65,10 @@ class TestInstrumentation:
     empirical complexity gate fits them against the declared budget."""
 
     def test_declared_contract_counters(self):
-        from repro.verify.contracts import get_contract
+        from repro.verify.contracts import CONTRACTS
 
-        contract = get_contract(bandwidth_min_nlogn)
-        assert contract is not None
-        assert contract.counters == ("heap_pushes", "heap_pops")
+        _budget, counters = CONTRACTS["repro.baselines.nicol.bandwidth_min_nlogn"]
+        assert counters == ("heap_pushes", "heap_pops")
 
     def test_traced_heap_counters(self):
         from repro.observability import Tracer

@@ -192,11 +192,10 @@ class TestBoundaryBounds:
         assert result.weight == 3.0
 
     def test_declared_contract_counters(self):
-        from repro.verify.contracts import get_contract
+        from repro.verify.contracts import CONTRACTS
 
-        contract = get_contract(bandwidth_min)
-        assert contract is not None
-        assert contract.counters == (
+        _budget, counters = CONTRACTS["repro.core.bandwidth.bandwidth_min"]
+        assert counters == (
             "prime_tasks_scanned",
             "prime_window_advances",
             "prime_candidates",

@@ -224,15 +224,14 @@ class TestInstrumentationContracts:
     the empirical complexity gate consumes both."""
 
     def test_declared_contract_counters(self):
-        from repro.core.prime_subpaths import compute_prime_structure
-        from repro.verify.contracts import get_contract
+        from repro.verify.contracts import CONTRACTS
 
-        assert get_contract(find_prime_subpaths).counters == (
+        assert CONTRACTS["repro.core.prime_subpaths.find_prime_subpaths"][1] == (
             "prime_tasks_scanned",
             "prime_window_advances",
             "prime_candidates",
         )
-        assert get_contract(compute_prime_structure).counters == (
+        assert CONTRACTS["repro.core.prime_subpaths.compute_prime_structure"][1] == (
             "prime_tasks_scanned",
             "prime_window_advances",
             "prime_candidates",

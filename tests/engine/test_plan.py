@@ -206,8 +206,10 @@ class TestSolveBounds:
         assert (plan.stats.hits, plan.stats.misses) == (1, 1)
 
     def test_memo_is_locked(self, monkeypatch):
-        # The memo is @shared_state: solve_bounds reads and mutates it
-        # only while holding the plan's own lock.
+        from repro.verify.markers import SHARED_STATE
+
+        # The memo is declared shared state: solve_bounds reads and
+        # mutates it only while holding the plan's own lock.
         chain = random_chain(30, rng=17)
         plan = compile_chain(chain)
         owned = []
@@ -219,7 +221,7 @@ class TestSolveBounds:
 
         monkeypatch.setattr(type(plan), "_lookup", probing_lookup)
         plan.solve_bounds([2.0 * chain.max_vertex_weight()])
-        assert type(plan).__shared_lock__ == "_lock"
+        assert SHARED_STATE["repro.engine.plan.CompiledChainPlan"] == "_lock"
         assert owned == [True]
         assert not plan._lock._is_owned()
 

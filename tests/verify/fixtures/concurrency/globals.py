@@ -1,10 +1,7 @@
-from repro.verify.markers import concurrent_entry
-
 COUNTS = {}
 TOTAL = 0
 
 
-@concurrent_entry
 def record(name):
     global TOTAL
     TOTAL = TOTAL + 1

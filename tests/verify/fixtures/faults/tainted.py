@@ -3,14 +3,11 @@ import random
 import time
 from datetime import datetime
 
-from repro.verify.contracts import complexity
-
 
 def jitter():
     return random.random()
 
 
-@complexity("n")
 def solve(chain, emit):
     started = time.time()
     mode = os.environ.get("MODE", "fast")
@@ -20,7 +17,6 @@ def solve(chain, emit):
     return jitter(), started, mode, stamp
 
 
-@complexity("n")
 def seeded(chain, seed, tz, emit):
     rng = random.Random(seed)
     for key in sorted({1, 2}):

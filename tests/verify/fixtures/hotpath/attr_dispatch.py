@@ -1,7 +1,3 @@
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
 def drain(queue, cfg, node):
     total = 0
     for item in queue.items:

@@ -1,7 +1,3 @@
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
 def tally(rows, k):
     base = [k, k + 1]
     total = 0

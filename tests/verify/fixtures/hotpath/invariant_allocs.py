@@ -1,9 +1,6 @@
 import numpy as np
 
-from repro.verify.contracts import complexity
 
-
-@complexity("n")
 def rebuild(rows, k):
     acc = []
     total = 0.0

@@ -1,9 +1,6 @@
 import numpy as np
 
-from repro.verify.contracts import complexity
 
-
-@complexity("n * q")
 def sweep(bounds, weights):
     gaps = np.asarray(weights)
     out = []

@@ -1,7 +1,3 @@
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
 def padded(rows, k):
     total = 0
     for row in rows:  # repro-lint: disable=REPRO016

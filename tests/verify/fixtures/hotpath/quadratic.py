@@ -1,7 +1,3 @@
-from repro.verify.contracts import complexity
-
-
-@complexity("n")
 def churn(items, blocked):
     order = []
     label = ""

@@ -11,32 +11,40 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify.concurrency import CONCURRENCY_RULES, shared_state_inventory
-from repro.verify.markers import SHARED_REGISTRY, concurrent_entry, shared_state
+from repro.verify.concurrency import CONCURRENCY_RULES
+from repro.verify.lint import Surface, module_name
 from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
 
-def codes(source: str, path: str = "example.py") -> list:
-    return [f.code for f in check_source("concurrency", source, Path(path))]
+def codes(source: str, path: str = "example.py", **declared) -> list:
+    return [f.code for f in findings(source, path, **declared)]
 
 
-def findings(source: str, path: str = "example.py") -> list:
-    return check_source("concurrency", source, Path(path))
+def findings(
+    source: str, path: str = "example.py", shared=None, entries=()
+) -> list:
+    """Run the pass with ``shared`` (class -> lock attribute) and
+    ``entries`` (``name`` / ``Class.name``) declared for the module."""
+    module = module_name(Path(path))
+    surface = Surface(
+        shared_state={f"{module}.{cls}": lock for cls, lock in (shared or {}).items()},
+        concurrent_entries=frozenset(f"{module}.{name}" for name in entries),
+    )
+    return check_source("concurrency", source, Path(path), surface)
 
 
-SHARED_PREAMBLE = (
-    "import threading\n"
-    "from repro.verify.markers import concurrent_entry, shared_state\n"
-)
+SHARED_PREAMBLE = "import threading\n"
+
+#: The shared class :func:`shared_class` builds, with its lock.
+BOX = {"Box": "_lock"}
 
 
-def shared_class(body: str, decorator: str = '@shared_state(lock="_lock")') -> str:
+def shared_class(body: str) -> str:
     return (
         SHARED_PREAMBLE
-        + f"{decorator}\n"
         + "class Box:\n"
         + "    def __init__(self):\n"
         + "        self._lock = threading.RLock()\n"
@@ -54,89 +62,80 @@ def shared_class(body: str, decorator: str = '@shared_state(lock="_lock")') -> s
 class TestUnlockedWrites:
     def test_unlocked_attribute_rebind(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def reset(self):\n"
             "        self.items = []\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.reset",)) == ["REPRO013"]
 
     def test_unlocked_augassign(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def bump(self):\n"
             "        self.count += 1\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.bump",)) == ["REPRO013"]
 
     def test_unlocked_mutator_call(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        self.items.append(item)\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.push",)) == ["REPRO013"]
 
     def test_unlocked_subscript_write(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def tag(self):\n"
             "        self.items[0] = None\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.tag",)) == ["REPRO013"]
 
     def test_locked_write_is_clean(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        with self._lock:\n"
             "            self.items.append(item)\n"
             "            self.count += 1\n"
         )
-        assert codes(source) == []
+        assert codes(source, shared=BOX, entries=("Box.push",)) == []
 
     def test_custom_lock_name(self):
         source = (
             SHARED_PREAMBLE
-            + '@shared_state(lock="_mu")\n'
             + "class Box:\n"
             + "    def __init__(self):\n"
             + "        self._mu = threading.RLock()\n"
             + "        self.count = 0\n"
-            + "    @concurrent_entry\n"
             + "    def good(self):\n"
             + "        with self._mu:\n"
             + "            self.count += 1\n"
-            + "    @concurrent_entry\n"
             + "    def bad(self):\n"
             + "        self.count += 1\n"
         )
-        found = findings(source)
+        found = findings(
+            source, shared={"Box": "_mu"}, entries=("Box.good", "Box.bad")
+        )
         assert [f.code for f in found] == ["REPRO013"]
         assert "self._mu" in found[0].message
 
     def test_bare_decorator_defaults_to_lock(self):
         source = (
             SHARED_PREAMBLE
-            + "@shared_state\n"
             + "class Box:\n"
             + "    def __init__(self):\n"
             + "        self._lock = threading.RLock()\n"
             + "        self.count = 0\n"
-            + "    @concurrent_entry\n"
             + "    def bump(self):\n"
             + "        self.count += 1\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.bump",)) == ["REPRO013"]
 
     def test_init_is_exempt(self):
         # __init__ writes without the lock by design: the object is not
         # shared while it is being constructed.
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def noop(self):\n"
             "        return self.count\n"
         )
-        assert codes(source) == []
+        assert codes(source, shared=BOX, entries=("Box.noop",)) == []
 
     def test_undecorated_class_is_ignored(self):
         source = (
@@ -151,30 +150,27 @@ class TestUnlockedWrites:
 
     def test_pragma_escape(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def reset(self):\n"
             "        self.items = []  # repro-lint: disable=REPRO013\n"
         )
-        assert codes(source) == []
+        assert codes(source, shared=BOX, entries=("Box.reset",)) == []
 
     def test_async_entry_method_flagged(self):
         # async entry points mutate the same shared dicts; the class
         # collector must not skip AsyncFunctionDef members.
         source = shared_class(
-            "    @concurrent_entry\n"
             "    async def areset(self):\n"
             "        self.items = []\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.areset",)) == ["REPRO013"]
 
     def test_mutator_through_subscript_chain(self):
         # self.items[0].append(...) is still a write to self.items.
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def touch(self):\n"
             "        self.items[0].append(1)\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.touch",)) == ["REPRO013"]
 
 
 class TestLockPropagation:
@@ -182,30 +178,27 @@ class TestLockPropagation:
 
     def test_helper_called_under_lock_is_clean(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        with self._lock:\n"
             "            self._store(item)\n"
             "    def _store(self, item):\n"
             "        self.items.append(item)\n"
         )
-        assert codes(source) == []
+        assert codes(source, shared=BOX, entries=("Box.push",)) == []
 
     def test_helper_called_outside_lock_is_flagged(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        self._store(item)\n"
             "    def _store(self, item):\n"
             "        self.items.append(item)\n"
         )
-        found = findings(source)
+        found = findings(source, shared=BOX, entries=("Box.push",))
         assert [f.code for f in found] == ["REPRO013"]
         assert "_store" in found[0].message
 
     def test_transitive_unlocked_chain(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        self._a(item)\n"
             "    def _a(self, item):\n"
@@ -213,65 +206,57 @@ class TestLockPropagation:
             "    def _b(self, item):\n"
             "        self.items.append(item)\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.push",)) == ["REPRO013"]
 
     def test_unreachable_helper_is_not_flagged(self):
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def noop(self):\n"
             "        return self.count\n"
             "    def maintenance(self):\n"
             "        self.items = []\n"
         )
-        assert codes(source) == []
+        assert codes(source, shared=BOX, entries=("Box.noop",)) == []
 
     def test_nested_function_does_not_inherit_lock(self):
         # A closure runs later, on an arbitrary thread: holding the lock
         # at definition time proves nothing about call time.
         source = shared_class(
-            "    @concurrent_entry\n"
             "    def push(self, item):\n"
             "        with self._lock:\n"
             "            def later():\n"
             "                self.items.append(item)\n"
             "            return later\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, shared=BOX, entries=("Box.push",)) == ["REPRO013"]
 
 
 class TestModuleGlobals:
     def test_global_rebind(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "TOTAL = 0\n"
-            "@concurrent_entry\n"
             "def bump():\n"
             "    global TOTAL\n"
             "    TOTAL += 1\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("bump",)) == ["REPRO013"]
 
     def test_global_subscript_write(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "CACHE = {}\n"
-            "@concurrent_entry\n"
             "def put(k, v):\n"
             "    CACHE[k] = v\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("put",)) == ["REPRO013"]
 
     def test_global_mutator_reached_through_helper(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "EVENTS = []\n"
-            "@concurrent_entry\n"
             "def record(e):\n"
             "    _push(e)\n"
             "def _push(e):\n"
             "    EVENTS.append(e)\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("record",)) == ["REPRO013"]
 
     def test_unmarked_function_writing_global_is_ignored(self):
         source = (
@@ -283,58 +268,48 @@ class TestModuleGlobals:
 
     def test_global_read_is_clean(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "LIMIT = 10\n"
-            "@concurrent_entry\n"
             "def check(n):\n"
             "    return n < LIMIT\n"
         )
-        assert codes(source) == []
+        assert codes(source, entries=("check",)) == []
 
     def test_global_attribute_write(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "CONFIG = make_config()\n"
-            "@concurrent_entry\n"
             "def set_mode(m):\n"
             "    CONFIG.mode = m\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("set_mode",)) == ["REPRO013"]
 
     def test_annotated_global_is_tracked(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "CACHE: dict = {}\n"
-            "@concurrent_entry\n"
             "def put(k, v):\n"
             "    CACHE[k] = v\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("put",)) == ["REPRO013"]
 
     def test_imported_name_augmented_at_module_level_is_tracked(self):
         # `FLAGS` enters the module-global set only through the
         # module-level AugAssign; the import itself is not a binding
         # the tracker records.
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "from settings import FLAGS\n"
             "FLAGS += ['dev']\n"
-            "@concurrent_entry\n"
             "def toggle(name):\n"
             "    FLAGS.append(name)\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("toggle",)) == ["REPRO013"]
 
     def test_async_entry_function_flagged(self):
         source = (
-            "from repro.verify.markers import concurrent_entry\n"
             "TOTAL = 0\n"
-            "@concurrent_entry\n"
             "async def bump():\n"
             "    global TOTAL\n"
             "    TOTAL += 1\n"
         )
-        assert codes(source) == ["REPRO013"]
+        assert codes(source, entries=("bump",)) == ["REPRO013"]
 
 
 # ----------------------------------------------------------------------
@@ -437,8 +412,6 @@ class TestForkCapture:
     def test_shared_state_class_always_carries_its_lock(self):
         source = (
             POOL_PREAMBLE
-            + "from repro.verify.markers import shared_state\n"
-            + '@shared_state(lock="_lock")\n'
             + "class Cache:\n"
             + "    def __init__(self):\n"
             + "        self._lock = threading.RLock()\n"
@@ -448,7 +421,7 @@ class TestForkCapture:
             + "        pool.map(len, items)\n"
             + "        pool.submit(len, cache)\n"
         )
-        assert codes(source) == ["REPRO015"]
+        assert codes(source, shared={"Cache": "_lock"}) == ["REPRO015"]
 
     def test_transitive_carrier_composition(self):
         # Wrapper holds a Carrier which holds a lock: the fixpoint pass
@@ -504,87 +477,6 @@ class TestForkCapture:
             + "        pool.submit(len, c)  # repro-lint: disable=REPRO015\n"
         )
         assert codes(source) == []
-
-
-# ----------------------------------------------------------------------
-# Inventory + runtime markers
-# ----------------------------------------------------------------------
-
-
-class TestInventoryAndMarkers:
-    def test_inventory_reports_effect_sets(self, tmp_path):
-        module = tmp_path / "box.py"
-        module.write_text(
-            shared_class(
-                "    @concurrent_entry\n"
-                "    def push(self, item):\n"
-                "        with self._lock:\n"
-                "            self.items.append(item)\n"
-                "    def peek(self):\n"
-                "        return self.items\n"
-            )
-        )
-        inventory = shared_state_inventory([tmp_path])
-        (key,) = inventory
-        assert key.endswith("box.py::Box")
-        methods = inventory[key]
-        assert methods["push"]["entry"] is True
-        assert methods["push"]["writes"] == ["items"]
-        assert methods["push"]["unlocked_writes"] == 0
-        assert methods["peek"]["entry"] is False
-        assert "items" in methods["peek"]["reads"]
-
-    def test_inventory_method_order_is_sorted(self, tmp_path):
-        # Definition order is deliberately non-alphabetical; the
-        # inventory must normalise it for stable docs/report diffs.
-        module = tmp_path / "box.py"
-        module.write_text(
-            shared_class(
-                "    def zpop(self):\n"
-                "        return self.items\n"
-                "    def apeek(self):\n"
-                "        return self.count\n"
-            )
-        )
-        inventory = shared_state_inventory([tmp_path])
-        (key,) = inventory
-        methods = list(inventory[key])
-        assert methods == sorted(methods)
-
-    def test_markers_register_and_stamp(self):
-        @shared_state(lock="_mu")
-        class Probe:
-            def __init__(self):
-                self.value = 0
-
-        assert Probe.__shared_lock__ == "_mu"
-        key = f"{Probe.__module__}.{Probe.__qualname__}"
-        assert SHARED_REGISTRY[key] == "_mu"
-
-        @concurrent_entry
-        def entry():
-            return 1
-
-        assert entry.__concurrent_entry__ is True
-        assert entry() == 1
-
-    def test_engine_classes_are_registered(self):
-        # The remediated hot-path classes must appear in the runtime
-        # registry the race hammer iterates.
-        import repro.engine.cache  # noqa: F401 - registration side effect
-        import repro.observability.live  # noqa: F401
-        import repro.observability.metrics  # noqa: F401
-
-        registered = set(SHARED_REGISTRY)
-        for name in (
-            "repro.engine.plan.CompiledChainPlan",
-            "repro.engine.cache.PlanCache",
-            "repro.observability.live.TelemetryHub",
-            "repro.observability.live.StreamingJsonlSink",
-            "repro.observability.metrics.MetricsRegistry",
-            "repro.observability.metrics.Histogram",
-        ):
-            assert name in registered, name
 
 
 # ----------------------------------------------------------------------

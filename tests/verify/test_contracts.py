@@ -1,24 +1,23 @@
-"""Tests for :mod:`repro.verify.contracts`: grammar, decorator, AST pass."""
+"""Tests for :mod:`repro.verify.contracts`: grammar, table, AST pass."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.verify.contracts import (
-    REQUIRED_CONTRACTS,
-    BudgetSyntaxError,
-    ComplexityBudget,
-    complexity,
-    get_contract,
-    registered_contracts,
-)
+from repro.verify.contracts import CONTRACTS, BudgetSyntaxError, ComplexityBudget
+from repro.verify.lint import Surface, module_name
 from repro.verify.passes import analyze, check_source
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
-def codes(source: str, path: str) -> list:
-    return [f.code for f in check_source("contracts", source, Path(path))]
+def codes(source: str, path: str, budget: str = "") -> list:
+    """Run the pass with ``f`` contracted to ``budget`` (if given)."""
+    contracts = {f"{module_name(Path(path))}.f": (budget, ())} if budget else {}
+    return [
+        f.code
+        for f in check_source("contracts", source, Path(path), Surface(contracts))
+    ]
 
 
 class TestBudgetGrammar:
@@ -81,98 +80,46 @@ class TestEvaluate:
         assert ComplexityBudget.parse("n^2").evaluate(n=9) == 81.0
 
 
-class TestDecorator:
-    def test_attaches_contract_and_registers(self):
-        @complexity("n log n", counters=("steps",))
-        def solver_under_test(x):
-            return x
-
-        contract = get_contract(solver_under_test)
-        assert contract is not None
-        assert contract.budget.matches(ComplexityBudget.parse("n log n"))
-        assert contract.counters == ("steps",)
-        assert solver_under_test(3) == 3  # unchanged function object
-        assert contract.qualname in registered_contracts()
-
-    def test_bad_budget_raises_at_decoration_time(self):
-        with pytest.raises(BudgetSyntaxError):
-            complexity("n!")
-
+class TestContractTable:
     def test_real_solvers_carry_contracts(self):
-        from repro.baselines.nicol import bandwidth_min_nlogn
-        from repro.core.bandwidth import bandwidth_min
-
-        assert get_contract(bandwidth_min).budget.matches(
-            ComplexityBudget.parse("n + p log q")
-        )
-        assert get_contract(bandwidth_min_nlogn).budget.matches(
-            ComplexityBudget.parse("n log n")
-        )
-
-
-REQUIRED_FILE = "src/repro/core/bandwidth.py"
-
-
-class TestRepro010MissingContract:
-    def test_required_function_without_decorator(self):
-        src = "def bandwidth_min(chain, bound):\n    pass\n"
-        assert codes(src, REQUIRED_FILE) == ["REPRO010"]
-
-    def test_required_function_with_decorator_clean(self):
-        src = (
-            "@complexity('n + p log q')\n"
-            "def bandwidth_min(chain, bound):\n    pass\n"
-        )
-        assert codes(src, REQUIRED_FILE) == []
-
-    def test_unrequired_function_not_flagged(self):
-        assert codes("def helper():\n    pass\n", REQUIRED_FILE) == []
-
-    def test_unrequired_file_not_flagged(self):
-        src = "def bandwidth_min(chain, bound):\n    pass\n"
-        assert codes(src, "src/repro/analysis/report.py") == []
-
-    def test_pragma_suppresses(self):
-        src = (
-            "def bandwidth_min(c, b):  # repro-lint: disable=REPRO010\n"
-            "    pass\n"
-        )
-        assert codes(src, REQUIRED_FILE) == []
+        assert ComplexityBudget.parse(
+            CONTRACTS["repro.core.bandwidth.bandwidth_min"][0]
+        ).matches(ComplexityBudget.parse("n + p log q"))
+        assert ComplexityBudget.parse(
+            CONTRACTS["repro.baselines.nicol.bandwidth_min_nlogn"][0]
+        ).matches(ComplexityBudget.parse("n log n"))
 
 
 class TestRepro011DocstringDisagreement:
     def test_contradicting_docstring_flagged(self):
         src = (
-            "@complexity('n log n')\n"
             "def f(x):\n"
             '    """Runs in O(n^2)."""\n'
         )
-        assert codes(src, "src/repro/core/x.py") == ["REPRO011"]
+        assert codes(src, "src/repro/core/x.py", "n log n") == ["REPRO011"]
 
     def test_matching_claim_clears(self):
         src = (
-            "@complexity('n + p log q')\n"
             "def f(x):\n"
             '    """O(n + p log q), versus O(n log n) for the baseline."""\n'
         )
-        assert codes(src, "src/repro/core/x.py") == []
+        assert codes(src, "src/repro/core/x.py", "n + p log q") == []
 
     def test_unparseable_claims_ignored(self):
         src = (
-            "@complexity('n + r q')\n"
             "def f(x):\n"
             '    """Costs O(sum_i |P_i|) in this naive form."""\n'
         )
-        assert codes(src, "src/repro/core/x.py") == []
+        assert codes(src, "src/repro/core/x.py", "n + r q") == []
 
     def test_no_docstring_clean(self):
-        src = "@complexity('n')\ndef f(x):\n    pass\n"
-        assert codes(src, "src/repro/core/x.py") == []
+        src = "def f(x):\n    pass\n"
+        assert codes(src, "src/repro/core/x.py", "n") == []
 
     def test_unparseable_declared_budget_flagged(self):
-        # Via the AST (a string the runtime decorator would reject).
-        src = "@complexity('n!')\ndef f(x):\n    pass\n"
-        assert codes(src, "src/repro/core/x.py") == ["REPRO011"]
+        # A table entry whose budget is outside the grammar.
+        src = "def f(x):\n    pass\n"
+        assert codes(src, "src/repro/core/x.py", "n!") == ["REPRO011"]
 
 
 class TestDriver:
@@ -180,9 +127,3 @@ class TestDriver:
         findings, checked = analyze([SRC_ROOT], ["contracts"])["contracts"]
         assert checked > 50
         assert findings == [], [f.render() for f in findings]
-
-    def test_every_required_file_exists(self):
-        for suffix in REQUIRED_CONTRACTS:
-            assert (SRC_ROOT.parent / "src" / suffix.replace("repro/", "repro/", 1)).parent.exists()
-            matches = list(SRC_ROOT.rglob(Path(suffix).name))
-            assert matches, f"no file matches {suffix}"

@@ -26,6 +26,7 @@ from repro.exitcodes import (
 )
 from repro.cli import main
 from repro.verify.faultflow import FAULTFLOW_RULES
+from repro.verify.lint import Surface, module_name
 from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
@@ -37,12 +38,16 @@ def dedent(source: str) -> str:
     return textwrap.dedent(source)
 
 
-def codes(source: str, path: str = "example.py") -> list:
-    return [f.code for f in findings(source, path)]
+def codes(source: str, path: str = "example.py", roots=("solve",)) -> list:
+    return [f.code for f in findings(source, path, roots)]
 
 
-def findings(source: str, path: str = "example.py") -> list:
-    return check_source("faults", dedent(source), Path(path))
+def findings(source: str, path: str = "example.py", roots=("solve",)) -> list:
+    """Run the pass with a contract declared for each of ``roots``
+    (``name`` / ``Class.name``) in the module."""
+    module = module_name(Path(path))
+    surface = Surface(contracts={f"{module}.{root}": ("n", ()) for root in roots})
+    return check_source("faults", dedent(source), Path(path), surface)
 
 
 # ----------------------------------------------------------------------
@@ -533,14 +538,13 @@ class TestExitCodeContract:
 
 
 # ----------------------------------------------------------------------
-# REPRO023 — determinism taint on @complexity paths
+# REPRO023 — determinism taint on contracted solver paths
 # ----------------------------------------------------------------------
 
 
 class TestDeterminismTaint:
     def test_unseeded_random_on_a_complexity_path_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 return random.random()
         """
@@ -548,7 +552,6 @@ class TestDeterminismTaint:
 
     def test_seeded_generator_construction_is_accepted(self):
         source = """
-            @complexity("n")
             def solve(chain, seed):
                 rng = random.Random(seed)
                 return rng.random()
@@ -557,7 +560,6 @@ class TestDeterminismTaint:
 
     def test_np_random_global_draw_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 return np.random.rand(len(chain))
         """
@@ -565,7 +567,6 @@ class TestDeterminismTaint:
 
     def test_np_default_rng_is_accepted(self):
         source = """
-            @complexity("n")
             def solve(chain, seed):
                 rng = np.random.default_rng(seed)
                 return rng.random()
@@ -574,7 +575,6 @@ class TestDeterminismTaint:
 
     def test_wall_clock_reads_are_flagged(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 started = time.time()
                 stamp = datetime.now()
@@ -584,7 +584,6 @@ class TestDeterminismTaint:
 
     def test_zoned_datetime_now_is_accepted(self):
         source = """
-            @complexity("n")
             def solve(chain, tz):
                 return datetime.now(tz)
         """
@@ -592,7 +591,6 @@ class TestDeterminismTaint:
 
     def test_os_environ_read_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 return os.environ.get("MODE", "fast")
         """
@@ -600,7 +598,6 @@ class TestDeterminismTaint:
 
     def test_unordered_iteration_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(entries):
                 for key in entries.keys():
                     emit(key)
@@ -611,7 +608,6 @@ class TestDeterminismTaint:
 
     def test_sorted_iteration_is_accepted(self):
         source = """
-            @complexity("n")
             def solve(entries):
                 for key in sorted(entries.keys()):
                     emit(key)
@@ -620,7 +616,6 @@ class TestDeterminismTaint:
 
     def test_date_today_is_a_wall_clock_read(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 return date.today()
         """
@@ -628,7 +623,6 @@ class TestDeterminismTaint:
 
     def test_async_for_over_a_set_is_flagged(self):
         source = """
-            @complexity("n")
             async def solve(chain, emit):
                 async for key in {1, 2}:
                     emit(key)
@@ -637,7 +631,6 @@ class TestDeterminismTaint:
 
     def test_set_comprehension_iteration_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(entries):
                 for key in {entry for entry in entries}:
                     emit(key)
@@ -646,7 +639,6 @@ class TestDeterminismTaint:
 
     def test_frozenset_iteration_is_flagged(self):
         source = """
-            @complexity("n")
             def solve(entries):
                 for key in frozenset(entries):
                     emit(key)
@@ -665,7 +657,6 @@ class TestDeterminismTaint:
             def jitter():
                 return random.random()
 
-            @complexity("n")
             def solve(chain):
                 return jitter()
         """
@@ -677,15 +668,13 @@ class TestDeterminismTaint:
                 def _noise(self):
                     return time.time()
 
-                @complexity("n")
                 def solve(self, chain):
                     return self._noise()
         """
-        assert codes(source) == ["REPRO023"]
+        assert codes(source, roots=("Solver.solve",)) == ["REPRO023"]
 
     def test_pragma_suppresses_on_the_taint_line(self):
         source = """
-            @complexity("n")
             def solve(chain):
                 if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in gate, never alters outputs
                     verify(chain)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.verify.hotpath import HOTPATH_RULES, LOOP_SCOPED_RULES
+from repro.verify.lint import Surface, module_name
 from repro.verify.passes import analyze, check_source
 
 REPO = Path(__file__).resolve().parents[2]
@@ -28,17 +29,16 @@ def dedent(source: str) -> str:
     return textwrap.dedent(source)
 
 
-def codes(source: str, path: str = "example.py") -> list:
-    return [f.code for f in findings(source, path)]
+def codes(source: str, path: str = "example.py", roots=("hot",)) -> list:
+    return [f.code for f in findings(source, path, roots)]
 
 
-def findings(source: str, path: str = "example.py") -> list:
-    return check_source("hotpath", dedent(source), Path(path))
-
-
-# Spliced as ``{HOT}def ...`` inside 12-space-indented f-string
-# fixtures; the trailing indent keeps the decorator and def aligned.
-HOT = '@complexity("n")\n            '
+def findings(source: str, path: str = "example.py", roots=("hot",)) -> list:
+    """Run the pass with a contract declared for each of ``roots``
+    (``name`` / ``Class.name``) in the module."""
+    module = module_name(Path(path))
+    surface = Surface(contracts={f"{module}.{root}": ("n", ()) for root in roots})
+    return check_source("hotpath", dedent(source), Path(path), surface)
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +58,6 @@ class TestRooting:
 
     def test_decorated_function_is_analyzed(self):
         source = """
-            @complexity("n")
             def hot(rows):
                 for row in rows:
                     scale = [1, 2, 3]
@@ -73,7 +72,6 @@ class TestRooting:
                     table = {"a": 1}
                     row.consume(table)
 
-            @complexity("n")
             def hot(rows):
                 return helper(rows)
         """
@@ -82,7 +80,6 @@ class TestRooting:
     def test_self_method_called_from_decorated_method(self):
         source = """
             class Plan:
-                @complexity("n")
                 def solve(self, rows):
                     return self._impl(rows)
 
@@ -91,12 +88,11 @@ class TestRooting:
                         table = {"a": 1}
                         row.consume(table)
         """
-        assert codes(source) == ["REPRO016"]
+        assert codes(source, roots=("Plan.solve",)) == ["REPRO016"]
 
     def test_unreached_sibling_method_is_not_analyzed(self):
         source = """
             class Plan:
-                @complexity("n")
                 def solve(self, rows):
                     return list(rows)
 
@@ -105,17 +101,18 @@ class TestRooting:
                         table = {"a": 1}
                         row.consume(table)
         """
-        assert codes(source) == []
+        assert codes(source, roots=("Plan.solve",)) == []
 
     def test_dotted_complexity_decorator_roots(self):
+        # A file inside the repro package is keyed by its dotted module
+        # name (repro.core.solver.hot), not by its file name.
         source = """
-            @contracts.complexity("n log n")
             def hot(rows):
                 for row in rows:
                     scale = [1, 2]
                     row.consume(scale)
         """
-        assert codes(source) == ["REPRO016"]
+        assert codes(source, "src/repro/core/solver.py") == ["REPRO016"]
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +141,7 @@ class TestLoopInvariantAllocations:
         source = f"""
             import numpy as np
 
-            {HOT}def hot(rows, weights, lo, hi):
+            def hot(rows, weights, lo, hi):
                 for row in rows:
                     scratch = {alloc}
                     row.consume(scratch)
@@ -164,7 +161,7 @@ class TestLoopInvariantAllocations:
         source = f"""
             import numpy as np
 
-            {HOT}def hot(rows):
+            def hot(rows):
                 for row in rows:
                     scratch = {alloc}
                     use(scratch)
@@ -172,28 +169,28 @@ class TestLoopInvariantAllocations:
         assert codes(source) == []
 
     def test_empty_literal_accumulator_is_exempt(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 out = []
                 for row in rows:
                     bucket = []
-                    table = {{}}
+                    table = {}
                     out.append((bucket, table))
                 return out
         """
         assert codes(source) == []
 
     def test_all_constant_tuple_is_exempt(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 for row in rows:
                     row.consume((1, 2, 3))
         """
         assert codes(source) == []
 
     def test_name_assigned_in_body_counts_as_variant(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 for row in rows:
                     size = row.size
                     scratch = [size, size]
@@ -204,8 +201,8 @@ class TestLoopInvariantAllocations:
     def test_invariant_in_inner_loop_checks_all_enclosing_loops(self):
         # ``col`` varies with the *outer* loop: hoisting past it would
         # change behaviour, so no enclosing loop admits the hoist.
-        source = f"""
-            {HOT}def hot(rows, cols):
+        source = """
+            def hot(rows, cols):
                 for col in cols:
                     for row in rows:
                         pair = [col, col]
@@ -214,8 +211,8 @@ class TestLoopInvariantAllocations:
         assert codes(source) == []
 
     def test_finding_names_function_and_loop_line(self):
-        source = f"""
-            {HOT}def hot(rows, lo):
+        source = """
+            def hot(rows, lo):
                 for row in rows:
                     row.consume([lo, lo])
         """
@@ -232,8 +229,8 @@ class TestLoopInvariantAllocations:
 
 class TestRepeatedAttributeLoads:
     def test_two_loads_per_iteration_flagged_once(self):
-        source = f"""
-            {HOT}def hot(edges):
+        source = """
+            def hot(edges):
                 total = 0
                 for edge in edges:
                     if edge.first_prime > 0:
@@ -246,8 +243,8 @@ class TestRepeatedAttributeLoads:
         assert "2x" in found[0].message
 
     def test_single_load_is_fine(self):
-        source = f"""
-            {HOT}def hot(edges):
+        source = """
+            def hot(edges):
                 total = 0
                 for edge in edges:
                     total += edge.weight
@@ -256,8 +253,8 @@ class TestRepeatedAttributeLoads:
         assert codes(source) == []
 
     def test_maximal_chain_only(self):
-        source = f"""
-            {HOT}def hot(self, edges):
+        source = """
+            def hot(self, edges):
                 for edge in edges:
                     use(self.cache.table)
                     use(self.cache.table)
@@ -267,16 +264,16 @@ class TestRepeatedAttributeLoads:
         assert "self.cache.table" in found[0].message
 
     def test_stored_path_is_exempt(self):
-        source = f"""
-            {HOT}def hot(self, edges):
+        source = """
+            def hot(self, edges):
                 for edge in edges:
                     self.total = self.total + edge.weight
         """
         assert codes(source) == []
 
     def test_stored_prefix_is_exempt(self):
-        source = f"""
-            {HOT}def hot(self, edges):
+        source = """
+            def hot(self, edges):
                 for edge in edges:
                     use(self.box.value)
                     use(self.box.value)
@@ -285,8 +282,8 @@ class TestRepeatedAttributeLoads:
         assert codes(source) == []
 
     def test_rebound_root_is_exempt(self):
-        source = f"""
-            {HOT}def hot(nodes):
+        source = """
+            def hot(nodes):
                 for n in nodes:
                     cursor = n
                     use(cursor.next)
@@ -296,8 +293,8 @@ class TestRepeatedAttributeLoads:
         assert codes(source) == []
 
     def test_while_test_counts_as_per_iteration(self):
-        source = f"""
-            {HOT}def hot(q, sentinel):
+        source = """
+            def hot(q, sentinel):
                 while q.head is not None and q.head is not sentinel:
                     q.pop()
         """
@@ -306,8 +303,8 @@ class TestRepeatedAttributeLoads:
         assert "q.head" in found[0].message
 
     def test_subscripted_chain_is_not_counted(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 for row in rows:
                     use(rows[0].weight)
                     use(rows[0].weight)
@@ -315,8 +312,8 @@ class TestRepeatedAttributeLoads:
         assert codes(source) == []
 
     def test_loads_in_different_loops_do_not_accumulate(self):
-        source = f"""
-            {HOT}def hot(edges):
+        source = """
+            def hot(edges):
                 for edge in edges:
                     use(edge.weight)
                 for edge in edges:
@@ -332,8 +329,8 @@ class TestRepeatedAttributeLoads:
 
 class TestQuadraticIdioms:
     def test_insert_front_is_flagged(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 out = []
                 for row in rows:
                     out.insert(0, row)
@@ -342,8 +339,8 @@ class TestQuadraticIdioms:
         assert codes(source) == ["REPRO018"]
 
     def test_insert_elsewhere_is_fine(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 out = []
                 for row in rows:
                     out.insert(1, row)
@@ -352,8 +349,8 @@ class TestQuadraticIdioms:
         assert codes(source) == []
 
     def test_list_membership_is_flagged(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 for row in rows:
                     if row in [1, 2, 3]:
                         use(row)
@@ -361,10 +358,10 @@ class TestQuadraticIdioms:
         assert codes(source) == ["REPRO018"]
 
     def test_set_membership_is_fine(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 for row in rows:
-                    if row in {{1, 2, 3}}:
+                    if row in {1, 2, 3}:
                         use(row)
         """
         assert codes(source) == []
@@ -380,7 +377,7 @@ class TestQuadraticIdioms:
     )
     def test_concat_growth_is_flagged(self, stmt):
         source = f"""
-            {HOT}def hot(rows, acc):
+            def hot(rows, acc):
                 for row in rows:
                     {stmt}
                 return acc
@@ -388,8 +385,8 @@ class TestQuadraticIdioms:
         assert codes(source) == ["REPRO018"]
 
     def test_numeric_augassign_is_fine(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 total = 0
                 for row in rows:
                     total += 1
@@ -398,8 +395,8 @@ class TestQuadraticIdioms:
         assert codes(source) == []
 
     def test_outside_loop_is_fine(self):
-        source = f"""
-            {HOT}def hot(rows):
+        source = """
+            def hot(rows):
                 out = list(rows)
                 out.insert(0, None)
                 return out
@@ -414,10 +411,10 @@ class TestQuadraticIdioms:
 
 class TestNumpyTemporaryChains:
     def test_chained_binops_on_arrays_flagged(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(bounds):
+            def hot(bounds):
                 acc = np.zeros(8)
                 for k in bounds:
                     out = acc * k + acc
@@ -426,10 +423,10 @@ class TestNumpyTemporaryChains:
         assert codes(source) == ["REPRO019"]
 
     def test_single_binop_is_fine(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(bounds):
+            def hot(bounds):
                 acc = np.zeros(8)
                 for k in bounds:
                     use(acc * k)
@@ -437,18 +434,18 @@ class TestNumpyTemporaryChains:
         assert codes(source) == []
 
     def test_scalar_chain_is_fine(self):
-        source = f"""
-            {HOT}def hot(bounds):
+        source = """
+            def hot(bounds):
                 for k in bounds:
                     use(k * 2 + 1 - 3)
         """
         assert codes(source) == []
 
     def test_elementwise_call_counts_as_temporary(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(bounds):
+            def hot(bounds):
                 acc = np.zeros(8)
                 for k in bounds:
                     out = np.minimum(acc, k) + acc
@@ -457,10 +454,10 @@ class TestNumpyTemporaryChains:
         assert codes(source) == ["REPRO019"]
 
     def test_parameter_fed_to_numpy_is_array_like(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(prefix, bounds):
+            def hot(prefix, bounds):
                 idx = np.searchsorted(prefix, 0.0)
                 for k in bounds:
                     gap = prefix * k + prefix
@@ -469,10 +466,10 @@ class TestNumpyTemporaryChains:
         assert codes(source) == ["REPRO019"]
 
     def test_derived_array_names_propagate(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(bounds):
+            def hot(bounds):
                 base = np.zeros(8)
                 derived = base
                 for k in bounds:
@@ -482,10 +479,10 @@ class TestNumpyTemporaryChains:
         assert codes(source) == ["REPRO019"]
 
     def test_outside_loop_is_fine(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(k):
+            def hot(k):
                 acc = np.zeros(8)
                 return acc * k + acc
         """
@@ -499,24 +496,24 @@ class TestNumpyTemporaryChains:
 
 class TestLoopScopedPragmas:
     def test_pragma_on_finding_line_suppresses(self):
-        source = f"""
-            {HOT}def hot(rows, lo):
+        source = """
+            def hot(rows, lo):
                 for row in rows:
                     row.consume([lo, lo])  # repro-lint: disable=REPRO016
         """
         assert codes(source) == []
 
     def test_pragma_on_loop_header_suppresses_body(self):
-        source = f"""
-            {HOT}def hot(rows, lo):
+        source = """
+            def hot(rows, lo):
                 for row in rows:  # repro-lint: disable=REPRO016
                     row.consume([lo, lo])
         """
         assert codes(source) == []
 
     def test_pragma_on_outer_loop_covers_nested_loops(self):
-        source = f"""
-            {HOT}def hot(rows, cols, lo):
+        source = """
+            def hot(rows, cols, lo):
                 for col in cols:  # repro-lint: disable=REPRO016,REPRO017
                     for row in rows:
                         use(col.scale)
@@ -526,8 +523,8 @@ class TestLoopScopedPragmas:
         assert codes(source) == []
 
     def test_pragma_on_inner_loop_does_not_cover_outer_body(self):
-        source = f"""
-            {HOT}def hot(rows, cols, lo):
+        source = """
+            def hot(rows, cols, lo):
                 for col in cols:
                     for row in rows:  # repro-lint: disable=REPRO016
                         row.consume([lo, lo])
@@ -536,21 +533,21 @@ class TestLoopScopedPragmas:
         found = findings(source)
         assert [f.code for f in found] == ["REPRO016"]
         # Only the outer-loop allocation survives.
-        assert found[0].line == 7
+        assert found[0].line == 6
 
     def test_pragma_for_other_code_does_not_suppress(self):
-        source = f"""
-            {HOT}def hot(rows, lo):
+        source = """
+            def hot(rows, lo):
                 for row in rows:  # repro-lint: disable=REPRO017
                     row.consume([lo, lo])
         """
         assert codes(source) == ["REPRO016"]
 
     def test_repro019_pragma_is_line_anchored_only(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def hot(bounds):
+            def hot(bounds):
                 acc = np.zeros(8)
                 for k in bounds:  # repro-lint: disable=REPRO019
                     out = acc * k + acc
@@ -590,16 +587,16 @@ class TestTreeAndCli:
     def test_scope_excludes_non_solver_repro_packages(self, tmp_path):
         pkg = tmp_path / "repro" / "observability"
         pkg.mkdir(parents=True)
+        # bandwidth_min is a contracted root in repro.core.bandwidth.
         bad = (
-            '@complexity("n")\n'
-            "def hot(rows, lo):\n"
+            "def bandwidth_min(rows, lo):\n"
             "    for row in rows:\n"
             "        row.consume([lo, lo])\n"
         )
         (pkg / "metrics.py").write_text(bad)
         core = tmp_path / "repro" / "core"
         core.mkdir(parents=True)
-        (core / "solver.py").write_text(bad)
+        (core / "bandwidth.py").write_text(bad)
         found, checked = analyze([tmp_path], ["hotpath"])["hotpath"]
         assert checked == 1
         assert [f.code for f in found] == ["REPRO016"]
@@ -621,10 +618,12 @@ class TestTreeAndCli:
         assert "analyze: clean (hotpath)" in capsys.readouterr().err
 
     def test_main_reports_findings(self, tmp_path, capsys):
-        target = tmp_path / "hot.py"
+        # The file layout declares the root: bandwidth_min is contracted
+        # in repro.core.bandwidth.
+        target = tmp_path / "repro" / "core" / "bandwidth.py"
+        target.parent.mkdir(parents=True)
         target.write_text(
-            '@complexity("n")\n'
-            "def hot(rows, lo):\n"
+            "def bandwidth_min(rows, lo):\n"
             "    for row in rows:\n"
             "        row.consume([lo, lo])\n"
         )
@@ -645,8 +644,8 @@ class TestTreeAndCli:
         assert "cannot parse" in capsys.readouterr().err
 
     def test_findings_are_sorted(self, tmp_path):
-        source = f"""
-            {HOT}def hot(rows, lo):
+        source = """
+            def hot(rows, lo):
                 out = []
                 for row in rows:
                     out.insert(0, row)
@@ -665,8 +664,8 @@ class TestTreeAndCli:
 
 class TestAsyncAndEdgeCases:
     def test_async_function_and_async_for_are_analyzed(self):
-        source = f"""
-            {HOT}async def agg(stream, k):
+        source = """
+            async def agg(stream, k):
                 total = 0
                 async for cursor in stream:
                     pad = [k, k]
@@ -674,24 +673,24 @@ class TestAsyncAndEdgeCases:
                     total += cursor.bias * cursor.bias + pad[0]
                 return total
         """
-        found = codes(source)
+        found = codes(source, roots=("agg",))
         # The invariant literal and the doubled cursor.bias load both
         # fire; rebinding the async-for target does not exempt it.
         assert sorted(found) == ["REPRO016", "REPRO017"]
 
     def test_async_for_target_is_loop_variant(self):
-        source = f"""
-            {HOT}async def collect(stream):
+        source = """
+            async def collect(stream):
                 out = []
                 async for row in stream:
                     out.append([row, row])
                 return out
         """
-        assert codes(source) == []
+        assert codes(source, roots=("collect",)) == []
 
     def test_deleted_name_is_loop_variant(self):
-        source = f"""
-            {HOT}def consume(rows, handle):
+        source = """
+            def consume(rows, handle):
                 out = []
                 for row in rows:
                     out.append([handle, handle])
@@ -700,11 +699,11 @@ class TestAsyncAndEdgeCases:
         """
         # `del handle` inside the body means the name cannot be hoisted
         # past the loop — it must count as loop-variant.
-        assert codes(source) == []
+        assert codes(source, roots=("consume",)) == []
 
     def test_not_in_list_membership_flagged_once(self):
-        source = f"""
-            {HOT}def skim(rows):
+        source = """
+            def skim(rows):
                 kept = []
                 for row in rows:
                     if row not in [3, 5, 7]:
@@ -713,13 +712,13 @@ class TestAsyncAndEdgeCases:
         """
         # REPRO018 for the linear scan; the comparator literal must not
         # double-report as a REPRO016 allocation.
-        assert codes(source) == ["REPRO018"]
+        assert codes(source, roots=("skim",)) == ["REPRO018"]
 
     def test_array_seed_fixpoint_handles_self_assignment(self):
-        source = f"""
+        source = """
             import numpy as np
 
-            {HOT}def normalize(rows):
+            def normalize(rows):
                 buf = np.zeros(8)
                 buf = buf * 1.0
                 out = 0.0
@@ -729,4 +728,4 @@ class TestAsyncAndEdgeCases:
         """
         # `buf = buf * 1.0` makes targets == array_names exactly: the
         # seeding fixpoint must still terminate and keep buf array-like.
-        assert codes(source) == ["REPRO019"]
+        assert codes(source, roots=("normalize",)) == ["REPRO019"]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify.lint import RULES, iter_python_files, main
+from repro.verify.lint import RULES, iter_python_files, main, module_name
 from repro.verify.passes import analyze, check_source
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
@@ -275,6 +275,20 @@ class TestDriver:
         assert checked > 50
         assert findings == [], [f.render() for f in findings]
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ("src/repro/core/bandwidth.py", "repro.core.bandwidth"),
+            ("/ci/repro/src/repro/engine/plan.py", "repro.engine.plan"),
+            ("src/repro/engine/__init__.py", "repro.engine"),
+            ("tests/verify/fixtures/hotpath/clean.py", "clean"),
+            ("__init__.py", "__init__"),
+        ],
+    )
+    def test_module_name(self, path, name):
+        # The declared-surface tables are keyed by this dotted name.
+        assert module_name(Path(path)) == name
+
     def test_iter_python_files_single_file(self):
         files = list(iter_python_files([SRC_ROOT / "repro" / "cli.py"]))
         assert len(files) == 1
@@ -323,7 +337,7 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 class TestModuleEntryPoint:
     """``python -m repro.verify.lint`` runs the lint module as
     ``__main__``; runpy warns when importing the package has already
-    loaded it, so the solvers' ``@complexity`` import must not."""
+    loaded it, so ``import repro`` must not."""
 
     def test_import_repro_leaves_lint_unloaded(self):
         result = _run_python(

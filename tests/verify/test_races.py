@@ -2,8 +2,8 @@
 
 Two layers: harness mechanics (deterministic op streams, exception
 propagation, a *guaranteed* lost-update detection via a barrier-forced
-interleaving), and the acceptance runs from the issue — 8 threads
-hammering every ``@shared_state`` object with certificate-checked end
+interleaving), and the acceptance runs — 8 threads hammering the
+declared shared-state objects with certificate-checked end
 states.  The acceptance runs are the dynamic complement of the static
 REPRO013 pass: they prove the declared locks actually close the races.
 """
