@@ -1058,16 +1058,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "mutate",
-        help="mutation-analysis gate: prove the verification stack kills "
-             "seeded solver bugs",
+        help="mutation-analysis gate: prove the tests kill seeded solver "
+             "bugs",
         description=(
             "Seed semantic faults into the solver modules with domain-aware "
-            "AST operators, run each mutant through the layered kill "
-            "pipeline (targeted tests -> certificates -> NumPy-vs-python "
-            "cross-check -> contract passes) in a fork sandbox, and report "
-            "the kill matrix and per-package mutation scores.  Exit 1 when "
-            "a score falls below its threshold or regresses against "
-            "--baseline."
+            "AST operators, run each mutant in a fork sandbox (import, then "
+            "the module's targeted test files; a hang or a dead child counts "
+            "as a kill), and report the kill matrix and per-package mutation "
+            "scores.  Exit 1 when a score falls below its threshold or "
+            "regresses against --baseline."
         ),
     )
     p.add_argument(

@@ -21,11 +21,7 @@ from typing import List, Optional
 
 from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import validate_bound
-from repro.core.prime_subpaths import (
-    PrimeStructure,
-    edge_membership_intervals,
-    find_prime_subpaths,
-)
+from repro.core.prime_subpaths import PrimeStructure
 from repro.core.temp_s import SolutionNode, solution_weight
 from repro.graphs.chain import Chain
 

@@ -45,8 +45,9 @@ that observation into tooling:
 - :mod:`repro.verify.operators` / :mod:`repro.verify.sandbox` /
   :mod:`repro.verify.mutate` — the mutation-analysis engine behind
   ``repro mutate``: domain-aware AST fault seeding into product code
-  (solvers, engine, Nicol baseline), fork-isolated kill pipelines and
-  the CI-gated kill matrix.
+  (solvers, tree substrate, engine, Nicol baseline), each mutant run
+  against its module's tier-1 tests in a fork sandbox, and the
+  CI-gated kill matrix.
 
 The analyzers are checkers, not mutation targets: each has its own
 unit tests, and a fixture corpus under ``tests/verify/fixtures/`` pins

@@ -1,41 +1,40 @@
-"""Mutation-analysis engine: prove the verification stack kills bugs.
+"""Mutation-analysis engine: prove the tests kill solver bugs.
 
-The verification net — tier-1 tests, O(n) certificate checkers, the
-NumPy-vs-python cross-check, contract/flow static passes — is only
-worth its cost if it would actually catch a regression in Algorithm
-4.1's prime-subpath sweep or the tree greedy.  This module measures
-that: it seeds semantic faults with the domain-aware operators of
-:mod:`repro.verify.operators`, runs each mutant through a fast kill
-pipeline in a fork sandbox (:mod:`repro.verify.sandbox`), and reports a
-kill matrix attributing every kill to the *first* layer that caught it.
+The tier-1 tests are only worth their cost if they would actually
+catch a regression in Algorithm 4.1's prime-subpath sweep or the tree
+greedy.  This module measures that: it seeds semantic faults with the
+domain-aware operators of :mod:`repro.verify.operators`, runs each
+mutant through a kill pipeline in a fork sandbox
+(:mod:`repro.verify.sandbox`), and reports a kill matrix attributing
+every kill to the layer that caught it.
 
-Only product code is mutated: the solvers, the engine's kernels, plan
-and cache, and the Nicol baseline (:data:`TARGETS`).  The static
-analyzers are checkers, not targets; their own unit tests and the
-fixture corpus under ``tests/verify/fixtures/`` pin what they report.
+Only product code is mutated: the solvers, the tree substrate, the
+engine's kernels, plan and cache, and the Nicol baseline
+(:data:`TARGETS`).  The static analyzers are checkers, not targets;
+their own unit tests and the fixture corpus under
+``tests/verify/fixtures/`` pin what they report.
 
-Kill pipeline order (cheapest-first, matching how a real regression
-would be caught)::
+Kill pipeline order::
 
-    import -> test -> certificate -> cross-check -> contract
+    import -> test
 
-plus two pseudo-layers: ``timeout`` (non-terminating mutants — flipped
-``while`` predicates — killed by the sandbox deadline) and ``crash``
-(child died without a verdict).
+where ``test`` runs the target's own test files (:data:`TARGETS`), the
+one oracle: a mutant no test notices needs a new test or a
+``# repro-mutate: equivalent=`` annotation.  Two pseudo-layers follow:
+``timeout`` (non-terminating mutants — flipped ``while`` predicates —
+killed by the sandbox deadline) and ``crash`` (child died without a
+verdict).
 
 Scoring follows the standard definition: ``killed / (killed +
 survived)``, with annotated-equivalent mutants excluded from the
 denominator entirely.  Survivors are triaged in the report with their
-source diff and a per-layer note on why each layer passed them — the
-actionable artifact: every survivor is either a missing test or a
-``# repro-mutate: equivalent=`` annotation waiting to be written.
+source diff and the layers that passed them.
 
 Determinism contract: site enumeration is canonical (see
 :mod:`~repro.verify.operators`), sampling uses ``random.Random(seed)``,
-golden observations are canonical JSON, and the report carries no
-timing fields — two runs at the same seed on the same tree produce
-byte-identical ``--json`` output, which is what the committed CI
-baseline diffs against.
+and the report carries no timing fields — two runs at the same seed on
+the same tree produce byte-identical ``--json`` output, which is what
+the committed CI baseline diffs against.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import ast
 import difflib
 import importlib
-import json
 import os
 import random
 import time
@@ -57,12 +55,7 @@ from repro.verify.operators import (
     equivalent_annotations,
     site_is_annotated,
 )
-from repro.verify.sandbox import (
-    SandboxResult,
-    install_module_source,
-    run_sandboxed,
-    silenced_output,
-)
+from repro.verify.sandbox import install_module_source, run_sandboxed, silenced_output
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -77,11 +70,10 @@ __all__ = [
 ]
 
 #: Schema version of the ``repro mutate --json`` report.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Kill-attribution layers, in pipeline order (pseudo-layers last).
-KILL_LAYERS = ("import", "test", "certificate", "cross-check", "contract",
-               "timeout", "crash")
+KILL_LAYERS = ("import", "test", "timeout", "crash")
 
 #: Minimum mutation score per package — the CI gate's floor.  The
 #: committed baseline ratchets above these floors; they are the
@@ -103,68 +95,37 @@ class UnknownModuleError(ValueError):
 
 
 class MutationTarget:
-    """One mutable module: its targeted tests and observation suites."""
+    """One mutable module and the test files that must kill its mutants."""
 
-    __slots__ = ("module", "tests", "suites")
+    __slots__ = ("module", "tests")
 
-    def __init__(
-        self, module: str, tests: Tuple[str, ...], suites: Tuple[str, ...]
-    ) -> None:
+    def __init__(self, module: str, tests: Tuple[str, ...]) -> None:
         self.module = module
         self.tests = tests
-        self.suites = suites
 
 
-#: The mutable surface: every product module whose bugs the verification
-#: stack claims to catch.  Test paths are relative to the repo root.
+#: The mutable surface: every product module whose bugs the tests claim
+#: to catch.  Test paths are relative to the repo root.
 TARGETS: Dict[str, MutationTarget] = {
     t.module: t
     for t in (
+        MutationTarget("repro.core.bandwidth", ("tests/core/test_bandwidth.py",)),
         MutationTarget(
-            "repro.core.bandwidth",
-            ("tests/core/test_bandwidth.py",),
-            ("chain",),
+            "repro.core.prime_subpaths", ("tests/core/test_prime_subpaths.py",)
         ),
-        MutationTarget(
-            "repro.core.prime_subpaths",
-            ("tests/core/test_prime_subpaths.py",),
-            ("chain", "prime"),
-        ),
-        MutationTarget(
-            "repro.core.temp_s",
-            ("tests/core/test_temp_s.py",),
-            ("chain",),
-        ),
-        MutationTarget(
-            "repro.core.bottleneck",
-            ("tests/core/test_bottleneck.py",),
-            ("tree",),
-        ),
+        MutationTarget("repro.core.temp_s", ("tests/core/test_temp_s.py",)),
+        MutationTarget("repro.core.bottleneck", ("tests/core/test_bottleneck.py",)),
         MutationTarget(
             "repro.graphs.tree",
             ("tests/graphs/test_tree.py", "tests/core/test_bottleneck.py"),
-            ("tree",),
         ),
         MutationTarget(
             "repro.engine.kernels",
             ("tests/engine/test_kernels.py", "tests/engine/test_native_sweep.py"),
-            ("chain", "prime", "engine"),
         ),
-        MutationTarget(
-            "repro.engine.cache",
-            ("tests/engine/test_cache.py",),
-            ("chain", "engine"),
-        ),
-        MutationTarget(
-            "repro.engine.plan",
-            ("tests/engine/test_plan.py",),
-            ("plan",),
-        ),
-        MutationTarget(
-            "repro.baselines.nicol",
-            ("tests/baselines/test_nicol.py",),
-            ("nicol",),
-        ),
+        MutationTarget("repro.engine.cache", ("tests/engine/test_cache.py",)),
+        MutationTarget("repro.engine.plan", ("tests/engine/test_plan.py",)),
+        MutationTarget("repro.baselines.nicol", ("tests/baselines/test_nicol.py",)),
     )
 }
 
@@ -173,561 +134,6 @@ def _repo_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parents[2]
-
-
-# ----------------------------------------------------------------------
-# Canonical workloads
-#
-# Small, deterministic, boundary-hitting: K exactly at a prime-subpath
-# weight, K exactly at the max task weight, singleton chains, all-equal
-# weights, tie-broken reductions, zero-weight edges.  Bounds are chosen
-# with chain-only arithmetic (prefix sums), never by calling the code
-# under mutation — a mutant must not be able to move the goalposts.
-# ----------------------------------------------------------------------
-
-
-def _chain_cases() -> List[Tuple[str, Any, float]]:
-    from repro.graphs.chain import Chain
-    from repro.graphs.generators import random_chain, uniform_chain
-
-    cases: List[Tuple[str, Any, float]] = []
-    small = Chain([4, 3, 5, 2, 6], [7, 1, 9, 2])
-    # K=9: primes (0..2)=12, (1..3)=10, (2..4)=13; optimal cut {1, 3}.
-    cases.append(("small-k9", small, 9.0))
-    # K exactly equal to the (1..3) prime weight — boundary probe.
-    cases.append(("small-kprime10", small, 10.0))
-    cases.append(("small-kprime12", small, 12.0))
-    # K exactly the max task weight — tightest feasible bound.
-    cases.append(("small-ktight", small, 6.0))
-    cases.append(("small-kloose", small, 21.0))
-    cases.append(("singleton", Chain([5.0], []), 5.0))
-    cases.append(("singleton-loose", Chain([5.0], []), 7.5))
-    uni = uniform_chain(16)
-    cases.append(("uniform-k1", uni, 1.0))
-    cases.append(("uniform-k3", uni, 3.0))
-    cases.append(("uniform-k16", uni, 16.0))
-    # Equal betas: the non-redundant reduction's strict-< tie-break
-    # keeps the leftmost edge; a flipped tie-break changes the cut.
-    ties = Chain([3, 3, 3, 3, 3, 3], [2, 2, 2, 2, 2])
-    cases.append(("ties-k6", ties, 6.0))
-    cases.append(("ties-k9", ties, 9.0))
-    cases.append(("zero-edge", Chain([4, 2, 4], [0.0, 5.0]), 6.0))
-    rng = random.Random(20260807)
-    rand_f = random_chain(60, rng=rng)
-    wmax_f = max(rand_f.alpha)
-    cases.append(("rand60-k2x", rand_f, 2.0 * wmax_f))
-    cases.append(("rand60-k6x", rand_f, 6.0 * wmax_f))
-    rand_i = random_chain(80, rng=rng, integer_weights=True)
-    wmax_i = max(rand_i.alpha)
-    cases.append(("randint80-k3x", rand_i, 3.0 * wmax_i))
-    # K exactly equal to a mid-chain segment weight: hits the critical-
-    # window predicate's <=/> boundary on exact (integer) arithmetic.
-    cases.append(("randint80-kseg", rand_i, rand_i.segment_weight(10, 14)))
-    cases.append(("randint80-ktight", rand_i, float(wmax_i)))
-    return cases
-
-
-def _tree_cases() -> List[Tuple[str, Any, float]]:
-    from repro.graphs.generators import random_star, random_tree
-
-    cases: List[Tuple[str, Any, float]] = []
-    from repro.graphs.tree import Tree
-
-    small = Tree(
-        [4.0, 3.0, 5.0, 2.0, 6.0, 1.0, 3.0],
-        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)],
-        [10.0, 20.0, 30.0, 40.0, 50.0, 60.0],
-    )
-    for bound in (6.0, 7.0, 9.0, 12.0, 24.0):
-        cases.append((f"small7-k{bound:g}", small, bound))
-    star = random_star(9, rng=random.Random(7))
-    wmax = max(star.vertex_weights)
-    cases.append(("star9-tight", star, float(wmax)))
-    cases.append(("star9-loose", star, 3.0 * wmax))
-    rnd = random_tree(40, rng=random.Random(11), integer_weights=True)
-    rmax = max(rnd.vertex_weights)
-    for ratio in (1.0, 2.0, 4.0):
-        cases.append((f"rand40-k{ratio:g}x", rnd, ratio * rmax))
-    return cases
-
-
-def _canon(payload: Any) -> str:
-    """Canonical JSON — the comparable form of an observation suite."""
-    return json.dumps(payload, sort_keys=True, indent=1)
-
-
-def _strip_trace(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Span records minus wall-clock fields (determinism contract)."""
-    out: List[Dict[str, Any]] = []
-    for record in records:
-        out.append(
-            {k: v for k, v in record.items() if k not in ("start_s", "duration_s")}
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
-# Observation suites
-#
-# Each suite returns a JSON-able payload computed through the *current*
-# process's solver bindings (lazy imports, so a sandbox-installed mutant
-# is what actually runs).  The parent computes the same payload on
-# pristine code as the golden; the cross-check stage compares the two
-# canonical JSON strings.
-# ----------------------------------------------------------------------
-
-
-def _result_row(result: Any) -> Dict[str, Any]:
-    return {"cut": list(result.cut_indices), "weight": result.weight}
-
-
-def _kernel_row(chain: Any, bound: float) -> Dict[str, Any]:
-    """Each kernel primitive at ``(chain, bound)``, fed the reference's
-    rows so that a mutant shows in its own output, plus the compiled
-    plan's answer, the one place the primitives are chained."""
-    import numpy as np
-
-    from repro.core.prime_subpaths import PrimeStructure
-    from repro.engine.kernels import (
-        beta_array,
-        membership_intervals,
-        prefix_array,
-        prime_weight_array,
-        prime_windows,
-        reduced_class_arrays,
-        reduced_edge_arrays,
-        stability_end,
-        sweep_min_cut,
-        temps_sweep,
-    )
-    from repro.engine.plan import compile_chain
-
-    ref = PrimeStructure.compute(chain, bound)
-    first = np.asarray([sp.first_task for sp in ref.primes], dtype=np.int64)
-    last = np.asarray([sp.last_task for sp in ref.primes], dtype=np.int64)
-    edges = [
-        [e.index for e in ref.edges],
-        [e.weight for e in ref.edges],
-        [e.first_prime for e in ref.edges],
-        [e.last_prime for e in ref.edges],
-    ]
-    prefix = prefix_array(chain)
-    beta = beta_array(chain)
-    weights = prime_weight_array(prefix, first, last)
-    lo, hi = membership_intervals(first, last - 1, chain.num_edges)
-    plan_weights, plan_cuts = compile_chain(chain).solve_bounds(
-        [bound], return_cuts=True
-    )
-    return {
-        "windows": [w.tolist() for w in prime_windows(prefix, bound)],
-        "prime_weights": weights.tolist(),
-        "min_prime_weight": _finite(stability_end(weights)),
-        "lo": lo.tolist(),
-        "hi": hi.tolist(),
-        "reduced": [c.tolist() for c in reduced_edge_arrays(beta, lo, hi)],
-        "unreduced": [
-            c.tolist()
-            for c in reduced_edge_arrays(beta, lo, hi, apply_reduction=False)
-        ],
-        "classes": [
-            c.tolist()
-            for c in reduced_class_arrays(beta, first, last, chain.num_edges)
-        ],
-        "sweep": list(temps_sweep(*edges)),
-        "weight_sweep": temps_sweep(None, *edges[1:])[1],
-        "py_sweep": list(sweep_min_cut(*edges)),
-        "plan": [plan_cuts[0], float(plan_weights[0])],
-    }
-
-
-def _suite_chain() -> Any:
-    from repro.core.bandwidth import bandwidth_min
-    from repro.engine.kernels import HAVE_NUMPY
-    from repro.observability import Tracer
-
-    rows: List[Dict[str, Any]] = []
-    for name, chain, bound in _chain_cases():
-        row: Dict[str, Any] = {"case": name}
-        row["binary"] = _result_row(bandwidth_min(chain, bound))
-        stats_res = bandwidth_min(chain, bound, collect_stats=True)
-        stats = stats_res.stats
-        row["stats"] = {
-            "p": stats.p,
-            "r": stats.r,
-            "q_values": list(stats.q_values),
-            "search_steps": stats.search_steps,
-            "max_temp_s_len": stats.max_temp_s_len,
-            "mean_temp_s_len": stats.mean_temp_s_len,
-        }
-        linear = bandwidth_min(chain, bound, search="linear", collect_stats=True)
-        row["linear"] = _result_row(linear)
-        row["linear_search_steps"] = linear.stats.search_steps
-        row["noreduce"] = _result_row(bandwidth_min(chain, bound, apply_reduction=False))
-        if HAVE_NUMPY:
-            row["kernels"] = _kernel_row(chain, bound)
-        tracer = Tracer()
-        bandwidth_min(chain, bound, collect_stats=True, tracer=tracer)
-        row["trace"] = _strip_trace(tracer.records())
-        rows.append(row)
-    return rows
-
-
-def _suite_prime() -> Any:
-    from repro.core.prime_subpaths import (
-        PrimeStructure,
-        edge_membership_intervals,
-        find_prime_subpaths,
-        reduce_edges,
-    )
-    from repro.instrumentation.counters import OpCounter
-
-    rows: List[Dict[str, Any]] = []
-    for name, chain, bound in _chain_cases():
-        counter = OpCounter()
-        primes = find_prime_subpaths(chain, bound, counter=counter)
-        lo, hi = edge_membership_intervals(primes, chain.num_tasks - 1)
-        reduced = reduce_edges(chain, primes)
-        unreduced = reduce_edges(chain, primes, apply_reduction=False)
-        structure = PrimeStructure.compute(chain, bound)
-        rows.append(
-            {
-                "case": name,
-                "primes": [
-                    [sp.first_task, sp.last_task, sp.weight] for sp in primes
-                ],
-                "membership": [list(lo), list(hi)],
-                "reduced": [
-                    [e.index, e.weight, e.first_prime, e.last_prime] for e in reduced
-                ],
-                "r_unreduced": len(unreduced),
-                "counters": counter.as_dict(),
-                "structure": {
-                    "p": structure.p,
-                    "r": structure.r,
-                    "q_values": structure.q_values,
-                    "q": structure.q,
-                    "mean_prime_length": structure.mean_prime_length(),
-                    "min_prime_weight": _finite(structure.min_prime_weight()),
-                },
-            }
-        )
-    return rows
-
-
-def _finite(value: float) -> Any:
-    return value if value != float("inf") else "inf"
-
-
-def _suite_engine() -> Any:
-    from repro.core.bandwidth import ChainCutResult
-    from repro.engine import PartitionEngine
-    from repro.engine.cache import PlanCache
-    from repro.engine.kernels import HAVE_NUMPY
-    from repro.graphs.chain import Chain
-    from repro.graphs.generators import random_chain
-    from repro.observability import Tracer
-
-    rows: List[Dict[str, Any]] = []
-    chain = random_chain(120, rng=random.Random(20260808), integer_weights=True)
-    wmax = max(chain.alpha)
-    bounds = [
-        float(wmax),
-        1.5 * wmax,
-        2.0 * wmax,
-        2.0 * wmax,  # repeat: exact-hit path
-        chain.segment_weight(30, 41),  # exact segment boundary
-        3.0 * wmax,
-        6.0 * wmax,
-    ]
-    tracer = Tracer()
-    engine = PartitionEngine(tracer=tracer)
-    for bound in bounds:
-        result = engine.solve(chain, bound)
-        rows.append({"bound": bound, **_result_row(result)})
-    if HAVE_NUMPY:
-        plan_stats = engine.cache.stats
-        memo = engine.cache.get(chain)
-        rows.append(
-            {
-                "cache_stats": {
-                    "hits": plan_stats.hits,
-                    "misses": plan_stats.misses,
-                    "evictions": plan_stats.evictions,
-                },
-                "memo_stats": {
-                    "hits": memo.stats.hits,
-                    "interval_hits": memo.stats.interval_hits,
-                    "misses": memo.stats.misses,
-                    "evictions": memo.stats.evictions,
-                },
-                "len": len(memo),
-                "trace": _strip_trace(tracer.records()),
-            }
-        )
-        # Two same-length chains must never share a plan.
-        twin_a = Chain([4, 4, 4, 4], [1, 2, 3])
-        twin_b = Chain([4, 4, 4, 4], [3, 2, 1])
-        twin_cache = PlanCache(max_plans=2)
-        for twin in (twin_a, twin_b, twin_a):
-            weights, cuts = twin_cache.get(twin).solve_bounds(
-                [8.0], return_cuts=True
-            )
-            result = ChainCutResult(twin, cuts[0], float(weights[0]))
-            rows.append({"twin": _result_row(result)})
-        # Eviction pressure: 3 chains through a 2-plan cache.
-        for offset in range(3):
-            extra = Chain([2.0 + offset, 3.0, 2.0], [1.0, 1.0])
-            twin_cache.get(extra).solve_bounds([5.0 + offset])
-        rows.append(
-            {
-                "twin_evictions": twin_cache.stats.evictions,
-                "twin_len": len(twin_cache),
-            }
-        )
-        rows.append({"kernels": _kernel_row(chain, 2.0 * wmax)})
-    return rows
-
-
-def _suite_tree() -> Any:
-    from repro.core.bottleneck import bottleneck_min, bottleneck_min_naive
-
-    rows: List[Dict[str, Any]] = []
-    for name, tree, bound in _tree_cases():
-        fast = bottleneck_min(tree, bound)
-        naive = bottleneck_min_naive(tree, bound)
-        rows.append(
-            {
-                "case": name,
-                "fast": {
-                    "cut": sorted(list(e) for e in fast.cut_edges),
-                    "bottleneck": fast.bottleneck,
-                    "components": sorted(tree.component_weights(fast.cut_edges)),
-                },
-                "naive": {
-                    "cut": sorted(list(e) for e in naive.cut_edges),
-                    "bottleneck": naive.bottleneck,
-                },
-            }
-        )
-    return rows
-
-
-def _suite_plan() -> Any:
-    from repro.engine.kernels import HAVE_NUMPY
-
-    if not HAVE_NUMPY:  # pragma: no cover - minimal installs only
-        return [{"skipped": "numpy unavailable"}]
-    from repro.engine.plan import compile_chain
-
-    rows: List[Dict[str, Any]] = []
-    for name, chain, bound in _chain_cases():
-        # max_structures=4 against 5+ distinct intervals exercises the
-        # memo's eviction path; unsorted/duplicated bounds exercise the
-        # argsort + stability-interval group walk.
-        plan = compile_chain(chain, max_structures=4)
-        ks = [2.0 * bound, bound, bound, 1.25 * bound, 4.0 * bound,
-              3.0 * bound, bound]
-        weights, cuts = plan.solve_bounds(ks, return_cuts=True)
-        rows.append(
-            {
-                "case": name,
-                "weights": weights.tolist(),
-                "cuts": cuts,
-                "structures": len(plan),
-            }
-        )
-        if chain.num_edges:
-            betas = [
-                list(chain.beta),
-                [2.0 * b for b in chain.beta],
-                [0.5 * b + 1.0 for b in chain.beta],
-                list(reversed(chain.beta)),
-            ]
-            swept = plan.solve_beta_sweep(betas, 2.0 * bound)
-            rows.append({"case": name, "beta_weights": swept.tolist()})
-    return rows
-
-
-def _suite_nicol() -> Any:
-    from repro.baselines.nicol import bandwidth_min_nlogn
-    from repro.core.bandwidth import bandwidth_min
-
-    rows: List[Dict[str, Any]] = []
-    for name, chain, bound in _chain_cases():
-        baseline = bandwidth_min_nlogn(chain, bound)
-        reference = bandwidth_min(chain, bound)
-        rows.append(
-            {
-                "case": name,
-                "nicol": _result_row(baseline),
-                "weights_agree": baseline.weight == reference.weight,
-            }
-        )
-    return rows
-
-
-_SUITES: Dict[str, Callable[[], Any]] = {
-    "chain": _suite_chain,
-    "prime": _suite_prime,
-    "engine": _suite_engine,
-    "plan": _suite_plan,
-    "tree": _suite_tree,
-    "nicol": _suite_nicol,
-}
-
-
-# ----------------------------------------------------------------------
-# Certificate stage
-# ----------------------------------------------------------------------
-
-
-def _certify_chain() -> None:
-    from repro.core.bandwidth import bandwidth_min
-    from repro.engine.kernels import HAVE_NUMPY
-    from repro.verify.runtime import verify_chain_result
-
-    for _name, chain, bound in _chain_cases():
-        result = bandwidth_min(chain, bound)
-        verify_chain_result(
-            chain, result.cut_indices, bound, result.weight, optimal_bandwidth=True
-        )
-        if HAVE_NUMPY:
-            cut, weight = _kernel_row(chain, bound)["plan"]
-            verify_chain_result(chain, cut, bound, weight, optimal_bandwidth=True)
-
-
-def _certify_prime() -> None:
-    from repro.core.prime_subpaths import find_prime_subpaths
-    from repro.verify.certificates import check_prime_cover
-
-    for _name, chain, bound in _chain_cases():
-        find_prime_subpaths(chain, bound)
-        # A feasible empty cut exists iff total weight fits the bound;
-        # the certificate exercises the prime-cover invariants directly.
-        if chain.total_weight() <= bound:
-            check_prime_cover(chain, [], bound).raise_if_failed()
-
-
-def _certify_engine() -> None:
-    from repro.engine import PartitionEngine
-    from repro.graphs.generators import random_chain
-    from repro.verify.runtime import verify_cache_solve
-
-    chain = random_chain(120, rng=random.Random(20260808), integer_weights=True)
-    wmax = max(chain.alpha)
-    engine = PartitionEngine()
-    for bound in (float(wmax), 2.0 * wmax, 2.0 * wmax, 5.0 * wmax):
-        result = engine.solve(chain, bound)
-        verify_cache_solve(chain, bound, result)
-
-
-def _certify_plan() -> None:
-    from repro.engine.kernels import HAVE_NUMPY
-
-    if not HAVE_NUMPY:  # pragma: no cover - minimal installs only
-        return
-    from repro.core.bandwidth import ChainCutResult, bandwidth_min
-    from repro.engine.plan import compile_chain
-    from repro.graphs.chain import Chain
-    from repro.verify.runtime import verify_cache_solve
-
-    for _name, chain, bound in _chain_cases():
-        plan = compile_chain(chain)
-        ks = [bound, 1.5 * bound, bound]
-        weights, cuts = plan.solve_bounds(ks, return_cuts=True)
-        for k, weight, cut in zip(ks, weights, cuts):
-            verify_cache_solve(
-                chain, float(k), ChainCutResult(chain, list(cut), float(weight))
-            )
-        if chain.num_edges:
-            betas = [list(chain.beta), [3.0 * b for b in chain.beta]]
-            swept = plan.solve_beta_sweep(betas, 2.0 * bound)
-            for row, claimed in zip(betas, swept):
-                reference = bandwidth_min(Chain(chain.alpha, row), 2.0 * bound)
-                if float(claimed) != reference.weight:
-                    raise AssertionError(
-                        f"beta-sweep weight {claimed!r} diverged from the "
-                        f"scalar reference {reference.weight!r}"
-                    )
-
-
-def _certify_tree() -> None:
-    from repro.core.bottleneck import bottleneck_min
-    from repro.verify.certificates import check_tree_cut
-
-    for _name, tree, bound in _tree_cases():
-        result = bottleneck_min(tree, bound)
-        check_tree_cut(
-            tree, result.cut_edges, bound, claimed_bottleneck=result.bottleneck
-        ).raise_if_failed()
-
-
-def _certify_nicol() -> None:
-    from repro.baselines.nicol import bandwidth_min_nlogn
-    from repro.verify.runtime import verify_chain_result
-
-    for _name, chain, bound in _chain_cases():
-        result = bandwidth_min_nlogn(chain, bound)
-        verify_chain_result(chain, result.cut_indices, bound, result.weight)
-
-
-_CERTIFIERS: Dict[str, Callable[[], None]] = {
-    "chain": _certify_chain,
-    "prime": _certify_prime,
-    "engine": _certify_engine,
-    "plan": _certify_plan,
-    "tree": _certify_tree,
-    "nicol": _certify_nicol,
-}
-
-
-# ----------------------------------------------------------------------
-# Contract stage
-# ----------------------------------------------------------------------
-
-
-def _static_findings(source: str, path: Path) -> List[str]:
-    """Lint + contract + pool-rule findings, line numbers stripped.
-
-    Comments (and hence ``# repro-lint:`` pragmas) do not survive
-    ``ast.unparse``, so absolute findings on a mutant rendering would be
-    meaningless; the pipeline diffs these lists between the *unparsed
-    pristine* and *unparsed mutant* sources instead, making pragma loss
-    cancel out.
-    """
-    from repro.verify.lint import Module
-    from repro.verify.passes import run
-
-    module = Module(path, source)
-    return sorted(
-        f"{finding.code}: {finding.message}"
-        for section in ("lint", "contracts", "flow")
-        for finding in run(module, section)
-    )
-
-
-def _growth_probe() -> Optional[str]:
-    """REPRO009-style spot check: op counts must stay near-linear.
-
-    Catches correct-but-superlinear mutants (e.g. a window floor that
-    forces the sweep to rescan) that produce right answers too slowly
-    to notice on the tiny certificate workloads.
-    """
-    from repro.core.bandwidth import bandwidth_stats
-    from repro.graphs.generators import random_chain
-
-    ops: List[int] = []
-    for n in (256, 1024):
-        chain = random_chain(n, rng=random.Random(97 + n))
-        stats = bandwidth_stats(chain, 3.0 * max(chain.alpha))
-        ops.append(stats.search_steps + stats.p + stats.r + n)
-    ratio = ops[1] / max(ops[0], 1)
-    if ratio > 12.0:
-        return (
-            f"op-count growth ratio {ratio:.1f} over a 4x size increase "
-            f"exceeds the near-linear budget (op counts {ops[0]} -> {ops[1]})"
-        )
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -741,49 +147,12 @@ class PipelineSpec:
     ``tests`` are repo-relative paths, so kill details name them the
     same way on every checkout."""
 
-    __slots__ = (
-        "module",
-        "source",
-        "tests",
-        "suites",
-        "golden",
-        "pristine_findings",
-        "findings_path",
-    )
+    __slots__ = ("module", "source", "tests")
 
-    def __init__(
-        self,
-        module: str,
-        source: str,
-        tests: Tuple[str, ...],
-        suites: Tuple[str, ...],
-        golden: Dict[str, str],
-        pristine_findings: List[str],
-        findings_path: str,
-    ) -> None:
+    def __init__(self, module: str, source: str, tests: Tuple[str, ...]) -> None:
         self.module = module
         self.source = source
         self.tests = tests
-        self.suites = suites
-        self.golden = golden
-        self.pristine_findings = pristine_findings
-        self.findings_path = findings_path
-
-
-def _killed(
-    layer: str, detail: str, stages: List[Dict[str, str]]
-) -> Dict[str, Any]:
-    return {"status": "killed", "layer": layer, "detail": detail, "stages": stages}
-
-
-def _first_difference(expected: str, actual: str) -> str:
-    for exp_line, act_line in zip(expected.splitlines(), actual.splitlines()):
-        if exp_line != act_line:
-            return f"expected {exp_line.strip()!r}, got {act_line.strip()!r}"
-    return (
-        f"observation payloads differ in length "
-        f"({len(expected)} vs {len(actual)} chars)"
-    )
 
 
 def _describe(exc: BaseException) -> str:
@@ -792,102 +161,40 @@ def _describe(exc: BaseException) -> str:
 
 
 def pipeline_entry(spec: PipelineSpec) -> Dict[str, Any]:
-    """Run the staged kill pipeline; the sandbox child's target.
+    """Run the kill pipeline; the sandbox child's target.
 
     Returns the verdict dict.  Only ever call this in a sandbox child:
     it installs the spec's (possibly mutated) source into the live
     module graph.
     """
-    os.environ.pop("REPRO_VERIFY", None)  # certificates run explicitly
-    stages: List[Dict[str, str]] = []
     try:
         install_module_source(spec.module, spec.source)
     except BaseException as exc:  # noqa: BLE001 - verdict, not control flow
-        return _killed("import", _describe(exc), stages)
-    stages.append({"layer": "import", "note": "module compiled and installed"})
+        return {"status": "killed", "layer": "import", "detail": _describe(exc)}
+    import pytest
 
-    if spec.tests:
-        import pytest
-
-        rc = int(
-            pytest.main(
-                [
-                    *(str(_repo_root() / rel) for rel in spec.tests),
-                    "-x", "-q", "--no-header", "-p", "no:cacheprovider",
-                ]
-            )
+    rc = int(
+        pytest.main(
+            [
+                *(str(_repo_root() / rel) for rel in spec.tests),
+                "-x", "-q", "--no-header", "-p", "no:cacheprovider",
+            ]
         )
-        if rc == 5:
-            stages.append({"layer": "test", "note": "no tests collected (skipped)"})
-        elif rc != 0:
-            return _killed(
-                "test",
-                f"targeted pytest subset failed (exit {rc}): {', '.join(spec.tests)}",
-                stages,
-            )
-        else:
-            stages.append(
-                {"layer": "test", "note": f"passed: {', '.join(spec.tests)}"}
-            )
-
-    try:
-        for suite in spec.suites:
-            _CERTIFIERS[suite]()
-    except BaseException as exc:  # noqa: BLE001 - verdict, not control flow
-        return _killed("certificate", _describe(exc), stages)
-    stages.append(
-        {
-            "layer": "certificate",
-            "note": f"all paper-invariant certificates held ({', '.join(spec.suites)})",
+    )
+    tests = ", ".join(spec.tests)
+    if rc != 0:
+        return {
+            "status": "killed",
+            "layer": "test",
+            "detail": f"targeted pytest subset failed (exit {rc}): {tests}",
         }
-    )
-
-    for suite in spec.suites:
-        try:
-            actual = _canon(_SUITES[suite]())
-        except BaseException as exc:  # noqa: BLE001 - verdict, not control flow
-            return _killed("cross-check", f"[{suite}] {_describe(exc)}", stages)
-        if actual != spec.golden[suite]:
-            return _killed(
-                "cross-check",
-                f"[{suite}] observations diverged from golden: "
-                + _first_difference(spec.golden[suite], actual),
-                stages,
-            )
-    stages.append(
-        {
-            "layer": "cross-check",
-            "note": "observations matched golden bit-for-bit "
-            f"({', '.join(spec.suites)})",
-        }
-    )
-
-    try:
-        findings = _static_findings(spec.source, Path(spec.findings_path))
-        fresh = _multiset_minus(findings, spec.pristine_findings)
-        if fresh:
-            return _killed("contract", f"new static finding: {fresh[0]}", stages)
-        if "chain" in spec.suites:
-            excess = _growth_probe()
-            if excess is not None:
-                return _killed("contract", excess, stages)
-    except BaseException as exc:  # noqa: BLE001 - verdict, not control flow
-        return _killed("contract", _describe(exc), stages)
-    stages.append(
-        {"layer": "contract", "note": "no new static findings; op growth near-linear"}
-    )
-    return {"status": "survived", "stages": stages}
-
-
-def _multiset_minus(left: Sequence[str], right: Sequence[str]) -> List[str]:
-    remaining = list(right)
-    out: List[str] = []
-    for item in left:
-        try:
-            remaining.remove(item)
-        except ValueError:
-            out.append(item)
-    return out
+    return {
+        "status": "survived",
+        "stages": [
+            {"layer": "import", "note": "module compiled and installed"},
+            {"layer": "test", "note": f"passed: {tests}"},
+        ],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -903,8 +210,6 @@ def _warm_test_layer(test_paths: Sequence[str]) -> None:
     children inherit copy-on-write — the difference between ~0.2 s and
     ~2 s per mutant.
     """
-    if not test_paths:
-        return
     import pytest
 
     with silenced_output():
@@ -913,7 +218,7 @@ def _warm_test_layer(test_paths: Sequence[str]) -> None:
                 [*test_paths, "-x", "-q", "--no-header", "-p", "no:cacheprovider"]
             )
         )
-    if rc not in (0, 5):
+    if rc != 0:
         raise MutationSetupError(
             f"pristine targeted tests failed (pytest exit {rc}) — refusing to "
             f"run mutation analysis on a red baseline: {', '.join(test_paths)}"
@@ -939,17 +244,14 @@ def run_mutation_analysis(
     modules: Optional[Sequence[str]] = None,
     budget: Optional[int] = None,
     seed: int = 0,
-    test_layer: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
     """Run mutation analysis and return the versioned report dict.
 
     ``modules`` defaults to the full target registry; ``budget`` caps
-    the total number of mutants via deterministic seeded sampling;
-    ``test_layer=False`` drops the targeted-pytest stage (used by the
-    engine's own fast tests).  ``progress`` receives human-oriented
-    status lines (the CLI points it at stderr so ``--json`` stays
-    machine-clean).
+    the total number of mutants via deterministic seeded sampling.
+    ``progress`` receives human-oriented status lines (the CLI points
+    it at stderr so ``--json`` stays machine-clean).
     """
     say = progress if progress is not None else (lambda _message: None)
     selected = list(modules) if modules else sorted(TARGETS)
@@ -963,13 +265,11 @@ def run_mutation_analysis(
     root = _repo_root()
     per_module: Dict[str, Dict[str, Any]] = {}
     pool: List[Tuple[str, MutationSite]] = []
-    sources: Dict[str, str] = {}
     trees: Dict[str, ast.Module] = {}
     for name in selected:
         source_path = _module_source_path(name)
         source = source_path.read_text()
         tree = ast.parse(source)
-        sources[name] = source
         trees[name] = tree
         sites = enumerate_sites(tree)
         annotations = equivalent_annotations(source)
@@ -1011,51 +311,30 @@ def run_mutation_analysis(
 
     saved_verify = os.environ.pop("REPRO_VERIFY", None)
     try:
-        if test_layer and active:
-            test_union: List[str] = []
-            for name in active:
-                for rel in TARGETS[name].tests:
-                    candidate = root / rel
-                    if candidate.exists() and str(candidate) not in test_union:
-                        test_union.append(str(candidate))
+        tests: Dict[str, Tuple[str, ...]] = {}
+        for name in active:
+            tests[name] = tuple(
+                rel for rel in TARGETS[name].tests if (root / rel).exists()
+            )
+            if not tests[name]:
+                raise MutationSetupError(f"no test file of {name} exists")
+        if active:
+            test_union = sorted(
+                {str(root / rel) for name in active for rel in tests[name]}
+            )
             say(f"mutate: warming {len(test_union)} targeted test files")
             _warm_test_layer(test_union)
 
-        golden: Dict[str, str] = {}
-        needed_suites: List[str] = []
-        for name in active:
-            for suite in TARGETS[name].suites:
-                if suite not in needed_suites:
-                    needed_suites.append(suite)
-        for suite in needed_suites:
-            say(f"mutate: computing golden observations [{suite}]")
-            golden[suite] = _canon(_SUITES[suite]())
-
-        specs: Dict[str, PipelineSpec] = {}
         timeouts: Dict[str, float] = {}
         renderings: Dict[str, str] = {}
         for name in active:
-            target = TARGETS[name]
-            tests: Tuple[str, ...] = ()
-            if test_layer:
-                tests = tuple(
-                    rel for rel in target.tests if (root / rel).exists()
-                )
-            pristine_rendering = ast.unparse(trees[name])
-            renderings[name] = pristine_rendering
-            spec = PipelineSpec(
-                module=name,
-                source=sources[name],
-                tests=tests,
-                suites=target.suites,
-                golden={suite: golden[suite] for suite in target.suites},
-                pristine_findings=_static_findings(
-                    pristine_rendering, Path(per_module[name]["file"])
-                ),
-                findings_path=per_module[name]["file"],
-            )
+            renderings[name] = ast.unparse(trees[name])
             started = time.perf_counter()
-            sanity = run_sandboxed(pipeline_entry, (spec,), timeout_s=600.0)
+            sanity = run_sandboxed(
+                pipeline_entry,
+                (PipelineSpec(name, renderings[name], tests[name]),),
+                timeout_s=600.0,
+            )
             elapsed = time.perf_counter() - started
             if sanity.status != "ok" or sanity.value.get("status") != "survived":
                 raise MutationSetupError(
@@ -1063,25 +342,15 @@ def run_mutation_analysis(
                     f"pipeline ({sanity.status}: {sanity.value!r}) — the harness "
                     "is unstable, aborting"
                 )
-            specs[name] = spec
             timeouts[name] = max(30.0, 8.0 * elapsed)
             say(f"mutate: {name} pipeline sane ({elapsed:.2f}s pristine)")
 
         for position, (name, site) in enumerate(pool, start=1):
-            spec = specs[name]
-            mutant_tree = apply_site(trees[name], site)
-            mutant_rendering = ast.unparse(mutant_tree)
-            mutant_spec = PipelineSpec(
-                module=name,
-                source=mutant_rendering,
-                tests=spec.tests,
-                suites=spec.suites,
-                golden=spec.golden,
-                pristine_findings=spec.pristine_findings,
-                findings_path=spec.findings_path,
-            )
+            mutant_rendering = ast.unparse(apply_site(trees[name], site))
             outcome = run_sandboxed(
-                pipeline_entry, (mutant_spec,), timeout_s=timeouts[name]
+                pipeline_entry,
+                (PipelineSpec(name, mutant_rendering, tests[name]),),
+                timeout_s=timeouts[name],
             )
             record: Dict[str, Any] = {
                 "id": f"{name}::{site.operator}#{site.index}",
@@ -1133,8 +402,7 @@ def run_mutation_analysis(
         if saved_verify is not None:
             os.environ["REPRO_VERIFY"] = saved_verify
 
-    report = _assemble_report(selected, per_module, seed, budget, test_layer)
-    return report
+    return _assemble_report(selected, per_module, seed, budget)
 
 
 def _source_diff(pristine: str, mutant: str, limit: int = 40) -> List[str]:
@@ -1168,7 +436,6 @@ def _assemble_report(
     per_module: Dict[str, Dict[str, Any]],
     seed: int,
     budget: Optional[int],
-    test_layer: bool,
 ) -> Dict[str, Any]:
     totals = {"sites": 0, "annotated": 0, "sampled": 0, "killed": 0, "survived": 0}
     matrix = {layer: 0 for layer in KILL_LAYERS}
@@ -1209,7 +476,6 @@ def _assemble_report(
         "version": SCHEMA_VERSION,
         "seed": seed,
         "budget": budget,
-        "test_layer": test_layer,
         "modules": {name: per_module[name] for name in selected},
         "packages": packages,
         "totals": {**totals, "score": _score(totals["killed"], totals["survived"])},

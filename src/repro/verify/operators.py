@@ -5,10 +5,9 @@ Each operator seeds one family of semantic faults that Algorithm 4.1's
 critical-window predicate, ±1 shifts in prime-subpath index arithmetic,
 dropped cut-set elements, omitted cache-key fields, inverted heap
 priorities, unsorted greedy sweeps.  The registry is deliberately small
-and *targeted*: every operator models a bug class the verification
-stack (tier-1 tests, certificate checkers, NumPy-vs-python cross-check,
-contract passes) claims to catch, so a surviving mutant is direct
-evidence of a hole in that net.
+and *targeted*: every operator models a bug class the target's tier-1
+tests claim to catch, so a surviving mutant is direct evidence of a
+missing test.
 
 Sites are enumerated by a deterministic pre-order walk (grammar field
 order) of the parsed module, so a ``(module, operator, index)`` triple

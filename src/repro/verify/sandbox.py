@@ -2,13 +2,12 @@
 
 A mutant must never touch the orchestrating process: a mutated
 ``repro.core.bandwidth`` left behind in ``sys.modules`` would corrupt
-every later pipeline run (and the golden observations they compare
-against).  The runner therefore forks a child per mutant — the child
-inherits the parent's warm imports copy-on-write (so a targeted pytest
-subset starts in ~0.2 s instead of paying cold-import cost), installs
-the mutated source *in its own memory only*, runs the kill pipeline and
-reports the verdict over a pipe.  The parent's module graph is never
-mutated, by construction rather than by cleanup.
+every later pipeline run.  The runner therefore forks a child per
+mutant — the child inherits the parent's warm imports copy-on-write (so
+a targeted pytest subset starts in ~0.2 s instead of paying cold-import
+cost), installs the mutated source *in its own memory only*, runs the
+kill pipeline and reports the verdict over a pipe.  The parent's module
+graph is never mutated, by construction rather than by cleanup.
 
 Two failure modes get first-class handling:
 

@@ -30,6 +30,13 @@ class TestKnownInstances:
         assert len(result.cut_indices) == 2
         assert result.weight == 2
 
+    def test_final_edge_tie_picks_leftmost(self):
+        # Blocks [0] [1, 2] and [0, 1] [2] both cost 2 at K=2; the
+        # final-edge scan keeps the first optimum it meets.
+        result = bandwidth_min_nlogn(Chain([1, 1, 1], [2, 2]), 2)
+        assert result.cut_indices == [0]
+        assert result.weight == 2
+
 
 class TestAgreement:
     def test_matches_dp_randomized(self):
@@ -50,6 +57,34 @@ class TestAgreement:
             assert bandwidth_min_nlogn(chain, bound).weight == pytest.approx(
                 bandwidth_min(chain, bound).weight
             )
+
+    def test_final_edge_is_leftmost_among_optimal_cuts(self):
+        # Nicol's own tie rule, checked by brute force on small integer
+        # chains: of all optimal feasible cuts, the returned one ends at
+        # the smallest last edge.  (Its cut may differ from Algorithm
+        # 4.1's on ties; only the weights must agree.)
+        rng = random.Random(73)
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            chain = random_chain(
+                n, rng, vertex_range=(1, 4), edge_range=(1, 3),
+                integer_weights=True,
+            )
+            bound = float(rng.randint(int(chain.max_vertex_weight()), 10))
+            if chain.block_fits(0, n - 1, bound):
+                continue
+            optimal = {}
+            for mask in range(1, 1 << (n - 1)):
+                cut = [j for j in range(n - 1) if mask >> j & 1]
+                starts = [0] + [j + 1 for j in cut]
+                ends = cut + [n - 1]
+                if all(map(chain.block_fits, starts, ends, [bound] * len(ends))):
+                    weight = sum(chain.beta[j] for j in cut)
+                    optimal.setdefault(weight, []).append(cut[-1])
+            best = min(optimal)
+            result = bandwidth_min_nlogn(chain, bound)
+            assert result.weight == best
+            assert result.cut_indices[-1] == min(optimal[best])
 
     def test_adversarial_heavy_window_shifts(self):
         # Long runs where the feasible window empties the heap.

@@ -21,6 +21,15 @@ class TestKnownInstances:
         assert result.bottleneck == 0.0
         assert result.num_components == 1
 
+    def test_bound_equal_to_total_weight_needs_no_cut(self, small_tree):
+        total = sum(small_tree.vertex_weights)
+        # Solvers are named in the body, not in a parametrize list, so
+        # `repro mutate`'s sandbox can rebind them to a mutant.
+        for solver in (bottleneck_min, bottleneck_min_naive):
+            result = solver(small_tree, total)
+            assert result.cut_edges == set()
+            assert result.bottleneck == 0.0
+
     def test_fixture_bound_15(self, small_tree):
         # Total weight 28 > 15, so some cut is needed.  The lightest
         # edges go first: cutting (0,1)=10 leaves components 12 and 16;

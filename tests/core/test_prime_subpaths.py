@@ -198,6 +198,14 @@ class TestReduceEdges:
         reduced = reduce_edges(chain, primes)
         assert [e.index for e in reduced] == [0]
 
+    def test_equal_weights_keep_leftmost_edge_of_class(self):
+        # K=12 on six weight-3 tasks: primes [0..4] and [1..5], classes
+        # {0}:P0, {1,2,3}:P0+P1, {4}:P1.  Every beta ties, so the class
+        # {1,2,3} keeps its leftmost edge, not its last.
+        chain = Chain([3] * 6, [2] * 5)
+        reduced = reduce_edges(chain, find_prime_subpaths(chain, 12))
+        assert [e.index for e in reduced] == [0, 1, 4]
+
 
 class TestPrimeStructure:
     def test_compute(self, small_chain):
@@ -217,6 +225,12 @@ class TestPrimeStructure:
         assert structure.p == 0
         assert structure.q == 0.0
         assert structure.mean_prime_length() == 0.0
+        assert structure.min_prime_weight() == float("inf")
+
+    def test_min_prime_weight(self, small_chain):
+        # Prime weights at K=9 are 12, 10 and 13.
+        structure = PrimeStructure.compute(small_chain, 9)
+        assert structure.min_prime_weight() == 10.0
 
 
 class TestInstrumentationContracts:

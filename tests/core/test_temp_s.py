@@ -138,6 +138,15 @@ class TestPopCompleted:
         assert completed.w == 6.0  # row covering prime 1 was popped last
         assert q.covered_range() == (2, 2)
 
+    def test_pop_trims_row_ending_at_threshold(self):
+        # A row whose last prime is the first open one is trimmed to
+        # that prime, not retired.
+        q = TempSQueue()
+        q.update(2.0, node(0, 2.0), 0, 2)  # one row covering 0..2
+        completed = q.pop_completed(2)
+        assert completed.w == 2.0
+        assert q.covered_range() == (2, 2)
+
     def test_pop_everything(self):
         q = self.build()
         completed = q.pop_completed(3)
@@ -182,6 +191,32 @@ class TestSearchStrategies:
                 q.update(w, node(i, w), 0, i)
             results.append([(r.lo, r.hi, r.w) for r in q.rows()])
         assert results[0] == results[1]
+
+    def test_linear_equal_w_merges(self):
+        q = TempSQueue(search="linear")
+        q.update(4.0, node(0, 4.0), 0, 0)
+        q.update(4.0, node(1, 4.0), 0, 1)
+        assert [(r.lo, r.hi, r.w) for r in q.rows()] == [(0, 1, 4.0)]
+        assert q.top.sol.edge_index == 1
+
+    def test_linear_counts_search_steps(self):
+        # Only the last update pops: past W=5 and W=3, two steps.
+        counter = OpCounter()
+        q = TempSQueue(search="linear", counter=counter)
+        for i, w in enumerate([3.0, 5.0, 1.0]):
+            q.update(w, node(i, w), 0, i)
+        assert counter.get("search_steps") == 2
+
+    @pytest.mark.parametrize("probe", [0.5, 1.0, 1.5, 2.5, 3.5, 4.5, 5.0, 5.5])
+    def test_binary_search_finds_first_row_at_least_w(self, probe):
+        # W column 1..5; the probe replaces every row with W >= probe.
+        q = TempSQueue(search="binary")
+        for i in range(5):
+            q.update(float(i + 1), node(i, float(i + 1)), 0, i)
+        q.update(probe, node(5, probe), 0, 5)
+        kept = [float(w) for w in range(1, 6) if w < probe]
+        assert [r.w for r in q.rows()] == kept + [probe]
+        q.check_invariants()
 
     def test_counter_traces_length(self):
         counter = OpCounter()

@@ -12,6 +12,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
+from repro.core.prime_subpaths import PrimeStructure
 from repro.engine import PartitionEngine, PlanCache, compile_chain
 from repro.engine.plan import CompiledChainPlan
 from repro.graphs.chain import Chain
@@ -129,6 +130,35 @@ class TestSolveBounds:
         assert (plan.stats.built, plan.stats.reused) == (1, 1)
         assert plan.stats.queries == 3
         assert plan.stats.sweeps == 2
+
+    def test_stability_interval_end_is_not_covered(self, small_chain):
+        # At K=12 the smallest prime weighs 13, so the structure built
+        # at 12 is valid on [12, 13).  K=13 drops that prime and the
+        # optimum falls from 3 to 1: a later call at 13 must not reuse
+        # the remembered structure.
+        plan = compile_chain(small_chain)
+        assert plan.solve_bounds([12.0]).tolist() == [3.0]
+        frozen = plan._lookup(12.0)
+        assert (frozen.valid_from, frozen.valid_until) == (12.0, 13.0)
+        assert frozen.covers(12.5)
+        assert not frozen.covers(13.0)
+        assert plan._lookup(13.0) is None
+        assert plan.solve_bounds([13.0]).tolist() == [1.0]
+        assert plan.stats.built == 2
+
+    def test_group_stops_before_interval_end(self):
+        # One call with K and the end of K's stability interval: the
+        # end opens a new group instead of taking K's answer.
+        for seed in range(6):
+            chain = random_chain(30, rng=seed, integer_weights=True)
+            bound = 2.0 * chain.max_vertex_weight()
+            end = PrimeStructure.compute(chain, bound).min_prime_weight()
+            weights, cuts = compile_chain(chain).solve_bounds(
+                [bound, end], return_cuts=True
+            )
+            for k, weight, cut in zip((bound, end), weights, cuts):
+                ref = bandwidth_min(chain, k)
+                assert (weight, cut) == (ref.weight, list(ref.cut_indices))
 
     def test_lookup_survives_descending_insertion_order(self):
         # Structures remembered high-bound-first must still be found by

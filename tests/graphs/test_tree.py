@@ -108,6 +108,13 @@ class TestConstruction:
         star = Tree([1] * 4, [(0, 3), (0, 1), (0, 2)], [1, 1, 1])
         assert star.edges_by_weight() == [1, 2, 3]
 
+    def test_edges_by_weight_sorts_by_weight_before_ties(self):
+        # Path 0 - 1 - 2 - 3 with weights 2, 1, 1: the tied edges (1, 2)
+        # and (2, 3) come first, then (0, 1) — canonical order alone
+        # would put (0, 1) first.
+        path = Tree([1] * 4, [(0, 1), (1, 2), (2, 3)], [2, 1, 1])
+        assert path.edges_by_weight() == [2, 3, 1]
+
     def test_is_path(self, small_tree, star_tree):
         assert Tree([1, 1, 1], [(0, 1), (2, 1)]).is_path()
         assert Tree([1], []).is_path()

@@ -30,10 +30,9 @@ REPO = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="module")
 def twin_reports():
-    """Two independent budgeted runs with the same seed (no pytest
-    layer: nested pytest inside pytest workers is needlessly fragile
-    and the remaining layers exercise the full sandbox path)."""
-    kwargs = dict(modules=[MODULE], budget=3, seed=11, test_layer=False)
+    """Two independent budgeted runs with the same seed, each through
+    the full sandbox path: import, then the target's test files."""
+    kwargs = dict(modules=[MODULE], budget=3, seed=11)
     return run_mutation_analysis(**kwargs), run_mutation_analysis(**kwargs)
 
 
@@ -74,10 +73,13 @@ class TestSelection:
         assert stats["sites"] > 0
         assert set(report["kills_by_layer"]) == set(KILL_LAYERS)
 
-    def test_every_registered_target_has_tests_and_suites(self):
+    def test_every_registered_target_has_tests(self):
         for name, target in TARGETS.items():
             assert target.tests, name
-            assert target.suites, name
+            assert all((REPO / rel).is_file() for rel in target.tests), name
+
+    def test_tests_are_the_only_oracle(self):
+        assert KILL_LAYERS == ("import", "test", "timeout", "crash")
 
 
 class TestDeterminism:
@@ -180,7 +182,9 @@ class TestJsonSchemas:
 
     def test_mutate_report_is_versioned(self, twin_reports):
         report, _ = twin_reports
-        assert report["version"] == SCHEMA_VERSION
+        assert report["version"] == SCHEMA_VERSION == 2
+        assert set(report["kills_by_layer"]) == set(KILL_LAYERS)
+        assert "test_layer" not in report
         for key in ("seed", "budget", "modules", "packages", "totals",
                     "kills_by_layer", "failures", "passed"):
             assert key in report
@@ -212,10 +216,8 @@ class TestPortableDetails:
             if word.startswith("/") or os.path.isabs(word)
         ]
 
-    def test_test_layer_details_are_repo_relative(self):
-        report = run_mutation_analysis(
-            modules=[MODULE], budget=2, seed=11, test_layer=True
-        )
+    def test_test_layer_details_are_repo_relative(self, twin_reports):
+        report, _ = twin_reports
         details = list(_detail_strings(report))
         assert any("tests/core/test_bottleneck.py" in d for d in details)
         assert self.absolute_paths(report) == []
