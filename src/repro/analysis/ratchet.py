@@ -2,7 +2,7 @@
 
 ``benchmarks/test_bench_engine.py`` measures the engine's speedups over
 the seed scalar path (the cached sweep, the compiled-plan sweep cold and
-warm, the batched β sweep) and, when ``REPRO_BENCH_SNAPSHOT`` is set,
+warm) and, when ``REPRO_BENCH_SNAPSHOT`` is set,
 writes them to a JSON snapshot.  The repo commits one such snapshot
 (``BENCH_engine.json``); this module compares a freshly measured
 snapshot against it and fails when any committed speedup regressed by

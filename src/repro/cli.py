@@ -460,7 +460,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         count = write_trace(
             args.trace,
             tracer=engine.tracer,
-            metrics=engine.snapshot_metrics(),
+            metrics=engine.metrics,
             meta={"workload": "batch", "input": args.input,
                   "batch": batch.as_dict() if batch else None},
             extra_spans=batch.trace_records if batch else None,

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.baselines.hansen_lih import ccp_hansen_lih
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
@@ -60,6 +59,10 @@ def partition_chain_for_processors(chain: Chain, processors: int) -> ChainBudget
     """
     if processors < 1:
         raise ValueError("need at least one processor")
+    # Imported here: Hansen-Lih is the only baseline the product uses,
+    # so ``import repro.core`` loads no ``repro.baselines`` module.
+    from repro.baselines.hansen_lih import ccp_hansen_lih
+
     bound = ccp_hansen_lih(chain, processors).bottleneck
     # Prefix-sum arithmetic can land the bottleneck a few ulps below the
     # heaviest single task; K >= max(alpha) always holds semantically.
@@ -88,6 +91,8 @@ def chain_pareto_frontier(
     """
     if max_processors < 1:
         raise ValueError("need at least one processor")
+    from repro.baselines.hansen_lih import ccp_hansen_lih
+
     if engine is None:
         from repro.engine import PartitionEngine
 

@@ -71,8 +71,7 @@ def partition_tree(tree: Tree, bound: float) -> TreePartitionPlan:
     first_cut = set(bottleneck_min(tree, bound).cut_edges)
     if not first_cut:
         return TreePartitionPlan(tree, bound, first_cut, set(), 0.0, 1)
-    super_tree, components, edge_origin = tree.contract_components(first_cut)
-    del components  # unused: the collector need not trace them through Algorithm 2.2
+    super_tree, _, edge_origin = tree.contract(first_cut)
     # Super-tree edges carry their cut edges' weights, so the refined
     # bottleneck is already the final cut's heaviest original edge.
     refined = processor_min(super_tree, bound)

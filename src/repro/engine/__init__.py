@@ -9,8 +9,8 @@ Layers on top of :mod:`repro.core`:
 - :mod:`repro.engine.plan` — :class:`CompiledChainPlan`, the one
   per-chain object: freeze one chain's preprocessing, keep the
   stability-interval memo of built structures, and answer single bounds
-  or whole vectors of bound/β queries in batched sweeps
-  (``compile_chain``/``solve_bounds``/``solve_beta_sweep``);
+  or whole vectors of bounds in batched sweeps
+  (``compile_chain``/``solve_bounds``);
 - :mod:`repro.engine.cache` — :class:`PlanCache`, the engine's one
   cache: compiled plans keyed by content fingerprint;
 - :mod:`repro.engine.batch` — :class:`PartitionEngine` with

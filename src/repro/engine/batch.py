@@ -40,10 +40,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.bandwidth import ChainCutResult, bandwidth_min
+from repro.core.bandwidth import ChainCutResult
 from repro.core.feasibility import PartitioningError
 from repro.core.pipeline import partition_chain
-from repro.engine.cache import CacheStats, PlanCache
+from repro.engine.cache import PlanCache
 from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
 from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
@@ -373,27 +373,22 @@ class PartitionEngine:
         chain: Chain,
         bound: float,
         objective: str = "bandwidth",
-        *,
-        search: str = "binary",
     ) -> ChainCutResult:
         """Solve one query through the fast path.
 
-        ``"bandwidth"`` (Algorithm 4.1) with ``search="binary"`` is a
-        one-bound ``solve_bounds`` on the chain's cached plan; the other
-        ``search`` strategies call
-        :func:`repro.core.bandwidth.bandwidth_min` directly.  The other
-        objectives delegate to
+        ``"bandwidth"`` (Algorithm 4.1) is a one-bound ``solve_bounds``
+        on the chain's cached plan.  The other objectives delegate to
         :func:`repro.core.pipeline.partition_chain` (tree algorithms,
         uncached).
         """
         if not self.tracer.enabled and not self.hub.enabled:
-            return self._solve(chain, bound, objective, search, None)
+            return self._solve(chain, bound, objective, None)
         t0 = time.perf_counter()
         with self.tracer.span(
             "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
         ):
             result = self._solve(
-                chain, bound, objective, search,
+                chain, bound, objective,
                 self.tracer if self.tracer.enabled else None,
             )
         self.emit(
@@ -409,7 +404,6 @@ class PartitionEngine:
         chain: Chain,
         bound: float,
         objective: str,
-        search: str,
         tracer: Optional[Tracer],
     ) -> ChainCutResult:
         """One query, spans recorded on ``tracer`` when given."""
@@ -419,8 +413,6 @@ class PartitionEngine:
                     f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
                 )
             return partition_chain(chain, bound, objective)
-        if search != "binary":
-            return bandwidth_min(chain, bound, search=search, tracer=tracer)
         weights, cuts = self._plan_solve(chain, [bound], True, tracer)
         return ChainCutResult(chain, cuts[0], float(weights[0]))
 
@@ -504,18 +496,6 @@ class PartitionEngine:
         """
         tracer = self.tracer if self.tracer.enabled else None
         return self._plan_solve(chain, bounds, return_cuts, tracer)
-
-    def cache_stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def snapshot_metrics(self) -> MetricsRegistry:
-        """The engine's registry, ready to export.
-
-        Every instrument is folded from a reported event as it happens,
-        so the registry is always current and holds exactly what a
-        stream of the same run folds to.
-        """
-        return self.metrics
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -650,7 +630,7 @@ class PartitionEngine:
         """One batch query through :meth:`_solve`; its error message in
         place of a raise."""
         try:
-            return self._solve(chain, member[1], member[2], "binary", tracer)
+            return self._solve(chain, member[1], member[2], tracer)
         except (PartitioningError, ValueError) as exc:
             return str(exc)
 

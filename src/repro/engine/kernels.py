@@ -215,19 +215,17 @@ def reduced_edge_arrays(
     beta: "np.ndarray",
     lo: "np.ndarray",
     hi: "np.ndarray",
-    apply_reduction: bool = True,
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """The non-redundant edge reduction on arrays.
 
     Returns ``(index, weight, first_prime, last_prime)`` column arrays in
-    increasing edge order: uncovered edges dropped, and (under
-    ``apply_reduction``) each run of identical ``(lo, hi)`` membership
-    collapsed to its minimum-weight edge, leftmost on ties — the same
-    tie-break as ``reduce_edges``.
+    increasing edge order: uncovered edges dropped, and each run of
+    identical ``(lo, hi)`` membership collapsed to its minimum-weight
+    edge, leftmost on ties — the same tie-break as ``reduce_edges``.
     """
     covered = lo <= hi
     idx = np.flatnonzero(covered)
-    if idx.shape[0] == 0 or not apply_reduction:
+    if idx.shape[0] == 0:
         return idx, beta[idx], lo[idx], hi[idx]
     lo_c, hi_c = lo[idx], hi[idx]
     # Membership intervals are monotone, so equal (lo, hi) pairs form

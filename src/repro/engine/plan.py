@@ -16,13 +16,6 @@ serves on that chain —
   *distinct structure*.  A single
   :meth:`~repro.engine.batch.PartitionEngine.solve` is the one-bound
   case with ``return_cuts=True``.
-- :meth:`CompiledChainPlan.solve_beta_sweep` answers β-perturbation
-  studies: ``Q`` alternative edge-weight rows against one bound.  The
-  prime windows and edge-membership classes depend only on ``alpha``,
-  so the plan freezes them once and evaluates the interval-cover
-  recurrence for all rows simultaneously with ``np.minimum.reduceat``
-  over the query axis — the one place the TEMP_S recurrence is a
-  literal batched array program.
 
 Built structures live in the plan's stability-interval memo.  Every
 fact a plan knows about its own work is a plain integer on
@@ -33,7 +26,7 @@ engine hands each plan call a :class:`PlanStats` tally of that call's
 delta and reports it as one ``plan`` event.  The memo is mutated only under the plan's
 own lock, so one plan may serve many threads.
 
-Exactness is non-negotiable: both sweeps evaluate the same float
+Exactness is non-negotiable: the sweep evaluates the same float
 expressions in the same order as the scalar reference, so results are
 bit-identical to per-call :func:`repro.core.bandwidth.bandwidth_min`
 (the property suite and the ``REPRO_VERIFY=1`` cross-check below hold
@@ -139,8 +132,8 @@ class PlanStats(CacheStats):
 
     ``misses`` counts structures built (each memo miss builds one);
     ``reused`` counts stability-interval groups served from the memo;
-    ``sweeps`` and ``queries`` count ``solve_bounds``/``solve_beta_sweep``
-    calls and the bounds or β rows they answered.  Equality compares
+    ``sweeps`` and ``queries`` count ``solve_bounds`` calls and the
+    bounds they answered.  Equality compares
     the lookup counts only, as for :class:`CacheStats`.
     """
 
@@ -308,7 +301,7 @@ class CompiledChainPlan:
             first_tasks, last_tasks - 1, self.chain.num_edges
         )
         edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
-            self._beta, lo, hi, apply_reduction=True
+            self._beta, lo, hi
         )
         cut, weight = temps_sweep(edge_index, edge_weight, edge_first, edge_last)
         return cut, weight, p, int(edge_weight.shape[0]), valid_until
@@ -490,127 +483,6 @@ class CompiledChainPlan:
             self.chain, bound, ChainCutResult(self.chain, list(cut), weight)
         )
 
-    # ------------------------------------------------------------------
-    # β-perturbation sweeps
-    # ------------------------------------------------------------------
-    def solve_beta_sweep(
-        self,
-        betas: Union[Sequence[Sequence[float]], "np.ndarray"],
-        bound: float,
-    ) -> "np.ndarray":
-        """Optimal bandwidth for ``b`` alternative β rows at one bound.
-
-        ``betas`` is a ``(b, n - 1)`` matrix of edge-weight rows; the
-        result is the length-``b`` vector of optimal bandwidths, each
-        bit-identical to ``bandwidth_min(Chain(alpha, betas[i]), bound)``
-        on the corresponding perturbed chain.  ``O(n + b s)`` where
-        ``s`` is the total prime-cover multiplicity (the sum of the
-        per-prime ``q`` values): the prime windows and membership
-        classes depend only on ``alpha``, so they are built once and the
-        interval-cover recurrence runs vectorized over the query axis —
-        per prime, one batched activation and one batched window
-        minimum, no per-query dispatch.
-
-        Under ``REPRO_VERIFY=1`` every row's answer is certified against
-        a pure-Python solve of the perturbed chain.
-        """
-        mat = np.asarray(betas, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[1] != self.chain.num_edges:
-            raise ValueError(
-                f"betas must have shape (b, {self.chain.num_edges}), "
-                f"got {mat.shape}"
-            )
-        if mat.shape[0] == 0:
-            raise ValueError("betas must contain at least one row")
-        if not np.isfinite(mat).all() or (mat < 0).any():
-            raise ValueError("beta rows must be finite and non-negative")
-        validate_bound_array(self._alpha_max, float(bound))
-        with np.errstate(over="ignore"):
-            # A candidate sum may overflow to inf; only an infinite
-            # optimum is an error, and finite_optimum below raises it.
-            out = self._solve_beta_sweep_impl(mat, bound)
-        finite_optimum(float(out.max()), bound)
-        with self._lock:
-            self.stats.record(0, 0, 0, 0, mat.shape[0])
-        if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs
-            self._verify_beta_sweep(mat, bound, out)
-        return out
-
-    def _solve_beta_sweep_impl(
-        self, mat: "np.ndarray", bound: float
-    ) -> "np.ndarray":
-        rows = mat.shape[0]
-        first_tasks, last_tasks = prime_windows(self._prefix, bound)
-        p = first_tasks.shape[0]
-        if p == 0:
-            return np.zeros(rows, dtype=np.float64)
-        lo, hi = membership_intervals(
-            first_tasks, last_tasks - 1, self.chain.num_edges
-        )
-        covered = np.flatnonzero(lo <= hi)
-        lo_c = lo[covered]
-        hi_c = hi[covered]
-        # Membership classes: maximal runs of covered edges sharing the
-        # same (first, last) prime interval.  Monotone lo/hi mean equal
-        # intervals are always adjacent, so runs are exactly the classes
-        # — and because the per-class β minimum equals the reduced
-        # edge's β bit-for-bit, the recurrence below reproduces the
-        # reference's candidate sets float for float.
-        boundary = np.empty(lo_c.shape[0], dtype=bool)
-        boundary[0] = True
-        np.logical_or(
-            lo_c[1:] != lo_c[:-1], hi_c[1:] != hi_c[:-1], out=boundary[1:]
-        )
-        starts = np.flatnonzero(boundary)
-        class_first = lo_c[starts]
-        class_last = hi_c[starts]
-        # Per-query class minima: (b, classes), one reduceat.
-        class_w = np.minimum.reduceat(mat[:, covered], starts, axis=1)
-        # The interval-cover recurrence, batched over the query axis:
-        #   V_i = min over classes c covering prime i of
-        #         class_w[c] + V_{class_first[c] - 1}
-        # Classes activate in class_first order (nondecreasing), and a
-        # class's predecessor term is always the previous prime's V, so
-        # activation is a contiguous slice-add and the per-prime minimum
-        # a contiguous slice-reduce over the candidate matrix.
-        cand = np.empty((class_first.shape[0], rows), dtype=np.float64)
-        class_w_t = np.ascontiguousarray(class_w.T)
-        primes = np.arange(p, dtype=np.int64)
-        win_lo = np.searchsorted(class_last, primes, side="left")
-        win_hi = np.searchsorted(class_first, primes, side="right")
-        v_prev = np.zeros(rows, dtype=np.float64)
-        ptr = 0
-        for i in range(p):
-            act = int(win_hi[i])
-            if act > ptr:  # repro-mutate: equivalent=flip-compare -- act == ptr makes every slice below empty, so the activation block is a no-op either way
-                if i == 0:  # repro-mutate: equivalent=flip-compare -- classes starting at prime 0 have no predecessor term; adding the zero vector v_prev is the same arithmetic
-                    cand[ptr:act] = class_w_t[ptr:act]
-                else:
-                    np.add(class_w_t[ptr:act], v_prev, out=cand[ptr:act])
-                ptr = act
-            v_prev = cand[int(win_lo[i]) : act].min(axis=0)
-        return v_prev
-
-    def _verify_beta_sweep(
-        self, mat: "np.ndarray", bound: float, out: "np.ndarray"
-    ) -> None:
-        from repro.core.bandwidth import ChainCutResult
-        from repro.verify.runtime import maybe_verify_cache_solve
-
-        from repro.core.bandwidth import bandwidth_min
-
-        for row, claimed in zip(mat, out):
-            # The batched recurrence yields weights only; certify the
-            # claimed weight on the reference cut (the cross-check
-            # inside re-solves the perturbed chain and must agree).
-            perturbed = Chain(self.chain.alpha, row.tolist())
-            reference = bandwidth_min(perturbed, bound)
-            maybe_verify_cache_solve(
-                perturbed,
-                bound,
-                ChainCutResult(perturbed, list(reference.cut_indices), float(claimed)),
-            )
-
 
 def compile_chain(
     chain: Chain, *, max_structures: int = DEFAULT_MAX_STRUCTURES
@@ -619,7 +491,7 @@ def compile_chain(
 
     Runs the chain-level half of Algorithm 4.1's preprocessing (prefix
     weights, β table, feasibility floor) once and freezes it; the
-    returned plan then answers bound sweeps and β sweeps with no
+    returned plan then answers bound sweeps with no
     per-query Python dispatch (plans *are* the NumPy fast path).
     """
     return CompiledChainPlan(chain, max_structures=max_structures)

@@ -345,6 +345,16 @@ class Tree:
         ``components[i]`` lists the vertices of super-node ``i`` (numbered
         by lowest vertex), which weighs its union-find sum, and
         ``edge_origin`` maps each super-tree edge to its cut edge.
+        """
+        super_tree, label, edge_origin = self.contract(cut)
+        return super_tree, _group(label, super_tree.num_vertices), edge_origin
+
+    def contract(
+        self, cut: Set[Edge]
+    ) -> Tuple["Tree", List[int], Dict[Edge, Edge]]:
+        """:meth:`contract_components` without the per-super-node vertex
+        lists: ``(super_tree, label, edge_origin)``, where ``label[v]`` is
+        vertex ``v``'s super-node.
 
         The super tree's lists are written from the component labels: its
         root is super-node 0 (vertex 0's), and cut edge ``c`` (a child
@@ -360,7 +370,6 @@ class Tree:
         label, weights = self._components(set(children))
         if max(weights) == inf:  # sums of finite weights >= 0 are never NaN
             raise ValueError("a component of T - S weighs inf: its task weights overflow")
-        components = _group(label, len(weights))
         old_parent, old_weight = self._parent, self._parent_weight
         parent = [-1] * len(weights)
         parent_weight = [0.0] * len(weights)
@@ -384,7 +393,7 @@ class Tree:
                 child = sibling[child]
         super_tree = Tree.__new__(Tree)._set_lists(
             weights, parent, order, parent_weight, edge_child)
-        return super_tree, components, edge_origin
+        return super_tree, label, edge_origin
 
     @classmethod
     def from_task_graph(cls, graph: TaskGraph) -> "Tree":

@@ -63,17 +63,6 @@ class OpCounter:
         series = self.traces.get(name, [])
         return max(series) if series else 0.0
 
-    def merge(self, other: "OpCounter") -> None:
-        if not self.enabled:
-            # Merging into a disabled counter must be a no-op: NULL_COUNTER
-            # is a module-level singleton, and recording into it would
-            # leak state across every call site that shares it.
-            return
-        for name, value in other.counts.items():
-            self.counts[name] += value
-        for name, series in other.traces.items():
-            self.traces[name].extend(series)
-
     def as_dict(self) -> Dict[str, int]:
         return dict(self.counts)
 

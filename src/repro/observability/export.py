@@ -17,8 +17,8 @@ distinguishable by their ``kind`` field (schema v2):
   ``metric`` records of the same run.
 
 **v1 → v2 migration.**  v2 is a superset: every v1 file is a valid v2
-file (v1 simply contains no ``event`` records, and all its histogram
-payloads are verbatim value lists rather than bucketed dicts).  Readers
+file (v1 simply contains no ``event`` records).  Histogram records
+carry a ``summary``, never the observations behind it.  Readers
 should dispatch on ``kind`` and ignore kinds they don't know; that is
 what :func:`read_trace` consumers here do, so v1 traces remain fully
 inspectable with ``repro report --trace``.

@@ -31,8 +31,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO,
 
 #: Trace schema version, bumped when the record layout changes
 #: incompatibly.  v1 (PR 2): ``meta``/``span``/``metric`` records.
-#: v2 (this module): adds the ``event`` record kind for live streams
-#: and bucketed histogram payloads.  Defined here (the leaf module of
+#: v2 (this module): adds the ``event`` record kind for live streams.
+#: Defined here (the leaf module of
 #: the package) so both spans and export can import it cycle-free;
 #: :mod:`repro.observability.export` re-exports it.
 TRACE_SCHEMA_VERSION = 2

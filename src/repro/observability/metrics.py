@@ -6,22 +6,17 @@ spend its time"; a :class:`MetricsRegistry` answers the fleet questions
 percentiles.  The engine reports each fact once, as an event dict, and
 :meth:`MetricsRegistry.emit` is the one place events become
 instruments: the engine folds its own events through it, and a trace
-reader folds a streamed file through it to get the same numbers.  A
-registry (or any of its instruments) also round-trips through plain
-dicts (:meth:`MetricsRegistry.to_payload` / :meth:`MetricsRegistry.merge`).
-
-Merging is deterministic: counters and histogram observations add, a
-gauge takes the merged-in value.  Histograms are *mergeable without a
-merge order*: their internal state is a pure function of the observed
-multiset (see :class:`Histogram`), so any fold order over worker
-payloads produces bit-identical :meth:`MetricsRegistry.records`.
+reader folds a streamed file through it to get the same numbers.
+Histogram state is a pure function of the observed multiset (see
+:class:`Histogram`), so any order of the same observations produces a
+bit-identical summary.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 
 def nearest_rank(ordered: List[float], pct: float) -> float:
@@ -111,11 +106,6 @@ def _bucket_mid(index: int) -> float:
     return (lo + lo * _GAMMA) / 2.0
 
 
-#: A histogram wire payload: the v1 verbatim-values list, or the v2
-#: bucketed dict once a histogram has spilled.
-HistogramPayload = Union[List[float], Dict[str, Any]]
-
-
 class Histogram:
     """A named distribution: exact while small, log-bucketed at scale.
 
@@ -131,22 +121,19 @@ class Histogram:
     observed *multiset*: bucket counts add, min/max take extrema, exact
     sums use :func:`math.fsum` (order-independent correctly-rounded
     summation), and the exact→bucketed transition happens exactly when
-    the total count crosses the limit.  Merging worker payloads in any
-    order therefore yields bit-identical :meth:`summary` output, and a
-    merged histogram matches a single-process histogram fed the same
-    observations (property-tested).
+    the total count crosses the limit.  Observing the same values in
+    any order therefore yields bit-identical :meth:`summary` output
+    (property-tested).
 
     Percentile calls memoize the sorted view and invalidate it on
-    :meth:`observe`/:meth:`merge`, so a p50+p99 report loop is sorted
-    once, not once per percentile.
+    :meth:`observe`, so a p50+p99 report loop is sorted once, not once
+    per percentile.
 
-    **Thread safety.**  Observation, merge, summary and the memoized
+    **Thread safety.**  Observation, summary and the memoized
     percentile/CDF paths all serialize on one reentrant ``_lock``: the
     count/min/max/values update in ``observe`` and the exact→bucketed
     spill are multi-field transitions that must never be observed
-    half-done.  ``merge`` snapshots the other
-    histogram's payload *before* taking its own lock, so two histograms
-    merging into each other cannot deadlock.
+    half-done.
     """
 
     __slots__ = (
@@ -264,7 +251,7 @@ class Histogram:
     def sum(self) -> float:
         """Exact (fsum) while exact; bucket-midpoint estimate after.
 
-        Both forms are independent of observation/merge order:
+        Both forms are independent of observation order:
         :func:`math.fsum` is correctly rounded, and the bucketed form
         folds ``midpoint * count`` in bucket-index order.
         """
@@ -339,66 +326,6 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    # ------------------------------------------------------------------
-    # Serialization and merging
-    # ------------------------------------------------------------------
-    def to_payload(self) -> HistogramPayload:
-        """Wire form: the verbatim list while exact (the v1 format),
-        or a bucketed dict once spilled."""
-        with self._lock:
-            if self._values is not None:
-                return list(self._values)
-            return {
-                "count": self._count,
-                "zero": self._zero,
-                "pos": {str(i): count for i, count in self._pos.items()},
-                "neg": {str(i): count for i, count in self._neg.items()},
-                "min": self._min,
-                "max": self._max,
-            }
-
-    def merge(self, other: Union["Histogram", HistogramPayload]) -> None:
-        """Fold another histogram (or its payload) into this one.
-
-        Exact + exact stays exact while the combined count fits the
-        limit; any bucketed participant forces the merged histogram to
-        buckets.  The result depends only on the combined multiset,
-        never on merge order.
-        """
-        # Snapshot the other side under *its* lock only, before taking
-        # ours — holding both at once could deadlock two histograms
-        # merging into each other from different threads.
-        if isinstance(other, Histogram):
-            payload = other.to_payload()
-        else:
-            payload = other
-        with self._lock:
-            if isinstance(payload, list):
-                for value in payload:
-                    self.observe(float(value))
-                return
-            # Bucketed payload: spill ourselves, then add counts.
-            if self._values is not None:
-                self._spill()
-            self._cdf = None
-            incoming = int(payload.get("count", 0))
-            if not incoming:
-                return
-            self._count += incoming
-            self._zero += int(payload.get("zero", 0))
-            for key, count in payload.get("pos", {}).items():
-                index = int(key)
-                self._pos[index] = self._pos.get(index, 0) + int(count)
-            for key, count in payload.get("neg", {}).items():
-                index = int(key)
-                self._neg[index] = self._neg.get(index, 0) + int(count)
-            other_min = float(payload.get("min", math.inf))
-            other_max = float(payload.get("max", -math.inf))
-            if other_min < self._min:
-                self._min = other_min
-            if other_max > self._max:
-                self._max = other_max
-
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "bucketed"
         return f"Histogram({self.name}, n={self.count}, {mode}, mean={self.mean:g})"
@@ -413,10 +340,10 @@ class MetricsRegistry:
 
     Get-or-create and snapshot paths hold ``_lock``, so two
     threads asking for the same name always receive the *same*
-    instrument, and ``to_payload``/``records`` never iterate a dict
-    mid-insert.  The instruments themselves carry their own locks, and
-    the registry lock is always acquired first — the lock order is
-    acyclic, so the pair cannot deadlock.
+    instrument, and ``records`` never iterates a dict mid-insert.  The
+    instruments themselves carry their own locks, and the registry lock
+    is always acquired first — the lock order is acyclic, so the pair
+    cannot deadlock.
     """
 
     __slots__ = ("counters", "gauges", "histograms", "_lock")
@@ -506,42 +433,6 @@ class MetricsRegistry:
 
     def close(self) -> None:
         """Subscriber protocol: nothing to release."""
-
-    # ------------------------------------------------------------------
-    # Serialization and merging
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """Plain-dict form: pickles to workers, dumps to JSON, merges back."""
-        with self._lock:
-            return {
-                "counters": {n: c.value for n, c in self.counters.items()},
-                "gauges": {n: g.value for n, g in self.gauges.items()},
-                "histograms": {
-                    n: h.to_payload() for n, h in self.histograms.items()
-                },
-            }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(payload)
-        return registry
-
-    def merge(self, other: Any) -> None:
-        """Fold another registry (or its payload dict) into this one.
-
-        Counters and histogram observations add; gauges take the
-        incoming value.  Counter/histogram aggregation is independent of
-        merge order; only gauges are last-write-wins (callers merge
-        results in query order, so even those are reproducible).
-        """
-        payload = other.to_payload() if isinstance(other, MetricsRegistry) else other
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, histogram in payload.get("histograms", {}).items():
-            self.histogram(name).merge(histogram)
 
     def records(self) -> List[Dict[str, Any]]:
         """JSON-ready metric records (one per instrument), sorted by name."""

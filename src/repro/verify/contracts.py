@@ -269,7 +269,6 @@ CONTRACTS: Dict[str, Contract] = {
     "repro.engine.kernels.bandwidth_sweep": ("n + p log q", ()),
     "repro.engine.kernels.sweep_min_cut": ("n + p log q", ()),
     "repro.engine.kernels.temps_sweep": ("n + p log q", ()),
-    "repro.engine.plan.CompiledChainPlan.solve_beta_sweep": ("n + b s", ()),
     "repro.engine.plan.CompiledChainPlan.solve_bounds": (
         "k log k + g n log q", (),
     ),

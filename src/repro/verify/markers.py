@@ -47,16 +47,12 @@ CONCURRENT_ENTRIES: FrozenSet[str] = frozenset(
         "repro.observability.live.TelemetryHub.subscribe",
         "repro.observability.metrics.Counter.inc",
         "repro.observability.metrics.Gauge.set",
-        "repro.observability.metrics.Histogram.merge",
         "repro.observability.metrics.Histogram.observe",
-        "repro.observability.metrics.Histogram.to_payload",
         "repro.observability.metrics.MetricsRegistry.counter",
         "repro.observability.metrics.MetricsRegistry.emit",
         "repro.observability.metrics.MetricsRegistry.gauge",
         "repro.observability.metrics.MetricsRegistry.histogram",
-        "repro.observability.metrics.MetricsRegistry.merge",
         "repro.observability.metrics.MetricsRegistry.records",
-        "repro.observability.metrics.MetricsRegistry.to_payload",
         "repro.observability.profiler.ProfileSampler.sample_once",
         "repro.observability.profiler.ProfileSampler.start",
         "repro.observability.profiler.ProfileSampler.stop",

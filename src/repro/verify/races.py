@@ -468,13 +468,7 @@ def hammer_histogram(harness: ConcurrencyHarness) -> Dict[str, Any]:
     total = harness.total_ops
     _require(hist.count == total, f"lost observations: {hist.count} != {total}")
     _require(not hist.exact, "histogram never spilled despite crossing limit")
-    payload = hist.to_payload()
-    assert isinstance(payload, dict)
-    mass = (
-        int(payload["zero"])
-        + sum(int(c) for c in payload["pos"].values())
-        + sum(int(c) for c in payload["neg"].values())
-    )
+    mass = hist._zero + sum(hist._pos.values()) + sum(hist._neg.values())
     _require(
         mass == total,
         f"torn spill: bucket mass {mass} != count {total}",

@@ -23,9 +23,12 @@ Installation patches by *identity*, not by name: after executing the
 mutated source into a fresh namespace, every module in the ``repro``/
 ``tests`` universe that holds a direct reference to a replaced object
 (``from repro.core.bandwidth import bandwidth_min`` style bindings) is
-rebound to the mutant's version.  Without this, mutants would silently
-survive behind stale direct imports — a false survivor, the worst
-failure mode a mutation engine can have.
+rebound to the mutant's version.  A replaced top-level function also
+takes the mutant's code, so a reference no module namespace holds (a
+solver captured in a ``pytest.mark.parametrize`` list) runs the mutant
+too.  Without this, mutants would silently survive behind stale
+references — a false survivor, the worst failure mode a mutation engine
+can have.
 """
 
 from __future__ import annotations
@@ -116,7 +119,11 @@ def install_module_source(module_name: str, source: str) -> None:
        every public top-level binding that changed;
     3. sweep every loaded module under :data:`PATCH_ROOTS` and rebind
        any global that *is* (identity, not equality) a replaced object —
-       this catches ``from X import f`` bindings made before the swap;
+       this catches ``from X import f`` bindings made before the swap —
+       and give each replaced closure-free top-level function the
+       mutant's ``__code__``, ``__defaults__`` and ``__kwdefaults__``,
+       which catches references held anywhere else (its
+       ``__globals__`` is the original module dict, see step 4);
     4. overwrite the original module's ``__dict__`` so module-attribute
        access and lazy ``import X`` inside functions see the mutant.
     """
@@ -137,6 +144,15 @@ def install_module_source(module_name: str, source: str) -> None:
         old_value = original.__dict__.get(key, _MISSING)
         if old_value is not _MISSING and old_value is not new_value:
             remap[id(old_value)] = new_value
+            if (
+                isinstance(old_value, types.FunctionType)
+                and isinstance(new_value, types.FunctionType)
+                and old_value.__closure__ is None
+                and new_value.__closure__ is None
+            ):
+                old_value.__code__ = new_value.__code__
+                old_value.__defaults__ = new_value.__defaults__
+                old_value.__kwdefaults__ = new_value.__kwdefaults__
     for name, module in list(sys.modules.items()):
         if module is None or module is original:
             continue

@@ -25,7 +25,7 @@ def test_plan_cache_line_summarizes_engine_metrics():
     wmax = chain.max_vertex_weight()
     engine.solve_sweep(chain, [2.0 * wmax, 3.0 * wmax, 2.0 * wmax])
     engine.solve_sweep(chain, [4.0 * wmax])
-    records = trace_records(metrics=engine.snapshot_metrics())
+    records = trace_records(metrics=engine.metrics)
     line = plan_cache_line(records)
     assert line.startswith("compiled plans:")
     assert "plans=1" in line

@@ -88,12 +88,6 @@ def test_greedy_baselines_share_the_block_rule(seed):
         assert chain.is_feasible_cut(jittered.cut_indices, bound)
 
 
-def _beta_sweep(chain, bound):
-    from repro.engine.plan import compile_chain
-
-    return compile_chain(chain).solve_beta_sweep([list(chain.beta)], bound)
-
-
 def _plan(chain, bound):
     from repro.engine.plan import compile_chain
 
@@ -108,7 +102,7 @@ def _engine(chain, bound):
 
 @pytest.mark.parametrize(
     "solve",
-    [*SOLVERS, chain_min_bandwidth, _engine, _plan, _beta_sweep],
+    [*SOLVERS, chain_min_bandwidth, _engine, _plan],
     ids=lambda solve: solve.__name__,
 )
 def test_infinite_optimum_is_a_typed_error(solve):
@@ -126,7 +120,6 @@ def test_overflowing_candidate_with_finite_optimum_is_an_answer():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert weights(chain, 2.0) == [(1e308).hex()] * 5
-        assert _beta_sweep(chain, 2.0).tolist() == [1e308]
 
 
 @pytest.mark.parametrize("seed", range(3))

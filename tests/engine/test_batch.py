@@ -337,7 +337,7 @@ class TestBatchTelemetry:
 
         engine = PartitionEngine(tracer=Tracer())
         engine.solve_many(make_queries(num=4), max_workers=0)
-        metrics = engine.snapshot_metrics()
+        metrics = engine.metrics
         names = {r["name"] for r in metrics.records()}
         assert "engine.batch.queries" in names
         # Four distinct chains: four compiles, counted under one name.

@@ -33,9 +33,13 @@ def kernel_columns(chain, bound, apply_reduction=True):
     first, last = kernels.prime_windows(prefix, bound)
     weights = kernels.prime_weight_array(prefix, first, last)
     lo, hi = kernels.membership_intervals(first, last - 1, chain.num_edges)
-    columns = kernels.reduced_edge_arrays(
-        kernels.beta_array(chain), lo, hi, apply_reduction=apply_reduction
-    )
+    beta = kernels.beta_array(chain)
+    if apply_reduction:
+        columns = kernels.reduced_edge_arrays(beta, lo, hi)
+    else:
+        # Every covered edge, as ``reduce_edges(apply_reduction=False)``.
+        idx = np.flatnonzero(lo <= hi)
+        columns = (idx, beta[idx], lo[idx], hi[idx])
     return first, last, weights, columns
 
 
@@ -232,9 +236,7 @@ class TestWeightOnlyFastPath:
                     first_tasks, last_tasks - 1, chain.num_edges
                 )
                 _, edge_weight, edge_first, edge_last = (
-                    kernels.reduced_edge_arrays(
-                        beta, lo, hi, apply_reduction=True
-                    )
+                    kernels.reduced_edge_arrays(beta, lo, hi)
                 )
                 class_w, class_first, class_last = kernels.reduced_class_arrays(
                     beta, first_tasks, last_tasks, chain.num_edges

@@ -328,67 +328,6 @@ class TestSolveBounds:
             plan.solve_bounds([bound])
 
 
-class TestSolveBetaSweep:
-    def test_matches_per_call_on_perturbed_chains(self):
-        chain = random_chain(60, rng=20)
-        bound = 2.5 * chain.max_vertex_weight()
-        betas = [
-            list(chain.beta),
-            [2.0 * b for b in chain.beta],
-            [0.25 * b + 1.0 for b in chain.beta],
-            list(reversed(chain.beta)),
-            [0.0] * chain.num_edges,
-        ]
-        out = compile_chain(chain).solve_beta_sweep(betas, bound)
-        assert out.shape == (len(betas),)
-        for row, weight in zip(betas, out):
-            assert weight == bandwidth_min(Chain(chain.alpha, row), bound).weight
-
-    def test_tight_bound(self):
-        chain = random_chain(40, rng=21)
-        bound = float(chain.max_vertex_weight())
-        betas = [list(chain.beta), [3.0 * b for b in chain.beta]]
-        out = compile_chain(chain).solve_beta_sweep(betas, bound)
-        for row, weight in zip(betas, out):
-            assert weight == bandwidth_min(Chain(chain.alpha, row), bound).weight
-
-    def test_uncut_chain_returns_zeros(self):
-        chain = Chain([1.0, 1.0], [4.0])
-        out = compile_chain(chain).solve_beta_sweep([[4.0], [9.0]], 2.0)
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_counts_sweep_and_rows(self):
-        chain = random_chain(20, rng=24)
-        plan = compile_chain(chain)
-        plan.solve_beta_sweep([list(chain.beta)] * 3, 2.0 * chain.max_vertex_weight())
-        assert (plan.stats.sweeps, plan.stats.queries) == (1, 3)
-        assert len(plan) == 0  # the β sweep never touches the memo
-
-    def test_input_validation(self):
-        chain = random_chain(10, rng=22)
-        plan = compile_chain(chain)
-        bound = 2.0 * chain.max_vertex_weight()
-        with pytest.raises(ValueError, match="shape"):
-            plan.solve_beta_sweep([[1.0, 2.0]], bound)
-        with pytest.raises(ValueError, match="at least one"):
-            plan.solve_beta_sweep(np.empty((0, chain.num_edges)), bound)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            plan.solve_beta_sweep([[-1.0] * chain.num_edges], bound)
-        with pytest.raises(InfeasibleBoundError):
-            plan.solve_beta_sweep(
-                [list(chain.beta)], 0.5 * chain.max_vertex_weight()
-            )
-
-    def test_verify_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        chain = random_chain(25, rng=23)
-        bound = 2.0 * chain.max_vertex_weight()
-        betas = [list(chain.beta), [1.5 * b for b in chain.beta]]
-        out = compile_chain(chain).solve_beta_sweep(betas, bound)
-        for row, weight in zip(betas, out):
-            assert weight == bandwidth_min(Chain(chain.alpha, row), bound).weight
-
-
 class TestPlanCache:
     def test_hit_miss_eviction(self):
         cache = PlanCache(max_plans=2)
@@ -469,7 +408,7 @@ class TestEngineSolveSweep:
         engine = PartitionEngine()
         chain = random_chain(20, rng=42)
         engine.solve_sweep(chain, bounds_for(chain, count=4, seed=42))
-        metrics = engine.snapshot_metrics()
+        metrics = engine.metrics
         names = {r["name"] for r in metrics.records()}
         assert "engine.plan.cache.misses" in names
         assert "engine.plan.cache.plans" in names

@@ -26,15 +26,6 @@ class TestOpCounter:
         assert c.trace_mean("missing") == 0.0
         assert c.trace_max("missing") == 0.0
 
-    def test_merge(self):
-        a, b = OpCounter(), OpCounter()
-        a.add("x", 2)
-        b.add("x", 3)
-        b.trace("t", 1.0)
-        a.merge(b)
-        assert a.get("x") == 5
-        assert a.traces["t"] == [1.0]
-
     def test_as_dict(self):
         c = OpCounter()
         c.add("a")
@@ -53,26 +44,6 @@ class TestOpCounter:
         NULL_COUNTER.trace("t", 1.0)
         assert NULL_COUNTER.as_dict() == {}
         assert not NULL_COUNTER.enabled
-
-    def test_merge_into_disabled_counter_is_noop(self):
-        # Regression: merge() used to ignore `enabled`, so merging into
-        # the shared NULL_COUNTER polluted every disabled call site.
-        src = OpCounter()
-        src.add("x", 7)
-        src.trace("t", 2.0)
-        disabled = OpCounter(enabled=False)  # repro-lint: disable=REPRO005 (testing the disabled path)
-        disabled.merge(src)
-        assert disabled.get("x") == 0
-        assert disabled.as_dict() == {}
-        assert disabled.traces == {}
-
-    def test_null_counter_survives_merge_unpolluted(self):
-        src = OpCounter()
-        src.add("search_steps", 100)
-        src.trace("temp_s_len", 9.0)
-        NULL_COUNTER.merge(src)
-        assert NULL_COUNTER.as_dict() == {}
-        assert NULL_COUNTER.trace_max("temp_s_len") == 0.0
 
     def test_disabled_counter_allocates_no_default_entries(self):
         # A disabled counter's mappings are plain dicts: a stray read

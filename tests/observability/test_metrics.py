@@ -65,47 +65,6 @@ class TestRegistry:
         assert reg.counter("x").value == 1
         assert reg.gauge("x").value == 2
 
-    def test_payload_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("hits").inc(3)
-        reg.gauge("depth").set(2)
-        reg.histogram("lat").observe(0.5)
-        clone = MetricsRegistry.from_payload(reg.to_payload())
-        assert clone.to_payload() == reg.to_payload()
-
-    def test_merge_semantics(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter("hits").inc(2)
-        parent.gauge("depth").set(1)
-        parent.histogram("lat").observe(1.0)
-        worker.counter("hits").inc(3)
-        worker.gauge("depth").set(9)
-        worker.histogram("lat").observe(2.0)
-        parent.merge(worker)
-        assert parent.counter("hits").value == 5  # counters add
-        assert parent.gauge("depth").value == 9  # gauges last-write
-        assert parent.histogram("lat").values == [1.0, 2.0]  # observations concat
-
-    def test_merge_accepts_payload_dict(self):
-        parent = MetricsRegistry()
-        parent.merge({"counters": {"hits": 4}, "histograms": {"lat": [1.0]}})
-        assert parent.counter("hits").value == 4
-        assert parent.histogram("lat").count == 1
-
-    def test_merge_order_determinism(self):
-        payloads = []
-        for i in range(3):
-            reg = MetricsRegistry()
-            reg.counter("n").inc(i)
-            reg.histogram("lat").observe(float(i))
-            payloads.append(reg.to_payload())
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for payload in payloads:
-            a.merge(payload)
-        for payload in payloads:
-            b.merge(payload)
-        assert a.to_payload() == b.to_payload()
-
     def test_records_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.counter("b.count").inc()
@@ -126,9 +85,6 @@ class TestRegistry:
         reg = MetricsRegistry()
         assert len(reg) == 0
         assert reg.records() == []
-        assert reg.to_payload() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
 
 
 class TestEmit:

@@ -16,25 +16,25 @@ from repro.graphs.generators import random_chain
 from repro.observability import Tracer
 
 
-def _engine_solve(chain, bound, search="binary", tracer=None):
+def _engine_solve(chain, bound, tracer=None):
     from repro.engine import PartitionEngine
 
-    return PartitionEngine(tracer=tracer).solve(chain, bound, search=search)
+    return PartitionEngine(tracer=tracer).solve(chain, bound)
 
 
 @pytest.fixture(params=["python", "numpy"])
 def solve(request):
-    """A solver taking ``(chain, bound, search=, tracer=)``: the
-    pure-Python reference, or the engine (the NumPy route)."""
+    """A solver taking ``(chain, bound, tracer=)``: the pure-Python
+    reference, or the engine (the NumPy route)."""
     if request.param == "numpy":
         pytest.importorskip("numpy")
         return _engine_solve
     return bandwidth_min
 
 
-def traced_solve(chain, bound, solve=bandwidth_min, search="binary"):
+def traced_solve(chain, bound, solve=bandwidth_min):
     tracer = Tracer()
-    result = solve(chain, bound, search=search, tracer=tracer)
+    result = solve(chain, bound, tracer=tracer)
     return tracer, result
 
 
@@ -86,11 +86,13 @@ class TestTracingIsInert:
                 plain.weight,
             )
 
-    def test_linear_search_traced(self, solve):
+    def test_linear_search_traced(self):
+        # Appendix B's linear TEMP_S search lives on the reference only.
         chain = random_chain(150, rng=9)
         bound = 2.0 * chain.max_vertex_weight()
-        plain = solve(chain, bound, search="linear")
-        tracer, traced = traced_solve(chain, bound, solve, search="linear")
+        plain = bandwidth_min(chain, bound, search="linear")
+        tracer = Tracer()
+        traced = bandwidth_min(chain, bound, search="linear", tracer=tracer)
         assert traced.weight == plain.weight
         assert tracer.find("temp_s_sweep").counter.get("search_steps") > 0
 

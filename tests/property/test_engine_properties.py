@@ -16,7 +16,6 @@ np = pytest.importorskip("numpy")
 from repro.core.bandwidth import bandwidth_min
 from repro.core.prime_subpaths import PrimeStructure
 from repro.engine import PartitionEngine, PartitionQuery, compile_chain
-from repro.graphs.chain import Chain
 from tests.engine.test_kernels import kernel_rows
 from tests.property.strategies import chain_and_bound
 
@@ -125,25 +124,6 @@ def test_plan_solve_bounds_identical_to_per_call(data, slacks, shuffler):
         ref = bandwidth_min(chain, k)
         assert weight == ref.weight  # exact, not approximate
         assert cut == list(ref.cut_indices)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    chain_and_bound(max_tasks=16),
-    st.lists(
-        st.integers(min_value=0, max_value=4), min_size=1, max_size=4
-    ),
-)
-def test_plan_beta_sweep_identical_to_per_call(data, scales):
-    from repro.engine.plan import compile_chain
-
-    chain, bound = data
-    betas = [[s * 0.5 * b for b in chain.beta] for s in scales]
-    if chain.num_edges == 0:
-        betas = [[] for _ in scales]
-    out = compile_chain(chain).solve_beta_sweep(betas, bound)
-    for row, weight in zip(betas, out):
-        assert weight == bandwidth_min(Chain(chain.alpha, row), bound).weight
 
 
 @settings(max_examples=50, deadline=None)

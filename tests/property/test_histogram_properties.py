@@ -1,12 +1,10 @@
-"""Property-based tests for the hybrid histogram and the registry.
+"""Property-based tests for the hybrid histogram.
 
-The batch engine merges per-worker histogram payloads back into one
-registry, and workers finish in nondeterministic order — so the merged
-summary is only trustworthy if it is a pure function of the observed
-*multiset*.  On arbitrary shardings (including shards big enough to
-spill into log buckets): merge order never changes a bit of the
-summary, and merging shards is indistinguishable from one process
-observing everything itself.
+A histogram's summary is only trustworthy if it is a pure function of
+the observed *multiset*: threads and pool workers report events in
+nondeterministic order.  On arbitrary observation lists (including ones
+big enough to spill into log buckets), the order of observation never
+changes a bit of the summary or of the bucket counts.
 """
 
 import random
@@ -14,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability.metrics import EXACT_LIMIT, Histogram, MetricsRegistry
+from repro.observability.metrics import EXACT_LIMIT, Histogram
 
 # Magnitudes spanning many octaves, plus exact zeros and negatives —
 # every bucketing regime (pos/neg/zero) participates.
@@ -27,96 +25,37 @@ observation = st.one_of(
 )
 
 
-def _multiset(payload):
-    """Order-free view of a histogram payload.
-
-    Exact payloads are insertion-ordered verbatim lists — the *multiset*
-    is the deterministic part, not the order.  Bucketed payloads are
-    dicts and already canonical.
-    """
-    return sorted(payload) if isinstance(payload, list) else payload
-
-
 @st.composite
-def shard(draw):
-    """One worker's observations; sometimes big enough to spill."""
+def observations(draw):
+    """Observed values; sometimes enough of them to spill."""
     values = draw(st.lists(observation, min_size=1, max_size=30))
     if draw(st.booleans()):
-        # Replicate past EXACT_LIMIT so this shard ships a bucketed
-        # payload, without asking hypothesis for 500+ distinct floats.
+        # Replicate past EXACT_LIMIT so the histogram spills to buckets,
+        # without asking hypothesis for 500+ distinct floats.
         values = values * (EXACT_LIMIT // len(values) + 2)
     return values
 
 
-class TestMergeDeterminism:
+def _state(histogram):
+    """Order-free state: the sorted values while exact (they are kept in
+    insertion order), the bucket counts once spilled."""
+    if histogram.exact:
+        return sorted(histogram.values)
+    return histogram._zero, histogram._pos, histogram._neg
+
+
+class TestObservationOrder:
     @settings(max_examples=50, deadline=None)
-    @given(shards=st.lists(shard(), min_size=2, max_size=4),
+    @given(values=observations(),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_merge_order_invariance_bit_identical(self, shards, seed):
-        payloads = []
-        for values in shards:
-            h = Histogram("m")
-            for value in values:
-                h.observe(value)
-            payloads.append(h.to_payload())
-
-        in_order = Histogram("m")
-        for payload in payloads:
-            in_order.merge(payload)
-
-        shuffled = Histogram("m")
-        permuted = list(payloads)
+    def test_shuffled_order_is_bit_identical(self, values, seed):
+        in_order = Histogram("h", values)
+        permuted = list(values)
         random.Random(seed).shuffle(permuted)
-        for payload in permuted:
-            shuffled.merge(payload)
+        shuffled = Histogram("h", permuted)
 
         # Bit-identical, not approx: fsum is correctly rounded and
         # bucket state is a pure function of the observed multiset.
+        assert in_order.exact == shuffled.exact == (len(values) <= EXACT_LIMIT)
         assert in_order.summary() == shuffled.summary()
-        assert _multiset(in_order.to_payload()) == _multiset(
-            shuffled.to_payload()
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(shards=st.lists(shard(), min_size=2, max_size=4))
-    def test_merged_shards_match_single_process(self, shards):
-        merged = Histogram("m")
-        for values in shards:
-            worker = Histogram("m")
-            for value in values:
-                worker.observe(value)
-            merged.merge(worker.to_payload())
-
-        single = Histogram("m")
-        for values in shards:
-            for value in values:
-                single.observe(value)
-
-        assert merged.exact == single.exact
-        assert merged.summary() == single.summary()
-        assert _multiset(merged.to_payload()) == _multiset(
-            single.to_payload()
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(shards=st.lists(shard(), min_size=2, max_size=3),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_registry_records_bit_identical_across_merge_orders(
-        self, shards, seed
-    ):
-        # The cross-process path the engine actually uses: worker
-        # registries serialize to payloads, the parent merges them,
-        # records() feeds the trace file.
-        def build(order):
-            registry = MetricsRegistry()
-            for values in order:
-                worker = MetricsRegistry()
-                for value in values:
-                    worker.histogram("batch.query_latency_s").observe(value)
-                worker.counter("queries").inc(len(values))
-                registry.merge(worker.to_payload())
-            return registry.records()
-
-        permuted = list(shards)
-        random.Random(seed).shuffle(permuted)
-        assert build(shards) == build(permuted)
+        assert _state(in_order) == _state(shuffled)

@@ -39,26 +39,36 @@ def _hard_exit():
     os._exit(3)
 
 
+POISONED_TEMP_S = textwrap.dedent(
+    """
+    from typing import Optional
+
+
+    class SolutionNode:
+        pass
+
+
+    def solution_weight(sol):
+        return -1.0
+    """
+)
+
+#: Held by no module namespace, as a ``parametrize`` list holds a solver.
+CAPTURED = [solution_weight]
+
+
 def _install_poisoned_temp_s():
     """Child-side: replace solution_weight with a constant and report
     what the *child* observes through its own direct import."""
-    poisoned = textwrap.dedent(
-        """
-        from typing import Optional
-
-
-        class SolutionNode:
-            pass
-
-
-        def solution_weight(sol):
-            return -1.0
-        """
-    )
-    install_module_source("repro.core.temp_s", poisoned)
+    install_module_source("repro.core.temp_s", POISONED_TEMP_S)
     import repro.core.temp_s as mod
 
     return (mod.solution_weight(None), solution_weight(None))
+
+
+def _call_captured_after_poisoning():
+    install_module_source("repro.core.temp_s", POISONED_TEMP_S)
+    return CAPTURED[0](None)
 
 
 class TestVerdicts:
@@ -112,6 +122,14 @@ class TestIsolation:
         assert mod.solution_weight(None) == 0.0
         # The queue class is still the real one, not the poisoned stub.
         assert hasattr(mod.TempSQueue, "update")
+
+    def test_captured_function_runs_mutant_code(self):
+        # A reference captured in a list before the swap is not a module
+        # global, so rebinding cannot reach it; the swapped code does.
+        result = run_sandboxed(_call_captured_after_poisoning, (), timeout_s=60.0)
+        assert result.status == "ok"
+        assert result.value == -1.0
+        assert CAPTURED[0](None) == 0.0
 
 
 class TestSilencedOutput:

@@ -4,7 +4,8 @@
 :mod:`repro.verify.markers` tables name product functions and classes
 by qualified name; every name must import and be what the table says it
 is.  The product packages, in turn, import nothing from
-:mod:`repro.verify` unless ``REPRO_VERIFY`` asks them to.
+:mod:`repro.verify` unless ``REPRO_VERIFY`` asks them to, and a
+``repro batch`` loads no :mod:`repro.baselines` module.
 """
 
 import ast
@@ -65,11 +66,14 @@ def test_every_declared_name_resolves():
 
 CHILD = """
 import json, sys
-import repro.baselines, repro.core, repro.engine, repro.graphs, repro.observability
 from repro.cli import main
 code = main(["batch"])
-loaded = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "verify"])
-print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", package])
+baselines = loaded("baselines")
+import repro.baselines, repro.core, repro.engine, repro.graphs, repro.observability
+report = {"code": code, "baselines": baselines, "loaded": loaded("verify")}
+print(json.dumps(report), file=sys.stderr)
 """
 
 
@@ -86,6 +90,6 @@ def test_product_packages_load_no_verify_module():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stderr.strip().splitlines()[-1])
-    assert report == {"code": 0, "loaded": []}
+    assert report == {"code": 0, "baselines": [], "loaded": []}
     (line,) = result.stdout.splitlines()
     assert json.loads(line)["weight"] == 3.0
