@@ -393,6 +393,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _undecodable_line(path: str) -> int:
+    """The number of the first line of ``path`` that is not UTF-8.
+
+    UTF-8 never encodes a newline byte inside a character, so each
+    line decodes on its own."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.engine import PartitionEngine
 
@@ -429,6 +443,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        where = "" if args.input == "-" else f" line {_undecodable_line(args.input)}"
+        print(f"batch: cannot read {args.input}:{where} is not UTF-8: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"batch: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,6 +70,17 @@ OBJECTIVES = (
 )
 
 
+#: The JSON number types; ``bool`` is excluded by exact type checks.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(items: Any, name: str) -> Tuple[float, ...]:
+    """``items`` as floats, if it is a JSON array of numbers."""
+    if type(items) is not list or not set(map(type, items)) <= _NUMBER_TYPES:
+        raise ValueError(f"{name!r} must be a JSON array of numbers")
+    return tuple(map(float, items))
+
+
 @dataclass(frozen=True)
 class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slots on py39)
     """One independent partitioning question: a chain, a bound, an objective.
@@ -99,16 +110,24 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
 
     @classmethod
     def from_json(cls, line: str) -> "PartitionQuery":
-        """Parse one JSONL record, rejecting non-finite numbers at the wire.
+        """Parse one JSONL record, rejecting what names no weight or bound.
 
-        ``NaN``/``Infinity`` tokens and overflowing literals such as
-        ``1e999`` both parse to non-finite floats; neither names a valid
-        weight or bound, so either raises ``ValueError`` here.
+        ``alpha`` and ``beta`` must be JSON arrays of numbers and
+        ``bound`` a number: strings, booleans and objects are not read
+        as numbers.  ``NaN``/``Infinity`` tokens, literals such as
+        ``1e999`` or a 400-digit integer that overflow a float, and
+        nesting too deep to decode all raise ``ValueError`` here.
         """
-        record = json.loads(line)
-        alpha = tuple(float(a) for a in record["alpha"])
-        beta = tuple(float(b) for b in record.get("beta", []))
-        bound = float(record["bound"])
+        try:
+            record = json.loads(line)
+            alpha = _numbers(record["alpha"], "alpha")
+            beta = _numbers(record.get("beta", []), "beta")
+            bound = record["bound"]
+            if type(bound) not in _NUMBER_TYPES:
+                raise ValueError(f"'bound' must be a JSON number, got {bound!r}")
+            bound = float(bound)
+        except (OverflowError, RecursionError) as exc:
+            raise ValueError(str(exc)) from exc
         values = (*alpha, *beta, bound)
         if not all(map(math.isfinite, values)):
             bad = next(v for v in values if not math.isfinite(v))

@@ -107,8 +107,9 @@ def read_trace(source: Union[str, Iterable[str]]) -> List[Dict[str, Any]]:
     always inspectable.  A producer that reopens the file with
     ``StreamingJsonlSink(path, resume=True)`` truncates that torn tail
     before appending (the newline is the commit marker), so resumed
-    traces parse clean end to end — certified by the fault-injection
-    harness (:mod:`repro.verify.faults`).
+    traces parse clean end to end — certified by
+    ``test_sink_torn_write_resumes`` in
+    ``tests/observability/test_threads_and_faults.py``.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
@@ -127,7 +128,7 @@ def read_trace(source: Union[str, Iterable[str]]) -> List[Dict[str, Any]]:
             record = json.loads(line)
             if not isinstance(record, dict) or "kind" not in record:
                 raise ValueError("not a kind-tagged object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             if lineno == last_content:
                 warnings.warn(
                     f"trace has a torn tail record on line {lineno} "

@@ -25,23 +25,23 @@ that observation into tooling:
   name, plus the AST pass checking docstrings against them (REPRO011);
 - :mod:`repro.verify.empirical` — the ``repro analyze --complexity``
   gate fitting OpCounter telemetry against declared budgets (REPRO009);
-- :mod:`repro.verify.markers` / :mod:`repro.verify.concurrency` /
-  :mod:`repro.verify.races` — the concurrency-safety layer:
-  the ``SHARED_STATE``/``CONCURRENT_ENTRIES`` declaration tables, the
-  process-pool hygiene rules (REPRO006-REPRO008, ``repro analyze
-  --flow``), the shared-state effect analyzer (REPRO013 lock
-  discipline, REPRO015 fork-unsafe capture) behind ``repro analyze
-  --concurrency``, and the seeded multi-thread race-hammer harness;
+- :mod:`repro.verify.markers` / :mod:`repro.verify.concurrency` — the
+  concurrency-safety layer: the ``SHARED_STATE``/``CONCURRENT_ENTRIES``
+  declaration tables, the process-pool hygiene rules
+  (REPRO006-REPRO008, ``repro analyze --flow``) and the shared-state
+  effect analyzer (REPRO013 lock discipline, REPRO015 fork-unsafe
+  capture) behind ``repro analyze --concurrency``; the 8-thread race
+  tests in ``tests/*/test_threads_and_faults.py`` certify REPRO013;
 - :mod:`repro.verify.hotpath` / :mod:`repro.verify.allocs` — the
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
   the contracted solvers and their callees, certified by
   the allocation harness with ratcheted budgets;
-- :mod:`repro.verify.faultflow` / :mod:`repro.verify.faults` — the
-  fault-surface layer: resource-lifecycle, exception-flow, exit-code
-  and determinism-taint rules (REPRO020-REPRO024) behind
-  ``repro analyze --faults``, certified by a fault-injection harness
-  that raises at each instrumented acquire/IO point and demands
-  released locks, resumable sinks and bit-identical re-solves;
+- :mod:`repro.verify.faultflow` — the fault-surface layer:
+  resource-lifecycle, exception-flow, exit-code and determinism-taint
+  rules (REPRO020-REPRO024) behind ``repro analyze --faults``; the
+  fault tests in ``tests/*/test_threads_and_faults.py`` raise at each
+  acquire/IO point and demand released locks, resumable sinks and
+  bit-identical re-solves;
 - :mod:`repro.verify.operators` / :mod:`repro.verify.sandbox` /
   :mod:`repro.verify.mutate` — the mutation-analysis engine behind
   ``repro mutate``: domain-aware AST fault seeding into product code
@@ -74,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - re-export types for checkers only
         check_tree_cut,
     )
     from repro.verify.concurrency import CONCURRENCY_RULES
-    from repro.verify.races import ConcurrencyHarness, RaceConditionError
     from repro.verify.mutate import compare_to_baseline, run_mutation_analysis
     from repro.verify.operators import (
         MutationSite,
@@ -98,8 +97,6 @@ _EXPORTS = {
     "check_prime_cover": "repro.verify.certificates",
     "check_tree_cut": "repro.verify.certificates",
     "CONCURRENCY_RULES": "repro.verify.concurrency",
-    "ConcurrencyHarness": "repro.verify.races",
-    "RaceConditionError": "repro.verify.races",
     "MutationSite": "repro.verify.operators",
     "enumerate_sites": "repro.verify.operators",
     "apply_site": "repro.verify.operators",

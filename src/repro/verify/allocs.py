@@ -6,9 +6,7 @@ rebuilds, no unbound attribute dispatch, no accidentally-quadratic
 idioms, no NumPy temporary chains.  This module checks the claim
 actually *holds at the allocator*: an :class:`AllocationHarness` runs
 a warmed operation under ``sys.getallocatedblocks()`` deltas and a
-``tracemalloc`` window and reports exact counts, the way
-:class:`repro.verify.races.ConcurrencyHarness` drives the lock
-discipline that :mod:`repro.verify.concurrency` declares.
+``tracemalloc`` window and reports exact counts.
 
 Scenario functions (``measure_*``) cover the paths the zero-overhead
 and warm-query claims rest on:
@@ -23,9 +21,8 @@ and warm-query claims rest on:
 
 Measured numbers become committed budgets in ``BENCH_engine.json``
 (encoded with :func:`ratchet_ratio`, so ``repro ratchet`` fails when a
-path blows >25% past its budget) — the static pass claims, this
-harness certifies, exactly the concurrency-analyzer/race-hammer
-pairing.
+path blows >25% past its budget): the static pass claims, this
+harness certifies.
 
 Warm loops measure steady state, not first-call effects: imports,
 freelists, caches and memos are primed by ``warmup`` iterations before
@@ -46,7 +43,6 @@ __all__ = [
     "AllocationBudgetError",
     "AllocationHarness",
     "certify_budgets",
-    "measure_all",
     "measure_disabled_telemetry",
     "measure_prime_structure",
     "measure_warm_plan_sweep",
@@ -283,20 +279,3 @@ def measure_prime_structure(
 
     return harness.measure(build)
 
-
-def measure_all(
-    telemetry: AllocationHarness, workload: AllocationHarness
-) -> Dict[str, Dict[str, int]]:
-    """Run every scenario; the one-call entry point used by tooling.
-
-    ``telemetry`` drives the cheap disabled-path loops (large
-    iteration counts are fine); ``workload`` drives the solver-scale
-    scenarios, which cost a full sweep or structure build per
-    iteration.
-    """
-    results: Dict[str, Dict[str, int]] = {}
-    for name, footprint in measure_disabled_telemetry(telemetry).items():
-        results[f"disabled_{name}"] = footprint
-    results["warm_plan_sweep"] = measure_warm_plan_sweep(workload)
-    results["prime_structure"] = measure_prime_structure(workload)
-    return results

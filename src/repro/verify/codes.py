@@ -26,7 +26,8 @@ class RuleSpec(NamedTuple):
     ``"loop"`` (a pragma on any enclosing loop header also suppresses
     findings inside that loop's body — the REPRO016–REPRO018 rules).
     ``certifier`` names the dynamic counterpart that proves the static
-    claim at runtime, or ``""`` when the rule is purely static.
+    claim at runtime — a module, or a test file relative to the
+    repository root — or ``""`` when the rule is purely static.
     """
 
     message: str
@@ -83,7 +84,8 @@ REGISTRY: Dict[str, RuleSpec] = {
     "REPRO013": RuleSpec(
         "unguarded write to shared state on a concurrent path "
         "(wrap in 'with self.<lock>:')",
-        "repro.verify.concurrency", "line", "repro.verify.races",
+        "repro.verify.concurrency", "line",
+        "tests/engine/test_threads_and_faults.py",
     ),
     "REPRO015": RuleSpec(
         "fork-unsafe capture pickled into a process-pool worker "
@@ -113,7 +115,8 @@ REGISTRY: Dict[str, RuleSpec] = {
     "REPRO020": RuleSpec(
         "resource acquired outside 'with'/try-finally (a raise between "
         "acquire and release leaks it)",
-        "repro.verify.faultflow", "line", "repro.verify.faults",
+        "repro.verify.faultflow", "line",
+        "tests/observability/test_threads_and_faults.py",
     ),
     "REPRO021": RuleSpec(
         "broad/bare except swallows PartitioningError/VerificationError "
@@ -128,7 +131,8 @@ REGISTRY: Dict[str, RuleSpec] = {
     "REPRO023": RuleSpec(
         "nondeterministic source on a contracted path (unseeded random, "
         "wall clock, os.environ, unordered iteration)",
-        "repro.verify.faultflow", "line", "repro.verify.faults",
+        "repro.verify.faultflow", "line",
+        "tests/engine/test_threads_and_faults.py",
     ),
     "REPRO024": RuleSpec(
         "except handler silently drops the error (re-raise, publish to "

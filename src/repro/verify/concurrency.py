@@ -39,8 +39,9 @@ writes hold the object's declared lock.  Two tables in
 :mod:`repro.verify.markers` declare the contract by qualified name:
 
 - :data:`~repro.verify.markers.SHARED_STATE` — the classes that are
-  shared mutable state, each with its lock attribute; the race-hammer
-  harness (:mod:`repro.verify.races`) drives each of them;
+  shared mutable state, each with its lock attribute; the 8-thread
+  race tests in ``tests/*/test_threads_and_faults.py`` drive each of
+  them;
 - :data:`~repro.verify.markers.CONCURRENT_ENTRIES` — the functions and
   methods that may be called from multiple threads concurrently.
 

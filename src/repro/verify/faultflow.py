@@ -1,14 +1,17 @@
 """Fault-surface analysis: what happens to this code *when things fail*.
 
-ROADMAP item 1 (the resident ``repro serve`` process) turns every
-exception path into an outage class: a raise between a resource's
-acquire and its release leaks the handle for the life of the process, a
-broad ``except`` swallows the typed verification failures the engine is
-built around, and any nondeterminism on a solver path means the answer
-after crash recovery need not equal the answer of a clean run — which
-is the paper's whole value proposition.  The six earlier analyzers
-(REPRO001–REPRO019) cover allocation, concurrency and complexity but
-say nothing about failure; this seventh pass closes that gap:
+Two contracts depend on failure paths.  ``repro batch`` promises a
+documented exit code for every outcome (0 all solved, 1 some queries
+failed, 2 unreadable input): a broad ``except`` that swallows the typed
+``PartitioningError``/``VerificationError`` turns a wrong answer into a
+silent one, and an exit site off the ``EXIT_CODES`` table breaks the
+promise.  And a solver's output must be deterministic: any
+nondeterminism on a solver path means a re-run, or a re-solve after a
+fault, need not give the bit-identical answer the reproduction rests
+on.  A raise between a resource's acquire and its release leaks the
+handle for the rest of the run.  The other analyzers cover allocation,
+concurrency and complexity but say nothing about failure; this pass
+closes that gap:
 
 ==========  ==========================================================
 Code        Rule
@@ -44,19 +47,20 @@ REPRO024    A silent-drop ``except`` handler: the body neither
 ==========  ==========================================================
 
 REPRO020/021/024 are scoped (under the installed ``repro`` package) to
-``core``/``engine``/``observability`` — the layers a resident service
-keeps hot.  REPRO022 applies to files *named* ``cli.py`` or
+``core``/``engine``/``observability`` — the layers every solve and
+every ``repro batch`` run goes through.  REPRO022 applies to files *named* ``cli.py`` or
 ``__main__.py`` wherever they live.  REPRO023 roots at the functions
 listed in :data:`repro.verify.contracts.CONTRACTS` and follows the
 same within-module call graph as
 :mod:`repro.verify.hotpath`.  Files outside a ``repro`` package
 (fixtures, tests) are always analyzed.
 
-The static pass *claims*; :mod:`repro.verify.faults` *certifies* — its
-``FaultInjectionHarness`` raises at each instrumented acquire/IO point
-in turn and then proves with the PR 3 certificate checkers that locks
-are released, sinks resume past the torn tail, and the engine answers
-the same query bit-identically afterwards.
+The static pass *claims*; the fault tests in
+``tests/engine/test_threads_and_faults.py`` and
+``tests/observability/test_threads_and_faults.py`` *certify* — each
+raises at one acquire/IO point and then proves with the certificate
+checkers that locks are released, sinks resume past the torn tail,
+and the engine answers the same query bit-identically afterwards.
 
 Run it with ``repro analyze --faults [paths]`` (exit status: 0 clean,
 1 findings, 2 usage/parse errors).
@@ -89,7 +93,7 @@ from repro.verify.lint import (
 FAULTFLOW_RULES: Dict[str, str] = messages_for("repro.verify.faultflow")
 
 #: Packages analyzed (under the ``repro`` package) for the lifecycle,
-#: exception-flow and determinism rules: the resident-service layers.
+#: exception-flow and determinism rules: the layers every solve runs in.
 _SCOPED_PACKAGES = frozenset(("core", "engine", "observability"))
 
 #: Files the REPRO022 exit-code contract applies to, by basename.
@@ -780,8 +784,8 @@ def check(module: Module) -> List[Finding]:
     """The fault-surface pass over one parsed module.
 
     REPRO022 applies to the exit files; the lifecycle, exception-flow
-    and determinism rules to the resident-service layers (and to every
-    file outside a ``repro`` package).
+    and determinism rules to the solve-path layers (and to every file
+    outside a ``repro`` package).
     """
     findings: List[Finding] = []
     add: _Add = partial(module.flag, findings)

@@ -53,7 +53,7 @@ outside a ``repro`` package (fixtures, tests) are always analyzed.
 The static pass *claims*; :mod:`repro.verify.allocs` *certifies* —
 its ``AllocationHarness`` pins the analyzer-clean paths to committed
 allocation budgets in ``BENCH_engine.json``, gated by ``repro
-ratchet`` (exactly the concurrency-analyzer/race-hammer pairing).
+ratchet``.
 
 Run it with ``repro analyze --hotpath [paths]`` (exit status: 0 clean,
 1 findings, 2 usage/parse errors).

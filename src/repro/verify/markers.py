@@ -7,8 +7,8 @@ guarding each; :data:`CONCURRENT_ENTRIES` lists the functions and
 methods that may be called from several threads at once.  The
 *enforcement* half lives in :mod:`repro.verify.concurrency` (static
 rules REPRO013 and REPRO015, which read the entries for the file they
-check) and :mod:`repro.verify.races` (the dynamic race hammer, one
-scenario per shared object).
+check) and the 8-thread race tests in
+``tests/*/test_threads_and_faults.py`` (one per shared object).
 
 The product code carries no marker and imports nothing from here: a
 class or method is declared by adding its qualified name below.

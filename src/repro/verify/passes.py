@@ -5,10 +5,8 @@ findings`` function over a :class:`~repro.verify.lint.Module` (the
 record each file is read, parsed and pragma-scanned into exactly once)
 and its package-scope predicate, if it has one.
 
-``repro analyze`` runs the :data:`ANALYZE_SECTIONS`, ``python -m
-repro.verify.lint`` runs ``lint``, and the mutation pipeline's contract
-stage runs ``lint``, ``contracts`` and ``flow`` — all through
-:func:`analyze` or :func:`run`.
+``repro analyze`` runs the :data:`ANALYZE_SECTIONS` and ``python -m
+repro.verify.lint`` runs ``lint``, both through :func:`analyze`.
 
 Findings come back per file in source order (line, column, code), the
 order every report and test relies on.

@@ -1,8 +1,12 @@
-"""Shared fixtures: canonical instances used across the test suite."""
+"""Shared fixtures: canonical instances used across the test suite, plus
+the thread and fault helpers of the ``test_threads_and_faults`` modules."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import traceback
 
 import pytest
 
@@ -67,3 +71,116 @@ def medium_chain(rng) -> Chain:
 @pytest.fixture
 def medium_tree(rng) -> Tree:
     return random_tree(150, rng, vertex_range=(1, 10), edge_range=(1, 100))
+
+
+# ----------------------------------------------------------------------
+# Thread and fault helpers for the ``test_threads_and_faults`` modules
+# ----------------------------------------------------------------------
+
+
+def hammer(op, *, threads, ops_per_thread, seed):
+    """Run ``op(tid, i, rng)`` from ``threads`` threads at once.
+
+    The threads start together at a barrier, each draws from its own
+    ``random.Random(seed * 1_000_003 + tid)`` stream (so the workload
+    is reproducible while the OS picks the interleaving), and the
+    switch interval is cranked down to 10 µs for the run so the
+    scheduler interleaves at bytecode granularity.  Any exception in a
+    thread fails the caller's test.
+    """
+    barrier = threading.Barrier(threads)
+    failures = []
+
+    def body(tid):
+        rng = random.Random(seed * 1_000_003 + tid)
+        try:
+            barrier.wait()
+            for i in range(ops_per_thread):
+                op(tid, i, rng)
+        except BaseException:
+            failures.append(f"[thread {tid}]\n{traceback.format_exc()}")
+
+    workers = [
+        threading.Thread(target=body, args=(tid,), name=f"hammer-{tid}")
+        for tid in range(threads)
+    ]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not failures, "\n".join(failures)
+
+
+class InjectedFault(Exception):
+    """What every injected site raises; nothing in the library catches
+    it by type."""
+
+
+def raise_on_first_call(real, calls):
+    """A stand-in for ``real`` that records each call in ``calls`` and
+    raises :class:`InjectedFault` on the first one.  Tests assert
+    ``calls`` afterwards, so a site that is never reached fails them."""
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InjectedFault(f"injected fault (call {len(calls)})")
+        return real(*args, **kwargs)
+
+    return patched
+
+
+def lock_released(lock, timeout=2.0):
+    """Can ``lock`` be acquired from *another* thread?
+
+    An ``RLock`` always lets its owner re-acquire, so a same-thread
+    probe cannot tell "released" from "held by me"; a probe thread can.
+    """
+    acquired = []
+
+    def probe():
+        got = lock.acquire(timeout=timeout)
+        if got:
+            lock.release()
+        acquired.append(got)
+
+    worker = threading.Thread(target=probe, name="lock-probe")
+    worker.start()
+    worker.join(timeout + 1.0)
+    return bool(acquired) and acquired[0]
+
+
+#: The canonical query every fault test re-solves after its fault:
+#: deterministic, instant, and long enough that a wrong cut shows.
+CANONICAL_BOUND = 40.0
+
+
+def canonical_chain() -> Chain:
+    return Chain(
+        [((7 * i) % 13) + 1.0 for i in range(60)],
+        [((5 * i) % 7) + 1.0 for i in range(59)],
+    )
+
+
+def assert_recovers(engine) -> None:
+    """``engine`` answers the canonical query bit-identically to a
+    fresh engine, and the answer passes the paper certificate."""
+    from repro.engine import PartitionEngine
+    from repro.verify.certificates import check_chain_partition
+
+    chain = canonical_chain()
+    result = engine.solve(chain, CANONICAL_BOUND)
+    reference = PartitionEngine().solve(chain, CANONICAL_BOUND)
+    assert (float(result.weight), list(result.cut_indices)) == (
+        float(reference.weight), list(reference.cut_indices)
+    )
+    report = check_chain_partition(
+        chain, result.cut_indices, CANONICAL_BOUND,
+        claimed_weight=result.weight,
+    )
+    assert report.ok, report

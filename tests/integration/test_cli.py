@@ -122,12 +122,35 @@ class TestRunCommand:
 class TestBatchErrorPaths:
     """Satellite: the ``repro batch`` failure modes users actually hit."""
 
-    def test_malformed_jsonl_line_exits_2_naming_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b"{this is not json",
+            # 400 digits overflow a float.
+            b'{"alpha": [1' + b"0" * 400 + b'], "beta": [], "bound": 2}',
+            b'{"alpha": [1, 2], "beta": [1], "bound": 5, "tag": "\xff"}',
+            b'{"alpha": ' + b"[" * 100_000 + b"]" * 100_000 + b', "bound": 2}',
+            # Nothing but arrays of numbers and a number is read as one.
+            b'{"alpha": "123", "beta": [1, 1], "bound": 9}',
+            b'{"alpha": [true, 1], "beta": [1], "bound": 9}',
+            b'{"alpha": [1, 1], "beta": [1], "bound": "9"}',
+            b'{"alpha": {"1": 2, "3": 4}, "beta": [1], "bound": 9}',
+            b'{"alpha": [1, 1], "beta": [1], "bound": true}',
+        ],
+        ids=[
+            "not_json", "overflowing_int", "not_utf8", "nested_too_deep",
+            "string_weights", "bool_weight", "string_bound", "object_weights",
+            "bool_bound",
+        ],
+    )
+    def test_malformed_jsonl_line_exits_2_naming_line(
+        self, tmp_path, capsys, bad_line
+    ):
         inp = tmp_path / "queries.jsonl"
         out = tmp_path / "results.jsonl"
-        inp.write_text(
-            json.dumps({"alpha": [1, 1], "beta": [1], "bound": 2}) + "\n"
-            + "{this is not json\n"
+        inp.write_bytes(
+            json.dumps({"alpha": [1, 1], "beta": [1], "bound": 2}).encode()
+            + b"\n" + bad_line + b"\n"
         )
         code = main(["batch", "--input", str(inp), "--output", str(out)])
         assert code == 2
@@ -259,6 +282,17 @@ class TestTraceReportCommand:
         trace = tmp_path / "bad.jsonl"
         trace.write_text(
             '{"kind": "meta"}\nnot json\n{"kind": "span", "path": "x"}\n'
+        )
+        code = main(["report", "--trace", str(trace)])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_report_trace_nested_too_deep_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text(
+            '{"kind": "meta"}\n'
+            + '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
+            + '{"kind": "span", "path": "x"}\n'
         )
         code = main(["report", "--trace", str(trace)])
         assert code == 2

@@ -15,7 +15,6 @@ from repro.verify.allocs import (
     AllocationBudgetError,
     AllocationHarness,
     certify_budgets,
-    measure_all,
     measure_disabled_telemetry,
     measure_prime_structure,
     measure_warm_plan_sweep,
@@ -103,18 +102,6 @@ class TestScenarios:
         footprint = measure_prime_structure(harness, tasks=64)
         assert footprint["net_blocks"] <= 8
         assert footprint["peak_bytes"] > 0
-
-    def test_measure_all_merges_scenarios(self):
-        telemetry = AllocationHarness(warmup=100, iterations=500, repeats=1)
-        workload = AllocationHarness(warmup=2, iterations=8, repeats=1)
-        results = measure_all(telemetry, workload)
-        assert set(results) == {
-            "disabled_guard",
-            "disabled_publish",
-            "disabled_counter_inc",
-            "warm_plan_sweep",
-            "prime_structure",
-        }
 
 
 @settings(max_examples=5, deadline=None)
