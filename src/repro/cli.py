@@ -35,6 +35,7 @@ Production entry points:
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import List, Optional
 
@@ -393,12 +394,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _undecodable_line(path: str) -> int:
-    """The number of the first line of ``path`` that is not UTF-8.
+def _undecodable_line(path: str, stdin: bytes) -> int:
+    """The number of the first line of ``path`` (``-``: the bytes read
+    from stdin) that is not UTF-8.
 
     UTF-8 never encodes a newline byte inside a character, so each
     line decodes on its own."""
-    with open(path, "rb") as handle:
+    with io.BytesIO(stdin) if path == "-" else open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
                 raw.decode("utf-8")
@@ -437,15 +439,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         engine = PartitionEngine(tracer=Tracer(), hub=hub)
     else:
         engine = PartitionEngine(hub=hub)
+    stdin = b""
     try:
         if args.input == "-":
-            lines = sys.stdin.readlines()
+            # Bytes, decoded as a file is: strict UTF-8 whatever the locale.
+            stdin = sys.stdin.buffer.read()
+            lines = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8").readlines()
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
     except UnicodeDecodeError as exc:
-        where = "" if args.input == "-" else f" line {_undecodable_line(args.input)}"
-        print(f"batch: cannot read {args.input}:{where} is not UTF-8: {exc}",
+        print(f"batch: cannot read {args.input}: line "
+              f"{_undecodable_line(args.input, stdin)} is not UTF-8: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

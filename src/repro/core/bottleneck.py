@@ -19,24 +19,24 @@ Two implementations with identical output:
   the break-even point in ``O(n log n)`` (sorting dominates).
 
 Both walk the one order :meth:`Tree.edges_by_weight` sorts (weight, then
-canonical edge) and judge a component by the one sum
-:meth:`Tree.component_weights` forms: the uncut edges merged
-heaviest-first in a union-find, which is exactly the sweep
-:func:`bottleneck_min` runs incrementally.  Float rounding can therefore
-never split them: their cut sets and bottleneck values are identical,
-on tenth weights too, which the test suite asserts.
+canonical edge) and judge a component by the one sum the uncut edges
+merged heaviest-first form: :func:`bottleneck_min` runs that merge
+(:func:`~repro.graphs.tree._merge`) until the bound stops it, and
+:meth:`Tree.component_weights` runs it to the end.  Float rounding can
+therefore never split them: their cut sets and bottleneck values are
+identical, on tenth weights too, which the test suite asserts.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Set
+from typing import List, Set, Tuple
 
 from repro.core.feasibility import validate_bound
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
-from repro.graphs.tree import Tree, _UnionFind
+from repro.graphs.tree import Tree, _merge
 
 
 @dataclass
@@ -92,37 +92,22 @@ def _certified(result: TreeCutResult, bound: float) -> TreeCutResult:
     return result
 
 
-def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
-    """Optimized Algorithm 2.1: identical output, one union-find sweep.
+def _bottleneck_sweep(tree: Tree, bound: float) -> Tuple[List[int], int, List[int], List[float]]:
+    """Algorithm 2.1's one union-find sweep, heaviest edge first.
 
-    ``T - S_i`` (the ``i`` lightest edges removed) is the forest spanned
-    by the ``n-1-i`` heaviest edges.  Component weights only grow as
-    heavier-first edges are added, so the feasible prefix boundary is
-    found by adding edges heaviest-first until a merge would exceed the
-    bound; the cut is everything not yet added.
+    Returns ``(ordered, boundary, root, sums)``: the edges (child
+    vertices) by weight, the cut ``ordered[:boundary]``, and the
+    union-find of ``T - cut`` (:func:`~repro.graphs.tree._merge`).
     """
-    max_weight = validate_bound(tree.vertex_weights, bound)
-    ordered = tree.edges_by_weight()  # edges as child vertices
-    parent = tree.bfs_order()[1]
-    uf = _UnionFind(tree.vertex_weights)
-    # Walk from the heaviest edge downwards; stop before the first merge
-    # that creates an over-weight component.
-    boundary = 0  # edges ordered[0:boundary] form the cut
-    # REPRO017: the component-weight list and find() are loop-stable —
-    # union() mutates the list in place, never rebinds the attribute.
-    uf_weight = uf.weight
-    uf_find = uf.find
-    for idx in range(len(ordered) - 1, -1, -1):
-        child = ordered[idx]
-        if uf_weight[uf_find(child)] + uf_weight[uf_find(parent[child])] > bound:
-            boundary = idx + 1
-            break
-        uf.union(child, parent[child])
+    validate_bound(tree.vertex_weights, bound)
+    ordered = tree.edges_by_weight()
+    return (ordered, *_merge(tree.vertex_weights, tree.bfs_order()[1], ordered, bound))
+
+
+def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:
+    """Optimized Algorithm 2.1: identical output, one union-find sweep
+    (:func:`_bottleneck_sweep`)."""
+    ordered, boundary, _, _ = _bottleneck_sweep(tree, bound)
     cut = set(tree.parent_edges(ordered[:boundary]))
-    bottleneck = 0.0
-    if boundary:
-        last = ordered[boundary - 1]
-        bottleneck = tree.edge_weight(last, parent[last])
-    # max_weight <= bound guarantees feasibility even when every edge is cut.
-    assert max_weight <= bound
+    bottleneck = tree.parent_weights()[ordered[boundary - 1]] if boundary else 0.0
     return _certified(TreeCutResult(tree, cut, bottleneck), bound)

@@ -10,6 +10,10 @@ allows.  The final cut is a *subset* of the bottleneck cut, so the
 optimal bottleneck value is preserved while the processor count becomes
 minimal among refinements of that cut.
 
+:func:`partition_tree` reads the super-nodes from Algorithm 2.1's
+union-find instead of building them; :meth:`Tree.contract_components`
+plus :func:`~repro.core.processor_min.processor_min` is its test oracle.
+
 For chains, :func:`partition_chain` exposes all three objectives behind
 one API (bottleneck / processors / bandwidth), since a chain is a tree
 and the bandwidth objective additionally admits Algorithm 4.1.
@@ -18,16 +22,17 @@ and the bandwidth objective additionally admits Algorithm 4.1.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Set
+from typing import DefaultDict, Dict, List, Set
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
-from repro.core.bottleneck import TreeCutResult, _certified, bottleneck_min
+from repro.core.bottleneck import TreeCutResult, _bottleneck_sweep, _certified, bottleneck_min
 from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
-from repro.graphs.tree import Tree
+from repro.graphs.tree import Tree, _tops
 
 
 @dataclass
@@ -64,21 +69,50 @@ class TreePartitionPlan:
 def partition_tree(tree: Tree, bound: float) -> TreePartitionPlan:
     """Bottleneck-optimal, processor-minimal load-bounded tree partition.
 
-    Runs Algorithm 2.1, contracts each component into a super-node
-    (Section 2.2's construction), runs Algorithm 2.2 on the super-node
-    tree, and maps the surviving cuts back to original edges.
+    Runs Algorithm 2.1, then Algorithm 2.2 on its components, each named
+    by its top vertex (:func:`~repro.graphs.tree._tops`).  A component
+    weighs its union-find sum and hangs below the component of its top's
+    parent; the cut edges above the pruned components are the final cut.
     """
-    first_cut = set(bottleneck_min(tree, bound).cut_edges)
-    if not first_cut:
-        return TreePartitionPlan(tree, bound, first_cut, set(), 0.0, 1)
-    super_tree, _, edge_origin = tree.contract(first_cut)
-    # Super-tree edges carry their cut edges' weights, so the refined
-    # bottleneck is already the final cut's heaviest original edge.
-    refined = processor_min(super_tree, bound)
-    final_cut = {edge_origin[e] for e in refined.cut_edges}
-    _certified(TreeCutResult(tree, final_cut, refined.bottleneck), bound)
+    ordered, boundary, root, sums = _bottleneck_sweep(tree, bound)
+    first_cut = set(tree.parent_edges(ordered[:boundary]))
+    bfs, parent = tree.bfs_order()
+    top, residual = _tops(parent, bfs, ordered[:boundary], root, sums)
+    kids: DefaultDict[int, List[int]] = defaultdict(list)  # top -> child tops
+    # A component's children are summed in the reverse iteration order of
+    # the canonical cut set the contraction sees.  A float sum depends on
+    # its order, so this order is load-bearing until a component weighs an
+    # order-free sum (ROADMAP item 1); plain set(list) order differs.
+    for u, v in {e for e in set(first_cut)}:
+        child, above = (v, top[u]) if parent[v] == u else (u, top[v])
+        kids[above].append(child)
+    low: Dict[int, int] = {}  # top vertex -> lowest vertex, built on a tie
+    pruned: List[int] = []
+    # Reverse BFS order of the tops reduces the components children-first.
+    for v in filter(kids.__contains__, reversed(bfs)):
+        children = kids[v]
+        total = residual[v] + sum(map(residual.__getitem__, reversed(children)))
+        if total > bound:  # repro-mutate: equivalent=flip-compare -- at total == K the loop below prunes nothing
+            # Prune the heaviest first: the first k components by weight.
+            by_weight = sorted(children, key=residual.__getitem__, reverse=True)
+            k = 0
+            for c in by_weight:
+                if total <= bound:
+                    break
+                total -= residual[c]
+                k += 1
+            if k < len(by_weight) and residual[by_weight[k - 1]] == residual[by_weight[k]]:
+                # A tie across the cut-off goes to the lower component
+                # number, the order of the components' lowest vertices.
+                low = low or {t: w for w, t in reversed(list(enumerate(top)))}
+                by_weight.sort(key=lambda c: (-residual[c], low[c]))
+            pruned.extend(by_weight[:k])
+        residual[v] = total
+    final_cut = set(tree.parent_edges(pruned))
+    bottleneck = max(map(tree.parent_weights().__getitem__, pruned), default=0.0)
+    _certified(TreeCutResult(tree, final_cut, bottleneck), bound)
     return TreePartitionPlan(
-        tree, bound, first_cut, final_cut, refined.bottleneck, len(final_cut) + 1
+        tree, bound, first_cut, final_cut, bottleneck, len(final_cut) + 1
     )
 
 

@@ -114,9 +114,11 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
 
         ``alpha`` and ``beta`` must be JSON arrays of numbers and
         ``bound`` a number: strings, booleans and objects are not read
-        as numbers.  ``NaN``/``Infinity`` tokens, literals such as
-        ``1e999`` or a 400-digit integer that overflow a float, and
-        nesting too deep to decode all raise ``ValueError`` here.
+        as numbers.  ``objective`` must be a string (an unknown one is
+        the query's own error) and ``tag`` a string or null.
+        ``NaN``/``Infinity`` tokens, literals such as ``1e999`` or a
+        400-digit integer that overflow a float, and nesting too deep to
+        decode all raise ``ValueError`` here.
         """
         try:
             record = json.loads(line)
@@ -126,6 +128,12 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
             if type(bound) not in _NUMBER_TYPES:
                 raise ValueError(f"'bound' must be a JSON number, got {bound!r}")
             bound = float(bound)
+            objective = record.get("objective", "bandwidth")
+            if type(objective) is not str:
+                raise ValueError(f"'objective' must be a JSON string, got {objective!r}")
+            tag = record.get("tag")
+            if tag is not None and type(tag) is not str:
+                raise ValueError(f"'tag' must be a JSON string or null, got {tag!r}")
         except (OverflowError, RecursionError) as exc:
             raise ValueError(str(exc)) from exc
         values = (*alpha, *beta, bound)
@@ -134,13 +142,7 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
             raise ValueError(
                 f"non-finite number {bad} is not a valid weight or bound"
             )
-        return cls(
-            alpha,
-            beta,
-            bound,
-            record.get("objective", "bandwidth"),
-            record.get("tag"),
-        )
+        return cls(alpha, beta, bound, objective, tag)
 
 
 @dataclass

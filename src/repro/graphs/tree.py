@@ -12,20 +12,20 @@ tuples appear only at the API boundary.  Construction validates in one
 BFS, and a tree never changes afterwards.
 
 A component weighs the sum Algorithm 2.1 forms: the uncut edges merged
-heaviest-first, in ``(weight, edge)`` order, in a weighted union-find.
-The contraction of Section 2.2 reads the same sums, so a component
+heaviest-first, in ``(weight, edge)`` order, in one weighted union-find
+(:func:`_merge`).  Section 2.2 reads the same sums, so a component
 Algorithm 2.1 judged ``<= K`` is never re-summed to a rounding step
 above ``K``.
 
 Child order is part of the answer: Algorithm 2.2 sums a vertex with its
 children in reverse BFS order, and a float sum depends on its order.
-The contraction lists each super-node's children in the iteration order
-of the canonical cut set, the order its edges would be handed to the
-constructor in, so it is bit for bit ``Tree(weights, super_edges, ...)``.
+:meth:`Tree.contract_components` hands its super edges to the
+constructor in the iteration order of the canonical cut set.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import inf
 from operator import eq
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -34,35 +34,53 @@ from repro.graphs.task_graph import Edge, TaskGraph, canonical_edge, check_weigh
 from repro.graphs.task_graph import resolve_edge_weights
 
 
-class _UnionFind:
-    """Weighted union-find tracking component vertex weights."""
+def _merge(weights: Sequence[float], parent: List[int], children: List[int],
+           bound: float = inf) -> Tuple[int, List[int], List[float]]:
+    """Merge the edges ``children`` (child vertices), last to first, in a
+    weighted union-find by size; stop before a merge weighing over ``bound``.
 
-    __slots__ = ("parent", "size", "weight")
-
-    def __init__(self, vertex_weights: Sequence[float]) -> None:
-        n = len(vertex_weights)
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.weight = list(vertex_weights)
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:  # path compression
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        """Merge the components of u and v."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            raise AssertionError("tree edges never merge the same component")
-        if self.size[ru] < self.size[rv]:  # repro-mutate: equivalent=flip-compare -- union-by-size tie direction is arbitrary; either root keeps the bound
+    Returns ``(stop, root, sums)``: ``children[:stop]`` stay unmerged, and
+    ``root[v]`` is ``v``'s union-find parent (``v`` at a root, whose
+    ``sums`` entry is its component's weight).
+    """
+    root = list(range(len(weights)))
+    size = [1] * len(weights)
+    sums = list(weights)
+    for idx in range(len(children) - 1, -1, -1):
+        ru = child = children[idx]
+        rv = parent[child]
+        while root[ru] != ru:
+            ru = root[ru]
+        while root[rv] != rv:
+            rv = root[rv]
+        merged = sums[ru] + sums[rv]
+        if merged > bound:
+            return idx + 1, root, sums
+        if size[ru] < size[rv]:  # repro-mutate: equivalent=flip-compare -- union-by-size tie direction is arbitrary; either root keeps the bound
             ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.weight[ru] += self.weight[rv]
+        root[rv] = ru
+        size[ru] += size[rv]
+        sums[ru] = merged
+    return 0, root, sums
+
+
+def _tops(parent: List[int], order: List[int], cut: Iterable[int], root: List[int],
+          sums: List[float]) -> Tuple[List[int], List[float]]:
+    """``(top, weight)`` of the components of ``T - cut`` (child vertices),
+    given the BFS lists and :func:`_merge`'s union-find of the uncut edges:
+    ``top[v]`` names ``v``'s component by its top vertex (0, or the child
+    of the cut edge above it), and ``weight[t]`` is that component's sum.
+    """
+    top = parent[:]
+    for child in cut:
+        top[child] = child
+    top[0] = 0
+    for v in order:  # a parent's entry is final before its children's
+        top[v] = top[top[v]]
+    weight = [0.0] * len(parent)
+    for r in compress(range(len(root)), map(eq, root, range(len(root)))):
+        weight[top[r]] = sums[r]
+    return top, weight
 
 
 def _bfs(adjacency: List[List[int]], root: int) -> Tuple[List[int], List[int]]:
@@ -169,6 +187,10 @@ class Tree:
         """The canonical edge joining each child vertex to its parent."""
         parent = self._parent
         return [(parent[c], c) if parent[c] < c else (c, parent[c]) for c in children]  # repro-mutate: equivalent=flip-compare -- a vertex is never its own parent
+
+    def parent_weights(self) -> List[float]:
+        """Each vertex's parent-edge weight, 0.0 at the root (do not mutate)."""
+        return self._parent_weight
 
     def edge_weight(self, u: int, v: int) -> float:
         (child,) = self._children(((u, v),))
@@ -280,23 +302,17 @@ class Tree:
         """``(label, weights)`` of the components of ``T - cut`` (edges as
         child vertices), numbered by lowest vertex: ``label[v]`` is
         ``v``'s component and ``weights[i]`` its union-find sum."""
-        uf = _UnionFind(self._weights)
-        union, parent = uf.union, self._parent
-        for child in reversed(self.edges_by_weight()):
-            if child not in cut:
-                union(child, parent[child])
-        uf_parent, find, root_weight = uf.parent, uf.find, uf.weight
-        number = [-1] * len(parent)  # component number, per root
+        kept = [child for child in self.edges_by_weight() if child not in cut]
+        _, root, sums = _merge(self._weights, self._parent, kept)
+        top, weight = _tops(self._parent, self._order, cut, root, sums)
+        number = [-1] * len(top)  # component number, per top vertex
         label: List[int] = []
         weights: List[float] = []
-        for v in range(len(parent)):
-            root = uf_parent[v]
-            if uf_parent[root] != root:  # more than one step: find() compresses
-                root = find(v)
-            if number[root] < 0:
-                number[root] = len(weights)
-                weights.append(root_weight[root])
-            label.append(number[root])
+        for t in top:
+            if number[t] < 0:
+                number[t] = len(weights)
+                weights.append(weight[t])
+            label.append(number[t])
         return label, weights
 
     def _cut_children(self, removed_edges: Optional[Set[Edge]]) -> Set[int]:
@@ -344,56 +360,20 @@ class Tree:
         edges.  Returns ``(super_tree, components, edge_origin)``:
         ``components[i]`` lists the vertices of super-node ``i`` (numbered
         by lowest vertex), which weighs its union-find sum, and
-        ``edge_origin`` maps each super-tree edge to its cut edge.
+        ``edge_origin`` maps each super-tree edge to its cut edge.  The
+        super edges go to the constructor in the canonical cut set's
+        iteration order.  This is the test oracle of the solve path, which
+        reads the same components without building a super tree.
         """
-        super_tree, label, edge_origin = self.contract(cut)
-        return super_tree, _group(label, super_tree.num_vertices), edge_origin
-
-    def contract(
-        self, cut: Set[Edge]
-    ) -> Tuple["Tree", List[int], Dict[Edge, Edge]]:
-        """:meth:`contract_components` without the per-super-node vertex
-        lists: ``(super_tree, label, edge_origin)``, where ``label[v]`` is
-        vertex ``v``'s super-node.
-
-        The super tree's lists are written from the component labels: its
-        root is super-node 0 (vertex 0's), and cut edge ``c`` (a child
-        vertex) joins ``label[c]`` to its parent ``label[parent[c]]``.
-        """
-        # The canonical set's iteration order is the super tree's child
-        # order; edges already canonical are kept, not rebuilt.
         cut = {e if e[0] < e[1] else canonical_edge(*e) for e in cut}
         children = self._children(cut)
         if 0 in children:
             missing = sorted(e for e, c in zip(cut, children) if not c)
             raise ValueError(f"cut edges not present in tree: {missing}")
-        label, weights = self._components(set(children))
-        if max(weights) == inf:  # sums of finite weights >= 0 are never NaN
-            raise ValueError("a component of T - S weighs inf: its task weights overflow")
-        old_parent, old_weight = self._parent, self._parent_weight
-        parent = [-1] * len(weights)
-        parent_weight = [0.0] * len(weights)
-        edge_child = [label[c] for c in children]
-        edge_origin: Dict[Edge, Edge] = {}
-        for edge, child, below in zip(cut, children, edge_child):
-            above = label[old_parent[child]]
-            parent[below], parent_weight[below] = above, old_weight[child]
-            edge_origin[(below, above) if below < above else (above, below)] = edge  # repro-mutate: equivalent=flip-compare -- a super-node is never its own parent
-        # Children as linked lists (first child, next sibling; 0, the root,
-        # ends a list), pushed front in reverse cut-set order so that each
-        # keeps cut-set order.
-        first, sibling = [0] * len(weights), [0] * len(weights)
-        for below in reversed(edge_child):
-            sibling[below], first[parent[below]] = first[parent[below]], below
-        order = [0]
-        for s in order:  # the list grows as it is read: a BFS
-            child = first[s]
-            while child:
-                order.append(child)
-                child = sibling[child]
-        super_tree = Tree.__new__(Tree)._set_lists(
-            weights, parent, order, parent_weight, edge_child)
-        return super_tree, label, edge_origin
+        label, weights = self._components(set(children))  # Tree() rejects an inf sum
+        super_edges = [canonical_edge(label[c], label[self._parent[c]]) for c in children]
+        super_tree = Tree(weights, super_edges, [self._parent_weight[c] for c in children])
+        return super_tree, _group(label, len(weights)), dict(zip(super_edges, cut))
 
     @classmethod
     def from_task_graph(cls, graph: TaskGraph) -> "Tree":

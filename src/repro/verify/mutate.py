@@ -115,6 +115,7 @@ TARGETS: Dict[str, MutationTarget] = {
         ),
         MutationTarget("repro.core.temp_s", ("tests/core/test_temp_s.py",)),
         MutationTarget("repro.core.bottleneck", ("tests/core/test_bottleneck.py",)),
+        MutationTarget("repro.core.pipeline", ("tests/core/test_pipeline.py",)),
         MutationTarget(
             "repro.graphs.tree",
             ("tests/graphs/test_tree.py", "tests/core/test_bottleneck.py"),

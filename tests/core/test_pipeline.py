@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.baselines.kundu_misra import processor_min_bottom_up
-from repro.core.bottleneck import bottleneck_min
+from repro.core.bottleneck import bottleneck_min, bottleneck_min_naive
 from repro.core.pipeline import partition_chain, partition_tree
 from repro.core.processor_min import processor_min
+from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain, random_tree
 from repro.graphs.tree import Tree
 from repro.verify.certificates import check_tree_cut
@@ -134,6 +135,76 @@ class TestPipelineDifferential:
             assert plan.num_processors == len(final_cut) + 1
             assert processor_min(tree, bound).num_components == processor_min_bottom_up(
                 tree, bound).num_components
+
+
+#: Tenth-weight trees whose final cut changes if a component's children
+#: are summed in another order: ``(weights, edges, edge_weights, K,
+#: final cut)``.  The first cuts ``(6, 9)`` too if the children follow the
+#: copy of the cut set that the contraction is handed; the second cuts
+#: ``(11, 13)`` too if they follow the cut set Algorithm 2.1 built.
+SET_ORDER_HAZARDS = [
+    ([0.1, 2.8000000000000003, 0.6000000000000001, 2.1, 1.6, 2.6, 0.4, 1.1, 2.1,
+      0.7000000000000001],
+     [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6), (6, 7), (7, 8), (6, 9)],
+     [0.6000000000000001, 0.5, 0.9, 0.5, 0.9, 0.9, 0.8, 1.0, 0.30000000000000004],
+     3.9000000000000004, {(0, 1), (1, 3), (1, 4), (1, 5), (6, 7)}),
+    ([0.5, 1.5, 1.9000000000000001, 0.4, 2.9000000000000004, 1.9000000000000001,
+      0.5, 1.8, 3.0, 2.3000000000000003, 2.9000000000000004, 1.0,
+      1.9000000000000001, 0.6000000000000001, 1.7000000000000002],
+     [(3, 11), (0, 11), (0, 7), (10, 12), (8, 11), (0, 5), (6, 10), (2, 5),
+      (11, 14), (4, 7), (6, 9), (1, 8), (10, 11), (11, 13)],
+     [0.5, 0.8, 0.2, 0.5, 0.4, 0.6000000000000001, 0.5, 0.7000000000000001, 0.8,
+      0.8, 0.0, 0.30000000000000004, 0.30000000000000004, 0.0],
+     16.3, {(0, 7), (1, 8), (6, 9)}),
+]
+
+
+class TestComponentChildOrder:
+    """Algorithm 2.2 sums a component with its children in the reverse
+    iteration order of the canonical cut set that the contraction builds;
+    another order can round a cluster across ``K``."""
+
+    @pytest.mark.parametrize("weights, edges, edge_weights, bound, want",
+                             SET_ORDER_HAZARDS, ids=["copy_order", "cut_order"])
+    def test_set_order_hazard(self, weights, edges, edge_weights, bound, want):
+        tree = Tree(weights, edges, edge_weights)
+        plan = partition_tree(tree, bound)
+        assert plan.final_cut == want
+        super_tree, _components, origin = tree.contract_components(
+            set(bottleneck_min(tree, bound).cut_edges))
+        refined = processor_min(super_tree, bound)
+        assert {origin[e] for e in refined.cut_edges} == want
+
+
+def _half_integer_chains(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 1 if i % 50 == 0 else rng.randint(2, 30)
+        alpha = [0.5 * rng.randint(1, 20) for _ in range(n)]
+        beta = [0.5 * rng.randint(0, 9) for _ in range(n - 1)]
+        low, high = max(alpha), sum(alpha)
+        yield Chain(alpha, beta), rng.choice(
+            [low, high, 0.5 * round(rng.uniform(low, high) / 0.5)])
+
+
+class TestChainObjectivesDifferential:
+    """The chain objectives that run Algorithm 2.1's sweep, against
+    Algorithm 2.1 and Algorithm 2.2 on the contracted super tree."""
+
+    def test_matches_contraction_pipeline(self):
+        for chain, bound in _half_integer_chains(2000, 301):
+            tree = chain.to_tree()
+            first_cut = set(bottleneck_min_naive(tree, bound).cut_edges)
+            final_cut = set()
+            if first_cut:
+                super_tree, _components, origin = tree.contract_components(first_cut)
+                final_cut = {origin[e] for e in processor_min(super_tree, bound).cut_edges}
+            for objective, cut in (("bottleneck", first_cut),
+                                   ("bottleneck+processors", final_cut)):
+                result = partition_chain(chain, bound, objective)
+                indices = sorted(u for u, _v in cut)
+                assert result.cut_indices == indices
+                assert result.weight.hex() == chain.cut_weight(indices).hex()
 
 
 class TestPartitionChain:

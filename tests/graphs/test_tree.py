@@ -92,7 +92,9 @@ class TestConstruction:
         tree = Tree([1, 2, 3], [(2, 0), (1, 2)], [4, 5])
         assert list(tree.edges()) == [(0, 2), (1, 2)]
         assert tree.edge_weight(2, 1) == tree.edge_weight(1, 2) == 5
+        assert tree.edge_weight(2, 0) == tree.edge_weight(0, 2) == 4
         assert tree.bfs_order() == ([0, 2, 1], [-1, 2, 0])
+        assert tree.parent_weights() == [0.0, 5, 4]
 
     def test_edge_lookup_outside_the_tree(self, small_tree):
         for u, v in [(0, 6), (7, 0), (0, 7), (-1, 0), (3, 3)]:

@@ -1,9 +1,14 @@
 """CLI smoke tests (argument wiring, not output values)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graphs.chain import Chain
 from repro.verify.certificates import check_chain_partition
@@ -123,35 +128,57 @@ class TestBatchErrorPaths:
     """Satellite: the ``repro batch`` failure modes users actually hit."""
 
     @pytest.mark.parametrize(
-        "bad_line",
+        "bad_line, locale",
         [
-            b"{this is not json",
+            pytest.param(b"{this is not json", None, id="not_json"),
             # 400 digits overflow a float.
-            b'{"alpha": [1' + b"0" * 400 + b'], "beta": [], "bound": 2}',
-            b'{"alpha": [1, 2], "beta": [1], "bound": 5, "tag": "\xff"}',
-            b'{"alpha": ' + b"[" * 100_000 + b"]" * 100_000 + b', "bound": 2}',
+            pytest.param(b'{"alpha": [1' + b"0" * 400 + b'], "beta": [], "bound": 2}',
+                         None, id="overflowing_int"),
+            pytest.param(b'{"alpha": [1, 2], "beta": [1], "bound": 5, "tag": "\xff"}',
+                         None, id="not_utf8"),
+            # On stdin too, whatever the locale's encoding would forgive.
+            pytest.param(b'{"alpha": [1, 2], "beta": [1], "bound": 5, "tag": "\xff"}',
+                         "C", id="not_utf8_stdin_c_locale"),
+            pytest.param(b'{"alpha": ' + b"[" * 100_000 + b"]" * 100_000 + b', "bound": 2}',
+                         None, id="nested_too_deep"),
             # Nothing but arrays of numbers and a number is read as one.
-            b'{"alpha": "123", "beta": [1, 1], "bound": 9}',
-            b'{"alpha": [true, 1], "beta": [1], "bound": 9}',
-            b'{"alpha": [1, 1], "beta": [1], "bound": "9"}',
-            b'{"alpha": {"1": 2, "3": 4}, "beta": [1], "bound": 9}',
-            b'{"alpha": [1, 1], "beta": [1], "bound": true}',
-        ],
-        ids=[
-            "not_json", "overflowing_int", "not_utf8", "nested_too_deep",
-            "string_weights", "bool_weight", "string_bound", "object_weights",
-            "bool_bound",
+            pytest.param(b'{"alpha": "123", "beta": [1, 1], "bound": 9}',
+                         None, id="string_weights"),
+            pytest.param(b'{"alpha": [true, 1], "beta": [1], "bound": 9}',
+                         None, id="bool_weight"),
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": "9"}',
+                         None, id="string_bound"),
+            pytest.param(b'{"alpha": {"1": 2, "3": 4}, "beta": [1], "bound": 9}',
+                         None, id="object_weights"),
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": true}',
+                         None, id="bool_bound"),
+            # A tag is a string or null, an objective a string.
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": 9, "tag": {"a": [1]}}',
+                         None, id="object_tag"),
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": 9, "objective": ["x"]}',
+                         None, id="list_objective"),
         ],
     )
     def test_malformed_jsonl_line_exits_2_naming_line(
-        self, tmp_path, capsys, bad_line
+        self, tmp_path, capsys, bad_line, locale
     ):
+        payload = (json.dumps({"alpha": [1, 1], "beta": [1], "bound": 2}).encode()
+                   + b"\n" + bad_line + b"\n")
+        if locale is not None:
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+            env["LC_ALL"] = locale
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+            proc = subprocess.run([sys.executable, "-m", "repro", "batch"], input=payload,
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 2
+            assert "line 2" in proc.stderr.decode()
+            assert proc.stdout == b""  # nothing half-written on a parse error
+            return
         inp = tmp_path / "queries.jsonl"
         out = tmp_path / "results.jsonl"
-        inp.write_bytes(
-            json.dumps({"alpha": [1, 1], "beta": [1], "bound": 2}).encode()
-            + b"\n" + bad_line + b"\n"
-        )
+        inp.write_bytes(payload)
         code = main(["batch", "--input", str(inp), "--output", str(out)])
         assert code == 2
         err = capsys.readouterr().err
