@@ -340,33 +340,41 @@ def test_lock_overhead(benchmark):
     """ISSUE acceptance criterion: shared-state locks < 5% single-threaded.
 
     ``PartitionEngine.solve`` looks its plan up under the plan cache's
-    RLock and runs the memo miss under the plan's own.
-    Raced against a lock-free inline replica of the same cold pipeline
-    (validate → the kernel primitives → sweep — the exact work a miss
-    performs), the lock acquisitions must disappear next to a 10k-task
-    solve.  Interleaved min-of-reps timing as in
-    :func:`test_tracing_disabled_overhead`.
+    RLock and runs the memo miss under the plan's own.  Raced against a
+    lock-free inline replica of the same cold miss — the engine's
+    ``_plan_solve`` with both locks swapped for no-ops: cache clear,
+    lookup (compile and its ``cache`` event), the plan's
+    ``solve_bounds`` and the ``plan`` event — the lock acquisitions must
+    disappear next to a 10k-task solve.  Interleaved min-of-reps timing
+    as in :func:`test_tracing_disabled_overhead`.
     """
+    from contextlib import nullcontext
+
     from repro.core.bandwidth import ChainCutResult
-    from repro.core.feasibility import validate_bound
-    from repro.engine import kernels
+    from repro.engine.plan import PlanStats
 
     chain, bound = make_chain(N_TASKS, 4.0)
     engine = PartitionEngine()
+    lock_free = PartitionEngine()
+    lock_free.cache._lock = nullcontext()
 
     def locked():
         engine.cache.clear()
         return engine.solve(chain, bound)
 
     def replica():
-        validate_bound(chain.alpha, bound)
-        prefix = kernels.prefix_array(chain)
-        first, last = kernels.prime_windows(prefix, bound)
-        kernels.stability_end(kernels.prime_weight_array(prefix, first, last))
-        lo, hi = kernels.membership_intervals(first, last - 1, chain.num_edges)
-        columns = kernels.reduced_edge_arrays(kernels.beta_array(chain), lo, hi)
-        cut, weight = kernels.temps_sweep(*columns)
-        return ChainCutResult(chain, cut, weight)
+        lock_free.cache.clear()
+        plan, hit = lock_free.cache.lookup(chain, metrics=lock_free)
+        plan._lock = nullcontext()
+        call = PlanStats()
+        weights, cuts = plan.solve_bounds([bound], return_cuts=True, tally=call)
+        lock_free.emit({
+            "kind": "event", "event": "plan", "n": chain.num_tasks,
+            "queries": call.queries, "cache": "hit" if hit else "miss",
+            "structures_built": call.misses, "structures_reused": call.reused,
+            "outcome": "miss",
+        })
+        return ChainCutResult(chain, cuts[0], float(weights[0]))
 
     assert locked().weight == replica().weight  # and warm imports
 

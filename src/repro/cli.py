@@ -440,13 +440,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         engine = PartitionEngine(hub=hub)
     stdin = b""
+    # Records end at "\n" only, as _undecodable_line counts them: a bare
+    # "\r" stays inside its line, and json.loads skips a trailing "\r".
     try:
         if args.input == "-":
             # Bytes, decoded as a file is: strict UTF-8 whatever the locale.
             stdin = sys.stdin.buffer.read()
-            lines = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8").readlines()
+            lines = io.TextIOWrapper(
+                io.BytesIO(stdin), encoding="utf-8", newline="\n"
+            ).readlines()
         else:
-            with open(args.input, "r", encoding="utf-8") as handle:
+            with open(args.input, "r", encoding="utf-8", newline="\n") as handle:
                 lines = handle.readlines()
     except UnicodeDecodeError as exc:
         print(f"batch: cannot read {args.input}: line "

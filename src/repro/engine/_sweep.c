@@ -1,5 +1,6 @@
 /*
- * Algorithm 4.1's TEMP_S sweep as one native loop.
+ * Algorithm 4.1 in native code: the TEMP_S sweep (temps_sweep) and the
+ * whole structure build that feeds it (structure_sweep).
  *
  * A line-for-line port of repro.engine.kernels.sweep_min_cut: the same
  * float expressions, the same comparisons, the same bisect_left tie rule
@@ -17,8 +18,17 @@
  *
  * With index == NULL the arena and the per-row solution ids are skipped
  * and only the weight is returned.
+ *
+ * structure_sweep runs the O(n) structural phase of a query in one pass
+ * over the chain's prefix and beta buffers -- prime windows, membership
+ * intervals and the non-redundant edge reduction -- and hands the
+ * reduced columns to temps_sweep.  It ports the reference in
+ * repro.core.prime_subpaths (find_prime_subpaths, edge_membership_intervals,
+ * reduce_edges) with the same comparisons, so its prime and edge columns
+ * equal the NumPy kernels' in repro.engine.kernels.
  */
 #include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -130,5 +140,91 @@ int64_t temps_sweep(int64_t r, const double *weight, const int64_t *first,
         }
     }
     free(row_w);
+    return count;
+}
+
+/*
+ * The structure of a chain with n tasks at bound K, and its sweep.
+ * prefix has n + 1 entries (prefix[0] = 0), beta n - 1.  Stores the
+ * optimal weight in out[0] and the end of the bound's stability interval
+ * (the smallest prime weight, NaN skipped; INFINITY if none) in out[1],
+ * the prime count p in sizes[0] and the reduced edge count r in sizes[1].
+ * With cut != NULL (room for n - 1 entries) writes the optimal cut and
+ * returns its length; with cut == NULL returns 0.  Returns -1 if scratch
+ * allocation fails.
+ */
+int64_t structure_sweep(int64_t n, const double *prefix, const double *beta,
+                        double bound, int64_t *cut, double *out,
+                        int64_t *sizes)
+{
+    size_t m = n > 1 ? (size_t)(n - 1) : 1;
+    /* Prime first/last tasks, then the reduced columns weight, first
+     * prime, last prime and edge index: 6 slots per edge. */
+    int64_t *first = malloc(m * 6 * sizeof(int64_t));
+    if (first == NULL)
+        return -1;
+    int64_t *last = first + m;
+    double *e_weight = (double *)(last + m);
+    int64_t *e_first = (int64_t *)(e_weight + m);
+    int64_t *e_last = e_first + m;
+    int64_t *e_index = e_last + m;
+    double valid_until = INFINITY;
+
+    /* Prime windows: for each a the smallest b >= a + 1 whose window
+     * a..b is critical, !(prefix[b + 1] - prefix[a] <= bound), so a nan
+     * gap counts as critical; b never decreases.  A candidate whose
+     * successor ends at the same b is dominated and replaced. */
+    int64_t p = 0, b = 0;
+    for (int64_t a = 0; a < n; a++) {
+        if (b <= a)
+            b = a + 1;
+        while (b < n && prefix[b + 1] - prefix[a] <= bound)
+            b += 1;
+        if (b == n)
+            break;
+        if (p > 0 && last[p - 1] == b) {
+            first[p - 1] = a;
+        } else {
+            first[p] = a;
+            last[p] = b;
+            p += 1;
+        }
+    }
+    for (int64_t i = 0; i < p; i++) {
+        double w = prefix[last[i] + 1] - prefix[first[i]];
+        if (w < valid_until) /* false for nan */
+            valid_until = w;
+    }
+
+    /* Edge j lies in primes lo..hi (none when lo > hi); edges with the
+     * same membership form one run, reduced to its leftmost minimum. */
+    int64_t r = 0, lo = 0, hi = -1;
+    for (int64_t j = 0; p > 0 && j < n - 1; j++) {
+        while (lo < p && last[lo] - 1 < j)
+            lo += 1;
+        while (hi + 1 < p && first[hi + 1] <= j)
+            hi += 1;
+        if (lo > hi)
+            continue;
+        if (r > 0 && e_first[r - 1] == lo && e_last[r - 1] == hi) {
+            if (beta[j] < e_weight[r - 1]) {
+                e_weight[r - 1] = beta[j];
+                e_index[r - 1] = j;
+            }
+        } else {
+            e_weight[r] = beta[j];
+            e_first[r] = lo;
+            e_last[r] = hi;
+            e_index[r] = j;
+            r += 1;
+        }
+    }
+
+    int64_t count = temps_sweep(r, e_weight, e_first, e_last,
+                                cut != NULL ? e_index : NULL, cut, out);
+    free(first);
+    out[1] = valid_until;
+    sizes[0] = p;
+    sizes[1] = r;
     return count;
 }

@@ -26,13 +26,20 @@ this).
 Composition
 -----------
 
-The kernels are primitives: :func:`prime_windows`,
-:func:`membership_intervals` and :func:`reduced_edge_arrays` (or the
-weight-only :func:`reduced_class_arrays`) feed :func:`temps_sweep`, the
-TEMP_S sweep (native ``_sweep.c`` when it builds, else
-:func:`sweep_min_cut`).  :class:`repro.engine.plan.CompiledChainPlan`
-is the one place that chains them into a query; the pure-Python
-reference in :mod:`repro.core` never calls them.
+:func:`structure_sweep` is the one composer: given a chain's frozen
+``prefix``/``beta`` buffers and a bound it returns the optimal cut (or
+weight only), ``p``, ``r`` and the bound's stability interval.  It runs
+the native ``structure_sweep`` entry of ``_sweep.c`` when that builds: the
+prime windows, membership intervals, edge reduction and TEMP_S sweep in
+one call, with no per-query NumPy temporaries.  Otherwise it chains the
+NumPy primitives: :func:`prime_windows`, :func:`membership_intervals`
+and :func:`reduced_edge_arrays` (or the weight-only
+:func:`reduced_class_arrays`) feed :func:`temps_sweep`, the TEMP_S sweep
+(native ``temps_sweep`` when it builds, else :func:`sweep_min_cut`).
+Both routes give the same columns and floats.
+:class:`repro.engine.plan.CompiledChainPlan` is its caller; the
+primitives also serve perfbench's kernel-by-kernel replay, and the
+pure-Python reference in :mod:`repro.core` never calls them.
 """
 
 from __future__ import annotations
@@ -65,20 +72,20 @@ def require_numpy() -> None:
 
 
 def prefix_array(chain: Chain) -> "np.ndarray":
-    """The chain's prefix-weight array as a float64 ndarray (len n + 1).
+    """The chain's read-only float64 prefix weights (len n + 1), no copy.
 
-    ``np.asarray`` over the chain's cached Python prefix list keeps the
-    exact same floats (``itertools.accumulate`` and sequential summation
-    agree bit-for-bit), so downstream comparisons match the reference.
+    The chain computed them once with ``np.cumsum``, which adds left to
+    right as the reference's ``itertools.accumulate`` does, so
+    downstream comparisons match the reference.
     """
     require_numpy()
-    return np.asarray(chain.prefix_weights(), dtype=np.float64)
+    return chain.buffers()[2]
 
 
 def beta_array(chain: Chain) -> "np.ndarray":
-    """Edge weights as a float64 ndarray (len n - 1)."""
+    """The chain's read-only float64 edge weights (len n - 1), no copy."""
     require_numpy()
-    return np.asarray(chain.beta, dtype=np.float64)
+    return chain.buffers()[1]
 
 
 def validate_bound_array(alpha_max: float, bound: float) -> None:
@@ -299,7 +306,7 @@ class ArrayPrimeStructure:
     their weights, and the reduced-edge columns :func:`bandwidth_sweep`
     hands to :func:`temps_sweep`.  A record for replaying one solve
     kernel by kernel (perfbench's traced ``cold_solve``); the compiled
-    plan (:mod:`repro.engine.plan`) builds the same columns itself."""
+    plan goes through :func:`structure_sweep` instead."""
 
     __slots__ = (
         "chain",
@@ -438,11 +445,13 @@ def sweep_min_cut(
 
 
 def native_sweep_loaded() -> bool:
-    """Whether :func:`temps_sweep` runs the native kernel in this process.
+    """Whether :func:`temps_sweep` and :func:`structure_sweep` run the
+    native kernels in this process.
 
-    The first call builds or loads the kernel (see
-    :mod:`repro.engine.native`); ``False`` means every sweep falls back
-    to :func:`sweep_min_cut`.
+    The first call builds or loads the library (see
+    :mod:`repro.engine.native`); ``False`` means every structure build
+    falls back to the NumPy primitives and every sweep to
+    :func:`sweep_min_cut`.
     """
     return native.load_sweep() is not None
 
@@ -473,8 +482,8 @@ def temps_sweep(
     if weight.ndim != 1 or any(c.shape != weight.shape for c in columns):
         raise ValueError("sweep columns must be 1-D and of equal length")
     r = weight.shape[0]
-    kernel = native.load_sweep()
-    if kernel is None:
+    lib = native.load_sweep()
+    if lib is None:
         cut, total = sweep_min_cut(
             range(r) if index is None else index.tolist(),
             weight.tolist(),
@@ -486,7 +495,7 @@ def temps_sweep(
     # place; the locals keep every buffer alive across the call.
     cut_buf = None if index is None else np.empty(r, dtype=np.int64)
     out_weight = ctypes.c_double()
-    count = kernel(
+    count = lib.temps_sweep(
         r,
         weight.ctypes.data,
         first.ctypes.data,
@@ -509,3 +518,70 @@ def bandwidth_sweep(structure: ArrayPrimeStructure) -> Tuple[List[int], float]:
         structure.edge_first,
         structure.edge_last,
     )
+
+
+def structure_sweep(
+    prefix: "np.ndarray", beta: "np.ndarray", bound: float, with_cut: bool
+) -> Tuple[Optional[List[int]], float, int, int, float]:
+    """Algorithm 4.1 at one bound, from a chain's frozen buffers, in
+    ``O(n + p log q)``.
+
+    ``prefix`` and ``beta`` are :func:`prefix_array` and
+    :func:`beta_array`.  Returns ``(cut, weight, p, r, valid_until)``:
+    the optimal cut's sorted edge indices (``None`` unless ``with_cut``
+    or there are no primes), its weight, the prime and reduced-edge
+    counts, and the end of the bound's stability interval
+    (:func:`stability_end`).  Runs the native
+    ``structure_sweep`` when it loaded, else the NumPy primitives and
+    :func:`temps_sweep`; the two agree bit for bit.
+    """
+    prefix = np.ascontiguousarray(prefix, dtype=np.float64)
+    beta = np.ascontiguousarray(beta, dtype=np.float64)
+    n = prefix.shape[0] - 1
+    if prefix.ndim != 1 or n < 1 or beta.shape != (n - 1,):
+        raise ValueError("prefix needs n + 1 >= 2 entries and beta n - 1")
+    lib = native.load_sweep()
+    if lib is None:
+        return _structure_sweep_numpy(prefix, beta, bound, with_cut)
+    # The kernel writes cut_buf, out and sizes in place; the locals keep
+    # every buffer alive across the call.
+    cut_buf = np.empty(n, dtype=np.int64) if with_cut else None  # a cut has < n edges
+    out = (ctypes.c_double * 2)()
+    sizes = (ctypes.c_int64 * 2)()
+    count = lib.structure_sweep(
+        n,
+        prefix.ctypes.data,
+        beta.ctypes.data,
+        bound,
+        None if cut_buf is None else cut_buf.ctypes.data,
+        out,
+        sizes,
+    )
+    if count < 0:
+        raise MemoryError("native structure build could not allocate its columns")
+    p = sizes[0]
+    if cut_buf is not None:
+        cut: Optional[List[int]] = cut_buf[:count].tolist()
+    else:
+        cut = None if p else []  # with no primes the empty cut is known
+    return cut, out[0], p, sizes[1], out[1]
+
+
+def _structure_sweep_numpy(
+    prefix: "np.ndarray", beta: "np.ndarray", bound: float, with_cut: bool
+) -> Tuple[Optional[List[int]], float, int, int, float]:
+    """:func:`structure_sweep` composed from the NumPy primitives."""
+    first_tasks, last_tasks = prime_windows(prefix, bound)
+    valid_until = stability_end(prime_weight_array(prefix, first_tasks, last_tasks))
+    p = int(first_tasks.shape[0])
+    if p == 0:
+        return [], 0.0, 0, 0, valid_until
+    num_edges = beta.shape[0]
+    if with_cut:
+        lo, hi = membership_intervals(first_tasks, last_tasks - 1, num_edges)
+        columns = reduced_edge_arrays(beta, lo, hi)
+        cut, weight = temps_sweep(*columns)
+        return cut, weight, p, int(columns[0].shape[0]), valid_until
+    classes = reduced_class_arrays(beta, first_tasks, last_tasks, num_edges)
+    _, weight = temps_sweep(None, *classes)
+    return None, weight, p, int(classes[0].shape[0]), valid_until

@@ -1,4 +1,9 @@
-"""Build and load the native TEMP_S sweep (``_sweep.c``) through ctypes.
+"""Build and load the native Algorithm 4.1 kernels (``_sweep.c``) through ctypes.
+
+The one shared library has two entries: ``temps_sweep``, the TEMP_S
+sweep over reduced-edge columns, and ``structure_sweep``, which builds a
+query's whole prime structure from a chain's prefix and beta buffers and
+sweeps it in the same call (see :func:`repro.engine.kernels.structure_sweep`).
 
 The C source ships next to this module.  The first sweep of a process
 compiles it with the system ``gcc`` into a per-user cache directory —
@@ -12,10 +17,11 @@ place, so concurrent processes never ``dlopen`` a half-written file.
 
 Nothing happens at import.  :func:`load_sweep` builds (once per cache
 key) and loads (once per process) on first call and returns the ctypes
-function, or ``None`` when ``gcc`` is missing, the compile fails (for
-instance on a target with excess floating-point precision, which the
-source refuses with ``#error``) or ``dlopen`` fails; callers then use
-the pure-Python sweep in :mod:`repro.engine.kernels`.
+library with both entries typed, or ``None`` when ``gcc`` is missing,
+the compile fails (for instance on a target with excess floating-point
+precision, which the source refuses with ``#error``) or ``dlopen``
+fails; callers then use the NumPy structure build and the pure-Python
+sweep in :mod:`repro.engine.kernels`.
 """
 
 from __future__ import annotations
@@ -90,7 +96,8 @@ def _build(source: bytes, target: Path) -> None:
 
 @functools.lru_cache(maxsize=None)
 def load_sweep() -> Optional[Any]:
-    """The native ``temps_sweep`` function, or ``None`` to use Python.
+    """The native library (entries ``temps_sweep`` and
+    ``structure_sweep``), or ``None`` to use Python.
 
     Memoized: the build or load is attempted once per process, and a
     failure is not retried.
@@ -100,11 +107,13 @@ def load_sweep() -> Optional[Any]:
         target = library_path(source)
         if not target.exists():
             _build(source, target)
-        func = ctypes.CDLL(str(target)).temps_sweep
-    except (OSError, subprocess.CalledProcessError):
+        lib = ctypes.CDLL(str(target))
+        sweep, structure = lib.temps_sweep, lib.structure_sweep
+    except (OSError, AttributeError, subprocess.CalledProcessError):
         return None
-    ptr = ctypes.c_void_p
-    func.argtypes = [ctypes.c_int64, ptr, ptr, ptr, ptr, ptr,
-                     ctypes.POINTER(ctypes.c_double)]
-    func.restype = ctypes.c_int64
-    return func
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    sweep.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(ctypes.c_double)]
+    structure.argtypes = [i64, ptr, ptr, ctypes.c_double, ptr,
+                          ctypes.POINTER(ctypes.c_double), ctypes.POINTER(i64)]
+    sweep.restype = structure.restype = i64
+    return lib

@@ -2,18 +2,18 @@
 
 Algorithm 4.1 splits a query into an ``O(n)`` structural phase (prime
 subpaths, membership intervals, the non-redundant edge reduction) and an
-``O(p log q)`` TEMP_S sweep.  :func:`compile_chain` freezes a chain into
-contiguous arrays once (prefix weights, β table), and the resulting
-:class:`CompiledChainPlan` answers every bandwidth query the engine
-serves on that chain —
+``O(p log q)`` TEMP_S sweep.  :func:`compile_chain` takes the chain's
+frozen float64 buffers (prefix weights, β table; no copy) and its
+maximum task weight, and the resulting :class:`CompiledChainPlan`
+answers every bandwidth query the engine serves on that chain —
 
 - :meth:`CompiledChainPlan.solve_bounds` takes an array of bounds ``ks``
   and returns the optimal bandwidth for every one.  Bounds are sorted
   and grouped by *stability interval* (a structure built at ``K`` stays
-  valid for every ``K' ∈ [K, min prime weight)``), each distinct
-  structure is built once with the batched kernels of
-  :mod:`repro.engine.kernels`, and the TEMP_S transitions run once per
-  *distinct structure*.  A single
+  valid for every ``K' ∈ [K, min prime weight)``), and each distinct
+  structure is built and swept once, in one
+  :func:`~repro.engine.kernels.structure_sweep` call (native when
+  ``_sweep.c`` builds).  A single
   :meth:`~repro.engine.batch.PartitionEngine.solve` is the one-bound
   case with ``return_cuts=True``.
 
@@ -45,20 +45,14 @@ import os
 import threading
 from bisect import bisect_right, insort
 from collections import OrderedDict
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.core.feasibility import finite_optimum
 from repro.engine.kernels import (
     beta_array,
-    membership_intervals,
     prefix_array,
-    prime_weight_array,
-    prime_windows,
-    reduced_class_arrays,
-    reduced_edge_arrays,
     require_numpy,
-    stability_end,
-    temps_sweep,
+    structure_sweep,
     validate_bound_array,
 )
 from repro.graphs.chain import Chain
@@ -274,62 +268,18 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     # Structure builds
     # ------------------------------------------------------------------
-    def _windows(self, bound: float) -> Tuple["np.ndarray", "np.ndarray", float]:
-        """Prime windows for ``bound`` plus the stability-interval end."""
-        prefix = self._prefix
-        first_tasks, last_tasks = prime_windows(prefix, bound)
-        prime_weights = prime_weight_array(prefix, first_tasks, last_tasks)
-        return first_tasks, last_tasks, stability_end(prime_weights)
-
-    def _cut_sweep(
-        self, bound: float
-    ) -> Tuple[List[int], float, int, int, float]:
-        """The cut-capable build at ``bound`` and its full TEMP_S sweep.
-
-        Returns ``(cut, weight, p, r, valid_until)``.  The one place the
-        kernels are chained into a cut: prime windows, membership
-        intervals and the reduced edges feed
-        :func:`~repro.engine.kernels.temps_sweep`, all against the plan's
-        frozen ``prefix``/``beta`` arrays so no query re-validates or
-        re-converts anything.
-        """
-        first_tasks, last_tasks, valid_until = self._windows(bound)
-        p = int(first_tasks.shape[0])
-        if p == 0:
-            return [], 0.0, 0, 0, valid_until
-        lo, hi = membership_intervals(
-            first_tasks, last_tasks - 1, self.chain.num_edges
-        )
-        edge_index, edge_weight, edge_first, edge_last = reduced_edge_arrays(
-            self._beta, lo, hi
-        )
-        cut, weight = temps_sweep(edge_index, edge_weight, edge_first, edge_last)
-        return cut, weight, p, int(edge_weight.shape[0]), valid_until
-
     def _build(self, bound: float, with_cut: bool) -> _FrozenStructure:
         """Build, memoize and return the frozen structure at ``bound``.
 
-        ``with_cut`` builds the cut-capable columns once and takes the
-        weight from the full sweep; otherwise the cheaper weight-only
-        columns (:func:`~repro.engine.kernels.reduced_class_arrays`) feed
-        the weight-only :func:`~repro.engine.kernels.temps_sweep` and the
-        cut is left for :meth:`_cut_for`.
+        One :func:`~repro.engine.kernels.structure_sweep` call on the
+        plan's frozen ``prefix``/``beta`` buffers, so no query
+        re-validates or re-converts anything.  ``with_cut`` keeps the
+        optimal cut; otherwise only the weight is computed and the cut
+        is left for :meth:`_cut_for`.
         """
-        cut: Optional[List[int]]
-        if with_cut:
-            cut, weight, p, r, valid_until = self._cut_sweep(bound)
-        else:
-            first_tasks, last_tasks, valid_until = self._windows(bound)
-            p = int(first_tasks.shape[0])
-            if p == 0:
-                cut, weight, r = [], 0.0, 0
-            else:
-                edge_weight, edge_first, edge_last = reduced_class_arrays(
-                    self._beta, first_tasks, last_tasks, self.chain.num_edges
-                )
-                r = int(edge_weight.shape[0])
-                cut = None
-                _, weight = temps_sweep(None, edge_weight, edge_first, edge_last)
+        cut, weight, p, r, valid_until = structure_sweep(
+            self._prefix, self._beta, bound, with_cut
+        )
         frozen = _FrozenStructure(bound, valid_until, weight, cut, p, r)
         self._remember(frozen)
         return frozen
@@ -373,7 +323,9 @@ class CompiledChainPlan:
         bit-for-bit; anything else is a kernel bug worth crashing on.
         """
         if frozen.cut is None:
-            cut, weight, _, _, _ = self._cut_sweep(frozen.valid_from)
+            cut, weight, _, _, _ = structure_sweep(
+                self._prefix, self._beta, frozen.valid_from, True
+            )
             if weight != frozen.weight:
                 raise AssertionError(
                     f"cut sweep weight {weight!r} diverged from the "
@@ -489,9 +441,9 @@ def compile_chain(
 ) -> CompiledChainPlan:
     """Compile ``chain`` into a :class:`CompiledChainPlan` — ``O(n)``.
 
-    Runs the chain-level half of Algorithm 4.1's preprocessing (prefix
-    weights, β table, feasibility floor) once and freezes it; the
-    returned plan then answers bound sweeps with no
-    per-query Python dispatch (plans *are* the NumPy fast path).
+    The chain already froze the chain-level half of Algorithm 4.1's
+    preprocessing (prefix weights, β table, feasibility floor); the
+    returned plan reads those buffers without a copy and answers bound
+    sweeps with one kernel call per distinct structure.
     """
     return CompiledChainPlan(chain, max_structures=max_structures)

@@ -47,12 +47,14 @@ def resolve_edge_weights(
     edge_list: List[Edge], edge_weights: Optional[object]
 ) -> List[float]:
     """One float per edge: ``edge_weights`` is ``None`` (all ``1.0``), a
-    dict keyed by canonical edge, or a sequence aligned with ``edge_list``."""
+    dict keyed by canonical edge, or a sequence aligned with ``edge_list``.
+    ``+ 0.0`` stores a ``-0.0`` weight as ``0.0``, so no answer's sign
+    depends on the order its weights are read in."""
     if edge_weights is None:
         return [1.0] * len(edge_list)
     if isinstance(edge_weights, dict):
-        return [float(edge_weights[canonical_edge(*edge)]) for edge in edge_list]
-    weights = [float(w) for w in edge_weights]
+        return [float(edge_weights[canonical_edge(*edge)]) + 0.0 for edge in edge_list]
+    weights = [float(w) + 0.0 for w in edge_weights]
     if len(weights) != len(edge_list):
         raise ValueError(f"{len(weights)} edge weights given for {len(edge_list)} edges")
     return weights
@@ -82,7 +84,7 @@ class TaskGraph:
         edges: Iterable[Edge] = (),
         edge_weights: Optional[object] = None,
     ) -> None:
-        self._vertex_weights: List[float] = [float(w) for w in vertex_weights]
+        self._vertex_weights: List[float] = [float(w) + 0.0 for w in vertex_weights]
         check_weights(self._vertex_weights, "vertex {}".format)
         n = len(self._vertex_weights)
         self._adjacency: List[List[int]] = [[] for _ in range(n)]

@@ -121,7 +121,7 @@ class Tree:
         edges: Iterable[Edge],
         edge_weights: Optional[object] = None,
     ) -> None:
-        weights = [float(w) for w in vertex_weights]
+        weights = [float(w) + 0.0 for w in vertex_weights]  # -0.0 becomes 0.0
         check_weights(weights, "vertex {}".format)
         edge_list = list(edges)
         edge_values = resolve_edge_weights(edge_list, edge_weights)

@@ -267,6 +267,7 @@ CONTRACTS: Dict[str, Contract] = {
     "repro.baselines.star_knapsack.knapsack_01": ("n c", ()),
     "repro.baselines.tree_dp.min_cuts_exact": ("n s^2", ()),
     "repro.engine.kernels.bandwidth_sweep": ("n + p log q", ()),
+    "repro.engine.kernels.structure_sweep": ("n + p log q", ()),
     "repro.engine.kernels.sweep_min_cut": ("n + p log q", ()),
     "repro.engine.kernels.temps_sweep": ("n + p log q", ()),
     "repro.engine.plan.CompiledChainPlan.solve_bounds": (

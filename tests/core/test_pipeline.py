@@ -136,6 +136,27 @@ class TestPipelineDifferential:
             assert processor_min(tree, bound).num_components == processor_min_bottom_up(
                 tree, bound).num_components
 
+    def test_signed_zero_bottleneck(self):
+        # Edge weights from {0.0, -0.0, 1.0}: the bottleneck is a max over
+        # the final cut, taken in pruning order here and in the super
+        # tree's order by the oracle.  Both read 0.0 only because the
+        # constructor stores -0.0 as 0.0.
+        rng = random.Random(401)
+        for _ in range(5000):
+            n = rng.randint(2, 12)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            rng.shuffle(edges)
+            weights = [0.5 * rng.randint(1, 8) for _ in range(n)]
+            tree = Tree(weights, edges, [rng.choice((0.0, -0.0, 1.0)) for _ in edges])
+            bound = max(weights)
+            plan = partition_tree(tree, bound)
+            bottleneck = 0.0
+            first_cut = set(bottleneck_min(tree, bound).cut_edges)
+            if first_cut:
+                super_tree, _components, _origin = contract_by_constructor(tree, first_cut)
+                bottleneck = processor_min(super_tree, bound).bottleneck
+            assert plan.bottleneck.hex() == bottleneck.hex() == abs(bottleneck).hex()
+
 
 #: Tenth-weight trees whose final cut changes if a component's children
 #: are summed in another order: ``(weights, edges, edge_weights, K,

@@ -1,4 +1,4 @@
-"""Differential fuzz of the TEMP_S sweep implementations.
+"""Differential fuzz of the TEMP_S sweep and structure-build implementations.
 
 Four implementations of Algorithm 4.1's sweep must agree bit for bit
 (``float.hex`` equality on every weight, equal cut lists):
@@ -15,7 +15,10 @@ the solvers built on them (the reference, the engine) raise
 
 Both sweep modes are covered: cut-capable (reduced-edge columns with
 their edge index) and weight-only (``reduced_class_arrays`` columns,
-``edge_index=None``).  The chains are adversarial: all-equal and
+``edge_index=None``).  The whole structure build behind
+:func:`kernels.structure_sweep` is checked the same way: the native
+entry, the NumPy composition and the reference must give equal ``p``,
+``r``, stability-interval end, cut and weight.  The chains are adversarial: all-equal and
 small-integer weights (W ties), zero edge weights, n = 1, r = 0,
 K = max weight, and tiny (1e-300, subnormal) and overflow-adjacent
 (1e308) weights.
@@ -31,6 +34,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import OptimumOverflowError
+from repro.core.prime_subpaths import compute_prime_structure
 from repro.engine import PartitionEngine, kernels, native
 from repro.graphs.chain import Chain
 
@@ -274,3 +278,113 @@ class TestLoader:
         monkeypatch.setattr(native.subprocess, "run", crashing)
         with pytest.raises(RuntimeError):
             native.load_sweep.__wrapped__()
+
+
+# ----------------------------------------------------------------------
+# The fused structure build: kernels.structure_sweep
+# ----------------------------------------------------------------------
+def _near_window_bounds(chain, count, rng):
+    """Bounds on and one ulp either side of window weights of ``chain``
+    (prefix differences, as every implementation computes them)."""
+    prefix = chain.prefix_weights()
+    n = chain.num_tasks
+    wmax = chain.max_vertex_weight()
+    out = []
+    for _ in range(count):
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a, n))
+        w = prefix[b + 1] - prefix[a]
+        out.extend([w, math.nextafter(w, math.inf), math.nextafter(w, -math.inf)])
+    return [k for k in out if math.isfinite(k) and k >= wmax]
+
+
+def _fused_cases():
+    """(name, chain, bounds): the adversarial chains of ``CASES`` plus
+    tenth- and half-integer chains probed within an ulp of their window
+    weights, and chains whose prefix overflows to inf (and nan gaps)."""
+    rng = np.random.default_rng(20261019)
+    cases = list(CASES)
+
+    def add(name, alpha, beta, extra=()):
+        chain = Chain(alpha, beta)
+        wmax = chain.max_vertex_weight()
+        total = chain.total_weight()
+        bounds = [wmax, 1.5 * wmax, total, 2.0 * total, *extra,
+                  *_near_window_bounds(chain, 12, rng)]
+        bounds = sorted({k for k in bounds if math.isfinite(k) and k >= wmax})
+        cases.append((name, chain, bounds))
+
+    add("n1", [0.7], [])
+    add("n2", [0.1, 0.2], [0.3])
+    add("n2_equal", [2.5, 2.5], [0.0])
+    add("all_equal_tenths", [0.1] * 40, [0.1] * 39)
+    for seed in range(10):
+        n = int(rng.integers(2, 60))
+        unit = (0.1, 0.5)[seed % 2]
+        add(f"grid_{unit}_{seed}", (rng.integers(1, 30, n) * unit).tolist(),
+            (rng.integers(0, 10, n - 1) * unit).tolist())
+    for seed in range(4):
+        n = int(rng.integers(3, 20))
+        add(f"overflow_{seed}", (rng.integers(1, 9, n) * 2e307).tolist(),
+            (rng.integers(0, 9, n - 1) * 2e307).tolist(), extra=(1.79e308,))
+    return cases
+
+
+FUSED = _fused_cases()
+FUSED_IDS = [name for name, _, _ in FUSED]
+
+
+def _reference_structure(chain, bound):
+    """``(cut, weight, p, r, valid_until)`` from the pure-Python
+    reference; ``(None, inf, ...)`` when it raises OptimumOverflowError."""
+    structure = compute_prime_structure(chain, bound)
+    weights = [prime.weight for prime in structure.primes]
+    valid_until = min((w for w in weights if w == w), default=math.inf)
+    cut, weight = _reference(chain, bound)
+    return cut, weight, structure.p, structure.r, valid_until
+
+
+def _fused_runs(chain, bound):
+    prefix, beta = kernels.prefix_array(chain), kernels.beta_array(chain)
+    return (kernels.structure_sweep(prefix, beta, bound, True),
+            kernels.structure_sweep(prefix, beta, bound, False))
+
+
+@pytest.mark.parametrize("name, chain, bounds", FUSED, ids=FUSED_IDS)
+def test_fused_structure_matches_fallback_and_reference(monkeypatch, name, chain, bounds):
+    if not kernels.native_sweep_loaded():
+        pytest.skip("native TEMP_S sweep unavailable (no gcc?)")
+    native_runs = [_fused_runs(chain, bound) for bound in bounds]
+    monkeypatch.setattr(native, "load_sweep", lambda: None)
+    for bound, (with_cut, weight_only) in zip(bounds, native_runs):
+        ref_cut, ref_weight, ref_p, ref_r, ref_until = _reference_structure(chain, bound)
+        fb_cut, fb_weight_only = _fused_runs(chain, bound)
+        for got in (with_cut, weight_only, fb_cut, fb_weight_only):
+            cut, weight, p, r, valid_until = got
+            assert (p, r) == (ref_p, ref_r), (name, bound)
+            assert _hex(valid_until) == _hex(ref_until), (name, bound)
+            assert _hex(weight) == _hex(ref_weight), (name, bound)
+            assert type(weight) is float and type(valid_until) is float
+        assert with_cut[0] == fb_cut[0], (name, bound)
+        assert ref_cut is None or with_cut[0] == ref_cut, (name, bound)
+        assert weight_only[0] == fb_weight_only[0] == (None if ref_p else [])
+
+
+def test_fused_structure_rejects_misshapen_buffers():
+    prefix = np.array([0.0, 1.0, 3.0])
+    with pytest.raises(ValueError):
+        kernels.structure_sweep(prefix, np.array([1.0, 2.0]), 5.0, True)
+    with pytest.raises(ValueError):
+        kernels.structure_sweep(np.array([0.0]), np.array([]), 5.0, True)
+    with pytest.raises(ValueError):
+        kernels.structure_sweep(prefix[:, None], np.array([1.0]), 5.0, True)
+
+
+def test_fingerprint_is_unchanged():
+    # Digests of the stdlib struct.pack form: a fingerprint is a cache
+    # key across processes and releases, so its bytes must not move.
+    assert Chain([4, 3, 5, 2, 6], [7, 1, 9, 2]).fingerprint() == (
+        "c3f41caf74b425e73d98756ca893b695")
+    assert Chain([1.0], []).fingerprint() == "8981caa803abe702697ec233fbc017b7"
+    assert Chain(np.array([4.0, 3, 5, 2, 6]), (7, 1, 9, 2)).fingerprint() == (
+        "c3f41caf74b425e73d98756ca893b695")

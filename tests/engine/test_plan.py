@@ -14,6 +14,7 @@ from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import InfeasibleBoundError
 from repro.core.prime_subpaths import PrimeStructure
 from repro.engine import PartitionEngine, PlanCache, compile_chain
+from repro.engine.kernels import structure_sweep
 from repro.engine.plan import CompiledChainPlan
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain
@@ -183,7 +184,8 @@ class TestSolveBounds:
         chain = random_chain(20, rng=12)
         bound = 2.0 * float(np.sum(chain.alpha))
         plan = compile_chain(chain)
-        cut, weight, p, r, valid_until = plan._cut_sweep(bound)
+        cut, weight, p, r, valid_until = structure_sweep(
+            plan._prefix, plan._beta, bound, True)
         assert (cut, weight, p, r) == ([], 0.0, 0, 0)
         assert valid_until == float("inf")
         weights, cuts = plan.solve_bounds([bound], return_cuts=True)
@@ -200,19 +202,19 @@ class TestSolveBounds:
         chain = random_chain(50, rng=15)
         bound = 2.0 * chain.max_vertex_weight()
         plan = compile_chain(chain)
-        windows = []
-        real_windows = type(plan)._windows
+        builds = []
+        real_build = type(plan)._build
 
-        def counting_windows(self, k):
-            windows.append(k)
-            return real_windows(self, k)
+        def counting_build(self, k, with_cut):
+            builds.append((k, with_cut))
+            return real_build(self, k, with_cut)
 
-        monkeypatch.setattr(type(plan), "_windows", counting_windows)
+        monkeypatch.setattr(type(plan), "_build", counting_build)
         weights, cuts = plan.solve_bounds([bound, bound], return_cuts=True)
         ref = bandwidth_min(chain, bound)
         assert weights.tolist() == [ref.weight] * 2
         assert cuts == [list(ref.cut_indices)] * 2
-        assert windows == [bound]
+        assert builds == [(bound, True)]
         assert plan._lookup(bound).cut == list(ref.cut_indices)
         assert plan.stats.lookups == 2 and plan.stats.misses == 1
 

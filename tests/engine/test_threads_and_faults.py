@@ -160,15 +160,13 @@ def _engine_locks_released(engine):
     return all(lock_released(lock) for lock in locks)
 
 
-def _kernel_fault_recovers(monkeypatch, site):
-    """Fault ``repro.engine.plan.<site>``, which a solve calls under the
-    plan's memo lock; every engine lock must come free and the memo
-    stay clean."""
-    import repro.engine.plan as plan_mod
-
+def _kernel_fault_recovers(monkeypatch, module, site):
+    """Fault ``<module>.<site>``, which a solve calls under the plan's
+    memo lock; every engine lock must come free and the memo stay
+    clean."""
     calls = []
     monkeypatch.setattr(
-        plan_mod, site, raise_on_first_call(getattr(plan_mod, site), calls)
+        module, site, raise_on_first_call(getattr(module, site), calls)
     )
     engine = PartitionEngine()
     with pytest.raises(InjectedFault):
@@ -181,12 +179,17 @@ def _kernel_fault_recovers(monkeypatch, site):
 
 class TestFaults:
     def test_structure_build_fault_recovers(self, monkeypatch):
-        # A structure build starts at the plan's prime-window kernel.
-        _kernel_fault_recovers(monkeypatch, "prime_windows")
+        # The plan's one kernel call: structure build and sweep.
+        import repro.engine.plan as plan_mod
+
+        _kernel_fault_recovers(monkeypatch, plan_mod, "structure_sweep")
 
     def test_sweep_kernel_fault_recovers(self, monkeypatch):
-        # The TEMP_S sweep, native kernel or Python fallback.
-        _kernel_fault_recovers(monkeypatch, "temps_sweep")
+        # The TEMP_S sweep inside the NumPy structure build.
+        from repro.engine import kernels, native
+
+        monkeypatch.setattr(native, "load_sweep", lambda: None)
+        _kernel_fault_recovers(monkeypatch, kernels, "temps_sweep")
 
     def test_plan_compile_fault_caches_nothing(self, monkeypatch):
         """``PlanCache.get`` compiles under its lock: a raising compile

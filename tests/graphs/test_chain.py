@@ -1,5 +1,9 @@
 """Unit tests for :mod:`repro.graphs.chain`."""
 
+import math
+import random
+from itertools import accumulate
+
 import pytest
 
 from repro.graphs.chain import Chain
@@ -33,9 +37,63 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             Chain([1, 2], [-1])
 
+    def test_rejects_non_finite_weights(self):
+        with pytest.raises(ValueError, match="task 1 has non-finite weight nan"):
+            Chain([1.0, math.nan], [1.0])
+        with pytest.raises(ValueError, match="task 0 has non-finite weight inf"):
+            Chain([math.inf, 1.0], [1.0])
+        with pytest.raises(ValueError, match="edge 1 has non-finite weight nan"):
+            Chain([1.0, 2.0, 3.0], [1.0, math.nan])
+        with pytest.raises(ValueError, match="edge 0 has non-finite weight inf"):
+            Chain([1.0, 2.0], [math.inf])
+        with pytest.raises(ValueError):
+            Chain([[1.0, 2.0]], [])
+
+    def test_overflowing_prefix_is_accepted(self):
+        chain = Chain([1e308, 1e308, 1.0], [1.0, 2.0])
+        assert chain.prefix_weights() == [0.0, 1e308, math.inf, math.inf]
+        assert chain.total_weight() == math.inf
+        assert chain.max_vertex_weight() == 1e308
+
+    def test_negative_zero_edge_is_stored_as_zero(self):
+        chain = Chain([1.0, 2.0, 3.0], [-0.0, 1.0])
+        assert [b.hex() for b in chain.beta] == [(0.0).hex(), (1.0).hex()]
+        assert chain.fingerprint() == Chain([1.0, 2.0, 3.0], [0.0, 1.0]).fingerprint()
+
+    def test_any_iterable_of_numbers(self):
+        want = Chain([1.0, 2.0, 3.0], [4.0, 5.0])
+        assert Chain((1, 2, 3), iter([4, 5])) == want
+        assert Chain((x for x in [1, 2, 3]), range(4, 6)) == want
+        assert all(type(x) is float for x in Chain([1, 2], [3]).alpha)
+
     def test_zero_edge_weight_allowed(self):
         chain = Chain([1, 2], [0.0])
         assert chain.edge_weight(0) == 0.0
+
+
+class TestFrozenBuffers:
+    """A chain copies its input once and cannot be changed afterwards."""
+
+    def test_caller_cannot_mutate_a_validated_chain(self):
+        np = pytest.importorskip("numpy")
+        alpha, beta = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+        chain = Chain(alpha, beta)
+        alpha[0], beta[0] = -1.0, math.nan
+        assert chain.alpha == [1.0, 2.0, 3.0] and chain.beta == [4.0, 5.0]
+        for buf in chain.buffers():
+            with pytest.raises(ValueError):
+                buf[0] = 9.0
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Chain(np.ones((2, 2)), [1.0])
+
+    def test_prefix_is_bit_identical_to_accumulate(self):
+        rng = random.Random(7)
+        alpha = [rng.uniform(0.1, 100.0) for _ in range(20000)]
+        chain = Chain(alpha, [1.0] * 19999)
+        want = [0.0, *accumulate(alpha)]
+        assert [x.hex() for x in chain.prefix_weights()] == [x.hex() for x in want]
+        assert chain.alpha == alpha
+        assert chain.max_vertex_weight() == max(alpha)
 
 
 class TestSegments:

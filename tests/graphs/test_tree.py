@@ -65,6 +65,11 @@ class TestConstruction:
         assert t.num_vertices == 1
         assert t.leaves() == [0]
 
+    def test_negative_zero_weights_are_stored_as_zero(self):
+        tree = Tree([-0.0, 1.0, 2.0], [(0, 1), (1, 2)], [-0.0, 0.0])
+        assert [w.hex() for w in tree.vertex_weights] == [w.hex() for w in (0.0, 1.0, 2.0)]
+        assert [w.hex() for w in tree.parent_weights()] == [(0.0).hex()] * 3
+
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not a tree"):
             Tree([1, 1, 1], [(0, 1)])

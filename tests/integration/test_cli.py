@@ -157,6 +157,14 @@ class TestBatchErrorPaths:
                          None, id="object_tag"),
             pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": 9, "objective": ["x"]}',
                          None, id="list_objective"),
+            # A bare \r ends no record: both input routes count lines at
+            # "\n" only, as the non-UTF-8 message does.
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": 9}\r'
+                         b'{"alpha": [1, 1], "beta": [1], "bound": "9"}',
+                         None, id="bare_cr_input"),
+            pytest.param(b'{"alpha": [1, 1], "beta": [1], "bound": 9}\r'
+                         b'{"alpha": [1, 1], "beta": [1], "bound": "9"}',
+                         "C", id="bare_cr_stdin"),
         ],
     )
     def test_malformed_jsonl_line_exits_2_naming_line(
@@ -184,6 +192,18 @@ class TestBatchErrorPaths:
         err = capsys.readouterr().err
         assert "line 2" in err
         assert not out.exists()  # nothing half-written on a parse error
+
+    def test_crlf_records_read_as_lf(self, tmp_path):
+        records = [json.dumps({"alpha": [4, 3, 5, 2, 6], "beta": [7, 1, 9, 2],
+                               "bound": k}) for k in (9, 12)]
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            inp = tmp_path / "queries.jsonl"
+            out = tmp_path / f"results{len(ending)}.jsonl"
+            inp.write_bytes((ending.join(records) + ending).encode())
+            assert main(["batch", "--input", str(inp), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_partial_failure_exits_1(self, tmp_path, capsys):
         inp = tmp_path / "queries.jsonl"

@@ -356,8 +356,8 @@ class TestFaults:
 
         calls = []
         monkeypatch.setattr(
-            plan_mod, "prime_windows",
-            raise_on_first_call(plan_mod.prime_windows, calls),
+            plan_mod, "structure_sweep",
+            raise_on_first_call(plan_mod.structure_sweep, calls),
         )
         tracer = Tracer(enabled=True)
         engine = PartitionEngine(tracer=tracer)
