@@ -23,8 +23,8 @@ Claims reproduced / asserted:
   enabled with no subscribers, measured against the direct
   plan-cache path;
 - the shared-state locks of the plan cache and the plan memo cost
-  < 5% on a single-threaded cold solve vs a lock-free inline replica of
-  the same pipeline, and the disabled telemetry paths (``NULL_HUB`` guard,
+  < 5% on a single-threaded cold solve vs the same engine path with
+  both locks swapped for no-ops, and the disabled telemetry paths (``NULL_HUB`` guard,
   null-hub publishes, locked ``Counter.inc``) stay allocation-free.
 
 All tests also run (and still assert correctness) under
@@ -340,23 +340,31 @@ def test_lock_overhead(benchmark):
     """ISSUE acceptance criterion: shared-state locks < 5% single-threaded.
 
     ``PartitionEngine.solve`` looks its plan up under the plan cache's
-    RLock and runs the memo miss under the plan's own.  Raced against a
-    lock-free inline replica of the same cold miss — the engine's
-    ``_plan_solve`` with both locks swapped for no-ops: cache clear,
-    lookup (compile and its ``cache`` event), the plan's
-    ``solve_bounds`` and the ``plan`` event — the lock acquisitions must
-    disappear next to a 10k-task solve.  Interleaved min-of-reps timing
-    as in :func:`test_tracing_disabled_overhead`.
+    RLock and runs the memo miss under the plan's own.  Raced against
+    the same engine path with both locks swapped for no-ops — a plan
+    cache whose lock, and every plan it compiles, holds a
+    ``nullcontext()`` — the lock acquisitions must disappear next to a
+    10k-task solve.  Interleaved min-of-reps timing as in
+    :func:`test_tracing_disabled_overhead`.
     """
     from contextlib import nullcontext
 
-    from repro.core.bandwidth import ChainCutResult
-    from repro.engine.plan import PlanStats
+    from repro.engine.cache import PlanCache
+
+    class LockFreePlans(PlanCache):
+        def __init__(self):
+            super().__init__()
+            self._lock = nullcontext()
+
+        def lookup(self, chain, **reporters):
+            plan, hit = super().lookup(chain, **reporters)
+            plan._lock = nullcontext()
+            return plan, hit
 
     chain, bound = make_chain(N_TASKS, 4.0)
     engine = PartitionEngine()
     lock_free = PartitionEngine()
-    lock_free.cache._lock = nullcontext()
+    lock_free.cache = LockFreePlans()
 
     def locked():
         engine.cache.clear()
@@ -364,17 +372,7 @@ def test_lock_overhead(benchmark):
 
     def replica():
         lock_free.cache.clear()
-        plan, hit = lock_free.cache.lookup(chain, metrics=lock_free)
-        plan._lock = nullcontext()
-        call = PlanStats()
-        weights, cuts = plan.solve_bounds([bound], return_cuts=True, tally=call)
-        lock_free.emit({
-            "kind": "event", "event": "plan", "n": chain.num_tasks,
-            "queries": call.queries, "cache": "hit" if hit else "miss",
-            "structures_built": call.misses, "structures_reused": call.reused,
-            "outcome": "miss",
-        })
-        return ChainCutResult(chain, cuts[0], float(weights[0]))
+        return lock_free.solve(chain, bound)
 
     assert locked().weight == replica().weight  # and warm imports
 

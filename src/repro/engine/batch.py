@@ -195,13 +195,15 @@ def _solve_event(
     objective: str,
     answer: Union[ChainCutResult, str],
     duration_s: float,
+    verify: bool,
     index: Optional[int] = None,
     tag: Optional[str] = None,
 ) -> Event:
     """The ``solve`` event for one answered query (an error message
     string for a failed one).  A batch query also carries its ``index``,
     ``tag`` and ``error``; a single :meth:`PartitionEngine.solve` does
-    not."""
+    not.  ``verify`` is whether ``REPRO_VERIFY`` is set, read by the
+    caller once per query or chain group rather than once per event."""
     ok = not isinstance(answer, str)
     event: Event = {
         "kind": "event",
@@ -217,7 +219,7 @@ def _solve_event(
         event["index"] = index
         event["tag"] = tag
         event["error"] = None if ok else answer
-    if ok and objective == "bandwidth" and "REPRO_VERIFY" in os.environ:
+    if verify and ok and objective == "bandwidth":
         # Verification runs already pay for a pure-Python re-solve; the
         # combinatorial lower bound is noise next to that, and turns
         # every verified solve into a quality sample.
@@ -402,20 +404,22 @@ class PartitionEngine:
         :func:`repro.core.pipeline.partition_chain` (tree algorithms,
         uncached).
         """
-        if not self.tracer.enabled and not self.hub.enabled:
+        tracer = self.tracer
+        if not tracer.enabled and not self.hub.enabled:
             return self._solve(chain, bound, objective, None)
+        verify = "REPRO_VERIFY" in os.environ
         t0 = time.perf_counter()
-        with self.tracer.span(
-            "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
-        ):
-            result = self._solve(
-                chain, bound, objective,
-                self.tracer if self.tracer.enabled else None,
-            )
+        if tracer.enabled:
+            with tracer.span(
+                "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
+            ):
+                result = self._solve(chain, bound, objective, tracer)
+        else:
+            result = self._solve(chain, bound, objective, None)
         self.emit(
             _solve_event(
                 chain.num_tasks, bound, objective, result,
-                time.perf_counter() - t0,
+                time.perf_counter() - t0, verify,
             )
         )
         return result
@@ -593,10 +597,11 @@ class PartitionEngine:
         trace: bool,
     ) -> List[QueryResult]:
         n = len(alpha)
+        verify = "REPRO_VERIFY" in os.environ
         try:
             chain = Chain(list(alpha), list(beta))
         except (PartitioningError, ValueError) as exc:
-            return [self._finish(n, m, str(exc), 0.0) for m in members]
+            return [self._finish(n, m, str(exc), 0.0, verify) for m in members]
         swept: Dict[int, QueryResult] = {}
         if not trace:
             alpha_max = chain.max_vertex_weight()
@@ -615,7 +620,7 @@ class PartitionEngine:
                 for k, weight, cut in zip(eligible, *out):
                     swept[k] = self._finish(
                         n, members[k], ChainCutResult(chain, cut, float(weight)),
-                        share,
+                        share, verify,
                     )
         results = []
         for k, member in enumerate(members):
@@ -625,7 +630,7 @@ class PartitionEngine:
                 t0 = time.perf_counter()
                 answer = self._attempt(chain, member, tracer)
                 result = self._finish(
-                    n, member, answer, time.perf_counter() - t0,
+                    n, member, answer, time.perf_counter() - t0, verify,
                     None if tracer is None else tracer.records(),
                 )
             results.append(result)
@@ -661,13 +666,16 @@ class PartitionEngine:
         member: Member,
         answer: Union[ChainCutResult, str],
         duration_s: float,
+        verify: bool,
         spans: Optional[List[Dict[str, Any]]] = None,
     ) -> QueryResult:
         """One answered query: report its ``solve`` event and return its
         result."""
         index, bound, objective, tag = member
         self.emit(
-            _solve_event(n, bound, objective, answer, duration_s, index, tag)
+            _solve_event(
+                n, bound, objective, answer, duration_s, verify, index, tag
+            )
         )
         if isinstance(answer, str):
             result = QueryResult(index, tag, objective, bound, error=answer)

@@ -334,6 +334,12 @@ class Chain:
         ]
         return cls(alpha, beta)
 
+    def __reduce__(self) -> Tuple[Any, Tuple[List[float], List[float]]]:
+        """Pickle and copy through the constructor, so a copy is validated
+        and frozen again rather than carrying writable buffers under the
+        original's cached fingerprint."""
+        return Chain, (self.alpha, self.beta)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chain):
             return NotImplemented

@@ -127,15 +127,13 @@ class TelemetryHub:
         if "t" not in event:
             event["t"] = self._clock()
         with self._lock:
-            dead: List[TelemetrySubscriber] = []
-            for subscriber in self._subscribers:
+            # A snapshot, so a failing subscriber can be dropped mid-loop.
+            for subscriber in tuple(self._subscribers):
                 try:
                     subscriber.emit(event)
                 except Exception as exc:  # repro-lint: disable=REPRO021 subscriber isolation: any exception is recorded in hub.errors and the subscriber dropped
-                    dead.append(subscriber)
+                    self._subscribers.remove(subscriber)
                     self.errors.append(f"{type(subscriber).__name__}: {exc}")
-            for subscriber in dead:  # pragma: no cover - defensive
-                self._subscribers.remove(subscriber)
 
     def close(self) -> None:
         with self._lock:

@@ -39,15 +39,17 @@ class Counter:
     the GIL does not make it atomic — two threads can interleave the
     load and the store and lose an update (``test_metrics_registry``
     in ``tests/observability/test_threads_and_faults.py`` counts every
-    update from 8 threads).
+    update from 8 threads).  ``lock`` is the lock to guard it with; a
+    :class:`MetricsRegistry` passes its own, and a bare counter gets a
+    fresh one.
     """
 
     __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str, value: float = 0) -> None:
+    def __init__(self, name: str, value: float = 0, lock: Any = None) -> None:
         self.name = name
         self.value = value
-        self._lock = threading.RLock()
+        self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: float = 1) -> None:
         with self._lock:
@@ -58,14 +60,15 @@ class Counter:
 
 
 class Gauge:
-    """A named last-write-wins value (queue depth, pool width, ...)."""
+    """A named last-write-wins value (queue depth, pool width, ...);
+    ``lock`` as for :class:`Counter`."""
 
     __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str, value: float = 0.0) -> None:
+    def __init__(self, name: str, value: float = 0.0, lock: Any = None) -> None:
         self.name = name
         self.value = value
-        self._lock = threading.RLock()
+        self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -134,7 +137,8 @@ class Histogram:
     percentile/CDF paths all serialize on one reentrant ``_lock``: the
     count/min/max/values update in ``observe`` and the exact→bucketed
     spill are multi-field transitions that must never be observed
-    half-done.
+    half-done.  ``lock`` must be reentrant when given (:meth:`sum`
+    reads the CDF under it); a :class:`MetricsRegistry` passes its own.
     """
 
     __slots__ = (
@@ -151,7 +155,12 @@ class Histogram:
         "_lock",
     )
 
-    def __init__(self, name: str, values: Optional[List[float]] = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        values: Optional[List[float]] = None,
+        lock: Any = None,
+    ) -> None:
         self.name = name
         #: Verbatim observations while exact; ``None`` once spilled.
         self._values: Optional[List[float]] = []
@@ -167,7 +176,7 @@ class Histogram:
         self._max = -math.inf
         #: Memoized bucketed CDF: ascending (value, count) pairs.
         self._cdf: Optional[List[Tuple[float, int]]] = None
-        self._lock = threading.RLock()
+        self._lock = lock if lock is not None else threading.RLock()
         if values:
             for value in values:
                 self.observe(value)
@@ -341,40 +350,57 @@ class MetricsRegistry:
 
     Get-or-create and snapshot paths hold ``_lock``, so two
     threads asking for the same name always receive the *same*
-    instrument, and ``records`` never iterates a dict mid-insert.  The
-    instruments themselves carry their own locks, and the registry lock
-    is always acquired first — the lock order is acyclic, so the pair
-    cannot deadlock.
+    instrument, and ``records`` never iterates a dict mid-insert.  Every
+    instrument the registry mints is guarded by that same reentrant
+    lock, so there is no lock order to get wrong, and :meth:`emit` folds
+    a whole event under one acquisition, updating the values directly,
+    however many instruments the event touches.
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "_lock")
+    __slots__ = ("counters", "gauges", "histograms", "_lock", "_plan_folds")
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._lock = threading.RLock()
+        #: The instruments every ``plan`` event updates, resolved by the
+        #: first one (the cache hit/miss pair is looked up per event, so
+        #: each of the two appears only once something is counted in it).
+        self._plan_folds: Optional[
+            Tuple[Counter, Counter, Counter, Counter, Histogram]
+        ] = None
 
     def counter(self, name: str) -> Counter:
         with self._lock:
-            inst = self.counters.get(name)
-            if inst is None:
-                inst = self.counters[name] = Counter(name)
-            return inst
+            return self._counter(name)
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            inst = self.gauges.get(name)
-            if inst is None:
-                inst = self.gauges[name] = Gauge(name)
-            return inst
+            return self._gauge(name)
 
     def histogram(self, name: str) -> Histogram:
         with self._lock:
-            inst = self.histograms.get(name)
-            if inst is None:
-                inst = self.histograms[name] = Histogram(name)
-            return inst
+            return self._histogram(name)
+
+    # Get-or-create with ``_lock`` already held.
+    def _counter(self, name: str) -> Counter:
+        inst = self.counters.get(name)
+        if inst is None:
+            inst = self.counters[name] = Counter(name, lock=self._lock)
+        return inst
+
+    def _gauge(self, name: str) -> Gauge:
+        inst = self.gauges.get(name)
+        if inst is None:
+            inst = self.gauges[name] = Gauge(name, lock=self._lock)
+        return inst
+
+    def _histogram(self, name: str) -> Histogram:
+        inst = self.histograms.get(name)
+        if inst is None:
+            inst = self.histograms[name] = Histogram(name, lock=self._lock)
+        return inst
 
     # ------------------------------------------------------------------
     # Event folding
@@ -393,44 +419,55 @@ class MetricsRegistry:
         sit on a :class:`~repro.observability.live.TelemetryHub`.
         """
         kind = event.get("event")
-        if kind == "solve":
-            duration = event["duration_s"]
-            if "index" in event:
-                self.histogram("engine.batch.query_latency_s").observe(duration)
-            else:
-                self.counter("engine.queries").inc()
-                self.histogram("engine.query_latency_s").observe(duration)
-            if "optimality_gap" in event:
-                self.histogram("solve.optimality_gap").observe(
-                    event["optimality_gap"]
-                )
-        elif kind == "plan":
-            queries = event["queries"]
-            hit = event["cache"] == "hit"
-            self.counter(
-                "engine.plan.cache.hits" if hit else "engine.plan.cache.misses"
-            ).inc()
-            self.counter("engine.plan.sweeps").inc()
-            self.counter("engine.plan.queries").inc(queries)
-            self.counter("engine.plan.structures.built").inc(
-                event["structures_built"]
-            )
-            self.counter("engine.plan.structures.reused").inc(
-                event["structures_reused"]
-            )
-            self.histogram("engine.plan.sweep_batch_size").observe(queries)
-        elif kind == "cache":
-            if event["action"] == "evict":
-                self.counter("engine.plan.cache.evictions").inc()
-            self.gauge("engine.plan.cache.plans").set(event["plans"])
-            self.gauge("engine.plan.cache.occupancy").set(event["occupancy"])
-        elif kind == "batch":
-            self.counter("engine.batch.batches").inc()
-            self.counter("engine.batch.queries").inc(event["queries"])
-            self.counter("engine.batch.failures").inc(event["failures"])
-            self.gauge("engine.batch.workers").set(event["workers"])
-            self.gauge("engine.batch.queue_depth").set(event["queries"])
-            self.histogram("engine.batch.wall_s").observe(event["wall_s"])
+        with self._lock:
+            if kind == "solve":
+                duration = event["duration_s"]
+                if "index" in event:
+                    self._histogram("engine.batch.query_latency_s").observe(
+                        duration
+                    )
+                else:
+                    self._counter("engine.queries").value += 1
+                    self._histogram("engine.query_latency_s").observe(duration)
+                if "optimality_gap" in event:
+                    self._histogram("solve.optimality_gap").observe(
+                        event["optimality_gap"]
+                    )
+            elif kind == "plan":
+                folds = self._plan_folds
+                if folds is None:
+                    folds = self._plan_folds = (
+                        self._counter("engine.plan.sweeps"),
+                        self._counter("engine.plan.queries"),
+                        self._counter("engine.plan.structures.built"),
+                        self._counter("engine.plan.structures.reused"),
+                        self._histogram("engine.plan.sweep_batch_size"),
+                    )
+                sweeps, queries, built, reused, batch_size = folds
+                hit = event["cache"] == "hit"
+                self._counter(
+                    "engine.plan.cache.hits" if hit else "engine.plan.cache.misses"
+                ).value += 1
+                sweeps.value += 1
+                queries.value += event["queries"]
+                built.value += event["structures_built"]
+                reused.value += event["structures_reused"]
+                batch_size.observe(event["queries"])
+            elif kind == "cache":
+                if event["action"] == "evict":
+                    self._counter("engine.plan.cache.evictions").value += 1
+                self._gauge("engine.plan.cache.plans").value = event["plans"]
+                self._gauge("engine.plan.cache.occupancy").value = event[
+                    "occupancy"
+                ]
+            elif kind == "batch":
+                counter = self._counter
+                counter("engine.batch.batches").value += 1
+                counter("engine.batch.queries").value += event["queries"]
+                counter("engine.batch.failures").value += event["failures"]
+                self._gauge("engine.batch.workers").value = event["workers"]
+                self._gauge("engine.batch.queue_depth").value = event["queries"]
+                self._histogram("engine.batch.wall_s").observe(event["wall_s"])
 
     def close(self) -> None:
         """Subscriber protocol: nothing to release."""

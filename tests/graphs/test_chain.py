@@ -1,6 +1,8 @@
 """Unit tests for :mod:`repro.graphs.chain`."""
 
+import copy
 import math
+import pickle
 import random
 from itertools import accumulate
 
@@ -85,6 +87,15 @@ class TestFrozenBuffers:
                 buf[0] = 9.0
         with pytest.raises(ValueError, match="one-dimensional"):
             Chain(np.ones((2, 2)), [1.0])
+
+    def test_copies_are_frozen_again(self):
+        pytest.importorskip("numpy")
+        chain = Chain([1.0, 2.0, 3.0], [-0.0, 5.0])
+        chain.fingerprint()
+        for copy_ in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+            assert all(not buf.flags.writeable for buf in copy_.buffers())
+            assert copy_.fingerprint() == chain.fingerprint()
+            assert copy_.alpha == chain.alpha and copy_.beta == chain.beta
 
     def test_prefix_is_bit_identical_to_accumulate(self):
         rng = random.Random(7)
