@@ -82,6 +82,7 @@ class TestRaces:
 
     def test_metrics_registry(self):
         """Counters equal the exact op totals (the lost-update check),
+        also where an event fold and ``inc`` update the same counter,
         the gauge holds a value some thread wrote, get-or-create mints no
         duplicates, and the histogram matches the observation multiset."""
         registry = MetricsRegistry()
@@ -89,20 +90,31 @@ class TestRaces:
             [float(tid * OPS_PER_THREAD + i) % 97 + 0.5 for i in range(OPS_PER_THREAD)]
             for tid in range(THREADS)
         ]
+        plan_event = {
+            "kind": "event", "event": "plan", "n": 4, "queries": 3,
+            "cache": "miss", "structures_built": 1, "structures_reused": 2,
+            "outcome": "miss",
+        }
 
         def op(tid, i, rng):
             registry.counter("race.ops").inc()
             registry.counter("race.weighted").inc(2.0)
             registry.gauge("race.last_tid").set(float(tid))
             registry.histogram("race.latency").observe(expected_obs[tid][i])
+            registry.emit(plan_event)
+            registry.counter("engine.plan.sweeps").inc()
 
         _hammer(op)
         assert registry.counter("race.ops").value == TOTAL_OPS
         assert registry.counter("race.weighted").value == 2.0 * TOTAL_OPS
+        assert registry.counter("engine.plan.sweeps").value == 2 * TOTAL_OPS
+        assert registry.counter("engine.plan.queries").value == 3 * TOTAL_OPS
+        assert registry.counter("engine.plan.structures.reused").value == 2 * TOTAL_OPS
+        assert registry.histogram("engine.plan.sweep_batch_size").count == TOTAL_OPS
         assert 0.0 <= registry.gauge("race.last_tid").value < THREADS
         assert (
             len(registry.counters), len(registry.gauges), len(registry.histograms)
-        ) == (2, 1, 1)
+        ) == (7, 1, 2)
         hist = registry.histogram("race.latency")
         assert hist.count == TOTAL_OPS
         flat = [v for row in expected_obs for v in row]
