@@ -24,8 +24,9 @@ Claims reproduced / asserted:
   plan-cache path;
 - the shared-state locks of the plan cache and the plan memo cost
   < 5% on a single-threaded cold solve vs the same engine path with
-  both locks swapped for no-ops, and the disabled telemetry paths (``NULL_HUB`` guard,
-  null-hub publishes, locked ``Counter.inc``) stay allocation-free.
+  both locks swapped for no-ops, and the disabled telemetry paths
+  (``NULL_HUB`` guard, null-hub publishes, locked ``Counter.inc``)
+  stay allocation-free.
 
 All tests also run (and still assert correctness) under
 ``--benchmark-disable``, so this file doubles as an engine smoke test.
