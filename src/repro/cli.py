@@ -651,7 +651,7 @@ def _cmd_fig2plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Static + empirical analyzer gate (contracts, flow, concurrency,
+    """Static + empirical analyzer gate (contracts, concurrency,
     hotpath, faults; ``--all`` adds the empirical complexity gate)."""
     import json
     from pathlib import Path
@@ -680,7 +680,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     run_complexity = args.complexity or args.all
     # Schema version of the --json payload; bump on breaking changes so
     # downstream tooling (CI gates, dashboards) can evolve safely.
-    report: dict = {"version": 1}
+    report: dict = {"version": 2}
     findings = []
     try:
         results = analyze(paths, sections)
@@ -1014,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="complexity-contract, concurrency-safety, hot-path and "
-        "fault-surface analyzer (REPRO006-REPRO024)",
+        "fault-surface analyzer (REPRO009, REPRO011, REPRO013, "
+        "REPRO016-REPRO021, REPRO023, REPRO024)",
     )
     p.add_argument(
         "paths",
@@ -1026,12 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the complexity contract pass (REPRO011)",
     )
     p.add_argument(
-        "--flow", action="store_true",
-        help="run only the process-pool hygiene pass (REPRO006-REPRO008)",
-    )
-    p.add_argument(
         "--concurrency", action="store_true",
-        help="run only the shared-state concurrency pass (REPRO013, REPRO015)",
+        help="run only the shared-state concurrency pass (REPRO013)",
     )
     p.add_argument(
         "--hotpath", action="store_true",
@@ -1040,7 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--faults", action="store_true",
-        help="run only the fault-surface pass (REPRO020-REPRO024)",
+        help="run only the fault-surface pass "
+        "(REPRO020, REPRO021, REPRO023, REPRO024)",
     )
     p.add_argument(
         "--complexity", action="store_true",

@@ -772,7 +772,7 @@ def _worker_engine() -> PartitionEngine:
         # Intentional per-process cache: each worker owns its engine so
         # compiled plans persist across the groups it solves, and
         # nothing here must ever flow back to the parent.
-        _WORKER_ENGINE = PartitionEngine(max_workers=0)  # repro-lint: disable=REPRO006 (per-process cache)
+        _WORKER_ENGINE = PartitionEngine(max_workers=0)
     return _WORKER_ENGINE
 
 

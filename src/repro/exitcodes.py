@@ -1,18 +1,16 @@
 """The process exit-code contract: one registered ``EXIT_CODES`` table.
 
-Every ``sys.exit``/``SystemExit`` site in the CLI entry points
-(``repro/cli.py``, ``repro/__main__.py``) must use a code from this
-table — the fault-surface analyzer (:mod:`repro.verify.faultflow`,
-rule REPRO022) enforces it statically, and ``docs/usage.md`` documents
-the same table ("Exit codes"), checked by ``tests/verify/
-test_faultflow.py`` exactly the way the REPROxxx rule registry is
-docs-checked.  Before this module existed the meanings were scattered
-as literal ``return 0/1/2/3`` statements across twelve ``_cmd_*``
-functions, and nothing kept them from drifting apart.
+Every exit site in the CLI entry points (``repro/cli.py``,
+``repro/__main__.py``) returns one of the ``EXIT_*`` constants below.
+``tests/integration/test_cli.py`` drives each site through
+``repro.cli.main`` and asserts its code, and ``docs/usage.md``
+documents the same table ("Exit codes"), checked by
+``tests/verify/test_faultflow.py`` the way the REPROxxx rule registry
+is docs-checked.
 
 This is a stdlib-only leaf module (like :mod:`repro.verify.codes`):
-the CLI and the analyzers import it at module load, so it must not
-import anything from the rest of the package.
+the CLI imports it at module load, so it must not import anything from
+the rest of the package.
 
 ==============  ====  ====================================================
 Name            Code  Meaning
@@ -41,14 +39,9 @@ EXIT_CODES: Dict[str, int] = {
     "VERIFICATION": 3,
 }
 
-#: Named constants derived from the table — the only spellings the
-#: REPRO022 exit-code contract accepts at ``sys.exit``/``return``
-#: sites in the CLI entry points.
+#: Named constants derived from the table, returned by every CLI exit
+#: site.
 EXIT_OK = EXIT_CODES["OK"]
 EXIT_FAILURE = EXIT_CODES["FAILURE"]
 EXIT_USAGE = EXIT_CODES["USAGE"]
 EXIT_VERIFICATION = EXIT_CODES["VERIFICATION"]
-
-#: The constant names REPRO022 recognizes, derived (never hand-listed)
-#: from the table so the two can not drift.
-EXIT_CONSTANT_NAMES = frozenset("EXIT_" + name for name in EXIT_CODES)

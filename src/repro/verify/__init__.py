@@ -27,18 +27,18 @@ that observation into tooling:
   gate fitting OpCounter telemetry against declared budgets (REPRO009);
 - :mod:`repro.verify.markers` / :mod:`repro.verify.concurrency` — the
   concurrency-safety layer: the ``SHARED_STATE``/``CONCURRENT_ENTRIES``
-  declaration tables, the process-pool hygiene rules
-  (REPRO006-REPRO008, ``repro analyze --flow``) and the shared-state
-  effect analyzer (REPRO013 lock discipline, REPRO015 fork-unsafe
-  capture) behind ``repro analyze --concurrency``; the 8-thread race
-  tests in ``tests/*/test_threads_and_faults.py`` certify REPRO013;
+  declaration tables and the shared-state effect analyzer (REPRO013
+  lock discipline) behind ``repro analyze --concurrency``; the
+  8-thread race tests in ``tests/*/test_threads_and_faults.py``
+  certify REPRO013;
 - :mod:`repro.verify.hotpath` / :mod:`repro.verify.allocs` — the
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
   the contracted solvers and their callees, certified by
   the allocation harness with ratcheted budgets;
 - :mod:`repro.verify.faultflow` — the fault-surface layer:
-  resource-lifecycle, exception-flow, exit-code and determinism-taint
-  rules (REPRO020-REPRO024) behind ``repro analyze --faults``; the
+  resource-lifecycle, exception-flow and determinism-taint rules
+  (REPRO020, REPRO021, REPRO023, REPRO024) behind
+  ``repro analyze --faults``; the
   fault tests in ``tests/*/test_threads_and_faults.py`` raise at each
   acquire/IO point and demand released locks, resumable sinks and
   bit-identical re-solves;

@@ -57,18 +57,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "disabled OpCounter constructed directly (use NULL_COUNTER)",
         "repro.verify.lint", "line", "",
     ),
-    "REPRO006": RuleSpec(
-        "worker code mutates a module-level global (per-process copy)",
-        "repro.verify.concurrency", "line", "",
-    ),
-    "REPRO007": RuleSpec(
-        "unpicklable callable or capture submitted to a process pool",
-        "repro.verify.concurrency", "line", "",
-    ),
-    "REPRO008": RuleSpec(
-        "unseeded random stream in process-pool worker code",
-        "repro.verify.concurrency", "line", "",
-    ),
     "REPRO009": RuleSpec(
         "measured op-count growth exceeds the declared complexity budget",
         "repro.verify.empirical", "line", "repro.verify.empirical",
@@ -86,11 +74,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "(wrap in 'with self.<lock>:')",
         "repro.verify.concurrency", "line",
         "tests/engine/test_threads_and_faults.py",
-    ),
-    "REPRO015": RuleSpec(
-        "fork-unsafe capture pickled into a process-pool worker "
-        "(locks/handles/hubs do not survive pickling)",
-        "repro.verify.concurrency", "line", "",
     ),
     "REPRO016": RuleSpec(
         "loop-invariant allocation rebuilt every iteration (hoist it "
@@ -123,11 +106,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "(catch the typed exceptions)",
         "repro.verify.faultflow", "line", "",
     ),
-    "REPRO022": RuleSpec(
-        "exit site bypasses the registered EXIT_CODES table "
-        "(use the EXIT_* constants)",
-        "repro.verify.faultflow", "line", "",
-    ),
     "REPRO023": RuleSpec(
         "nondeterministic source on a contracted path (unseeded random, "
         "wall clock, os.environ, unordered iteration)",
@@ -146,7 +124,10 @@ REGISTRY: Dict[str, RuleSpec] = {
 #: ``docs/verification.md``).  They are never reissued, so a stale
 #: ``# repro-lint: disable=`` pragma naming one cannot silence a
 #: different rule.
-RETIRED: Tuple[str, ...] = ("REPRO003", "REPRO010", "REPRO014")
+RETIRED: Tuple[str, ...] = (
+    "REPRO003", "REPRO006", "REPRO007", "REPRO008", "REPRO010",
+    "REPRO014", "REPRO015", "REPRO022",
+)
 
 
 def messages_for(module: str) -> Dict[str, str]:

@@ -1,41 +1,11 @@
-"""Concurrency-safety analysis: process-pool hygiene and shared state.
+"""Concurrency-safety analysis: shared state and its locks.
 
-:meth:`repro.engine.batch.PartitionEngine.solve_many` fans queries out
-over a ``concurrent.futures`` process pool (the discrete-event
-simulators in :mod:`repro.desim` model the same fan-out), and one
-engine may be shared across threads: one ``PartitionEngine`` whose plan
-cache and compiled plans serve many threads, one ``TelemetryHub``
+One engine may be shared across threads: one ``PartitionEngine`` whose
+plan cache and compiled plans serve many threads, one ``TelemetryHub``
 fanning out events from every request, one ``MetricsRegistry``
-accumulating fleet numbers.  This module holds the two static passes
-over that concurrency.
-
-The *pool rules* (the ``flow`` report section) cover the process
-boundary.  Code that runs in a pool worker lives under constraints the
-interpreter cannot enforce: the submitted callable and its arguments
-must pickle, module globals are per-process copies whose mutation
-silently diverges from the parent, and unseeded random streams repeat
-across forked workers.  The pass walks the call graph reachable from
-pool-submitted entry points and flags:
-
-==========  ==========================================================
-Code        Rule
-==========  ==========================================================
-REPRO006    Worker-reachable code rebinds or mutates a module-level
-            global.  Each process has its own copy; the parent never
-            sees the write, so results depend on pool scheduling.
-REPRO007    A callable submitted to a process pool cannot pickle: a
-            ``lambda``/nested function, or a closure/argument carrying
-            an unpicklable value (``Tracer``, locks, open handles,
-            threads).
-REPRO008    Worker-reachable code draws from the module-level
-            ``random`` / ``numpy.random`` stream without seeding —
-            forked workers inherit identical state and replay the same
-            "random" numbers.
-==========  ==========================================================
-
-The *shared-state rules* (the ``concurrency`` report section) cover
-shared memory: which state is shared, who writes it, and whether those
-writes hold the object's declared lock.  Two tables in
+accumulating fleet numbers.  This module holds the static pass over
+that shared memory: which state is shared, who writes it, and whether
+those writes hold the object's declared lock.  Two tables in
 :mod:`repro.verify.markers` declare the contract by qualified name:
 
 - :data:`~repro.verify.markers.SHARED_STATE` — the classes that are
@@ -56,88 +26,44 @@ REPRO013    A write to shared mutable state (an attribute of a
             ``SHARED_STATE`` class, or a module global) on a path
             reachable from a ``CONCURRENT_ENTRIES`` entry point without
             holding the object's declared lock (``with self._lock:``).
-REPRO015    Fork-unsafe capture: an object carrying locks, open file
-            handles, threads or a live telemetry hub is pickled into a
-            process-pool worker (as an argument, an attribute, or the
-            ``self`` of a submitted bound method).
 ==========  ==========================================================
 
-Detection is intra-module and name-based (no type inference): pools are
-names bound to ``ProcessPoolExecutor(...)`` / ``multiprocessing.Pool``
-constructions in a function or an enclosing one, submissions are calls
-of ``submit``/``map`` (and friends) on such a name, and reachability
-follows the within-module call graph the hot-path pass uses.  Thread
-pools are exempt — they share the parent's memory and pickle nothing.
+An interleaving test cannot prove a lock is missing, so this rule
+stays static.  The process boundary needs no rule: the pooled tests in
+``tests/engine/test_batch.py`` fail on an unpicklable submission, a
+worker that leaks module-global state, and a pool that diverges from
+the serial path.
 
 Lock inference is *interprocedural within a class*: a helper whose only
 callers invoke it inside ``with self._lock:`` is considered locked, so
 the guarded-entry / unguarded-helper layering of the engine caches
 analyzes clean without declaring every private method.
 ``__init__``/``__new__`` are exempt (the object is not yet shared while
-it is being constructed).  Findings honour the shared
+it is being constructed).  Module-level entry functions, and the
+functions they call by name within the module, follow the call graph
+the hot-path pass uses.  Findings honour the shared
 ``# repro-lint: disable=CODE`` pragma grammar.
 
-Run them with ``repro analyze --flow`` / ``repro analyze --concurrency
-[paths]`` (exit status: 0 clean, 1 findings, 2 usage/parse errors).
+Run it with ``repro analyze --concurrency [paths]`` (exit status: 0
+clean, 1 findings, 2 usage/parse errors).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.verify.codes import messages_for
-from repro.verify.faultflow import random_draw
 from repro.verify.hotpath import _collect_functions, _reachable
-from repro.verify.lint import Finding, Module, rightmost_name
+from repro.verify.lint import Finding, Module
 
 #: Drawn from the central registry (:mod:`repro.verify.codes`).
 CONCURRENCY_RULES: Dict[str, str] = messages_for("repro.verify.concurrency")
 
 
-#: Constructors whose instances cannot survive a fork+pickle into a
-#: process-pool worker: REPRO007 arguments and lambda captures, and
-#: REPRO015 carriers when held as attributes.
-_FORK_UNSAFE_CONSTRUCTORS = frozenset(
-    (
-        "Lock",
-        "RLock",
-        "Condition",
-        "Semaphore",
-        "BoundedSemaphore",
-        "Event",
-        "Barrier",
-        "Thread",
-        "local",
-        "open",
-        "socket",
-        "Tracer",
-        "Span",
-        "TelemetryHub",
-        "StreamingJsonlSink",
-        "ProfileSampler",
-    )
-)
-
-#: Process-pool constructors and their callable-shipping methods
-#: (thread pools are exempt — they share memory and pickle nothing).
-_POOL_CONSTRUCTORS = frozenset(("ProcessPoolExecutor", "Pool"))
-_SUBMIT_METHODS = frozenset(
-    (
-        "submit",
-        "map",
-        "apply",
-        "apply_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-    )
-)
-
 #: Container-mutating method names: ``self.attr.<m>(...)`` is a write
-#: effect on the shared object (REPRO013) and ``GLOBAL.<m>(...)`` a
-#: write to a module global (REPRO006/REPRO013).
+#: effect on the shared object and ``GLOBAL.<m>(...)`` a write to a
+#: module global.
 _MUTATOR_METHODS = frozenset(
     (
         "append",
@@ -385,7 +311,7 @@ def _collect_shared_classes(module: Module) -> List[SharedClassEffects]:
 
 
 # ----------------------------------------------------------------------
-# Module globals: REPRO006 in pool workers, REPRO013 on concurrent paths
+# Module globals on concurrent paths
 # ----------------------------------------------------------------------
 
 
@@ -403,12 +329,10 @@ def _module_globals(tree: ast.Module) -> FrozenSet[str]:
 
 class _GlobalWrites(ast.NodeVisitor):
     """Writes to module globals in one function body (nested defs
-    included), as ``(node, detail)`` pairs naming the target a
-    ``noun`` ("global" or "module global")."""
+    included), as ``(node, detail)`` pairs."""
 
-    def __init__(self, module_globals: FrozenSet[str], noun: str) -> None:
+    def __init__(self, module_globals: FrozenSet[str]) -> None:
         self.module_globals = module_globals
-        self.noun = noun
         self.writes: List[Tuple[ast.AST, str]] = []
         self._declared_global: Set[str] = set()
 
@@ -418,11 +342,11 @@ class _GlobalWrites(ast.NodeVisitor):
     def _check_target(self, target: ast.expr, node: ast.AST) -> None:
         if isinstance(target, ast.Name):
             if target.id in self._declared_global:
-                self.writes.append((node, f"rebinds {self.noun} '{target.id}'"))
+                self.writes.append((node, f"rebinds module global '{target.id}'"))
         elif isinstance(target, (ast.Subscript, ast.Attribute)):
             root = _attr_root(target)
             if root is not None and root in self.module_globals:
-                self.writes.append((node, f"writes into {self.noun} '{root}'"))
+                self.writes.append((node, f"writes into module global '{root}'"))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -449,14 +373,6 @@ class _GlobalWrites(ast.NodeVisitor):
                 (node, f"calls '{func.value.id}.{func.attr}(...)' on a module global")
             )
         self.generic_visit(node)
-
-
-def _global_writes(
-    func: ast.AST, module_globals: FrozenSet[str], noun: str
-) -> List[Tuple[ast.AST, str]]:
-    visitor = _GlobalWrites(module_globals, noun)
-    visitor.visit(func)
-    return visitor.writes
 
 
 # ----------------------------------------------------------------------
@@ -490,9 +406,9 @@ def _check_module_globals(module: Module, findings: List[Finding]) -> None:
     ]
     module_globals = _module_globals(module.tree)
     for name in _reachable(calls, entries):
-        for node, detail in _global_writes(
-            functions[name], module_globals, "module global"
-        ):
+        writes = _GlobalWrites(module_globals)
+        writes.visit(functions[name])
+        for node, detail in writes.writes:
             module.flag(
                 findings,
                 node,
@@ -503,339 +419,13 @@ def _check_module_globals(module: Module, findings: List[Finding]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Process-pool submissions: REPRO006-REPRO008 and REPRO015
-# ----------------------------------------------------------------------
-
-
-class _Scope:
-    """One function body's pool bindings, locals and submissions."""
-
-    __slots__ = ("parent", "cls", "pools", "locals", "nested", "calls")
-
-    def __init__(self, parent: Optional["_Scope"], cls: Optional[str]) -> None:
-        #: The enclosing function's scope: closures see its names.
-        self.parent = parent
-        #: The class this function is a method (or a method closure) of.
-        self.cls = cls
-        #: Local names bound to a process pool.
-        self.pools: Set[str] = set()
-        #: Local name -> constructor of the last call assigned to it.
-        self.locals: Dict[str, str] = {}
-        #: Names of functions defined in this body.
-        self.nested: Set[str] = set()
-        #: ``(receiver, call)`` for ``<receiver>.<submit method>(f, ...)``.
-        self.calls: List[Tuple[str, ast.Call]] = []
-
-    def chain(self) -> Iterator["_Scope"]:
-        """This scope, then each enclosing function scope outwards."""
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            yield scope
-            scope = scope.parent
-
-    def ctor_of(self, name: str) -> Optional[str]:
-        """The constructor ``name`` is bound to here or in an enclosing
-        scope (closures capture), if any."""
-        for scope in self.chain():
-            if name in scope.locals:
-                return scope.locals[name]
-        return None
-
-
-class _PoolIndex(ast.NodeVisitor):
-    """Every function scope of a module, for the submission checks."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.scopes: List[_Scope] = []
-        self._stack: List[_Scope] = []
-        self._cls: Optional[str] = None
-        self.visit(tree)
-
-    def submissions(self) -> Iterator[Tuple[_Scope, ast.Call]]:
-        """``(scope, call)`` for every call shipping work to a pool."""
-        for scope in self.scopes:
-            for receiver, call in scope.calls:
-                if any(receiver in outer.pools for outer in scope.chain()):
-                    yield scope, call
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        saved, self._cls = self._cls, node.name
-        self.generic_visit(node)
-        self._cls = saved
-
-    def visit_FunctionDef(self, node: Any) -> None:
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.nested.add(node.name)
-        scope = _Scope(parent, self._cls)
-        self.scopes.append(scope)
-        self._stack.append(scope)
-        self.generic_visit(node)
-        self._stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._stack and isinstance(node.value, ast.Call):
-            scope = self._stack[-1]
-            ctor = rightmost_name(node.value.func)
-            for target in node.targets:
-                if isinstance(target, ast.Name) and ctor is not None:
-                    if ctor in _POOL_CONSTRUCTORS:
-                        scope.pools.add(target.id)
-                    else:
-                        scope.locals[target.id] = ctor
-        self.generic_visit(node)
-
-    def visit_With(self, node: Any) -> None:
-        if self._stack:
-            for item in node.items:
-                expr = item.context_expr
-                if (
-                    isinstance(expr, ast.Call)
-                    and rightmost_name(expr.func) in _POOL_CONSTRUCTORS
-                    and isinstance(item.optional_vars, ast.Name)
-                ):
-                    self._stack[-1].pools.add(item.optional_vars.id)
-        self.generic_visit(node)
-
-    visit_AsyncWith = visit_With
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            self._stack
-            and isinstance(func, ast.Attribute)
-            and func.attr in _SUBMIT_METHODS
-            and isinstance(func.value, ast.Name)
-            and node.args
-        ):
-            self._stack[-1].calls.append((func.value.id, node))
-        self.generic_visit(node)
-
-
-def _free_names(node: ast.Lambda) -> Set[str]:
-    """Names read inside a lambda body, minus its own parameters."""
-    params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
-    return {
-        sub.id
-        for sub in ast.walk(node.body)
-        if isinstance(sub, ast.Name) and sub.id not in params
-    }
-
-
-def _extra_args(call: ast.Call) -> List[ast.expr]:
-    """Everything a submission ships besides the callable itself."""
-    return [*call.args[1:], *(kw.value for kw in call.keywords)]
-
-
-def check_pool_rules(module: Module) -> List[Finding]:
-    """REPRO006-REPRO008 (the ``flow`` section) over one parsed module."""
-    findings: List[Finding] = []
-
-    def add(
-        node: ast.AST, code: str, detail: str, anchors: Tuple[int, ...] = ()
-    ) -> None:
-        module.flag(
-            findings, node, code, f"{CONCURRENCY_RULES[code]}: {detail}", anchors
-        )
-
-    # REPRO007 at the submission sites; collect named roots on the way.
-    roots: List[str] = []
-    for scope, call in _PoolIndex(module.tree).submissions():
-        target = call.args[0]
-        if isinstance(target, ast.Lambda):
-            captured = min(
-                (
-                    name
-                    for name in _free_names(target)
-                    if scope.ctor_of(name) in _FORK_UNSAFE_CONSTRUCTORS
-                ),
-                default=None,
-            )
-            detail = "submits a lambda (never picklable)"
-            if captured is not None:
-                ctor = scope.ctor_of(captured)
-                detail += f"; it captures '{captured}' bound to {ctor}(...)"
-            # A pragma on the submitting call's line covers its arguments.
-            add(target, "REPRO007", detail, (call.lineno,))
-        elif isinstance(target, ast.Name):
-            if any(target.id in outer.nested for outer in scope.chain()):
-                add(
-                    call,
-                    "REPRO007",
-                    f"submits nested function '{target.id}' (never picklable)",
-                )
-            else:
-                roots.append(target.id)
-        for arg in _extra_args(call):
-            if not isinstance(arg, ast.Name):
-                continue
-            ctor = scope.ctor_of(arg.id)
-            if ctor in _FORK_UNSAFE_CONSTRUCTORS:
-                add(
-                    arg,
-                    "REPRO007",
-                    f"passes '{arg.id}' bound to {ctor}(...) to a pool worker",
-                    (call.lineno,),
-                )
-
-    # REPRO006/REPRO008 inside every worker-reachable function body.
-    functions, calls, _ = _collect_functions(module)
-    module_globals = _module_globals(module.tree)
-    for name in _reachable(calls, [r for r in roots if r in functions]):
-        func = functions[name]
-        for node, detail in _global_writes(func, module_globals, "global"):
-            add(node, "REPRO006", detail)
-        if any(
-            isinstance(sub, ast.Call) and rightmost_name(sub.func) == "seed"
-            for sub in ast.walk(func)
-        ):
-            continue  # a worker that seeds its own stream is deterministic
-        for sub in ast.walk(func):
-            draw = random_draw(sub) if isinstance(sub, ast.Call) else None
-            if draw is not None:
-                stream = "numpy.random" if draw[0] == "np.random" else "random"
-                add(
-                    sub,
-                    "REPRO008",
-                    f"draws from module-level '{stream}.{draw[1]}()'",
-                )
-    return findings
-
-
-def _fork_unsafe_class_attrs(module: Module) -> Dict[str, Dict[str, str]]:
-    """Per intra-module class: attr -> fork-unsafe constructor name.
-
-    A class *carries* fork-unsafe state when any method assigns
-    ``self.<attr> = Ctor(...)`` with a known-unpicklable constructor, or
-    with another intra-module carrier class (one fixpoint pass covers
-    transitive composition).  ``SHARED_STATE`` classes always carry at
-    least their declared lock.
-    """
-    carriers: Dict[str, Dict[str, str]] = {}
-    class_nodes: Dict[str, ast.ClassDef] = {
-        stmt.name: stmt
-        for stmt in module.tree.body
-        if isinstance(stmt, ast.ClassDef)
-    }
-    for name, cls in class_nodes.items():
-        attrs: Dict[str, str] = {}
-        lock_attr = module.shared_state.get(name)
-        if lock_attr is not None:
-            attrs[lock_attr] = "RLock"
-        for sub in ast.walk(cls):
-            if not isinstance(sub, ast.Assign) or not isinstance(
-                sub.value, ast.Call
-            ):
-                continue
-            ctor = rightmost_name(sub.value.func)
-            if ctor is None:
-                continue
-            for target in sub.targets:
-                attr = _self_attr(target)
-                if attr is not None and ctor in _FORK_UNSAFE_CONSTRUCTORS:
-                    attrs[attr] = ctor
-        if attrs:
-            carriers[name] = attrs
-    # One fixpoint pass: classes holding carrier instances carry too.
-    changed = True
-    while changed:
-        changed = False
-        for name, cls in class_nodes.items():
-            for sub in ast.walk(cls):
-                if not isinstance(sub, ast.Assign) or not isinstance(
-                    sub.value, ast.Call
-                ):
-                    continue
-                ctor = rightmost_name(sub.value.func)
-                if ctor not in carriers or ctor == name:
-                    continue
-                for target in sub.targets:
-                    attr = _self_attr(target)
-                    if attr is not None and attr not in carriers.get(name, {}):
-                        carriers.setdefault(name, {})[attr] = ctor
-                        changed = True
-    return carriers
-
-
-def _check_fork_captures(module: Module, findings: List[Finding]) -> None:
-    """REPRO015: carriers of fork-unsafe state shipped to a pool."""
-    carriers = _fork_unsafe_class_attrs(module)
-    #: every attr known fork-unsafe on some intra-module class
-    unsafe_attrs = {
-        attr: ctor for attrs in carriers.values() for attr, ctor in attrs.items()
-    }
-
-    def carrier(scope: _Scope, name: str) -> Optional[str]:
-        ctor = scope.ctor_of(name)
-        return ctor if ctor in carriers else None
-
-    def describe(cls_name: str) -> str:
-        attr, ctor = sorted(carriers[cls_name].items())[0]
-        return f"{cls_name} (carries '.{attr}' = {ctor}(...))"
-
-    def add(call: ast.Call, detail: str) -> None:
-        module.flag(
-            findings, call, "REPRO015",
-            f"{CONCURRENCY_RULES['REPRO015']}: {detail}",
-        )
-
-    for scope, call in _PoolIndex(module.tree).submissions():
-        target = call.args[0]
-        # A bound method pickles its whole self.
-        if isinstance(target, ast.Attribute) and isinstance(
-            target.value, ast.Name
-        ):
-            base = target.value.id
-            if base == "self" and scope.cls in carriers:
-                add(
-                    call,
-                    f"submits bound method 'self.{target.attr}' of "
-                    + describe(str(scope.cls)),
-                )
-            else:
-                cls_name = carrier(scope, base)
-                if cls_name is not None:
-                    add(
-                        call,
-                        f"submits bound method '{base}.{target.attr}' of "
-                        + describe(cls_name),
-                    )
-        for arg in _extra_args(call):
-            if isinstance(arg, ast.Name):
-                cls_name = carrier(scope, arg.id)
-                if cls_name is not None:
-                    add(
-                        call,
-                        f"ships '{arg.id}', an instance of "
-                        f"{describe(cls_name)}",
-                    )
-            elif (
-                isinstance(arg, ast.Attribute)
-                and arg.attr in unsafe_attrs
-                and isinstance(arg.value, ast.Name)
-                and (
-                    arg.value.id == "self"
-                    or carrier(scope, arg.value.id) is not None
-                )
-            ):
-                add(
-                    call,
-                    f"ships '.{arg.attr}' "
-                    f"({unsafe_attrs[arg.attr]}(...) — unpicklable)",
-                )
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
 
 def check(module: Module) -> List[Finding]:
-    """REPRO013 and REPRO015 (the ``concurrency`` section) over one module."""
+    """REPRO013 (the ``concurrency`` section) over one module."""
     findings: List[Finding] = []
     _check_shared_classes(module, findings)
     _check_module_globals(module, findings)
-    _check_fork_captures(module, findings)
     return findings

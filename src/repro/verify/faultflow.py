@@ -1,11 +1,9 @@
 """Fault-surface analysis: what happens to this code *when things fail*.
 
-Two contracts depend on failure paths.  ``repro batch`` promises a
-documented exit code for every outcome (0 all solved, 1 some queries
-failed, 2 unreadable input): a broad ``except`` that swallows the typed
+Two contracts depend on failure paths.  A failed certificate must
+surface: a broad ``except`` that swallows the typed
 ``PartitioningError``/``VerificationError`` turns a wrong answer into a
-silent one, and an exit site off the ``EXIT_CODES`` table breaks the
-promise.  And a solver's output must be deterministic: any
+silent one.  And a solver's output must be deterministic: any
 nondeterminism on a solver path means a re-run, or a re-solve after a
 fault, need not give the bit-identical answer the reproduction rests
 on.  A raise between a resource's acquire and its release leaks the
@@ -29,10 +27,6 @@ REPRO021    A broad or bare ``except`` (``Exception``,
             ``BaseException``) that does not re-raise: it swallows
             ``PartitioningError``/``VerificationError``, so a failed
             certificate dies silently.
-REPRO022    An exit site (``sys.exit``/``raise SystemExit``, plus
-            integer returns from ``main``/``_cmd_*`` functions) in
-            ``cli.py``/``__main__.py`` that bypasses the registered
-            :data:`repro.exitcodes.EXIT_CODES` table.
 REPRO023    A nondeterminism source on a contracted solver path (the
             functions whose outputs land in solver results
             and trace/JSONL payloads): unseeded ``random``/
@@ -46,14 +40,15 @@ REPRO024    A silent-drop ``except`` handler: the body neither
             exempt; that pattern is how optional NumPy is gated.
 ==========  ==========================================================
 
-REPRO020/021/024 are scoped (under the installed ``repro`` package) to
+The pass is scoped (under the installed ``repro`` package) to
 ``core``/``engine``/``observability`` — the layers every solve and
-every ``repro batch`` run goes through.  REPRO022 applies to files *named* ``cli.py`` or
-``__main__.py`` wherever they live.  REPRO023 roots at the functions
-listed in :data:`repro.verify.contracts.CONTRACTS` and follows the
-same within-module call graph as
+every ``repro batch`` run goes through.  REPRO023 roots at the
+functions listed in :data:`repro.verify.contracts.CONTRACTS` and
+follows the same within-module call graph as
 :mod:`repro.verify.hotpath`.  Files outside a ``repro`` package
-(fixtures, tests) are always analyzed.
+(fixtures, tests) are always analyzed.  The CLI's exit codes need no
+rule: ``tests/integration/test_cli.py`` drives every exit site and
+asserts its documented :data:`repro.exitcodes.EXIT_CODES` value.
 
 The static pass *claims*; the fault tests in
 ``tests/engine/test_threads_and_faults.py`` and
@@ -73,7 +68,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.exitcodes import EXIT_CODES, EXIT_CONSTANT_NAMES
 from repro.verify.codes import messages_for
 from repro.verify.hotpath import (
     _FUNC_NODES,
@@ -95,13 +89,6 @@ FAULTFLOW_RULES: Dict[str, str] = messages_for("repro.verify.faultflow")
 #: Packages analyzed (under the ``repro`` package) for the lifecycle,
 #: exception-flow and determinism rules: the layers every solve runs in.
 _SCOPED_PACKAGES = frozenset(("core", "engine", "observability"))
-
-#: Files the REPRO022 exit-code contract applies to, by basename.
-_EXIT_FILES = frozenset(("cli.py", "__main__.py"))
-
-#: Function-name prefixes whose integer returns are exit codes in the
-#: exit files (the argparse ``func=`` convention plus ``main``).
-_EXIT_FUNC_PREFIXES = ("_cmd_", "main")
 
 #: Rightmost callee names that acquire an OS-level resource (REPRO020).
 _RESOURCE_CONSTRUCTORS = frozenset(
@@ -161,10 +148,9 @@ _REPORTING_CALLS = frozenset(
     )
 )
 
-#: ``random.<fn>`` attributes exempt from REPRO023 (and from the
-#: concurrency pass's REPRO008): constructing a seeded generator (or
-#: seeding/persisting the global one) is how determinism is *achieved*,
-#: not broken.
+#: ``random.<fn>`` attributes exempt from REPRO023: constructing a
+#: seeded generator (or seeding/persisting the global one) is how
+#: determinism is *achieved*, not broken.
 _SEEDED_RANDOM_EXEMPT = frozenset(
     ("Random", "SystemRandom", "seed", "getstate", "setstate")
 )
@@ -189,8 +175,7 @@ def random_draw(call: ast.Call) -> Optional[Tuple[str, str]]:
     """``(stream, fn)`` when ``call`` draws from an unseeded module-level
     random stream: ``("random", fn)`` or ``("np.random", fn)``.
 
-    Seeding or building an owned generator is exempt; the concurrency
-    pass's REPRO008 shares this detector with REPRO023.
+    Seeding or building an owned generator is exempt.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -602,90 +587,6 @@ def _check_exceptions(tree: ast.Module, add: _Add) -> None:
             )
 
 
-def _is_registered_exit_value(node: ast.expr) -> bool:
-    """Is this expression an EXIT_CODES-sanctioned exit value?"""
-    if isinstance(node, ast.Name):
-        return node.id in EXIT_CONSTANT_NAMES
-    if isinstance(node, ast.Subscript):
-        # EXIT_CODES["USAGE"] — a registered key through the table.
-        base = rightmost_name(node.value)
-        key = node.slice
-        if isinstance(key, ast.Index):  # pragma: no cover - py38 AST only
-            key = key.value  # type: ignore[attr-defined]
-        return (
-            base == "EXIT_CODES"
-            and isinstance(key, ast.Constant)
-            and key.value in EXIT_CODES
-        )
-    if isinstance(node, ast.Call):
-        # ``sys.exit(main())`` — main() itself returns a table value.
-        return rightmost_name(node.func) == "main"
-    return False
-
-
-def _check_exit_codes(tree: ast.Module, add: _Add) -> None:
-    """REPRO022 over an exit file: every exit site uses the table."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            is_exit = (
-                isinstance(func, ast.Attribute) and func.attr == "exit"
-                and isinstance(func.value, ast.Name) and func.value.id == "sys"
-            ) or (isinstance(func, ast.Name) and func.id == "SystemExit")
-            if not is_exit:
-                continue
-            if len(node.args) != 1 or not _is_registered_exit_value(
-                node.args[0]
-            ):
-                add(
-                    node,
-                    "REPRO022",
-                    "exit site bypasses the EXIT_CODES table — pass one "
-                    "of the registered EXIT_* constants",
-                )
-        elif isinstance(node, ast.Raise):
-            exc = node.exc
-            if (
-                isinstance(exc, ast.Call)
-                and rightmost_name(exc.func) == "SystemExit"
-            ):
-                pass  # already visited as a Call above
-            elif exc is not None and rightmost_name(exc) == "SystemExit":
-                add(
-                    node,
-                    "REPRO022",
-                    "bare 'raise SystemExit' bypasses the EXIT_CODES "
-                    "table — raise SystemExit(EXIT_*) instead",
-                )
-    # Integer returns in exit-code-bearing functions are exit sites too:
-    # argparse dispatch feeds them straight into sys.exit(main()).
-    for stmt in tree.body:
-        if not isinstance(stmt, _FUNC_NODES):
-            continue
-        if not stmt.name.startswith(_EXIT_FUNC_PREFIXES):
-            continue
-        for sub in ast.walk(stmt):
-            if not isinstance(sub, ast.Return) or sub.value is None:
-                continue
-            exprs: List[ast.expr] = [sub.value]
-            if isinstance(sub.value, ast.IfExp):
-                # ``return 0 if passed else 1`` is two exit sites.
-                exprs = [sub.value.body, sub.value.orelse]
-            for expr in exprs:
-                if (
-                    isinstance(expr, ast.Constant)
-                    and isinstance(expr.value, int)
-                    and not isinstance(expr.value, bool)
-                ):
-                    add(
-                        sub,
-                        "REPRO022",
-                        f"literal exit code {expr.value} in "
-                        f"{stmt.name}() bypasses the EXIT_CODES table — "
-                        "return a registered EXIT_* constant",
-                    )
-
-
 # ----------------------------------------------------------------------
 # REPRO023 — determinism taint on contracted solver paths
 # ----------------------------------------------------------------------
@@ -781,22 +682,19 @@ def _check_determinism(module: Module, add: _Add) -> None:
 
 
 def check(module: Module) -> List[Finding]:
-    """The fault-surface pass over one parsed module.
-
-    REPRO022 applies to the exit files; the lifecycle, exception-flow
-    and determinism rules to the solve-path layers (and to every file
-    outside a ``repro`` package).
-    """
+    """The fault-surface pass over one parsed module: the lifecycle,
+    exception-flow and determinism rules, on the solve-path layers (and
+    on every file outside a ``repro`` package)."""
     findings: List[Finding] = []
+    if not in_scope(module.path):
+        return findings
     add: _Add = partial(module.flag, findings)
-    if module.path.name in _EXIT_FILES:
-        _check_exit_codes(module.tree, add)
-    if in_packages(module.path, _SCOPED_PACKAGES):
-        _check_resources(module.tree, add)
-        _check_exceptions(module.tree, add)
-        _check_determinism(module, add)
+    _check_resources(module.tree, add)
+    _check_exceptions(module.tree, add)
+    _check_determinism(module, add)
     return findings
 
 
 def in_scope(path: Path) -> bool:
-    return in_packages(path, _SCOPED_PACKAGES) or path.name in _EXIT_FILES
+    """The solve-path layers, and every file outside a ``repro`` package."""
+    return in_packages(path, _SCOPED_PACKAGES)

@@ -37,14 +37,13 @@ record (each file read, parsed and pragma-scanned once), the
 :class:`Finding` type, the pragma grammar and the AST name helpers.
 The passes run from one table in :mod:`repro.verify.passes`, which
 ``repro analyze`` and this module's :func:`main` both drive:
-REPRO006-REPRO008 (process-pool hygiene), REPRO013 (shared-state lock
-discipline) and REPRO015 (fork-unsafe capture) in
+REPRO013 (shared-state lock discipline) in
 :mod:`repro.verify.concurrency`, REPRO011 (docstrings contradicting
 the ``CONTRACTS`` budgets) in
 :mod:`repro.verify.contracts`, REPRO016-REPRO019 (hot-path allocation
 and dispatch hygiene) in :mod:`repro.verify.hotpath` and
-REPRO020-REPRO024 (fault-surface analysis: resource lifecycle,
-exception flow, exit-code contract and determinism taint) in
+REPRO020, REPRO021, REPRO023 and REPRO024 (fault-surface analysis:
+resource lifecycle, exception flow and determinism taint) in
 :mod:`repro.verify.faultflow`.  REPRO009 (the empirical complexity
 gate) lives in :mod:`repro.verify.empirical`.  The full code registry
 lives in :mod:`repro.verify.codes`.

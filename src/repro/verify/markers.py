@@ -6,8 +6,8 @@ classes that are shared mutable state and names the lock attribute
 guarding each; :data:`CONCURRENT_ENTRIES` lists the functions and
 methods that may be called from several threads at once.  The
 *enforcement* half lives in :mod:`repro.verify.concurrency` (static
-rules REPRO013 and REPRO015, which read the entries for the file they
-check) and the 8-thread race tests in
+rule REPRO013, which reads the entries for the file it checks) and the
+8-thread race tests in
 ``tests/*/test_threads_and_faults.py`` (one per shared object).
 
 The product code carries no marker and imports nothing from here: a

@@ -33,7 +33,6 @@ class Pass(NamedTuple):
 PASSES: Dict[str, Pass] = {
     "lint": Pass(lint.check),
     "contracts": Pass(contracts.check),
-    "flow": Pass(concurrency.check_pool_rules),
     "concurrency": Pass(concurrency.check),
     "hotpath": Pass(hotpath.check, hotpath.in_scope),
     "faults": Pass(faultflow.check, faultflow.in_scope),
@@ -41,7 +40,7 @@ PASSES: Dict[str, Pass] = {
 
 #: The sections ``repro analyze`` runs, in report order.
 ANALYZE_SECTIONS: Tuple[str, ...] = (
-    "contracts", "flow", "concurrency", "hotpath", "faults",
+    "contracts", "concurrency", "hotpath", "faults",
 )
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.exitcodes import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION
 from repro.graphs.chain import Chain
 from repro.verify.certificates import check_chain_partition
 
@@ -477,20 +478,18 @@ class TestAnalyzeCommand:
         assert "analyze: clean" in capsys.readouterr().err
 
     def test_analyze_reports_findings_and_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "engine" / "pooled.py"
+        bad = tmp_path / "src" / "repro" / "engine" / "leaky.py"
         bad.parent.mkdir(parents=True)
         bad.write_text(
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "RESULTS = []\n"
-            "def work(x):\n"
-            "    RESULTS.append(x)\n"
-            "def run(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return list(pool.map(work, items))\n"
+            "def load(path):\n"
+            "    fh = open(path)\n"
+            "    data = fh.read()\n"
+            "    fh.close()\n"
+            "    return data\n"
         )
         assert main(["analyze", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "REPRO006" in out
+        assert "leaky.py:2:10: REPRO020" in out
 
     def test_analyze_syntax_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"
@@ -501,8 +500,8 @@ class TestAnalyzeCommand:
     def test_analyze_parses_each_file_once(self, tmp_path, monkeypatch, capsys):
         import ast
 
-        # Files in and out of the hotpath/faults package scopes, plus
-        # an exit file: every pass runs over some of them.
+        # Files in and out of the hotpath/faults package scopes: every
+        # pass runs over some of them.
         for package in ("core", "engine", "observability", "analysis"):
             pkg = tmp_path / "repro" / package
             pkg.mkdir(parents=True)
@@ -522,7 +521,7 @@ class TestAnalyzeCommand:
         assert len(parsed) == 6 == len(set(parsed))
         assert report["contracts"]["files"] == 6
         assert report["hotpath"]["files"] == 3  # core, engine, fixture
-        assert report["faults"]["files"] == 5  # all but analysis
+        assert report["faults"]["files"] == 4  # all but analysis, cli
 
     def test_analyze_complexity_renders_gate(self, capsys):
         code = main(
@@ -557,3 +556,123 @@ class TestAnalyzeCommand:
         assert gate["passed"] is True
         names = {probe["name"] for probe in gate["probes"]}
         assert "core.bandwidth_min" in names
+
+
+# ----------------------------------------------------------------------
+# Exit sites the tests above leave out: each returns its documented code
+# ----------------------------------------------------------------------
+
+MALFORMED_TRACE = '{"kind": "meta"}\nnot json\n{"kind": "span", "path": "x"}\n'
+
+
+def _run_verify_fails(tmp_path, monkeypatch):
+    from repro.verify import VerificationError, runtime
+
+    def fail(*args, **kwargs):
+        raise VerificationError(
+            check_chain_partition(Chain([5.0, 5.0], [1.0]), [], 6.0)
+        )
+
+    # --verify sets REPRO_VERIFY; setenv first so the test restores it.
+    monkeypatch.setenv("REPRO_VERIFY", "1")
+    monkeypatch.setattr(runtime, "verify_cache_solve", fail)
+    return ["run", "--n", "50", "--verify"]
+
+
+def _batch_stream_unwritable(tmp_path, monkeypatch):
+    inp = tmp_path / "queries.jsonl"
+    inp.write_text('{"alpha": [1, 1], "beta": [1], "bound": 9}\n')
+    return ["batch", "--input", str(inp), "--output", str(tmp_path / "out"),
+            "--stream", str(tmp_path / "missing" / "stream.jsonl")]
+
+
+def _report_claims(passed):
+    def setup(tmp_path, monkeypatch):
+        from repro.analysis import report
+
+        monkeypatch.setattr(
+            report, "run_report",
+            lambda quick=True: [report.ClaimResult("claim", passed, "", 0.0)],
+        )
+        return ["report"]
+
+    return setup
+
+
+def _with_trace(command, content, *flags):
+    """``command --trace FILE flags``: FILE holds ``content``, or is
+    missing when ``content`` is None."""
+    def setup(tmp_path, monkeypatch):
+        trace = tmp_path / "trace.jsonl"
+        if content is not None:
+            trace.write_text(content)
+        return [*command, "--trace", str(trace), *flags]
+
+    return setup
+
+
+def _mutate_bad_baseline(tmp_path, monkeypatch):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("not json")
+    return ["mutate", "--quiet", "--baseline", str(baseline)]
+
+
+def _mutate_setup_error(tmp_path, monkeypatch):
+    from repro.verify import mutate
+
+    def fail(**kwargs):
+        raise mutate.MutationSetupError("no test file")
+
+    monkeypatch.setattr(mutate, "run_mutation_analysis", fail)
+    return ["mutate", "--quiet"]
+
+
+def _mutate_passes(tmp_path, monkeypatch):
+    from repro.verify import mutate
+
+    monkeypatch.setattr(mutate, "run_mutation_analysis",
+                        lambda **kwargs: {"passed": True, "failures": []})
+    return ["mutate", "--quiet", "--json"]
+
+
+def _ratchet_without_benchmarks(tmp_path, monkeypatch):
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text("{}")
+    return ["ratchet", str(snapshot), str(snapshot)]
+
+
+@pytest.mark.parametrize(
+    "setup, expected",
+    [
+        pytest.param(_run_verify_fails, EXIT_VERIFICATION, id="run_verify_fails"),
+        pytest.param(_batch_stream_unwritable, EXIT_USAGE,
+                     id="batch_stream_unwritable"),
+        pytest.param(_report_claims(True), EXIT_OK, id="report_claims_pass"),
+        pytest.param(_report_claims(False), EXIT_FAILURE, id="report_claims_fail"),
+        pytest.param(_with_trace(["top"], None, "--once"), EXIT_USAGE,
+                     id="top_once_missing"),
+        pytest.param(_with_trace(["top"], MALFORMED_TRACE, "--once"), EXIT_USAGE,
+                     id="top_once_malformed"),
+        pytest.param(_with_trace(["top"], None), EXIT_USAGE, id="top_follow_missing"),
+        pytest.param(_with_trace(["top"], "", "--interval", "0.01", "--idle-limit", "0"),
+                     EXIT_OK, id="top_follow_idle"),
+        pytest.param(_with_trace(["metrics", "export"], None), EXIT_USAGE,
+                     id="metrics_missing"),
+        pytest.param(_with_trace(["metrics", "export"], MALFORMED_TRACE), EXIT_USAGE,
+                     id="metrics_malformed"),
+        pytest.param(_with_trace(["metrics", "export"], ""), EXIT_FAILURE,
+                     id="metrics_no_records"),
+        pytest.param(_mutate_bad_baseline, EXIT_USAGE, id="mutate_bad_baseline"),
+        pytest.param(lambda tmp_path, monkeypatch: [
+                         "mutate", "--quiet", "--modules", "repro.no_such_module"],
+                     EXIT_USAGE, id="mutate_unknown_module"),
+        pytest.param(_mutate_setup_error, EXIT_USAGE, id="mutate_setup_error"),
+        pytest.param(_mutate_passes, EXIT_OK, id="mutate_passes"),
+        pytest.param(_ratchet_without_benchmarks, EXIT_USAGE,
+                     id="ratchet_without_benchmarks"),
+    ],
+)
+def test_exit_site_returns_its_documented_code(
+    setup, expected, tmp_path, monkeypatch, capsys
+):
+    assert main(setup(tmp_path, monkeypatch)) == expected

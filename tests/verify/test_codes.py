@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 from repro.verify.codes import REGISTRY, RETIRED, RuleSpec, all_codes, messages_for
+from repro.verify.lint import iter_python_files, pragma_disables
 
 REPO = Path(__file__).resolve().parents[2]
 DOCS = REPO / "docs" / "verification.md"
@@ -101,3 +102,15 @@ def test_every_code_is_exercised_by_a_test():
         corpus += path.read_text(encoding="utf-8")
     missing = [code for code in REGISTRY if code not in corpus]
     assert not missing, f"codes never exercised by any test: {missing}"
+
+
+def test_pragmas_name_only_live_codes():
+    # A pragma naming a retired or unknown code silences nothing: it is
+    # stale, and would hide a reissued rule if numbers were ever reused.
+    stale = [
+        f"{path.relative_to(REPO)}:{line}: {code}"
+        for path in iter_python_files([REPO / "src", REPO / "benchmarks"])
+        for line, codes in pragma_disables(path.read_text(encoding="utf-8")).items()
+        for code in sorted(codes - set(REGISTRY))
+    ]
+    assert not stale, f"pragmas naming no live rule: {stale}"

@@ -1,7 +1,8 @@
 """Tests for :mod:`repro.verify.concurrency`: shared-state analysis.
 
-Each rule (REPRO013 unlocked shared-state writes, REPRO015 fork-unsafe
-capture) must detect at least three distinct seeded violations, pragma escapes must work, interprocedural lock propagation
+REPRO013 (unlocked shared-state writes) must detect at least three
+distinct seeded violations, pragma escapes must work, interprocedural
+lock propagation
 must not false-positive on the guarded-entry / unguarded-helper
 layering the engine caches use, and the analyzer must run clean over
 the repo's own ``src/`` tree after the remediation.
@@ -313,173 +314,6 @@ class TestModuleGlobals:
 
 
 # ----------------------------------------------------------------------
-# REPRO015: fork-unsafe capture into process pools
-# ----------------------------------------------------------------------
-
-POOL_PREAMBLE = (
-    "from concurrent.futures import ProcessPoolExecutor\n"
-    "import threading\n"
-)
-
-
-class TestForkCapture:
-    def test_ships_lock_carrier_argument(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "def run(items):\n"
-            + "    c = Carrier()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(len, c)\n"
-        )
-        assert codes(source) == ["REPRO015"]
-
-    def test_submits_bound_method_of_carrier(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "    def work(self, item):\n"
-            + "        return item\n"
-            + "    def fan_out(self, items):\n"
-            + "        with ProcessPoolExecutor() as pool:\n"
-            + "            pool.submit(self.work, items)\n"
-        )
-        found = findings(source)
-        assert [f.code for f in found] == ["REPRO015"]
-        assert "self.work" in found[0].message
-
-    def test_submits_bound_method_of_carrier_local(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "    def work(self, item):\n"
-            + "        return item\n"
-            + "def run(items):\n"
-            + "    c = Carrier()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(c.work, items)\n"
-        )
-        found = findings(source)
-        assert [f.code for f in found] == ["REPRO015"]
-        assert "submits bound method 'c.work' of Carrier" in found[0].message
-
-    def test_pool_bound_by_assignment(self):
-        # `pool = ProcessPoolExecutor()` (no with-block) must register
-        # the local as a pool handle too.
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "def run(items):\n"
-            + "    c = Carrier()\n"
-            + "    pool = ProcessPoolExecutor()\n"
-            + "    pool.submit(len, c)\n"
-        )
-        assert codes(source) == ["REPRO015"]
-
-    def test_capture_inside_async_function(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "async def run(items):\n"
-            + "    c = Carrier()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(len, c)\n"
-        )
-        assert codes(source) == ["REPRO015"]
-
-    def test_ships_unsafe_attribute(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "    def fan_out(self, items):\n"
-            + "        with ProcessPoolExecutor() as pool:\n"
-            + "            pool.submit(len, self._lock)\n"
-        )
-        assert codes(source) == ["REPRO015"]
-
-    def test_shared_state_class_always_carries_its_lock(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Cache:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "def run(items):\n"
-            + "    cache = Cache()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.map(len, items)\n"
-            + "        pool.submit(len, cache)\n"
-        )
-        assert codes(source, shared={"Cache": "_lock"}) == ["REPRO015"]
-
-    def test_transitive_carrier_composition(self):
-        # Wrapper holds a Carrier which holds a lock: the fixpoint pass
-        # must mark Wrapper unsafe too.
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "class Wrapper:\n"
-            + "    def __init__(self):\n"
-            + "        self.inner = Carrier()\n"
-            + "def run(items):\n"
-            + "    w = Wrapper()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(len, w)\n"
-        )
-        assert codes(source) == ["REPRO015"]
-
-    def test_plain_data_argument_is_clean(self):
-        source = (
-            POOL_PREAMBLE
-            + "def run(items):\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(len, items)\n"
-        )
-        assert codes(source) == []
-
-    def test_thread_pool_is_exempt(self):
-        # Thread pools share memory and pickle nothing.
-        source = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "import threading\n"
-            "class Carrier:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.RLock()\n"
-            "def run(items):\n"
-            "    c = Carrier()\n"
-            "    with ThreadPoolExecutor() as pool:\n"
-            "        pool.submit(len, c)\n"
-        )
-        assert codes(source) == []
-
-    def test_pragma_escape(self):
-        source = (
-            POOL_PREAMBLE
-            + "class Carrier:\n"
-            + "    def __init__(self):\n"
-            + "        self._lock = threading.RLock()\n"
-            + "def run(items):\n"
-            + "    c = Carrier()\n"
-            + "    with ProcessPoolExecutor() as pool:\n"
-            + "        pool.submit(len, c)  # repro-lint: disable=REPRO015\n"
-        )
-        assert codes(source) == []
-
-
-# ----------------------------------------------------------------------
 # Repo gate
 # ----------------------------------------------------------------------
 
@@ -491,11 +325,7 @@ class TestRepoClean:
         assert found == [], [f.render() for f in found]
 
     def test_rule_table_is_complete(self):
-        # The pool rules (REPRO006-REPRO008) live here too.
-        assert set(CONCURRENCY_RULES) == {
-            "REPRO006", "REPRO007", "REPRO008",
-            "REPRO013", "REPRO015",
-        }
+        assert set(CONCURRENCY_RULES) == {"REPRO013"}
 
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):

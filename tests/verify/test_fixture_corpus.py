@@ -22,7 +22,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: Fixture directory -> the report sections run over its files.
 SECTIONS: Dict[str, Tuple[str, ...]] = {
-    "concurrency": ("flow", "concurrency"),
+    "concurrency": ("concurrency",),
     "hotpath": ("hotpath",),
     "faults": ("faults",),
 }
@@ -31,8 +31,6 @@ SECTIONS: Dict[str, Tuple[str, ...]] = {
 EXPECTED: Dict[str, Dict[str, int]] = {
     "concurrency/unlocked_class.py": {"REPRO013": 2},
     "concurrency/globals.py": {"REPRO013": 3},
-    "concurrency/fork_capture.py": {"REPRO015": 2},
-    "concurrency/pool_workers.py": {"REPRO006": 3, "REPRO007": 4, "REPRO008": 2},
     "concurrency/clean.py": {},
     "hotpath/invariant_allocs.py": {"REPRO016": 3, "REPRO019": 1},
     "hotpath/attr_dispatch.py": {"REPRO017": 2},
@@ -40,10 +38,8 @@ EXPECTED: Dict[str, Dict[str, int]] = {
     "hotpath/numpy_temps.py": {"REPRO019": 1},
     "hotpath/pragma_scoped.py": {"REPRO016": 1},
     "hotpath/clean.py": {},
-    # Named cli.py on purpose: REPRO022 applies only to CLI entry files.
     "faults/leaky_resources.py": {"REPRO020": 3},
     "faults/broad_except.py": {"REPRO021": 3},
-    "faults/cli.py": {"REPRO022": 4},
     "faults/tainted.py": {"REPRO023": 5},
     "faults/silent_drop.py": {"REPRO024": 2},
     "faults/pragma_scoped.py": {"REPRO024": 1},

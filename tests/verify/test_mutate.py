@@ -176,9 +176,9 @@ class TestJsonSchemas:
         rc = main(["analyze", "--json", "src/repro/core/temp_s.py"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["passed"] is True
-        assert "contracts" in payload and "flow" in payload
+        assert "contracts" in payload and "flow" not in payload
 
     def test_mutate_report_is_versioned(self, twin_reports):
         report, _ = twin_reports
