@@ -21,16 +21,30 @@ Quickstart::
     print(result.cut_indices, result.weight)
 """
 
-from repro.core import (
-    InfeasibleBoundError,
-    bandwidth_min,
-    bottleneck_min,
-    partition_chain,
-    partition_tree,
-    processor_min,
-)
-from repro.engine import PartitionEngine, PartitionQuery
-from repro.graphs import Chain, Cut, Partition, TaskGraph, Tree
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
+    from repro.core import (
+        InfeasibleBoundError,
+        bandwidth_min,
+        bottleneck_min,
+        partition_chain,
+        partition_tree,
+        processor_min,
+    )
+    from repro.engine import PartitionEngine, PartitionQuery
+    from repro.graphs import Chain, Cut, Partition, TaskGraph, Tree
+
+# Each name loads its subpackage on first access: ``import repro`` alone
+# imports no subpackage (and no NumPy).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": ("InfeasibleBoundError", "bandwidth_min", "bottleneck_min",
+                   "partition_chain", "partition_tree", "processor_min"),
+    "repro.engine": ("PartitionEngine", "PartitionQuery"),
+    "repro.graphs": ("Chain", "Cut", "Partition", "TaskGraph", "Tree"),
+})
 
 __version__ = "1.0.0"
 

@@ -411,6 +411,7 @@ def _undecodable_line(path: str, stdin: bytes) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.engine import PartitionEngine
+    from repro.engine.kernels import KernelUnavailableError
 
     if args.verify:
         # Sets REPRO_VERIFY=1 for this process; process-pool workers
@@ -462,7 +463,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         results = engine.solve_jsonl(lines, max_workers=args.workers)
-    except ValueError as exc:
+    except (ValueError, KernelUnavailableError) as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -2,10 +2,12 @@
 
 Layers on top of :mod:`repro.core`:
 
-- :mod:`repro.engine.kernels` — NumPy fast-path kernels for the chain
-  pipeline (prefix weights, prime subpaths via ``searchsorted``,
-  membership intervals, the non-redundant-edge reduction), bit-identical
-  to the pure-Python reference;
+- :mod:`repro.engine.kernels` — the chain pipeline's fast path: one
+  native ``structure_sweep`` call per query (``_sweep.c``, built by
+  :mod:`repro.engine.native`), with NumPy primitives (prime subpaths via
+  ``searchsorted``, membership intervals, the non-redundant-edge
+  reduction) as the fallback, bit-identical to the pure-Python
+  reference;
 - :mod:`repro.engine.plan` — :class:`CompiledChainPlan`, the one
   per-chain object: freeze one chain's preprocessing, keep the
   stability-interval memo of built structures, and answer single bounds
@@ -20,18 +22,29 @@ Layers on top of :mod:`repro.core`:
   subcommand.
 """
 
-# The kernels (and NumPy) load first: NumPy imported from deeper in the
-# batch -> cache -> plan chain starts up about 10 ms slower.
-from repro.engine.kernels import HAVE_NUMPY
-from repro.engine.batch import (
-    OBJECTIVES,
-    BatchStats,
-    PartitionEngine,
-    PartitionQuery,
-    QueryResult,
-)
-from repro.engine.cache import CacheStats, PlanCache
-from repro.engine.plan import CompiledChainPlan, compile_chain
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
+    from repro.engine.batch import (
+        OBJECTIVES,
+        BatchStats,
+        PartitionEngine,
+        PartitionQuery,
+        QueryResult,
+    )
+    from repro.engine.cache import CacheStats, PlanCache
+    from repro.engine.kernels import HAVE_NUMPY
+    from repro.engine.plan import CompiledChainPlan, compile_chain
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.batch": ("OBJECTIVES", "BatchStats", "PartitionEngine", "PartitionQuery",
+                           "QueryResult"),
+    "repro.engine.cache": ("CacheStats", "PlanCache"),
+    "repro.engine.kernels": ("HAVE_NUMPY",),
+    "repro.engine.plan": ("CompiledChainPlan", "compile_chain"),
+})
 
 __all__ = [
     "BatchStats",

@@ -1,6 +1,7 @@
 /*
- * Algorithm 4.1 in native code: the TEMP_S sweep (temps_sweep) and the
- * whole structure build that feeds it (structure_sweep).
+ * Algorithm 4.1 in native code: the TEMP_S sweep (temps_sweep), the
+ * whole structure build that feeds it (structure_sweep), and the one
+ * pass that freezes a chain's weights (chain_freeze).
  *
  * A line-for-line port of repro.engine.kernels.sweep_min_cut: the same
  * float expressions, the same comparisons, the same bisect_left tie rule
@@ -26,6 +27,10 @@
  * repro.core.prime_subpaths (find_prime_subpaths, edge_membership_intervals,
  * reduce_edges) with the same comparisons, so its prime and edge columns
  * equal the NumPy kernels' in repro.engine.kernels.
+ *
+ * chain_freeze is repro.graphs.chain.Chain's validation and prefix
+ * pass; it adds left to right, as the stdlib freeze's
+ * itertools.accumulate does, so both give the same prefix bytes.
  */
 #include <float.h>
 #include <math.h>
@@ -227,4 +232,37 @@ int64_t structure_sweep(int64_t n, const double *prefix, const double *beta,
     sizes[0] = p;
     sizes[1] = r;
     return count;
+}
+
+/*
+ * Freeze a chain of n tasks: validate alpha[0..n) and beta[0..n-1),
+ * write prefix[0..n] (prefix[0] = 0, prefix[i + 1] = prefix[i] +
+ * alpha[i]; an overflowed sum is inf) and store each -0.0 in beta as
+ * 0.0.  Returns the largest task weight, or -1.0 when some weight is
+ * out of range (alpha outside (0, inf), beta outside [0, inf), NaN
+ * included); the caller then names the first bad weight.
+ */
+double chain_freeze(int64_t n, const double *alpha, double *beta,
+                    double *prefix)
+{
+    double total = 0.0, top = 0.0;
+    int valid = 1;
+    prefix[0] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double a = alpha[i];
+        if (!(a > 0.0 && a < INFINITY))
+            valid = 0;
+        if (a > top)
+            top = a;
+        total += a;
+        prefix[i + 1] = total;
+    }
+    for (int64_t i = 0; i + 1 < n; i++) {
+        double b = beta[i];
+        if (!(b >= 0.0 && b < INFINITY))
+            valid = 0;
+        else if (b == 0.0)
+            beta[i] = 0.0; /* -0.0 == 0.0: store the positive zero */
+    }
+    return valid ? top : -1.0;
 }

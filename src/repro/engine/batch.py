@@ -36,7 +36,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -46,7 +45,6 @@ from repro.core.pipeline import partition_chain
 from repro.engine.cache import PlanCache
 from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
-from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
 from repro.instrumentation.counters import OpCounter
 from repro.observability.live import NULL_HUB, Event, HubLike
 from repro.observability.metrics import MetricsRegistry
@@ -106,7 +104,7 @@ class PartitionQuery:  # repro-lint: disable=REPRO002 (field defaults block slot
         return cls(tuple(chain.alpha), tuple(chain.beta), bound, objective, tag)
 
     def chain(self) -> Chain:
-        return Chain(list(self.alpha), list(self.beta))
+        return Chain(self.alpha, self.beta)
 
     @classmethod
     def from_json(cls, line: str) -> "PartitionQuery":
@@ -223,6 +221,8 @@ def _solve_event(
         # Verification runs already pay for a pure-Python re-solve; the
         # combinatorial lower bound is noise next to that, and turns
         # every verified solve into a quality sample.
+        from repro.graphs.metrics import chain_bandwidth_lower_bound, optimality_gap
+
         event["optimality_gap"] = optimality_gap(
             answer.weight, chain_bandwidth_lower_bound(answer.chain, bound)
         )
@@ -514,7 +514,7 @@ class PartitionEngine:
         Routes through a :class:`~repro.engine.plan.CompiledChainPlan`
         cached by chain fingerprint in :attr:`cache`, so repeated sweeps
         and solves over the same chain share frozen arrays and built
-        structures.  Returns the per-bound weights as a float64 array,
+        structures.  Returns the per-bound weights as an ``array("d")``,
         or ``(weights, cuts)`` with ``return_cuts=True``.  Answers are
         bit-identical to per-call :meth:`solve`; under ``REPRO_VERIFY=1``
         every element is certified against the pure-Python solver.
@@ -560,6 +560,8 @@ class PartitionEngine:
             batch = BatchStats(workers=0)
             results = self._fold_groups(map(self._solve_group, tasks), count, batch)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             batch = BatchStats(workers=max_workers or os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=batch.workers) as pool:
                 results = self._fold_groups(
@@ -599,7 +601,7 @@ class PartitionEngine:
         n = len(alpha)
         verify = "REPRO_VERIFY" in os.environ
         try:
-            chain = Chain(list(alpha), list(beta))
+            chain = Chain(alpha, beta)
         except (PartitioningError, ValueError) as exc:
             return [self._finish(n, m, str(exc), 0.0, verify) for m in members]
         swept: Dict[int, QueryResult] = {}

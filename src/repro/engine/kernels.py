@@ -1,11 +1,11 @@
-"""Vectorized (NumPy) fast-path kernels for the chain pipeline.
+"""Fast-path kernels for the chain pipeline: native, with NumPy fallbacks.
 
-The paper's preprocessing — prefix weights, the two-pointer prime-subpath
-sweep, edge-membership intervals and the non-redundant-edge reduction —
-is ``O(n)`` but *interpreted* ``O(n)`` in the reference implementation:
-every task costs a Python bytecode loop iteration.  This module
-re-expresses each step as array operations (``np.cumsum``,
-``np.searchsorted``, ``np.minimum.reduceat``), cutting the constant
+The paper's preprocessing — the two-pointer prime-subpath sweep,
+edge-membership intervals and the non-redundant-edge reduction — is
+``O(n)`` but *interpreted* ``O(n)`` in the reference implementation:
+every task costs a Python bytecode loop iteration.  This module runs
+the steps in one native call or, as the fallback, as array operations
+(``np.searchsorted``, ``np.minimum.reduceat``), cutting the constant
 factor by one to two orders of magnitude on large chains while producing
 **bit-identical** output to :mod:`repro.core.prime_subpaths`.
 
@@ -40,52 +40,77 @@ Both routes give the same columns and floats.
 :class:`repro.engine.plan.CompiledChainPlan` is its caller; the
 primitives also serve perfbench's kernel-by-kernel replay, and the
 pure-Python reference in :mod:`repro.core` never calls them.
+
+NumPy is imported on first use (:func:`require_numpy`), by the
+primitives and the fallback route only: where the native library
+builds, a bandwidth query runs without it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from array import array
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.core.feasibility import InfeasibleBoundError
 from repro.engine import native
 from repro.graphs.chain import Chain
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
-def require_numpy() -> None:
-    """Raise a helpful error when the NumPy fast path is unavailable."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the engine's kernels require NumPy; install it or call the "
-            "pure-Python reference (repro.core.bandwidth.bandwidth_min)"
-        )
+
+class KernelUnavailableError(RuntimeError):
+    """Neither the native library nor NumPy can run a fallback kernel."""
+
+    __slots__ = ()
+
+
+def require_numpy() -> Any:
+    """The ``numpy`` module, imported on first use.
+
+    Raises :class:`KernelUnavailableError` naming what is missing when
+    NumPy cannot be imported.
+    """
+    try:
+        import numpy
+    except ImportError:
+        raise KernelUnavailableError(
+            "the engine's kernels need NumPy where the native library "
+            "(_sweep.c, built with gcc) is unavailable, and NumPy cannot be "
+            "imported; install NumPy or gcc, or call the pure-Python "
+            "reference (repro.core.bandwidth.bandwidth_min)"
+        ) from None
+    return numpy
+
+
+def __getattr__(name: str) -> Any:
+    # HAVE_NUMPY is resolved on first access, so importing this module
+    # does not import NumPy.
+    if name == "HAVE_NUMPY":
+        try:
+            require_numpy()
+        except KernelUnavailableError:
+            return False
+        return True
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def prefix_array(chain: Chain) -> "np.ndarray":
     """The chain's read-only float64 prefix weights (len n + 1), no copy.
 
-    The chain computed them once with ``np.cumsum``, which adds left to
-    right as the reference's ``itertools.accumulate`` does, so
-    downstream comparisons match the reference.
+    The chain's freeze added them left to right, as the reference's
+    ``itertools.accumulate`` does, so downstream comparisons match the
+    reference.
     """
-    require_numpy()
-    return chain.buffers()[2]
+    return require_numpy().frombuffer(chain.buffers()[2], dtype="float64")
 
 
 def beta_array(chain: Chain) -> "np.ndarray":
     """The chain's read-only float64 edge weights (len n - 1), no copy."""
-    require_numpy()
-    return chain.buffers()[1]
+    return require_numpy().frombuffer(chain.buffers()[1], dtype="float64")
 
 
 def validate_bound_array(alpha_max: float, bound: float) -> None:
@@ -109,6 +134,7 @@ def prime_windows(
     candidate survives exactly when no later candidate shares its right
     endpoint (the domination rule of ``find_prime_subpaths``).
     """
+    np = require_numpy()
     n = prefix.shape[0] - 1
     if n <= 0:  # repro-mutate: equivalent=flip-compare -- at n == 0 the vector path below returns the same empty arrays
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -185,6 +211,7 @@ def prime_weight_array(
     Overflowed (inf) prefixes give inf or nan here, as they do in the
     reference, without a RuntimeWarning (see :func:`prime_windows`).
     """
+    np = require_numpy()
     with np.errstate(over="ignore", invalid="ignore"):
         return prefix[last_tasks + 1] - prefix[first_tasks]
 
@@ -199,6 +226,7 @@ def stability_end(prime_weights: "np.ndarray") -> float:
     never ends the interval and is skipped.  ``inf`` when there are no
     primes or every weight is nan.
     """
+    np = require_numpy()
     return float(np.fmin.reduce(prime_weights, initial=np.inf))
 
 
@@ -212,6 +240,7 @@ def membership_intervals(
     ``edge_membership_intervals``, but via two ``searchsorted`` calls on
     the (strictly increasing) prime endpoint arrays.
     """
+    np = require_numpy()
     edges = np.arange(num_edges, dtype=np.int64)
     lo = np.searchsorted(last_edges, edges, side="left")
     hi = np.searchsorted(first_edges, edges, side="right") - 1
@@ -230,6 +259,7 @@ def reduced_edge_arrays(
     identical ``(lo, hi)`` membership collapsed to its minimum-weight
     edge, leftmost on ties — the same tie-break as ``reduce_edges``.
     """
+    np = require_numpy()
     covered = lo <= hi
     idx = np.flatnonzero(covered)
     if idx.shape[0] == 0:
@@ -280,6 +310,7 @@ def reduced_class_arrays(
     (:func:`temps_sweep` with ``edge_index=None``) consumes.  Cut
     extraction still goes through :func:`reduced_edge_arrays`.
     """
+    np = require_numpy()
     if first_tasks.shape[0] == 0:
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
@@ -470,6 +501,7 @@ def temps_sweep(
     ``cut`` comes back empty.  Runs the native kernel (``_sweep.c``) when
     it loaded, else :func:`sweep_min_cut`.
     """
+    np = require_numpy()
     weight = np.ascontiguousarray(edge_weight, dtype=np.float64)
     first = np.ascontiguousarray(edge_first, dtype=np.int64)
     last = np.ascontiguousarray(edge_last, dtype=np.int64)
@@ -520,40 +552,62 @@ def bandwidth_sweep(structure: ArrayPrimeStructure) -> Tuple[List[int], float]:
     )
 
 
+def _address(buf: Any) -> Tuple[int, int, Any]:
+    """``(address, length, owner)`` of a one-dimensional float64 buffer
+    for the native entries; ``owner`` keeps the memory alive.
+
+    A chain's buffer (a read-only memoryview over the ``array("d")`` of
+    :meth:`Chain.buffers`) is read in place without NumPy; anything else
+    goes through ``np.ascontiguousarray``.
+    """
+    owner = buf.obj if isinstance(buf, memoryview) else None
+    if isinstance(owner, array) and owner.typecode == "d" and buf.nbytes == 8 * len(owner):
+        return owner.buffer_info()[0], len(owner), owner
+    np = require_numpy()
+    owner = np.ascontiguousarray(buf, dtype=np.float64)
+    if owner.ndim != 1:
+        raise ValueError(f"kernel buffers must be one-dimensional, got shape {owner.shape}")
+    return owner.ctypes.data, owner.shape[0], owner
+
+
 def structure_sweep(
-    prefix: "np.ndarray", beta: "np.ndarray", bound: float, with_cut: bool
+    prefix: Any, beta: Any, bound: float, with_cut: bool
 ) -> Tuple[Optional[List[int]], float, int, int, float]:
     """Algorithm 4.1 at one bound, from a chain's frozen buffers, in
     ``O(n + p log q)``.
 
-    ``prefix`` and ``beta`` are :func:`prefix_array` and
-    :func:`beta_array`.  Returns ``(cut, weight, p, r, valid_until)``:
+    ``prefix`` and ``beta`` are a chain's :meth:`~Chain.buffers` (or
+    any float64 arrays, such as :func:`prefix_array` and
+    :func:`beta_array`).  Returns ``(cut, weight, p, r, valid_until)``:
     the optimal cut's sorted edge indices (``None`` unless ``with_cut``
     or there are no primes), its weight, the prime and reduced-edge
     counts, and the end of the bound's stability interval
-    (:func:`stability_end`).  Runs the native
-    ``structure_sweep`` when it loaded, else the NumPy primitives and
+    (:func:`stability_end`).  Runs the native ``structure_sweep`` on the
+    buffers' addresses when it loaded, else the NumPy primitives and
     :func:`temps_sweep`; the two agree bit for bit.
     """
-    prefix = np.ascontiguousarray(prefix, dtype=np.float64)
-    beta = np.ascontiguousarray(beta, dtype=np.float64)
-    n = prefix.shape[0] - 1
-    if prefix.ndim != 1 or n < 1 or beta.shape != (n - 1,):
-        raise ValueError("prefix needs n + 1 >= 2 entries and beta n - 1")
     lib = native.load_sweep()
     if lib is None:
+        np = require_numpy()
+        prefix = np.ascontiguousarray(prefix, dtype=np.float64)
+        beta = np.ascontiguousarray(beta, dtype=np.float64)
+        _check_sizes(prefix.shape, beta.shape)
         return _structure_sweep_numpy(prefix, beta, bound, with_cut)
+    prefix_at, size, prefix = _address(prefix)
+    beta_at, edges, beta = _address(beta)
+    n = size - 1
+    _check_sizes((size,), (edges,))
     # The kernel writes cut_buf, out and sizes in place; the locals keep
     # every buffer alive across the call.
-    cut_buf = np.empty(n, dtype=np.int64) if with_cut else None  # a cut has < n edges
+    cut_buf = array("q", [0]) * n if with_cut else None  # a cut has < n edges
     out = (ctypes.c_double * 2)()
     sizes = (ctypes.c_int64 * 2)()
     count = lib.structure_sweep(
         n,
-        prefix.ctypes.data,
-        beta.ctypes.data,
+        prefix_at,
+        beta_at,
         bound,
-        None if cut_buf is None else cut_buf.ctypes.data,
+        None if cut_buf is None else cut_buf.buffer_info()[0],
         out,
         sizes,
     )
@@ -565,6 +619,14 @@ def structure_sweep(
     else:
         cut = None if p else []  # with no primes the empty cut is known
     return cut, out[0], p, sizes[1], out[1]
+
+
+def _check_sizes(prefix_shape: Tuple[int, ...], beta_shape: Tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``prefix`` has ``n + 1 >= 2`` entries
+    and ``beta`` ``n - 1``."""
+    n = prefix_shape[0] - 1
+    if len(prefix_shape) != 1 or n < 1 or beta_shape != (n - 1,):
+        raise ValueError("prefix needs n + 1 >= 2 entries and beta n - 1")
 
 
 def _structure_sweep_numpy(

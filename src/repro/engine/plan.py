@@ -41,26 +41,17 @@ Plans are cached per chain fingerprint by
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+from array import array
 from bisect import bisect_right, insort
 from collections import OrderedDict
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Iterable, List, Optional
 
 from repro.core.feasibility import finite_optimum
-from repro.engine.kernels import (
-    beta_array,
-    prefix_array,
-    require_numpy,
-    structure_sweep,
-    validate_bound_array,
-)
+from repro.engine.kernels import structure_sweep, validate_bound_array
 from repro.graphs.chain import Chain
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None  # type: ignore[assignment]
 
 __all__ = ["CacheStats", "CompiledChainPlan", "PlanStats", "compile_chain"]
 
@@ -233,12 +224,10 @@ class CompiledChainPlan:
         *,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ) -> None:
-        require_numpy()
         self.chain = chain
         self.max_structures = max(1, int(max_structures))
         self.stats = PlanStats()
-        self._prefix = prefix_array(chain)
-        self._beta = beta_array(chain)
+        _, self._beta, self._prefix = chain.buffers()
         self._alpha_max = chain.max_vertex_weight()
         # Frozen structures by stability interval.  Intervals are built
         # only on lookup misses, so they are pairwise disjoint and the
@@ -340,7 +329,7 @@ class CompiledChainPlan:
     # ------------------------------------------------------------------
     def solve_bounds(
         self,
-        ks: Union[Sequence[float], "np.ndarray"],
+        ks: Iterable[float],
         *,
         return_cuts: bool = False,
         tally: Optional[PlanStats] = None,
@@ -348,9 +337,11 @@ class CompiledChainPlan:
         """Optimal bandwidth for every bound in ``ks`` — one batched pass.
 
         ``O(k log k + g n log q)`` for ``k`` queries hitting ``g``
-        distinct stability intervals: one stable argsort, then per
+        distinct stability intervals: one stable sort, then per
         *group* (not per query) one structural build and one TEMP_S
-        sweep.  Returns a float64 array aligned with ``ks``; with
+        sweep.  ``ks`` is any one-dimensional iterable of numbers (an
+        ndarray included).  Returns an ``array("d")`` of weights
+        aligned with ``ks``; with
         ``return_cuts=True`` also a list of sorted edge-index lists
         (queries sharing a structure share the identical optimal cut —
         each entry is a fresh list, safe to mutate).
@@ -367,29 +358,33 @@ class CompiledChainPlan:
         any bound is below the maximum task weight, and ``ValueError``
         on empty, non-1-D or non-finite input.
         """
-        arr = np.asarray(ks, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"ks must be one-dimensional, got shape {arr.shape}")
-        if arr.shape[0] == 0:
+        if getattr(ks, "ndim", 1) != 1:
+            raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")  # type: ignore[attr-defined]
+        try:
+            bounds = array("d", ks)
+        except TypeError as exc:
+            raise ValueError(
+                f"ks must be a one-dimensional sequence of numbers: {exc}"
+            ) from None
+        if not bounds:
             raise ValueError("ks must contain at least one bound")
-        if not np.isfinite(arr).all():
+        if not all(map(math.isfinite, bounds)):
             raise ValueError("ks must be finite")
         with self._lock:
-            return self._solve_bounds_impl(arr, return_cuts, tally)
+            return self._solve_bounds_impl(bounds, return_cuts, tally)
 
     def _solve_bounds_impl(
-        self, arr: "np.ndarray", return_cuts: bool, tally: Optional[PlanStats]
+        self, bounds: array, return_cuts: bool, tally: Optional[PlanStats]
     ) -> Any:
-        order = np.argsort(arr, kind="stable")
+        total = len(bounds)
+        positions = sorted(range(total), key=bounds.__getitem__)  # stable
+        ks = [bounds[i] for i in positions]
         # One feasibility check clears the whole batch: bounds are
         # validated smallest-first, and feasibility is monotone in K.
-        validate_bound_array(self._alpha_max, float(arr[order[0]]))
+        validate_bound_array(self._alpha_max, ks[0])
         verify = "REPRO_VERIFY" in os.environ  # repro-lint: disable=REPRO023 opt-in verification gate; raises on failure, never alters outputs
         need_cuts = return_cuts or verify
-        total = arr.shape[0]
-        positions = order.tolist()
-        ks = arr[order].tolist()
-        weights = np.empty(total, dtype=np.float64)
+        weights = array("d", bounds)  # every slot is overwritten below
         cuts: List[List[int]] = [[] for _ in range(total)] if return_cuts else []
         hits = interval_hits = misses = 0
         reused = 0

@@ -19,7 +19,7 @@ OK              0     the command succeeded
 FAILURE         1     the command ran but the gate failed — findings,
                       failed queries, a regressed score or ratchet
 USAGE           2     usage, I/O or parse errors: bad flags, missing or
-                      malformed input files
+                      malformed input files, a missing dependency
 VERIFICATION    3     a ``--verify`` self-certification failed — the
                       solver's own answer did not pass the paper
                       certificates

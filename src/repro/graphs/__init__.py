@@ -22,11 +22,24 @@ This package provides the data structures that every algorithm in
   of a general task graph (Section 3, distributed simulation study).
 """
 
-from repro.graphs.chain import Chain
-from repro.graphs.partition import Cut, Partition
-from repro.graphs.ring import Ring
-from repro.graphs.task_graph import Edge, TaskGraph
-from repro.graphs.tree import Tree
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
+    from repro.graphs.chain import Chain
+    from repro.graphs.partition import Cut, Partition
+    from repro.graphs.ring import Ring
+    from repro.graphs.task_graph import Edge, TaskGraph
+    from repro.graphs.tree import Tree
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graphs.chain": ("Chain",),
+    "repro.graphs.partition": ("Cut", "Partition"),
+    "repro.graphs.ring": ("Ring",),
+    "repro.graphs.task_graph": ("Edge", "TaskGraph"),
+    "repro.graphs.tree": ("Tree",),
+})
 
 __all__ = [
     "Chain",

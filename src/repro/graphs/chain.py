@@ -12,44 +12,66 @@ A *cut* on a chain is naturally a set of edge indices.  The
 blocks it induces, which is what the execution-time-bound condition is
 stated over.
 
-A chain is frozen once, at construction: each input sequence is unboxed
-into a validated float64 buffer, and the prefix weights are computed
-once.  With NumPy the buffers are read-only ndarrays that the engine's
-kernels (:mod:`repro.engine.kernels`) read without a copy, and the
-Python lists that the pure-Python reference reads (:attr:`Chain.alpha`,
-:attr:`Chain.beta`, :meth:`Chain.prefix_weights`) are built from them on
-first use, so every path sees the same floats.  Without NumPy the
-buffers are those lists.
+A chain is frozen once, at construction: each input sequence is packed
+into a float64 ``array("d")`` with one cached :class:`struct.Struct`,
+and one pass validates the weights, writes the prefix weights, finds the
+largest task weight and stores ``-0.0`` as ``0.0``.  The pass is the
+native ``chain_freeze`` entry of ``_sweep.c`` where that library builds
+(:mod:`repro.engine.native`, a stdlib-only module), else the stdlib
+loops below; both give the same bytes.  :meth:`Chain.buffers` exposes
+the three buffers as read-only memoryviews that the engine's kernels
+(:mod:`repro.engine.kernels`) and the fingerprint read in place, and
+the Python lists that the pure-Python reference reads
+(:attr:`Chain.alpha`, :attr:`Chain.beta`, :meth:`Chain.prefix_weights`)
+are built from them on first use, so every path sees the same floats.
+Nothing here imports NumPy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+from array import array
+from functools import lru_cache
 from itertools import accumulate
 from math import inf
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    np = None  # type: ignore[assignment]
-
+from repro.engine import native
 from repro.graphs.task_graph import TaskGraph
 from repro.graphs.tree import Tree
 
+#: The fingerprint's task-count prefix.
+_COUNT = struct.Struct("<q")
 
-def _float64(values: Any) -> "np.ndarray":
-    """A fresh, writable 1-D float64 copy of ``values`` (one copy at most)."""
-    if isinstance(values, np.ndarray):
-        out = np.array(values, dtype=np.float64)
-    elif isinstance(values, (list, tuple)):
-        out = np.fromiter(values, dtype=np.float64, count=len(values))
-    else:
-        out = np.fromiter(values, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"chain weights must be one-dimensional, got shape {out.shape}")
-    return out
+
+@lru_cache(maxsize=64)
+def _packer(n: int) -> struct.Struct:
+    """The packer of ``n`` native float64s (a chain's sizes repeat)."""
+    return struct.Struct(f"={n}d")
+
+
+def _float64(values: Any) -> array:
+    """A fresh float64 ``array("d")`` of ``values``: any one-dimensional
+    iterable of numbers (an ndarray or memoryview included)."""
+    if getattr(values, "ndim", 1) != 1:
+        raise ValueError(
+            f"chain weights must be one-dimensional, got shape {values.shape}")
+    if hasattr(values, "tolist"):
+        values = values.tolist()  # an ndarray or memoryview: Python floats
+    elif not isinstance(values, (list, tuple)):
+        values = list(values)
+    try:
+        return array("d", _packer(len(values)).pack(*values))
+    except struct.error:
+        pass  # a value struct does not read as a float: convert one by one
+    try:
+        return array("d", [float(x) for x in values])
+    except TypeError as exc:
+        raise ValueError(
+            f"chain weights must be a one-dimensional sequence of numbers: {exc}"
+        ) from None
 
 
 def _check_weights(alpha: Sequence[float], beta: Sequence[float]) -> None:
@@ -68,6 +90,36 @@ def _check_weights(alpha: Sequence[float], beta: Sequence[float]) -> None:
             raise ValueError(f"edge {i} has {kind} weight {b}")
 
 
+def _freeze(alpha: array, beta: array) -> Tuple[array, float, Tuple[Any, Any, Any]]:
+    """Validate ``alpha``/``beta``, store each ``-0.0`` in ``beta`` as
+    ``0.0`` and return ``(prefix, max alpha, lists)``.
+
+    ``lists`` holds the ``alpha``/``beta``/prefix lists when the stdlib
+    loops built them, else ``None`` each.
+    """
+    n = len(alpha)
+    lib = native.load_sweep()
+    if lib is not None:
+        prefix = array("d", [0.0]) * (n + 1)
+        alpha_max = lib.chain_freeze(
+            n, alpha.buffer_info()[0], beta.buffer_info()[0], prefix.buffer_info()[0])
+        if alpha_max < 0:
+            _check_weights(alpha, beta)  # raises: the pass found a bad weight
+        return prefix, alpha_max, (None, None, None)
+    a = alpha.tolist()
+    b = [x + 0.0 for x in beta.tolist()]  # + 0.0 turns -0.0 into 0.0
+    prefix_list = [0.0]
+    prefix_list.extend(accumulate(a))
+    # Only valid weights pass this whole-list test: min() is blind to a
+    # NaN, so the sums decide there; anything else takes the exact
+    # per-weight check.
+    if not (min(a) > 0 and prefix_list[-1] < inf
+            and (not b or (min(b) >= 0 and sum(b) < inf))):
+        _check_weights(a, b)
+    beta[:] = array("d", b)
+    return array("d", prefix_list), max(a), (a, b, prefix_list)
+
+
 class Chain:
     """A linear task graph with ``n`` tasks and ``n - 1`` dependency edges.
 
@@ -82,19 +134,16 @@ class Chain:
         (or 0 when the chain has a single task).  A ``-0.0`` weight is
         stored as ``0.0``.
 
-    Either may be any iterable of numbers, an ndarray included; the chain
-    keeps its own copy, so a caller cannot change a validated chain.
+    Either may be any one-dimensional iterable of numbers, an ndarray
+    included; the chain keeps its own copy, so a caller cannot change a
+    validated chain.  Anything else raises ``ValueError``.
     """
 
     __slots__ = ("_buffers", "_alpha", "_beta", "_prefix", "_alpha_max",
                  "_fingerprint")
 
     def __init__(self, alpha: Iterable[float], beta: Iterable[float]) -> None:
-        if np is None:
-            a: Any = [float(x) for x in alpha]
-            b: Any = [float(x) + 0.0 for x in beta]  # + 0.0 turns -0.0 into 0.0
-        else:
-            a, b = _float64(alpha), _float64(beta)
+        a, b = _float64(alpha), _float64(beta)
         n = len(a)
         if not n:
             raise ValueError("a chain needs at least one task")
@@ -102,45 +151,24 @@ class Chain:
             raise ValueError(
                 f"chain with {n} tasks needs {n - 1} edge weights, got {len(b)}"
             )
-        # Weights need 0 < alpha < inf and 0 <= beta < inf.  Only valid
-        # weights pass these whole-buffer tests (NaN poisons a NumPy
-        # min/max and a sum; min() over a list is blind to it, so there
-        # the sum decides); anything else takes the exact per-weight check.
-        if np is None:
-            prefix: Any = [0.0]
-            prefix.extend(accumulate(a))
-            alpha_max = max(a)
-            valid = min(a) > 0 and prefix[-1] < inf and (
-                not b or (min(b) >= 0 and sum(b) < inf))
-        else:
-            # cumsum adds left to right, as accumulate() does, so both
-            # give the same floats; an overflowed prefix is inf, as in
-            # Python, and warns in neither.
-            prefix = np.empty(n + 1, dtype=np.float64)
-            prefix[0] = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.cumsum(a, out=prefix[1:])
-            alpha_max = float(a.max())
-            beta_min = b.min() if n > 1 else inf
-            valid = a.min() > 0 and alpha_max < inf and (
-                n == 1 or (beta_min >= 0 and b.max() < inf))
-            if beta_min == 0:  # -0.0 + 0.0 is 0.0; no zero, no pass
-                np.add(b, 0.0, out=b)
-        if not valid:
-            _check_weights(a, b)
-        self._install(a, b, prefix, alpha_max)
+        prefix, alpha_max, lists = _freeze(a, b)
+        self._install(a, b, prefix, alpha_max, lists)
 
-    def _install(self, alpha: Any, beta: Any, prefix: Any, alpha_max: float) -> "Chain":
+    def _install(
+        self,
+        alpha: array,
+        beta: array,
+        prefix: array,
+        alpha_max: float,
+        lists: Tuple[Optional[List[float]], ...] = (None, None, None),
+    ) -> "Chain":
         """Freeze validated buffers into this chain and return it."""
-        buffers = (alpha, beta, prefix)
-        if np is None:
-            lists: Tuple[Optional[List[float]], ...] = buffers
-        else:
-            for buf in buffers:
-                buf.flags.writeable = False
-            lists = (None, None, None)  # built from the buffers on first use
         self._alpha, self._beta, self._prefix = lists
-        self._buffers: Tuple[Any, Any, Any] = buffers
+        self._buffers: Tuple[memoryview, memoryview, memoryview] = (
+            memoryview(alpha).toreadonly(),
+            memoryview(beta).toreadonly(),
+            memoryview(prefix).toreadonly(),
+        )
         self._alpha_max = alpha_max
         self._fingerprint = ""  # computed lazily
         return self
@@ -156,10 +184,11 @@ class Chain:
     def num_edges(self) -> int:
         return len(self._buffers[1])
 
-    def buffers(self) -> Tuple[Any, Any, Any]:
-        """The frozen ``(alpha, beta, prefix)`` buffers: read-only float64
-        ndarrays with NumPy, else the lists :attr:`alpha`, :attr:`beta`
-        and :meth:`prefix_weights` return.  Do not mutate."""
+    def buffers(self) -> Tuple[memoryview, memoryview, memoryview]:
+        """The frozen ``(alpha, beta, prefix)`` buffers: read-only
+        memoryviews of native float64 (format ``"d"``), lengths ``n``,
+        ``n - 1`` and ``n + 1``.  ``np.frombuffer`` reads them without a
+        copy."""
         return self._buffers
 
     @property
@@ -183,7 +212,7 @@ class Chain:
         return self.beta[i]
 
     def total_weight(self) -> float:
-        return float(self._buffers[2][-1])
+        return self._buffers[2][-1]
 
     def max_vertex_weight(self) -> float:
         return self._alpha_max
@@ -220,8 +249,8 @@ class Chain:
         keeping indices aligned.  Public inputs never carry ``inf``;
         ``__init__`` rejects it.  The copy shares the frozen task buffers.
         """
-        alpha, beta, prefix = self._buffers
-        beta = list(beta) if np is None else beta.copy()
+        alpha, beta, prefix = (view.obj for view in self._buffers)
+        beta = array("d", beta)
         for i in forbidden:
             beta[i] = inf
         return Chain.__new__(Chain)._install(alpha, beta, prefix, self._alpha_max)
@@ -245,19 +274,18 @@ class Chain:
         :class:`~repro.engine.cache.PlanCache` uses to share one
         compiled plan between queries on equal chains.  The digest is
         BLAKE2b over the task count and the little-endian float64 bytes
-        of ``alpha`` and then ``beta``; ndarray buffers are hashed in
-        place.
+        of ``alpha`` and then ``beta``, hashed in place on a
+        little-endian host.
         """
         if not self._fingerprint:
             alpha, beta, _ = self._buffers
             digest = hashlib.blake2b(digest_size=16)
-            digest.update(struct.pack("<q", len(alpha)))
-            if np is None:
-                digest.update(struct.pack(f"<{len(alpha)}d", *alpha))
-                digest.update(struct.pack(f"<{len(beta)}d", *beta))
-            else:
-                digest.update(alpha.astype("<f8", copy=False))
-                digest.update(beta.astype("<f8", copy=False))
+            digest.update(_COUNT.pack(len(alpha)))
+            for view in (alpha, beta):
+                if sys.byteorder != "little":
+                    view = array("d", view)
+                    view.byteswap()
+                digest.update(view)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

@@ -25,36 +25,55 @@ foundation of the package (nothing here imports above it):
   ``repro metrics export``.
 """
 
-from repro.observability.export import (
-    TRACE_SCHEMA_VERSION,
-    aggregate_spans,
-    event_records,
-    metric_records,
-    read_trace,
-    render_prometheus,
-    render_prometheus_records,
-    span_records,
-    trace_records,
-    write_trace,
-)
-from repro.observability.live import (
-    NULL_HUB,
-    CallbackSubscriber,
-    NullTelemetryHub,
-    RingBufferSubscriber,
-    StreamingJsonlSink,
-    TelemetryHub,
-    TelemetrySubscriber,
-)
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    nearest_rank,
-)
-from repro.observability.profiler import ProfileSampler
-from repro.observability.spans import NULL_SPAN, NULL_TRACER, NullSpan, Span, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
+    from repro.observability.export import (
+        TRACE_SCHEMA_VERSION,
+        aggregate_spans,
+        event_records,
+        metric_records,
+        read_trace,
+        render_prometheus,
+        render_prometheus_records,
+        span_records,
+        trace_records,
+        write_trace,
+    )
+    from repro.observability.live import (
+        NULL_HUB,
+        CallbackSubscriber,
+        NullTelemetryHub,
+        RingBufferSubscriber,
+        StreamingJsonlSink,
+        TelemetryHub,
+        TelemetrySubscriber,
+    )
+    from repro.observability.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        nearest_rank,
+    )
+    from repro.observability.profiler import ProfileSampler
+    from repro.observability.spans import NULL_SPAN, NULL_TRACER, NullSpan, Span, Tracer
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.observability.export": ("TRACE_SCHEMA_VERSION", "aggregate_spans", "event_records",
+                                   "metric_records", "read_trace", "render_prometheus",
+                                   "render_prometheus_records", "span_records",
+                                   "trace_records", "write_trace"),
+    "repro.observability.live": ("NULL_HUB", "CallbackSubscriber", "NullTelemetryHub",
+                                 "RingBufferSubscriber", "StreamingJsonlSink",
+                                 "TelemetryHub", "TelemetrySubscriber"),
+    "repro.observability.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                                    "nearest_rank"),
+    "repro.observability.profiler": ("ProfileSampler",),
+    "repro.observability.spans": ("NULL_SPAN", "NULL_TRACER", "NullSpan", "Span", "Tracer"),
+})
 
 __all__ = [
     "CallbackSubscriber",

@@ -61,7 +61,9 @@ the certificates alone, not the analyzers or the mutation engine, and
 ``python -m repro.verify.lint`` finds ``lint`` not yet imported.
 """
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - re-export types for checkers only
     from repro.verify.certificates import (
@@ -88,43 +90,22 @@ if TYPE_CHECKING:  # pragma: no cover - re-export types for checkers only
         verify_tree_result,
     )
 
-_EXPORTS = {
-    "CertificateReport": "repro.verify.certificates",
-    "VerificationError": "repro.verify.certificates",
-    "Violation": "repro.verify.certificates",
-    "check_chain_partition": "repro.verify.certificates",
-    "check_pareto_frontier": "repro.verify.certificates",
-    "check_prime_cover": "repro.verify.certificates",
-    "check_tree_cut": "repro.verify.certificates",
-    "CONCURRENCY_RULES": "repro.verify.concurrency",
-    "MutationSite": "repro.verify.operators",
-    "enumerate_sites": "repro.verify.operators",
-    "apply_site": "repro.verify.operators",
-    "run_mutation_analysis": "repro.verify.mutate",
-    "compare_to_baseline": "repro.verify.mutate",
-    "run_sandboxed": "repro.verify.sandbox",
-    "cross_check_chain_backends": "repro.verify.runtime",
-    "verification_enabled": "repro.verify.runtime",
-    "verify_chain_result": "repro.verify.runtime",
-    "verify_tree_result": "repro.verify.runtime",
-}
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verify.certificates": ("CertificateReport", "VerificationError", "Violation",
+                                  "check_chain_partition", "check_pareto_frontier",
+                                  "check_prime_cover", "check_tree_cut"),
+    "repro.verify.concurrency": ("CONCURRENCY_RULES",),
+    "repro.verify.operators": ("MutationSite", "enumerate_sites", "apply_site"),
+    "repro.verify.mutate": ("run_mutation_analysis", "compare_to_baseline"),
+    "repro.verify.sandbox": ("run_sandboxed",),
+    "repro.verify.runtime": ("cross_check_chain_backends", "verification_enabled",
+                             "verify_chain_result", "verify_tree_result"),
+})
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = sorted([
+    "CertificateReport", "VerificationError", "Violation", "check_chain_partition",
+    "check_pareto_frontier", "check_prime_cover", "check_tree_cut", "CONCURRENCY_RULES",
+    "MutationSite", "enumerate_sites", "apply_site", "run_mutation_analysis",
+    "compare_to_baseline", "run_sandboxed", "cross_check_chain_backends",
+    "verification_enabled", "verify_chain_result", "verify_tree_result",
+])

@@ -24,9 +24,12 @@ K = max weight, and tiny (1e-300, subnormal) and overflow-adjacent
 (1e308) weights.
 """
 
+import hashlib
 import math
 import os
+import platform
 import subprocess
+import tempfile
 
 import pytest
 
@@ -216,12 +219,22 @@ class TestLoader:
         assert a != native.library_path(b"int y;")
         assert a.parent == tmp_path / "repro"
 
+    def test_library_path_is_unchanged(self, tmp_path, monkeypatch):
+        # The key names the machine by os.uname().machine, which is
+        # platform.machine() on POSIX, so cached libraries keep their path.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        source = native.SOURCE.read_bytes()
+        key = hashlib.sha256(
+            source + "\0".join(native.CFLAGS).encode() + platform.machine().encode()
+        ).hexdigest()[:16]
+        assert native.library_path(source) == tmp_path / "repro" / f"_sweep-{key}.so"
+
     def test_unwritable_cache_falls_back_to_tempdir(self, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         (tmp_path / "tmp").mkdir()
-        monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         private = tmp_path / "tmp" / f"repro-{os.getuid()}"
         assert native.cache_dir() == private
         assert private.stat().st_mode & 0o777 == 0o700
@@ -259,7 +272,7 @@ class TestLoader:
         def no_gcc(*args, **kwargs):
             raise FileNotFoundError("gcc")
 
-        monkeypatch.setattr(native.subprocess, "run", no_gcc)
+        monkeypatch.setattr(subprocess, "run", no_gcc)
         assert native.load_sweep.__wrapped__() is None
 
     def test_compile_failure_is_the_only_error_caught(self, tmp_path, monkeypatch):
@@ -269,13 +282,13 @@ class TestLoader:
         def failing(*args, **kwargs):
             raise subprocess.CalledProcessError(1, "gcc")
 
-        monkeypatch.setattr(native.subprocess, "run", failing)
+        monkeypatch.setattr(subprocess, "run", failing)
         assert native.load_sweep.__wrapped__() is None
 
         def crashing(*args, **kwargs):
             raise RuntimeError("not a build failure")
 
-        monkeypatch.setattr(native.subprocess, "run", crashing)
+        monkeypatch.setattr(subprocess, "run", crashing)
         with pytest.raises(RuntimeError):
             native.load_sweep.__wrapped__()
 

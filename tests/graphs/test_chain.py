@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import struct
 from itertools import accumulate
 
 import pytest
@@ -83,17 +84,17 @@ class TestFrozenBuffers:
         alpha[0], beta[0] = -1.0, math.nan
         assert chain.alpha == [1.0, 2.0, 3.0] and chain.beta == [4.0, 5.0]
         for buf in chain.buffers():
-            with pytest.raises(ValueError):
+            assert buf.readonly and buf.format == "d"
+            with pytest.raises(TypeError):
                 buf[0] = 9.0
         with pytest.raises(ValueError, match="one-dimensional"):
             Chain(np.ones((2, 2)), [1.0])
 
     def test_copies_are_frozen_again(self):
-        pytest.importorskip("numpy")
         chain = Chain([1.0, 2.0, 3.0], [-0.0, 5.0])
         chain.fingerprint()
         for copy_ in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
-            assert all(not buf.flags.writeable for buf in copy_.buffers())
+            assert all(buf.readonly for buf in copy_.buffers())
             assert copy_.fingerprint() == chain.fingerprint()
             assert copy_.alpha == chain.alpha and copy_.beta == chain.beta
 
@@ -105,6 +106,86 @@ class TestFrozenBuffers:
         assert [x.hex() for x in chain.prefix_weights()] == [x.hex() for x in want]
         assert chain.alpha == alpha
         assert chain.max_vertex_weight() == max(alpha)
+
+
+def _freeze(alpha, beta):
+    """What ``Chain(alpha, beta)`` froze: its buffers' bytes, largest
+    task weight and fingerprint, or the error it raised."""
+    try:
+        chain = Chain(alpha, beta)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return ([bytes(buf) for buf in chain.buffers()], chain.max_vertex_weight(),
+            chain.fingerprint())
+
+
+def _random_weights(seed, n, unit):
+    rng = random.Random(seed)
+    return ([rng.randint(1, 30) * unit for _ in range(n)],
+            [rng.choice((-0.0, 0.0, rng.randint(1, 9) * unit)) for _ in range(n - 1)])
+
+
+FREEZE_INPUTS = {
+    "figure1": ([4, 3, 5, 2, 6], [7, 1, 9, 2]),
+    "single": ([0.7], []),
+    "negative_zero": ([1.0, 2.0, 3.0], [-0.0, 1.0]),
+    "overflow": ([1e308, 1e308, 1.0], [1.0, 2.0]),
+    "tenths": _random_weights(1, 300, 0.1),
+    "halves": _random_weights(2, 50, 0.5),
+    "uniform": ([random.Random(3).uniform(0.1, 100.0) for _ in range(2000)], [1.0] * 1999),
+    "nan_task": ([1.0, math.nan], [1.0]),
+    "inf_task": ([math.inf, 1.0], [1.0]),
+    "zero_task": ([1.0, 0.0], [1.0]),
+    "nan_edge": ([1.0, 2.0, 3.0], [1.0, math.nan]),
+    "inf_edge": ([1.0, 2.0], [math.inf]),
+    "negative_edge": ([1.0, 2.0], [-1.0]),
+    "string": ([1.0, "abc"], [1.0]),
+    "none": ([1.0, None], [1.0]),
+    "nested": ([[1.0, 2.0]], []),
+    "wrong_length": ([1.0, 2.0], [1.0, 2.0]),
+    "empty": ([], []),
+}
+
+
+class TestFreezeRoutes:
+    """The native ``chain_freeze`` pass and the stdlib loops freeze the
+    same bytes and raise the same errors."""
+
+    @pytest.fixture
+    def stdlib(self, monkeypatch):
+        from repro.engine import native
+
+        def freeze(alpha, beta):
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "load_sweep", lambda: None)
+                return _freeze(alpha, beta)
+
+        if native.load_sweep() is None:
+            pytest.skip("native library unavailable (no gcc?)")
+        return freeze
+
+    @pytest.mark.parametrize("name", sorted(FREEZE_INPUTS))
+    def test_native_and_stdlib_agree(self, stdlib, name):
+        alpha, beta = FREEZE_INPUTS[name]
+        native_outcome = _freeze(alpha, beta)
+        assert native_outcome == stdlib(alpha, beta)
+        if name in ("nan_task", "inf_task", "zero_task", "nan_edge", "inf_edge",
+                    "negative_edge", "string", "none", "nested", "wrong_length",
+                    "empty"):
+            assert native_outcome[0] is ValueError, native_outcome
+        else:
+            assert isinstance(native_outcome[0], list), native_outcome
+
+    def test_negative_zero_is_stored_as_zero(self, stdlib):
+        want = struct.pack("=2d", 0.0, 1.0)
+        for buffers, _, _ in (_freeze(*FREEZE_INPUTS["negative_zero"]),
+                              stdlib(*FREEZE_INPUTS["negative_zero"])):
+            assert buffers[1] == want
+
+    def test_prefix_is_the_left_to_right_sum(self, stdlib):
+        alpha, beta = FREEZE_INPUTS["uniform"]
+        want = struct.pack(f"={len(alpha) + 1}d", 0.0, *accumulate(alpha))
+        assert _freeze(alpha, beta)[0][2] == stdlib(alpha, beta)[0][2] == want
 
 
 class TestSegments:

@@ -281,6 +281,14 @@ class TestBatchErrorPaths:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_without_kernels_exits_2_naming_what_is_missing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        args = _batch_without_kernels(tmp_path, monkeypatch)
+        assert main(args) == EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("batch: ") and "NumPy" in line and "gcc" in line
+
 
 class TestTraceReportCommand:
     def run_batch_with_trace(self, tmp_path, workers="0"):
@@ -586,6 +594,17 @@ def _batch_stream_unwritable(tmp_path, monkeypatch):
             "--stream", str(tmp_path / "missing" / "stream.jsonl")]
 
 
+def _batch_without_kernels(tmp_path, monkeypatch):
+    """A bandwidth query with no native library and no importable NumPy."""
+    from repro.engine import native
+
+    inp = tmp_path / "queries.jsonl"
+    inp.write_text('{"alpha": [4, 3, 5, 2, 6], "beta": [7, 1, 9, 2], "bound": 9}\n')
+    monkeypatch.setattr(native, "load_sweep", lambda: None)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # every ``import numpy`` fails
+    return ["batch", "--input", str(inp), "--output", str(tmp_path / "out")]
+
+
 def _report_claims(passed):
     def setup(tmp_path, monkeypatch):
         from repro.analysis import report
@@ -647,6 +666,8 @@ def _ratchet_without_benchmarks(tmp_path, monkeypatch):
         pytest.param(_run_verify_fails, EXIT_VERIFICATION, id="run_verify_fails"),
         pytest.param(_batch_stream_unwritable, EXIT_USAGE,
                      id="batch_stream_unwritable"),
+        pytest.param(_batch_without_kernels, EXIT_USAGE,
+                     id="batch_without_kernels"),
         pytest.param(_report_claims(True), EXIT_OK, id="report_claims_pass"),
         pytest.param(_report_claims(False), EXIT_FAILURE, id="report_claims_fail"),
         pytest.param(_with_trace(["top"], None, "--once"), EXIT_USAGE,
