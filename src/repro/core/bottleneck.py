@@ -21,22 +21,24 @@ Two implementations with identical output:
 Both walk the one order :meth:`Tree.edges_by_weight` sorts (weight, then
 canonical edge) and judge a component by the one sum the uncut edges
 merged heaviest-first form: :func:`bottleneck_min` runs that merge
-(:func:`~repro.graphs.tree._merge`) until the bound stops it, and
+(:func:`~repro.graphs.tree._sweep`) until the bound stops it, and
 :meth:`Tree.component_weights` runs it to the end.  Float rounding can
 therefore never split them: their cut sets and bottleneck values are
-identical, on tenth weights too, which the test suite asserts.
+identical, on tenth weights too, which the test suite asserts.  The
+sweep runs as one native call (``tree_sweep`` in ``_sweep.c``) where
+that library builds, else in Python; the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, MutableSequence, Optional, Sequence, Set, Tuple
 
 from repro.core.feasibility import validate_bound
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
-from repro.graphs.tree import Tree, _merge
+from repro.graphs.tree import Tree, _sweep
 
 
 @dataclass
@@ -92,16 +94,17 @@ def _certified(result: TreeCutResult, bound: float) -> TreeCutResult:
     return result
 
 
-def _bottleneck_sweep(tree: Tree, bound: float) -> Tuple[List[int], int, List[int], List[float]]:
+def _bottleneck_sweep(tree: Tree, bound: float, tops: bool = False) -> Tuple[
+        List[int], int, Optional[Sequence[int]], Optional[MutableSequence[float]]]:
     """Algorithm 2.1's one union-find sweep, heaviest edge first.
 
-    Returns ``(ordered, boundary, root, sums)``: the edges (child
-    vertices) by weight, the cut ``ordered[:boundary]``, and the
-    union-find of ``T - cut`` (:func:`~repro.graphs.tree._merge`).
+    Returns ``(ordered, boundary, top, weight)``: the edges (child
+    vertices) by weight, the cut ``ordered[:boundary]``, and with
+    ``tops`` the components of ``T - cut``, each vertex's top and each
+    top's sum (:func:`~repro.graphs.tree._sweep`).
     """
     validate_bound(tree.vertex_weights, bound)
-    ordered = tree.edges_by_weight()
-    return (ordered, *_merge(tree.vertex_weights, tree.bfs_order()[1], ordered, bound))
+    return _sweep(tree, bound, tops)
 
 
 def bottleneck_min(tree: Tree, bound: float) -> TreeCutResult:

@@ -13,6 +13,10 @@ minimal among refinements of that cut.
 :func:`partition_tree` reads the super-nodes from Algorithm 2.1's
 union-find instead of building them; :meth:`Tree.contract_components`
 plus :func:`~repro.core.processor_min.processor_min` is its test oracle.
+Where the native library builds (:mod:`repro.engine.native`), the sweep
+and the pruning are one ``_sweep.c`` call each (``tree_sweep``,
+``tree_prune``), bit-identical to the Python loops they port, which run
+otherwise.
 
 For chains, :func:`partition_chain` exposes all three objectives behind
 one API (bottleneck / processors / bandwidth), since a chain is a tree
@@ -22,17 +26,23 @@ and the bandwidth objective additionally admits Algorithm 4.1.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Dict, List, Set
+from typing import Any, DefaultDict, Dict, List, MutableSequence, Sequence, Set
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.bottleneck import TreeCutResult, _bottleneck_sweep, _certified, bottleneck_min
 from repro.core.processor_min import processor_min
+from repro.engine import native
 from repro.graphs.chain import Chain
 from repro.graphs.partition import Cut, Partition
 from repro.graphs.task_graph import Edge
-from repro.graphs.tree import Tree, _tops
+from repro.graphs.tree import Tree
+
+#: Whether this interpreter's ``sum()`` of floats is compensated (CPython
+#: 3.12 and later), which the native pruning then reproduces.
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
 
 
 @dataclass
@@ -70,31 +80,64 @@ def partition_tree(tree: Tree, bound: float) -> TreePartitionPlan:
     """Bottleneck-optimal, processor-minimal load-bounded tree partition.
 
     Runs Algorithm 2.1, then Algorithm 2.2 on its components, each named
-    by its top vertex (:func:`~repro.graphs.tree._tops`).  A component
+    by its top vertex (:func:`~repro.graphs.tree._sweep`).  A component
     weighs its union-find sum and hangs below the component of its top's
     parent; the cut edges above the pruned components are the final cut.
     """
-    ordered, boundary, root, sums = _bottleneck_sweep(tree, bound)
+    ordered, boundary, top, residual = _bottleneck_sweep(tree, bound, tops=True)
+    assert top is not None and residual is not None
     first_cut = set(tree.parent_edges(ordered[:boundary]))
+    pruned = _prune(tree, first_cut, top, residual, bound)
+    final_cut = set(tree.parent_edges(pruned))
+    bottleneck = max(map(tree.parent_weights().__getitem__, pruned), default=0.0)
+    _certified(TreeCutResult(tree, final_cut, bottleneck), bound)
+    return TreePartitionPlan(
+        tree, bound, first_cut, final_cut, bottleneck, len(final_cut) + 1
+    )
+
+
+def _prune(tree: Tree, first_cut: Set[Edge], top: Sequence[int],
+           residual: MutableSequence[float], bound: float) -> List[int]:
+    """Algorithm 2.2 on the components of ``T - first_cut``, named and
+    weighed by ``top`` and ``residual`` (the sweep's ``top`` and
+    ``weight``): the cut edges (child vertices) above the pruned
+    components, in pruning order.
+
+    On the native sweep's ``array`` buffers this is one ``tree_prune``
+    call, unless a total turns NaN; the loop below then keeps Python's
+    sort order.  On the Python sweep's lists it is that loop.
+    """
     bfs, parent = tree.bfs_order()
-    top, residual = _tops(parent, bfs, ordered[:boundary], root, sums)
-    kids: DefaultDict[int, List[int]] = defaultdict(list)  # top -> child tops
     # A component's children are summed in the reverse iteration order of
     # the canonical cut set the contraction sees.  A float sum depends on
     # its order, so this order is load-bearing until a component weighs an
     # order-free sum (ROADMAP item 1); plain set(list) order differs.
-    for u, v in {e for e in set(first_cut)}:
-        child, above = (v, top[u]) if parent[v] == u else (u, top[v])
-        kids[above].append(child)
+    children = [v if parent[v] == u else u for u, v in {e for e in set(first_cut)}]
+    if isinstance(top, array) and isinstance(residual, array):
+        lib: Any = native.load_sweep()  # the sweep ran natively, so it loaded
+        _, parent_buf, _, order_buf = tree._arrays()
+        given = native.pack(children, "q")
+        out = array("q", [0]) * len(given)
+        count = lib.tree_prune(
+            len(parent), parent_buf.buffer_info()[0], order_buf.buffer_info()[0],
+            top.buffer_info()[0], residual.buffer_info()[0], len(given),
+            given.buffer_info()[0], bound, _COMPENSATED_SUM, out.buffer_info()[0])
+        if count == -1:
+            raise MemoryError("native tree pruning could not allocate its groups")
+        if count != -2:  # -2: a NaN total, which the loop below sorts as Python does
+            return out[:count].tolist()
+    kids: DefaultDict[int, List[int]] = defaultdict(list)  # top -> child tops
+    for child in children:
+        kids[top[parent[child]]].append(child)
     low: Dict[int, int] = {}  # top vertex -> lowest vertex, built on a tie
     pruned: List[int] = []
     # Reverse BFS order of the tops reduces the components children-first.
     for v in filter(kids.__contains__, reversed(bfs)):
-        children = kids[v]
-        total = residual[v] + sum(map(residual.__getitem__, reversed(children)))
+        group = kids[v]
+        total = residual[v] + sum(map(residual.__getitem__, reversed(group)))
         if total > bound:  # repro-mutate: equivalent=flip-compare -- at total == K the loop below prunes nothing
             # Prune the heaviest first: the first k components by weight.
-            by_weight = sorted(children, key=residual.__getitem__, reverse=True)
+            by_weight = sorted(group, key=residual.__getitem__, reverse=True)
             k = 0
             for c in by_weight:
                 if total <= bound:
@@ -108,12 +151,7 @@ def partition_tree(tree: Tree, bound: float) -> TreePartitionPlan:
                 by_weight.sort(key=lambda c: (-residual[c], low[c]))
             pruned.extend(by_weight[:k])
         residual[v] = total
-    final_cut = set(tree.parent_edges(pruned))
-    bottleneck = max(map(tree.parent_weights().__getitem__, pruned), default=0.0)
-    _certified(TreeCutResult(tree, final_cut, bottleneck), bound)
-    return TreePartitionPlan(
-        tree, bound, first_cut, final_cut, bottleneck, len(final_cut) + 1
-    )
+    return pruned
 
 
 def partition_chain(

@@ -1,16 +1,20 @@
-"""Build and load the native Algorithm 4.1 kernels (``_sweep.c``) through ctypes.
+"""Build and load the native kernels (``_sweep.c``) through ctypes.
 
-The one shared library has three entries: ``temps_sweep``, the TEMP_S
-sweep over reduced-edge columns; ``structure_sweep``, which builds a
-query's whole prime structure from a chain's prefix and beta buffers and
-sweeps it in the same call (see :func:`repro.engine.kernels.structure_sweep`);
-and ``chain_freeze``, the one pass that validates a
-:class:`~repro.graphs.chain.Chain`'s weights and writes its prefix.
-This module imports only the standard library, so the chain (a
-foundation type) can load it without loading the engine.
+The one shared library has five entries.  Three serve Algorithm 4.1:
+``temps_sweep``, the TEMP_S sweep over reduced-edge columns;
+``structure_sweep``, which builds a query's whole prime structure from a
+chain's prefix and beta buffers and sweeps it in the same call (see
+:func:`repro.engine.kernels.structure_sweep`); and ``chain_freeze``, the
+one pass that validates a :class:`~repro.graphs.chain.Chain`'s weights
+and writes its prefix.  Two serve Algorithms 2.1 and 2.2 on a tree:
+``tree_sweep``, the sorted union-find sweep and component tops behind
+:func:`repro.graphs.tree._sweep`, and ``tree_prune``, the Section 2.2
+pruning of :func:`repro.core.pipeline.partition_tree`.  This module
+imports only the standard library, so the chain and the tree (foundation
+types) and the core solvers can load it without loading the engine.
 
-The C source ships next to this module.  The first chain or sweep of a
-process compiles it with the system ``gcc`` into a per-user cache
+The C source ships next to this module.  The first chain, tree solve or
+sweep of a process compiles it with the system ``gcc`` into a per-user cache
 directory — ``${XDG_CACHE_HOME:-~/.cache}/repro/``, or the owner-only
 ``<tempdir>/repro-<uid>/`` when that cannot be created — under a file
 name keyed on the SHA-256 of the
@@ -25,7 +29,9 @@ library with its entries typed, or ``None`` when ``gcc`` is missing,
 the compile fails (for instance on a target with excess floating-point
 precision, which the source refuses with ``#error``) or ``dlopen``
 fails; callers then use the NumPy structure build and the pure-Python
-sweep in :mod:`repro.engine.kernels`, and the chain's stdlib freeze.
+sweep in :mod:`repro.engine.kernels`, the chain's stdlib freeze, and the
+tree's pure-Python sort, union-find and pruning.  A missing entry counts
+as a failed load, so a library is never half used.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ import ctypes
 import functools
 import hashlib
 import os
+import struct
+from array import array
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-__all__ = ["CFLAGS", "SOURCE", "cache_dir", "library_path", "load_sweep"]
+__all__ = ["CFLAGS", "SOURCE", "cache_dir", "library_path", "load_sweep", "pack"]
 
 #: The kernel's C source, located next to this module (it ships as
 #: package data in non-editable installs).
@@ -46,6 +54,19 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 #: No fast-math and no contraction into fused multiply-adds: the kernel
 #: must round every operation exactly as the Python sweep does.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.lru_cache(maxsize=64)
+def _packer(n: int, code: str) -> struct.Struct:
+    """The packer of ``n`` native values of ``code`` (sizes repeat)."""
+    return struct.Struct(f"={n}{code}")
+
+
+def pack(values: Sequence[float], code: str) -> array:
+    """A fresh ``array(code)`` of ``values`` (``"d"``: float64, ``"q"``:
+    int64), the buffers the entries read, packed in one C call.  Raises
+    :class:`struct.error` on a value ``code`` cannot hold."""
+    return array(code, _packer(len(values), code).pack(*values))
 
 
 def cache_dir() -> Path:
@@ -106,8 +127,9 @@ def _build(source: bytes, target: Path) -> None:
 
 @functools.lru_cache(maxsize=None)
 def load_sweep() -> Optional[Any]:
-    """The native library (entries ``temps_sweep``, ``structure_sweep``
-    and ``chain_freeze``), or ``None`` to use Python.
+    """The native library (entries ``temps_sweep``, ``structure_sweep``,
+    ``chain_freeze``, ``tree_sweep`` and ``tree_prune``), or ``None`` to
+    use Python.
 
     Memoized: the build or load is attempted once per process, and a
     failure is not retried.
@@ -119,13 +141,15 @@ def load_sweep() -> Optional[Any]:
             _build(source, target)
         lib = ctypes.CDLL(str(target))
         sweep, structure, freeze = lib.temps_sweep, lib.structure_sweep, lib.chain_freeze
+        tree_sweep, tree_prune = lib.tree_sweep, lib.tree_prune
     except (OSError, AttributeError):
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    sweep.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(ctypes.c_double)]
-    structure.argtypes = [i64, ptr, ptr, ctypes.c_double, ptr,
-                          ctypes.POINTER(ctypes.c_double), ctypes.POINTER(i64)]
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    sweep.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, ctypes.POINTER(f64)]
+    structure.argtypes = [i64, ptr, ptr, f64, ptr, ctypes.POINTER(f64), ctypes.POINTER(i64)]
     freeze.argtypes = [i64, ptr, ptr, ptr]
-    sweep.restype = structure.restype = i64
-    freeze.restype = ctypes.c_double
+    tree_sweep.argtypes = [i64, ptr, ptr, ptr, ptr, f64, ptr, ptr, ptr]
+    tree_prune.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, f64, i64, ptr]
+    sweep.restype = structure.restype = tree_sweep.restype = tree_prune.restype = i64
+    freeze.restype = f64
     return lib

@@ -33,7 +33,6 @@ import hashlib
 import struct
 import sys
 from array import array
-from functools import lru_cache
 from itertools import accumulate
 from math import inf
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
@@ -44,12 +43,6 @@ from repro.graphs.tree import Tree
 
 #: The fingerprint's task-count prefix.
 _COUNT = struct.Struct("<q")
-
-
-@lru_cache(maxsize=64)
-def _packer(n: int) -> struct.Struct:
-    """The packer of ``n`` native float64s (a chain's sizes repeat)."""
-    return struct.Struct(f"={n}d")
 
 
 def _float64(values: Any) -> array:
@@ -63,7 +56,7 @@ def _float64(values: Any) -> array:
     elif not isinstance(values, (list, tuple)):
         values = list(values)
     try:
-        return array("d", _packer(len(values)).pack(*values))
+        return native.pack(values, "d")
     except struct.error:
         pass  # a value struct does not read as a float: convert one by one
     try:

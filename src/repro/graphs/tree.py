@@ -17,6 +17,13 @@ heaviest-first, in ``(weight, edge)`` order, in one weighted union-find
 Algorithm 2.1 judged ``<= K`` is never re-summed to a rounding step
 above ``K``.
 
+Algorithm 2.1's sweep (:func:`_sweep`: the sort, the merge and the
+component tops of :func:`_tops`) is one call to the native
+``tree_sweep`` entry of ``_sweep.c`` where that library builds
+(:mod:`repro.engine.native`, a stdlib-only module), on ``array`` copies
+of the lists made once per tree (:meth:`Tree._arrays`); else the Python
+here runs.  Both give the same order, cut, tops and sums, bit for bit.
+
 Child order is part of the answer: Algorithm 2.2 sums a vertex with its
 children in reverse BFS order, and a float sum depends on its order.
 :meth:`Tree.contract_components` hands its super edges to the
@@ -25,11 +32,14 @@ constructor in the iteration order of the canonical cut set.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from math import inf
 from operator import eq
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Collection, Dict, Iterable, Iterator, List, MutableSequence, Optional,
+                    Sequence, Set, Tuple)
 
+from repro.engine import native
 from repro.graphs.task_graph import Edge, TaskGraph, canonical_edge, check_weights
 from repro.graphs.task_graph import resolve_edge_weights
 
@@ -83,6 +93,48 @@ def _tops(parent: List[int], order: List[int], cut: Iterable[int], root: List[in
     return top, weight
 
 
+def _sweep(tree: Tree, bound: float, tops: bool) -> Tuple[
+        List[int], int, Optional[Sequence[int]], Optional[MutableSequence[float]]]:
+    """Algorithm 2.1's one union-find sweep at ``bound``, heaviest edge first.
+
+    Returns ``(ordered, boundary, top, weight)``: the edges (child
+    vertices) in :meth:`Tree.edges_by_weight` order, the cut
+    ``ordered[:boundary]`` (:func:`_merge`'s stop) and, with ``tops``,
+    :func:`_tops` of ``T - cut`` (else ``None, None``).  Runs the native
+    ``tree_sweep`` where :func:`repro.engine.native.load_sweep` loads it,
+    which sorts natively, caches its order as :meth:`Tree.edges_by_weight`
+    if none is cached (the order is total, so any cached one is the same)
+    and returns ``top``/``weight`` as ``array`` buffers; else the Python
+    above.  Both routes agree bit for bit.
+    """
+    lib = native.load_sweep()
+    if lib is None:
+        ordered = tree.edges_by_weight()
+        boundary, root, sums = _merge(tree._weights, tree._parent, ordered, bound)
+        if not tops:
+            return ordered, boundary, None, None
+        top, weight = _tops(tree._parent, tree._order, ordered[:boundary], root, sums)
+        return ordered, boundary, top, weight
+    weights, parent, parent_weight, order = tree._arrays()
+    n = len(parent)
+    by_weight = array("q", [0]) * tree.num_edges
+    top_buf = array("q", [0]) * n if tops else None
+    weight_buf = array("d", [0.0]) * n if tops else None
+    # The kernel writes by_weight, top_buf and weight_buf.
+    boundary = lib.tree_sweep(
+        n, weights.buffer_info()[0], parent.buffer_info()[0],
+        parent_weight.buffer_info()[0], order.buffer_info()[0], bound,
+        by_weight.buffer_info()[0],
+        None if top_buf is None else top_buf.buffer_info()[0],
+        None if weight_buf is None else weight_buf.buffer_info()[0])
+    if boundary < 0:
+        raise MemoryError("native tree sweep could not allocate its union-find")
+    cached = tree._by_weight
+    if cached is None:
+        tree._by_weight = cached = by_weight.tolist()
+    return cached, boundary, top_buf, weight_buf
+
+
 def _bfs(adjacency: List[List[int]], root: int) -> Tuple[List[int], List[int]]:
     """``(order, parent)`` of a BFS from ``root``; an unreached vertex
     keeps parent ``-2``."""
@@ -113,7 +165,7 @@ class Tree:
     """
 
     __slots__ = ("_weights", "_parent", "_order", "_parent_weight", "_edge_child",
-                 "_by_weight", "_adjacency")
+                 "_by_weight", "_adjacency", "_buffers")
 
     def __init__(
         self,
@@ -152,7 +204,18 @@ class Tree:
         self._parent_weight, self._edge_child = parent_weight, edge_child
         self._by_weight: Optional[List[int]] = None
         self._adjacency: Optional[List[List[int]]] = None
+        self._buffers: Optional[Tuple[array, array, array, array]] = None
         return self
+
+    def _arrays(self) -> Tuple[array, array, array, array]:
+        """The weight, parent, parent-weight and BFS-order lists as
+        float64/int64 ``array`` buffers for the native passes, built on
+        first use (do not mutate)."""
+        if self._buffers is None:
+            self._buffers = (native.pack(self._weights, "d"), native.pack(self._parent, "q"),
+                             native.pack(self._parent_weight, "d"),
+                             native.pack(self._order, "q"))
+        return self._buffers
 
     # ------------------------------------------------------------------
     # Accessors (read-only TaskGraph vocabulary)
@@ -283,8 +346,8 @@ class Tree:
     # ------------------------------------------------------------------
     def edges_by_weight(self) -> List[int]:
         """Edges, as child vertices, in Algorithm 2.1's order: increasing
-        weight, ties broken by the canonical edge.  Sorted once (do not
-        mutate)."""
+        weight, ties broken by the canonical edge.  Sorted once, here or
+        by the native sweep's first call (do not mutate)."""
         if self._by_weight is None:
             # Stable sorts on C-level keys, no key tuples: by weight, and
             # if weights tie, first by edge code ``lo * n + hi``.

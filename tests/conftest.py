@@ -64,6 +64,37 @@ def star_tree() -> Tree:
 
 
 @pytest.fixture
+def python_route(monkeypatch):
+    """Unload the native library for one test: every caller of
+    ``repro.engine.native.load_sweep`` takes its pure-Python route.  The
+    tree suites rerun their classes on it as ``<Class>OnPython``
+    subclasses, so the fallback keeps its own coverage and mutation
+    kills."""
+    from repro.engine import native
+
+    monkeypatch.setattr(native, "load_sweep", lambda: None)
+
+
+def on_both_routes(build, run):
+    """``(run(build()) natively, run(build()) in pure Python)``: each
+    route gets a freshly built input, so nothing one route caches (a
+    tree's sorted edges) reaches the other.  Skips where the native
+    library does not load."""
+    from repro.engine import native
+
+    load = native.load_sweep
+    if load() is None:
+        pytest.skip("native library unavailable (no gcc?)")
+    got = run(build())
+    native.load_sweep = lambda: None
+    try:
+        want = run(build())
+    finally:
+        native.load_sweep = load
+    return got, want
+
+
+@pytest.fixture
 def medium_chain(rng) -> Chain:
     return random_chain(200, rng, vertex_range=(1, 10), edge_range=(1, 100))
 

@@ -152,3 +152,25 @@ class TestResultObject:
     def test_as_cut(self, small_tree):
         result = bottleneck_min(small_tree, 15)
         assert result.as_cut().bottleneck() == result.bottleneck
+
+
+# Every class above again on the pure-Python sweep (the classes above run
+# the native one where it loads).
+@pytest.mark.usefixtures("python_route")
+class TestKnownInstancesOnPython(TestKnownInstances):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestNaiveAgreementOnPython(TestNaiveAgreement):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestGreedyPrefixPropertyOnPython(TestGreedyPrefixProperty):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestResultObjectOnPython(TestResultObject):
+    pass

@@ -1,18 +1,29 @@
 """Unit tests for the combined pipeline (:mod:`repro.core.pipeline`)."""
 
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from repro.baselines.kundu_misra import processor_min_bottom_up
-from repro.core.bottleneck import bottleneck_min, bottleneck_min_naive
-from repro.core.pipeline import partition_chain, partition_tree
+from repro.core import pipeline
+from repro.core.bottleneck import _bottleneck_sweep, bottleneck_min, bottleneck_min_naive
+from repro.core.pipeline import _prune, partition_chain, partition_tree
 from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain, random_tree
 from repro.graphs.tree import Tree
 from repro.verify.certificates import check_tree_cut
-from tests.graphs.test_tree import contract_by_constructor
+from tests.conftest import on_both_routes
+from tests.graphs.test_tree import (
+    ROUTE_TREES,
+    contract_by_constructor,
+    rebuild,
+    route_bounds,
+)
+from tests.property.strategies import half_integer, tree_and_bound
 
 
 class TestPartitionTree:
@@ -197,6 +208,147 @@ class TestComponentChildOrder:
         assert {origin[e] for e in refined.cut_edges} == want
 
 
+# ----------------------------------------------------------------------
+# The native and pure-Python routes of the pipeline
+# ----------------------------------------------------------------------
+def prune_outcome(tree, bound):
+    """Algorithm 2.1's cut (in iteration order) and the edges Algorithm
+    2.2 prunes from it (in pruning order), with no certificate run."""
+    ordered, boundary, top, residual = _bottleneck_sweep(tree, bound, tops=True)
+    first_cut = set(tree.parent_edges(ordered[:boundary]))
+    return list(first_cut), _prune(tree, first_cut, top, residual, bound)
+
+
+def plan_outcome(tree, bounds):
+    """What the pipeline decides at each bound, comparably: Algorithm
+    2.2's pruned edges in pruning order, both cuts in iteration order,
+    the bottleneck's bits and the processor count."""
+    out = []
+    for bound in bounds:
+        pruned = prune_outcome(tree, bound)[1]
+        plan = partition_tree(tree, bound)
+        out.append((pruned, list(plan.bottleneck_cut), list(plan.final_cut),
+                    plan.bottleneck.hex(), plan.num_processors))
+        assert sorted(plan.final_cut) == sorted(tree.parent_edges(pruned))
+    return out
+
+
+def _overflow_trees():
+    """Trees whose Section 2.2 totals overflow to inf, then to NaN
+    (inf - inf), where the native pruning hands back to Python."""
+    rng = random.Random(77)
+    yield Tree([1e308] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1.0, 2.0, 3.0, 4.0])
+    for _ in range(6):
+        n = rng.randint(4, 30)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        yield Tree([rng.choice((1e308, 6e307, 1.0)) for _ in range(n)], edges,
+                   [rng.choice((0.0, 1.0, 2.0)) for _ in edges])
+
+
+class TestPipelineRoutes:
+    """The native ``tree_sweep`` + ``tree_prune`` and the Python sweep
+    and pruning loop give the same plan, bit for bit and in the same
+    iteration order."""
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_TREES))
+    def test_routes_agree(self, name):
+        got, want = on_both_routes(ROUTE_TREES[name],
+                                   lambda tree: plan_outcome(tree, route_bounds(tree)))
+        assert got == want
+
+    @pytest.mark.parametrize("weights, edges, edge_weights, bound",
+                             [hazard[:4] for hazard in SET_ORDER_HAZARDS],
+                             ids=["copy_order", "cut_order"])
+    def test_set_order_hazards(self, weights, edges, edge_weights, bound):
+        got, want = on_both_routes(lambda: Tree(weights, edges, edge_weights),
+                                   lambda tree: plan_outcome(tree, [bound]))
+        assert got == want
+
+    def test_star_ties_across_the_cut_off(self):
+        # Leaf 1 (4.5) cannot join the centre, so Algorithm 2.1 cuts every
+        # edge; Algorithm 2.2 then prunes leaf 1 and seven of the eleven
+        # equal leaves, picked by lowest vertex, not by cut-set order.
+        def build():
+            return Tree.star(0.5, [4.5] + [1.0] * 11, [9.0] + [1.0] * 11)
+
+        got, want = on_both_routes(build, lambda tree: plan_outcome(tree, [4.5]))
+        assert got == want
+        assert got[0][0] == list(range(1, 9))
+
+    def test_overflowing_totals(self):
+        # The pruning, not the plan: its cut can be infeasible here, which
+        # the REPRO_VERIFY certificate of partition_tree would reject.
+        trees = list(_overflow_trees())
+        bounds = [1.5e308, 1.1e308, 1.7e308]
+        got, want = on_both_routes(
+            lambda: [rebuild(t) for t in trees],
+            lambda ts: [prune_outcome(t, k) for t in ts for k in bounds])
+        assert got == want
+        # The path's totals run inf, then NaN, and no later one prunes.
+        assert got[0][1] == [4, 3]
+
+    @pytest.mark.parametrize("compensated", [False, True], ids=["plain", "compensated"])
+    def test_prune_sums_as_sum_does(self, monkeypatch, compensated):
+        # Each interpreter's sum() of floats, as the pruning loop reads it
+        # (CPython 3.12 added Neumaier's compensation), and the native
+        # pruning told which one to copy.
+        assert pipeline._COMPENSATED_SUM == (sys.version_info >= (3, 12))
+        monkeypatch.setattr(pipeline, "_COMPENSATED_SUM", compensated)
+        monkeypatch.setattr(pipeline, "sum", _neumaier_sum if compensated else _plain_sum,
+                            raising=False)
+        rng = random.Random(31)
+        trees = [Tree.star(0.1 * rng.randint(1, 9), [0.1 * rng.randint(1, 30) for _ in range(12)],
+                           [0.5] * 12) for _ in range(60)]
+        bounds = [0.1 * k for k in range(30, 200, 7)]
+        got, want = on_both_routes(
+            lambda: [rebuild(t) for t in trees],
+            lambda ts: [plan_outcome(t, [k for k in bounds if k >= t.max_vertex_weight()])
+                        for t in ts])
+        assert got == want
+
+
+# Module functions, not methods: see tests/graphs/test_tree.py.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree_and_bound())
+def test_pipeline_routes_agree_on_grid_weights(data):
+    tree, bound = data
+    got, want = on_both_routes(lambda: rebuild(tree), lambda t: plan_outcome(t, [bound]))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree_and_bound(vertex_weight=half_integer))
+def test_pipeline_routes_agree_on_half_integers(data):
+    tree, bound = data
+    got, want = on_both_routes(lambda: rebuild(tree), lambda t: plan_outcome(t, [bound]))
+    assert got == want
+
+
+def _plain_sum(values):
+    """``sum()`` of floats before CPython 3.12: left to right from 0."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def _neumaier_sum(values):
+    """``sum()`` of floats from CPython 3.12: Neumaier's compensated
+    loop, the compensation added only when it is nonzero and finite."""
+    values = iter(values)
+    total, compensation = 0 + next(values), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 def _half_integer_chains(count, seed):
     rng = random.Random(seed)
     for i in range(count):
@@ -266,3 +418,25 @@ class TestPartitionChain:
             # processor-optimal never beats bandwidth-optimal on weight.
             assert proc.num_components <= bw.num_components
             assert bw.weight <= proc.weight + 1e-9
+
+
+# The pipeline classes above again on the pure-Python sweep and pruning
+# loop (the classes above run the native ones where they load).
+@pytest.mark.usefixtures("python_route")
+class TestPartitionTreeOnPython(TestPartitionTree):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestPipelineDifferentialOnPython(TestPipelineDifferential):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestComponentChildOrderOnPython(TestComponentChildOrder):
+    pass
+
+
+@pytest.mark.usefixtures("python_route")
+class TestChainObjectivesDifferentialOnPython(TestChainObjectivesDifferential):
+    pass

@@ -30,6 +30,7 @@ import os
 import platform
 import subprocess
 import tempfile
+from array import array
 
 import pytest
 
@@ -40,6 +41,7 @@ from repro.core.feasibility import OptimumOverflowError
 from repro.core.prime_subpaths import compute_prime_structure
 from repro.engine import PartitionEngine, kernels, native
 from repro.graphs.chain import Chain
+from repro.graphs.tree import Tree, _sweep
 
 
 def _hex(value):
@@ -275,6 +277,18 @@ class TestLoader:
         monkeypatch.setattr(subprocess, "run", no_gcc)
         assert native.load_sweep.__wrapped__() is None
 
+    def test_library_missing_an_entry_is_not_loaded(self, tmp_path, monkeypatch):
+        # A misnamed entry must not leave the other four half in use.
+        if native.load_sweep() is None:
+            pytest.skip("native library unavailable (no gcc?)")
+        source = tmp_path / "partial.c"
+        source.write_bytes(native.SOURCE.read_bytes().replace(
+            b"int64_t tree_prune(", b"int64_t tree_prune_misnamed("))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "SOURCE", source)
+        assert native.load_sweep.__wrapped__() is None
+        assert [p.suffix for p in (tmp_path / "cache" / "repro").iterdir()] == [".so"]
+
     def test_compile_failure_is_the_only_error_caught(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-DUNCACHED",))
@@ -401,3 +415,46 @@ def test_fingerprint_is_unchanged():
     assert Chain([1.0], []).fingerprint() == "8981caa803abe702697ec233fbc017b7"
     assert Chain(np.array([4.0, 3, 5, 2, 6]), (7, 1, 9, 2)).fingerprint() == (
         "c3f41caf74b425e73d98756ca893b695")
+
+
+
+# ----------------------------------------------------------------------
+# The tree entries: tree_sweep and tree_prune
+# ----------------------------------------------------------------------
+def _tree_buffers(tree):
+    return [buf.buffer_info()[0] for buf in tree._arrays()]
+
+
+def test_tree_sweep_writes_the_sorted_order():
+    # Edges 2 (1.0), 3 (2.0), 1 (3.0): {0, 1} = 3 merges, then
+    # {2, 3} = 7 > 6 stops.
+    lib = native.load_sweep()
+    if lib is None:
+        pytest.skip("native library unavailable (no gcc?)")
+    tree = Tree([1.0, 2.0, 3.0, 4.0], [(0, 1), (1, 2), (2, 3)], [3.0, 1.0, 2.0])
+    weights, parent, parent_weight, order = _tree_buffers(tree)
+    by_weight = array("q", [0]) * 3
+    top, sums = array("q", [0]) * 4, array("d", [0.0]) * 4
+    boundary = lib.tree_sweep(4, weights, parent, parent_weight, order, 6.0,
+                              by_weight.buffer_info()[0], top.buffer_info()[0],
+                              sums.buffer_info()[0])
+    assert (by_weight.tolist(), boundary, top.tolist(), sums.tolist()) == (
+        [2, 3, 1], 2, [0, 0, 2, 3], [3.0, 0.0, 3.0, 4.0])
+
+
+def test_tree_prune_hands_a_nan_total_back():
+    # A path of 1e308 tasks: every edge is cut, vertex 3's total is
+    # inf - 1e308 = inf, and vertex 2's is then inf - inf = NaN.
+    lib = native.load_sweep()
+    if lib is None:
+        pytest.skip("native library unavailable (no gcc?)")
+    tree = Tree([1e308] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1.0, 2.0, 3.0, 4.0])
+    _, boundary, top, sums = _sweep(tree, 1.5e308, tops=True)
+    assert boundary == 4
+    _, parent, _, order = _tree_buffers(tree)
+    children = array("q", [4, 3, 2, 1])
+    pruned = array("q", [0]) * 4
+    args = (5, parent, order, top.buffer_info()[0], sums.buffer_info()[0], 4,
+            children.buffer_info()[0])
+    assert lib.tree_prune(*args, 1.5e308, 0, pruned.buffer_info()[0]) == -2
+    assert list(sums) == [1e308] * 5  # read, never written

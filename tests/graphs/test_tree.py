@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.bottleneck import bottleneck_min
 from repro.graphs.chain import Chain
@@ -13,7 +14,9 @@ from repro.graphs.generators import (
     random_tree,
 )
 from repro.graphs.task_graph import TaskGraph, canonical_edge
-from repro.graphs.tree import Tree
+from repro.graphs.tree import Tree, _sweep
+from tests.conftest import on_both_routes
+from tests.property.strategies import half_integer, tree_and_bound
 
 
 def contract_by_constructor(tree, cut):
@@ -332,3 +335,118 @@ class TestChainToTree:
         assert_same_tree(path, want)
         assert path == want
         assert list(path.post_order_children()) == list(want.post_order_children())
+
+
+@pytest.mark.usefixtures("python_route")
+class TestContractionOracleOnPython(TestContractionOracle):
+    """The oracle's Algorithm 2.1 cuts on the pure-Python sweep."""
+
+
+# ----------------------------------------------------------------------
+# The native and pure-Python routes of Algorithm 2.1's sweep
+# ----------------------------------------------------------------------
+def rebuild(tree):
+    """A fresh tree with ``tree``'s lists and nothing cached."""
+    return Tree(tree.vertex_weights, list(tree.edges()),
+                [w for _e, w in tree.weighted_edges()])
+
+
+def _grid_tree(rng, n, unit, edge_values=None):
+    """A random tree on ``n`` vertices, shuffled ids and edge order, task
+    weights on a grid of ``unit`` and edge weights from ``edge_values``."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)]
+    rng.shuffle(edges)
+    values = edge_values or [unit * k for k in range(10)]
+    return Tree([unit * rng.randint(1, 30) for _ in range(n)], edges,
+                [rng.choice(values) for _ in edges])
+
+
+def _route_trees():
+    """``name -> build()`` of the trees both routes must agree on."""
+    def seeded(make, seed):
+        return lambda: make(random.Random(seed))
+
+    return {
+        "n1": lambda: Tree([2.5], []),
+        "n2": lambda: Tree([0.1, 0.2], [(1, 0)], [0.3]),
+        "all_equal": seeded(lambda r: Tree([0.5] * 40, [(r.randrange(v), v) for v in range(1, 40)],
+                                           [1.0] * 39), 1),
+        "all_equal_tenths": seeded(lambda r: Tree([0.1] * 60, [(r.randrange(v), v)
+                                                               for v in range(1, 60)],
+                                                  [0.3] * 59), 2),
+        "negative_zero": seeded(lambda r: _grid_tree(r, 50, 0.5, [-0.0, 0.0, 0.5]), 3),
+        "star_tenths": seeded(lambda r: Tree.star(0.1, [0.1 * r.randint(1, 5) for _ in range(60)],
+                                                  [0.2 * r.randint(0, 3) for _ in range(60)]), 4),
+        "star_halves": seeded(lambda r: Tree.star(0.5, [0.5 * r.randint(1, 4) for _ in range(40)],
+                                                  [1.0] * 40), 5),
+        "caterpillar": seeded(lambda r: caterpillar_tree(20, 3, r), 6),
+        "path": seeded(lambda r: Chain([0.1 * r.randint(1, 30) for _ in range(80)],
+                                       [0.1 * r.randint(0, 9) for _ in range(79)]).to_tree(), 7),
+        "path_equal": lambda: Chain([0.1] * 50, [0.5] * 49).to_tree(),
+        "random_tenths": seeded(lambda r: _grid_tree(r, 300, 0.1), 8),
+        "random_halves": seeded(lambda r: _grid_tree(r, 300, 0.5), 9),
+        "binary": seeded(lambda r: balanced_binary_tree(7, r), 10),
+    }
+
+
+ROUTE_TREES = _route_trees()
+
+
+def route_bounds(tree):
+    """K = the largest task weight, the total weight, and between."""
+    low, high = tree.max_vertex_weight(), tree.total_vertex_weight()
+    return sorted({low, 1.5 * low, 3.0 * low, 0.5 * (low + high), high})
+
+
+def sweep_outcome(tree, bounds):
+    """What the sweep hands on at each bound, comparably: the order (as
+    returned and as :meth:`Tree.edges_by_weight` caches it), the
+    boundary, the tops and the component sums' bits."""
+    out = []
+    for bound in bounds:
+        ordered, boundary, top, weight = _sweep(tree, bound, tops=True)
+        out.append((list(ordered), tree.edges_by_weight(), boundary, list(top),
+                    [w.hex() for w in weight]))
+        assert _sweep(tree, bound, tops=False)[1:] == (boundary, None, None)
+    return out
+
+
+class TestSweepRoutes:
+    """The native ``tree_sweep`` and the Python sort, :func:`_merge` and
+    :func:`_tops` agree bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_TREES))
+    def test_routes_agree(self, name):
+        build = ROUTE_TREES[name]
+        got, want = on_both_routes(build, lambda tree: sweep_outcome(tree, route_bounds(tree)))
+        assert got == want
+
+    def test_negative_zero_edges_tie_with_zero(self):
+        # Both zeros tie under <, so the canonical code alone orders them.
+        def build():
+            return Tree([1.0] * 5, [(0, 4), (0, 3), (0, 2), (0, 1)], [0.0, -0.0, 0.0, -0.0])
+
+        got, want = on_both_routes(build, lambda tree: sweep_outcome(tree, [1.0, 5.0]))
+        assert got == want
+        assert got[0][0] == [1, 2, 3, 4]
+
+
+# Hypothesis tests are module functions: a method would be rerun from a
+# new class object when the mutation sandbox reruns the file in one
+# process, which Hypothesis rejects.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree_and_bound())
+def test_sweep_routes_agree_on_grid_weights(data):
+    tree, bound = data
+    got, want = on_both_routes(lambda: rebuild(tree), lambda t: sweep_outcome(t, [bound]))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree_and_bound(vertex_weight=half_integer))
+def test_sweep_routes_agree_on_half_integers(data):
+    tree, bound = data
+    got, want = on_both_routes(lambda: rebuild(tree), lambda t: sweep_outcome(t, [bound]))
+    assert got == want
