@@ -4,7 +4,9 @@
 use: single queries go through :meth:`PartitionEngine.solve` (a compiled
 plan from the engine's one cache), and independent query streams go
 through :meth:`PartitionEngine.solve_many`.  A batch is grouped by chain
-once, and each chain group is answered by one function,
+once, at one identity lookup per query and one content hash per
+distinct ``(alpha, beta)`` tuple pair, and each chain group is answered
+by one function,
 :meth:`PartitionEngine._solve_group` — in this process, or as one task
 of a ``concurrent.futures`` process pool — so serial and pooled batches
 do the same work.  Results come back **in input order** either way.
@@ -534,21 +536,35 @@ class PartitionEngine:
         """Solve independent queries, returning results in input order.
 
         Queries are grouped by chain (equal ``alpha`` and ``beta``)
-        once, and each group is answered by :meth:`_solve_group`:
-        serially in this process, or with a process pool as one task
-        per group.  Either way the parent reports each group's events
-        as the group lands, in group order, and folds them into
-        :attr:`last_batch_stats`.
+        once, groups in order of first appearance and each group's
+        queries in input order, and each group is answered by
+        :meth:`_solve_group`: serially in this process, or with a
+        process pool as one task per group.  Either way the parent
+        reports each group's events as the group lands, in group order,
+        and folds them into :attr:`last_batch_stats`.
+
+        Grouping costs one lookup per query on the ids of its tuples
+        and one content hash per distinct tuple pair, so equal copies
+        still share a group but each copy is hashed once.  Callers that
+        reuse one ``(alpha, beta)`` pair for all of a chain's queries
+        have the chain hashed once; :meth:`PartitionQuery.from_chain`
+        copies the weights on every call.
         """
         if max_workers is None:
             max_workers = self.max_workers
         if max_workers is not None and max_workers < 0:
             raise ValueError("max_workers must be >= 0")
         groups: Dict[Tuple[tuple, tuple], List[Member]] = {}
+        # Keyed by the tuples' ids, each entry holding both tuples (so no
+        # id is reused within the batch) and its content group's members.
+        seen: Dict[Tuple[int, int], Tuple[tuple, tuple, List[Member]]] = {}
         for index, query in enumerate(queries):
-            groups.setdefault((query.alpha, query.beta), []).append(
-                (index, query.bound, query.objective, query.tag)
-            )
+            alpha, beta = query.alpha, query.beta
+            entry = seen.get((id(alpha), id(beta)))
+            if entry is None:
+                members = groups.setdefault((alpha, beta), [])
+                entry = seen[id(alpha), id(beta)] = (alpha, beta, members)
+            entry[2].append((index, query.bound, query.objective, query.tag))
         count = sum(len(members) for members in groups.values())
         trace = self.tracer.enabled
         tasks: List[GroupTask] = [

@@ -11,6 +11,7 @@ from repro.core.inverse import chain_pareto_frontier, partition_chain_for_proces
 from repro.core.pipeline import partition_chain
 from repro.engine import OBJECTIVES, PartitionEngine, PartitionQuery
 from repro.graphs.generators import random_chain
+from repro.observability import RingBufferSubscriber, TelemetryHub
 
 
 def make_queries(num=12, seed=100):
@@ -400,6 +401,129 @@ class TestOneBatchPath:
         assert serial.metrics.counter("engine.plan.queries").value == 9
         assert serial.last_batch_stats.as_dict()["cache"] == (
             pooled.last_batch_stats.as_dict()["cache"])
+
+
+def content_groups(queries):
+    """The chain groups of a batch, keyed on tuple content alone: one
+    ``setdefault`` per query, the grouping ``solve_many`` must match."""
+    groups = {}
+    for index, q in enumerate(queries):
+        groups.setdefault((q.alpha, q.beta), []).append(
+            (index, q.bound, q.objective, q.tag))
+    return [(alpha, beta, members, False)
+            for (alpha, beta), members in groups.items()]
+
+
+def copied(query):
+    """``query`` with fresh copies of its weight tuples (``tuple()`` of
+    a tuple returns the tuple itself)."""
+    return PartitionQuery(tuple(list(query.alpha)), tuple(list(query.beta)),
+                          query.bound, query.objective, query.tag)
+
+
+def stable(events):
+    """Hub events without their wall-clock fields."""
+    timed = {"t", "duration_s", "wall_s", "latency"}
+    return [{k: v for k, v in e.items() if k not in timed} for e in events]
+
+
+class TestTupleGrouping:
+    """solve_many groups by tuple identity, then by content: the same
+    groups, in the same order, as grouping on content alone."""
+
+    def shared(self, chain, bounds, prefix):
+        """Bandwidth queries on ``chain`` sharing one tuple pair."""
+        alpha, beta = tuple(chain.alpha), tuple(chain.beta)
+        return [PartitionQuery(alpha, beta, k, tag=f"{prefix}{i}")
+                for i, k in enumerate(bounds)]
+
+    def test_shared_pair_is_one_group(self):
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
+        chains = [random_chain(30 + c, rng=400 + c) for c in range(2)]
+        queries = []
+        for c, chain in enumerate(chains):
+            wmax = chain.max_vertex_weight()
+            queries += self.shared(chain, [f * wmax for f in (1.5, 2.0, 3.0)],
+                                   prefix=f"c{c}-")
+        results = engine.solve_many(queries, max_workers=0)
+        assert all(r.ok for r in results)
+        plans = [e for e in ring.events() if e["event"] == "plan"]
+        assert [e["queries"] for e in plans] == [3, 3]
+        assert engine.metrics.counter("engine.plan.sweeps").value == 2
+
+    def test_equal_copies_join_the_first_group(self, monkeypatch):
+        a, b = random_chain(24, rng=410), random_chain(26, rng=411)
+        first = self.shared(a, [2.0 * a.max_vertex_weight()], prefix="a")
+        other = self.shared(b, [2.0 * b.max_vertex_weight()], prefix="b")
+        again = self.shared(a, [3.0 * a.max_vertex_weight()], prefix="a2-")
+        assert again[0].alpha is not first[0].alpha
+        queries = first + other + again
+        tasks = []
+        solve_group = PartitionEngine._solve_group
+
+        def recording(engine, task):
+            tasks.append(task)
+            return solve_group(engine, task)
+
+        monkeypatch.setattr(PartitionEngine, "_solve_group", recording)
+        PartitionEngine().solve_many(queries, max_workers=0)
+        assert [[m[0] for m in members] for _, _, members, _ in tasks] == [
+            [0, 2], [1]]
+        assert tasks == content_groups(queries)
+        assert tasks[0][0] is first[0].alpha
+
+    def test_generator_of_short_lived_tuples(self):
+        # Each query's tuples are fresh and unreferenced once the next
+        # query is drawn.  CPython keeps freed tuples of under 20 items
+        # for reuse, so with chains A, A, B, B, ... the second B gets
+        # the second A's ids unless the batch keeps the tuples alive.
+        chains = [random_chain(12, rng=420), random_chain(12, rng=421)]
+        bounds = [(1.5 + 0.5 * i) * max(c.max_vertex_weight() for c in chains)
+                  for i in range(4)]
+
+        def stream():
+            for i in range(8):
+                chain = chains[i // 2 % 2]
+                yield PartitionQuery(tuple(chain.alpha), tuple(chain.beta),
+                                     bounds[i % 4], tag=str(i))
+
+        engine = PartitionEngine()
+        results = engine.solve_many(stream(), max_workers=0)
+        assert engine.metrics.counter("engine.plan.sweeps").value == 2
+        for i, result in enumerate(results):
+            ref = bandwidth_min(chains[i // 2 % 2], bounds[i % 4])
+            assert (result.tag, result.cut_indices, result.weight) == (
+                str(i), ref.cut_indices, ref.weight)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_mixed_batch_matches_content_grouping(self, workers):
+        chains = [random_chain(20 + 4 * c, rng=430 + c) for c in range(3)]
+        queries = []
+        for c, chain in enumerate(chains):
+            alpha, beta = tuple(chain.alpha), tuple(chain.beta)
+            wmax = chain.max_vertex_weight()
+            for objective in OBJECTIVES:
+                for k in (2.0 * wmax, 3.0 * wmax, 0.5 * wmax):
+                    queries.append(PartitionQuery(alpha, beta, k, objective,
+                                                  f"c{c}-{objective}-{k}"))
+        # Every other query carries its own copies; the rest share one
+        # pair per chain.  Chains interleave in a fixed shuffle.
+        queries = [copied(q) if i % 2 else q for i, q in enumerate(queries)]
+        queries = [queries[(7 * i) % len(queries)] for i in range(len(queries))]
+
+        def run(batch):
+            ring = RingBufferSubscriber()
+            engine = PartitionEngine(hub=TelemetryHub([ring]))
+            results = engine.solve_many(batch, max_workers=workers)
+            return [r.to_json() for r in results], stable(ring.events())
+
+        # With every query on its own copies no two share an id, so the
+        # reference batch is grouped on content alone.
+        reference = run([copied(q) for q in queries])
+        assert run(queries) == reference
+        plans = [e["queries"] for e in reference[1] if e["event"] == "plan"]
+        assert plans == [2, 2, 2]
 
 
 class TestInverseWiring:

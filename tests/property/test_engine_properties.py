@@ -142,3 +142,40 @@ def test_solve_many_preserves_input_order(batches):
         assert result.ok
         assert result.cut_indices == ref.cut_indices
         assert result.weight == ref.weight
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            chain_and_bound(max_tasks=12),
+            st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=4),
+            st.sampled_from(("shared", "copies", "mixed")),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_solve_many_shared_or_copied_tuples(chains, shuffler):
+    # Per chain, its queries share one (alpha, beta) pair, each carry
+    # their own copies, or alternate; shuffled, the chains interleave.
+    # Every answer is the one a per-query ``engine.solve`` gives.
+    rows = []
+    for (chain, base_bound), slacks, mode in chains:
+        alpha, beta = tuple(chain.alpha), tuple(chain.beta)
+        for j, slack in enumerate(slacks):
+            bound = base_bound + slack * 0.5
+            if mode == "copies" or (mode == "mixed" and j % 2):
+                query = PartitionQuery.from_chain(chain, bound)
+            else:
+                query = PartitionQuery(alpha, beta, bound)
+            rows.append((chain, query))
+    shuffler.shuffle(rows)
+    queries = [q for _, q in rows]
+    results = PartitionEngine().solve_many(queries)
+    assert [r.index for r in results] == list(range(len(queries)))
+    for (chain, query), result in zip(rows, results):
+        ref = PartitionEngine().solve(chain, query.bound)
+        assert result.ok
+        assert (result.cut_indices, result.weight) == (ref.cut_indices, ref.weight)
