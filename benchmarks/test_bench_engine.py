@@ -19,6 +19,10 @@ Claims reproduced / asserted:
   whose queries share one tuple pair per chain, runs >= 4x faster than
   the same queries as per-query ``engine.solve`` calls (a fresh
   ``Chain`` each): grouping hashes each chain once, not once per query;
+- ``bottleneck+bandwidth`` on a 10k-task chain runs >= 2.5x faster
+  through ``PartitionEngine.solve`` (native tree sweep, then one
+  structure build on the restricted chain) than through the reference
+  ``lexicographic_chain_partition``, with identical answers;
 - threading the observability ``tracer=`` parameter through the hot
   path costs < 5% when tracing is disabled (the ``NULL_TRACER``
   zero-overhead claim), measured against the reference's untraced
@@ -53,6 +57,7 @@ pytest.importorskip("numpy")
 
 from benchmarks.conftest import make_chain
 from repro.core.bandwidth import bandwidth_min
+from repro.core.bicriteria import lexicographic_chain_partition
 from repro.engine import PartitionEngine, PartitionQuery, compile_chain
 from repro.graphs.chain import Chain
 
@@ -70,6 +75,11 @@ PLAN_COLD_FLOOR = 4.0
 #: ``engine.solve``.  Measured 8.6-13x on a 2-vCPU VM; grouping that
 #: hashes every query's tuples reads 1.4-2.3x there.
 BATCH_GRID_FLOOR = 4.0
+
+#: Engine ``bottleneck+bandwidth`` vs the reference
+#: ``lexicographic_chain_partition`` on a 10k-task chain.  Measured
+#: 5.4-6.5x on a 2-vCPU VM.
+LEXICOGRAPHIC_FLOOR = 2.5
 
 #: Ratchet snapshot accumulated by the tests in this module; written on
 #: module teardown when REPRO_BENCH_SNAPSHOT names a target file.
@@ -643,3 +653,46 @@ def test_batch_grid_speedup(benchmark):
     )
     _snapshot_record("engine_batch_grid", batch_s, speedup=speedup)
     benchmark(batched)
+
+
+def test_lexicographic_speedup(sweep_instance, benchmark):
+    """``bottleneck+bandwidth`` through the engine vs the reference.
+
+    Both find ``B*`` with Algorithm 2.1 and then run Algorithm 4.1 on
+    the chain with every edge heavier than ``B*`` forbidden; the engine
+    runs the second step as one structure build.  Interleaved
+    min-of-reps timing as in :func:`test_batch_grid_speedup`.
+    """
+    chain, bounds = sweep_instance
+    bound = bounds[len(bounds) // 4]
+    engine = PartitionEngine()
+
+    def reference():
+        return lexicographic_chain_partition(chain, bound).cut
+
+    def solved():
+        return engine.solve(chain, bound, "bottleneck+bandwidth")
+
+    want, got = reference(), solved()
+    assert (got.cut_indices, got.weight.hex()) == (
+        want.cut_indices, want.weight.hex()
+    )
+    ref_s = engine_s = float("inf")
+    for rep in range(6):
+        pair = (reference, solved) if rep % 2 else (solved, reference)
+        for fn in pair:
+            elapsed = _timed(fn)
+            if fn is reference:
+                ref_s = min(ref_s, elapsed)
+            else:
+                engine_s = min(engine_s, elapsed)
+    speedup = ref_s / engine_s
+    benchmark.extra_info["reference_ms"] = round(ref_s * 1e3, 3)
+    benchmark.extra_info["engine_ms"] = round(engine_s * 1e3, 3)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    assert speedup >= LEXICOGRAPHIC_FLOOR, (
+        f"engine bottleneck+bandwidth only {speedup:.2f}x faster than the "
+        f"reference ({engine_s * 1e3:.1f}ms vs {ref_s * 1e3:.1f}ms)"
+    )
+    _snapshot_record("engine_lexicographic", engine_s, speedup=speedup)
+    benchmark(solved)

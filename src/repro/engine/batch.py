@@ -42,9 +42,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bandwidth import ChainCutResult
-from repro.core.feasibility import PartitioningError
+from repro.core.bottleneck import bottleneck_min
+from repro.core.feasibility import PartitioningError, finite_optimum
 from repro.core.pipeline import partition_chain
 from repro.engine.cache import PlanCache
+from repro.engine.kernels import (
+    KernelUnavailableError,
+    structure_sweep,
+    validate_bound_array,
+)
 from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
 from repro.instrumentation.counters import OpCounter
@@ -402,9 +408,12 @@ class PartitionEngine:
         """Solve one query through the fast path.
 
         ``"bandwidth"`` (Algorithm 4.1) is a one-bound ``solve_bounds``
-        on the chain's cached plan.  The other objectives delegate to
-        :func:`repro.core.pipeline.partition_chain` (tree algorithms,
-        uncached).
+        on the chain's cached plan.  ``"bottleneck+bandwidth"`` runs
+        Algorithm 2.1 on the native tree sweep and then one native (or
+        NumPy) structure build on the chain with its edges heavier than
+        ``B*`` forbidden (:meth:`_lexicographic`, uncached).  The other
+        objectives delegate to :func:`repro.core.pipeline.partition_chain`
+        (tree algorithms on the path tree, uncached).
         """
         tracer = self.tracer
         if not tracer.enabled and not self.hub.enabled:
@@ -433,8 +442,12 @@ class PartitionEngine:
         objective: str,
         tracer: Optional[Tracer],
     ) -> ChainCutResult:
-        """One query, spans recorded on ``tracer`` when given."""
+        """One query, spans recorded on ``tracer`` when given: a plan
+        call for ``bandwidth``, :meth:`_lexicographic` for
+        ``bottleneck+bandwidth``, :func:`partition_chain` otherwise."""
         if objective != "bandwidth":
+            if objective == "bottleneck+bandwidth":
+                return self._lexicographic(chain, bound)
             if objective not in OBJECTIVES:
                 raise ValueError(
                     f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
@@ -442,6 +455,41 @@ class PartitionEngine:
             return partition_chain(chain, bound, objective)
         weights, cuts = self._plan_solve(chain, [bound], True, tracer)
         return ChainCutResult(chain, cuts[0], float(weights[0]))
+
+    @staticmethod
+    def _lexicographic(chain: Chain, bound: float) -> ChainCutResult:
+        """``bottleneck+bandwidth`` as
+        :func:`repro.core.bicriteria.lexicographic_chain_partition`
+        computes it, bit for bit: Algorithm 2.1 finds ``B*``, then one
+        :func:`~repro.engine.kernels.structure_sweep` runs Algorithm 4.1
+        on the chain whose edges heavier than ``B*`` weigh ``+inf``.
+
+        Uncached: the restricted chain shares no plan with ``chain``.
+        Where no kernel can run (neither the native library nor NumPy),
+        the reference answers.
+        """
+        validate_bound_array(chain.max_vertex_weight(), bound)
+        if chain.total_weight() <= bound:
+            result = ChainCutResult(chain, [], 0.0)
+        else:
+            b_star = bottleneck_min(chain.to_tree(), bound).bottleneck
+            restricted = chain._forbid_edges(
+                i for i, b in enumerate(chain.beta) if b > b_star
+            )
+            _, beta, prefix = restricted.buffers()
+            try:
+                cut, weight, _, _, _ = structure_sweep(prefix, beta, bound, True)
+            except KernelUnavailableError:
+                return partition_chain(chain, bound, "bottleneck+bandwidth")
+            finite_optimum(weight, bound)
+            result = ChainCutResult(chain, cut, chain.cut_weight(cut))
+        if "REPRO_VERIFY" in os.environ:
+            from repro.verify.runtime import maybe_verify_chain_result
+
+            maybe_verify_chain_result(
+                chain, result.cut_indices, bound, claimed_weight=result.weight
+            )
+        return result
 
     def _plan_solve(
         self,
@@ -779,22 +827,12 @@ class PartitionEngine:
         return self.solve_many(queries, max_workers=max_workers)
 
 
-# Per-process engine for pool workers: built on first use so its plan
-# cache persists across the chain groups a worker solves.
-_WORKER_ENGINE: Optional[PartitionEngine] = None
-
-
-def _worker_engine() -> PartitionEngine:
-    global _WORKER_ENGINE
-    if _WORKER_ENGINE is None:
-        # Intentional per-process cache: each worker owns its engine so
-        # compiled plans persist across the groups it solves, and
-        # nothing here must ever flow back to the parent.
-        _WORKER_ENGINE = PartitionEngine(max_workers=0)
-    return _WORKER_ENGINE
-
-
 def _solve_task(task: GroupTask) -> Tuple[List[QueryResult], List[Event]]:
-    """Pool entry point: one chain group on this process's engine; its
-    results and events travel back to the parent."""
-    return _worker_engine()._solve_group(task)
+    """Pool entry point: one chain group on a fresh engine; its results
+    and events travel back to the parent.
+
+    A batch's groups are distinct chains, so no plan a worker compiles
+    is asked for again; a fresh engine per group keeps each group's
+    ``cache`` events free of the other groups a worker happened to run.
+    """
+    return PartitionEngine(max_workers=0)._solve_group(task)

@@ -106,6 +106,43 @@ print("ok")
 """
 
 
+NO_KERNEL_SCRIPT = """
+import random, sys
+
+sys.modules["numpy"] = None  # every ``import numpy`` now raises ImportError
+
+from repro.engine import native
+
+native.load_sweep = lambda: None  # and the native library does not load
+
+from repro.core.pipeline import partition_chain
+from repro.engine import PartitionEngine, PartitionQuery
+from repro.graphs.chain import Chain
+
+rng = random.Random(32)
+engine = PartitionEngine()
+queries, wants = [], []
+for n in (1, 2, 7, 40):
+    alpha = [rng.randint(1, 40) * 0.1 for _ in range(n)]
+    beta = [rng.randint(0, 30) * 0.1 for _ in range(n - 1)]
+    chain = Chain(alpha, beta)
+    for bound in (max(alpha), 1.5 * max(alpha), sum(alpha)):
+        want = partition_chain(chain, bound, "bottleneck+bandwidth")
+        got = engine.solve(chain, bound, "bottleneck+bandwidth")
+        assert got.cut_indices == want.cut_indices, (n, bound)
+        assert got.weight.hex() == want.weight.hex(), (n, bound)
+        queries.append(PartitionQuery(tuple(alpha), tuple(beta), bound,
+                                      "bottleneck+bandwidth"))
+        wants.append(want)
+for result, want in zip(engine.solve_many(queries), wants):
+    assert result.error is None, result.error
+    assert result.cut_indices == want.cut_indices, result
+    assert result.weight.hex() == want.weight.hex(), result
+assert sys.modules["numpy"] is None
+print("ok")
+"""
+
+
 def _run_without_numpy(script):
     env = {k: v for k, v in os.environ.items() if k != "REPRO_VERIFY"}
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -132,3 +169,7 @@ def test_engine_runs_without_numpy_on_the_native_route():
     if out == "skip":
         pytest.skip("native library unavailable (no gcc?)")
     assert out == "ok"
+
+
+def test_engine_lexicographic_runs_without_any_kernel():
+    assert _run_without_numpy(NO_KERNEL_SCRIPT) == "ok"

@@ -1,15 +1,18 @@
 """Unit tests for the batched query runner and the ``repro batch`` CLI."""
 
 import json
+import random
 
 import pytest
 
 from repro.cli import main
 from repro.core.bandwidth import bandwidth_min
-from repro.core.feasibility import PartitioningError
+from repro.core.bicriteria import lexicographic_chain_partition
+from repro.core.feasibility import OptimumOverflowError, PartitioningError
 from repro.core.inverse import chain_pareto_frontier, partition_chain_for_processors
 from repro.core.pipeline import partition_chain
-from repro.engine import OBJECTIVES, PartitionEngine, PartitionQuery
+from repro.engine import OBJECTIVES, PartitionEngine, PartitionQuery, native
+from repro.graphs.chain import Chain
 from repro.graphs.generators import random_chain
 from repro.observability import RingBufferSubscriber, TelemetryHub
 
@@ -48,6 +51,91 @@ class TestSolve:
         chain = random_chain(10, rng=3)
         with pytest.raises(ValueError):
             engine.solve(chain, 100.0, "makespan")
+
+
+def lexicographic_cases():
+    """Seeded ``(alpha, beta, bound)`` cases for ``bottleneck+bandwidth``:
+    integer, half-integer, tenth and uniform weights, n = 1 and 2,
+    all-equal weights, K = max weight and K >= total weight."""
+    rng = random.Random(32)
+    draws = {
+        "integer": lambda: float(rng.randint(1, 9)),
+        "half": lambda: rng.randint(1, 18) / 2,
+        "tenth": lambda: rng.randint(1, 40) / 10,
+        "uniform": lambda: rng.uniform(0.1, 5.0),
+    }
+    cases = []
+    for draw in draws.values():
+        for n in (1, 2, 3, 6, 12, 25):
+            for equal in (False, True):
+                alpha = [draw() for _ in range(n)]
+                beta = [draw() for _ in range(n - 1)]
+                if equal:
+                    alpha, beta = [alpha[0]] * n, [alpha[0]] * (n - 1)
+                top, total = max(alpha), sum(alpha)
+                for bound in (top, 1.5 * top, top + 0.1, 2.5 * top, total, 2 * total):
+                    cases.append((alpha, beta, bound))
+    # ROADMAP item 1's repro: B* keeps edges 0 and 1 cuttable, and every
+    # cut through them leaves a last block that the prefix difference
+    # puts over K, so both routes report an overflowing optimum.
+    cases.append(([2.6, 0.6, 0.6, 2.0], [0.0, 0.0, 9.0], 2.6))
+    return cases
+
+
+def outcome(solve):
+    """``(cut, weight.hex())``, or ``(error type, message)``."""
+    try:
+        result = solve()
+    except (PartitioningError, ValueError) as exc:
+        return type(exc), str(exc)
+    return list(result.cut_indices), result.weight.hex()
+
+
+@pytest.fixture(params=["native", "numpy"])
+def kernel_route(request, monkeypatch):
+    """The engine's structure build on ``_sweep.c`` (where it loads) or
+    on the NumPy fallback."""
+    if request.param == "numpy":
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(native, "load_sweep", lambda: None)
+    return request.param
+
+
+class TestLexicographic:
+    """``bottleneck+bandwidth`` on the engine's structure build answers
+    as the reference :func:`lexicographic_chain_partition` does."""
+
+    def test_solve_matches_reference(self, kernel_route):
+        engine = PartitionEngine()
+        for alpha, beta, bound in lexicographic_cases():
+            chain = Chain(alpha, beta)
+            want = outcome(lambda: lexicographic_chain_partition(chain, bound).cut)
+            got = outcome(lambda: engine.solve(chain, bound, "bottleneck+bandwidth"))
+            assert got == want, (alpha, beta, bound)
+
+    def test_batch_matches_reference(self, kernel_route):
+        cases = lexicographic_cases()
+        queries = [
+            PartitionQuery(tuple(alpha), tuple(beta), bound, "bottleneck+bandwidth")
+            for alpha, beta, bound in cases
+        ]
+        results = PartitionEngine().solve_many(queries)
+        for (alpha, beta, bound), result in zip(cases, results):
+            want = outcome(
+                lambda: lexicographic_chain_partition(Chain(alpha, beta), bound).cut
+            )
+            if isinstance(want[0], type):
+                assert result.error == want[1], (alpha, beta, bound)
+            else:
+                got = (result.cut_indices, result.weight.hex())
+                assert result.error is None and got == want, (alpha, beta, bound)
+
+    def test_forbidden_edge_overflow_is_pinned(self, kernel_route):
+        chain = Chain([2.6, 0.6, 0.6, 2.0], [0, 0, 9])
+        with pytest.raises(OptimumOverflowError):
+            lexicographic_chain_partition(chain, 2.6)
+        with pytest.raises(OptimumOverflowError):
+            PartitionEngine().solve(chain, 2.6, "bottleneck+bandwidth")
 
 
 class TestSolveMany:
@@ -294,6 +382,16 @@ class TestBatchTelemetry:
         assert [r["path"] for r in a.trace_records] == [
             r["path"] for r in b.trace_records
         ]
+
+    def test_pooled_cache_events_do_not_depend_on_scheduling(self):
+        # Six groups on two workers: some worker runs at least two, and
+        # each group's cache event must still read its own compile only.
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
+        engine.solve_many(make_queries(num=6), max_workers=2)
+        caches = [e for e in ring.events() if e["event"] == "cache"]
+        assert [(e["hits"], e["misses"], e["plans"]) for e in caches] == [
+            (0, 1, 1)] * 6
 
     def test_failures_counted(self):
         from repro.observability import Tracer
