@@ -1015,8 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="complexity-contract, concurrency-safety, hot-path and "
-        "fault-surface analyzer (REPRO009, REPRO011, REPRO013, "
-        "REPRO016-REPRO021, REPRO023, REPRO024)",
+        "determinism analyzer (REPRO009, REPRO011, REPRO013, "
+        "REPRO016-REPRO019, REPRO023)",
     )
     p.add_argument(
         "paths",
@@ -1038,8 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--faults", action="store_true",
-        help="run only the fault-surface pass "
-        "(REPRO020, REPRO021, REPRO023, REPRO024)",
+        help="run only the determinism pass (REPRO023)",
     )
     p.add_argument(
         "--complexity", action="store_true",

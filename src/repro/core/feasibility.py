@@ -11,7 +11,7 @@ all-singletons partition).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class PartitioningError(Exception):
@@ -36,15 +36,28 @@ class OptimumOverflowError(PartitioningError):
 
     Feasible cuts exist, but every one of them weighs more than the
     largest float64: its weight sum overflows to ``inf``, which is not
-    an answer.
+    an answer.  Processor minimization raises it, with its own
+    ``message``, when a Section 2.2 total overflows: a vertex and its
+    children summing to ``inf`` cannot say which children to prune.
     """
 
-    def __init__(self, bound: float) -> None:
+    def __init__(self, bound: float, message: Optional[str] = None) -> None:
         super().__init__(
-            f"the optimal cut weight at K={bound:g} overflows float64: "
+            message
+            or f"the optimal cut weight at K={bound:g} overflows float64: "
             "every feasible cut weighs inf"
         )
         self.bound = bound
+
+
+def total_overflow(bound: float) -> OptimumOverflowError:
+    """The error for a Section 2.2 total (a cluster plus its children)
+    that overflowed to ``inf`` at bound ``bound``."""
+    return OptimumOverflowError(
+        bound,
+        f"a Section 2.2 total at K={bound:g} overflows float64: a cluster "
+        "and its children weigh inf, so which to prune is not computable",
+    )
 
 
 def finite_optimum(weight: float, bound: float) -> float:

@@ -25,6 +25,7 @@ and the bandwidth objective additionally admits Algorithm 4.1.
 
 from __future__ import annotations
 
+import math
 import os
 from array import array
 from collections import defaultdict
@@ -33,6 +34,7 @@ from typing import Any, DefaultDict, Dict, List, MutableSequence, Sequence, Set
 
 from repro.core.bandwidth import ChainCutResult, bandwidth_min
 from repro.core.bottleneck import TreeCutResult, _bottleneck_sweep, _certified, bottleneck_min
+from repro.core.feasibility import total_overflow
 from repro.core.processor_min import processor_min
 from repro.engine import native
 from repro.graphs.chain import Chain
@@ -101,11 +103,12 @@ def _prune(tree: Tree, first_cut: Set[Edge], top: Sequence[int],
     """Algorithm 2.2 on the components of ``T - first_cut``, named and
     weighed by ``top`` and ``residual`` (the sweep's ``top`` and
     ``weight``): the cut edges (child vertices) above the pruned
-    components, in pruning order.
+    components, in pruning order.  Raises
+    :class:`~repro.core.feasibility.OptimumOverflowError` when a
+    component's total overflows to ``inf``.
 
     On the native sweep's ``array`` buffers this is one ``tree_prune``
-    call, unless a total turns NaN; the loop below then keeps Python's
-    sort order.  On the Python sweep's lists it is that loop.
+    call; on the Python sweep's lists it is the loop below.
     """
     bfs, parent = tree.bfs_order()
     # A component's children are summed in the reverse iteration order of
@@ -124,8 +127,9 @@ def _prune(tree: Tree, first_cut: Set[Edge], top: Sequence[int],
             given.buffer_info()[0], bound, _COMPENSATED_SUM, out.buffer_info()[0])
         if count == -1:
             raise MemoryError("native tree pruning could not allocate its groups")
-        if count != -2:  # -2: a NaN total, which the loop below sorts as Python does
-            return out[:count].tolist()
+        if count == -2:
+            raise total_overflow(bound)
+        return out[:count].tolist()
     kids: DefaultDict[int, List[int]] = defaultdict(list)  # top -> child tops
     for child in children:
         kids[top[parent[child]]].append(child)
@@ -136,6 +140,8 @@ def _prune(tree: Tree, first_cut: Set[Edge], top: Sequence[int],
         group = kids[v]
         total = residual[v] + sum(map(residual.__getitem__, reversed(group)))
         if total > bound:  # repro-mutate: equivalent=flip-compare -- at total == K the loop below prunes nothing
+            if total == math.inf:
+                raise total_overflow(bound)
             # Prune the heaviest first: the first k components by weight.
             by_weight = sorted(group, key=residual.__getitem__, reverse=True)
             k = 0

@@ -27,7 +27,7 @@ import math
 from typing import Set
 
 from repro.core.bottleneck import TreeCutResult, _certified
-from repro.core.feasibility import validate_bound
+from repro.core.feasibility import total_overflow, validate_bound
 from repro.graphs.task_graph import Edge
 from repro.graphs.tree import Tree
 
@@ -52,6 +52,8 @@ def processor_min(tree: Tree, bound: float, root: int = 0) -> TreeCutResult:
             # Step 4: merge every leaf into v.
             residual[v] = total
             continue
+        if total == math.inf:
+            raise total_overflow(bound)
         # Step 5: prune the heaviest leaves until the cluster fits.
         # Deterministic tie-break: heavier first, then smaller vertex id.
         by_weight = sorted(children, key=lambda c: (-residual[c], c))

@@ -279,9 +279,10 @@ double chain_freeze(int64_t n, const double *alpha, double *beta,
 /*
  * An edge of a tree, named by its child vertex, with a sort key: a
  * weight, then a distinct tie code.  No key weight is NaN (the
- * constructors reject NaN, and tree_prune declines before a NaN becomes
- * a key), so the order is total and any sort gives the one result
- * Python's stable sort gives.  -0.0 and 0.0 tie under <, as in Python.
+ * constructors reject NaN, and tree_prune stops at the first total that
+ * overflows, before inf - inf), so the order is total and any sort
+ * gives the one result Python's stable sort gives.  -0.0 and 0.0 tie
+ * under <, as in Python.
  */
 struct tree_edge {
     double weight;
@@ -462,7 +463,8 @@ static double children_sum(const double *residual, const int64_t *kid,
  * children are re-sorted by (weight descending, lowest vertex).  Writes
  * the pruned children to pruned in that order and returns their count;
  * returns -1 if scratch allocation fails and -2, writing nothing of use,
- * when a total is NaN (Python's sort order over a NaN key is its own).
+ * when a total over the bound is inf (which children to prune is then
+ * not computable).
  */
 int64_t tree_prune(int64_t n, const int64_t *parent, const int64_t *order,
                    const int64_t *top, const double *sums, int64_t count,
@@ -503,6 +505,10 @@ int64_t tree_prune(int64_t n, const int64_t *parent, const int64_t *order,
         double total = residual[v] + children_sum(residual, kid + first, d,
                                                   compensated);
         if (total > bound) {
+            if (total == INFINITY) {
+                free(residual);
+                return -2;
+            }
             /* Heaviest first: by -residual, ties in group order. */
             int64_t k = 0;
             for (int64_t j = 0; j < d; j++) {
@@ -523,10 +529,6 @@ int64_t tree_prune(int64_t n, const int64_t *parent, const int64_t *order,
             }
             for (int64_t j = 0; j < k; j++)
                 pruned[out++] = rec[j].child;
-        }
-        if (total != total) {
-            free(residual);
-            return -2;
         }
         residual[v] = total;
     }

@@ -131,7 +131,9 @@ class TelemetryHub:
             for subscriber in tuple(self._subscribers):
                 try:
                     subscriber.emit(event)
-                except Exception as exc:  # repro-lint: disable=REPRO021 subscriber isolation: any exception is recorded in hub.errors and the subscriber dropped
+                except Exception as exc:
+                    # Subscriber isolation: any exception is recorded in
+                    # hub.errors and the subscriber dropped.
                     self._subscribers.remove(subscriber)
                     self.errors.append(f"{type(subscriber).__name__}: {exc}")
 

@@ -35,13 +35,12 @@ that observation into tooling:
   hot-path allocation & dispatch analyzer (REPRO016-REPRO019) over
   the contracted solvers and their callees, certified by
   the allocation harness with ratcheted budgets;
-- :mod:`repro.verify.faultflow` — the fault-surface layer:
-  resource-lifecycle, exception-flow and determinism-taint rules
-  (REPRO020, REPRO021, REPRO023, REPRO024) behind
-  ``repro analyze --faults``; the
-  fault tests in ``tests/*/test_threads_and_faults.py`` raise at each
-  acquire/IO point and demand released locks, resumable sinks and
-  bit-identical re-solves;
+- :mod:`repro.verify.faultflow` — the determinism-taint rule
+  (REPRO023) on the contracted solver paths, behind
+  ``repro analyze --faults``; the fault tests in
+  ``tests/*/test_threads_and_faults.py`` raise at each acquire/IO
+  point and demand released locks, resumable sinks, untyped faults
+  propagated out of ``solve_many`` and bit-identical re-solves;
 - :mod:`repro.verify.operators` / :mod:`repro.verify.sandbox` /
   :mod:`repro.verify.mutate` — the mutation-analysis engine behind
   ``repro mutate``: domain-aware AST fault seeding into product code

@@ -41,16 +41,8 @@ class RuleSpec(NamedTuple):
 #: rule here without documenting and testing it fails
 #: ``tests/verify/test_codes.py``.
 REGISTRY: Dict[str, RuleSpec] = {
-    "REPRO001": RuleSpec(
-        "print() call in library code (use observability, or return data)",
-        "repro.verify.lint", "line", "",
-    ),
     "REPRO002": RuleSpec(
         "class in a slotted package without __slots__ (hot-path allocation)",
-        "repro.verify.lint", "line", "",
-    ),
-    "REPRO004": RuleSpec(
-        "mutable default argument",
         "repro.verify.lint", "line", "",
     ),
     "REPRO005": RuleSpec(
@@ -95,27 +87,11 @@ REGISTRY: Dict[str, RuleSpec] = {
         "loop (reuse a scratch buffer via out=)",
         "repro.verify.hotpath", "line", "repro.verify.allocs",
     ),
-    "REPRO020": RuleSpec(
-        "resource acquired outside 'with'/try-finally (a raise between "
-        "acquire and release leaks it)",
-        "repro.verify.faultflow", "line",
-        "tests/observability/test_threads_and_faults.py",
-    ),
-    "REPRO021": RuleSpec(
-        "broad/bare except swallows PartitioningError/VerificationError "
-        "(catch the typed exceptions)",
-        "repro.verify.faultflow", "line", "",
-    ),
     "REPRO023": RuleSpec(
         "nondeterministic source on a contracted path (unseeded random, "
         "wall clock, os.environ, unordered iteration)",
         "repro.verify.faultflow", "line",
         "tests/engine/test_threads_and_faults.py",
-    ),
-    "REPRO024": RuleSpec(
-        "except handler silently drops the error (re-raise, publish to "
-        "the hub, or count it)",
-        "repro.verify.faultflow", "line", "",
     ),
 }
 
@@ -125,8 +101,9 @@ REGISTRY: Dict[str, RuleSpec] = {
 #: ``# repro-lint: disable=`` pragma naming one cannot silence a
 #: different rule.
 RETIRED: Tuple[str, ...] = (
-    "REPRO003", "REPRO006", "REPRO007", "REPRO008", "REPRO010",
-    "REPRO014", "REPRO015", "REPRO022",
+    "REPRO001", "REPRO003", "REPRO004", "REPRO006", "REPRO007",
+    "REPRO008", "REPRO010", "REPRO014", "REPRO015", "REPRO020",
+    "REPRO021", "REPRO022", "REPRO024",
 )
 
 

@@ -507,8 +507,8 @@ def _collect_functions(
     (``CompiledChainPlan.solve_bounds``) reach their private ``_impl``
     helpers.  The roots are the functions the module's
     :data:`~repro.verify.contracts.CONTRACTS` entries name.  The one
-    within-module call graph: the fault-surface and concurrency passes
-    root it elsewhere.
+    within-module call graph: the determinism pass walks it from the
+    same roots, the concurrency pass from its entries.
     """
     functions = module.functions
     calls: Dict[str, Set[str]] = {}

@@ -1,26 +1,22 @@
 """repro-lint: repository-specific static checks, as an AST pass.
 
 Generic linters cannot know this codebase's conventions — that hot-path
-classes must be slotted, that library code does not print, or that a
-disabled :class:`~repro.instrumentation.counters.OpCounter`
-must be the shared ``NULL_COUNTER`` singleton.  This module encodes
-those rules over the stdlib :mod:`ast` so they run anywhere the package
-runs, with no third-party dependency:
+classes must be slotted, that a disabled
+:class:`~repro.instrumentation.counters.OpCounter` must be the shared
+``NULL_COUNTER`` singleton, or that telemetry publishes on hot paths
+are guarded.  This module encodes those rules over the stdlib
+:mod:`ast` so they run anywhere the package runs, with no third-party
+dependency:
 
 ==========  ==========================================================
 Code        Rule
 ==========  ==========================================================
-REPRO001    No ``print()`` in library code — use the observability
-            layer or return values.  CLI entry points (``cli.py``,
-            ``__main__.py``) and the report-producing ``analysis``
-            package are exempt.
 REPRO002    Classes defined under ``core/``, ``engine/``, ``desim/``,
             ``realtime/`` or ``machine/`` must declare ``__slots__`` —
             the first two are per-query hot paths, the simulators
             allocate per-event/per-message.  Exception types,
             ``NamedTuple``/``TypedDict``/``Protocol`` classes and
             ``enum`` subclasses are exempt.
-REPRO004    No mutable default arguments (``def f(x=[])`` etc.).
 REPRO005    Never construct a disabled ``OpCounter`` — use the shared
             ``NULL_COUNTER`` singleton so no-op counters are free and
             state cannot leak into ad-hoc instances.
@@ -41,12 +37,10 @@ REPRO013 (shared-state lock discipline) in
 :mod:`repro.verify.concurrency`, REPRO011 (docstrings contradicting
 the ``CONTRACTS`` budgets) in
 :mod:`repro.verify.contracts`, REPRO016-REPRO019 (hot-path allocation
-and dispatch hygiene) in :mod:`repro.verify.hotpath` and
-REPRO020, REPRO021, REPRO023 and REPRO024 (fault-surface analysis:
-resource lifecycle, exception flow and determinism taint) in
-:mod:`repro.verify.faultflow`.  REPRO009 (the empirical complexity
-gate) lives in :mod:`repro.verify.empirical`.  The full code registry
-lives in :mod:`repro.verify.codes`.
+and dispatch hygiene) in :mod:`repro.verify.hotpath` and REPRO023
+(determinism taint) in :mod:`repro.verify.faultflow`.  REPRO009 (the
+empirical complexity gate) lives in :mod:`repro.verify.empirical`.
+The full code registry lives in :mod:`repro.verify.codes`.
 
 Any finding can be suppressed on its line (for classes and functions,
 the ``class``/``def`` line) with a pragma comment; several codes may be
@@ -54,7 +48,7 @@ listed, separated by commas and/or whitespace, and trailing free text
 is treated as the justification::
 
     class QueryRecord:  # repro-lint: disable=REPRO002
-    def hook(x=[]):  # repro-lint: disable=REPRO004,REPRO001 (fixture)
+    hub.publish(e)  # repro-lint: disable=REPRO012,REPRO005 (fixture)
 
 Run it as a module::
 
@@ -94,11 +88,6 @@ from repro.verify.markers import CONCURRENT_ENTRIES, SHARED_STATE
 #: never collide across analyzers (see :mod:`repro.verify.codes`).
 RULES: Dict[str, str] = messages_for("repro.verify.lint")
 
-#: Files/packages where REPRO001 does not apply (user-facing output is
-#: their job).  ``lint.py`` is this command-line tool itself.
-_PRINT_EXEMPT_FILES = frozenset(("cli.py", "__main__.py", "lint.py"))
-_PRINT_EXEMPT_PACKAGES = frozenset(("analysis",))
-
 #: Packages whose classes must be slotted (REPRO002): the per-query
 #: solver hot paths, plus the simulators — whose event/message/packet
 #: objects are allocated in the innermost loops of every demo run.
@@ -130,12 +119,6 @@ _SLOTS_EXEMPT_BASES = frozenset(
         "IntFlag",
         "ABC",
     )
-)
-
-_MUTABLE_DEFAULT_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                          ast.DictComp, ast.SetComp)
-_MUTABLE_DEFAULT_CALLS = frozenset(
-    ("list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque")
 )
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint\s*:\s*disable\s*=\s*(.*)$")
@@ -380,15 +363,6 @@ def _is_slots_exempt(cls: ast.ClassDef) -> bool:
     return False
 
 
-def _mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, _MUTABLE_DEFAULT_NODES):
-        return True
-    if isinstance(node, ast.Call):
-        name = rightmost_name(node.func)
-        return name in _MUTABLE_DEFAULT_CALLS
-    return False
-
-
 def _disabled_counter_call(node: ast.Call) -> bool:
     """True for ``OpCounter(False)`` / ``OpCounter(enabled=False)``."""
     if rightmost_name(node.func) != "OpCounter":
@@ -414,10 +388,6 @@ class _Checker(ast.NodeVisitor):
         self.findings: List[Finding] = []
         path = module.path
         parts = path.parts
-        self._check_print = (
-            path.name not in _PRINT_EXEMPT_FILES
-            and not _PRINT_EXEMPT_PACKAGES.intersection(parts)
-        )
         # The slots rule targets the *library's* hot paths: require the
         # ``repro`` package in the path so ``tests/core`` / ``tests/engine``
         # (plain test classes, never per-query allocations) stay out.
@@ -440,25 +410,6 @@ class _Checker(ast.NodeVisitor):
             self._add(node, "REPRO002")
         self.generic_visit(node)
 
-    def _check_defaults(self, node: ast.AST, args: ast.arguments) -> None:
-        for default in list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            if _mutable_default(default):
-                self._add(default, "REPRO004")
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node, node.args)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node, node.args)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node, node.args)
-        self.generic_visit(node)
-
     def visit_If(self, node: ast.If) -> None:
         # An ``if`` whose test reads any ``.enabled`` attribute guards
         # its body (only) for REPRO012; the else-branch stays unguarded.
@@ -479,12 +430,6 @@ class _Checker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if (
-            self._check_print
-            and isinstance(func, ast.Name)
-            and func.id == "print"
-        ):
-            self._add(node, "REPRO001")
-        if (
             self._check_hub
             and self._hub_guard == 0
             and isinstance(func, ast.Attribute)
@@ -497,8 +442,8 @@ class _Checker(ast.NodeVisitor):
 
 
 def check(module: Module) -> List[Finding]:
-    """The lint pass (REPRO001, REPRO002, REPRO004, REPRO005, REPRO012)
-    over one parsed module."""
+    """The lint pass (REPRO002, REPRO005, REPRO012) over one parsed
+    module."""
     checker = _Checker(module)
     checker.visit(module.tree)
     return checker.findings
@@ -517,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.lint",
         description="Repository-specific AST lint rules "
-        "(REPRO001-REPRO002, REPRO004-REPRO005, REPRO012).",
+        "(REPRO002, REPRO005, REPRO012).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from repro.baselines.kundu_misra import processor_min_bottom_up
 from repro.core import pipeline
 from repro.core.bottleneck import _bottleneck_sweep, bottleneck_min, bottleneck_min_naive
+from repro.core.feasibility import OptimumOverflowError
 from repro.core.pipeline import _prune, partition_chain, partition_tree
 from repro.core.processor_min import processor_min
 from repro.graphs.chain import Chain
@@ -191,6 +192,23 @@ SET_ORDER_HAZARDS = [
 ]
 
 
+class TestOverflowingTotals:
+    """A Section 2.2 total (a cluster plus its children) that overflows
+    to inf is a typed error, not a cut."""
+
+    def test_chain_pipeline_raises(self):
+        # The cut [2, 3] this used to return leaves {0, 1, 2} weighing inf.
+        chain = Chain([1e308] * 5, [1, 2, 3, 4])
+        with pytest.raises(OptimumOverflowError, match="Section 2.2 total"):
+            partition_chain(chain, 1.5e308, "bottleneck+processors")
+
+    def test_processor_min_raises(self):
+        # Pruning from an inf total used to cut the 1.0 leaf too.
+        tree = Tree([1e308, 1e308, 1e308, 1.0], [(0, 1), (0, 2), (0, 3)], [1, 1, 1])
+        with pytest.raises(OptimumOverflowError, match="Section 2.2 total"):
+            processor_min(tree, 1.5e308)
+
+
 class TestComponentChildOrder:
     """Algorithm 2.2 sums a component with its children in the reverse
     iteration order of the canonical cut set that the contraction builds;
@@ -234,8 +252,7 @@ def plan_outcome(tree, bounds):
 
 
 def _overflow_trees():
-    """Trees whose Section 2.2 totals overflow to inf, then to NaN
-    (inf - inf), where the native pruning hands back to Python."""
+    """Trees whose Section 2.2 totals overflow to inf."""
     rng = random.Random(77)
     yield Tree([1e308] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [1.0, 2.0, 3.0, 4.0])
     for _ in range(6):
@@ -276,16 +293,22 @@ class TestPipelineRoutes:
         assert got[0][0] == list(range(1, 9))
 
     def test_overflowing_totals(self):
-        # The pruning, not the plan: its cut can be infeasible here, which
-        # the REPRO_VERIFY certificate of partition_tree would reject.
+        # An inf total cannot say which components to prune: the pruning
+        # and the plan raise the same typed error on both routes.
         trees = list(_overflow_trees())
         bounds = [1.5e308, 1.1e308, 1.7e308]
+
+        def overflow(run, tree, bound):
+            with pytest.raises(OptimumOverflowError) as info:
+                run(tree, bound)
+            return str(info.value)
+
         got, want = on_both_routes(
             lambda: [rebuild(t) for t in trees],
-            lambda ts: [prune_outcome(t, k) for t in ts for k in bounds])
+            lambda ts: [overflow(run, t, k) for t in ts for k in bounds
+                        for run in (prune_outcome, partition_tree)])
         assert got == want
-        # The path's totals run inf, then NaN, and no later one prunes.
-        assert got[0][1] == [4, 3]
+        assert all(message.startswith("a Section 2.2 total") for message in got)
 
     @pytest.mark.parametrize("compensated", [False, True], ids=["plain", "compensated"])
     def test_prune_sums_as_sum_does(self, monkeypatch, compensated):

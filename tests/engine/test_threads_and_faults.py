@@ -10,9 +10,12 @@ served answer equal to the serial reference and certified by
 The fault tests patch one acquire or kernel call at a time to raise,
 assert the patched site was reached, and then certify recovery: every
 engine lock free from another thread, no half-built plan cached, and
-the canonical query re-solved bit-identically (REPRO020/REPRO023).
+the canonical query re-solved bit-identically.  Only typed failures
+become per-query errors in a batch; an untyped fault propagates out of
+``solve_many``.
 """
 
+import multiprocessing
 import random
 import threading
 
@@ -21,6 +24,7 @@ import pytest
 from repro.core.bandwidth import bandwidth_min
 from repro.core.feasibility import PartitioningError
 from repro.engine import PartitionEngine, PartitionQuery
+from repro.engine import batch as batch_module
 from repro.engine.cache import PlanCache
 from repro.graphs.chain import Chain
 from repro.verify.certificates import check_chain_partition
@@ -247,6 +251,47 @@ class TestFaults:
         for after, ref in zip(clean, reference):
             assert after.error is None
             assert (after.weight, after.cut_indices) == (ref.weight, ref.cut_indices)
+        assert_recovers(engine)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize(
+        "owner, site, objective",
+        [
+            (PartitionEngine, "solve_sweep", "bandwidth"),
+            (PartitionEngine, "_solve", "bottleneck"),
+            (batch_module, "Chain", "bandwidth"),
+        ],
+        ids=["group_sweep", "one_query", "chain_build"],
+    )
+    def test_untyped_fault_propagates_out_of_solve_many(
+        self, monkeypatch, owner, site, objective, workers
+    ):
+        """``solve_many`` turns only ``PartitioningError`` and
+        ``ValueError`` into per-query errors.  An untyped fault at any
+        capture site propagates: the group sweep ``_sweep`` wraps, the
+        one-query solve ``_attempt`` wraps (every non-bandwidth query
+        goes there), and a group's ``Chain`` build.  Two chains, so
+        ``workers=2`` runs a pool, whose forked workers inherit the
+        patch."""
+        if workers and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the patch only when forked")
+        chain = canonical_chain()
+        other = Chain(list(chain.alpha)[::-1], list(chain.beta)[::-1])
+        queries = [
+            PartitionQuery.from_chain(c, CANONICAL_BOUND + 4.0 * i, objective)
+            for c in (chain, other)
+            for i in range(2)
+        ]
+        calls = []
+        monkeypatch.setattr(
+            owner, site, raise_on_first_call(getattr(owner, site), calls)
+        )
+        engine = PartitionEngine()
+        with pytest.raises(InjectedFault):
+            engine.solve_many(queries, max_workers=workers)
+        # Pool workers record their calls in their own processes.
+        assert calls or workers
+        monkeypatch.undo()
         assert_recovers(engine)
 
 

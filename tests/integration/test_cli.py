@@ -234,6 +234,19 @@ class TestBatchErrorPaths:
         assert rows[0]["weight"] == 1e308
         assert "overflows float64" in rows[1]["error"]
 
+    def test_overflowing_section_2_2_total_is_a_query_error(self, tmp_path, capsys):
+        # Component {0, 1, 2} would weigh inf; the cut [2, 3] that left it
+        # used to be printed with exit 0.
+        inp = tmp_path / "queries.jsonl"
+        out = tmp_path / "results.jsonl"
+        query = {"alpha": [1e308] * 5, "beta": [1, 2, 3, 4], "bound": 1.5e308,
+                 "objective": "bottleneck+processors"}
+        inp.write_text(json.dumps(query) + "\n")
+        assert main(["batch", "--input", str(inp), "--output", str(out)]) == 1
+        (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert "cut" not in row
+        assert "Section 2.2 total" in row["error"]
+
     def test_tenth_weight_pipeline_query_is_answered(self, tmp_path, capsys):
         # Algorithm 2.1 merges component {2, 3, 4} to exactly K = 2.3; a
         # re-sum in vertex order lands a rounding step above it.
@@ -486,18 +499,19 @@ class TestAnalyzeCommand:
         assert "analyze: clean" in capsys.readouterr().err
 
     def test_analyze_reports_findings_and_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "engine" / "leaky.py"
+        # An unseeded draw in a function CONTRACTS declares.
+        bad = tmp_path / "src" / "repro" / "engine" / "plan.py"
         bad.parent.mkdir(parents=True)
         bad.write_text(
-            "def load(path):\n"
-            "    fh = open(path)\n"
-            "    data = fh.read()\n"
-            "    fh.close()\n"
-            "    return data\n"
+            "import random\n"
+            "\n"
+            "\n"
+            "def compile_chain(chain):\n"
+            "    return random.random()\n"
         )
         assert main(["analyze", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "leaky.py:2:10: REPRO020" in out
+        assert "plan.py:5:12: REPRO023" in out
 
     def test_analyze_syntax_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"

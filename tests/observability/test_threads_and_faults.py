@@ -299,7 +299,7 @@ class TestFaults:
 
     def test_sink_init_fault_closes_its_handle(self, tmp_path, monkeypatch):
         """A failed header write during construction closes the handle
-        the constructor just opened (REPRO020)."""
+        the constructor just opened."""
         opened = []
         real_open = io.open
 

@@ -1,12 +1,12 @@
-def load(path):
-    fh = open(path)  # repro-lint: disable=REPRO020 handed to a finalizer
-    data = fh.read()
-    fh.close()
-    return data
+import os
+import random
 
 
-def swallow(job):
-    try:
-        return job()
-    except Exception:  # repro-lint: disable=REPRO021 isolation boundary
-        pass
+def solve(chain, check):
+    if "REPRO_VERIFY" in os.environ:  # repro-lint: disable=REPRO023 opt-in gate
+        check(chain)
+    return chain
+
+
+def jitter(chain):
+    return chain, random.random()  # repro-lint: disable=REPRO016 names another rule

@@ -1,19 +1,14 @@
-"""Tests for :mod:`repro.verify.faultflow`: fault-surface analysis.
+"""Tests for :mod:`repro.verify.faultflow`: the REPRO023 determinism pass.
 
-Each rule (REPRO020 resource lifecycle, REPRO021 broad-except
-swallows, REPRO023 determinism taint, REPRO024 silent-drop handlers)
-gets a rule x construct golden matrix, pragmas suppress findings on their
+A rule x construct golden matrix, pragmas suppress findings on their
 line, the exit-code table in ``docs/usage.md`` is docs-checked against
 :data:`repro.exitcodes.EXIT_CODES` exactly like the rule registry, and
-the analyzer must run clean over the repo's own ``src/`` tree after the
-remediation.
+the analyzer must run clean over the repo's own ``src/`` tree.
 """
 
 import re
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.exitcodes import (
     EXIT_CODES,
@@ -80,359 +75,6 @@ class TestExitCodeTable:
         rows = re.findall(r"\|\s*`(\w+)`\s*\|\s*\d+\s*\|", section)
         assert rows, "the Exit codes table is empty"
         assert set(rows) == set(EXIT_CODES)
-
-
-# ----------------------------------------------------------------------
-# REPRO020 — resource lifecycle
-# ----------------------------------------------------------------------
-
-
-class TestResourceLifecycle:
-    def test_bare_open_with_raise_capable_use_is_flagged(self):
-        source = """
-            def load(path):
-                fh = open(path)
-                data = fh.read()
-                fh.close()
-                return data
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_with_statement_is_the_goal_state(self):
-        source = """
-            def load(path):
-                with open(path) as fh:
-                    return fh.read()
-        """
-        assert codes(source) == []
-
-    def test_try_finally_release_is_accepted(self):
-        source = """
-            def load(path):
-                fh = open(path)
-                try:
-                    return fh.read()
-                finally:
-                    fh.close()
-        """
-        assert codes(source) == []
-
-    def test_immediate_release_is_accepted(self):
-        source = """
-            def touch(path):
-                fh = open(path, "w")
-                fh.close()
-        """
-        assert codes(source) == []
-
-    def test_ownership_transfer_via_return_is_accepted(self):
-        assert codes("""
-            def opener(path):
-                return open(path)
-        """) == []
-        assert codes("""
-            def opener(path):
-                fh = open(path)
-                return fh
-        """) == []
-
-    def test_deferred_with_over_the_handle_is_accepted(self):
-        source = """
-            def load(path):
-                fh = open(path)
-                with fh:
-                    return fh.read()
-        """
-        assert codes(source) == []
-
-    def test_acquire_nested_in_a_call_argument_is_flagged(self):
-        source = """
-            def load(path, process):
-                return process(open(path))
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_pool_and_socket_constructors_are_acquires(self):
-        source = """
-            def fan_out(jobs):
-                pool = ProcessPoolExecutor(max_workers=4)
-                results = list(pool.map(work, jobs))
-                pool.shutdown()
-                return results
-        """
-        assert codes(source) == ["REPRO020"]
-        assert codes("""
-            def connect(host):
-                sock = socket.socket()
-                sock.connect(host)
-                sock.close()
-        """) == ["REPRO020"]
-
-    def test_lock_acquire_needs_try_finally(self):
-        flagged = """
-            def update(self, value):
-                self._lock.acquire()
-                self.value = compute(value)
-                self._lock.release()
-        """
-        assert codes(flagged) == ["REPRO020"]
-        accepted = """
-            def update(self, value):
-                self._lock.acquire()
-                try:
-                    self.value = compute(value)
-                finally:
-                    self._lock.release()
-        """
-        assert codes(accepted) == []
-
-    def test_self_attr_acquire_with_class_release_is_accepted(self):
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self.path = path
-                    self._fh = open(path, "w")
-
-                def close(self):
-                    self._fh.close()
-        """
-        assert codes(source) == []
-
-    def test_self_attr_acquire_followed_by_raise_capable_code_is_flagged(self):
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self._fh = open(path, "w")
-                    self._fh.write(render_header())
-
-                def close(self):
-                    self._fh.close()
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_self_attr_acquire_without_any_release_is_flagged(self):
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self._fh = open(path, "w")
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_guard_try_calling_own_release_method_is_accepted(self):
-        """The remediation shape used by StreamingJsonlSink.__init__."""
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self._fh = open(path, "w")
-                    try:
-                        self._fh.write(render_header())
-                    except BaseException:
-                        self.close()
-                        raise
-
-                def close(self):
-                    self._fh.close()
-        """
-        assert codes(source) == []
-
-    def test_acquire_inside_guarded_try_is_protected(self):
-        source = """
-            def load(path):
-                try:
-                    fh = open(path)
-                    return fh.read()
-                finally:
-                    cleanup()
-        """
-        assert codes(source) == []
-
-    def test_async_functions_are_scanned_too(self):
-        source = """
-            async def load(path):
-                fh = open(path)
-                data = fh.read()
-                fh.close()
-                return data
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_assert_between_acquire_and_release_is_raise_capable(self):
-        source = """
-            def load(path, expected):
-                fh = open(path)
-                assert expected, "missing expectation"
-                fh.close()
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_async_with_over_the_handle_is_accepted(self):
-        source = """
-            async def load(path):
-                fh = open(path)
-                async with fh:
-                    return await use(fh)
-        """
-        assert codes(source) == []
-
-    def test_async_with_item_acquire_is_the_goal_state(self):
-        source = """
-            async def load(path):
-                async with open(path) as fh:
-                    return await use(fh)
-        """
-        assert codes(source) == []
-
-    def test_handle_consumed_as_a_with_call_argument_is_accepted(self):
-        source = """
-            def load(path):
-                fh = open(path)
-                with closing(fh):
-                    return fh.read()
-        """
-        assert codes(source) == []
-
-    def test_guarded_acquire_inside_a_while_body_is_accepted(self):
-        source = """
-            def drain(pending):
-                while pending:
-                    fh = open(pending.pop())
-                    try:
-                        consume(fh)
-                    finally:
-                        fh.close()
-        """
-        assert codes(source) == []
-
-    def test_leak_in_a_for_else_block_is_flagged(self):
-        source = """
-            def scan(paths):
-                for path in paths:
-                    check(path)
-                else:
-                    fh = open(paths[0])
-                    consume(fh)
-                    fh.close()
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_acquire_in_a_loop_header_is_flagged(self):
-        source = """
-            def lines(path):
-                for line in open(path):
-                    print(line)
-        """
-        assert codes(source) == ["REPRO020"]
-
-    def test_class_release_through_one_indirection_is_accepted(self):
-        """``close`` releases only via ``self._shutdown()`` — the guard
-        handler calling ``self.close()`` must still count, which needs
-        the within-class call-edge fixpoint."""
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self._fh = open(path, "w")
-                    try:
-                        self._fh.write(render_header())
-                    except BaseException:
-                        self.close()
-                        raise
-
-                def close(self):
-                    self._shutdown()
-
-                def _shutdown(self):
-                    self._fh.close()
-        """
-        assert codes(source) == []
-
-    def test_nulling_the_attribute_out_counts_as_a_release(self):
-        source = """
-            class Sink:
-                def __init__(self, path):
-                    self._fh = open(path, "w")
-
-                def close(self):
-                    self._fh = None
-        """
-        assert codes(source) == []
-
-    def test_pragma_suppresses_on_the_acquire_line(self):
-        source = """
-            def load(path):
-                fh = open(path)  # repro-lint: disable=REPRO020 handed to a finalizer registered below
-                data = fh.read()
-                fh.close()
-                return data
-        """
-        assert codes(source) == []
-
-
-# ----------------------------------------------------------------------
-# REPRO021 — broad excepts swallowing typed failures
-# ----------------------------------------------------------------------
-
-
-class TestBroadExcept:
-    def test_bare_except_is_flagged(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except:
-                    log.warning("boom")
-        """
-        assert "REPRO021" in codes(source)
-
-    def test_except_exception_is_flagged(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except Exception:
-                    log.warning("boom")
-        """
-        assert "REPRO021" in codes(source)
-
-    def test_broad_member_of_a_tuple_is_flagged(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except (ValueError, BaseException):
-                    log.warning("boom")
-        """
-        assert "REPRO021" in codes(source)
-
-    def test_reraising_broad_except_is_accepted(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except Exception:
-                    log.warning("boom")
-                    raise
-        """
-        assert codes(source) == []
-
-    def test_typed_except_is_not_broad(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:
-                    log.warning("boom")
-        """
-        assert "REPRO021" not in codes(source)
-
-    def test_silent_broad_except_raises_both_codes(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except Exception:
-                    pass
-        """
-        assert codes(source) == ["REPRO021", "REPRO024"]
 
 
 # ----------------------------------------------------------------------
@@ -582,146 +224,46 @@ class TestDeterminismTaint:
 
 
 # ----------------------------------------------------------------------
-# REPRO024 — silent-drop handlers
-# ----------------------------------------------------------------------
-
-
-class TestSilentDrop:
-    def test_pass_body_is_flagged(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:
-                    pass
-        """
-        assert codes(source) == ["REPRO024"]
-
-    def test_assignment_only_body_is_flagged(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:
-                    result = None
-        """
-        assert codes(source) == ["REPRO024"]
-
-    def test_logging_is_reporting(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:
-                    log.warning("job failed")
-        """
-        assert codes(source) == []
-
-    def test_hub_publish_is_reporting(self):
-        source = """
-            def run(self, job):
-                try:
-                    return job()
-                except ValueError as exc:
-                    self.hub.publish({"event": "error", "err": str(exc)})
-        """
-        assert codes(source) == []
-
-    def test_private_publish_wrapper_is_reporting(self):
-        source = """
-            def run(self, job):
-                try:
-                    return job()
-                except ValueError as exc:
-                    self._publish_result(error(exc))
-        """
-        assert codes(source) == []
-
-    def test_metric_increment_is_reporting(self):
-        source = """
-            def run(self, job):
-                try:
-                    return job()
-                except ValueError:
-                    self.failures += 1
-        """
-        assert codes(source) == []
-
-    def test_returning_a_fallback_is_reporting(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:
-                    return None
-        """
-        assert codes(source) == []
-
-    def test_reraise_is_reporting(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError as exc:
-                    raise RuntimeError("wrapped") from exc
-        """
-        assert codes(source) == []
-
-    def test_import_fallback_is_exempt(self):
-        source = """
-            try:
-                import numpy
-            except ImportError:
-                numpy = None
-        """
-        assert codes(source) == []
-
-    def test_pragma_suppresses_on_the_except_line(self):
-        source = """
-            def run(job):
-                try:
-                    return job()
-                except ValueError:  # repro-lint: disable=REPRO024 error lands in the result payload
-                    pass
-        """
-        assert codes(source) == []
-
-
-# ----------------------------------------------------------------------
 # Scoping
 # ----------------------------------------------------------------------
 
 
 class TestScoping:
-    LEAKY = """
-        def load(path):
-            fh = open(path)
-            data = fh.read()
-            fh.close()
-            return data
+    TAINTED = """
+        def solve(chain):
+            return random.random()
+    """
+
+    #: The same draw in a function the repository contracts, for the
+    #: runs that read the real ``CONTRACTS`` table.
+    CONTRACTED = """
+        def processor_min(tree, bound):
+            return random.random()
     """
 
     def test_repro_scoped_packages_are_analyzed(self):
         for package in ("core", "engine", "observability"):
             path = f"src/repro/{package}/thing.py"
-            assert codes(self.LEAKY, path=path) == ["REPRO020"], package
+            assert codes(self.TAINTED, path=path) == ["REPRO023"], package
 
     def test_repro_unscoped_packages_are_skipped(self):
         for package in ("analysis", "verify", "graphs"):
             path = f"src/repro/{package}/thing.py"
-            assert codes(self.LEAKY, path=path) == [], package
+            assert codes(self.TAINTED, path=path) == [], package
 
     def test_fixture_files_are_always_analyzed(self):
-        assert codes(self.LEAKY, path="fixtures/thing.py") == ["REPRO020"]
+        assert codes(self.TAINTED, path="fixtures/thing.py") == ["REPRO023"]
 
     def test_check_faultflow_walks_trees(self, tmp_path):
         target = tmp_path / "pkg"
-        target.mkdir()
-        (target / "leaky.py").write_text(dedent(self.LEAKY))
+        (target / "repro" / "core").mkdir(parents=True)
+        (target / "repro" / "core" / "processor_min.py").write_text(
+            dedent(self.CONTRACTED)
+        )
         (target / "clean.py").write_text("x = 1\n")
         found, checked = analyze([target], ["faults"])["faults"]
         assert checked == 2
-        assert [f.code for f in found] == ["REPRO020"]
+        assert [f.code for f in found] == ["REPRO023"]
 
 
 # ----------------------------------------------------------------------
@@ -737,9 +279,7 @@ class TestSrcTreeIsClean:
         assert checked > 20  # core + engine + observability
 
     def test_rules_derive_from_registry(self):
-        assert set(FAULTFLOW_RULES) == {
-            "REPRO020", "REPRO021", "REPRO023", "REPRO024"
-        }
+        assert set(FAULTFLOW_RULES) == {"REPRO023"}
 
 
 # ----------------------------------------------------------------------
@@ -752,11 +292,12 @@ class TestMain:
         assert main(["analyze", "--faults", "definitely/not/here.py"]) == 2
 
     def test_findings_exit_1(self, tmp_path, capsys):
-        target = tmp_path / "leaky.py"
-        target.write_text(dedent(TestScoping.LEAKY))
+        target = tmp_path / "repro" / "core" / "processor_min.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(dedent(TestScoping.CONTRACTED))
         assert main(["analyze", "--faults", str(target)]) == 1
         out = capsys.readouterr().out
-        assert "REPRO020" in out
+        assert "REPRO023" in out
 
     def test_clean_exit_0(self, tmp_path, capsys):
         target = tmp_path / "clean.py"

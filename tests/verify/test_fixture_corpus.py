@@ -38,11 +38,8 @@ EXPECTED: Dict[str, Dict[str, int]] = {
     "hotpath/numpy_temps.py": {"REPRO019": 1},
     "hotpath/pragma_scoped.py": {"REPRO016": 1},
     "hotpath/clean.py": {},
-    "faults/leaky_resources.py": {"REPRO020": 3},
-    "faults/broad_except.py": {"REPRO021": 3},
     "faults/tainted.py": {"REPRO023": 5},
-    "faults/silent_drop.py": {"REPRO024": 2},
-    "faults/pragma_scoped.py": {"REPRO024": 1},
+    "faults/pragma_scoped.py": {"REPRO023": 1},
     "faults/clean.py": {},
 }
 
@@ -72,6 +69,9 @@ DECLARED: Dict[str, Surface] = {
     "hotpath/clean.py": Surface(contracts={"clean.tally": ("n", ())}),
     "faults/tainted.py": Surface(
         contracts={"tainted.solve": ("n", ()), "tainted.seeded": ("n", ())}
+    ),
+    "faults/pragma_scoped.py": Surface(
+        contracts={"pragma_scoped.solve": ("n", ()), "pragma_scoped.jitter": ("n", ())}
     ),
 }
 

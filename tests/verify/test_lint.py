@@ -1,5 +1,6 @@
-"""Per-rule tests for :mod:`repro.verify.lint` (REPRO001, REPRO002,
-REPRO004, REPRO005, REPRO012) and its command-line driver."""
+"""Per-rule tests for :mod:`repro.verify.lint` (REPRO002, REPRO005,
+REPRO012), the pragma grammar every pass shares, and the command-line
+entry point."""
 
 import os
 import subprocess
@@ -19,23 +20,6 @@ def codes(source: str, path: str) -> list:
 
 
 LIB = "src/repro/core/example.py"
-
-
-class TestRepro001Print:
-    def test_print_in_library_flagged(self):
-        assert codes("print('hi')\n", LIB) == ["REPRO001"]
-
-    def test_cli_exempt(self):
-        assert codes("print('hi')\n", "src/repro/cli.py") == []
-
-    def test_main_module_exempt(self):
-        assert codes("print('hi')\n", "src/repro/engine/__main__.py") == []
-
-    def test_analysis_package_exempt(self):
-        assert codes("print('hi')\n", "src/repro/analysis/report.py") == []
-
-    def test_method_named_print_not_flagged(self):
-        assert codes("obj.print()\n", LIB) == []
 
 
 class TestRepro002Slots:
@@ -83,24 +67,6 @@ class TestRepro002Slots:
         assert codes(src, LIB) == ["REPRO002"]
 
 
-class TestRepro004MutableDefaults:
-    @pytest.mark.parametrize(
-        "default", ["[]", "{}", "set()", "dict()", "list()", "defaultdict(int)"]
-    )
-    def test_mutable_default_flagged(self, default):
-        assert codes(f"def f(x={default}):\n    pass\n", LIB) == ["REPRO004"]
-
-    def test_kwonly_default_flagged(self):
-        assert codes("def f(*, x=[]):\n    pass\n", LIB) == ["REPRO004"]
-
-    def test_lambda_default_flagged(self):
-        assert codes("f = lambda x=[]: x\n", LIB) == ["REPRO004"]
-
-    @pytest.mark.parametrize("default", ["()", "None", "0", "'s'", "frozenset()"])
-    def test_immutable_default_fine(self, default):
-        assert codes(f"def f(x={default}):\n    pass\n", LIB) == []
-
-
 class TestRepro005NullCounter:
     def test_keyword_disabled_flagged(self):
         assert codes("c = OpCounter(enabled=False)\n", LIB) == ["REPRO005"]
@@ -118,6 +84,10 @@ class TestRepro005NullCounter:
         assert codes(src, path) == []
 
 
+#: One line that breaks two rules at once: REPRO005 and REPRO012.
+TWO_FINDINGS = "c = OpCounter(False); hub.publish(c)"
+
+
 class TestPragma:
     def test_pragma_suppresses_named_rule(self):
         src = "class A:  # repro-lint: disable=REPRO002\n    pass\n"
@@ -128,26 +98,27 @@ class TestPragma:
         assert codes(src, LIB) == []
 
     def test_pragma_other_rule_does_not_suppress(self):
-        src = "class A:  # repro-lint: disable=REPRO001\n    pass\n"
+        src = "class A:  # repro-lint: disable=REPRO005\n    pass\n"
         assert codes(src, LIB) == ["REPRO002"]
 
     def test_pragma_multiple_codes(self):
         src = (
-            "def f(x=[]):  # repro-lint: disable=REPRO004,REPRO001\n"
-            "    print(x)\n"
+            "class A:  # repro-lint: disable=REPRO002,REPRO005\n"
+            "    c = OpCounter(False)\n"
         )
-        # print is on its own line; only the default is suppressed.
-        assert codes(src, LIB) == ["REPRO001"]
+        # The counter is on its own line; only the class is suppressed.
+        assert codes(src, LIB) == ["REPRO005"]
 
     # One test per pragma shape the grammar admits (satellite fix for the
     # tokenizer that used to swallow everything after the first code).
 
     def test_pragma_comma_space_separated(self):
-        src = "def f(x=[]):  # repro-lint: disable=REPRO004, REPRO001\n    pass\n"
+        assert codes(TWO_FINDINGS + "\n", LIB) == ["REPRO005", "REPRO012"]
+        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO005, REPRO012\n"
         assert codes(src, LIB) == []
 
     def test_pragma_space_separated(self):
-        src = "def f(x=[]):  # repro-lint: disable=REPRO004 REPRO001\n    pass\n"
+        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO005 REPRO012\n"
         assert codes(src, LIB) == []
 
     def test_pragma_spaces_around_equals(self):
@@ -163,8 +134,8 @@ class TestPragma:
 
     def test_pragma_multi_code_then_justification_text(self):
         src = (
-            "def f(x=[]):  # repro-lint: disable=REPRO004, REPRO002 "
-            "shared sentinel default\n    pass\n"
+            TWO_FINDINGS + "  # repro-lint: disable=REPRO005, REPRO012 "
+            "shared sentinel counter\n"
         )
         assert codes(src, LIB) == []
 
@@ -172,14 +143,14 @@ class TestPragma:
         from repro.verify.lint import pragma_disables
 
         disables = pragma_disables(
-            "x = 1  # repro-lint: disable=REPRO004, REPRO001 NOT A CODE 123\n"
+            "x = 1  # repro-lint: disable=REPRO005, REPRO012 NOT A CODE 123\n"
         )
-        assert disables == {1: frozenset({"REPRO004", "REPRO001"})}
+        assert disables == {1: frozenset({"REPRO005", "REPRO012"})}
 
     def test_pragma_lowercase_code_ignored(self):
         from repro.verify.lint import pragma_disables
 
-        assert pragma_disables("x = 1  # repro-lint: disable=repro004\n") == {}
+        assert pragma_disables("x = 1  # repro-lint: disable=repro005\n") == {}
 
     def test_no_pragma_returns_empty(self):
         from repro.verify.lint import pragma_disables
@@ -301,9 +272,9 @@ class TestDriver:
 
     def test_main_reports_findings(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("def f(x=[]):\n    pass\n")
+        bad.write_text("c = OpCounter(enabled=False)\n")
         assert main([str(bad)]) == 1
-        assert "REPRO004" in capsys.readouterr().out
+        assert "REPRO005" in capsys.readouterr().out
 
     def test_main_clean_exit_zero(self, tmp_path):
         good = tmp_path / "good.py"
@@ -350,4 +321,4 @@ class TestModuleEntryPoint:
         result = _run_python("-m", "repro.verify.lint", "--list-rules")
         assert result.returncode == 0, result.stderr
         assert "RuntimeWarning" not in result.stderr
-        assert "REPRO001" in result.stdout
+        assert "REPRO002" in result.stdout

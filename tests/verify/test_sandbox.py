@@ -146,7 +146,7 @@ class TestSilencedOutput:
             try:
                 with silenced_output():
                     os.write(1, b"should vanish")
-                    print("also vanishes", flush=True)  # repro-lint: disable=REPRO001 (exercising fd-level capture)
+                    print("also vanishes", flush=True)
                 os.write(1, b"visible")
             finally:
                 os.dup2(saved, 1)
