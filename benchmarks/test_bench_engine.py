@@ -24,16 +24,15 @@ Claims reproduced / asserted:
   structure build on the restricted chain) than through the reference
   ``lexicographic_chain_partition``, with identical answers;
 - threading the observability ``tracer=`` parameter through the hot
-  path costs < 5% when tracing is disabled (the ``NULL_TRACER``
-  zero-overhead claim), measured against the reference's untraced
-  inner path;
-- the live telemetry hub costs < 5% both disabled (``NULL_HUB``) and
+  path costs < 5% when tracing is off (``tracer=None``), measured
+  against the reference's untraced inner path;
+- the live telemetry hub costs < 5% both off (``hub=None``) and
   enabled with no subscribers, measured against the direct
   plan-cache path;
 - the shared-state locks of the plan cache and the plan memo cost
   < 5% on a single-threaded cold solve vs the same engine path with
   both locks swapped for no-ops, and the disabled telemetry paths
-  (``NULL_HUB`` guard, null-hub publishes, locked ``Counter.inc``)
+  (the ``hub is not None`` guard with no hub, locked ``Counter.inc``)
   stay allocation-free.
 
 All tests also run (and still assert correctness) under
@@ -236,12 +235,11 @@ def test_tracing_disabled_overhead(benchmark):
     fail the build.
     """
     from repro.core.bandwidth import _bandwidth_min_impl
-    from repro.observability import NULL_TRACER
 
     chain, bound = make_chain(N_TASKS, 4.0)
 
     def instrumented():
-        return bandwidth_min(chain, bound, tracer=NULL_TRACER)
+        return bandwidth_min(chain, bound, tracer=None)
 
     def replica():
         return _bandwidth_min_impl(chain, bound, True, "binary", False, None)
@@ -283,8 +281,8 @@ def test_hub_overhead(benchmark):
     Two claims, both against a replica that calls the plan cache
     directly (the engine hot path without the hub plumbing):
 
-    - **disabled** — the default ``NULL_HUB`` engine's ``solve`` fast
-      path costs nothing beyond two ``.enabled`` attribute checks;
+    - **disabled** — the default engine's (``hub=None``) ``solve`` fast
+      path costs nothing beyond two ``is None`` tests;
     - **enabled, no subscribers** — a live ``TelemetryHub([])`` pays for
       building the event dicts and fanning out to nobody, which must
       still disappear next to a 10k-task solve.
@@ -346,7 +344,7 @@ def test_hub_overhead(benchmark):
     benchmark.extra_info["disabled_pct"] = round(disabled_overhead * 100, 2)
     benchmark.extra_info["enabled_pct"] = round(enabled_overhead * 100, 2)
     assert disabled_overhead < 0.05, (
-        f"NULL_HUB engine costs {disabled_overhead * 100:.1f}% over the "
+        f"hub-less engine costs {disabled_overhead * 100:.1f}% over the "
         f"direct cache path ({disabled_s * 1e3:.2f}ms vs {replica_s * 1e3:.2f}ms)"
     )
     assert enabled_overhead < 0.05, (
@@ -439,36 +437,29 @@ def test_disabled_paths_allocation_free(benchmark):
     """The zero-overhead claims survive the locks at the allocator level.
 
     ``sys.getallocatedblocks()`` deltas over warm loops must stay at
-    noise level for: the REPRO012 guard pattern (``if hub.enabled:``) on
-    :data:`~repro.observability.live.NULL_HUB`, the null hub's publish
-    no-ops on a prebuilt event, and a locked ``Counter.inc`` (the RLock
-    context manager allocates nothing).
+    noise level for: the engine's guard (``if hub is not None:``) with
+    no hub, and a locked ``Counter.inc`` (the RLock context manager
+    allocates nothing).
     """
     import gc
     import sys as _sys
 
-    from repro.observability.live import NULL_HUB
     from repro.observability.metrics import Counter
 
-    event = {"kind": "event", "event": "bench"}
+    hub = None
     counter = Counter("bench.lock")
 
     def guard_loop(n=20_000):
         for _ in range(n):
-            if NULL_HUB.enabled:
-                NULL_HUB.publish({"kind": "event"})
-
-    def publish_loop(n=20_000):
-        for _ in range(n):
-            NULL_HUB.publish(event)
+            if hub is not None:
+                hub.publish({"kind": "event"})
 
     def inc_loop(n=20_000):
         for _ in range(n):
             counter.inc(1.0)
 
     for name, loop in (
-        ("NULL_HUB guard", guard_loop),
-        ("null publish", publish_loop),
+        ("no-hub guard", guard_loop),
         ("locked Counter.inc", inc_loop),
     ):
         loop(1_000)  # warm caches/free-lists before measuring
@@ -490,7 +481,6 @@ def test_disabled_paths_allocation_free(benchmark):
 #: ratchet tolerance.
 ALLOC_BUDGETS = {
     "disabled_guard": {"net_blocks": 8},
-    "disabled_publish": {"net_blocks": 8},
     "disabled_counter_inc": {"net_blocks": 8},
     "warm_plan_sweep": {"net_blocks": 8, "peak_bytes": 32_768},
     "prime_structure": {"net_blocks": 8, "peak_bytes": 65_536},
@@ -533,7 +523,6 @@ def test_allocation_budgets(benchmark):
 
     measured = {
         "disabled_guard": disabled["guard"],
-        "disabled_publish": disabled["publish"],
         "disabled_counter_inc": disabled["counter_inc"],
         "warm_plan_sweep": warm,
         "prime_structure": prime,
@@ -547,9 +536,6 @@ def test_allocation_budgets(benchmark):
         "engine_alloc_disabled",
         telemetry_s,
         guard_ratio=ratchet_ratio(disabled["guard"]["net_blocks"], blocks),
-        publish_ratio=ratchet_ratio(
-            disabled["publish"]["net_blocks"], blocks
-        ),
         counter_inc_ratio=ratchet_ratio(
             disabled["counter_inc"]["net_blocks"], blocks
         ),

@@ -32,13 +32,12 @@ def bandwidth_min_nlogn(
 ) -> ChainCutResult:
     """Exact minimum-bandwidth load-bounded cut in ``O(n log n)``.
 
-    An enabled ``tracer`` wraps the DP in a ``nicol_dp_sweep`` span
+    A ``tracer`` wraps the DP in a ``nicol_dp_sweep`` span
     counting heap pushes and lazy pops — the baseline's analogue of the
     paper's search steps, so traced comparisons against Algorithm 4.1
     measure both sides in the same units.
     """
-    traced = tracer is not None and tracer.enabled
-    if not traced:
+    if tracer is None:
         return _nlogn_impl(chain, bound)
     with tracer.span(
         "nicol_dp_sweep", n=chain.num_tasks, bound=bound

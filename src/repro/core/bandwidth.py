@@ -130,12 +130,12 @@ def bandwidth_min(
         check (:mod:`repro.verify.empirical`) passes one built with its
         own op counter.  Must match ``chain``/``bound``/``apply_reduction``.
     tracer:
-        A :class:`repro.observability.Tracer` (or ``None``).  An enabled
-        tracer records nested spans — preprocessing, TEMP_S sweep — whose
+        A :class:`repro.observability.Tracer` (or ``None``).  A tracer
+        records nested spans — preprocessing, TEMP_S sweep — whose
         attributes and op-counts reproduce :class:`AlgorithmStats`
         exactly (same counter object, same expressions); it forces the
         counted reference sweep, so traced runs pay the ``collect_stats``
-        constant.  ``None``/disabled costs two branches.
+        constant.  ``None`` costs one branch.
 
     Raises :class:`~repro.core.feasibility.OptimumOverflowError` when
     every feasible cut's weight overflows float64 to ``inf``.
@@ -145,8 +145,7 @@ def bandwidth_min(
             f"unknown backend {backend!r}; bandwidth_min is the pure-Python "
             "reference (use repro.engine for the NumPy fast path)"
         )
-    traced = tracer is not None and tracer.enabled
-    if not traced:
+    if tracer is None:
         return _bandwidth_min_impl(
             chain, bound, apply_reduction, search, collect_stats, structure
         )

@@ -11,7 +11,7 @@ all-singletons partition).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 
 class PartitioningError(Exception):
@@ -29,6 +29,9 @@ class InfeasibleBoundError(PartitioningError):
         )
         self.bound = bound
         self.max_weight = max_weight
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float]]:
+        return (type(self), (self.bound, self.max_weight))
 
 
 class OptimumOverflowError(PartitioningError):
@@ -48,6 +51,9 @@ class OptimumOverflowError(PartitioningError):
             "every feasible cut weighs inf"
         )
         self.bound = bound
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, str]]:
+        return (type(self), (self.bound, str(self)))
 
 
 def total_overflow(bound: float) -> OptimumOverflowError:

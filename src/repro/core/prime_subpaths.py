@@ -310,11 +310,11 @@ def compute_prime_structure(
 
     ``tracer`` (a :class:`repro.observability.Tracer`) records the two
     preprocessing phases as nested spans with the paper's quantities
-    (``p``, ``r``) attached; ``None`` or a disabled tracer costs one
-    branch.  ``counter`` receives the sweep's analytic op counts (see
+    (``p``, ``r``) attached; ``None`` costs one branch.  ``counter``
+    receives the sweep's analytic op counts (see
     :func:`find_prime_subpaths`).
     """
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return PrimeStructure.compute(
             chain, bound, apply_reduction=apply_reduction, counter=counter
         )

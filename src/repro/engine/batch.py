@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bandwidth import ChainCutResult
 from repro.core.bottleneck import bottleneck_min
@@ -54,9 +54,11 @@ from repro.engine.kernels import (
 from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
 from repro.instrumentation.counters import OpCounter
-from repro.observability.live import NULL_HUB, Event, HubLike
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.spans import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.observability.live import Event, TelemetryHub
+    from repro.observability.spans import Tracer
 
 #: One query of a chain group: ``(index, bound, objective, tag)``.
 Member = Tuple[int, float, str, Optional[str]]
@@ -333,21 +335,21 @@ class PartitionEngine:
         solves serially in-process (still cached).  ``None`` lets the
         pool pick ``os.cpu_count()``.
     tracer:
-        A :class:`repro.observability.Tracer`.  Disabled by default —
-        single-query solves then take exactly the untraced fast path.
-        When enabled, ``solve`` records nested spans and per-query
-        latency metrics, and ``solve_many`` traces each query on its
-        own and keeps the span records.
+        A :class:`repro.observability.Tracer`, or ``None`` (the
+        default) — single-query solves then take exactly the untraced
+        fast path.  With a tracer, ``solve`` records nested spans and
+        per-query latency metrics, and ``solve_many`` traces each query
+        on its own and keeps the span records.
     metrics:
         A :class:`repro.observability.MetricsRegistry` to share, or
         ``None`` to own a private one.  Every event the engine reports
         is folded into it as it happens.
     hub:
         A :class:`repro.observability.TelemetryHub` for live telemetry,
-        or ``None`` for the zero-overhead :data:`NULL_HUB`.  With a
-        live hub every reported event is also published: a batch's
-        ``solve`` events *as each chain group completes* (not at batch
-        end), their ``plan`` and ``cache`` events, and a closing
+        or ``None`` (the default) for none.  With a hub every reported
+        event is also published: a batch's ``solve`` events *as each
+        chain group completes* (not at batch end), their ``plan`` and
+        ``cache`` events, and a closing
         ``batch`` event — the feed behind ``repro batch --stream`` and
         ``repro top``.  Without a hub or tracer, a single :meth:`solve`
         reports only its ``plan`` event (plus a ``cache`` event when it
@@ -369,12 +371,12 @@ class PartitionEngine:
         max_workers: Optional[int] = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        hub: Optional[HubLike] = None,
+        hub: Optional[TelemetryHub] = None,
     ) -> None:
-        self.hub = hub if hub is not None else NULL_HUB
+        self.hub = hub
         self.cache = PlanCache()
         self.max_workers = max_workers
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.last_batch_stats: Optional[BatchStats] = None
         self._held = _Held()
@@ -393,7 +395,7 @@ class PartitionEngine:
             held.append(event)
             return
         self.metrics.emit(event)
-        if self.hub.enabled:
+        if self.hub is not None:
             self.hub.publish(event)
 
     # ------------------------------------------------------------------
@@ -416,11 +418,11 @@ class PartitionEngine:
         (tree algorithms on the path tree, uncached).
         """
         tracer = self.tracer
-        if not tracer.enabled and not self.hub.enabled:
+        if tracer is None and self.hub is None:
             return self._solve(chain, bound, objective, None)
         verify = "REPRO_VERIFY" in os.environ
         t0 = time.perf_counter()
-        if tracer.enabled:
+        if tracer is not None:
             with tracer.span(
                 "engine_solve", objective=objective, n=chain.num_tasks, bound=bound
             ):
@@ -569,8 +571,7 @@ class PartitionEngine:
         bit-identical to per-call :meth:`solve`; under ``REPRO_VERIFY=1``
         every element is certified against the pure-Python solver.
         """
-        tracer = self.tracer if self.tracer.enabled else None
-        return self._plan_solve(chain, bounds, return_cuts, tracer)
+        return self._plan_solve(chain, bounds, return_cuts, self.tracer)
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -614,7 +615,7 @@ class PartitionEngine:
                 entry = seen[id(alpha), id(beta)] = (alpha, beta, members)
             entry[2].append((index, query.bound, query.objective, query.tag))
         count = sum(len(members) for members in groups.values())
-        trace = self.tracer.enabled
+        trace = self.tracer is not None
         tasks: List[GroupTask] = [
             (alpha, beta, members, trace)
             for (alpha, beta), members in groups.items()
@@ -669,7 +670,9 @@ class PartitionEngine:
         except (PartitioningError, ValueError) as exc:
             return [self._finish(n, m, str(exc), 0.0, verify) for m in members]
         swept: Dict[int, QueryResult] = {}
-        if not trace:
+        if trace:
+            from repro.observability.spans import Tracer
+        else:
             alpha_max = chain.max_vertex_weight()
             eligible = [
                 k

@@ -29,7 +29,7 @@ from repro.engine.plan import CacheStats, CompiledChainPlan, compile_chain
 from repro.graphs.chain import Chain
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.observability.live import HubLike, TelemetrySubscriber
+    from repro.observability.live import TelemetryHub, TelemetrySubscriber
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -49,7 +49,7 @@ class PlanCache:
     compile (miss) and an eviction each make one ``cache`` event
     carrying the cache's running totals, handed to the ``metrics`` given
     to :meth:`get` (anything with an ``emit``: a registry, or the
-    engine's reporter) and published on its ``hub`` when live.
+    engine's reporter) and published on its ``hub`` when one is given.
 
     Thread-safe under one reentrant ``_lock``; each
     plan guards its own memo with its own lock.
@@ -67,10 +67,10 @@ class PlanCache:
         self,
         action: str,
         metrics: Optional["TelemetrySubscriber"],
-        hub: Optional["HubLike"],
+        hub: Optional["TelemetryHub"],
     ) -> None:
-        """Hand one ``cache`` event to ``metrics`` and publish it on a
-        live ``hub``."""
+        """Hand one ``cache`` event to ``metrics`` and publish it on
+        ``hub`` when one is given."""
         stats = self.stats
         event = {
             "kind": "event",
@@ -85,7 +85,7 @@ class PlanCache:
         }
         if metrics is not None:
             metrics.emit(event)
-        if hub is not None and hub.enabled:
+        if hub is not None:
             hub.publish(event)
 
     def get(
@@ -93,7 +93,7 @@ class PlanCache:
         chain: Chain,
         *,
         metrics: Optional["TelemetrySubscriber"] = None,
-        hub: Optional["HubLike"] = None,
+        hub: Optional["TelemetryHub"] = None,
     ) -> CompiledChainPlan:
         """The cached plan for ``chain``, compiling one on first sight."""
         return self.lookup(chain, metrics=metrics, hub=hub)[0]
@@ -103,7 +103,7 @@ class PlanCache:
         chain: Chain,
         *,
         metrics: Optional["TelemetrySubscriber"] = None,
-        hub: Optional["HubLike"] = None,
+        hub: Optional["TelemetryHub"] = None,
     ) -> Tuple[CompiledChainPlan, bool]:
         """Like :meth:`get`, and also whether this lookup hit."""
         key = chain.fingerprint()

@@ -5,14 +5,14 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
-    from repro.instrumentation.counters import NULL_COUNTER, AlgorithmStats, OpCounter
+    from repro.instrumentation.counters import AlgorithmStats, OpCounter
     from repro.instrumentation.rng import spawn_rng
     from repro.instrumentation.stopwatch import Stopwatch
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.instrumentation.counters": ("NULL_COUNTER", "AlgorithmStats", "OpCounter"),
+    "repro.instrumentation.counters": ("AlgorithmStats", "OpCounter"),
     "repro.instrumentation.rng": ("spawn_rng",),
     "repro.instrumentation.stopwatch": ("Stopwatch",),
 })
 
-__all__ = ["AlgorithmStats", "NULL_COUNTER", "OpCounter", "Stopwatch", "spawn_rng"]
+__all__ = ["AlgorithmStats", "OpCounter", "Stopwatch", "spawn_rng"]

@@ -4,8 +4,8 @@ Figure 2 and the Section 2.3.2 discussion reason about *abstract*
 operation counts (``p log q`` search steps, TEMP_S queue lengths) rather
 than wall-clock time, so the algorithms accept an optional
 :class:`OpCounter` and report how much work they actually did.  Counting
-is opt-in and costs nothing when disabled (the algorithms check for
-``None`` once per phase, not per operation).
+is opt-in: off is ``counter=None``, which costs nothing (the algorithms
+check for ``None`` once per phase, not per operation).
 """
 
 from __future__ import annotations
@@ -19,37 +19,20 @@ class OpCounter:
 
     ``counter.add("comparisons", 3)`` bumps a counter;
     ``counter.trace("temp_s_len", 7)`` appends to a series (used for the
-    Appendix-B queue-length measurements).
-
-    Pass ``enabled=False`` (or use the shared :data:`NULL_COUNTER`) to
-    get a no-op counter: ``add``/``trace`` return immediately and record
-    nothing, so instrumented code can thread one counter object
-    unconditionally without taxing production calls.
+    Appendix-B queue-length measurements).  Counting off is ``None``:
+    the algorithms take ``counter=None`` and skip the calls.
     """
 
-    __slots__ = ("counts", "traces", "enabled")
+    __slots__ = ("counts", "traces")
 
-    def __init__(self, enabled: bool = True) -> None:
-        # Disabled counters get plain empty dicts: nothing ever writes
-        # to them (every mutator checks ``enabled``), and a defaultdict
-        # would let a stray ``counter.counts[k]`` insert keys into the
-        # shared NULL_COUNTER.
-        if enabled:
-            self.counts: Dict[str, int] = defaultdict(int)
-            self.traces: Dict[str, List[float]] = defaultdict(list)
-        else:
-            self.counts = {}
-            self.traces = {}
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = defaultdict(int)
+        self.traces: Dict[str, List[float]] = defaultdict(list)
 
     def add(self, name: str, amount: int = 1) -> None:
-        if not self.enabled:
-            return
         self.counts[name] += amount
 
     def trace(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
         self.traces[name].append(value)
 
     def get(self, name: str) -> int:
@@ -69,11 +52,6 @@ class OpCounter:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"OpCounter({inner})"
-
-
-#: Shared disabled counter — safe to pass anywhere an ``OpCounter`` is
-#: accepted; every recording call is a no-op.
-NULL_COUNTER = OpCounter(enabled=False)
 
 
 class AlgorithmStats:

@@ -4,8 +4,8 @@ Five pieces, layered next to :mod:`repro.instrumentation` at the
 foundation of the package (nothing here imports above it):
 
 - :mod:`repro.observability.spans` — :class:`Tracer`/:class:`Span`
-  nested phase timing with embedded op-counters and a zero-overhead
-  disabled mode (:data:`NULL_TRACER`);
+  nested phase timing with embedded op-counters (tracing off is
+  ``tracer=None``);
 - :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters, gauges and hybrid exact/log-bucketed percentile
   :class:`Histogram` instruments, and :meth:`MetricsRegistry.emit`, the
@@ -13,8 +13,7 @@ foundation of the package (nothing here imports above it):
 - :mod:`repro.observability.live` — the push-based
   :class:`TelemetryHub` with pluggable subscribers: crash-safe
   streaming JSONL (:class:`StreamingJsonlSink`), bounded
-  :class:`RingBufferSubscriber`, plus a zero-overhead
-  :data:`NULL_HUB`;
+  :class:`RingBufferSubscriber` (telemetry off is ``hub=None``);
 - :mod:`repro.observability.profiler` — :class:`ProfileSampler`, a
   stdlib stack-sampling profiler emitting collapsed-stack flamegraph
   input (``repro run --profile``);
@@ -43,9 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
         write_trace,
     )
     from repro.observability.live import (
-        NULL_HUB,
         CallbackSubscriber,
-        NullTelemetryHub,
         RingBufferSubscriber,
         StreamingJsonlSink,
         TelemetryHub,
@@ -59,20 +56,20 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
         nearest_rank,
     )
     from repro.observability.profiler import ProfileSampler
-    from repro.observability.spans import NULL_SPAN, NULL_TRACER, NullSpan, Span, Tracer
+    from repro.observability.spans import Span, Tracer
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.observability.export": ("TRACE_SCHEMA_VERSION", "aggregate_spans", "event_records",
                                    "metric_records", "read_trace", "render_prometheus",
                                    "render_prometheus_records", "span_records",
                                    "trace_records", "write_trace"),
-    "repro.observability.live": ("NULL_HUB", "CallbackSubscriber", "NullTelemetryHub",
-                                 "RingBufferSubscriber", "StreamingJsonlSink",
-                                 "TelemetryHub", "TelemetrySubscriber"),
+    "repro.observability.live": ("CallbackSubscriber", "RingBufferSubscriber",
+                                 "StreamingJsonlSink", "TelemetryHub",
+                                 "TelemetrySubscriber"),
     "repro.observability.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
                                     "nearest_rank"),
     "repro.observability.profiler": ("ProfileSampler",),
-    "repro.observability.spans": ("NULL_SPAN", "NULL_TRACER", "NullSpan", "Span", "Tracer"),
+    "repro.observability.spans": ("Span", "Tracer"),
 })
 
 __all__ = [
@@ -81,11 +78,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_HUB",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullSpan",
-    "NullTelemetryHub",
     "ProfileSampler",
     "RingBufferSubscriber",
     "Span",

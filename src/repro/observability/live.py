@@ -9,10 +9,9 @@ fold it into instruments
 (:meth:`repro.observability.metrics.MetricsRegistry.emit`) or into the
 ``repro top`` dashboard.
 
-Like the tracer, the hub has a zero-overhead null twin: hot paths guard
-every publish with ``if hub.enabled:`` so disabled telemetry costs one
-attribute load and a branch (lint rule REPRO012 enforces the guard in
-``core/``/``engine/``).
+Telemetry off is ``hub=None``, as tracing off is ``tracer=None``: the
+engine tests ``hub is not None`` before it publishes, so disabled
+telemetry costs one comparison and a branch.
 
 Events are plain dicts with a ``"kind": "event"`` discriminator — the
 trace schema v2 record type (see :mod:`repro.observability.export`).
@@ -27,7 +26,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO
 
 #: Trace schema version, bumped when the record layout changes
 #: incompatibly.  v1 (PR 2): ``meta``/``span``/``metric`` records.
@@ -52,33 +51,6 @@ class TelemetrySubscriber:
         """Flush/release resources.  Default: nothing to do."""
 
 
-class NullTelemetryHub:
-    """The disabled hub: every operation is a no-op.
-
-    ``enabled`` is False so guarded call sites
-    (``if hub.enabled: hub.publish(...)``) skip even building the event
-    dict.  A single shared instance, :data:`NULL_HUB`, is the default
-    everywhere a hub is accepted.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def publish(self, event: Event) -> None:
-        """Discard the event."""
-
-    def subscribe(self, subscriber: TelemetrySubscriber) -> None:
-        raise RuntimeError("cannot subscribe to the null telemetry hub")
-
-    def close(self) -> None:
-        """Nothing to close."""
-
-
-#: Shared do-nothing hub (the default wherever a hub is accepted).
-NULL_HUB = NullTelemetryHub()
-
-
 class TelemetryHub:
     """Fan events out to subscribers as they happen.
 
@@ -99,7 +71,7 @@ class TelemetryHub:
     publish path by design.
     """
 
-    __slots__ = ("enabled", "errors", "_subscribers", "_clock", "_lock")
+    __slots__ = ("errors", "_subscribers", "_clock", "_lock")
 
     def __init__(
         self,
@@ -107,7 +79,6 @@ class TelemetryHub:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.enabled = True
         self.errors: List[str] = []
         self._subscribers: List[TelemetrySubscriber] = list(subscribers)
         self._clock = clock
@@ -141,10 +112,6 @@ class TelemetryHub:
         with self._lock:
             for subscriber in self._subscribers:
                 subscriber.close()
-
-
-#: Anything a hub is accepted as: a live hub or the null hub.
-HubLike = Union[TelemetryHub, NullTelemetryHub]
 
 
 def _truncate_torn_tail(path: str) -> int:

@@ -19,11 +19,9 @@ embedded :class:`~repro.instrumentation.counters.OpCounter`
 algorithms already accept, so a traced run reproduces
 ``AlgorithmStats`` bit-for-bit rather than approximating it.
 
-Like ``NULL_COUNTER``, tracing has a zero-overhead disabled mode:
-:data:`NULL_TRACER` (any ``Tracer(enabled=False)``) returns the shared
-:data:`NULL_SPAN` from every :meth:`Tracer.span` call — no allocation,
-no clock reads, every method a no-op — so instrumented code threads a
-tracer unconditionally without taxing production calls.
+Tracing off is ``tracer=None``, as counting off is ``counter=None``:
+instrumented code tests ``tracer is None`` once per phase and then runs
+the untraced path, so production calls pay one branch.
 """
 
 from __future__ import annotations
@@ -31,42 +29,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.instrumentation.counters import NULL_COUNTER, OpCounter
-
-
-class NullSpan:
-    """The shared do-nothing span returned by disabled tracers.
-
-    Carries :data:`NULL_COUNTER` so code that forwards ``span.counter``
-    into an algorithm keeps working (and stays free) when disabled.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    counter = NULL_COUNTER
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-    def set(self, name: str, value: Any) -> None:
-        return None
-
-    def add(self, name: str, amount: int = 1) -> None:
-        return None
-
-    def trace(self, name: str, value: float) -> None:
-        return None
-
-    def __repr__(self) -> str:
-        return "NullSpan()"
-
-
-#: Shared no-op span — the only span a disabled tracer ever yields.
-NULL_SPAN = NullSpan()
+from repro.instrumentation.counters import OpCounter
 
 
 class Span:
@@ -90,8 +53,6 @@ class Span:
         "_tracer",
         "_t0",
     )
-
-    enabled = True
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
@@ -166,16 +127,13 @@ def _trace_summary(series: List[float]) -> Dict[str, float]:
 class Tracer:
     """Factory and collector for nested spans.
 
-    ``Tracer(enabled=False)`` is the no-op mode: :meth:`span` returns
-    the shared :data:`NULL_SPAN` and nothing is ever recorded.  Check
-    ``tracer.enabled`` before doing work whose only purpose is to feed
-    the tracer (e.g. forcing the counted sweep path).
+    Code that may run untraced takes ``tracer: Optional[Tracer]`` and
+    tests ``tracer is None``.
     """
 
-    __slots__ = ("enabled", "roots", "epoch", "_stack")
+    __slots__ = ("roots", "epoch", "_stack")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.roots: List[Span] = []
         self.epoch = time.perf_counter()
         self._stack: List[Span] = []
@@ -183,10 +141,8 @@ class Tracer:
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> Any:
+    def span(self, name: str, **attrs: Any) -> Span:
         """Open a span; use as ``with tracer.span("phase", n=n) as s:``."""
-        if not self.enabled:
-            return NULL_SPAN
         return Span(self, name, attrs)
 
     def _push(self, span: Span) -> None:
@@ -205,11 +161,6 @@ class Tracer:
         while self._stack:
             if self._stack.pop() is span:
                 return
-
-    @property
-    def current(self) -> Any:
-        """The innermost open span, or :data:`NULL_SPAN`."""
-        return self._stack[-1] if self._stack else NULL_SPAN
 
     # ------------------------------------------------------------------
     # Introspection and export
@@ -247,10 +198,4 @@ class Tracer:
         return out
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"Tracer({state}, roots={len(self.roots)})"
-
-
-#: Shared disabled tracer — safe to pass anywhere a ``Tracer`` is
-#: accepted; every span it yields is the no-op :data:`NULL_SPAN`.
-NULL_TRACER = Tracer(enabled=False)
+        return f"Tracer(roots={len(self.roots)})"

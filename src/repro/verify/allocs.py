@@ -11,9 +11,9 @@ a warmed operation under ``sys.getallocatedblocks()`` deltas and a
 Scenario functions (``measure_*``) cover the paths the zero-overhead
 and warm-query claims rest on:
 
-- the disabled-telemetry paths (the REPRO012 guard on ``NULL_HUB``,
-  the null hub's publish no-ops, a locked ``Counter.inc``) — these
-  must retain **zero** net allocator blocks per warm loop;
+- the disabled-telemetry paths (the engine's ``if hub is not None:``
+  guard with no hub, a locked ``Counter.inc``) — these must retain
+  **zero** net allocator blocks per warm loop;
 - a warm ``PlanCache``-style bound sweep on a compiled plan, where
   every query after the first hits the memoized structure;
 - the reference ``compute_prime_structure``, the ``O(n)``
@@ -202,32 +202,27 @@ def _make_chain(rng: random.Random, n: int) -> Any:
 def measure_disabled_telemetry(
     harness: AllocationHarness,
 ) -> Dict[str, Dict[str, int]]:
-    """The three zero-overhead telemetry paths, one footprint each.
+    """The two zero-overhead telemetry paths, one footprint each.
 
-    Certifies the claims behind REPRO012 and the disabled-path bench:
-    the ``if hub.enabled:`` guard on :data:`NULL_HUB`, the null hub's
-    publish no-ops on a prebuilt event, and a locked ``Counter.inc``
-    must all retain zero allocator blocks once warm.
+    Certifies the disabled-path bench: the engine's
+    ``if hub is not None:`` guard with no hub, which never builds the
+    event dict, and a locked ``Counter.inc`` must both retain zero
+    allocator blocks once warm.
     """
-    from repro.observability.live import NULL_HUB
     from repro.observability.metrics import Counter
 
-    event = {"kind": "event", "event": "alloc"}
+    hub: Any = None
     counter = Counter("alloc.certify")
 
     def guard() -> None:
-        if NULL_HUB.enabled:
-            NULL_HUB.publish({"kind": "event"})
-
-    def publish() -> None:
-        NULL_HUB.publish(event)
+        if hub is not None:
+            hub.publish({"kind": "event"})
 
     def inc() -> None:
         counter.inc(1.0)
 
     return {
         "guard": harness.measure(guard),
-        "publish": harness.measure(publish),
         "counter_inc": harness.measure(inc),
     }
 

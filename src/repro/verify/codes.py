@@ -45,10 +45,6 @@ REGISTRY: Dict[str, RuleSpec] = {
         "class in a slotted package without __slots__ (hot-path allocation)",
         "repro.verify.lint", "line", "",
     ),
-    "REPRO005": RuleSpec(
-        "disabled OpCounter constructed directly (use NULL_COUNTER)",
-        "repro.verify.lint", "line", "",
-    ),
     "REPRO009": RuleSpec(
         "measured op-count growth exceeds the declared complexity budget",
         "repro.verify.empirical", "line", "repro.verify.empirical",
@@ -56,10 +52,6 @@ REGISTRY: Dict[str, RuleSpec] = {
     "REPRO011": RuleSpec(
         "docstring O(...) claims all disagree with the declared budget",
         "repro.verify.contracts", "line", "",
-    ),
-    "REPRO012": RuleSpec(
-        "unguarded hub publish in a hot path (wrap in 'if hub.enabled:')",
-        "repro.verify.lint", "line", "repro.verify.allocs",
     ),
     "REPRO013": RuleSpec(
         "unguarded write to shared state on a concurrent path "
@@ -101,9 +93,9 @@ REGISTRY: Dict[str, RuleSpec] = {
 #: ``# repro-lint: disable=`` pragma naming one cannot silence a
 #: different rule.
 RETIRED: Tuple[str, ...] = (
-    "REPRO001", "REPRO003", "REPRO004", "REPRO006", "REPRO007",
-    "REPRO008", "REPRO010", "REPRO014", "REPRO015", "REPRO020",
-    "REPRO021", "REPRO022", "REPRO024",
+    "REPRO001", "REPRO003", "REPRO004", "REPRO005", "REPRO006",
+    "REPRO007", "REPRO008", "REPRO010", "REPRO012", "REPRO014",
+    "REPRO015", "REPRO020", "REPRO021", "REPRO022", "REPRO024",
 )
 
 

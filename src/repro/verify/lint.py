@@ -1,11 +1,8 @@
 """repro-lint: repository-specific static checks, as an AST pass.
 
 Generic linters cannot know this codebase's conventions — that hot-path
-classes must be slotted, that a disabled
-:class:`~repro.instrumentation.counters.OpCounter` must be the shared
-``NULL_COUNTER`` singleton, or that telemetry publishes on hot paths
-are guarded.  This module encodes those rules over the stdlib
-:mod:`ast` so they run anywhere the package runs, with no third-party
+classes must be slotted.  This module encodes that rule over the stdlib
+:mod:`ast` so it runs anywhere the package runs, with no third-party
 dependency:
 
 ==========  ==========================================================
@@ -17,15 +14,6 @@ REPRO002    Classes defined under ``core/``, ``engine/``, ``desim/``,
             allocate per-event/per-message.  Exception types,
             ``NamedTuple``/``TypedDict``/``Protocol`` classes and
             ``enum`` subclasses are exempt.
-REPRO005    Never construct a disabled ``OpCounter`` — use the shared
-            ``NULL_COUNTER`` singleton so no-op counters are free and
-            state cannot leak into ad-hoc instances.
-REPRO012    Telemetry publishes in the solver hot paths (``core/``,
-            ``engine/``) and the per-event report/simulation layers
-            (``analysis/``, ``realtime/``) must sit inside an
-            ``if <hub>.enabled:`` guard, so disabled telemetry never
-            pays for building the event dict — the
-            :data:`repro.observability.live.NULL_HUB` contract.
 ==========  ==========================================================
 
 Every static pass shares this module's machinery: the :class:`Module`
@@ -48,7 +36,7 @@ listed, separated by commas and/or whitespace, and trailing free text
 is treated as the justification::
 
     class QueryRecord:  # repro-lint: disable=REPRO002
-    hub.publish(e)  # repro-lint: disable=REPRO012,REPRO005 (fixture)
+    for row in rows: out.insert(0, [1, 2])  # repro-lint: disable=REPRO016,REPRO018 (fixture)
 
 Run it as a module::
 
@@ -92,17 +80,6 @@ RULES: Dict[str, str] = messages_for("repro.verify.lint")
 #: solver hot paths, plus the simulators — whose event/message/packet
 #: objects are allocated in the innermost loops of every demo run.
 _SLOTTED_PACKAGES = frozenset(("core", "engine", "desim", "realtime", "machine"))
-
-#: Module allowed to construct disabled OpCounters (REPRO005): the one
-#: defining NULL_COUNTER itself.
-_COUNTER_HOME = "counters.py"
-
-#: Packages whose hub publishes must be guarded (REPRO012): the
-#: per-query solver hot paths, where an unguarded publish would build
-#: the event dict even with telemetry disabled, plus the report/
-#: simulation layers (``analysis``, ``realtime``) that iterate per
-#: event — intentional unguarded publishes there take a pragma.
-_HUB_GUARDED_PACKAGES = frozenset(("core", "engine", "analysis", "realtime"))
 
 #: Base classes that make __slots__ meaningless or automatic.
 _SLOTS_EXEMPT_BASES = frozenset(
@@ -363,44 +340,19 @@ def _is_slots_exempt(cls: ast.ClassDef) -> bool:
     return False
 
 
-def _disabled_counter_call(node: ast.Call) -> bool:
-    """True for ``OpCounter(False)`` / ``OpCounter(enabled=False)``."""
-    if rightmost_name(node.func) != "OpCounter":
-        return False
-    for arg in node.args[:1]:
-        if isinstance(arg, ast.Constant) and arg.value is False:
-            return True
-    for kw in node.keywords:
-        if (
-            kw.arg == "enabled"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is False
-        ):
-            return True
-    return False
-
-
 class _Checker(ast.NodeVisitor):
-    """Single-file rule evaluation; path decides which rules apply."""
+    """Single-file rule evaluation; the path decides whether it applies."""
 
     def __init__(self, module: Module) -> None:
         self.module = module
         self.findings: List[Finding] = []
-        path = module.path
-        parts = path.parts
+        parts = module.path.parts
         # The slots rule targets the *library's* hot paths: require the
         # ``repro`` package in the path so ``tests/core`` / ``tests/engine``
         # (plain test classes, never per-query allocations) stay out.
         self._check_slots = (
             "repro" in parts and bool(_SLOTTED_PACKAGES.intersection(parts))
         )
-        self._check_counter = path.name != _COUNTER_HOME
-        self._check_hub = (
-            "repro" in parts and bool(_HUB_GUARDED_PACKAGES.intersection(parts))
-        )
-        # Lexical nesting depth of ``if <x>.enabled:`` guards around the
-        # node being visited (REPRO012).
-        self._hub_guard = 0
 
     def _add(self, node: ast.AST, code: str) -> None:
         self.module.flag(self.findings, node, code, RULES[code])
@@ -410,40 +362,9 @@ class _Checker(ast.NodeVisitor):
             self._add(node, "REPRO002")
         self.generic_visit(node)
 
-    def visit_If(self, node: ast.If) -> None:
-        # An ``if`` whose test reads any ``.enabled`` attribute guards
-        # its body (only) for REPRO012; the else-branch stays unguarded.
-        guarded = self._check_hub and any(
-            isinstance(sub, ast.Attribute) and sub.attr == "enabled"
-            for sub in ast.walk(node.test)
-        )
-        self.visit(node.test)
-        if guarded:
-            self._hub_guard += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if guarded:
-            self._hub_guard -= 1
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            self._check_hub
-            and self._hub_guard == 0
-            and isinstance(func, ast.Attribute)
-            and func.attr.startswith("publish")
-        ):
-            self._add(node, "REPRO012")
-        if self._check_counter and _disabled_counter_call(node):
-            self._add(node, "REPRO005")
-        self.generic_visit(node)
-
 
 def check(module: Module) -> List[Finding]:
-    """The lint pass (REPRO002, REPRO005, REPRO012) over one parsed
-    module."""
+    """The lint pass (REPRO002) over one parsed module."""
     checker = _Checker(module)
     checker.visit(module.tree)
     return checker.findings
@@ -461,8 +382,8 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.lint",
-        description="Repository-specific AST lint rules "
-        "(REPRO002, REPRO005, REPRO012).",
+        description="Repository-specific AST lint rule REPRO002 "
+        "(hot-path classes declare __slots__).",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(

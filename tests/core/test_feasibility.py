@@ -1,10 +1,14 @@
 """Unit tests for :mod:`repro.core.feasibility`."""
 
+import pickle
+
 import pytest
 
 from repro.core.feasibility import (
     InfeasibleBoundError,
+    OptimumOverflowError,
     PartitioningError,
+    total_overflow,
     validate_bound,
 )
 
@@ -108,3 +112,22 @@ class TestSolverEdgeCases:
             PartitionEngine().solve(chain, bound),
         ):
             assert chain.is_feasible_cut(result.cut_indices, bound)
+
+
+class TestPickling:
+    """An error that leaves a pool worker comes back as itself."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            InfeasibleBoundError(1.0, 2.0),
+            OptimumOverflowError(1.5),
+            total_overflow(1.5e308),
+        ],
+        ids=["infeasible", "overflow", "total_overflow"],
+    )
+    def test_round_trip(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)

@@ -30,10 +30,40 @@ def jsonl(records):
     return [json.dumps(record) for record in records]
 
 
+#: One batch of every objective on two chains, plus an infeasible bound.
+MIXED = [
+    {**record, "objective": objective}
+    for record in queries(2)
+    for objective in ("bandwidth", "bottleneck", "processors",
+                      "bottleneck+processors", "bottleneck+bandwidth")
+] + [{"alpha": [5.0, 5.0], "beta": [1.0], "bound": 1.0, "tag": "bad"}]
+
+
 class TestHubWiring:
     def test_default_engine_has_disabled_hub(self):
         engine = PartitionEngine()
-        assert engine.hub.enabled is False
+        assert engine.hub is None
+        assert engine.tracer is None
+
+    def test_default_engine_matches_hub_engine(self):
+        # Off and on differ only in who else hears the events: the
+        # answers and the engine's own registry come out the same.
+        plain = PartitionEngine()
+        ring = RingBufferSubscriber()
+        hubbed = PartitionEngine(hub=TelemetryHub([ring]))
+        answers = [
+            [r.to_json() for r in engine.solve_jsonl(jsonl(MIXED))]
+            for engine in (plain, hubbed)
+        ]
+        assert answers[0] == answers[1]
+        assert sum('"error"' in line for line in answers[0]) == 1
+        assert ring.events()
+        counters = [
+            {name: c.value for name, c in engine.metrics.counters.items()}
+            for engine in (plain, hubbed)
+        ]
+        assert counters[0] == counters[1]
+        assert counters[0]["engine.batch.queries"] == len(MIXED)
 
     def test_hub_threads_into_cache(self):
         pytest.importorskip("numpy")
@@ -49,8 +79,8 @@ class TestHubWiring:
     def test_no_events_when_hub_absent(self):
         engine = PartitionEngine()
         engine.solve_jsonl(jsonl(queries(2)))
-        # Nothing to assert beyond "it ran" — the null hub swallows all.
-        assert engine.hub.enabled is False
+        # Nothing to assert beyond "it ran" — no hub, nothing published.
+        assert engine.hub is None
 
 
 class TestBatchStreaming:

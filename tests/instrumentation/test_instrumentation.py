@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.instrumentation.counters import NULL_COUNTER, AlgorithmStats, OpCounter
+from repro.instrumentation.counters import AlgorithmStats, OpCounter
 from repro.instrumentation.rng import spawn_rng
 from repro.instrumentation.stopwatch import Stopwatch
 
@@ -30,29 +30,6 @@ class TestOpCounter:
         c = OpCounter()
         c.add("a")
         assert c.as_dict() == {"a": 1}
-
-    def test_disabled_counter_records_nothing(self):
-        c = OpCounter(enabled=False)  # repro-lint: disable=REPRO005 (testing the disabled path)
-        c.add("x", 100)
-        c.trace("len", 5.0)
-        assert c.get("x") == 0
-        assert c.trace_max("len") == 0.0
-        assert c.as_dict() == {}
-
-    def test_null_counter_is_shared_noop(self):
-        NULL_COUNTER.add("x")
-        NULL_COUNTER.trace("t", 1.0)
-        assert NULL_COUNTER.as_dict() == {}
-        assert not NULL_COUNTER.enabled
-
-    def test_disabled_counter_allocates_no_default_entries(self):
-        # A disabled counter's mappings are plain dicts: a stray read
-        # like `counter.counts[k]` raises instead of silently inserting.
-        disabled = OpCounter(enabled=False)  # repro-lint: disable=REPRO005 (testing the disabled path)
-        with pytest.raises(KeyError):
-            disabled.counts["x"]
-        with pytest.raises(KeyError):
-            disabled.traces["t"]
 
 
 class TestAlgorithmStats:

@@ -5,29 +5,12 @@ import json
 import pytest
 
 from repro.observability.live import (
-    NULL_HUB,
     CallbackSubscriber,
-    NullTelemetryHub,
     RingBufferSubscriber,
     StreamingJsonlSink,
     TelemetryHub,
     TRACE_SCHEMA_VERSION,
 )
-
-
-class TestNullHub:
-    def test_disabled_and_inert(self):
-        assert NULL_HUB.enabled is False
-        NULL_HUB.publish({"kind": "event"})
-        NULL_HUB.close()
-
-    def test_subscribe_refused(self):
-        with pytest.raises(RuntimeError):
-            NULL_HUB.subscribe(RingBufferSubscriber())
-
-    def test_shared_singleton(self):
-        assert isinstance(NULL_HUB, NullTelemetryHub)
-        assert NullTelemetryHub.enabled is False
 
 
 class TestTelemetryHub:

@@ -351,7 +351,7 @@ class TestFaults:
     def test_tracer_span_fault_unwinds(self):
         """A raise inside a span body closes the span and leaves the
         tracer reusable, with the engine still bit-identical."""
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with pytest.raises(InjectedFault):
             with tracer.span("faulted-phase", n=60):
                 raise InjectedFault("injected span-body fault")
@@ -371,7 +371,7 @@ class TestFaults:
             plan_mod, "structure_sweep",
             raise_on_first_call(plan_mod.structure_sweep, calls),
         )
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         engine = PartitionEngine(tracer=tracer)
         with pytest.raises(InjectedFault):
             engine.solve(canonical_chain(), CANONICAL_BOUND)

@@ -1,6 +1,5 @@
-"""Per-rule tests for :mod:`repro.verify.lint` (REPRO002, REPRO005,
-REPRO012), the pragma grammar every pass shares, and the command-line
-entry point."""
+"""Per-rule tests for :mod:`repro.verify.lint` (REPRO002), the pragma
+grammar every pass shares, and the command-line entry point."""
 
 import os
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify.lint import RULES, iter_python_files, main, module_name
+from repro.verify.lint import RULES, Surface, iter_python_files, main, module_name
 from repro.verify.passes import analyze, check_source
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
@@ -67,25 +66,26 @@ class TestRepro002Slots:
         assert codes(src, LIB) == ["REPRO002"]
 
 
-class TestRepro005NullCounter:
-    def test_keyword_disabled_flagged(self):
-        assert codes("c = OpCounter(enabled=False)\n", LIB) == ["REPRO005"]
-
-    def test_positional_disabled_flagged(self):
-        assert codes("c = OpCounter(False)\n", LIB) == ["REPRO005"]
-
-    def test_enabled_counter_fine(self):
-        assert codes("c = OpCounter()\n", LIB) == []
-        assert codes("c = OpCounter(enabled=flag)\n", LIB) == []
-
-    def test_counters_module_exempt(self):
-        src = "NULL_COUNTER = OpCounter(enabled=False)\n"
-        path = "src/repro/instrumentation/counters.py"
-        assert codes(src, path) == []
+def pass_codes(source: str, roots=("hot",)) -> list:
+    """Findings of the lint and hotpath passes together, in source
+    order, with a contract declared for each of ``roots``."""
+    module = module_name(Path(LIB))
+    surface = Surface(contracts={f"{module}.{root}": ("n", ()) for root in roots})
+    found = [
+        f
+        for section in ("lint", "hotpath")
+        for f in check_source(section, source, Path(LIB), surface)
+    ]
+    return [f.code for f in sorted(found, key=lambda f: (f.line, f.col, f.code))]
 
 
-#: One line that breaks two rules at once: REPRO005 and REPRO012.
-TWO_FINDINGS = "c = OpCounter(False); hub.publish(c)"
+#: One line that breaks two rules at once: REPRO016 (the loop-invariant
+#: list) and REPRO018 (``insert(0, ...)``).
+TWO_FINDINGS = "def hot(rows, out):\n    for row in rows: out.insert(0, [1, 2])"
+
+#: A code-shaped token that names no rule, assembled at run time so this
+#: file carries no stale pragma.
+UNKNOWN = "REPRO" + "999"
 
 
 class TestPragma:
@@ -98,28 +98,38 @@ class TestPragma:
         assert codes(src, LIB) == []
 
     def test_pragma_other_rule_does_not_suppress(self):
-        src = "class A:  # repro-lint: disable=REPRO005\n    pass\n"
+        src = "class A:  # repro-lint: disable=REPRO018\n    pass\n"
+        assert codes(src, LIB) == ["REPRO002"]
+
+    def test_pragma_unknown_code_suppresses_nothing(self):
+        src = f"class A:  # repro-lint: disable={UNKNOWN}\n    pass\n"
         assert codes(src, LIB) == ["REPRO002"]
 
     def test_pragma_multiple_codes(self):
         src = (
-            "class A:  # repro-lint: disable=REPRO002,REPRO005\n"
-            "    c = OpCounter(False)\n"
+            "class A:  # repro-lint: disable=REPRO002,REPRO018\n"
+            "    def hot(self, rows, out):\n"
+            "        for row in rows:\n"
+            "            out.insert(0, row)\n"
         )
-        # The counter is on its own line; only the class is suppressed.
-        assert codes(src, LIB) == ["REPRO005"]
+        # The insert is on its own line; only the class line is covered.
+        assert pass_codes(src, roots=("A.hot",)) == ["REPRO018"]
 
     # One test per pragma shape the grammar admits (satellite fix for the
     # tokenizer that used to swallow everything after the first code).
 
     def test_pragma_comma_space_separated(self):
-        assert codes(TWO_FINDINGS + "\n", LIB) == ["REPRO005", "REPRO012"]
-        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO005, REPRO012\n"
-        assert codes(src, LIB) == []
+        assert pass_codes(TWO_FINDINGS + "\n") == ["REPRO018", "REPRO016"]
+        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO016, REPRO018\n"
+        assert pass_codes(src) == []
 
     def test_pragma_space_separated(self):
-        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO005 REPRO012\n"
-        assert codes(src, LIB) == []
+        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO016 REPRO018\n"
+        assert pass_codes(src) == []
+
+    def test_pragma_one_of_two_codes(self):
+        src = TWO_FINDINGS + "  # repro-lint: disable=REPRO018\n"
+        assert pass_codes(src) == ["REPRO016"]
 
     def test_pragma_spaces_around_equals(self):
         src = "class A:  # repro-lint: disable = REPRO002\n    pass\n"
@@ -134,110 +144,28 @@ class TestPragma:
 
     def test_pragma_multi_code_then_justification_text(self):
         src = (
-            TWO_FINDINGS + "  # repro-lint: disable=REPRO005, REPRO012 "
-            "shared sentinel counter\n"
+            TWO_FINDINGS + "  # repro-lint: disable=REPRO016, REPRO018 "
+            "prepends by design\n"
         )
-        assert codes(src, LIB) == []
+        assert pass_codes(src) == []
 
     def test_pragma_justification_words_are_not_codes(self):
         from repro.verify.lint import pragma_disables
 
         disables = pragma_disables(
-            "x = 1  # repro-lint: disable=REPRO005, REPRO012 NOT A CODE 123\n"
+            "x = 1  # repro-lint: disable=REPRO016, REPRO018 NOT A CODE 123\n"
         )
-        assert disables == {1: frozenset({"REPRO005", "REPRO012"})}
+        assert disables == {1: frozenset({"REPRO016", "REPRO018"})}
 
     def test_pragma_lowercase_code_ignored(self):
         from repro.verify.lint import pragma_disables
 
-        assert pragma_disables("x = 1  # repro-lint: disable=repro005\n") == {}
+        assert pragma_disables("x = 1  # repro-lint: disable=repro002\n") == {}
 
     def test_no_pragma_returns_empty(self):
         from repro.verify.lint import pragma_disables
 
         assert pragma_disables("x = 1  # just a comment\n") == {}
-
-
-class TestRepro012HubGuard:
-    def test_unguarded_publish_in_engine_flagged(self):
-        src = "self.hub.publish({'kind': 'event'})\n"
-        assert codes(src, "src/repro/engine/batch.py") == ["REPRO012"]
-
-    def test_unguarded_publish_in_core_flagged(self):
-        src = "hub.publish_metric('x', 'observe', 1.0)\n"
-        assert codes(src, "src/repro/core/bandwidth.py") == ["REPRO012"]
-
-    def test_guarded_publish_clean(self):
-        src = (
-            "if self.hub.enabled:\n"
-            "    self.hub.publish({'kind': 'event'})\n"
-        )
-        assert codes(src, "src/repro/engine/batch.py") == []
-
-    def test_guard_through_local_alias_clean(self):
-        src = (
-            "hub = self.hub\n"
-            "if hub.enabled:\n"
-            "    hub.publish_span(record)\n"
-        )
-        assert codes(src, "src/repro/engine/batch.py") == []
-
-    def test_nested_statement_inside_guard_clean(self):
-        src = (
-            "if plan.hub.enabled:\n"
-            "    for item in items:\n"
-            "        plan.hub.publish(item)\n"
-        )
-        assert codes(src, "src/repro/engine/plan.py") == []
-
-    def test_else_branch_is_not_guarded(self):
-        src = (
-            "if hub.enabled:\n"
-            "    pass\n"
-            "else:\n"
-            "    hub.publish(event)\n"
-        )
-        assert codes(src, "src/repro/engine/cache.py") == ["REPRO012"]
-
-    def test_publish_after_guard_closes_flagged(self):
-        src = (
-            "if hub.enabled:\n"
-            "    pass\n"
-            "hub.publish(event)\n"
-        )
-        assert codes(src, "src/repro/engine/cache.py") == ["REPRO012"]
-
-    def test_unrelated_if_does_not_guard(self):
-        src = (
-            "if count > 0:\n"
-            "    hub.publish(event)\n"
-        )
-        assert codes(src, "src/repro/engine/batch.py") == ["REPRO012"]
-
-    def test_observability_layer_exempt(self):
-        # The hub implementation itself publishes unconditionally.
-        src = "self.publish(event)\n"
-        assert codes(src, "src/repro/observability/live.py") == []
-
-    def test_analysis_layer_guarded(self):
-        # Extended coverage: the live-rendering analysis package sits on
-        # hot refresh loops, so its publishes need the guard too.
-        src = "hub.publish(event)\n"
-        assert codes(src, "src/repro/analysis/top.py") == ["REPRO012"]
-
-    def test_realtime_layer_guarded(self):
-        src = "hub.publish(event)\n"
-        assert codes(src, "src/repro/realtime/scheduler.py") == ["REPRO012"]
-
-    def test_desim_layer_exempt(self):
-        # Simulation drivers are not hot paths; only the four guarded
-        # packages carry the rule.
-        src = "hub.publish(event)\n"
-        assert codes(src, "src/repro/desim/parallel.py") == []
-
-    def test_pragma_suppresses(self):
-        src = "hub.publish(e)  # repro-lint: disable=REPRO012 startup only\n"
-        assert codes(src, "src/repro/engine/batch.py") == []
 
 
 class TestDriver:
@@ -271,10 +199,11 @@ class TestDriver:
             assert code in out
 
     def test_main_reports_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("c = OpCounter(enabled=False)\n")
+        bad = tmp_path / "repro" / "core" / "bad.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("class A:\n    pass\n")
         assert main([str(bad)]) == 1
-        assert "REPRO005" in capsys.readouterr().out
+        assert "REPRO002" in capsys.readouterr().out
 
     def test_main_clean_exit_zero(self, tmp_path):
         good = tmp_path / "good.py"

@@ -82,8 +82,7 @@ BATCH_MODULES = sorted([
     "repro.graphs", "repro.graphs.chain", "repro.graphs.partition",
     "repro.graphs.task_graph", "repro.graphs.tree",
     "repro.instrumentation", "repro.instrumentation.counters",
-    "repro.observability", "repro.observability.live",
-    "repro.observability.metrics", "repro.observability.spans",
+    "repro.observability", "repro.observability.metrics",
 ])
 
 CHILD = """
