@@ -1,12 +1,12 @@
 """Human-readable rendering of trace files — ``repro report --trace``.
 
-Takes the record list produced by :mod:`repro.observability.export`
-(live from a tracer/registry, or re-read from a JSONL trace file) and
-prints the per-phase breakdown: one row per span path with call counts,
-wall-clock and the paper's op-counts, followed by the metric
-instruments.  Rendering lives in :mod:`repro.analysis` — the
-observability layer stores and aggregates; presentation is an
-analysis concern.
+Takes a trace's record list (re-read from a JSONL trace file, or a
+tracer's records) and prints the per-phase breakdown: one row per span
+path with call counts, wall-clock and the paper's op-counts, followed
+by the instruments its events fold into
+(:func:`~repro.observability.export.fold_events`).  Rendering lives in
+:mod:`repro.analysis` — the observability layer stores and
+aggregates; presentation is an analysis concern.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List
 
 from repro.analysis.tables import render_table
-from repro.observability.export import (
-    aggregate_spans,
-    metric_records,
-    span_records,
-)
+from repro.observability.export import aggregate_spans, fold_events, span_records
+from repro.observability.metrics import MetricsRegistry
+
 
 def phase_table(records: Iterable[Dict[str, Any]]) -> str:
     """The per-phase breakdown table for a record list."""
@@ -51,9 +49,9 @@ def phase_table(records: Iterable[Dict[str, Any]]) -> str:
     )
 
 
-def metrics_table(records: Iterable[Dict[str, Any]]) -> str:
+def metrics_table(registry: MetricsRegistry) -> str:
     """Counters/gauges first, then histogram percentiles."""
-    metrics = metric_records(records)
+    metrics = registry.records()
     if not metrics:
         return ""
     scalar_rows = [
@@ -63,8 +61,7 @@ def metrics_table(records: Iterable[Dict[str, Any]]) -> str:
     ]
     histo_rows = [
         [m["name"], m["summary"]["count"], m["summary"]["mean"],
-         m["summary"]["p50"], m["summary"]["p90"],
-         m["summary"].get("p95", "-"),  # v1 traces predate the column
+         m["summary"]["p50"], m["summary"]["p90"], m["summary"]["p95"],
          m["summary"]["p99"], m["summary"]["max"]]
         for m in metrics
         if m["type"] == "histogram"
@@ -98,20 +95,20 @@ def figure2_line(records: Iterable[Dict[str, Any]]) -> str:
     return ""
 
 
-def plan_cache_line(records: Iterable[Dict[str, Any]]) -> str:
+def plan_cache_line(registry: MetricsRegistry) -> str:
     """One-line compiled-plan telemetry summary, when plans were used.
 
-    Reads the ``engine.plan.*`` instruments of the engine registry: the
+    Reads the ``engine.plan.*`` instruments of a registry: the
     plan-cache counters and gauges (resident plans, hits/misses/
     evictions, a miss being a compile) and the sweep counters, condensed
     into the number a capacity planner cares about — how many queries
     each compiled plan amortized.
     """
     scalars = {
-        m["name"]: m["value"]
-        for m in metric_records(records)
-        if m["type"] in ("counter", "gauge")
-        and m["name"].startswith("engine.plan.")
+        name: instrument.value
+        for instruments in (registry.counters, registry.gauges)
+        for name, instrument in instruments.items()
+        if name.startswith("engine.plan.")
     }
     if not scalars:
         return ""
@@ -133,8 +130,11 @@ def plan_cache_line(records: Iterable[Dict[str, Any]]) -> str:
 
 
 def render_trace_report(records: Iterable[Dict[str, Any]]) -> str:
-    """The full ``repro report --trace`` output for a record list."""
+    """The full ``repro report --trace`` output for a record list.
+
+    Raises :class:`ValueError` naming a malformed event."""
     records = list(records)
+    registry = fold_events(records)
     meta = next((r for r in records if r.get("kind") == "meta"), None)
     parts: List[str] = []
     if meta:
@@ -151,18 +151,18 @@ def render_trace_report(records: Iterable[Dict[str, Any]]) -> str:
     line = figure2_line(records)
     if line:
         parts.append(line)
-    plans = plan_cache_line(records)
+    plans = plan_cache_line(registry)
     if plans:
         parts.append(plans)
-    # Streamed (schema v2) traces carry per-query events; summarize
-    # them with the same math ``repro top`` uses so both agree.
+    # Summarize the per-query events with the same math ``repro top``
+    # uses so both agree.
     from repro.analysis.top import events_line
 
     events = events_line(records)
     if events:
         parts.append(events)
     parts.append(phase_table(records))
-    metrics = metrics_table(records)
+    metrics = metrics_table(registry)
     if metrics:
         parts.append(metrics)
     return "\n\n".join(parts)

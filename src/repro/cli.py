@@ -20,8 +20,8 @@ Production entry points:
   process pool; results come back in input order.
 - ``run``       — solve one generated workload under the observability
   tracer and print the per-phase breakdown (spans, op-counts, the
-  paper's ``p``/``q``/``p log q``); ``--trace FILE`` exports the spans
-  and metrics as JSONL.
+  paper's ``p``/``q``/``p log q``); ``--trace FILE`` writes the spans
+  as JSONL.
 - ``report --trace FILE`` — re-render a previously captured trace
   (from ``run --trace`` or ``batch --trace``) without re-running
   anything.
@@ -29,7 +29,7 @@ Production entry points:
   (``batch --stream``): throughput, windowed latency percentiles,
   cache/plan gauges.  ``--once`` prints a single frame.
 - ``metrics export --trace FILE`` — Prometheus text-format rendering
-  of a trace's instruments.
+  of the instruments a trace's events fold into.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.trace_report import render_trace_report
     from repro.core.bandwidth import bandwidth_min
     from repro.graphs.generators import random_chain
-    from repro.observability import Tracer, trace_records, write_trace
+    from repro.observability import StreamingJsonlSink, Tracer
 
     if args.verify:
         from repro.verify.runtime import enable_verification
@@ -380,10 +380,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"weight {result.weight:.4f}, {result.num_components} components"
     )
     print()
-    print(render_trace_report(trace_records(tracer, meta=meta)))
+    spans = tracer.records()
+    print(render_trace_report([{"kind": "meta", **meta}, *spans]))
     if args.trace:
-        count = write_trace(args.trace, tracer=tracer, meta=meta)
-        print(f"\nwrote {count} trace records to {args.trace}", file=sys.stderr)
+        with StreamingJsonlSink(args.trace, meta=meta) as sink:
+            for record in spans:
+                sink.emit(record)
+        print(f"\nwrote {sink.lines_written} trace records to {args.trace}",
+              file=sys.stderr)
     if sampler is not None:
         stacks = sampler.write_collapsed(args.profile)
         print(
@@ -410,9 +414,17 @@ def _undecodable_line(path: str, stdin: bytes) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    import os
+
     from repro.engine import PartitionEngine
     from repro.engine.kernels import KernelUnavailableError
 
+    paths = [path for path in (args.stream, args.trace) if path]
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        print(f"batch: --trace and --stream both name {args.trace}; "
+              "each file gets the same records, so name one",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.verify:
         # Sets REPRO_VERIFY=1 for this process; process-pool workers
         # inherit it, so every query self-certifies in the worker that
@@ -420,26 +432,29 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         from repro.verify.runtime import enable_verification
 
         enable_verification()
-    hub = sink = None
-    if args.stream:
+    # Every file named by --stream or --trace gets the same records as
+    # the batch runs; --trace also turns tracing on, so they hold each
+    # chain group's spans next to the events.
+    hub = tracer = None
+    if paths:
         from repro.observability import StreamingJsonlSink, TelemetryHub
 
-        try:
-            sink = StreamingJsonlSink(
-                args.stream,
-                meta={"workload": "batch", "input": args.input},
-            )
-        except OSError as exc:
-            print(f"batch: cannot stream to {args.stream}: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        hub = TelemetryHub([sink])
+        hub = TelemetryHub()
+        for path in paths:
+            try:
+                hub.subscribe(StreamingJsonlSink(
+                    path, meta={"workload": "batch", "input": args.input},
+                ))
+            except OSError as exc:
+                hub.close()
+                print(f"batch: cannot stream to {path}: {exc}",
+                      file=sys.stderr)
+                return EXIT_USAGE
     if args.trace:
         from repro.observability import Tracer
 
-        engine = PartitionEngine(tracer=Tracer(), hub=hub)
-    else:
-        engine = PartitionEngine(hub=hub)
+        tracer = Tracer()
+    engine = PartitionEngine(tracer=tracer, hub=hub)
     stdin = b""
     # Records end at "\n" only, as _undecodable_line counts them: a bare
     # "\r" stays inside its line, and json.loads skips a trailing "\r".
@@ -467,13 +482,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"batch: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if hub is not None and sink is not None:
+        if hub is not None:
             hub.close()
-            print(
-                f"batch: streamed {sink.lines_written} events to "
-                f"{args.stream}",
-                file=sys.stderr,
-            )
+            for sink in hub.subscribers:
+                print(f"batch: streamed {sink.lines_written} records to "
+                      f"{sink.path}", file=sys.stderr)
     payload = "\n".join(r.to_json() for r in results)
     if args.output == "-":
         if payload:
@@ -482,20 +495,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             if payload:
                 handle.write(payload + "\n")
-    if args.trace:
-        from repro.observability import write_trace
-
-        batch = engine.last_batch_stats
-        count = write_trace(
-            args.trace,
-            tracer=engine.tracer,
-            metrics=engine.metrics,
-            meta={"workload": "batch", "input": args.input,
-                  "batch": batch.as_dict() if batch else None},
-            extra_spans=batch.trace_records if batch else None,
-        )
-        print(f"batch: wrote {count} trace records to {args.trace}",
-              file=sys.stderr)
     failed = sum(1 for r in results if not r.ok)
     if failed:
         print(
@@ -512,14 +511,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         from repro.observability import read_trace
 
         try:
-            records = read_trace(args.trace)
+            report = render_trace_report(read_trace(args.trace))
         except OSError as exc:
             print(f"report: cannot read {args.trace}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except ValueError as exc:
             print(f"report: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(render_trace_report(records))
+        print(report)
         return EXIT_OK
     from repro.analysis.report import render_report, run_report
 
@@ -586,42 +585,22 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Render a trace's instruments in Prometheus text format."""
-    from repro.observability import (
-        MetricsRegistry,
-        event_records,
-        metric_records,
-        read_trace,
-        render_prometheus_records,
-    )
+    """Render the instruments a trace's events fold into in Prometheus
+    text format."""
+    from repro.observability import fold_events, read_trace, render_prometheus
 
     try:
-        records = read_trace(args.trace)
+        registry = fold_events(read_trace(args.trace))
     except OSError as exc:
         print(f"metrics: cannot read {args.trace}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"metrics: {exc}", file=sys.stderr)
+        print(f"metrics: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Post-hoc traces carry the engine registry's "metric" records;
-    # streamed traces carry the events that registry was folded from.
-    # Fold the events the same way and render both, preferring the
-    # post-hoc record when a name appears in each.
-    registry = MetricsRegistry()
-    try:
-        for event in event_records(records):
-            registry.emit(event)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"metrics: malformed {event.get('event')!r} event in "
-              f"{args.trace}: {exc!r}", file=sys.stderr)
-        return EXIT_USAGE
-    rendered = metric_records(records)
-    seen = {record["name"] for record in rendered}
-    rendered += [r for r in registry.records() if r["name"] not in seen]
-    if not rendered:
-        print(f"metrics: no metric records in {args.trace}", file=sys.stderr)
+    if not len(registry):
+        print(f"metrics: no events in {args.trace}", file=sys.stderr)
         return EXIT_FAILURE
-    sys.stdout.write(render_prometheus_records(rendered))
+    sys.stdout.write(render_prometheus(registry))
     return EXIT_OK
 
 
@@ -905,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Generate a random chain, solve it with Algorithm 4.1 under "
             "the observability tracer, and print the per-phase span "
             "breakdown (wall-clock, search steps, TEMP_S lengths, p/q/"
-            "p log q).  --trace exports the spans as JSONL for later "
+            "p log q).  --trace writes the spans as JSONL for later "
             "'repro report --trace' inspection."
         ),
     )
@@ -916,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", action="store_true",
                    help="also run the traced Nicol O(n log n) baseline")
     p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write span/metric records to FILE as JSONL")
+                   help="write span records to FILE as JSONL")
     p.add_argument("--verify", action="store_true",
                    help="self-certify the solve (REPRO_VERIFY=1): check "
                         "the paper-invariant certificate and cross-check "
@@ -943,13 +922,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool width, one task per chain; 0 = "
                         "serial in-process (default)")
     p.add_argument("--trace", default=None, metavar="FILE",
-                   help="trace the batch and write span/metric JSONL to FILE")
+                   help="trace the batch: write its events and each chain "
+                        "group's spans to FILE as JSONL as the batch runs")
     p.add_argument("--verify", action="store_true",
                    help="self-certify every query (sets REPRO_VERIFY=1; "
                         "failures land in per-query 'error' fields)")
     p.add_argument("--stream", default=None, metavar="FILE",
-                   help="stream schema-v2 telemetry events to FILE as the "
-                        "batch runs (watch live with 'repro top --trace')")
+                   help="stream telemetry events (and, with --trace, "
+                        "spans) to FILE as the batch runs (watch live with "
+                        "'repro top --trace')")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -968,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live dashboard over a streaming trace file",
         description=(
-            "Follow a (possibly still-growing) schema-v2 trace JSONL and "
+            "Follow a (possibly still-growing) trace JSONL and "
             "render throughput, windowed latency percentiles, cache hit "
             "ratio, plan-cache occupancy and the optimality-gap gauge.  "
             "--once reads the file once and prints a single frame; the "
@@ -978,7 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--trace", required=True, metavar="FILE",
-                   help="trace JSONL to follow (e.g. from batch --stream)")
+                   help="trace JSONL to follow (from batch --stream or "
+                        "--trace)")
     p.add_argument("--once", action="store_true",
                    help="render one frame from the current file and exit")
     p.add_argument("--interval", type=float, default=1.0,
@@ -994,15 +976,14 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="export a trace's instruments (Prometheus text format)",
         description=(
-            "Render the metric records of a trace JSONL — or, for a "
-            "streamed trace, the instruments its events fold into — as "
-            "Prometheus text exposition format on stdout."
+            "Render the instruments the events of a trace JSONL fold "
+            "into as Prometheus text exposition format on stdout."
         ),
     )
     p.add_argument("action", choices=["export"],
                    help="'export' renders Prometheus text format")
     p.add_argument("--trace", required=True, metavar="FILE",
-                   help="trace JSONL (from run/batch --trace or --stream)")
+                   help="trace JSONL (from batch --trace or --stream)")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("fig2plot", help="ASCII plot of the Figure-2 curves")

@@ -29,6 +29,9 @@ live hub, publishes the same dict.  While a chain group is solved its
 events are held back and handed to the batch with the group's results,
 in or out of process; the batch then reports them as its own and folds
 them into the :class:`BatchStats` left on ``engine.last_batch_stats``.
+A traced batch takes the same route: each group records its spans on a
+tracer of its own, and their ``span`` records travel back and are
+reported with the group's events.
 """
 
 from __future__ import annotations
@@ -53,18 +56,17 @@ from repro.engine.kernels import (
 )
 from repro.engine.plan import PlanStats
 from repro.graphs.chain import Chain
-from repro.instrumentation.counters import OpCounter
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Event, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.observability.live import Event, TelemetryHub
+    from repro.observability.live import TelemetryHub
     from repro.observability.spans import Tracer
 
 #: One query of a chain group: ``(index, bound, objective, tag)``.
 Member = Tuple[int, float, str, Optional[str]]
 
 #: One chain group as a pool task — plain data: the chain's weights,
-#: its queries, and whether to trace each query.
+#: its queries, and whether to trace the group.
 GroupTask = Tuple[Tuple[float, ...], Tuple[float, ...], List[Member], bool]
 
 #: Objectives accepted by the engine — the same vocabulary as
@@ -169,10 +171,9 @@ class QueryResult:  # repro-lint: disable=REPRO002 (field defaults block slots o
     weight: float = 0.0
     num_components: int = 1
     error: Optional[str] = None
-    #: Per-query measurement from the solving process: ``duration_s``
-    #: and (traced runs only) ``spans``.  Excluded from :meth:`to_json`
-    #: — the JSONL wire format carries answers; telemetry is reported
-    #: by the engine and exported through trace files instead.
+    #: Per-query measurement from the solving process: ``duration_s``.
+    #: Excluded from :meth:`to_json` — the JSONL wire format carries
+    #: answers; telemetry is reported by the engine instead.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -251,23 +252,13 @@ class BatchStats:
     (latencies aside, which are wall-clock).
     """
 
-    __slots__ = (
-        "queries",
-        "failures",
-        "workers",
-        "wall_s",
-        "trace_records",
-        "metrics",
-    )
+    __slots__ = ("queries", "failures", "workers", "wall_s", "metrics")
 
     def __init__(self, workers: int = 0) -> None:
         self.queries = 0
         self.failures = 0
         self.workers = workers
         self.wall_s = 0.0
-        #: Per-query span records in query order, each tagged
-        #: ``query_index``.
-        self.trace_records: List[Dict[str, Any]] = []
         self.metrics = MetricsRegistry()
 
     @property
@@ -278,34 +269,6 @@ class BatchStats:
         lookups = hits + counter("engine.plan.cache.misses").value
         return hits / lookups if lookups else 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        counter = self.metrics.counter
-        counts = OpCounter()
-        for record in self.trace_records:
-            for name, value in record.get("counts", {}).items():
-                counts.add(name, value)
-        gap = self.metrics.histograms.get("solve.optimality_gap")
-        return {
-            "queries": self.queries,
-            "failures": self.failures,
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "cache": {
-                "hits": counter("engine.plan.cache.hits").value,
-                # A plan-cache lookup hits or compiles; interval hits
-                # happen in a plan's structure memo, not here.
-                "interval_hits": 0,
-                "misses": counter("engine.plan.cache.misses").value,
-                "evictions": counter("engine.plan.cache.evictions").value,
-                "hit_rate": self.cache_hit_rate,
-            },
-            "counts": counts.as_dict(),
-            "latency": self.metrics.histogram(
-                "engine.batch.query_latency_s"
-            ).summary(),
-            "optimality_gap": gap.summary() if gap is not None else None,
-        }
-
     def __repr__(self) -> str:
         return (
             f"BatchStats(queries={self.queries}, failures={self.failures}, "
@@ -315,10 +278,12 @@ class BatchStats:
 
 class _Held(threading.local):
     """Per thread: the events of the chain group being solved, held for
-    the batch that asked for it (``None`` outside a group)."""
+    the batch that asked for it, and the group's tracer when the batch
+    is traced (both ``None`` outside a group)."""
 
     __slots__ = ()
     events: Optional[List[Event]] = None
+    tracer: Optional[Tracer] = None
 
 
 class PartitionEngine:
@@ -337,9 +302,11 @@ class PartitionEngine:
     tracer:
         A :class:`repro.observability.Tracer`, or ``None`` (the
         default) — single-query solves then take exactly the untraced
-        fast path.  With a tracer, ``solve`` records nested spans and
-        per-query latency metrics, and ``solve_many`` traces each query
-        on its own and keeps the span records.
+        fast path.  With a tracer, ``solve`` records nested spans in it
+        and reports per-query latency, and ``solve_many`` records each
+        chain group's spans on a tracer of its own and reports their
+        ``span`` records with the group's events (subscribe a
+        :class:`~repro.observability.RingBufferSubscriber` to keep them).
     metrics:
         A :class:`repro.observability.MetricsRegistry` to share, or
         ``None`` to own a private one.  Every event the engine reports
@@ -570,8 +537,13 @@ class PartitionEngine:
         or ``(weights, cuts)`` with ``return_cuts=True``.  Answers are
         bit-identical to per-call :meth:`solve`; under ``REPRO_VERIFY=1``
         every element is certified against the pure-Python solver.
+        Inside a traced batch's chain group, the spans go on the group's
+        tracer.
         """
-        return self._plan_solve(chain, bounds, return_cuts, self.tracer)
+        tracer = self._held.tracer
+        if tracer is None:
+            tracer = self.tracer
+        return self._plan_solve(chain, bounds, return_cuts, tracer)
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -640,20 +612,27 @@ class PartitionEngine:
         """Answer one chain group: its results, in member order, and the
         events it reported, held back for the batch to report.
 
-        The :class:`Chain` is built once.  Untraced, the group's
-        bandwidth queries with finite feasible bounds go through one
-        :meth:`solve_sweep` call; every other query — and every query
-        of a group whose sweep failed (e.g. a verification failure) —
-        goes through :meth:`_solve` on its own, its error captured on
-        its own result.  Traced, each query makes its own one-bound
-        call under a fresh tracer, so every query has its own spans.
+        Traced, the group runs inside a ``chain_group`` span (attributes
+        ``n`` and the group's query ``indices``) on a tracer of its own,
+        and the group's ``span`` records follow its events.
         """
+        alpha, beta, members, trace = task
         held = self._held
         held.events = events = []
         try:
-            results = self._answer_group(*task)
+            if trace:
+                from repro.observability.spans import Tracer
+
+                held.tracer = tracer = Tracer()
+                with tracer.span(
+                    "chain_group", n=len(alpha), indices=[m[0] for m in members]
+                ):
+                    results = self._answer_group(alpha, beta, members, tracer)
+                events.extend(tracer.records())
+            else:
+                results = self._answer_group(alpha, beta, members, None)
         finally:
-            held.events = None
+            held.events = held.tracer = None
         return results, events
 
     def _answer_group(
@@ -661,8 +640,15 @@ class PartitionEngine:
         alpha: Tuple[float, ...],
         beta: Tuple[float, ...],
         members: List[Member],
-        trace: bool,
+        tracer: Optional[Tracer],
     ) -> List[QueryResult]:
+        """The group's answers.  The :class:`Chain` is built once.  The
+        group's bandwidth queries with finite feasible bounds go through
+        one :meth:`solve_sweep` call; every other query — and every
+        query of a group whose sweep failed (e.g. a verification
+        failure) — goes through :meth:`_solve` on its own, its error
+        captured on its own result.  Plan calls record their spans on
+        ``tracer`` when given."""
         n = len(alpha)
         verify = "REPRO_VERIFY" in os.environ
         try:
@@ -670,37 +656,32 @@ class PartitionEngine:
         except (PartitioningError, ValueError) as exc:
             return [self._finish(n, m, str(exc), 0.0, verify) for m in members]
         swept: Dict[int, QueryResult] = {}
-        if trace:
-            from repro.observability.spans import Tracer
-        else:
-            alpha_max = chain.max_vertex_weight()
-            eligible = [
-                k
-                for k, (_, bound, objective, _) in enumerate(members)
-                if objective == "bandwidth"
-                and math.isfinite(bound)
-                and 0.0 < bound
-                and alpha_max <= bound
-            ]
-            t0 = time.perf_counter()
-            out = self._sweep(chain, [members[k][1] for k in eligible])
-            if out is not None:
-                share = (time.perf_counter() - t0) / len(eligible)
-                for k, weight, cut in zip(eligible, *out):
-                    swept[k] = self._finish(
-                        n, members[k], ChainCutResult(chain, cut, float(weight)),
-                        share, verify,
-                    )
+        alpha_max = chain.max_vertex_weight()
+        eligible = [
+            k
+            for k, (_, bound, objective, _) in enumerate(members)
+            if objective == "bandwidth"
+            and math.isfinite(bound)
+            and 0.0 < bound
+            and alpha_max <= bound
+        ]
+        t0 = time.perf_counter()
+        out = self._sweep(chain, [members[k][1] for k in eligible])
+        if out is not None:
+            share = (time.perf_counter() - t0) / len(eligible)
+            for k, weight, cut in zip(eligible, *out):
+                swept[k] = self._finish(
+                    n, members[k], ChainCutResult(chain, cut, float(weight)),
+                    share, verify,
+                )
         results = []
         for k, member in enumerate(members):
             result = swept.get(k)
             if result is None:
-                tracer = Tracer() if trace else None
                 t0 = time.perf_counter()
                 answer = self._attempt(chain, member, tracer)
                 result = self._finish(
-                    n, member, answer, time.perf_counter() - t0, verify,
-                    None if tracer is None else tracer.records(),
+                    n, member, answer, time.perf_counter() - t0, verify
                 )
             results.append(result)
         return results
@@ -736,7 +717,6 @@ class PartitionEngine:
         answer: Union[ChainCutResult, str],
         duration_s: float,
         verify: bool,
-        spans: Optional[List[Dict[str, Any]]] = None,
     ) -> QueryResult:
         """One answered query: report its ``solve`` event and return its
         result."""
@@ -754,8 +734,6 @@ class PartitionEngine:
                 answer.weight, answer.num_components,
             )
         result.telemetry = {"duration_s": duration_s}
-        if spans is not None:
-            result.telemetry["spans"] = spans
         return result
 
     def _fold_groups(
@@ -784,10 +762,6 @@ class PartitionEngine:
             batch.queries += 1
             if not result.ok:
                 batch.failures += 1
-            for record in (result.telemetry or {}).get("spans", ()):
-                tagged = dict(record)
-                tagged["query_index"] = result.index
-                batch.trace_records.append(tagged)
         self.last_batch_stats = batch
         self.emit(
             {

@@ -17,11 +17,11 @@ foundation of the package (nothing here imports above it):
 - :mod:`repro.observability.profiler` — :class:`ProfileSampler`, a
   stdlib stack-sampling profiler emitting collapsed-stack flamegraph
   input (``repro run --profile``);
-- :mod:`repro.observability.export` — the JSONL trace format (schema
-  v2) written by ``repro run --trace``/``repro batch --trace``,
-  streamed by ``repro batch --stream``, read by ``repro report
-  --trace``/``repro top``, and the Prometheus text renderer behind
-  ``repro metrics export``.
+- :mod:`repro.observability.export` — reading the JSONL trace format
+  (schema v3) that the streaming sink writes for ``repro run
+  --trace`` and ``repro batch --trace``/``--stream``, the one fold of
+  its events that ``repro report --trace`` and ``repro metrics export``
+  read, and the Prometheus text renderer.
 """
 
 from typing import TYPE_CHECKING
@@ -33,13 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
         TRACE_SCHEMA_VERSION,
         aggregate_spans,
         event_records,
-        metric_records,
+        fold_events,
         read_trace,
         render_prometheus,
-        render_prometheus_records,
         span_records,
-        trace_records,
-        write_trace,
     )
     from repro.observability.live import (
         CallbackSubscriber,
@@ -60,9 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.observability.export": ("TRACE_SCHEMA_VERSION", "aggregate_spans", "event_records",
-                                   "metric_records", "read_trace", "render_prometheus",
-                                   "render_prometheus_records", "span_records",
-                                   "trace_records", "write_trace"),
+                                   "fold_events", "read_trace", "render_prometheus",
+                                   "span_records"),
     "repro.observability.live": ("CallbackSubscriber", "RingBufferSubscriber",
                                  "StreamingJsonlSink", "TelemetryHub",
                                  "TelemetrySubscriber"),
@@ -88,12 +84,9 @@ __all__ = [
     "Tracer",
     "aggregate_spans",
     "event_records",
-    "metric_records",
+    "fold_events",
     "nearest_rank",
     "read_trace",
     "render_prometheus",
-    "render_prometheus_records",
     "span_records",
-    "trace_records",
-    "write_trace",
 ]

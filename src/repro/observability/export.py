@@ -1,98 +1,50 @@
-"""Trace serialization: JSONL writing, reading, aggregation, Prometheus.
+"""Trace files: reading, filtering, folding, and Prometheus text.
 
-A *trace file* is newline-delimited JSON with four record kinds,
-distinguishable by their ``kind`` field (schema v2):
+A *trace file* is newline-delimited JSON with three record kinds,
+distinguishable by their ``kind`` field (schema v3):
 
-- ``{"kind": "meta", ...}`` — one optional header describing the run
-  (workload, arguments, schema version);
-- ``{"kind": "span", "path": "bandwidth_min/temp_s_sweep", ...}`` —
-  one per span, depth-first (see :meth:`Tracer.records`);
-- ``{"kind": "metric", "type": "counter" | "gauge" | "histogram", ...}``
-  — one per registry instrument (see :meth:`MetricsRegistry.records`);
+- ``{"kind": "meta", "schema": 3, ...}`` — one header describing the
+  run (workload, arguments, schema version);
 - ``{"kind": "event", "event": "solve" | "plan" | "cache" | "batch",
-  "t": <monotonic seconds>, ...}`` — live-streamed records pushed
-  through a :class:`~repro.observability.live.TelemetryHub` *while* a
-  run executes (new in v2); folding them with
-  :meth:`~repro.observability.metrics.MetricsRegistry.emit` gives the
-  ``metric`` records of the same run.
+  "t": <monotonic seconds>, ...}`` — the engine's telemetry events, as
+  its :class:`~repro.observability.live.TelemetryHub` published them;
+- ``{"kind": "span", "path": "chain_group/plan_solve_bounds", ...}`` —
+  one per span (see :meth:`Tracer.records`): a traced batch's spans,
+  reported with each chain group, or a ``repro run`` solve's.
 
-**v1 → v2 migration.**  v2 is a superset: every v1 file is a valid v2
-file (v1 simply contains no ``event`` records).  Histogram records
-carry a ``summary``, never the observations behind it.  Readers
-should dispatch on ``kind`` and ignore kinds they don't know; that is
-what :func:`read_trace` consumers here do, so v1 traces remain fully
-inspectable with ``repro report --trace``.
+Every writer is a :class:`~repro.observability.live.StreamingJsonlSink`:
+``repro batch --trace``/``--stream`` put the same records in every
+file they name, as the batch runs, and ``repro run --trace`` writes its
+spans the same way.  Every number a reader prints comes from one fold:
+:func:`fold_events`, :meth:`MetricsRegistry.emit
+<repro.observability.metrics.MetricsRegistry.emit>` over the file's
+events — ``repro report --trace``'s metrics table and plan-cache line,
+``repro metrics export``; ``repro top`` reads the events directly.
 
-``repro run --trace``/``repro batch --trace`` write this format,
-``repro batch --stream`` streams the ``event`` form live, and
-``repro report --trace``/``repro top --trace`` ingest it, so traces
-captured in production can be inspected offline with no repo state
-beyond the file.
+**Migration.**  v1 and v2 files also carry ``metric`` records (one per
+registry instrument, written at exit).  Readers ignore them, as they
+ignore any kind they don't know, and fold the ``event`` records
+instead; a v1 file, which has no events, shows its spans only.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.observability.live import TRACE_SCHEMA_VERSION
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.spans import Tracer
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "trace_records",
-    "write_trace",
     "read_trace",
     "span_records",
-    "metric_records",
     "event_records",
+    "fold_events",
     "aggregate_spans",
     "render_prometheus",
-    "render_prometheus_records",
 ]
-
-
-def trace_records(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    extra_spans: Optional[Iterable[Dict[str, Any]]] = None,
-) -> List[Dict[str, Any]]:
-    """Assemble the full record list for one trace file.
-
-    ``extra_spans`` accepts already-serialized span records (e.g. the
-    per-worker spans a batch shipped back) and is appended after the
-    tracer's own spans, preserving caller order.
-    """
-    records: List[Dict[str, Any]] = []
-    header: Dict[str, Any] = {"kind": "meta", "schema": TRACE_SCHEMA_VERSION}
-    if meta:
-        header.update(meta)
-    records.append(header)
-    if tracer is not None:
-        records.extend(tracer.records())
-    if extra_spans is not None:
-        records.extend(extra_spans)
-    if metrics is not None:
-        records.extend(metrics.records())
-    return records
-
-
-def write_trace(
-    path: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    extra_spans: Optional[Iterable[Dict[str, Any]]] = None,
-) -> int:
-    """Write a trace JSONL file; returns the number of records written."""
-    records = trace_records(tracer, metrics, meta, extra_spans)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-    return len(records)
 
 
 def read_trace(source: Union[str, Iterable[str]]) -> List[Dict[str, Any]]:
@@ -148,13 +100,26 @@ def span_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return [r for r in records if r.get("kind") == "span"]
 
 
-def metric_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    return [r for r in records if r.get("kind") == "metric"]
-
-
 def event_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Live-streamed ``event`` records (schema v2)."""
     return [r for r in records if r.get("kind") == "event"]
+
+
+def fold_events(records: Iterable[Dict[str, Any]]) -> MetricsRegistry:
+    """The registry a trace's ``event`` records fold into through
+    :meth:`MetricsRegistry.emit` — the engine's own fold, so a reader
+    gets the numbers the engine's registry held.
+
+    Raises :class:`ValueError` naming the first malformed event.
+    """
+    registry = MetricsRegistry()
+    for event in event_records(records):
+        try:
+            registry.emit(event)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed {event.get('event')!r} event: {exc!r}"
+            ) from exc
+    return registry
 
 
 def aggregate_spans(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -224,40 +189,30 @@ def _prom_number(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus_records(records: Iterable[Mapping[str, Any]]) -> str:
-    """Render metric records to Prometheus text exposition format.
+def render_prometheus(metrics: MetricsRegistry) -> str:
+    """Render a registry to Prometheus text exposition format.
 
     Counters become ``<name>_total`` counters, gauges stay gauges, and
     histograms are exposed as Prometheus *summary* families (quantile
     series from the nearest-rank percentiles, plus ``_sum``/``_count``).
-    Input is the :func:`metric_records` shape, so a registry snapshot
-    and a trace file read back render identically.
     """
     lines: List[str] = []
-    for record in records:
-        if record.get("kind") != "metric":
-            continue
-        kind = record.get("type")
-        name = _prom_name(str(record.get("name", "")))
+    for record in metrics.records():
+        kind = record["type"]
+        name = _prom_name(record["name"])
         if kind == "counter":
             lines.append(f"# TYPE {name}_total counter")
-            lines.append(f"{name}_total {_prom_number(record.get('value', 0.0))}")
+            lines.append(f"{name}_total {_prom_number(record['value'])}")
         elif kind == "gauge":
             lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_prom_number(record.get('value', 0.0))}")
-        elif kind == "histogram":
-            summary = record.get("summary", {})
+            lines.append(f"{name} {_prom_number(record['value'])}")
+        else:
+            summary = record["summary"]
             lines.append(f"# TYPE {name} summary")
             for quantile, key in _PROM_QUANTILES:
                 lines.append(
-                    f'{name}{{quantile="{quantile}"}} '
-                    f"{_prom_number(summary.get(key, 0.0))}"
+                    f'{name}{{quantile="{quantile}"}} {_prom_number(summary[key])}'
                 )
-            lines.append(f"{name}_sum {_prom_number(summary.get('sum', 0.0))}")
-            lines.append(f"{name}_count {_prom_number(summary.get('count', 0))}")
+            lines.append(f"{name}_sum {_prom_number(summary['sum'])}")
+            lines.append(f"{name}_count {_prom_number(summary['count'])}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_prometheus(metrics: MetricsRegistry) -> str:
-    """Render a live registry to Prometheus text exposition format."""
-    return render_prometheus_records(metrics.records())

@@ -1,9 +1,10 @@
 """Push-based live telemetry: the hub, sinks and ring buffers.
 
-Spans and a metrics registry buffer in memory and dump one JSONL file
-at exit; a long-running batch also needs the opposite shape: the engine
-*pushes* each event as it happens, and pluggable subscribers decide
-what to do with it — stream it to disk (:class:`StreamingJsonlSink`),
+The engine *pushes* each record as it happens — its events, and a
+traced batch's spans — and pluggable subscribers decide what to do
+with it: stream it to disk (:class:`StreamingJsonlSink`, the one trace
+writer behind ``repro batch --trace``/``--stream`` and ``repro run
+--trace``),
 keep a bounded recent window in memory (:class:`RingBufferSubscriber`),
 fold it into instruments
 (:meth:`repro.observability.metrics.MetricsRegistry.emit`) or into the
@@ -13,9 +14,12 @@ Telemetry off is ``hub=None``, as tracing off is ``tracer=None``: the
 engine tests ``hub is not None`` before it publishes, so disabled
 telemetry costs one comparison and a branch.
 
-Events are plain dicts with a ``"kind": "event"`` discriminator — the
-trace schema v2 record type (see :mod:`repro.observability.export`).
-A monotonic timestamp ``"t"`` is stamped at publish time.
+Events are plain dicts with a ``"kind"`` discriminator — the trace
+schema v3 ``event`` records, and the ``span`` records a traced batch
+reports with each chain group (see :mod:`repro.observability.export`).
+A monotonic timestamp ``"t"`` is stamped at publish time.  The
+:data:`Event` alias is defined in :mod:`repro.observability.metrics`
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -28,15 +32,15 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, TextIO
 
-#: Trace schema version, bumped when the record layout changes
-#: incompatibly.  v1 (PR 2): ``meta``/``span``/``metric`` records.
-#: v2 (this module): adds the ``event`` record kind for live streams.
-#: Defined here (the leaf module of
-#: the package) so both spans and export can import it cycle-free;
-#: :mod:`repro.observability.export` re-exports it.
-TRACE_SCHEMA_VERSION = 2
+from repro.observability.metrics import Event
 
-Event = Dict[str, Any]
+#: Trace schema version, bumped when the record layout changes.
+#: v1: ``meta``/``span``/``metric`` records.  v2: adds the ``event``
+#: record kind for live streams.  v3: ``meta``/``event``/``span`` only,
+#: every record written as the run goes; readers ignore the ``metric``
+#: records of v1/v2 files.  :mod:`repro.observability.export`
+#: re-exports it.
+TRACE_SCHEMA_VERSION = 3
 
 
 class TelemetrySubscriber:
@@ -152,8 +156,8 @@ class StreamingJsonlSink(TelemetrySubscriber):
 
     Writes are line-buffered — each event is serialized to a single
     ``\\n``-terminated line and flushed immediately, so a crash can tear
-    at most the final line (which schema-v2 ``read_trace`` tolerates).
-    A fresh (or empty) file gets a schema-v2 meta header first; with
+    at most the final line (which ``read_trace`` tolerates).
+    A fresh (or empty) file gets a meta header first; with
     ``resume=True`` an existing non-empty file is appended to without a
     second header, so a restarted producer continues the same trace.
     The line terminator is the commit marker: on resume, a trailing

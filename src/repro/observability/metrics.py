@@ -18,6 +18,10 @@ import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+#: One telemetry record: a plain dict with a ``"kind"`` discriminator
+#: (``"event"`` or ``"span"``; see :mod:`repro.observability.export`).
+Event = Dict[str, Any]
+
 
 def nearest_rank(ordered: List[float], pct: float) -> float:
     """Nearest-rank percentile of an ascending-sorted list; 0 when empty.

@@ -339,48 +339,53 @@ class TestPlanGrouping:
         assert len(engine.plans) == 1
 
 
+def traced_batch(queries, workers):
+    """A traced ``solve_many``: its results, last batch stats and the
+    records its hub saw."""
+    from repro.observability import Tracer
+
+    ring = RingBufferSubscriber()
+    engine = PartitionEngine(tracer=Tracer(), hub=TelemetryHub([ring]))
+    results = engine.solve_many(queries, max_workers=workers)
+    return results, engine.last_batch_stats, ring.events()
+
+
+def spans(records):
+    return [r for r in records if r["kind"] == "span"]
+
+
 class TestBatchTelemetry:
     def test_last_batch_stats_aggregates_serial(self):
-        from repro.observability import Tracer
-
-        engine = PartitionEngine(tracer=Tracer())
-        queries = make_queries(num=6)
-        results = engine.solve_many(queries, max_workers=0)
-        batch = engine.last_batch_stats
+        results, batch, records = traced_batch(make_queries(num=6), 0)
         assert batch is not None
         assert batch.queries == 6
         assert batch.failures == 0
-        summary = batch.as_dict()
-        assert summary["latency"]["count"] == 6
+        latency = batch.metrics.histogram("engine.batch.query_latency_s")
+        assert latency.count == 6
         assert batch.wall_s > 0.0
-        # Worker spans arrive tagged and in query order.
-        indices = [r["query_index"] for r in batch.trace_records]
-        assert indices == sorted(indices)
-        assert set(indices) == set(range(6))
-        # The per-query span op-counts survive aggregation.
-        assert summary["counts"]["cache_misses"] == 6
-        assert summary["cache"]["misses"] == 6
+        # One chain group per query here, its spans in group order.
+        groups = [r for r in spans(records) if r["path"] == "chain_group"]
+        assert [g["attrs"]["indices"] for g in groups] == [[i] for i in range(6)]
+        # The span op-counts and the batch's fold agree.
+        sweeps = [r for r in spans(records)
+                  if r["path"] == "chain_group/plan_solve_bounds"]
+        assert sum(r["counts"]["cache_misses"] for r in sweeps) == 6
+        assert batch.metrics.counter("engine.plan.cache.misses").value == 6
         assert all(r.ok for r in results)
 
     def test_parallel_aggregation_matches_serial_counts(self):
-        from repro.observability import Tracer
-
         queries = make_queries(num=8)
-        serial = PartitionEngine(tracer=Tracer())
-        parallel = PartitionEngine(tracer=Tracer())
-        serial.solve_many(queries, max_workers=0)
-        parallel.solve_many(queries, max_workers=2)
-        a, b = serial.last_batch_stats, parallel.last_batch_stats
+        _, a, serial = traced_batch(queries, 0)
+        _, b, parallel = traced_batch(queries, 2)
         assert b.workers == 2
         # Deterministic quantities agree across execution modes.
         assert (a.queries, a.failures) == (b.queries, b.failures)
-        assert a.as_dict()["counts"] == b.as_dict()["counts"]
-        assert a.as_dict()["cache"] == b.as_dict()["cache"]
-        assert [r["query_index"] for r in a.trace_records] == [
-            r["query_index"] for r in b.trace_records
-        ]
-        assert [r["path"] for r in a.trace_records] == [
-            r["path"] for r in b.trace_records
+        def counters(batch):
+            return {name: c.value for name, c in batch.metrics.counters.items()}
+
+        assert counters(a) == counters(b)
+        assert [(r["path"], r["attrs"].get("indices")) for r in spans(serial)] == [
+            (r["path"], r["attrs"].get("indices")) for r in spans(parallel)
         ]
 
     def test_pooled_cache_events_do_not_depend_on_scheduling(self):
@@ -407,7 +412,6 @@ class TestBatchTelemetry:
         engine.solve_many([good, bad])
         batch = engine.last_batch_stats
         assert (batch.queries, batch.failures) == (2, 1)
-        assert batch.as_dict()["failures"] == 1
 
     def test_traced_results_identical_to_untraced(self):
         from repro.observability import Tracer
@@ -420,16 +424,16 @@ class TestBatchTelemetry:
         ] == [(r.cut_indices, r.weight, r.num_components) for r in plain]
         # Telemetry rides on the result object but stays off the wire.
         assert [r.to_json() for r in traced] == [r.to_json() for r in plain]
-        assert all("spans" in r.telemetry for r in traced)
-        assert all("spans" not in r.telemetry for r in plain)
+        assert all(set(r.telemetry) == {"duration_s"} for r in traced + plain)
 
     def test_untraced_engine_records_no_batch_stats(self):
-        engine = PartitionEngine()
+        ring = RingBufferSubscriber()
+        engine = PartitionEngine(hub=TelemetryHub([ring]))
         engine.solve_many(make_queries(num=3))
         batch = engine.last_batch_stats
         assert batch is not None
         assert batch.queries == 3
-        assert batch.trace_records == []  # no spans without a tracer
+        assert spans(ring.events()) == []  # no spans without a tracer
 
     def test_snapshot_metrics_mirrors_cache_and_batch(self):
         from repro.observability import Tracer
@@ -497,8 +501,42 @@ class TestOneBatchPath:
         # One plan call per chain for its feasible bandwidth bounds.
         assert serial.metrics.counter("engine.plan.sweeps").value == 3
         assert serial.metrics.counter("engine.plan.queries").value == 9
-        assert serial.last_batch_stats.as_dict()["cache"] == (
-            pooled.last_batch_stats.as_dict()["cache"])
+        assert serial.last_batch_stats.cache_hit_rate == (
+            pooled.last_batch_stats.cache_hit_rate)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_traced_batch_makes_the_untraced_calls(self, workers):
+        # Tracing observes the batch; it does not change its route.
+        queries = self.queries()
+        ring = RingBufferSubscriber()
+        plain = PartitionEngine(hub=TelemetryHub([ring]))
+        want = plain.solve_many(queries, max_workers=workers)
+        got, _, records = traced_batch(queries, workers)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+        def facts(events):
+            return [{k: v for k, v in e.items() if k != "t"} for e in events
+                    if e.get("event") in ("plan", "cache")]
+
+        assert facts(records) == facts(ring.events())
+        assert sum(1 for e in records if e.get("event") == "plan") == 3
+
+    def test_traced_span_paths_agree_serial_and_pooled(self):
+        queries = self.queries()
+        paths = []
+        for workers in (0, 2):
+            records = spans(traced_batch(queries, workers)[2])
+            paths.append([(r["path"], r["attrs"].get("indices"))
+                          for r in records])
+        assert paths[0] == paths[1]
+        groups = [indices for path, indices in paths[0] if path == "chain_group"]
+        assert groups == [list(range(c * 8, c * 8 + 8)) for c in range(3)]
+        # Each group: one compile, its sweep, and one-bound calls for
+        # the bandwidth queries the sweep could not take.
+        assert [path for path, _ in paths[0][:4]] == [
+            "chain_group", "chain_group/plan_compile",
+            "chain_group/plan_solve_bounds", "chain_group/plan_solve_bounds",
+        ]
 
 
 def content_groups(queries):

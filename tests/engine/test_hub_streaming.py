@@ -175,14 +175,14 @@ class TestSingleSolveEvents:
 
 
 class TestStreamedTraceFile:
-    def test_streamed_file_is_valid_schema_v2(self, tmp_path):
+    def test_streamed_file_is_valid_schema_v3(self, tmp_path):
         path = str(tmp_path / "stream.jsonl")
         with StreamingJsonlSink(path, meta={"workload": "batch"}) as sink:
             engine = PartitionEngine(hub=TelemetryHub([sink]))
             engine.solve_jsonl(jsonl(queries(4)))
         records = read_trace(path)
         assert records[0]["kind"] == "meta"
-        assert records[0]["schema"] == 2
+        assert records[0]["schema"] == 3
         kinds = {r.get("event") for r in records if r["kind"] == "event"}
         assert kinds == {"solve", "plan", "cache", "batch"}
 
@@ -216,8 +216,7 @@ class TestStreamedTraceFile:
         engine.solve_jsonl(jsonl(queries(3)))
         stats = engine.last_batch_stats
         assert stats is not None
-        gap_summary = stats.as_dict()["optimality_gap"]
-        assert gap_summary is not None
+        gap_summary = stats.metrics.histograms["solve.optimality_gap"].summary()
         assert gap_summary["count"] == 3
         assert 0.0 <= gap_summary["max"] <= 1.0
 
@@ -245,12 +244,15 @@ class TestEachFactOnce:
         from repro.observability import Tracer
 
         engine, events, _ = self.solve(0, tracer=Tracer())
-        kinds = [(e["event"], e.get("action")) for e in events]
+        kinds = [(e.get("event", e["kind"]), e.get("action")) for e in events]
         assert kinds.count(("solve", None)) == 12
-        assert kinds.count(("plan", None)) == 12
+        # One plan call per chain group, as untraced.
+        assert kinds.count(("plan", None)) == 4
         assert kinds.count(("cache", "miss")) == 4
         assert kinds.count(("batch", None)) == 1
-        assert len(events) == 29
+        # Each group: its chain_group span, a compile and a sweep.
+        assert kinds.count(("span", None)) == 12
+        assert len(events) == 33
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_stream_folds_to_registry(self, workers):

@@ -84,7 +84,7 @@ def test_finite_answer_unchanged():
 
 @pytest.mark.parametrize(
     "method",
-    ["solve", "solve_sweep", "solve_many", "solve_jsonl"],
+    ["solve", "solve_sweep", "solve_many", "solve_jsonl", "emit"],
 )
 def test_public_engine_methods_have_resolvable_type_hints(method):
     # Every annotation must name an imported type, so tools that call

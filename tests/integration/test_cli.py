@@ -308,9 +308,10 @@ class TestTraceReportCommand:
         inp = tmp_path / "queries.jsonl"
         out = tmp_path / "results.jsonl"
         trace = tmp_path / "trace.jsonl"
+        # Two chains, so a pooled run answers them in two workers.
         records = [
-            {"alpha": [1.0] * 12, "beta": [1.0] * 11, "bound": 3.0,
-             "tag": f"q{i}"}
+            {"alpha": [1.0] * (12 + i % 2), "beta": [1.0] * (11 + i % 2),
+             "bound": 3.0, "tag": f"q{i}"}
             for i in range(4)
         ]
         inp.write_text("\n".join(json.dumps(r) for r in records) + "\n")
@@ -337,10 +338,17 @@ class TestTraceReportCommand:
             json.loads(line) for line in trace.read_text().splitlines()
         ]
         worker_spans = [
-            r for r in records
-            if r["kind"] == "span" and "query_index" in r
+            (r["path"], r["attrs"].get("indices"))
+            for r in records if r["kind"] == "span"
         ]
-        assert sorted({r["query_index"] for r in worker_spans}) == [0, 1, 2, 3]
+        assert worker_spans == [
+            ("chain_group", [0, 2]),
+            ("chain_group/plan_compile", None),
+            ("chain_group/plan_solve_bounds", None),
+            ("chain_group", [1, 3]),
+            ("chain_group/plan_compile", None),
+            ("chain_group/plan_solve_bounds", None),
+        ]
 
     def test_report_trace_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["report", "--trace", str(tmp_path / "nope.jsonl")])
@@ -378,8 +386,9 @@ class TestTraceReportCommand:
 
 
 class TestOneTelemetryStream:
-    """``batch --stream S --trace T``: the stream folds to the trace's
-    numbers, and ``top`` and ``metrics export`` read the same facts."""
+    """``batch --stream S --trace T``: both files get the same records,
+    a traced batch makes the untraced batch's plan calls, and ``top``,
+    ``metrics export`` and ``report`` read the same facts from either."""
 
     @pytest.fixture(scope="class")
     def queries(self, tmp_path_factory):
@@ -398,74 +407,61 @@ class TestOneTelemetryStream:
                                      "tag": f"q{i}"}) + "\n")
         return path
 
-    def run(self, queries, tmp_path, workers):
+    def run(self, queries, tmp_path, workers, *flags):
         stream, trace = tmp_path / "S.jsonl", tmp_path / "T.jsonl"
         code = main(["batch", "--input", str(queries),
                      "--output", str(tmp_path / "out.jsonl"),
                      "--workers", workers,
-                     "--stream", str(stream), "--trace", str(trace)])
+                     "--stream", str(stream), *flags])
         assert code == 0
         return str(stream), str(trace)
 
+    def traced(self, queries, tmp_path, workers):
+        return self.run(queries, tmp_path, workers,
+                        "--trace", str(tmp_path / "T.jsonl"))
+
     @staticmethod
-    def instruments(records):
-        scalars, histograms = {}, {}
-        for record in records:
-            if record["type"] == "histogram":
-                histograms[record["name"]] = record["summary"]
-            else:
-                scalars[(record["type"], record["name"])] = record["value"]
-        return scalars, histograms
+    def output(capsys, *argv):
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
 
     @pytest.mark.parametrize("workers", ["0", "2"])
     def test_stream_folds_to_trace_metrics(self, queries, tmp_path, workers,
                                            capsys):
-        from repro.observability import (
-            MetricsRegistry, event_records, metric_records, read_trace,
-        )
+        from repro.observability import read_trace
 
-        stream, trace = self.run(queries, tmp_path, workers)
-        folded = MetricsRegistry()
-        for event in event_records(read_trace(stream)):
-            folded.emit(event)
-        got_scalars, got_hists = self.instruments(folded.records())
-        want_scalars, want_hists = self.instruments(
-            metric_records(read_trace(trace)))
-        assert got_scalars == want_scalars
-        assert set(got_hists) == set(want_hists)
-        for name, summary in want_hists.items():
-            assert got_hists[name]["count"] == summary["count"]
-            assert got_hists[name]["sum"] == pytest.approx(
-                summary["sum"], rel=1e-12)
-        # Plan-cache lookups appear under one name, summed across workers.
-        names = {name for _, name in want_scalars}
-        assert ("counter", "engine.plan.cache.hits") in want_scalars
-        assert not any(n.startswith("engine.batch.cache") for n in names)
+        stream, trace = self.traced(queries, tmp_path, workers)
+        assert read_trace(stream) == read_trace(trace)
 
-        capsys.readouterr()
-        assert main(["metrics", "export", "--trace", stream]) == 0
-        from_stream = capsys.readouterr().out
-        assert main(["metrics", "export", "--trace", trace]) == 0
-        from_trace = capsys.readouterr().out
-
-        def totals(text):
+        def totals(path):
+            text = self.output(capsys, "metrics", "export", "--trace", path)
             return [line for line in text.splitlines()
                     if line.split(" ")[0].endswith("_total")]
 
-        assert totals(from_stream) == totals(from_trace)
-        assert len(totals(from_trace)) >= 9
+        assert totals(stream) == totals(trace)
+        # A traced and an untraced run count the same plan calls.
+        (tmp_path / "plain").mkdir()
+        plain, _ = self.run(queries, tmp_path / "plain", workers)
+        assert totals(plain) == totals(trace)
+        assert "repro_engine_plan_sweeps_total 4.0" in totals(trace)
+        assert not any("cache_hits" in line for line in totals(trace))
+
+        report = self.output(capsys, "report", "--trace", trace)
+        assert report == self.output(capsys, "report", "--trace", stream)
+        assert "Metrics" in report and "engine.plan.sweeps" in report
+        assert "chain_group" in report and "plan_solve_bounds" in report
 
     @pytest.mark.parametrize("workers", ["0", "2"])
     def test_top_matches_batch_meta(self, queries, tmp_path, workers, capsys):
         from repro.observability import read_trace
 
-        stream, trace = self.run(queries, tmp_path, workers)
-        batch = read_trace(trace)[0]["batch"]
-        capsys.readouterr()
-        assert main(["top", "--trace", stream, "--once"]) == 0
-        out = capsys.readouterr().out
+        stream, trace = self.traced(queries, tmp_path, workers)
+        (batch,) = [r for r in read_trace(trace) if r.get("event") == "batch"]
+        out = self.output(capsys, "top", "--trace", stream, "--once")
+        assert out == self.output(capsys, "top", "--trace", trace, "--once")
         assert f"solves {batch['queries']} ({batch['failures']} failed)" in out
-        rate = batch["cache"]["hit_rate"]
+        rate = batch["cache_hit_rate"]
         assert f"{100.0 * rate:5.1f}%" in out.split("cache hits")[1].splitlines()[0]
 
     def test_malformed_event_exits_2(self, tmp_path, capsys):
@@ -483,14 +479,27 @@ class TestOneTelemetryStream:
 
         from repro.observability import read_trace
 
-        stream, _ = self.run(queries, tmp_path, "0")
+        stream, _ = self.traced(queries, tmp_path, "0")
         records = read_trace(stream)
         assert records[0]["kind"] == "meta"
-        kinds = Counter(r["event"] for r in records[1:])
-        assert kinds == {"solve": 32, "plan": 32, "cache": 4, "batch": 1}
-        capsys.readouterr()
-        main(["top", "--trace", stream, "--once"])
-        assert " 87.5%" in capsys.readouterr().out
+        kinds = Counter(r.get("event", r["kind"]) for r in records[1:])
+        # One plan call per chain, no plan-cache hits, as untraced; and
+        # three spans per chain group.
+        assert kinds == {"solve": 32, "plan": 4, "cache": 4, "batch": 1,
+                         "span": 12}
+        out = self.output(capsys, "top", "--trace", stream, "--once")
+        assert "   0.0%" in out.split("cache hits")[1].splitlines()[0]
+
+    def test_trace_and_stream_on_one_file_exits_2(self, queries, tmp_path,
+                                                  capsys):
+        same = tmp_path / "same.jsonl"
+        same.write_text("kept\n")
+        code = main(["batch", "--input", str(queries), "--output", "-",
+                     "--trace", str(same), "--stream", str(same)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--trace" in err and "--stream" in err
+        assert same.read_text() == "kept\n"
 
 
 class TestAnalyzeCommand:

@@ -7,14 +7,20 @@ import pytest
 from repro.observability.export import (
     TRACE_SCHEMA_VERSION,
     aggregate_spans,
-    metric_records,
+    event_records,
+    fold_events,
     read_trace,
+    render_prometheus,
     span_records,
-    trace_records,
-    write_trace,
 )
+from repro.observability.live import StreamingJsonlSink
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import Tracer
+
+#: One ``plan`` event, as the engine reports a compiling three-bound call.
+PLAN = {"kind": "event", "event": "plan", "n": 10, "queries": 3,
+        "cache": "miss", "structures_built": 2, "structures_reused": 1,
+        "outcome": "miss"}
 
 
 def sample_tracer():
@@ -28,48 +34,37 @@ def sample_tracer():
 
 
 class TestAssembly:
-    def test_header_first_with_schema(self):
-        records = trace_records(sample_tracer(), meta={"workload": "test"})
+    def test_header_first_with_schema(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        with StreamingJsonlSink(path, meta={"workload": "test"}) as sink:
+            for record in sample_tracer().records():
+                sink.emit(record)
+        records = read_trace(path)
         assert records[0] == {
             "kind": "meta",
             "schema": TRACE_SCHEMA_VERSION,
+            "stream": True,
             "workload": "test",
         }
+        assert TRACE_SCHEMA_VERSION == 3
         assert [r["kind"] for r in records[1:]] == ["span", "span"]
-
-    def test_metrics_appended_after_spans(self):
-        metrics = MetricsRegistry()
-        metrics.counter("hits").inc()
-        records = trace_records(sample_tracer(), metrics=metrics)
-        assert [r["kind"] for r in records] == [
-            "meta", "span", "span", "metric",
-        ]
-
-    def test_extra_spans_preserve_caller_order(self):
-        extra = [
-            {"kind": "span", "path": "w0", "query_index": 0},
-            {"kind": "span", "path": "w1", "query_index": 1},
-        ]
-        records = trace_records(extra_spans=extra)
-        assert records[1:] == extra
 
 
 class TestRoundTrip:
     def test_write_then_read(self, tmp_path):
-        metrics = MetricsRegistry()
-        metrics.histogram("lat").observe(0.25)
         path = str(tmp_path / "trace.jsonl")
-        written = write_trace(
-            path, tracer=sample_tracer(), metrics=metrics,
-            meta={"workload": "round-trip"},
-        )
+        with StreamingJsonlSink(path, meta={"workload": "round-trip"}) as sink:
+            for record in sample_tracer().records():
+                sink.emit(record)
+            sink.emit(PLAN)
         records = read_trace(path)
-        assert len(records) == written == 4
-        assert [r["kind"] for r in records] == ["meta", "span", "span", "metric"]
+        assert len(records) == sink.lines_written == 4
+        assert [r["kind"] for r in records] == ["meta", "span", "span", "event"]
         assert records[0]["workload"] == "round-trip"
         (sweep,) = [r for r in records if r.get("name") == "sweep"]
         assert sweep["counts"] == {"search_steps": 10}
         assert sweep["traces"]["temp_s_len"]["max"] == 2.0
+        assert records[3] == PLAN
 
     def test_read_from_lines_skips_blank(self):
         lines = [
@@ -123,13 +118,35 @@ class TestMalformedInput:
             read_trace(str(tmp_path / "nope.jsonl"))
 
 
+#: A ``metric`` record as schema v1/v2 files carry them.
+OLD_METRIC = {"kind": "metric", "type": "counter",
+              "name": "engine.plan.sweeps", "value": 99}
+
+
 class TestFilters:
     def test_span_and_metric_filters(self):
-        metrics = MetricsRegistry()
-        metrics.counter("hits").inc()
-        records = trace_records(sample_tracer(), metrics=metrics)
+        records = [*sample_tracer().records(), OLD_METRIC, PLAN]
         assert len(span_records(records)) == 2
-        assert len(metric_records(records)) == 1
+        assert event_records(records) == [PLAN]
+        # The fold reads events only: a v1/v2 metric record is ignored.
+        folded = fold_events(records)
+        assert folded.counter("engine.plan.sweeps").value == 1
+        direct = MetricsRegistry()
+        direct.emit(PLAN)
+        assert folded.records() == direct.records()
+
+
+class TestFoldEvents:
+    def test_malformed_event_names_its_kind(self):
+        with pytest.raises(ValueError, match="malformed 'plan' event"):
+            fold_events([{"kind": "event", "event": "plan"}])
+
+    def test_prometheus_renders_the_fold(self):
+        text = render_prometheus(fold_events([PLAN, OLD_METRIC]))
+        assert "repro_engine_plan_sweeps_total 1.0" in text
+        assert "repro_engine_plan_cache_misses_total 1.0" in text
+        assert 'repro_engine_plan_sweep_batch_size{quantile="0.5"} 3.0' in text
+        assert "repro_engine_plan_sweep_batch_size_count 1" in text
 
 
 class TestAggregateSpans:
